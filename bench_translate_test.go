@@ -5,14 +5,20 @@
 //
 // and see BENCH_translate.json for recorded numbers.
 //
-//   - cold: a globally fresh workload — reconstruction (pseudoinverse)
-//     plus the full N=10000 sampling pass. This is the cost the plane
-//     exists to amortize; before it, every session paid it per workload.
+//   - cold: a globally fresh query matrix — reconstruction
+//     (pseudoinverse) plus the full N=10000 sampling pass. This is the
+//     cost the plane exists to amortize; before it, every session paid it
+//     per workload.
 //   - hit: the same workload through the shared per-dataset cache — what
 //     every session after the first pays.
+//   - fresh-constants: a never-seen predicate text over a matrix a
+//     durable cache already holds (the histogram slid by 2^-8 per
+//     iteration): one matrix fingerprint plus a lookup. While plans were
+//     keyed by predicate text this was the cold path plus a sidecar
+//     rewrite, every time.
 //   - sidecar: a restarted process — LoadSidecar (decode + CRC) plus the
 //     first ask's promotion; no reconstruction, no sampling.
-//   - batch16: 16 distinct same-shape workloads warmed in one
+//   - batch16: 16 distinct same-shape matrices warmed in one
 //     TranslateBatch, sharing one drawn sample matrix; reported
 //     per workload.
 //
@@ -39,7 +45,7 @@ import (
 )
 
 // translateBenchSchema covers [0, 4096): room for every domain size and
-// for minting distinct workloads by jittering bin origins.
+// for minting fresh predicate texts by jittering bin origins.
 func translateBenchSchema(b *testing.B) *dataset.Schema {
 	b.Helper()
 	s, err := dataset.NewSchema(dataset.Attribute{Name: "v", Kind: dataset.Continuous, Min: 0, Max: 4096})
@@ -49,16 +55,19 @@ func translateBenchSchema(b *testing.B) *dataset.Schema {
 	return s
 }
 
-// translateBenchTr builds the j-th distinct n-bin histogram workload
-// (unit bins offset by j·2^-8, so every j is a distinct workload key with
-// the identical strategy shape).
-func translateBenchTr(b *testing.B, s *dataset.Schema, n, j int) *workload.Transformed {
+// translateBenchTr builds an n-bin unit histogram workload with its
+// origin at j·2^-8 and its predicates rotated left by rot. Every j ≥ 1 is
+// a new predicate text over one and the same query matrix (j = 0 sits on
+// the domain minimum, which drops the leading empty partition); every
+// rot < n is a distinct matrix with the identical strategy shape.
+func translateBenchTr(b *testing.B, s *dataset.Schema, n, j, rot int) *workload.Transformed {
 	b.Helper()
 	off := float64(j) / 256
 	preds, err := workload.Histogram1D("v", off, off+float64(n), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	preds = append(preds[rot:], preds[:rot]...)
 	tr, err := workload.Transform(s, preds, workload.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -69,7 +78,7 @@ func translateBenchTr(b *testing.B, s *dataset.Schema, n, j int) *workload.Trans
 func BenchmarkTranslate(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		s := translateBenchSchema(b)
-		tr := translateBenchTr(b, s, n, 0)
+		tr := translateBenchTr(b, s, n, 0, 0)
 
 		b.Run(fmt.Sprintf("cold/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -89,6 +98,25 @@ func BenchmarkTranslate(b *testing.B) {
 				if _, err := c.Plan(tr, strategy.H2, translate.DefaultSamples); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+
+		b.Run(fmt.Sprintf("fresh-constants/n=%d", n), func(b *testing.B) {
+			c := translate.NewCache(filepath.Join(b.TempDir(), "translate.tc"))
+			if _, err := c.Plan(translateBenchTr(b, s, n, 1, 0), strategy.H2, translate.DefaultSamples); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := translateBenchTr(b, s, n, 2+i%(1<<18), 0)
+				b.StartTimer()
+				if _, err := c.Plan(fresh, strategy.H2, translate.DefaultSamples); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if st := c.Stats(); st.Misses != 1 {
+				b.Fatalf("fresh constants over one matrix paid %d samplings, want 1", st.Misses)
 			}
 		})
 
@@ -134,7 +162,7 @@ func BenchmarkTranslate(b *testing.B) {
 			items := make([]translate.Item, k)
 			for j := 0; j < k; j++ {
 				items[j] = translate.Item{
-					Tr:       translateBenchTr(b, s, n, j),
+					Tr:       translateBenchTr(b, s, n, 0, j),
 					Strategy: strategy.H2,
 					Samples:  translate.DefaultSamples,
 				}

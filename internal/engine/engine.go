@@ -165,8 +165,8 @@ type Config struct {
 	// Translations, when set, is the Monte-Carlo translation plan source
 	// the strategy mechanism reads through — the per-dataset shared,
 	// sidecar-persisted translate.Cache on the server, so all sessions
-	// pay each workload's ~9 ms sampling once and restarts reload plans
-	// instead of re-sampling. It is injected into every suite SM that
+	// pay each query matrix's ~9 ms sampling once and restarts reload
+	// plans instead of re-sampling. It is injected into every suite SM that
 	// doesn't already carry its own source; nil leaves each SM with a
 	// private in-memory cache.
 	Translations translate.Source
@@ -537,11 +537,12 @@ func (e *Engine) Prepare(ctx context.Context, q *query.Query) (*exec.Plan, *Answ
 	// (pessimistic translators simulate the noise distribution), so it gets
 	// its own span under "prepare".
 	_, tlSpan := obs.StartSpan(ctx, "translate")
-	if e.translations != nil {
+	if tlSpan != nil && e.translations != nil {
 		// Whether the shared translation plane already holds a plan for
-		// this workload — i.e. whether the Monte-Carlo sampling below is
-		// a lookup or a fresh ~9 ms computation.
-		tlSpan.Set("translate_cache_hit", e.translations.Ready(key))
+		// this workload's matrix — i.e. whether the Monte-Carlo sampling
+		// below is a lookup or a fresh ~9 ms computation. Only a live
+		// span can record the answer, so untraced requests skip the probe.
+		tlSpan.Set("translate_cache_hit", e.translations.Ready(tr.MatrixFingerprint()))
 	}
 	remaining := e.budget - e.spent - e.reserved
 	var best *Choice

@@ -39,8 +39,10 @@ type Explain struct {
 	ReuseHit bool
 	// TransformCacheHit / TranslateCacheHit report whether the workload
 	// transformation cache and the shared Monte-Carlo translation plane
-	// already held this workload when Explain ran. (Explain itself warms
-	// both, exactly like Prepare — that is cache state, not budget.)
+	// already held this workload — for translation, a plan for its query
+	// matrix, whichever predicate text first asked for it — when Explain
+	// ran. (Explain itself warms both, exactly like Prepare — that is
+	// cache state, not budget.)
 	TransformCacheHit bool
 	TranslateCacheHit bool
 	// Remaining is budget - spent - reserved at peek time: the figure
@@ -85,7 +87,7 @@ func (e *Engine) Explain(q *query.Query) (*Explain, error) {
 	ex.Partitions = tr.NumPartitions()
 	ex.PlannedColumns, ex.PredictedScanBytes, ex.ScanPlanExact = tr.ScanPlan(e.data)
 	if e.translations != nil {
-		ex.TranslateCacheHit = e.translations.Ready(key)
+		ex.TranslateCacheHit = e.translations.Ready(tr.MatrixFingerprint())
 	}
 
 	// Reuse peek and budget snapshot under the engine lock, read-only —

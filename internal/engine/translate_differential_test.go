@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/mechanism"
 	"repro/internal/noise"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/strategy"
 	"repro/internal/translate"
@@ -76,6 +78,9 @@ func askAll(t *testing.T, e *Engine, qs []*query.Query) ([]float64, [][]byte) {
 func TestTranslationPlaneDifferential(t *testing.T) {
 	d := testTable(t, []int{100, 200, 300, 400, 100, 200, 300, 400})
 	req := accuracy.Requirement{Alpha: 25, Beta: 0.05}
+	// Two distinct query matrices (disjoint bins vs cumulative prefixes):
+	// the plane keys plans by matrix, so "2 samplings" below counts
+	// matrices, not predicate texts.
 	qs := []*query.Query{
 		histQuery(t, 8, req),
 		prefixQuery(t, 8, req),
@@ -148,6 +153,75 @@ func TestTranslationPlaneDifferential(t *testing.T) {
 			if !bytes.Equal(tx[i], baseTx[i]) {
 				t.Fatalf("%s: transcript entry %d differs:\n%s\nvs baseline\n%s", name, i, tx[i], baseTx[i])
 			}
+		}
+	}
+}
+
+// probeCounter counts the advisory Ready probes reaching a cache.
+type probeCounter struct {
+	*translate.Cache
+	probes int
+}
+
+func (p *probeCounter) Ready(m workload.Fingerprint) bool {
+	p.probes++
+	return p.Cache.Ready(m)
+}
+
+// TestPrepareProbesTranslationPlaneOnlyWhenTraced: the translate_cache_hit
+// probe exists to annotate the translate span, so a request with no live
+// span must not take the cache lock for it — and a traced one gets the
+// attribute, keyed by matrix: a never-seen predicate text over a known
+// matrix reads as a hit.
+func TestPrepareProbesTranslationPlaneOnlyWhenTraced(t *testing.T) {
+	d := testTable(t, []int{100, 200, 300, 400, 100, 200, 300, 400})
+	req := accuracy.Requirement{Alpha: 25, Beta: 0.05}
+	src := &probeCounter{Cache: translate.NewCache("")}
+	e := smEngine(t, d, src)
+
+	shifted := func(lo float64) *query.Query {
+		preds, err := workload.Histogram1D("v", lo, lo+40, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := query.NewWCQ(preds, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	if _, err := e.Ask(shifted(10)); err != nil {
+		t.Fatal(err)
+	}
+	if src.probes != 0 {
+		t.Fatalf("untraced request probed the translation plane %d times", src.probes)
+	}
+
+	tracer := obs.New(obs.Config{})
+	for i, want := range []bool{true, false} {
+		q := shifted(11.5) // same matrix as shifted(10), new text
+		if !want {
+			q = histQuery(t, 8, req) // bins from the domain minimum: a new matrix
+		}
+		ctx, trace := tracer.Start(context.Background(), obs.NewRequestID(), "query")
+		if _, err := e.AskContext(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		trace.Finish()
+		if src.probes != i+1 {
+			t.Fatalf("traced request %d: %d probes so far, want %d", i, src.probes, i+1)
+		}
+		views := tracer.Traces(obs.Filter{})
+		var hit any
+		for _, prep := range views[0].Spans {
+			for _, sp := range prep.Spans {
+				if sp.Name == "translate" {
+					hit = sp.Attrs["translate_cache_hit"]
+				}
+			}
+		}
+		if hit != want {
+			t.Fatalf("traced request %d: translate_cache_hit = %v, want %v", i, hit, want)
 		}
 	}
 }

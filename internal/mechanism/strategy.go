@@ -24,13 +24,16 @@ import (
 // Monte-Carlo simulation of the failure rate (the paper's estimateBeta).
 // The simulation exploits that the error scales as 1/ε: one batch of
 // normalized error samples Z = ‖W·A⁺·Lap(1)^l‖∞ is drawn per
-// (workload, strategy) pair and re-thresholded at every ε probed, so the
-// binary search costs one matrix-vector product per sample in total.
+// (query matrix, strategy) pair and re-thresholded at every ε probed, so
+// the binary search costs one matrix-vector product per sample in total.
 //
 // The samples come from a translate.Source — the per-dataset shared,
 // persistent TranslationCache when the server wires one up (Source), or a
-// private cache otherwise. Sampling seeds are canonical
-// (translate.SampleSeed): the same workload translates to the bit-identical
+// private cache otherwise — which keeps one plan per query matrix: the
+// plan supplies A, R and the samples, and is shared by every workload
+// whose matrix it is, while the histogram x always comes from the asking
+// workload's own predicates. Sampling seeds are canonical
+// (translate.SampleSeed): the same matrix translates to the bit-identical
 // ε in any session, any process life, and any translation order.
 //
 // SM answers WCQ directly. It also answers ICQ (the paper's ICQ-SM):
@@ -105,7 +108,8 @@ func (m *SM) Applicable(q *query.Query, tr *workload.Transformed) bool {
 	return tr.Materialized()
 }
 
-// plan fetches the workload's translation plan through the source.
+// plan fetches the translation plan for the workload's query matrix
+// through the source.
 func (m *SM) plan(tr *workload.Transformed) (*translate.Plan, error) {
 	p, err := m.source().Plan(tr, m.strat(), m.samples())
 	if err != nil {

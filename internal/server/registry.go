@@ -98,8 +98,8 @@ type Dataset struct {
 	// evaluations across all of the dataset's sessions.
 	Transforms *workload.TransformCache
 	// Translations caches Monte-Carlo translation plans (sorted error
-	// samples + reconstruction scalars) across all of the dataset's
-	// sessions. For durable datasets it is backed by the translate.tc
+	// samples + reconstruction scalars), one per distinct query matrix,
+	// across all of the dataset's sessions. For durable datasets it is backed by the translate.tc
 	// sidecar in the catalog entry, so plans survive restarts.
 	Translations *translate.Cache
 	// Mode says whether Table's columns live on the heap or alias the
@@ -121,8 +121,9 @@ type DatasetRecovery struct {
 	Rows    int
 	Elapsed time.Duration
 	// TranslatePlans is how many Monte-Carlo translation plans came back
-	// from the dataset's sidecar — workloads a restarted server serves in
-	// microseconds instead of re-sampling.
+	// from the dataset's sidecar — query matrices a restarted server
+	// serves in microseconds instead of re-sampling, under any predicate
+	// text.
 	TranslatePlans int
 }
 
@@ -330,7 +331,9 @@ func newDataset(t *dataset.Table, mode StorageMode, seg *colstore.Segment) *Data
 // persisted. Called before the dataset is registered (no session can hold
 // the memory-only cache yet). Returns the number of plans loaded; a
 // corrupt sidecar is quarantined and rebuilt from its valid prefix by the
-// cache itself, counted in the registry's translate counters.
+// cache itself, counted in the registry's translate counters. A sidecar
+// in the older text-keyed format loads nothing and is silently replaced
+// by the first persist.
 func (r *Registry) attachTranslationSidecar(name string, ds *Dataset) int {
 	if r.store == nil {
 		return 0

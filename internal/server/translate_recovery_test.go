@@ -118,6 +118,79 @@ func TestRestartLoadsTranslationSidecar(t *testing.T) {
 	}
 }
 
+// TestRestartServesNeverSeenTextOfKnownMatrix: plans are keyed by the
+// query matrix, not the predicate text, so a second process life serves a
+// predicate text no process has ever seen — same bins, slid and stretched
+// — straight from the sidecar: zero sampling misses, EXPLAIN reads the
+// translation plane as warm, and the ε matches the first life's (same
+// matrix, same accuracy requirement).
+func TestRestartServesNeverSeenTextOfKnownMatrix(t *testing.T) {
+	const (
+		seenQuery  = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 10 AND 40, age BETWEEN 40 AND 70 } ERROR 100 CONFIDENCE 0.95;"
+		freshQuery = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 12 AND 33, age BETWEEN 33 AND 81 } ERROR 100 CONFIDENCE 0.95;"
+		// Bins starting on the domain minimum have no "below" partition:
+		// a different matrix, which the sidecar does not hold.
+		otherQuery = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 33, age BETWEEN 33 AND 81 } ERROR 100 CONFIDENCE 0.95;"
+	)
+	dir := t.TempDir()
+
+	c1, reg1, _, _ := startTranslateServer(t, dir)
+	if _, err := c1.AddDataset(server.AddDatasetRequest{
+		Name:   "people",
+		Schema: peopleSchema(t),
+		CSV:    peopleCSV(200, 1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sess1, err := c1.CreateSession(server.CreateSessionRequest{Dataset: "people", Budget: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans1, err := c1.Query(sess1.ID, seenQuery)
+	if err != nil || ans1.Denied {
+		t.Fatalf("first-life query: err=%v ans=%+v", err, ans1)
+	}
+	misses1 := reg1.TranslateStats()[0].Stats.Misses
+	if misses1 < 1 {
+		t.Fatal("first life never sampled")
+	}
+
+	c2, reg2, _, recovered := startTranslateServer(t, dir)
+	if len(recovered) != 1 || int64(recovered[0].TranslatePlans) != misses1 {
+		t.Fatalf("recovered %+v, want the %d plans the first life computed", recovered, misses1)
+	}
+	sess2, err := c2.CreateSession(server.CreateSessionRequest{Dataset: "people", Budget: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := c2.Explain(sess2.ID, freshQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.TransformCacheHit || !ex.TranslateCacheHit {
+		t.Fatalf("EXPLAIN of a never-seen text over a known matrix: transform hit=%v translate hit=%v, want false/true",
+			ex.TransformCacheHit, ex.TranslateCacheHit)
+	}
+	ans2, err := c2.Query(sess2.ID, freshQuery)
+	if err != nil || ans2.Denied {
+		t.Fatalf("second-life query: err=%v ans=%+v", err, ans2)
+	}
+	if st := reg2.TranslateStats()[0].Stats; st.Misses != 0 || st.Hits < 1 {
+		t.Fatalf("second life sampled for a known matrix: %+v", st)
+	}
+	if ans2.Epsilon != ans1.Epsilon {
+		t.Fatalf("ε for one matrix changed across restart and text: %v vs %v", ans2.Epsilon, ans1.Epsilon)
+	}
+
+	// The control: a matrix the sidecar has not seen is cold, and sampled.
+	if ex, err = c2.Explain(sess2.ID, otherQuery); err != nil || ex.TranslateCacheHit {
+		t.Fatalf("EXPLAIN of an unknown matrix: err=%v translate hit=%v, want false", err, ex != nil && ex.TranslateCacheHit)
+	}
+	if st := reg2.TranslateStats()[0].Stats; st.Misses < 1 {
+		t.Fatalf("unknown matrix was not sampled: %+v", st)
+	}
+}
+
 func TestCorruptTranslationSidecarQuarantinedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 

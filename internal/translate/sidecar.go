@@ -1,21 +1,27 @@
 package translate
 
 // The translation sidecar is the durable half of the plane: every
-// computed plan — key, strategy shape, canonical seed and the sorted
-// normalized samples — is framed into one file beside the dataset's
-// catalog entry, so a restarted server re-reads ~80 KB per workload
-// instead of re-sampling for ~9 ms.
+// computed plan — matrix fingerprint, strategy shape, canonical seed and
+// the sorted normalized samples — is framed into one file beside the
+// dataset's catalog entry, so a restarted server re-reads ~80 KB per
+// matrix instead of re-sampling for ~9 ms.
 //
 // Format (all little-endian):
 //
-//	header  : magic "APEXTRAN" | u32 version (=1)
+//	header  : magic "APEXTRAN" | u32 version (=2)
 //	frame   : u32 payloadLen | u32 crc32c(payload) | payload
-//	payload : u32 keyLen | key
+//	payload : 32B matrix fingerprint (SHA-256)
 //	          u8  stratLen | strat
 //	          u32 samples | u64 seed
-//	          u32 L (workload length) | u32 rows (strategy-matrix rows)
+//	          u32 L (matrix rows) | u32 cols (matrix columns)
+//	          u32 rows (strategy-matrix rows)
 //	          f64 SensA | f64 FrobR
 //	          u32 nzs | nzs × f64 zs (sorted)
+//
+// Version 1 keyed frames by the rendered predicate text. A v1 file is
+// stale, not corrupt: none of its keys can ever be asked for again, so it
+// is ignored on load (by its header alone — its frames are not read) and
+// replaced by the next persist, without quarantine or alarm.
 //
 // Floats are raw IEEE-754 bits, so a loaded plan is bit-identical to
 // the computed one — the differential tests depend on that. The CRC is
@@ -27,6 +33,7 @@ package translate
 // rewritten from the surviving plans.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -34,11 +41,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/workload"
 )
 
 const (
 	sidecarMagic   = "APEXTRAN"
-	sidecarVersion = 1
+	sidecarVersion = 2
+	// sidecarStaleVersion is the text-keyed format this one replaced.
+	sidecarStaleVersion = 1
 	// sidecarQuarantineSuffix matches store.QuarantineSuffix: corrupt
 	// artifacts are renamed aside, never deleted.
 	sidecarQuarantineSuffix = ".quarantined"
@@ -51,13 +62,14 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // storedPlan is a plan as persisted: everything but the in-memory
-// workload/strategy handles, which are re-attached on promotion.
+// matrix/strategy handles, which are re-attached on promotion.
 type storedPlan struct {
-	key     string
+	matrix  workload.Fingerprint
 	strat   string
 	samples int
 	seed    int64
-	l       int // workload length L
+	l       int // query-matrix rows (workload length L)
+	cols    int // query-matrix columns (partitions)
 	rows    int // strategy-matrix rows l
 	sensA   float64
 	frobR   float64
@@ -66,14 +78,14 @@ type storedPlan struct {
 
 // encodeStoredPlan appends one framed plan to buf.
 func encodeStoredPlan(buf []byte, s *storedPlan) []byte {
-	payload := make([]byte, 0, 4+len(s.key)+1+len(s.strat)+4+8+4+4+8+8+4+8*len(s.zs))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(s.key)))
-	payload = append(payload, s.key...)
+	payload := make([]byte, 0, len(s.matrix)+1+len(s.strat)+4+8+4+4+4+8+8+4+8*len(s.zs))
+	payload = append(payload, s.matrix[:]...)
 	payload = append(payload, byte(len(s.strat)))
 	payload = append(payload, s.strat...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.samples))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.seed))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.l))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.cols))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.rows))
 	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.sensA))
 	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.frobR))
@@ -105,18 +117,11 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 		p = p[8:]
 		return v, nil
 	}
-	keyLen, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(keyLen) > len(p) {
-		return nil, fmt.Errorf("translate: key overruns payload")
-	}
-	s := &storedPlan{key: string(p[:keyLen])}
-	p = p[keyLen:]
-	if len(p) < 1 {
+	s := &storedPlan{}
+	if len(p) < len(s.matrix)+1 {
 		return nil, fmt.Errorf("translate: truncated payload")
 	}
+	p = p[copy(s.matrix[:], p):]
 	stratLen := int(p[0])
 	p = p[1:]
 	if stratLen > len(p) {
@@ -139,6 +144,11 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 		return nil, err
 	}
 	s.l = int(l)
+	cols, err := u32()
+	if err != nil {
+		return nil, err
+	}
+	s.cols = int(cols)
 	rows, err := u32()
 	if err != nil {
 		return nil, err
@@ -173,11 +183,17 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 
 // decodeSidecar parses a whole sidecar. It returns every plan from the
 // valid frame prefix plus corrupt=true if anything after that prefix is
-// damaged (bad magic, bad CRC, truncation, undecodable payload).
+// damaged (bad magic, bad CRC, truncation, undecodable payload). A stale
+// (v1) sidecar decodes to no plans and is not corrupt.
 func decodeSidecar(data []byte) (plans []*storedPlan, corrupt bool) {
-	if len(data) < len(sidecarMagic)+4 ||
-		string(data[:len(sidecarMagic)]) != sidecarMagic ||
-		binary.LittleEndian.Uint32(data[len(sidecarMagic):]) != sidecarVersion {
+	if len(data) < len(sidecarMagic)+4 || string(data[:len(sidecarMagic)]) != sidecarMagic {
+		return nil, true
+	}
+	switch binary.LittleEndian.Uint32(data[len(sidecarMagic):]) {
+	case sidecarVersion:
+	case sidecarStaleVersion:
+		return nil, false
+	default:
 		return nil, true
 	}
 	p := data[len(sidecarMagic)+4:]
@@ -209,8 +225,9 @@ func decodeSidecar(data []byte) (plans []*storedPlan, corrupt bool) {
 // without touching any cache state — the background scrubber's sidecar
 // check. A missing file is healthy (datasets translate lazily); a file
 // whose suffix is damaged reports plans as the surviving valid-prefix
-// count and corrupt=true. Healing is the cache's job: LoadSidecar
-// quarantines and rewrites from the valid prefix.
+// count and corrupt=true; a stale v1 file is healthy with 0 plans.
+// Healing is the cache's job: LoadSidecar quarantines and rewrites from
+// the valid prefix.
 func VerifySidecar(path string) (plans int, corrupt bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -253,8 +270,8 @@ func (c *Cache) persist() {
 	// byte-identical sidecar.
 	sort.Slice(plans, func(i, j int) bool {
 		a, b := plans[i], plans[j]
-		if a.key != b.key {
-			return a.key < b.key
+		if c := bytes.Compare(a.matrix[:], b.matrix[:]); c != 0 {
+			return c < 0
 		}
 		if a.strat != b.strat {
 			return a.strat < b.strat
@@ -278,7 +295,8 @@ func (c *Cache) persist() {
 // entries on first ask, so loading never pays a pseudoinverse. A corrupt
 // sidecar is quarantined — renamed aside with the catalog's quarantine
 // suffix — and immediately rewritten from its valid frame prefix; the
-// quarantined path is returned for logging.
+// quarantined path is returned for logging. A stale v1 sidecar loads
+// nothing and is left for the next persist to replace.
 func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	if c.path == "" {
 		return 0, "", nil
@@ -293,7 +311,12 @@ func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	plans, corrupt := decodeSidecar(data)
 	c.mu.Lock()
 	for _, s := range plans {
-		c.stored[planKey{workload: s.key, strat: s.strat, samples: s.samples}] = s
+		k := planKey{matrix: s.matrix, strat: s.strat, samples: s.samples}
+		if _, live := c.entries[k]; live {
+			continue // a heal re-reading the file this cache wrote
+		}
+		c.stored[k] = s
+		c.ready[s.matrix] = struct{}{}
 	}
 	c.mu.Unlock()
 	c.loads.Add(int64(len(plans)))
@@ -315,11 +338,12 @@ func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 // planToStored strips a live plan to its persistable fields.
 func planToStored(p *Plan) *storedPlan {
 	return &storedPlan{
-		key:     p.Key,
+		matrix:  p.Matrix,
 		strat:   p.Strategy,
 		samples: p.Samples,
 		seed:    p.Seed,
-		l:       p.l,
+		l:       p.mat.Rows(),
+		cols:    p.mat.Cols(),
 		rows:    p.rows,
 		sensA:   p.SensA,
 		frobR:   p.FrobR,

@@ -5,18 +5,24 @@
 // Translating a workload counting query to a privacy cost requires the
 // distribution of the reconstruction error ‖W·A⁺·Lap(1)^l‖∞, which has
 // no closed form; APEx estimates it from N sorted Monte-Carlo samples
-// ("zs"). The key observation this package exploits: those samples
-// depend only on (workload, strategy, N) — not on the accuracy knobs
-// (α, β) and not on the asking session — so they are a per-dataset
-// asset, not a per-session one:
+// ("zs"). Those samples are a function of the query matrix W, the
+// strategy and N only — not of the accuracy knobs (α, β), not of the
+// asking session, and not of the predicate text W was derived from. So
+// the plane keeps one plan per (matrix, strategy, N):
 //
-//   - Cache: plans are kept in a TranslationCache keyed by the canonical
-//     workload key (workload.Key) × strategy × sample count, shared by
-//     every session of a dataset. Concurrent fresh askers singleflight:
-//     one pays the sampling, the rest wait on the same entry.
+//   - Content-addressed: plans are keyed by the matrix fingerprint
+//     (workload.Transformed.MatrixFingerprint: SHA-256 over dimensions
+//     and bit-packed entries) × strategy × sample count, shared by every
+//     session of a dataset. A histogram slid along its axis, a prefix
+//     workload with a new origin, the same bins under an extra
+//     categorical filter — fresh predicate text, same matrix — are all
+//     hits. Each asker still extracts its own histogram from its own
+//     predicates; the plan contributes only A, R and the samples.
+//     Concurrent fresh askers singleflight: one pays the sampling, the
+//     rest wait on the same entry.
 //   - Vectorize: sampling draws the Laplace matrix block by block, each
 //     block from its own canonically-derived stream (noise.SplitSeed),
-//     and fans the blocks across GOMAXPROCS. Every workload in a
+//     and fans the blocks across GOMAXPROCS. Every matrix in a
 //     TranslateBatch group with the same strategy shape shares the drawn
 //     sample blocks — one sample matrix, many workloads — and the
 //     per-sample dot products keep the exact accumulation order of the
@@ -24,23 +30,23 @@
 //     blocks were scheduled.
 //   - Persist: computed plans are framed into a CRC-checksummed sidecar
 //     file next to the dataset's catalog entry, written atomically and
-//     reloaded on recovery, so a restart re-reads ~80 KB per workload
-//     instead of re-sampling for ~9 ms. A corrupt sidecar is quarantined
-//     (renamed aside for the operator) and rebuilt from its valid
-//     prefix.
+//     reloaded on recovery, so a restart re-reads ~80 KB per matrix
+//     instead of re-sampling — and serves predicate texts it has never
+//     seen, as long as it has seen their matrix. A corrupt sidecar is
+//     quarantined (renamed aside for the operator) and rebuilt from its
+//     valid prefix.
 //
 // Seeds are canonical: the sampler's seed is a hash of (strategy, N,
-// strategy-matrix rows), never of session state or cache arrival order.
-// The same workload therefore translates to the bit-identical ε in any
-// session, any process life, any translation order — the property the
-// regression and differential tests pin down. The workload key is
-// deliberately NOT part of the seed: the normalized samples are
-// workload-independent by construction (only the reconstruction matrix
-// R differs), and a key-dependent seed would preclude sharing one
-// sample matrix across the fresh workloads of a batch.
+// strategy-matrix rows), never of session state, cache arrival order or
+// the workload. A matrix therefore translates to the bit-identical ε in
+// any session, any process life, any translation order, through a shared
+// or a private cache — the property the regression and differential
+// tests pin down — and the same-shape matrices of a batch can share one
+// sample matrix.
 //
 // Sharing plans is privacy-neutral: translation reads only the public
-// schema and the workload, never the data.
+// schema and the workload, never the data, so a plan shared across
+// workloads reveals nothing a per-workload plan did not.
 package translate
 
 import (
@@ -68,21 +74,25 @@ const DefaultSamples = 10000
 const sampleBlock = 256
 
 // maxEntries bounds the distinct plans one cache retains (an analyst can
-// mint fresh workload keys by varying predicate constants; each plan
-// holds N float64 samples). Reaching the bound drops the cache wholesale
+// still mint fresh matrices by varying the workload's length or shape;
+// each plan holds N float64 samples). Reaching the bound drops the cache
+// wholesale
 // — plans held by in-flight queries stay valid, repeats recompute once —
 // and the sidecar is rewritten to the surviving content on the next
 // persist.
 const maxEntries = 256
 
-// Plan is one workload's translation state: the sorted normalized error
-// samples plus the scalars the ε binary search reads. The reconstruction
-// matrices themselves are rebuilt lazily (Reconstruction) so a
-// sidecar-loaded plan can serve translations in microseconds without
-// paying the pseudoinverse until a mechanism actually runs.
+// Plan is one query matrix's translation state: the sorted normalized
+// error samples plus the scalars the ε binary search reads. The
+// reconstruction matrices themselves are rebuilt lazily (Reconstruction)
+// so a sidecar-loaded plan can serve translations in microseconds
+// without paying the pseudoinverse until a mechanism actually runs. A
+// plan holds the matrix it was built from, never the asking workload:
+// every workload with that matrix shares it, pseudoinverse included.
 type Plan struct {
-	// Key is the canonical workload key (workload.Key).
-	Key string
+	// Matrix is the content address of the query matrix
+	// (workload.Transformed.MatrixFingerprint).
+	Matrix workload.Fingerprint
 	// Strategy is the strategy family name (strategy.Strategy.Name).
 	Strategy string
 	// Samples is the Monte-Carlo sample count N.
@@ -97,10 +107,9 @@ type Plan struct {
 	// Zs are the N draws of ‖R·Lap(1)^l‖∞, sorted ascending.
 	Zs []float64
 
-	l    int // workload length L (number of predicates)
 	rows int // strategy-matrix rows (the Laplace vector length)
 
-	tr      *workload.Transformed
+	mat     *linalg.Matrix // the query matrix W the plan serves
 	strat   strategy.Strategy
 	recOnce sync.Once
 	rec     *strategy.Reconstruction
@@ -118,13 +127,13 @@ func (p *Plan) Reconstruction() (*strategy.Reconstruction, error) {
 		if p.rec != nil {
 			return
 		}
-		rec, err := strategy.NewReconstruction(p.tr.Matrix(), p.strat)
+		rec, err := strategy.NewReconstruction(p.mat, p.strat)
 		if err != nil {
 			p.recErr = fmt.Errorf("translate: rebuild reconstruction: %w", err)
 			return
 		}
 		if rec.SensA != p.SensA || rec.A.Rows() != p.rows || rec.R.FrobeniusNorm() != p.FrobR {
-			p.recErr = fmt.Errorf("translate: persisted plan for workload does not match the reconstruction (stale sidecar?)")
+			p.recErr = fmt.Errorf("translate: persisted plan does not match the reconstruction of its matrix (stale sidecar?)")
 			return
 		}
 		p.rec = rec
@@ -144,11 +153,11 @@ type Item struct {
 // through one; Cache is the shared, persistent implementation.
 type Source interface {
 	// Plan returns (computing at most once per key across concurrent
-	// callers) the translation plan for the workload.
+	// callers) the translation plan for the workload's query matrix.
 	Plan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error)
-	// Ready reports whether any plan for the canonical workload key is
-	// already available without sampling. Advisory, for observability.
-	Ready(key string) bool
+	// Ready reports whether any plan for the query matrix is already
+	// available without sampling. Advisory, for observability; O(1).
+	Ready(matrix workload.Fingerprint) bool
 	// TranslateBatch warms the plans for a batch of workloads in one
 	// fanned-out sampling pass, sharing drawn sample blocks across
 	// same-shape workloads. It returns the number of freshly computed
@@ -156,11 +165,16 @@ type Source interface {
 	TranslateBatch(items []Item) int
 }
 
-// planKey identifies one plan within a cache.
+// planKey identifies one plan within a cache. The matrix fingerprint is
+// its only workload component.
 type planKey struct {
-	workload string
-	strat    string
-	samples  int
+	matrix  workload.Fingerprint
+	strat   string
+	samples int
+}
+
+func keyOf(it Item) planKey {
+	return planKey{matrix: it.Tr.MatrixFingerprint(), strat: it.Strategy.Name(), samples: it.Samples}
 }
 
 // entry is one singleflight slot: done closes when plan/err are final.
@@ -195,6 +209,9 @@ type Cache struct {
 	schema  *dataset.Schema
 	entries map[planKey]*entry
 	stored  map[planKey]*storedPlan
+	// ready is the set of matrices with a finished or stored plan: what
+	// Ready answers from, without scanning entries.
+	ready map[workload.Fingerprint]struct{}
 
 	path      string
 	persistMu sync.Mutex
@@ -209,6 +226,7 @@ func NewCache(sidecarPath string) *Cache {
 	return &Cache{
 		entries: make(map[planKey]*entry),
 		stored:  make(map[planKey]*storedPlan),
+		ready:   make(map[workload.Fingerprint]struct{}),
 		path:    sidecarPath,
 	}
 }
@@ -233,25 +251,11 @@ func (c *Cache) Len() int {
 }
 
 // Ready implements Source.
-func (c *Cache) Ready(key string) bool {
+func (c *Cache) Ready(matrix workload.Fingerprint) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.stored {
-		if k.workload == key {
-			return true
-		}
-	}
-	for k, e := range c.entries {
-		if k.workload != key {
-			continue
-		}
-		select {
-		case <-e.done:
-			return true
-		default:
-		}
-	}
-	return false
+	_, ok := c.ready[matrix]
+	return ok
 }
 
 // bindSchema enforces one cache per dataset: plans bake in the domain
@@ -273,35 +277,68 @@ func (c *Cache) Plan(tr *workload.Transformed, strat strategy.Strategy, samples 
 	if !tr.Materialized() {
 		return nil, fmt.Errorf("translate: workload transformation is implicit (no query matrix)")
 	}
-	k := planKey{workload: tr.CanonicalKey(), strat: strat.Name(), samples: samples}
+	it := Item{Tr: tr, Strategy: strat, Samples: samples}
+	k := keyOf(it)
 	c.mu.Lock()
 	if err := c.bindSchema(tr.Schema()); err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
-	if e, ok := c.entries[k]; ok {
+	e, ok := c.entries[k]
+	if !ok {
+		e, ok = c.promoteLocked(k, it)
+	}
+	if ok {
 		c.mu.Unlock()
 		<-e.done
 		c.hits.Add(1)
 		return e.plan, e.err
 	}
-	if s, ok := c.stored[k]; ok && s.l == tr.L() {
-		delete(c.stored, k)
-		e := &entry{done: closedChan, plan: s.promote(tr, strat)}
-		c.entries[k] = e
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return e.plan, nil
-	}
-	e := c.claimLocked(k)
+	e = c.claimLocked(k)
 	c.mu.Unlock()
 	c.misses.Add(1)
-	e.plan, e.err = computePlan(tr, strat, samples)
-	close(e.done)
-	if e.err == nil {
-		c.persist()
+	rec, err := strategy.NewReconstruction(tr.Matrix(), strat)
+	if err != nil {
+		c.finish(k, e, nil, fmt.Errorf("translate: %w", err))
+		return nil, e.err
 	}
-	return e.plan, e.err
+	seed := SampleSeed(k.strat, samples, rec.A.Rows())
+	zs := sampleNorms([]*linalg.Matrix{rec.R}, rec.A.Rows(), samples, seed)[0]
+	c.finish(k, e, newPlan(k, it, rec, seed, zs), nil)
+	c.persist()
+	return e.plan, nil
+}
+
+// promoteLocked turns the sidecar-loaded plan for k, if there is one,
+// into a live entry serving the asker's matrix. The fingerprint already
+// commits to the matrix; re-checking L and the column count here (and
+// SensA / rows / ‖R‖_F when the reconstruction is rebuilt) means a
+// sidecar whose frames disagree with their own key is resampled over,
+// never served. Caller holds c.mu.
+func (c *Cache) promoteLocked(k planKey, it Item) (*entry, bool) {
+	s, ok := c.stored[k]
+	if !ok {
+		return nil, false
+	}
+	delete(c.stored, k)
+	mat := it.Tr.Matrix()
+	if s.l != mat.Rows() || s.cols != mat.Cols() {
+		return nil, false
+	}
+	e := &entry{done: closedChan, plan: &Plan{
+		Matrix:   s.matrix,
+		Strategy: s.strat,
+		Samples:  s.samples,
+		Seed:     s.seed,
+		SensA:    s.sensA,
+		FrobR:    s.frobR,
+		Zs:       s.zs,
+		rows:     s.rows,
+		mat:      mat,
+		strat:    it.Strategy,
+	}}
+	c.entries[k] = e
+	return e, true
 }
 
 // claimLocked inserts a fresh in-flight entry, resetting the cache
@@ -310,15 +347,48 @@ func (c *Cache) claimLocked(k planKey) *entry {
 	if len(c.entries) >= maxEntries {
 		c.entries = make(map[planKey]*entry)
 		c.stored = make(map[planKey]*storedPlan)
+		c.ready = make(map[workload.Fingerprint]struct{})
 	}
 	e := &entry{done: make(chan struct{})}
 	c.entries[k] = e
 	return e
 }
 
-// TranslateBatch implements Source: every fresh workload in the batch is
-// sampled in one fanned-out pass, with same-shape workloads (same
+// finish publishes a claimed entry's result and wakes its waiters. An
+// entry dropped by a wholesale reset while it was in flight still serves
+// the askers already holding it, but is not advertised as ready.
+func (c *Cache) finish(k planKey, e *entry, p *Plan, err error) {
+	e.plan, e.err = p, err
+	c.mu.Lock()
+	if err == nil && c.entries[k] == e {
+		c.ready[k.matrix] = struct{}{}
+	}
+	c.mu.Unlock()
+	close(e.done)
+}
+
+// newPlan assembles a freshly sampled plan; zs is sorted in place.
+func newPlan(k planKey, it Item, rec *strategy.Reconstruction, seed int64, zs []float64) *Plan {
+	sort.Float64s(zs)
+	return &Plan{
+		Matrix:   k.matrix,
+		Strategy: k.strat,
+		Samples:  k.samples,
+		Seed:     seed,
+		SensA:    rec.SensA,
+		FrobR:    rec.R.FrobeniusNorm(),
+		Zs:       zs,
+		rows:     rec.A.Rows(),
+		mat:      it.Tr.Matrix(),
+		strat:    it.Strategy,
+		rec:      rec,
+	}
+}
+
+// TranslateBatch implements Source: every fresh matrix in the batch is
+// sampled in one fanned-out pass, with same-shape matrices (same
 // strategy, N and strategy-matrix rows) sharing the drawn sample blocks.
+// Items that differ only in predicate text dedupe to one claim.
 func (c *Cache) TranslateBatch(items []Item) int {
 	// Claim pass: dedupe, skip cached, promote stored, claim the rest.
 	type claim struct {
@@ -329,16 +399,22 @@ func (c *Cache) TranslateBatch(items []Item) int {
 		seed int64
 	}
 	var claims []claim
+	keys := make([]planKey, len(items))
+	for i, it := range items {
+		if it.Tr != nil && it.Tr.Materialized() {
+			keys[i] = keyOf(it) // hashes a fresh matrix: keep it outside c.mu
+		}
+	}
 	c.mu.Lock()
 	seen := make(map[planKey]bool, len(items))
-	for _, it := range items {
+	for i, it := range items {
 		if it.Tr == nil || !it.Tr.Materialized() {
 			continue
 		}
 		if err := c.bindSchema(it.Tr.Schema()); err != nil {
 			continue // wrong wiring; the solo path will fail loudly
 		}
-		k := planKey{workload: it.Tr.CanonicalKey(), strat: it.Strategy.Name(), samples: it.Samples}
+		k := keys[i]
 		if seen[k] {
 			continue
 		}
@@ -346,9 +422,7 @@ func (c *Cache) TranslateBatch(items []Item) int {
 		if _, ok := c.entries[k]; ok {
 			continue
 		}
-		if s, ok := c.stored[k]; ok && s.l == it.Tr.L() {
-			delete(c.stored, k)
-			c.entries[k] = &entry{done: closedChan, plan: s.promote(it.Tr, it.Strategy)}
+		if _, ok := c.promoteLocked(k, it); ok {
 			continue
 		}
 		claims = append(claims, claim{k: k, it: it, e: c.claimLocked(k)})
@@ -392,8 +466,7 @@ func (c *Cache) TranslateBatch(items []Item) int {
 	for i := range claims {
 		cl := &claims[i]
 		if errs[i] != nil {
-			cl.e.err = errs[i]
-			close(cl.e.done)
+			c.finish(cl.k, cl.e, nil, errs[i])
 			continue
 		}
 		sh := shape{strat: cl.k.strat, samples: cl.k.samples, rows: cl.rec.A.Rows()}
@@ -407,23 +480,7 @@ func (c *Cache) TranslateBatch(items []Item) int {
 		}
 		zss := sampleNorms(rs, sh.rows, sh.samples, g[0].seed)
 		for i, cl := range g {
-			zs := zss[i]
-			sort.Float64s(zs)
-			cl.e.plan = &Plan{
-				Key:      cl.k.workload,
-				Strategy: cl.k.strat,
-				Samples:  cl.k.samples,
-				Seed:     cl.seed,
-				SensA:    cl.rec.SensA,
-				FrobR:    cl.rec.R.FrobeniusNorm(),
-				Zs:       zs,
-				l:        cl.it.Tr.L(),
-				rows:     sh.rows,
-				tr:       cl.it.Tr,
-				strat:    cl.it.Strategy,
-				rec:      cl.rec,
-			}
-			close(cl.e.done)
+			c.finish(cl.k, cl.e, newPlan(cl.k, cl.it, cl.rec, cl.seed, zss[i]), nil)
 			computed++
 		}
 	}
@@ -433,38 +490,12 @@ func (c *Cache) TranslateBatch(items []Item) int {
 	return computed
 }
 
-// computePlan builds one plan from scratch: reconstruction, canonical
-// seed, one (blocked, parallel) sampling pass, sort.
-func computePlan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error) {
-	rec, err := strategy.NewReconstruction(tr.Matrix(), strat)
-	if err != nil {
-		return nil, fmt.Errorf("translate: %w", err)
-	}
-	seed := SampleSeed(strat.Name(), samples, rec.A.Rows())
-	zs := sampleNorms([]*linalg.Matrix{rec.R}, rec.A.Rows(), samples, seed)[0]
-	sort.Float64s(zs)
-	return &Plan{
-		Key:      tr.CanonicalKey(),
-		Strategy: strat.Name(),
-		Samples:  samples,
-		Seed:     seed,
-		SensA:    rec.SensA,
-		FrobR:    rec.R.FrobeniusNorm(),
-		Zs:       zs,
-		l:        tr.L(),
-		rows:     rec.A.Rows(),
-		tr:       tr,
-		strat:    strat,
-		rec:      rec,
-	}, nil
-}
-
 // SampleSeed derives the canonical Monte-Carlo seed for a strategy shape:
 // a hash of (strategy name, sample count, strategy-matrix rows). It is
 // deliberately independent of the asking session, of translation arrival
-// order, and of the workload key (see the package comment), so the same
-// workload always sees the same samples and same-shape workloads can
-// share one sample matrix.
+// order, and of the workload (see the package comment), so the same
+// matrix always sees the same samples and same-shape matrices can share
+// one sample matrix.
 func SampleSeed(strat string, samples, rows int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "apex/translate/v1\x00%s\x00%d\x00%d", strat, samples, rows)
@@ -529,25 +560,6 @@ func sampleNorms(rs []*linalg.Matrix, rows, n int, seed int64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// promote turns a stored plan into a servable one by attaching the
-// asking workload's handles; the reconstruction stays lazy, so a
-// sidecar-loaded plan serves translations without a pseudoinverse.
-func (s *storedPlan) promote(tr *workload.Transformed, strat strategy.Strategy) *Plan {
-	return &Plan{
-		Key:      s.key,
-		Strategy: s.strat,
-		Samples:  s.samples,
-		Seed:     s.seed,
-		SensA:    s.sensA,
-		FrobR:    s.frobR,
-		Zs:       s.zs,
-		l:        s.l,
-		rows:     s.rows,
-		tr:       tr,
-		strat:    strat,
-	}
 }
 
 // closedChan is a pre-closed done channel for entries that are born

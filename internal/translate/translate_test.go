@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,10 +28,8 @@ func newFixture(t *testing.T, domain float64) *fixture {
 	return &fixture{schema: s}
 }
 
-// histogram transforms a bins-bucket histogram workload over [0, bins·width).
-func (f *fixture) histogram(t *testing.T, bins int, width float64) *workload.Transformed {
+func (f *fixture) transform(t *testing.T, preds []dataset.Predicate, err error) *workload.Transformed {
 	t.Helper()
-	preds, err := workload.Histogram1D("v", 0, width*float64(bins), width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +40,24 @@ func (f *fixture) histogram(t *testing.T, bins int, width float64) *workload.Tra
 	return tr
 }
 
+// histogram transforms a bins-bucket histogram workload over [0, bins·width).
+func (f *fixture) histogram(t *testing.T, bins int, width float64) *workload.Transformed {
+	t.Helper()
+	return f.histogramAt(t, 0, bins, width)
+}
+
+// histogramAt is histogram with the first bin starting at lo.
+func (f *fixture) histogramAt(t *testing.T, lo float64, bins int, width float64) *workload.Transformed {
+	t.Helper()
+	preds, err := workload.Histogram1D("v", lo, lo+width*float64(bins), width)
+	return f.transform(t, preds, err)
+}
+
 // prefix transforms a prefix-sums workload (sensitivity L under identity).
 func (f *fixture) prefix(t *testing.T, bins int, width float64) *workload.Transformed {
 	t.Helper()
 	preds, err := workload.Prefix1D("v", 0, width*float64(bins), width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.Transform(f.schema, preds, workload.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return f.transform(t, preds, err)
 }
 
 func sameFloats(a, b []float64) bool {
@@ -322,7 +327,7 @@ func TestSidecarCorruptionQuarantinesAndRebuilds(t *testing.T) {
 	// The surviving plan serves without resampling; the damaged one is
 	// recomputed to bit-identical samples (canonical seeds).
 	survivor, origSurvivor := hist, origHist
-	if !c2.Ready(hist.CanonicalKey()) {
+	if !c2.Ready(hist.MatrixFingerprint()) {
 		survivor, origSurvivor = pref, origPref
 	}
 	got, err := c2.Plan(survivor, strategy.H2, 200)
@@ -356,13 +361,13 @@ func TestReady(t *testing.T) {
 	tr := f.histogram(t, 8, 10)
 
 	c := NewCache(path)
-	if c.Ready(tr.CanonicalKey()) {
+	if c.Ready(tr.MatrixFingerprint()) {
 		t.Fatal("empty cache reports ready")
 	}
 	if _, err := c.Plan(tr, strategy.H2, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Ready(tr.CanonicalKey()) {
+	if !c.Ready(tr.MatrixFingerprint()) {
 		t.Fatal("computed plan not reported ready")
 	}
 
@@ -370,7 +375,7 @@ func TestReady(t *testing.T) {
 	if _, _, err := c2.LoadSidecar(); err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Ready(tr.CanonicalKey()) {
+	if !c2.Ready(tr.MatrixFingerprint()) {
 		t.Fatal("sidecar-loaded plan not reported ready")
 	}
 }
@@ -378,14 +383,26 @@ func TestReady(t *testing.T) {
 // TestCacheCapResets: crossing maxEntries drops the cache wholesale
 // rather than growing without bound.
 func TestCacheCapResets(t *testing.T) {
-	f := newFixture(t, 1e6)
+	f := newFixture(t, 100)
 	c := NewCache("")
 	for i := 0; i < maxEntries+1; i++ {
-		// Distinct predicate constants mint distinct workload keys.
-		tr := f.histogram(t, 2, float64(i+1))
+		// Fresh constants no longer mint fresh plans; fresh matrices do.
+		// Nine fixed bins plus one row OR-ing the subset of bins named by
+		// the bits of i+1: a distinct matrix per i.
+		preds, err := workload.Histogram1D("v", 5, 95, 10)
+		var or dataset.Or
+		for b := 0; b < 9; b++ {
+			if (i+1)&(1<<b) != 0 {
+				or = append(or, preds[b])
+			}
+		}
+		tr := f.transform(t, append(preds, or), err)
 		if _, err := c.Plan(tr, strategy.Identity{}, 8); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if st := c.Stats(); st.Misses != maxEntries+1 {
+		t.Fatalf("%d distinct matrices paid %d samplings", maxEntries+1, st.Misses)
 	}
 	if n := c.Len(); n > maxEntries {
 		t.Fatalf("cache grew to %d entries, cap is %d", n, maxEntries)
@@ -446,5 +463,211 @@ func TestSampleSeedCanonical(t *testing.T) {
 	}
 	if b := SampleSeed("h2", 1000, 31); a == b {
 		t.Fatal("seed ignores the matrix rows")
+	}
+}
+
+// TestFreshConstantsShareOnePlan: workloads that differ only in their
+// predicate constants have one query matrix, so the cache computes one
+// plan and hands every asker the same instance — solo or batched.
+func TestFreshConstantsShareOnePlan(t *testing.T) {
+	f := newFixture(t, 1000)
+	c := NewCache("")
+	first, err := c.Plan(f.histogramAt(t, 10, 8, 10), strategy.H2, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []Item
+	for i := 1; i <= 20; i++ {
+		// Slide the origin and stretch the bins: new text every time.
+		tr := f.histogramAt(t, 10+float64(i)/8, 8, 10+float64(i))
+		if tr.MatrixFingerprint() != first.Matrix {
+			t.Fatalf("shifted histogram %d has a different matrix fingerprint", i)
+		}
+		p, err := c.Plan(tr, strategy.H2, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != first {
+			t.Fatalf("shifted histogram %d got its own plan", i)
+		}
+		items = append(items, Item{Tr: f.histogramAt(t, 200+float64(i), 8, 3), Strategy: strategy.H2, Samples: 300})
+	}
+	if n := c.TranslateBatch(items); n != 0 {
+		t.Fatalf("batch of known-matrix workloads computed %d plans, want 0", n)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 20 {
+		t.Fatalf("stats: %+v, want 1 miss 20 hits", st)
+	}
+	// The shared plan matches what a private cache computes for any one
+	// of the workloads: sharing changes who pays, not what is computed.
+	solo, err := NewCache("").Plan(f.histogramAt(t, 300, 8, 7), strategy.H2, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFloats(solo.Zs, first.Zs) || solo.SensA != first.SensA || solo.FrobR != first.FrobR {
+		t.Fatal("shared plan differs from a private cache's plan for the same matrix")
+	}
+
+	// A cold batch of same-matrix items dedupes to a single claim.
+	cold := NewCache("")
+	if n := cold.TranslateBatch(items); n != 1 {
+		t.Fatalf("cold batch of one matrix computed %d plans, want 1", n)
+	}
+}
+
+// TestDistinctMatricesDoNotShare: another L, or the same L with the
+// origin on the domain minimum (no leading "below the bins" partition, so
+// the column order changes), is another matrix and another plan.
+func TestDistinctMatricesDoNotShare(t *testing.T) {
+	f := newFixture(t, 1000)
+	base := f.histogramAt(t, 10, 8, 10)
+	otherL := f.histogramAt(t, 10, 9, 10)
+	atMin := f.histogramAt(t, 0, 8, 10)
+	if base.MatrixFingerprint() == otherL.MatrixFingerprint() {
+		t.Fatal("8-bin and 9-bin histograms share a fingerprint")
+	}
+	if base.MatrixFingerprint() == atMin.MatrixFingerprint() {
+		t.Fatal("origin on the domain minimum must change the matrix")
+	}
+	c := NewCache("")
+	plans := map[*Plan]bool{}
+	for _, tr := range []*workload.Transformed{base, otherL, atMin} {
+		p, err := c.Plan(tr, strategy.H2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[p] = true
+		if !c.Ready(tr.MatrixFingerprint()) {
+			t.Fatal("computed matrix not ready")
+		}
+	}
+	if st := c.Stats(); len(plans) != 3 || st.Misses != 3 {
+		t.Fatalf("3 distinct matrices: %d plans, stats %+v", len(plans), st)
+	}
+	// Same matrix under another strategy or N is another plan too.
+	if _, err := c.Plan(base, strategy.Identity{}, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Plan(base, strategy.H2, 101); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 5 {
+		t.Fatalf("strategy/N variants: misses = %d, want 5", st.Misses)
+	}
+}
+
+// rewriteSidecar decodes the sidecar at path, lets edit tamper with its
+// single plan, and writes it back with valid framing — a file whose CRCs
+// hold but whose content disagrees with its own key.
+func rewriteSidecar(t *testing.T, path string, edit func(*storedPlan)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, corrupt := decodeSidecar(data)
+	if corrupt || len(plans) != 1 {
+		t.Fatalf("fixture sidecar: %d plans, corrupt=%v", len(plans), corrupt)
+	}
+	edit(plans[0])
+	buf := binary.LittleEndian.AppendUint32([]byte(sidecarMagic), sidecarVersion)
+	if err := os.WriteFile(path, encodeStoredPlan(buf, plans[0]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPromotionRechecksShape: a sidecar frame filed under the right
+// fingerprint but carrying another matrix's shape is never served — L and
+// the column count are re-checked at promotion (→ resample), SensA, the
+// strategy rows and ‖R‖_F when the reconstruction is rebuilt (→ error).
+func TestPromotionRechecksShape(t *testing.T) {
+	f := newFixture(t, 1000)
+	for _, tc := range []struct {
+		name   string
+		edit   func(*storedPlan)
+		misses int64 // samplings the second life pays
+		recErr bool
+	}{
+		{"intact", func(*storedPlan) {}, 0, false},
+		{"wrong L", func(s *storedPlan) { s.l++ }, 1, false},
+		{"wrong columns", func(s *storedPlan) { s.cols-- }, 1, false},
+		{"wrong SensA", func(s *storedPlan) { s.sensA++ }, 0, true},
+		{"wrong rows", func(s *storedPlan) { s.rows++ }, 0, true},
+		{"wrong FrobR", func(s *storedPlan) { s.frobR *= 2 }, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "translate.tc")
+			orig, err := NewCache(path).Plan(f.histogramAt(t, 10, 8, 10), strategy.H2, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewriteSidecar(t, path, tc.edit)
+
+			c := NewCache(path)
+			if n, q, err := c.LoadSidecar(); n != 1 || q != "" || err != nil {
+				t.Fatalf("load: n=%d quarantined=%q err=%v", n, q, err)
+			}
+			// A never-seen text of the known matrix asks.
+			p, err := c.Plan(f.histogramAt(t, 33, 8, 4), strategy.H2, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.Misses != tc.misses {
+				t.Fatalf("misses = %d, want %d", st.Misses, tc.misses)
+			}
+			_, err = p.Reconstruction()
+			if (err != nil) != tc.recErr {
+				t.Fatalf("Reconstruction error = %v, want error: %v", err, tc.recErr)
+			}
+			if !tc.recErr && (!sameFloats(p.Zs, orig.Zs) || p.SensA != orig.SensA || p.FrobR != orig.FrobR) {
+				t.Fatal("served plan differs from the originally computed one")
+			}
+		})
+	}
+}
+
+// TestStaleV1SidecarIgnored: a well-formed sidecar in the text-keyed v1
+// format (testdata/sidecar_v1.tc, written by the last v1 build) is stale,
+// not corrupt: nothing loads, nothing is quarantined or counted as a
+// rebuild, and the next persist replaces it with a v2 file.
+func TestStaleV1SidecarIgnored(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "sidecar_v1.tc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "translate.tc")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, corrupt, err := VerifySidecar(path); n != 0 || corrupt || err != nil {
+		t.Fatalf("VerifySidecar(v1) = %d, %v, %v; want 0 plans, healthy", n, corrupt, err)
+	}
+	c := NewCache(path)
+	if n, q, err := c.LoadSidecar(); n != 0 || q != "" || err != nil {
+		t.Fatalf("LoadSidecar(v1) = %d, %q, %v; want nothing loaded, no quarantine", n, q, err)
+	}
+	if _, err := os.Stat(path + sidecarQuarantineSuffix); !os.IsNotExist(err) {
+		t.Fatalf("stale sidecar was quarantined (stat err %v)", err)
+	}
+	if st := c.Stats(); st.Loads != 0 || st.Rebuilds != 0 {
+		t.Fatalf("stats after stale load: %+v", st)
+	}
+	// The fixture's own workload is a miss now, and its persist upgrades
+	// the file in place.
+	f := newFixture(t, 80)
+	if _, err := c.Plan(f.histogramAt(t, 10, 4, 10), strategy.H2, 16); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.PersistFailures != 0 {
+		t.Fatalf("stats after first v2 plan: %+v", st)
+	}
+	if n, corrupt, err := VerifySidecar(path); n != 1 || corrupt || err != nil {
+		t.Fatalf("VerifySidecar after persist = %d, %v, %v; want 1 v2 plan", n, corrupt, err)
+	}
+	// An unknown version is still damage, not staleness.
+	v3 := append([]byte(nil), v1...)
+	v3[len(sidecarMagic)] = 3
+	if _, corrupt := decodeSidecar(v3); !corrupt {
+		t.Fatal("unknown sidecar version accepted")
 	}
 }

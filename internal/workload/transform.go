@@ -18,6 +18,7 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/bits"
@@ -75,13 +76,18 @@ type Transformed struct {
 	k     colKernels
 	memo  *evalMemo
 
-	// keyOnce/key lazily cache the canonical workload key (Key over
-	// preds) so per-query consumers — the strategy-translation cache
-	// looks plans up by it on every Translate — don't re-render the
-	// predicates each time.
-	keyOnce sync.Once
-	key     string
+	// fpOnce/fp lazily cache the query-matrix fingerprint
+	// (MatrixFingerprint), so the strategy-translation cache — which looks
+	// plans up by it on every Translate — hashes the matrix once.
+	fpOnce sync.Once
+	fp     Fingerprint
 }
+
+// Fingerprint identifies a materialized query matrix by content: SHA-256
+// over its dimensions and bit-packed 0/1 entries. Collision resistance is
+// the point — the translation plane serves one plan per fingerprint, and
+// a plan for the wrong matrix is a wrong privacy cost.
+type Fingerprint [sha256.Size]byte
 
 // colKernels holds the compiled columnar evaluators for one workload.
 type colKernels struct {
@@ -196,13 +202,40 @@ func (tr *Transformed) Predicates() []dataset.Predicate { return tr.preds }
 // Schema returns the public schema.
 func (tr *Transformed) Schema() *dataset.Schema { return tr.schema }
 
-// CanonicalKey returns Key(tr.Predicates()), computed once and cached.
-// It identifies the workload across caches: the transformation cache,
-// the answer-reuse cache and the strategy-translation cache all agree on
-// it.
-func (tr *Transformed) CanonicalKey() string {
-	tr.keyOnce.Do(func() { tr.key = Key(tr.preds) })
-	return tr.key
+// MatrixFingerprint returns the content address of Matrix(), computed
+// once and cached: it depends only on the matrix (dimensions, entries,
+// column order), never on the predicate text, so workloads that differ
+// only in their constants — a histogram slid along its axis — share it.
+// It is a pure function of the matrix, stable across processes. An
+// implicit transformation has the zero Fingerprint.
+func (tr *Transformed) MatrixFingerprint() Fingerprint {
+	tr.fpOnce.Do(func() {
+		if tr.mat != nil {
+			tr.fp = fingerprintMatrix(tr.mat)
+		}
+	})
+	return tr.fp
+}
+
+// fingerprintMatrix hashes a 0/1 matrix: a versioned tag, the dimensions,
+// then the entries row-major, one bit each (each row padded to a byte).
+func fingerprintMatrix(m *linalg.Matrix) Fingerprint {
+	rows, cols := m.Rows(), m.Cols()
+	h := sha256.New()
+	fmt.Fprintf(h, "apex/matrix/v1\x00%d\x00%d\x00", rows, cols)
+	packed := make([]byte, (cols+7)/8)
+	for i := 0; i < rows; i++ {
+		clear(packed)
+		for j := 0; j < cols; j++ {
+			if m.At(i, j) != 0 {
+				packed[j>>3] |= 1 << uint(j&7)
+			}
+		}
+		h.Write(packed)
+	}
+	var fp Fingerprint
+	h.Sum(fp[:0])
+	return fp
 }
 
 // Sensitivity returns ‖W‖₁, the workload sensitivity (max number of

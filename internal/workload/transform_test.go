@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -237,6 +238,9 @@ func TestImplicitTransformation(t *testing.T) {
 	}
 	if _, err := tr.Histogram(dataset.NewTable(s)); err == nil {
 		t.Fatal("implicit histogram must error")
+	}
+	if tr.MatrixFingerprint() != (Fingerprint{}) {
+		t.Fatal("no matrix, so the zero fingerprint")
 	}
 	// TrueAnswers still works.
 	d := dataset.NewTable(s)
@@ -510,4 +514,74 @@ func TestMarginals2D(t *testing.T) {
 	if _, err := Marginals2D("age", 0, 1, 1, "gain", 0, 0, 1); err == nil {
 		t.Fatal("bad second marginal must error")
 	}
+}
+
+// TestMatrixFingerprint: the fingerprint is a pure function of the query
+// matrix — dimensions, entries, row and column order — and of nothing
+// else: not the predicate constants, not the attribute, not the process.
+func TestMatrixFingerprint(t *testing.T) {
+	s := schemaFixture(t)
+	hist := func(attr string, lo, w float64, bins int) *Transformed {
+		preds, err := Histogram1D(attr, lo, lo+w*float64(bins), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustTransform(t, s, preds)
+	}
+	base := hist("age", 10, 10, 4)
+	fp := base.MatrixFingerprint()
+
+	// A 4×5 matrix — one all-zero column (below, above and NULL fold into
+	// it), then one column per bin — hashed as
+	// SHA-256("apex/matrix/v1\x004\x005\x00" ‖ 02 04 08 10). Pinned so a
+	// change to the hash input is a deliberate, sidecar-versioned act.
+	const golden = "450ceb97"
+	if got := fmt.Sprintf("%x", fp[:4]); got != golden {
+		t.Logf("matrix:\n%s", base.Matrix())
+		t.Fatalf("fingerprint prefix = %s, want %s (changing the hash input invalidates every persisted translate.tc: bump its version)", got, golden)
+	}
+	if fp != fingerprintMatrix(base.Matrix().Clone()) {
+		t.Fatal("fingerprint is not a pure function of the matrix")
+	}
+
+	for name, tr := range map[string]*Transformed{
+		"slid":            hist("age", 11.125, 10, 4),
+		"stretched":       hist("age", 3, 21.5, 4),
+		"other attribute": hist("gain", 100, 500, 4),
+	} {
+		if tr.MatrixFingerprint() != fp {
+			t.Errorf("%s histogram: same matrix, different fingerprint", name)
+		}
+	}
+	rotated := append([]dataset.Predicate{}, base.Predicates()[1:]...)
+	rotated = append(rotated, base.Predicates()[0])
+	for name, tr := range map[string]*Transformed{
+		"other L":         hist("age", 10, 10, 5),
+		"origin at Min":   hist("age", 0, 10, 4),
+		"rows reordered":  mustTransform(t, s, rotated),
+		"prefix, not bin": mustTransform(t, s, mustPrefix(t, "age", 10, 50, 10)),
+	} {
+		if tr.MatrixFingerprint() == fp {
+			t.Errorf("%s: different matrix, same fingerprint", name)
+		}
+	}
+
+	// Same bits, other dimensions: a 1×2 and a 2×1 matrix of ones.
+	row, col := linalg.NewMatrix(1, 2), linalg.NewMatrix(2, 1)
+	row.Set(0, 0, 1)
+	row.Set(0, 1, 1)
+	col.Set(0, 0, 1)
+	col.Set(1, 0, 1)
+	if fingerprintMatrix(row) == fingerprintMatrix(col) {
+		t.Fatal("fingerprint ignores the dimensions")
+	}
+}
+
+func mustPrefix(t *testing.T, attr string, lo, hi, w float64) []dataset.Predicate {
+	t.Helper()
+	preds, err := Prefix1D(attr, lo, hi, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return preds
 }
