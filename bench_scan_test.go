@@ -2,10 +2,10 @@
 // a v1 (full-width) and a v2 (bitpacked + frame-of-reference) segment of
 // the same table, measuring not just rows/s but rows per unit of memory
 // traffic — the bandwidth-efficiency figure the packed kernels exist
-// for. Bytes-touched per scan comes from the column directory
-// (dataset.Table.ColumnScanBytes summed over each compiled predicate's
-// planned columns), not from hardware counters, so the number is exact
-// and portable. Run with
+// for. Bytes-touched per scan comes from the column directory (the
+// workload's ScanPlan: dataset.Table.ColumnScanBytes summed over the
+// columns it references, each read once), not from hardware counters, so
+// the number is exact and portable. Run with
 //
 //	go test -run '^$' -bench CompressedScan -benchmem
 //
@@ -84,23 +84,16 @@ func scanBenchTransform(tb testing.TB, d *dataset.Table) *workload.Transformed {
 	return tr
 }
 
-// scanBenchTraffic sums the column-directory bytes one full evaluation
-// of the workload reads: every predicate scans its columns' storage
-// (packed words on v2, full-width slices on v1), so the per-pass traffic
-// is the per-predicate column bytes summed over all predicates.
+// scanBenchTraffic is the column-directory bytes one full evaluation of
+// the workload reads: each referenced column's storage (packed words on
+// v2, full-width slices on v1) once, however many predicates bin it.
 func scanBenchTraffic(tb testing.TB, d *dataset.Table, tr *workload.Transformed) int64 {
 	tb.Helper()
-	var total int64
-	for _, p := range tr.Predicates() {
-		cp, err := dataset.Compile(d.Schema(), p)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, pos := range cp.Columns() {
-			total += d.ColumnScanBytes(pos)
-		}
+	_, bytes, ok := tr.ScanPlan(d)
+	if !ok {
+		tb.Fatal("workload has no columnar scan plan")
 	}
-	return total
+	return bytes
 }
 
 func scanBenchSizes(short bool) []int {
@@ -155,6 +148,68 @@ func BenchmarkCompressedScan(b *testing.B) {
 			})
 			seg.Close()
 		}
+	}
+}
+
+// tcq12Cases are the scan-fresh shapes of bench/: a 12-bin histogram over
+// one continuous attribute, with and without a categorical filter ANDed
+// onto every bin, over a frame-of-reference column (PUID, 9-bit lanes)
+// and a full-width float64 one (fare amount does not pack).
+var tcq12Cases = []struct {
+	name, attr string
+	lo, width  float64
+	filter     bool
+}{
+	{"for", "PUID", 3, 20, false},
+	{"for+cat", "PUID", 3, 20, true},
+	{"f64", "fare amount", 2.5, 6.25, false},
+	{"f64+cat", "fare amount", 2.5, 6.25, true},
+}
+
+// BenchmarkCompressedScanTCQ12 serves one never-seen 12-bin top-k
+// workload the way the scheduler does — a fresh transformation, then one
+// EvaluateBatch warming its histogram and true answers — over the v2
+// segment of a NYTaxi table. bytes/query is that batch's own
+// BatchStats.ScanBytes, so it is comparable across commits that change
+// how often a column is read.
+func BenchmarkCompressedScanTCQ12(b *testing.B) {
+	for _, rows := range scanBenchSizes(testing.Short()) {
+		path := filepath.Join(b.TempDir(), "taxi.seg")
+		if _, err := colstore.WriteTableVersion(path, datagen.NYTaxi(rows, 1), 2); err != nil {
+			b.Fatal(err)
+		}
+		seg, err := colstore.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := seg.Table()
+		for _, c := range tcq12Cases {
+			preds, err := workload.Histogram1D(c.attr, c.lo, c.lo+12*c.width, c.width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.filter {
+				for i, p := range preds {
+					preds[i] = dataset.And{p, dataset.StrEq{Attr: "payment type", Val: "card"}}
+				}
+			}
+			b.Run(fmt.Sprintf("rows=%s/col=%s", colstoreSizeName(rows), c.name), func(b *testing.B) {
+				var traffic int64
+				for i := 0; i < b.N; i++ {
+					cache := workload.NewTransformCache(workload.Options{})
+					tr, err := cache.Transform(d.Schema(), preds)
+					if err != nil {
+						b.Fatal(err)
+					}
+					st := cache.EvaluateBatch(d, []workload.BatchItem{{Tr: tr, Histogram: true, Truth: true}})
+					traffic = st.ScanBytes
+				}
+				b.SetBytes(traffic)
+				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+				b.ReportMetric(float64(traffic), "bytes/query")
+			})
+		}
+		seg.Close()
 	}
 }
 

@@ -1,0 +1,144 @@
+package dataset
+
+import (
+	"math"
+	"testing"
+)
+
+// cmpFloat is the float64 reference every lane kernel must agree with.
+func cmpFloat(op CmpOp, v, c float64) bool {
+	switch op {
+	case Eq:
+		return v == c
+	case Ne:
+		return v != c
+	case Lt:
+		return v < c
+	case Le:
+		return v <= c
+	case Gt:
+		return v > c
+	}
+	return v >= c
+}
+
+// FuzzLaneThresholds checks the float → lane translation on every lane
+// of a narrow frame-of-reference column, for arbitrary bases and
+// constants (fractional, out of range, infinite, NaN): the thresholds
+// against the float predicate, the bitmap kernels built on them against
+// the float comparison, and the three classify loops — float keys,
+// lookup table, lane thresholds — against each other and against the
+// meaning of an atom.
+func FuzzLaneThresholds(f *testing.F) {
+	f.Add(uint8(8), int64(1), math.Float64bits(43.5), math.Float64bits(44))
+	f.Add(uint8(3), int64(-4), math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)))
+	f.Add(uint8(9), int64(1)<<50, math.Float64bits(float64(int64(1)<<50)+0.5), math.Float64bits(math.Inf(1)))
+	f.Add(uint8(0), int64(7), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)))
+	f.Add(uint8(5), int64(0), math.Float64bits(31), math.Float64bits(math.Nextafter(31, 32)))
+	f.Fuzz(func(t *testing.T, width uint8, base int64, c1Bits, c2Bits uint64) {
+		w := 1 + int(width)%10
+		base %= 1 << 51 // a FoR-eligible base
+		n := 1 << uint(w)
+		vals := make([]float64, n)
+		for l := range vals {
+			vals[l] = float64(base) + float64(l)
+		}
+		p, ok := PackVals(vals, make([]uint64, (n+63)>>6))
+		if !ok || p.Ints.Width != w {
+			t.Fatalf("all-lanes column did not pack to width %d", w)
+		}
+		c1, c2 := math.Float64frombits(c1Bits), math.Float64frombits(c2Bits)
+
+		for _, c := range []float64{c1, c2} {
+			ge, gt := p.laneGE(c), p.laneGT(c)
+			for l, v := range vals {
+				if (uint64(l) >= ge) != (v >= c) || (uint64(l) >= gt) != (v > c) {
+					t.Fatalf("base %d c %v lane %d: laneGE %d laneGT %d disagree with the float predicate", base, c, l, ge, gt)
+				}
+			}
+			for op := Eq; op <= Ge; op++ {
+				got := NewBitmap(n)
+				p.scanCmpInto(op, c, got)
+				for l, v := range vals {
+					if got.Get(l) != cmpFloat(op, v, c) {
+						t.Fatalf("base %d: lane %d %v %v: scanCmpInto says %v", base, l, op, c, got.Get(l))
+					}
+				}
+			}
+		}
+		got := NewBitmap(n)
+		p.scanRangeInto(c1, c2, got)
+		for l, v := range vals {
+			if got.Get(l) != (v >= c1 && v < c2) {
+				t.Fatalf("base %d: lane %d in [%v,%v): scanRangeInto says %v", base, l, c1, c2, got.Get(l))
+			}
+		}
+
+		a := NumAtoms(0, []float64{c1, c2})
+		byKey := make([]uint32, n)
+		classifyFloats(vals, a.keys, a.null()+1, byKey)
+		lut := &AtomReader{lut: byKey}
+		thr := &AtomReader{laneThr: a.laneThresholds(p)}
+		byLUT, byThr := make([]uint32, n), make([]uint32, n)
+		p.Ints.unpack(0, byLUT)
+		p.Ints.unpack(0, byThr)
+		lut.classifyLanes(byLUT)
+		thr.classifyLanes(byThr)
+		for l, v := range vals {
+			if byKey[l] != byLUT[l] || byKey[l] != byThr[l] {
+				t.Fatalf("base %d cuts %v lane %d: atoms differ: keys %d, lut %d, thresholds %d", base, a.cuts, l, byKey[l], byLUT[l], byThr[l])
+			}
+			// An atom means: every comparison with a cut has the value it
+			// has on the atom's representative.
+			rep, ok := a.Rep(int(byKey[l]))
+			r, _ := rep.AsNum()
+			if !ok {
+				t.Fatalf("cuts %v: value %v classified into the empty atom %d", a.cuts, v, byKey[l])
+			}
+			for _, c := range []float64{c1, c2} {
+				for op := Eq; op <= Ge; op++ {
+					if cmpFloat(op, v, c) != cmpFloat(op, r, c) {
+						t.Fatalf("cuts %v: %v and its atom-%d representative %v differ on %v %v", a.cuts, v, byKey[l], r, op, c)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAtomsOfFloatColumn walks the float-key classifier over the values
+// the packed paths cannot hold — fractions, ±Inf, NaN, −0, denormals,
+// adjacent floats — checking each lands in a non-empty atom whose
+// representative agrees with it on every comparison with every cut.
+func TestAtomsOfFloatColumn(t *testing.T) {
+	inf, tiny := math.Inf(1), math.SmallestNonzeroFloat64
+	cuts := []float64{math.NaN(), -inf, -1e300, -2.5, math.Copysign(0, -1), 0, tiny, 1, math.Nextafter(1, 2), 1e300, inf}
+	vals := append([]float64{-tiny, 0.5, math.Nextafter(1, 0), 2, math.MaxFloat64, -math.MaxFloat64}, cuts...)
+	a := NumAtoms(0, cuts)
+	if want := 9; len(a.cuts) != want {
+		t.Fatalf("%d distinct non-NaN cuts, want %d (NaN dropped, ±0 merged): %v", len(a.cuts), want, a.cuts)
+	}
+	atoms := make([]uint32, len(vals))
+	classifyFloats(vals, a.keys, a.null()+1, atoms)
+	for i, v := range vals {
+		rep, ok := a.Rep(int(atoms[i]))
+		r, _ := rep.AsNum()
+		if !ok {
+			t.Fatalf("%v classified into the empty atom %d", v, atoms[i])
+		}
+		for _, c := range cuts {
+			for op := Eq; op <= Ge; op++ {
+				if cmpFloat(op, v, c) != cmpFloat(op, r, c) {
+					t.Fatalf("%v (atom %d) and representative %v differ on %v %v", v, atoms[i], r, op, c)
+				}
+			}
+		}
+	}
+	// No float64 lies below −Inf, between adjacent floats (0 and the
+	// smallest denormal, 1 and its successor), or above +Inf.
+	for _, atom := range []int{0, 2 * 4, 2 * 6, 2 * 9} {
+		if v, ok := a.Rep(atom); ok {
+			t.Fatalf("empty atom %d has representative %v", atom, v)
+		}
+	}
+}

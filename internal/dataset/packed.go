@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // Packed column storage: the in-memory (and mmap'd) form of segment
@@ -289,110 +290,98 @@ func (p *PackedInts) scanEqInto(target uint64, dst *Bitmap) {
 	}
 }
 
-// scanCmpInto sets dst's bit for every row whose reconstructed value
-// (Min + lane) satisfies "v op c". Missing rows are the caller's concern
-// (mask afterwards, as in the unpacked kernel). The comparison runs on
-// the exactly reconstructed float64, so NULL/NaN/fractional-constant
-// semantics match the unpacked kernel bit for bit.
-func (p *PackedFloats) scanCmpInto(op CmpOp, c float64, dst *Bitmap) {
-	w := uint(p.Ints.Width)
+// unpack decodes lanes [lo, lo+len(dst)) into dst. It is the one reader
+// of packed words for range scans and atom classification, shared by
+// bit-packed dictionary codes and frame-of-reference lanes.
+func (p *PackedInts) unpack(lo int, dst []uint32) {
+	w := uint(p.Width)
 	lpw := 64 / int(w)
 	mask := uint64(1)<<w - 1
-	min := p.Min
-	n := p.Ints.N
-	words := p.Ints.Words
-	switch op {
-	case Eq:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) == c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	case Ne:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) != c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	case Lt:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) < c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	case Le:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) <= c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	case Gt:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) > c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	case Ge:
-		for wi, word := range words {
-			base, end, x := laneSpan(wi, lpw, n, word)
-			for j := 0; j < end; j++ {
-				if min+float64(x&mask) >= c {
-					dst.Set(base + j)
-				}
-				x >>= w
-			}
-		}
-	}
-}
-
-// scanRangeInto sets dst's bit for every row whose reconstructed value
-// lies in [lo, hi).
-func (p *PackedFloats) scanRangeInto(lo, hi float64, dst *Bitmap) {
-	w := uint(p.Ints.Width)
-	lpw := 64 / int(w)
-	mask := uint64(1)<<w - 1
-	min := p.Min
-	n := p.Ints.N
-	for wi, word := range p.Ints.Words {
-		base, end, x := laneSpan(wi, lpw, n, word)
-		for j := 0; j < end; j++ {
-			if v := min + float64(x&mask); v >= lo && v < hi {
-				dst.Set(base + j)
-			}
+	wi, skip := lo/lpw, lo%lpw
+	for i := 0; i < len(dst); wi++ {
+		x := p.Words[wi] >> (uint(skip) * w)
+		end := min(i+lpw-skip, len(dst))
+		skip = 0
+		for ; i < end; i++ {
+			dst[i] = uint32(x & mask)
 			x >>= w
 		}
 	}
 }
 
-// laneSpan returns the row base, the number of live lanes, and the word
-// for word index wi — the final word carries fewer than lpw rows.
-func laneSpan(wi, lpw, n int, word uint64) (base, end int, x uint64) {
-	base = wi * lpw
-	end = lpw
-	if n-base < end {
-		end = n - base
+// laneGE returns the first lane whose reconstructed value Min + lane is
+// >= c, or 1<<Width when no lane's is (always, for a NaN c). The
+// reconstruction is monotone in the lane, so a binary search over the
+// exact float predicate finds the threshold with no rounding argument:
+// whatever c is — fractional, infinite, out of range — lane l satisfies
+// "v >= c" iff l >= laneGE(c).
+func (p *PackedFloats) laneGE(c float64) uint64 {
+	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.Min+float64(l) >= c }))
+}
+
+// laneGT is laneGE for the strict predicate "v > c".
+func (p *PackedFloats) laneGT(c float64) uint64 {
+	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.Min+float64(l) > c }))
+}
+
+// scanCmpInto sets dst's bit for every row whose reconstructed value
+// (Min + lane) satisfies "v op c". Missing rows are the caller's concern
+// (mask afterwards, as in the unpacked kernel). The constant is
+// translated once into the interval of lanes that satisfy the exact
+// float predicate, and the scan compares lanes as integers — so
+// NULL/NaN/fractional-constant semantics match the unpacked kernel bit
+// for bit. dst must be zeroed and sized to the column.
+func (p *PackedFloats) scanCmpInto(op CmpOp, c float64, dst *Bitmap) {
+	all := uint64(1) << uint(p.Ints.Width)
+	var lo, hi uint64 // satisfying lanes: [lo, hi); empty for a NaN c
+	if c == c {
+		switch op {
+		case Eq, Ne:
+			lo, hi = p.laneGE(c), p.laneGT(c)
+		case Lt:
+			hi = p.laneGE(c)
+		case Le:
+			hi = p.laneGT(c)
+		case Gt:
+			lo, hi = p.laneGT(c), all
+		case Ge:
+			lo, hi = p.laneGE(c), all
+		}
 	}
-	return base, end, word
+	p.Ints.scanLanesInto(lo, hi, op == Ne, dst)
+}
+
+// scanRangeInto sets dst's bit for every row whose reconstructed value
+// lies in [lo, hi).
+func (p *PackedFloats) scanRangeInto(lo, hi float64, dst *Bitmap) {
+	if lo != lo || hi != hi {
+		return
+	}
+	p.Ints.scanLanesInto(p.laneGE(lo), p.laneGE(hi), false, dst)
+}
+
+// scanLanesInto sets dst's bit for every row whose lane lies in [lo, hi)
+// — outside it when invert is set — one whole bitmap word per 64 rows,
+// with no per-row branch: for lanes and bounds below 2^33, l−lo and l−hi
+// wrap negative exactly when l is below the bound.
+func (p *PackedInts) scanLanesInto(lo, hi uint64, invert bool, dst *Bitmap) {
+	var buf [512]uint32
+	var flip uint64
+	if invert {
+		flip = ^flip
+	}
+	for base := 0; base < p.N; base += len(buf) {
+		lanes := buf[:min(len(buf), p.N-base)]
+		p.unpack(base, lanes)
+		for off := 0; off < len(lanes); off += 64 {
+			var word uint64
+			for j, l := range lanes[off:min(off+64, len(lanes))] {
+				word |= (^(uint64(l) - lo) & (uint64(l) - hi)) >> 63 << uint(j)
+			}
+			dst.words[(base+off)>>6] = word ^ flip
+		}
+	}
+	dst.maskTail()
 }
 
 func errPackedf(format string, args ...any) error {

@@ -63,6 +63,11 @@ func (t *Table) ColumnData(pos int) ColumnData {
 	return ColumnData{Kind: Continuous, Vals: c.vals, MissingWords: c.missing.words}
 }
 
+// MisfitRows returns the sorted rows holding any kind-mismatched cell —
+// the rows a columnar scan must evaluate row-at-a-time. Read-only; empty
+// for every table built from CSV.
+func (t *Table) MisfitRows() []int { return t.misfitRows }
+
 // MisfitCells returns every kind-mismatched cell, ordered by row then
 // schema position. Empty for every table built from CSV.
 func (t *Table) MisfitCells() []MisfitCell {
@@ -253,9 +258,9 @@ func (t *Table) ReleaseColumns(cols []int) {
 	}
 }
 
-// ColumnScanBytes returns the number of bytes one full predicate scan of
-// the attribute at schema position pos reads from the column storage —
-// the packed words for a v2 column, the full-width slices otherwise.
+// ColumnScanBytes returns the number of bytes one full pass over the
+// attribute at schema position pos reads from the column storage — the
+// packed words for a v2 column, the full-width slices otherwise.
 // This is the per-column term of the scan-bandwidth accounting
 // (apex_scan_bytes_total, BenchmarkCompressedScan).
 func (t *Table) ColumnScanBytes(pos int) int64 {

@@ -8,8 +8,11 @@
 // continuous ones — and predicates can be compiled (Compile) into
 // vectorized programs that evaluate a whole column slice into a selection
 // Bitmap, resolving attribute positions and category codes once instead
-// of per row. The row-at-a-time Predicate.Eval remains the semantic
-// reference; the compiled path matches it exactly.
+// of per row. Whole workloads are evaluated attribute-at-a-time instead:
+// Atoms (classify.go) maps each row of a column to the elementary class
+// of values its predicates can distinguish, one pass per column however
+// many predicates there are. The row-at-a-time Predicate.Eval remains the
+// semantic reference; both columnar paths match it exactly.
 //
 // The paper assumes the schema and full attribute domains are public
 // (§3); only the table instance is sensitive.

@@ -12,14 +12,14 @@ type Tuple []Value
 // column-major: categorical attributes as dictionary-encoded int32 codes,
 // continuous attributes as packed float64s with a missing bitmap. The
 // row-oriented API (Append, Row) remains the compatibility surface; the
-// columnar layout is what CompiledPredicate and the workload kernels
-// evaluate against.
+// columnar layout is what CompiledPredicate and the workload scan kernel
+// (Atoms) evaluate against.
 //
 // Cells whose Value kind does not match the attribute kind (a Num in a
 // categorical column, a Str in a continuous one — impossible via CSV but
 // expressible through Append) are kept exactly in a side table of
-// "misfits"; the columnar evaluator patches those rows with a
-// row-at-a-time pass so its answers match Predicate.Eval bit for bit.
+// "misfits"; the columnar evaluators patch those rows with a
+// row-at-a-time pass so their answers match Predicate.Eval bit for bit.
 type Table struct {
 	schema *Schema
 	n      int

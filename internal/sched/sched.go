@@ -262,6 +262,7 @@ type dsQueue struct {
 	outcomes  map[string]*metrics.Counter // idem; keyed by fixed outcome set
 	scanBytes *metrics.Counter            // idem; column bytes read by batched scans
 	scanRows  *metrics.Counter            // idem; rows scanned by batched scans
+	fallbacks map[string]*metrics.Counter // idem; workloads evaluated outside the scan kernel, by reason
 
 	// Cold-column planner state: colLast[pos] is the batch sequence at
 	// which a batched scan last planned schema position pos. A column
@@ -315,8 +316,14 @@ func (s *Scheduler) newQueue(name string) *dsQueue {
 			"Column storage bytes read by batched noise-free scans (packed words for v2 columns).",
 			metrics.L("dataset", name))
 		q.scanRows = m.Counter("apex_scan_rows_total",
-			"Rows scanned by batched noise-free scans (unique predicates times table rows).",
+			"Rows scanned by batched noise-free scans (column passes times table rows).",
 			metrics.L("dataset", name))
+		q.fallbacks = make(map[string]*metrics.Counter)
+		for _, r := range workload.FallbackReasons {
+			q.fallbacks[r] = m.Counter("apex_scan_fallback_total",
+				"Workloads a batched scan evaluated outside the one-pass-per-column kernel, by reason.",
+				metrics.L("dataset", name), metrics.L("reason", r))
+		}
 	}
 	return q
 }
@@ -663,8 +670,13 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 		warmed += len(g.items)
 		scanBytes += st.ScanBytes
 		scanRows += st.Rows
-		if st.UniquePredicates > 0 {
+		if st.ColumnPasses > 0 {
 			d.noteColumns(g.table, st.Columns)
+		}
+		for reason, n := range st.Fallbacks {
+			if c := d.fallbacks[reason]; c != nil {
+				c.Add(float64(n))
+			}
 		}
 	}
 	if d.scanBytes != nil && scanBytes > 0 {

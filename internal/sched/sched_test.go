@@ -600,3 +600,46 @@ func TestSchedulerCanceledWhileQueued(t *testing.T) {
 		t.Fatalf("transcript shrank: %d -> %d", before, got)
 	}
 }
+
+// opaqueBins is an opaque predicate (dataset.Func) with declared
+// breakpoints: it transforms, but only the row path can evaluate it.
+type opaqueBins struct{ dataset.Func }
+
+func (opaqueBins) Breakpoints() map[string][]float64 { return map[string][]float64{"v": {50}} }
+
+// TestSchedulerCountsScanFallbacks: a workload the scan kernel cannot
+// take is still answered, and shows up in apex_scan_fallback_total under
+// its reason; the other reasons are exported at zero from the start.
+func TestSchedulerCountsScanFallbacks(t *testing.T) {
+	d := testTable(t, 300)
+	reg := metrics.NewRegistry()
+	s := New(Config{Workers: 1, Metrics: reg})
+	defer s.Close()
+	e := newSessionEngine(t, d, workload.NewTransformCache(workload.Options{}), 10, 1, false)
+
+	low := opaqueBins{dataset.Func{Name: "low", ReadAttrs: []string{"v"}, Fn: func(sc *dataset.Schema, tu dataset.Tuple) bool {
+		v, ok := tu[0].AsNum()
+		return ok && v < 50
+	}}}
+	for _, preds := range [][]dataset.Predicate{
+		{low},
+		{dataset.Range{Attr: "v", Lo: 0, Hi: 50}},
+	} {
+		q, err := query.NewWCQ(preds, accuracy.Requirement{Alpha: 40, Beta: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ask(context.Background(), "d", "s", e, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for reason, want := range map[string]float64{workload.FallbackOpaque: 1, workload.FallbackImplicit: 0, workload.FallbackGrid: 0} {
+		got := reg.Counter("apex_scan_fallback_total", "", metrics.L("dataset", "d"), metrics.L("reason", reason)).Value()
+		if got != want {
+			t.Errorf("apex_scan_fallback_total{reason=%q} = %v, want %v", reason, got, want)
+		}
+	}
+	if !strings.Contains(reg.Render(), `apex_scan_fallback_total{dataset="d",reason="grid"} 0`) {
+		t.Errorf("fallback reasons are not pre-registered at zero:\n%s", reg.Render())
+	}
+}

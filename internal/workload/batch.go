@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -19,186 +16,116 @@ type BatchItem struct {
 
 // BatchStats reports what one EvaluateBatch actually scanned — the
 // scheduler's feed for the scan-bandwidth counters
-// (apex_scan_bytes_total / apex_scan_rows_total) and its cold-column
-// release planner. Zero-valued when the batch had nothing to warm.
+// (apex_scan_bytes_total / apex_scan_rows_total), the fallback counter
+// (apex_scan_fallback_total) and its cold-column release planner.
+// Zero-valued when the batch had nothing to warm.
 type BatchStats struct {
-	// UniquePredicates is the deduplicated predicate count: the number of
-	// full-column scans the batch ran, regardless of how many workloads
-	// shared each one.
-	UniquePredicates int
-	// Rows is UniquePredicates × table rows — the numerator of the
+	// ColumnPasses is the number of physical full-column passes the batch
+	// ran: summed over its deduplicated workloads, one per referenced
+	// column (the bitmap fallback pays one per predicate and column).
+	ColumnPasses int
+	// Rows is ColumnPasses × table rows — the numerator of the
 	// rows-per-byte bandwidth figure.
 	Rows int64
-	// ScanBytes is the column storage those scans read: packed words for
-	// v2 columns, full-width slices for v1/heap ones, summed per scan (a
-	// column referenced by three unique predicates counts three times,
-	// matching the traffic the kernels actually issue).
+	// ScanBytes is the column storage those passes read: packed words for
+	// v2 columns, full-width slices for v1/heap ones, once per (workload,
+	// column).
 	ScanBytes int64
 	// Columns is the deduplicated, sorted set of schema positions the
 	// batch planned — what was prefetched, and what the cold-column
 	// planner marks as recently hot.
 	Columns []int
+	// Fallbacks counts, by reason (FallbackReasons), the workloads the
+	// batch evaluated outside the scan kernel. Nil when there were none.
+	Fallbacks map[string]int
 }
 
 // EvaluateBatch warms the noise-free evaluation memos of several
-// workloads over one table in a single grouped columnar pass: the
-// predicates of every batched workload are deduplicated by their
-// canonical rendered form (the same identity Key uses), each unique
-// predicate is evaluated exactly once — in parallel across CPUs — and
-// every workload's histogram/true-answer memo is then assembled from the
-// shared bitmaps. N pending distinct workloads that share predicates
-// cost one scan per unique predicate instead of one per (workload,
-// predicate) pair, and the table's columns stay hot across the group.
+// workloads over one table in one grouped pass of the scan kernel
+// (kernel.go): the batch's workloads are deduplicated by identity, each
+// reads every column it references exactly once — however many
+// predicates it has — and the (workload, morsel) units are spread over
+// the CPUs, so a lone 12-bin query uses the cores as fully as a batch of
+// many. Both the histogram and the true answers of a workload come out of
+// that one pass.
 //
-// The assembly runs the identical accumulation code as the unbatched
-// path, so memoized results — including out-of-domain errors — are
-// bit-for-bit what an unbatched evaluation would have produced; later
-// Histogram/TrueAnswers calls simply hit the memo. Workloads whose
-// kernels cannot compile (opaque predicates), that were not produced by
-// this cache, or whose results are already memoized are skipped — their
-// mechanisms evaluate through the ordinary path, so warming is never
-// required for correctness.
+// The unbatched path is the same kernel run as a batch of one, so
+// memoized results — including out-of-domain errors — are bit-for-bit
+// what an unbatched evaluation would have produced; later
+// Histogram/TrueAnswers calls simply hit the memo. Workloads the kernel
+// does not cover (opaque predicates, implicit transformations without a
+// component grid, oversized grids) are warmed through their fallback
+// path and counted in BatchStats.Fallbacks, never taken silently.
+// Workloads that were not produced by a TransformCache or whose results
+// are already memoized are skipped.
 //
-// Before the scans run, the batch's planned column set — the union of
-// the deduplicated predicates' attributes — is handed to the table's
-// column-granular prefetch hook (dataset.Table.PrefetchColumns), so an
-// mmap-backed table advises WILLNEED over exactly the byte ranges this
-// batch will read and nothing else. The returned BatchStats describe the
-// scans that actually ran.
-// ScanPlan predicts the columnar scan a noise-free evaluation of this
-// workload alone would issue over d, without running it: the deduplicated
-// sorted column set and the byte traffic. It runs the identical
-// accounting as EvaluateBatch's plan pass — predicates deduplicated by
-// their canonical rendered form, each unique predicate's columns summed
-// via d.ColumnScanBytes — so for a single-workload batch the predicted
-// ScanBytes equals BatchStats.ScanBytes exactly. ok is false when some
-// predicate cannot compile to a columnar kernel (the evaluation would
-// take the row path, whose traffic the column accounting does not model).
-func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, ok bool) {
-	k := tr.kernels()
-	if k.err != nil {
-		return nil, 0, false
-	}
-	uniq := make(map[string]bool, len(tr.preds))
-	seen := make(map[int]bool)
-	for j, p := range tr.preds {
-		key := p.String()
-		if uniq[key] {
-			continue
-		}
-		uniq[key] = true
-		for _, pos := range k.preds[j].Columns() {
-			scanBytes += d.ColumnScanBytes(pos)
-			if !seen[pos] {
-				seen[pos] = true
-				cols = append(cols, pos)
-			}
-		}
-	}
-	sort.Ints(cols)
-	return cols, scanBytes, true
-}
-
+// Before the scans run, the batch's planned column set is handed to the
+// table's column-granular prefetch hook (dataset.Table.PrefetchColumns),
+// so an mmap-backed table advises WILLNEED over exactly the byte ranges
+// this batch will read and nothing else. The returned BatchStats describe
+// the scans that actually ran.
 func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) BatchStats {
-	type shared struct {
-		cp *dataset.CompiledPredicate
-		bm *dataset.Bitmap
-	}
-	uniq := make(map[string]*shared)
-	var order []*shared
-
-	// Collection pass: decide what each item still needs and map its
-	// predicates onto the deduplicated evaluation set.
-	type task struct {
-		tr         *Transformed
-		srcs       []*shared // aligned with tr.preds
-		hist, trut bool
-	}
-	var tasks []task
+	// Collection pass: decide what each workload still needs.
+	byTr := make(map[*Transformed]*evalTask, len(items))
+	var tasks []*evalTask
 	for _, it := range items {
 		tr := it.Tr
 		if tr == nil || tr.memo == nil {
 			continue
 		}
-		k := tr.kernels()
-		if k.err != nil {
-			continue
-		}
 		// Histogram is only defined for materialized transformations, and
 		// anything already memoized needs no work.
 		hist := it.Histogram && tr.Materialized() && !tr.memo.ready(&tr.memo.hist, d)
-		trut := it.Truth && !tr.memo.ready(&tr.memo.truth, d)
-		if !hist && !trut {
+		truth := it.Truth && !tr.memo.ready(&tr.memo.truth, d)
+		if !hist && !truth {
 			continue
 		}
-		srcs := make([]*shared, len(tr.preds))
-		for j, p := range tr.preds {
-			key := p.String()
-			s, ok := uniq[key]
-			if !ok {
-				s = &shared{cp: k.preds[j]}
-				uniq[key] = s
-				order = append(order, s)
-			}
-			srcs[j] = s
+		t := byTr[tr]
+		if t == nil {
+			t = &evalTask{tr: tr}
+			byTr[tr] = t
+			tasks = append(tasks, t)
 		}
-		tasks = append(tasks, task{tr: tr, srcs: srcs, hist: hist, trut: trut})
+		t.hist, t.truth = t.hist || hist, t.truth || truth
 	}
 	if len(tasks) == 0 {
 		return BatchStats{}
 	}
 
-	// Plan pass: derive the batch's column set from the deduplicated
-	// predicates and prefetch only those byte ranges, before the first
-	// kernel faults a page. ScanBytes counts each unique predicate's
-	// column reads separately — that is the traffic the scans issue.
-	stats := BatchStats{UniquePredicates: len(order), Rows: int64(len(order)) * int64(d.Size())}
+	// Plan pass: account the traffic and prefetch only the byte ranges
+	// the batch will read, before the first kernel faults a page.
+	var stats BatchStats
 	seen := make(map[int]bool)
-	for _, s := range order {
-		for _, pos := range s.cp.Columns() {
-			stats.ScanBytes += d.ColumnScanBytes(pos)
+	for _, t := range tasks {
+		k := t.tr.kernels()
+		if k.fallback != "" {
+			if stats.Fallbacks == nil {
+				stats.Fallbacks = make(map[string]int)
+			}
+			stats.Fallbacks[k.fallback]++
+		}
+		passes, bytes := k.scanTraffic(d)
+		stats.ColumnPasses += passes
+		stats.ScanBytes += bytes
+		for _, pos := range k.cols {
 			if !seen[pos] {
 				seen[pos] = true
 				stats.Columns = append(stats.Columns, pos)
 			}
 		}
 	}
+	stats.Rows = int64(stats.ColumnPasses) * int64(d.Size())
 	sort.Ints(stats.Columns)
 	d.PrefetchColumns(stats.Columns)
 
-	// Evaluation pass: one columnar scan per unique predicate across the
-	// whole batch, spread over the CPUs.
-	if nw := min(runtime.GOMAXPROCS(0), len(order)); nw > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(order) {
-						return
-					}
-					order[i].bm = order[i].cp.Eval(d)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, s := range order {
-			s.bm = s.cp.Eval(d)
-		}
-	}
+	evaluate(d, tasks)
 
-	// Assembly pass: fill each workload's memo from the shared bitmaps.
 	for _, t := range tasks {
-		get := func(pi int, _ *dataset.Bitmap) *dataset.Bitmap { return t.srcs[pi].bm }
 		if t.hist {
-			t.tr.memo.warmHistogram(t.tr, d, get)
+			t.tr.memo.get(&t.tr.memo.hist, d).compute(func() ([]float64, error) { return t.x, t.xErr })
 		}
-		if t.trut {
-			t.tr.memo.warmTruth(t.tr, d, get)
+		if t.truth {
+			t.tr.memo.get(&t.tr.memo.truth, d).compute(func() ([]float64, error) { return t.truths, nil })
 		}
 	}
 	return stats

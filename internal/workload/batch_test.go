@@ -8,11 +8,10 @@ import (
 )
 
 // TestEvaluateBatchMatchesUnbatched is the batched-path differential
-// test: warming many workloads' memos through one EvaluateBatch (shared,
-// deduplicated predicate evaluations) must leave Histogram and
+// test: warming many workloads' memos through one EvaluateBatch (one
+// fan-out of (workload, morsel) units) must leave Histogram and
 // TrueAnswers bit-for-bit equal to a cache that evaluated each workload
-// on its own. Workloads deliberately overlap in predicates so the dedup
-// path is exercised.
+// on its own. Workloads deliberately overlap in predicates.
 func TestEvaluateBatchMatchesUnbatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := columnarSchema(t)
@@ -102,16 +101,18 @@ func TestEvaluateBatchErrorParity(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchSkipsIneligible: implicit transformations, opaque
-// predicates and foreign Transformeds must be skipped without panicking,
-// and plain evaluation must still work afterwards.
-func TestEvaluateBatchSkipsIneligible(t *testing.T) {
+// TestEvaluateBatchCountsFallbacks: workloads the scan kernel does not
+// cover — an opaque predicate, an implicit transformation without a
+// component grid — are warmed through their fallback path and counted,
+// never taken silently; foreign and nil Transformeds are skipped; a
+// workload listed twice is evaluated once.
+func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 	s := columnarSchema(t)
 	rng := rand.New(rand.NewSource(7))
 	d := randDomainTable(rng, s, 100)
 
-	c := NewTransformCache(Options{})
-	// An opaque Func predicate: kernels cannot compile.
+	c := NewTransformCache(Options{MaxCellsPerComponent: 8})
+	// An opaque Func predicate: only the row path can evaluate it.
 	f := breakpointFunc{
 		Func: dataset.Func{
 			Name:      "always",
@@ -124,18 +125,55 @@ func TestEvaluateBatchSkipsIneligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A component grid above the (lowered) enumeration cap: implicit, no
+	// components, one bitmap scan per predicate.
+	bins, err := Histogram1D("gain", 0, 1000, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trImplicit, err := c.Transform(s, bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trImplicit.Materialized() || trImplicit.comps != nil {
+		t.Fatal("expected an implicit transformation without components")
+	}
+	trKernel, err := c.Transform(s, []dataset.Predicate{dataset.Range{Attr: "age", Lo: 0, Hi: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A Transformed built outside any cache (no memo).
 	trForeign, err := Transform(s, []dataset.Predicate{dataset.Range{Attr: "age", Lo: 0, Hi: 50}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EvaluateBatch(d, []BatchItem{
+	st := c.EvaluateBatch(d, []BatchItem{
 		{Tr: trFunc, Histogram: true, Truth: true},
+		{Tr: trImplicit, Histogram: true, Truth: true},
+		{Tr: trKernel, Histogram: true},
+		{Tr: trKernel, Truth: true},
 		{Tr: trForeign, Histogram: true, Truth: true},
 		{Tr: nil, Histogram: true},
 	})
-	truth := trFunc.TrueAnswers(d)
-	if truth[0] != float64(d.Size()) {
-		t.Fatalf("opaque TRUE predicate counted %v of %d rows", truth[0], d.Size())
+	if st.Fallbacks[FallbackOpaque] != 1 || st.Fallbacks[FallbackImplicit] != 1 || len(st.Fallbacks) != 2 {
+		t.Fatalf("fallbacks = %v, want one opaque and one implicit", st.Fallbacks)
+	}
+	// 10 bitmap scans of gain plus the kernel's single pass over age.
+	if st.ColumnPasses != len(bins)+1 || len(st.Columns) != 2 {
+		t.Fatalf("passes = %d over columns %v, want %d over 2", st.ColumnPasses, st.Columns, len(bins)+1)
+	}
+	for _, tr := range []*Transformed{trFunc, trImplicit, trKernel} {
+		if !tr.memo.ready(&tr.memo.truth, d) {
+			t.Fatalf("workload %v was not warmed", tr.preds)
+		}
+		got, want := tr.TrueAnswers(d), tr.TrueAnswersRows(d)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("workload %v: TrueAnswers[%d] = %v, rows %v", tr.preds, j, got[j], want[j])
+			}
+		}
+	}
+	if _, bytes, ok := trImplicit.ScanPlan(d); !ok || bytes != int64(len(bins))*d.ColumnScanBytes(2) {
+		t.Fatalf("implicit ScanPlan = %d bytes, ok %v", bytes, ok)
 	}
 }

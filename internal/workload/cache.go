@@ -199,17 +199,3 @@ func (m *evalMemo) trueAnswers(tr *Transformed, d *dataset.Table) []float64 {
 	e.compute(func() ([]float64, error) { return tr.trueAnswers(d), nil })
 	return append([]float64(nil), e.vals...)
 }
-
-// warmHistogram memoizes the histogram computed from a shared predicate-
-// bitmap source (the batched path), without copying the result out.
-func (m *evalMemo) warmHistogram(tr *Transformed, d *dataset.Table, get predSource) {
-	e := m.get(&m.hist, d)
-	e.compute(func() ([]float64, error) { return tr.histogramWith(d, get) })
-}
-
-// warmTruth memoizes the exact answers computed from a shared predicate-
-// bitmap source (the batched path), without copying the result out.
-func (m *evalMemo) warmTruth(tr *Transformed, d *dataset.Table, get predSource) {
-	e := m.get(&m.truth, d)
-	e.compute(func() ([]float64, error) { return tr.trueAnswersWith(d, get), nil })
-}

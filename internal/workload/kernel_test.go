@@ -1,0 +1,428 @@
+package workload
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/colstore"
+	"repro/internal/dataset"
+)
+
+// kernelSchema covers every storage arm of the scan kernel once packed:
+// age frame-of-reference packs to 8-bit lanes (lookup table), gain to
+// 21-bit lanes (integer thresholds), frac holds fractions and non-finite
+// values and stays float64, state and flag bit-pack their codes.
+func kernelSchema(tb testing.TB) *dataset.Schema {
+	tb.Helper()
+	s, err := dataset.NewSchema(
+		dataset.Attribute{Name: "age", Kind: dataset.Continuous, Min: 0, Max: 100},
+		dataset.Attribute{Name: "gain", Kind: dataset.Continuous, Min: 0, Max: 1 << 20},
+		dataset.Attribute{Name: "frac", Kind: dataset.Continuous, Min: -1, Max: 1},
+		dataset.Attribute{Name: "state", Kind: dataset.Categorical, Values: []string{"CA", "NY", "TX"}},
+		dataset.Attribute{Name: "flag", Kind: dataset.Categorical, Values: []string{"y", "n"}},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// kernelTable fills a heap table with in-domain rows and NULLs; wild
+// adds rows outside the public domain (out-of-range numbers, NaN, ±Inf,
+// strings the schema does not list) and kind-mismatched misfit cells.
+func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.Table {
+	t := dataset.NewTable(s)
+	fracs := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1, -1, 0.25}
+	for i := 0; i < n; i++ {
+		row := dataset.Tuple{
+			dataset.Num(float64(rng.Intn(101))),
+			dataset.Num(float64(rng.Intn(65) << 14)), // few distinct values, so cuts land on them
+			dataset.Num(fracs[rng.Intn(len(fracs))]),
+			dataset.Str([]string{"CA", "NY", "TX"}[rng.Intn(3)]),
+			dataset.Str([]string{"y", "n"}[rng.Intn(2)]),
+		}
+		if rng.Intn(3) == 0 {
+			row[2] = dataset.Num(rng.Float64()*2 - 1)
+		}
+		if wild && rng.Intn(12) == 0 {
+			switch rng.Intn(5) {
+			case 0:
+				row[0] = dataset.Num(float64(101 + rng.Intn(60)))
+			case 1:
+				row[1] = dataset.Num(float64(1<<20 + 1 + rng.Intn(1000)))
+			case 2:
+				row[2] = dataset.Num([]float64{math.NaN(), math.Inf(1), math.Inf(-1), 7.5, -3}[rng.Intn(5)])
+			case 3:
+				row[3] = dataset.Str("ZZ")
+			default: // misfit: a number in a categorical cell, a string in a continuous one
+				row[3+rng.Intn(2)] = dataset.Num(float64(rng.Intn(3)))
+				row[rng.Intn(3)] = dataset.Str("oops")
+			}
+		}
+		for pos := range row {
+			if rng.Intn(14) == 0 {
+				row[pos] = dataset.Null
+			}
+		}
+		t.MustAppend(row)
+	}
+	return t
+}
+
+// packedForm rebuilds the heap table with every eligible column packed,
+// through the surface the column store uses.
+func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
+	tb.Helper()
+	s := heap.Schema()
+	cols := make([]dataset.ColumnData, s.Arity())
+	for pos := range cols {
+		cd := heap.ColumnData(pos)
+		cols[pos] = cd
+		if cd.Kind == dataset.Categorical {
+			cols[pos] = dataset.ColumnData{Kind: cd.Kind, Dict: cd.Dict, PackedCodes: dataset.PackCodes(cd.Codes, len(cd.Dict))}
+		} else if p, ok := dataset.PackVals(cd.Vals, cd.MissingWords); ok {
+			cols[pos].Vals, cols[pos].PackedVals = nil, p
+		}
+	}
+	packed, err := dataset.TableFromColumns(s, heap.Size(), cols, heap.MisfitCells())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return packed
+}
+
+// storageForms returns the heap table and its three other homes: packed
+// in memory, and served from a v1 and a v2 mmap segment.
+func storageForms(tb testing.TB, heap *dataset.Table) map[string]*dataset.Table {
+	tb.Helper()
+	forms := map[string]*dataset.Table{"heap-raw": heap, "heap-packed": packedForm(tb, heap)}
+	for _, ver := range []int{1, 2} {
+		path := filepath.Join(tb.TempDir(), fmt.Sprintf("v%d.seg", ver))
+		if _, err := colstore.WriteTableVersion(path, heap, ver); err != nil {
+			tb.Fatal(err)
+		}
+		seg, err := colstore.Open(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { seg.Close() })
+		forms[fmt.Sprintf("v%d", ver)] = seg.Table()
+	}
+	return forms
+}
+
+// kernelCut draws a cut constant for the attribute: mostly values the
+// data holds exactly (so point atoms are hit), plus fractions, constants
+// outside [Min, Max], non-finite ones and −0.
+func kernelCut(rng *rand.Rand, attr string) float64 {
+	hi := map[string]float64{"age": 100, "gain": 1 << 20, "frac": 1}[attr]
+	switch rng.Intn(10) {
+	case 0:
+		return []float64{-7, hi + 30, 1e12, -1e12}[rng.Intn(4)]
+	case 1:
+		return []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}[rng.Intn(4)]
+	case 2:
+		return rng.Float64() * hi
+	}
+	switch attr {
+	case "frac":
+		return []float64{-1, -0.5, 0, 0.25, 0.5, 1}[rng.Intn(6)]
+	case "gain":
+		return float64(rng.Intn(65) << 14)
+	}
+	return float64(rng.Intn(101))
+}
+
+// kernelAtom draws an atomic predicate, including NumCmp Eq/Ne, ranges
+// whose bounds are adjacent floats (an empty open interval between two
+// cuts) and comparisons against the wrong attribute kind.
+func kernelAtom(rng *rand.Rand) dataset.Predicate {
+	num := []string{"age", "gain", "frac"}[rng.Intn(3)]
+	switch rng.Intn(8) {
+	case 0, 1:
+		lo := kernelCut(rng, num)
+		return dataset.Range{Attr: num, Lo: lo, Hi: lo + math.Abs(kernelCut(rng, num))}
+	case 2, 3:
+		return dataset.NumCmp{Attr: num, Op: dataset.CmpOp(rng.Intn(6)), C: kernelCut(rng, num)}
+	case 4:
+		c := kernelCut(rng, num)
+		return dataset.Range{Attr: num, Lo: c, Hi: math.Nextafter(c, math.Inf(1))}
+	case 5:
+		return dataset.StrEq{Attr: "state", Val: []string{"CA", "NY", "TX", "ZZ", "never"}[rng.Intn(5)]}
+	case 6:
+		return dataset.StrEq{Attr: []string{"flag", "age"}[rng.Intn(2)], Val: "y"}
+	}
+	return dataset.IsNull{Attr: []string{"age", "gain", "frac", "state", "flag"}[rng.Intn(5)]}
+}
+
+func kernelPredicate(rng *rand.Rand, depth int) dataset.Predicate {
+	if depth == 0 || rng.Intn(3) == 0 {
+		return kernelAtom(rng)
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return dataset.And{kernelPredicate(rng, depth-1), kernelPredicate(rng, depth-1)}
+	case 1:
+		return dataset.Or{kernelPredicate(rng, depth-1), kernelPredicate(rng, depth-1)}
+	}
+	return dataset.Not{P: kernelPredicate(rng, depth-1)}
+}
+
+// checkKernelAgainstRows is the differential oracle: the scan kernel's
+// histogram (or its error, to the character) and true answers must equal
+// the row-at-a-time reference, which is predicate-by-predicate Eval.
+func checkKernelAgainstRows(tb testing.TB, label string, tr *Transformed, d *dataset.Table) {
+	tb.Helper()
+	truth, rows := tr.TrueAnswers(d), tr.TrueAnswersRows(d)
+	for j := range rows {
+		if truth[j] != rows[j] {
+			tb.Fatalf("%s: TrueAnswers[%d] kernel %v, rows %v (predicate %v)", label, j, truth[j], rows[j], tr.preds[j])
+		}
+	}
+	if !tr.Materialized() {
+		return
+	}
+	x, err := tr.Histogram(d)
+	xr, errRows := tr.HistogramRows(d)
+	if (err == nil) != (errRows == nil) || (err != nil && err.Error() != errRows.Error()) {
+		tb.Fatalf("%s: Histogram error\nkernel: %v\nrows:   %v", label, err, errRows)
+	}
+	for p := range xr {
+		if x[p] != xr[p] {
+			tb.Fatalf("%s: Histogram[%d] kernel %v, rows %v", label, p, x[p], xr[p])
+		}
+	}
+}
+
+// TestKernelMatchesRowPathAcrossStorage: random predicate trees — one
+// component or several — over tables with NULLs, out-of-domain rows and
+// misfit cells, in all four storage forms.
+func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	s := kernelSchema(t)
+	var sawError, sawHistogram bool
+	trials := 24
+	if testing.Short() {
+		trials = 6
+	}
+	for trial := 0; trial < trials; trial++ {
+		// Sizes straddle the morsel so first-bad-row parity crosses one.
+		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
+		forms := storageForms(t, heap)
+		for w := 0; w < 6; w++ {
+			preds := make([]dataset.Predicate, 1+rng.Intn(7))
+			for i := range preds {
+				preds[i] = kernelPredicate(rng, 2)
+			}
+			tr, err := Transform(s, preds, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if f := tr.kernels().fallback; f != "" {
+				t.Fatalf("trial %d: compilable workload fell back (%s): %v", trial, f, preds)
+			}
+			for name, d := range forms {
+				checkKernelAgainstRows(t, fmt.Sprintf("trial %d %s %v", trial, name, preds), tr, d)
+			}
+			if tr.Materialized() {
+				_, err := tr.Histogram(heap)
+				sawError, sawHistogram = sawError || err != nil, sawHistogram || err == nil
+			}
+		}
+	}
+	if !sawError || !sawHistogram {
+		t.Fatalf("generator is lopsided: out-of-domain error seen %v, clean histogram seen %v", sawError, sawHistogram)
+	}
+}
+
+// TestKernelWorkloadShapes pins the shapes the predicate-at-a-time
+// evaluator special-cased: a component wider than one signature word, a
+// multi-component histogram, an implicit-but-componentised workload
+// (truths from per-component counts), and cuts that leave [Min, Max].
+// Every one must take the kernel, at one pass per referenced column.
+func TestKernelWorkloadShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := kernelSchema(t)
+	wide, err := Histogram1D("age", 0, 100, 100.0/70) // 70 predicates, one component
+	if err != nil {
+		t.Fatal(err)
+	}
+	gains, err := Prefix1D("gain", 0, 1<<20, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := CategoryPredicates("state", []string{"CA", "NY", "TX"})
+	cases := []struct {
+		name  string
+		preds []dataset.Predicate
+		opt   Options
+		cols  int
+		mat   bool
+	}{
+		{"wide-component", wide, Options{}, 1, true},
+		{"multi-component", append(append(append([]dataset.Predicate{}, wide[:9]...), gains...), states...), Options{}, 3, true},
+		{"implicit-componentised", append(append([]dataset.Predicate{}, gains...), states...), Options{MaxPartitions: 8}, 2, false},
+		{"cuts-outside-domain", []dataset.Predicate{
+			dataset.Range{Attr: "age", Lo: -50, Hi: 20},
+			dataset.NumCmp{Attr: "age", Op: dataset.Ge, C: 20},
+			dataset.And{dataset.NumCmp{Attr: "frac", Op: dataset.Lt, C: 5}, dataset.StrEq{Attr: "flag", Val: "y"}},
+		}, Options{}, 3, true},
+	}
+	for _, wild := range []bool{false, true} {
+		forms := storageForms(t, kernelTable(rng, s, 2*morselRows+77, wild))
+		for _, c := range cases {
+			cache := NewTransformCache(c.opt)
+			tr, err := cache.Transform(s, c.preds)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if tr.Materialized() != c.mat {
+				t.Fatalf("%s: Materialized() = %v, want %v", c.name, tr.Materialized(), c.mat)
+			}
+			for name, d := range forms {
+				st := cache.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
+				if st.ColumnPasses != c.cols || len(st.Columns) != c.cols || st.Fallbacks != nil {
+					t.Fatalf("%s %s: %d passes over columns %v, fallbacks %v; want one pass over each of %d",
+						c.name, name, st.ColumnPasses, st.Columns, st.Fallbacks, c.cols)
+				}
+				if st.Rows != int64(c.cols*d.Size()) {
+					t.Fatalf("%s %s: Rows = %d, want %d", c.name, name, st.Rows, c.cols*d.Size())
+				}
+				checkKernelAgainstRows(t, fmt.Sprintf("%s %s wild=%v", c.name, name, wild), tr, d)
+			}
+		}
+	}
+}
+
+// TestKernelGridFallback: cuts outside [Min, Max] enlarge the kernel's
+// grid but not Transform's; past the cell cap the workload must take the
+// row path — counted, with identical answers — not build the table.
+func TestKernelGridFallback(t *testing.T) {
+	s := kernelSchema(t)
+	var preds []dataset.Predicate
+	for i := 0; i < 60; i++ {
+		c := float64(200 + i)
+		preds = append(preds, dataset.And{
+			dataset.NumCmp{Attr: "age", Op: dataset.Lt, C: c},
+			dataset.NumCmp{Attr: "gain", Op: dataset.Lt, C: 1<<21 + c},
+			dataset.NumCmp{Attr: "frac", Op: dataset.Lt, C: c},
+		})
+	}
+	cache := NewTransformCache(Options{})
+	tr, err := cache.Transform(s, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Materialized() {
+		t.Fatal("out-of-range cuts must not enlarge Transform's own grid")
+	}
+	d := kernelTable(rand.New(rand.NewSource(3)), s, 500, true)
+	st := cache.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
+	if st.Fallbacks[FallbackGrid] != 1 || st.ColumnPasses != 0 {
+		t.Fatalf("stats = %+v, want one grid fallback and no column passes", st)
+	}
+	if _, _, ok := tr.ScanPlan(d); ok {
+		t.Fatal("ScanPlan claims a columnar plan for a row-path workload")
+	}
+	checkKernelAgainstRows(t, "grid fallback", tr, d)
+}
+
+// FuzzClassifyMatchesEval lets the fuzzer choose the cut constants (raw
+// float64 bit patterns: NaNs, infinities, denormals, adjacent floats),
+// the frame-of-reference base and lane width, the lanes and the predicate
+// shapes. Column "v" holds base+lane — packed, it classifies by lookup
+// table up to 12-bit lanes and by integer lane thresholds above; narrow
+// columns additionally hold every lane once. Column "f" holds the cut
+// constants themselves and their neighbours, unpacked. The atom → cell →
+// signature chain must then equal predicate-by-predicate Eval (the row
+// path) on the raw and the packed table alike. (dataset's
+// FuzzLaneThresholds checks the integer thresholds themselves on every
+// lane of a narrow column.)
+func FuzzClassifyMatchesEval(f *testing.F) {
+	bits := func(xs ...float64) []byte {
+		var out []byte
+		for _, x := range xs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+		}
+		return out
+	}
+	f.Add(uint8(9), int64(1), bits(3, 23, 43.5, 263), []byte{0, 17, 200, 9, 255, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(20), int64(-5000), bits(-5000, 0, math.Copysign(0, -1), 1<<19, 1e300), []byte{1, 2, 3, 4, 250, 251, 252, 253}, []byte{7, 6, 5, 4, 3, 2, 1, 0, 9, 33})
+	f.Add(uint8(32), int64(1)<<40, bits(math.NaN(), math.Inf(1), math.Inf(-1), float64(int64(1)<<40)+0.5), []byte{0, 0, 0, 0, 255, 255, 255, 255}, []byte{2, 10, 18, 26, 34, 42})
+	f.Add(uint8(1), int64(0), bits(0.5, math.Nextafter(0.5, 1), 5e-324), []byte{1, 0, 1}, []byte{4, 12, 20, 28})
+	f.Fuzz(func(t *testing.T, width uint8, base int64, cutBits, laneBytes, shapes []byte) {
+		w := 1 + int(width)%32
+		base %= 1 << 41 // |base| + lane stays exactly representable
+		top := uint64(1)<<uint(w) - 1
+		cuts := []float64{float64(base)}
+		for ; len(cutBits) >= 8 && len(cuts) < 12; cutBits = cutBits[8:] {
+			cuts = append(cuts, math.Float64frombits(binary.LittleEndian.Uint64(cutBits)))
+		}
+		s, err := dataset.NewSchema(
+			dataset.Attribute{Name: "v", Kind: dataset.Continuous, Min: float64(base), Max: float64(base) + float64(top)},
+			dataset.Attribute{Name: "f", Kind: dataset.Continuous, Min: -1, Max: 1},
+			dataset.Attribute{Name: "c", Kind: dataset.Categorical, Values: []string{"a", "b"}},
+		)
+		if err != nil {
+			t.Skip()
+		}
+
+		lanes := []uint64{0, top} // pin the packed width to w
+		if w <= 8 {
+			for l := uint64(0); l <= top; l++ {
+				lanes = append(lanes, l)
+			}
+		}
+		for i := 0; i+4 <= len(laneBytes) && len(lanes) < 600; i += 4 {
+			lanes = append(lanes, uint64(binary.LittleEndian.Uint32(laneBytes[i:]))&top)
+		}
+		heap := dataset.NewTable(s)
+		for i, l := range lanes {
+			c := cuts[i%len(cuts)]
+			row := dataset.Tuple{
+				dataset.Num(float64(base) + float64(l)),
+				dataset.Num([]float64{c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1))}[i%3]),
+				dataset.Str([]string{"a", "b", "zz"}[l%3]),
+			}
+			if i%11 == 10 {
+				row[i%3] = dataset.Null
+			}
+			heap.MustAppend(row)
+		}
+		pick := func(b byte) float64 { return cuts[int(b)%len(cuts)] }
+		var preds []dataset.Predicate
+		for i, b := range shapes {
+			if len(preds) == 10 {
+				break
+			}
+			attr := []string{"v", "f"}[(b>>3)&1]
+			var p dataset.Predicate
+			switch b & 7 {
+			case 0, 1:
+				p = dataset.Range{Attr: attr, Lo: pick(b >> 4), Hi: pick(b>>4 + 1)}
+			case 2, 3, 4:
+				p = dataset.NumCmp{Attr: attr, Op: dataset.CmpOp(int(b>>4) % 6), C: pick(byte(i))}
+			case 5:
+				p = dataset.And{dataset.NumCmp{Attr: attr, Op: dataset.Lt, C: pick(b >> 4)}, dataset.StrEq{Attr: "c", Val: []string{"a", "zz"}[b>>7]}}
+			case 6:
+				p = dataset.Or{dataset.IsNull{Attr: attr}, dataset.NumCmp{Attr: "v", Op: dataset.Ge, C: pick(b >> 4)}}
+			default:
+				p = dataset.Not{P: dataset.Range{Attr: attr, Lo: pick(b >> 4), Hi: math.Inf(1)}}
+			}
+			preds = append(preds, p)
+		}
+		if len(preds) == 0 {
+			t.Skip()
+		}
+		tr, err := Transform(s, preds, Options{})
+		if err != nil {
+			t.Skip()
+		}
+		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d raw %v", w, base, preds), tr, heap)
+		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d packed %v", w, base, preds), tr, packedForm(t, heap))
+	})
+}

@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -66,12 +65,14 @@ type Transformed struct {
 	parts int            // total partitions (product of component counts)
 	mat   *linalg.Matrix // L×parts, nil when implicit
 
-	// Columnar evaluation state: the compiled predicate kernels are built
-	// lazily on first Histogram/TrueAnswers call and shared by every
-	// subsequent evaluation (a Transformed is immutable once built, so
-	// concurrent sessions can evaluate through it). memo, when non-nil
-	// (set by TransformCache), additionally caches the noise-free results
-	// per table.
+	// Columnar evaluation state (kernel.go): acc holds the constants the
+	// predicates mention per attribute; the scan kernel derived from them
+	// is built lazily on first evaluation and shared by every subsequent
+	// one (a Transformed is immutable once built, so concurrent sessions
+	// can evaluate through it). memo, when non-nil (set by
+	// TransformCache), additionally caches the noise-free results per
+	// table.
+	acc   *atomAcc
 	kOnce sync.Once
 	k     colKernels
 	memo  *evalMemo
@@ -88,32 +89,6 @@ type Transformed struct {
 // the point — the translation plane serves one plan per fingerprint, and
 // a plan for the wrong matrix is a wrong privacy cost.
 type Fingerprint [sha256.Size]byte
-
-// colKernels holds the compiled columnar evaluators for one workload.
-type colKernels struct {
-	// err non-nil means some predicate is not compilable (an opaque
-	// dataset.Func); every evaluation falls back to the row path.
-	err error
-	// preds are the compiled kernels, aligned with Transformed.preds.
-	preds []*dataset.CompiledPredicate
-	// comps holds per-component signature lookups for the vectorized
-	// partition kernel; nil when some component is too wide (> 64
-	// predicates), in which case Histogram falls back to the row path
-	// while TrueAnswers stays columnar.
-	comps []compiledComp
-}
-
-// compiledComp maps a component's predicate-satisfaction bitmask (bit bi
-// set ⇔ predicate predIdx[bi] holds) to its partition index. Narrow
-// components use a dense table, wider ones a map.
-type compiledComp struct {
-	width  int
-	dense  []int32 // len 1<<width when width <= denseSigWidth; -1 = unseen
-	lookup map[uint64]int32
-}
-
-// denseSigWidth bounds the dense signature table at 1<<16 entries.
-const denseSigWidth = 16
 
 type component struct {
 	predIdx []int // global predicate indices owned by this component
@@ -144,7 +119,7 @@ func Transform(s *dataset.Schema, preds []dataset.Predicate, opt Options) (*Tran
 		}
 	}
 
-	tr := &Transformed{schema: s, preds: preds}
+	tr := &Transformed{schema: s, preds: preds, acc: acc}
 	groups := groupPredicates(s, preds)
 	oversized := false
 	for _, g := range groups {
@@ -252,10 +227,11 @@ func (tr *Transformed) NumPartitions() int { return tr.parts }
 func (tr *Transformed) Matrix() *linalg.Matrix { return tr.mat }
 
 // Histogram computes x = T_W(D), the per-partition tuple counts, with one
-// columnar pass per referenced column (vectorized mixed-radix partition
-// codes) instead of a per-row predicate interpretation. It errors if the
-// workload is implicit or a tuple falls outside the public domain. When
-// the Transformed came from a TransformCache, the noise-free result is
+// pass per referenced column (kernel.go): rows are classified into the
+// workload's elementary intervals and counted per cell, instead of being
+// interpreted predicate by predicate. It errors if the workload is
+// implicit or a tuple falls outside the public domain. When the
+// Transformed came from a TransformCache, the noise-free result is
 // memoized per table and shared across callers.
 func (tr *Transformed) Histogram(d *dataset.Table) ([]float64, error) {
 	if tr.mat == nil {
@@ -267,101 +243,11 @@ func (tr *Transformed) Histogram(d *dataset.Table) ([]float64, error) {
 	return tr.histogram(d)
 }
 
-// predSource supplies a predicate's selection bitmap by workload index.
-// The scratch bitmap may be used as the backing store and is reused
-// across calls; callers only read the returned bitmap's words. The
-// batched evaluation path uses it to feed many workloads from one shared,
-// deduplicated set of predicate evaluations.
-type predSource func(pi int, scratch *dataset.Bitmap) *dataset.Bitmap
-
-// histogram is the uncached evaluation behind Histogram.
+// histogram is the uncached evaluation behind Histogram: a batch of one.
 func (tr *Transformed) histogram(d *dataset.Table) ([]float64, error) {
-	return tr.histogramWith(d, nil)
-}
-
-// histogramWith is histogram with an optional predicate-bitmap source;
-// nil means every predicate is evaluated in place (the unbatched path).
-// Both paths run the identical accumulation over the bitmap words, so
-// batched results are bit-for-bit equal to unbatched ones, including the
-// out-of-domain error a bad row produces.
-func (tr *Transformed) histogramWith(d *dataset.Table, get predSource) ([]float64, error) {
-	k := tr.kernels()
-	if k.err != nil || k.comps == nil {
-		return tr.HistogramRows(d)
-	}
-	if get == nil {
-		get = func(pi int, scratch *dataset.Bitmap) *dataset.Bitmap {
-			k.preds[pi].EvalInto(d, scratch)
-			return scratch
-		}
-	}
-	n := d.Size()
-	x := make([]float64, tr.parts)
-	if n == 0 {
-		return x, nil
-	}
-	idx := make([]int32, n)    // per-row global partition, mixed radix
-	masks := make([]uint64, n) // per-row signature within one component
-	scratch := dataset.NewBitmap(n)
-	// Out-of-domain handling must match the row path exactly: that path
-	// scans rows outermost and fails at the FIRST bad row (reporting the
-	// first failing component's signature for it), so track the minimum
-	// failing row across components instead of failing component-major.
-	badRow, badWidth := -1, 0
-	var badMask uint64
-	for ci, c := range tr.comps {
-		for i := range masks {
-			masks[i] = 0
-		}
-		for bi, pi := range c.predIdx {
-			sel := get(pi, scratch)
-			bit := uint64(1) << uint(bi)
-			for wi, w := range sel.Words() {
-				base := wi << 6
-				for w != 0 {
-					masks[base+bits.TrailingZeros64(w)] |= bit
-					w &= w - 1
-				}
-			}
-		}
-		cc := &k.comps[ci]
-		radix := int32(len(c.partSigs))
-		// A failure at or beyond the best known bad row cannot win (ties
-		// go to the earlier component, like the row path), so scan only
-		// the strictly earlier rows once a failure is on record.
-		limit := n
-		if badRow >= 0 {
-			limit = badRow
-		}
-		if cc.dense != nil {
-			for i := 0; i < limit; i++ {
-				m := masks[i]
-				p := cc.dense[m]
-				if p < 0 {
-					badRow, badMask, badWidth = i, m, cc.width
-					break
-				}
-				idx[i] = idx[i]*radix + p
-			}
-		} else {
-			for i := 0; i < limit; i++ {
-				m := masks[i]
-				p, ok := cc.lookup[m]
-				if !ok {
-					badRow, badMask, badWidth = i, m, cc.width
-					break
-				}
-				idx[i] = idx[i]*radix + p
-			}
-		}
-	}
-	if badRow >= 0 {
-		return nil, unseenSignature(badRow, badMask, badWidth)
-	}
-	for _, p := range idx {
-		x[p]++
-	}
-	return x, nil
+	t := &evalTask{tr: tr, hist: true}
+	evaluate(d, []*evalTask{t})
+	return t.x, t.xErr
 }
 
 // HistogramRows is the row-at-a-time reference implementation of
@@ -373,9 +259,9 @@ func (tr *Transformed) HistogramRows(d *dataset.Table) ([]float64, error) {
 	}
 	x := make([]float64, tr.parts)
 	for i := 0; i < d.Size(); i++ {
-		idx, err := tr.partitionOf(d.Row(i))
-		if err != nil {
-			return nil, fmt.Errorf("workload: row %d: %w", i, err)
+		idx, sig := tr.partitionOf(d.Row(i))
+		if idx < 0 {
+			return nil, unseenSignature(i, sig)
 		}
 		x[idx]++
 	}
@@ -383,9 +269,10 @@ func (tr *Transformed) HistogramRows(d *dataset.Table) ([]float64, error) {
 }
 
 // TrueAnswers returns the exact workload answers c_ϕi(D) = w_i·x
-// (available even for implicit transformations), one columnar predicate
-// kernel per workload entry. When the Transformed came from a
-// TransformCache, the noise-free result is memoized per table.
+// (available even for implicit transformations, and for tables on which
+// Histogram errors), from the same one-pass-per-column cell counts as
+// Histogram. When the Transformed came from a TransformCache, the
+// noise-free result is memoized per table.
 func (tr *Transformed) TrueAnswers(d *dataset.Table) []float64 {
 	if tr.memo != nil {
 		return tr.memo.trueAnswers(tr, d)
@@ -395,28 +282,9 @@ func (tr *Transformed) TrueAnswers(d *dataset.Table) []float64 {
 
 // trueAnswers is the uncached evaluation behind TrueAnswers.
 func (tr *Transformed) trueAnswers(d *dataset.Table) []float64 {
-	return tr.trueAnswersWith(d, nil)
-}
-
-// trueAnswersWith is trueAnswers with an optional predicate-bitmap
-// source; nil evaluates each predicate in place (the unbatched path).
-func (tr *Transformed) trueAnswersWith(d *dataset.Table, get predSource) []float64 {
-	k := tr.kernels()
-	if k.err != nil {
-		return tr.TrueAnswersRows(d)
-	}
-	if get == nil {
-		get = func(pi int, scratch *dataset.Bitmap) *dataset.Bitmap {
-			k.preds[pi].EvalInto(d, scratch)
-			return scratch
-		}
-	}
-	out := make([]float64, len(tr.preds))
-	scratch := dataset.NewBitmap(d.Size())
-	for j := range k.preds {
-		out[j] = float64(get(j, scratch).Count())
-	}
-	return out
+	t := &evalTask{tr: tr, truth: true}
+	evaluate(d, []*evalTask{t})
+	return t.truths
 }
 
 // TrueAnswersRows is the row-at-a-time reference implementation of
@@ -435,73 +303,10 @@ func (tr *Transformed) TrueAnswersRows(d *dataset.Table) []float64 {
 	return out
 }
 
-// kernels compiles the columnar evaluators once per Transformed.
-func (tr *Transformed) kernels() *colKernels {
-	tr.kOnce.Do(func() {
-		k := &tr.k
-		k.preds = make([]*dataset.CompiledPredicate, len(tr.preds))
-		for i, p := range tr.preds {
-			cp, err := dataset.Compile(tr.schema, p)
-			if err != nil {
-				k.err = err
-				return
-			}
-			k.preds[i] = cp
-		}
-		if tr.parts > math.MaxInt32 {
-			return // mixed-radix codes would overflow; keep comps nil
-		}
-		comps := make([]compiledComp, len(tr.comps))
-		for ci, c := range tr.comps {
-			width := len(c.predIdx)
-			if width > 64 {
-				return // signature exceeds one word; comps stays nil
-			}
-			cc := compiledComp{width: width}
-			if width <= denseSigWidth {
-				cc.dense = make([]int32, 1<<uint(width))
-				for i := range cc.dense {
-					cc.dense[i] = -1
-				}
-			} else {
-				cc.lookup = make(map[uint64]int32, len(c.partSigs))
-			}
-			for sig, part := range c.sigToPart {
-				var m uint64
-				for bi := 0; bi < width; bi++ {
-					if sig[bi] == '1' {
-						m |= 1 << uint(bi)
-					}
-				}
-				if cc.dense != nil {
-					cc.dense[m] = int32(part)
-				} else {
-					cc.lookup[m] = int32(part)
-				}
-			}
-			comps[ci] = cc
-		}
-		k.comps = comps
-	})
-	return &tr.k
-}
-
-// unseenSignature renders the row-path error for a mask with no partition.
-func unseenSignature(row int, mask uint64, width int) error {
-	sig := make([]byte, width)
-	for bi := 0; bi < width; bi++ {
-		if mask&(1<<uint(bi)) != 0 {
-			sig[bi] = '1'
-		} else {
-			sig[bi] = '0'
-		}
-	}
-	return fmt.Errorf("workload: row %d: tuple outside public domain (unseen signature %s)", row, sig)
-}
-
 // partitionOf maps a tuple to its global partition index (mixed radix over
-// component partition indices).
-func (tr *Transformed) partitionOf(row dataset.Tuple) (int, error) {
+// component partition indices), or to -1 and the first component
+// signature no partition has — a tuple outside the public domain.
+func (tr *Transformed) partitionOf(row dataset.Tuple) (int, string) {
 	idx := 0
 	for _, c := range tr.comps {
 		var sig strings.Builder
@@ -514,11 +319,11 @@ func (tr *Transformed) partitionOf(row dataset.Tuple) (int, error) {
 		}
 		p, ok := c.sigToPart[sig.String()]
 		if !ok {
-			return 0, fmt.Errorf("tuple outside public domain (unseen signature %s)", sig.String())
+			return -1, sig.String()
 		}
 		idx = idx*len(c.partSigs) + p
 	}
-	return idx, nil
+	return idx, ""
 }
 
 // buildMatrix materializes W over the global partition cross product.
@@ -558,24 +363,36 @@ type atomAcc struct {
 	schema *dataset.Schema
 	// numeric breakpoints per attribute position
 	nums map[int]map[float64]struct{}
-	// whether the attribute is referenced at all
-	used map[int]struct{}
+	// string constants per attribute position
+	strs map[int]map[string]struct{}
+	// opaque is set once a predicate that only evaluates row-at-a-time
+	// (dataset.Func and other custom types) has been collected.
+	opaque bool
 }
 
 func newAtomAcc(s *dataset.Schema) *atomAcc {
 	return &atomAcc{
 		schema: s,
 		nums:   make(map[int]map[float64]struct{}),
-		used:   make(map[int]struct{}),
+		strs:   make(map[int]map[string]struct{}),
 	}
 }
 
-func (a *atomAcc) addNum(attr string, c float64) error {
+// addAttr checks that a referenced attribute exists and returns its
+// schema position.
+func (a *atomAcc) addAttr(attr string) (int, error) {
 	i, ok := a.schema.Lookup(attr)
 	if !ok {
-		return fmt.Errorf("unknown attribute %q", attr)
+		return 0, fmt.Errorf("unknown attribute %q", attr)
 	}
-	a.used[i] = struct{}{}
+	return i, nil
+}
+
+func (a *atomAcc) addNum(attr string, c float64) error {
+	i, err := a.addAttr(attr)
+	if err != nil {
+		return err
+	}
 	if a.nums[i] == nil {
 		a.nums[i] = make(map[float64]struct{})
 	}
@@ -583,12 +400,15 @@ func (a *atomAcc) addNum(attr string, c float64) error {
 	return nil
 }
 
-func (a *atomAcc) addAttr(attr string) error {
-	i, ok := a.schema.Lookup(attr)
-	if !ok {
-		return fmt.Errorf("unknown attribute %q", attr)
+func (a *atomAcc) addStr(attr, v string) error {
+	i, err := a.addAttr(attr)
+	if err != nil {
+		return err
 	}
-	a.used[i] = struct{}{}
+	if a.strs[i] == nil {
+		a.strs[i] = make(map[string]struct{})
+	}
+	a.strs[i][v] = struct{}{}
 	return nil
 }
 
@@ -602,9 +422,10 @@ func (a *atomAcc) collect(p dataset.Predicate) error {
 		}
 		return a.addNum(q.Attr, q.Hi)
 	case dataset.StrEq:
-		return a.addAttr(q.Attr)
+		return a.addStr(q.Attr, q.Val)
 	case dataset.IsNull:
-		return a.addAttr(q.Attr)
+		_, err := a.addAttr(q.Attr)
+		return err
 	case dataset.And:
 		for _, c := range q {
 			if err := a.collect(c); err != nil {
@@ -628,6 +449,7 @@ func (a *atomAcc) collect(p dataset.Predicate) error {
 		if !ok {
 			return fmt.Errorf("cannot introspect predicate type %T (implement workload.BreakpointProvider)", p)
 		}
+		a.opaque = true
 		for attr, cs := range bp.Breakpoints() {
 			for _, c := range cs {
 				if err := a.addNum(attr, c); err != nil {
@@ -637,7 +459,7 @@ func (a *atomAcc) collect(p dataset.Predicate) error {
 		}
 		// Ensure all read attributes are registered even without breakpoints.
 		for _, attr := range p.Attrs() {
-			if err := a.addAttr(attr); err != nil {
+			if _, err := a.addAttr(attr); err != nil {
 				return err
 			}
 		}
