@@ -1,11 +1,13 @@
 // Compressed-scan benchmarks: the same Adult-style workload driven over
-// a v1 (full-width) and a v2 (bitpacked + frame-of-reference) segment of
-// the same table, measuring not just rows/s but rows per unit of memory
-// traffic — the bandwidth-efficiency figure the packed kernels exist
-// for. Bytes-touched per scan comes from the column directory (the
-// workload's ScanPlan: dataset.Table.ColumnScanBytes summed over the
-// columns it references, each read once), not from hardware counters, so
-// the number is exact and portable. Run with
+// the three homes a table has — the full-width heap table (NewTable; the
+// retired v1 segment layout read through these same raw readers), the
+// bitpacked + frame-of-reference v2 segment mapped, and that segment's
+// packed columns copied onto the heap — measuring not just rows/s but
+// rows per unit of memory traffic, the bandwidth-efficiency figure the
+// packed kernels exist for. Bytes-touched per scan comes from the column
+// directory (the workload's ScanPlan: dataset.Table.ColumnScanBytes
+// summed over the columns it references, each read once), not from
+// hardware counters, so the number is exact and portable. Run with
 //
 //	go test -run '^$' -bench CompressedScan -benchmem
 //
@@ -30,7 +32,7 @@ var (
 	scanBenchDirOnce sync.Once
 	scanBenchDir     string
 	scanBenchTables  sync.Map // rows -> *dataset.Table
-	scanBenchSegs    sync.Map // "v{ver}-{rows}" -> path
+	scanBenchSegs    sync.Map // rows -> path
 )
 
 func scanBenchTable(rows int) *dataset.Table {
@@ -42,9 +44,27 @@ func scanBenchTable(rows int) *dataset.Table {
 	return t
 }
 
-// scanBenchSegment writes (once per size and version) the Adult table as
-// a segment in a shared temp dir that lives for the test process.
-func scanBenchSegment(tb testing.TB, rows, ver int) string {
+// scanBenchWrite streams a generated table's rows through the segment
+// builder into path.
+func scanBenchWrite(tb testing.TB, path string, t *dataset.Table) {
+	tb.Helper()
+	b, err := colstore.NewBuilder(path, t.Schema())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < t.Size(); i++ {
+		if err := b.Append(t.Row(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// scanBenchSegment writes (once per size) the Adult table as a segment
+// in a shared temp dir that lives for the test process.
+func scanBenchSegment(tb testing.TB, rows int) string {
 	tb.Helper()
 	scanBenchDirOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "scan-bench-")
@@ -53,15 +73,12 @@ func scanBenchSegment(tb testing.TB, rows, ver int) string {
 		}
 		scanBenchDir = dir
 	})
-	key := fmt.Sprintf("v%d-%d", ver, rows)
-	if p, ok := scanBenchSegs.Load(key); ok {
+	if p, ok := scanBenchSegs.Load(rows); ok {
 		return p.(string)
 	}
-	path := filepath.Join(scanBenchDir, key+".seg")
-	if _, err := colstore.WriteTableVersion(path, scanBenchTable(rows), ver); err != nil {
-		tb.Fatal(err)
-	}
-	scanBenchSegs.Store(key, path)
+	path := filepath.Join(scanBenchDir, fmt.Sprintf("adult-%d.seg", rows))
+	scanBenchWrite(tb, path, scanBenchTable(rows))
+	scanBenchSegs.Store(rows, path)
 	return path
 }
 
@@ -85,8 +102,9 @@ func scanBenchTransform(tb testing.TB, d *dataset.Table) *workload.Transformed {
 }
 
 // scanBenchTraffic is the column-directory bytes one full evaluation of
-// the workload reads: each referenced column's storage (packed words on
-// v2, full-width slices on v1) once, however many predicates bin it.
+// the workload reads: each referenced column's storage (packed words, or
+// full-width slices on the raw heap table) once, however many predicates
+// bin it.
 func scanBenchTraffic(tb testing.TB, d *dataset.Table, tr *workload.Transformed) int64 {
 	tb.Helper()
 	_, bytes, ok := tr.ScanPlan(d)
@@ -104,31 +122,35 @@ func scanBenchSizes(short bool) []int {
 }
 
 // BenchmarkCompressedScan runs the Histogram and TrueAnswers kernels
-// over v1 and v2 segments of the same Adult table. Reported metrics:
-// rows/s (table rows per evaluation pass), MB/s of column traffic, and
-// rows/GB — rows scanned per gigabyte of memory traffic, the
-// bandwidth-efficiency quotient (rows/s divided by GB/s). v2 should hold
-// rows/s while multiplying rows/GB by the compression factor.
+// over the heap, packed-heap and mapped-v2 forms of the same Adult table.
+// Reported metrics: rows/s (table rows per evaluation pass), MB/s of
+// column traffic, and rows/GB — rows scanned per gigabyte of memory
+// traffic, the bandwidth-efficiency quotient (rows/s divided by GB/s).
+// The packed forms should hold rows/s while multiplying rows/GB by the
+// compression factor.
 func BenchmarkCompressedScan(b *testing.B) {
 	for _, rows := range scanBenchSizes(testing.Short()) {
-		for _, ver := range []int{1, 2} {
-			path := scanBenchSegment(b, rows, ver)
-			seg, err := colstore.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d := seg.Table()
+		seg, err := colstore.Open(scanBenchSegment(b, rows))
+		if err != nil {
+			b.Fatal(err)
+		}
+		packed, err := colstore.HeapCopy(seg.Table())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []struct {
+			name string
+			d    *dataset.Table
+		}{{"heap", scanBenchTable(rows)}, {"packed-heap", packed}, {"v2-mmap", seg.Table()}} {
+			d := form.d
 			tr := scanBenchTransform(b, d)
 			traffic := scanBenchTraffic(b, d, tr)
 			name := func(kernel string) string {
-				return fmt.Sprintf("rows=%s/ver=v%d/kernel=%s", colstoreSizeName(rows), ver, kernel)
+				return fmt.Sprintf("rows=%s/form=%s/kernel=%s", colstoreSizeName(rows), form.name, kernel)
 			}
 			report := func(b *testing.B) {
-				rowsPerSec := float64(rows) * float64(b.N) / b.Elapsed().Seconds()
-				gbPerSec := float64(traffic) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-				b.ReportMetric(rowsPerSec, "rows/s")
+				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 				b.ReportMetric(float64(rows)/(float64(traffic)/1e9), "rows/GB")
-				_ = gbPerSec
 			}
 			b.Run(name("histogram"), func(b *testing.B) {
 				b.SetBytes(traffic)
@@ -146,8 +168,8 @@ func BenchmarkCompressedScan(b *testing.B) {
 				}
 				report(b)
 			})
-			seg.Close()
 		}
+		seg.Close()
 	}
 }
 
@@ -175,9 +197,7 @@ var tcq12Cases = []struct {
 func BenchmarkCompressedScanTCQ12(b *testing.B) {
 	for _, rows := range scanBenchSizes(testing.Short()) {
 		path := filepath.Join(b.TempDir(), "taxi.seg")
-		if _, err := colstore.WriteTableVersion(path, datagen.NYTaxi(rows, 1), 2); err != nil {
-			b.Fatal(err)
-		}
+		scanBenchWrite(b, path, datagen.NYTaxi(rows, 1))
 		seg, err := colstore.Open(path)
 		if err != nil {
 			b.Fatal(err)
@@ -213,47 +233,43 @@ func BenchmarkCompressedScanTCQ12(b *testing.B) {
 	}
 }
 
-// TestCompressedScanAcceptance pins the PR's two acceptance numbers on
-// an Adult-style table: (1) the v2 segment's column payload is at least
-// 2x smaller than v1's, and (2) the packed-code kernels' scan traffic is
-// correspondingly smaller while producing identical answers. Throughput
-// parity at 1M rows is recorded from real bench runs in BENCH_scan.json
-// rather than asserted here (wall-clock ratios under CI load flake).
+// TestCompressedScanAcceptance pins the compressed scan path's two
+// acceptance numbers on an Adult-style table: (1) the v2 segment's column
+// payload is at least 2x smaller than the full-width layout of the same
+// columns, and (2) the packed-code kernels' scan traffic is
+// correspondingly smaller than the raw heap table's while producing
+// identical answers. Throughput parity at 1M rows is recorded from real
+// bench runs in BENCH_scan.json rather than asserted here (wall-clock
+// ratios under CI load flake).
 func TestCompressedScanAcceptance(t *testing.T) {
 	rows := 50_000
-	v1Path := scanBenchSegment(t, rows, 1)
-	v2Path := scanBenchSegment(t, rows, 2)
-	v1Info, err := colstore.Inspect(v1Path)
+	path := scanBenchSegment(t, rows)
+	info, err := colstore.Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Info, err := colstore.Inspect(v2Path)
-	if err != nil {
-		t.Fatal(err)
+	if info.Version != colstore.CurrentVersion {
+		t.Fatalf("builder wrote a v%d segment", info.Version)
 	}
-	if v2Info.DataBytes*2 > v1Info.DataBytes {
-		t.Errorf("v2 payload %d B is not >=2x smaller than v1 %d B (ratio %.2fx)",
-			v2Info.DataBytes, v1Info.DataBytes, float64(v1Info.DataBytes)/float64(v2Info.DataBytes))
+	if info.DataBytes*2 > info.V1Bytes {
+		t.Errorf("v2 payload %d B is not >=2x smaller than full-width %d B (ratio %.2fx)",
+			info.DataBytes, info.V1Bytes, float64(info.V1Bytes)/float64(info.DataBytes))
 	}
 
-	v1Seg, err := colstore.Open(v1Path)
+	seg, err := colstore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1Seg.Close()
-	v2Seg, err := colstore.Open(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2Seg.Close()
+	defer seg.Close()
+	heap, v2 := scanBenchTable(rows), seg.Table()
 
-	tr1 := scanBenchTransform(t, v1Seg.Table())
-	tr2 := scanBenchTransform(t, v2Seg.Table())
-	h1, err := tr1.Histogram(v1Seg.Table())
+	tr1 := scanBenchTransform(t, heap)
+	tr2 := scanBenchTransform(t, v2)
+	h1, err := tr1.Histogram(heap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := tr2.Histogram(v2Seg.Table())
+	h2, err := tr2.Histogram(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,19 +278,19 @@ func TestCompressedScanAcceptance(t *testing.T) {
 	}
 	for i := range h1 {
 		if h1[i] != h2[i] {
-			t.Fatalf("partition %d: v1=%v v2=%v", i, h1[i], h2[i])
+			t.Fatalf("partition %d: heap=%v v2=%v", i, h1[i], h2[i])
 		}
 	}
-	a1, a2 := tr1.TrueAnswers(v1Seg.Table()), tr2.TrueAnswers(v2Seg.Table())
+	a1, a2 := tr1.TrueAnswers(heap), tr2.TrueAnswers(v2)
 	for i := range a1 {
 		if a1[i] != a2[i] {
-			t.Fatalf("answer %d: v1=%v v2=%v", i, a1[i], a2[i])
+			t.Fatalf("answer %d: heap=%v v2=%v", i, a1[i], a2[i])
 		}
 	}
 
-	t1 := scanBenchTraffic(t, v1Seg.Table(), tr1)
-	t2 := scanBenchTraffic(t, v2Seg.Table(), tr2)
+	t1 := scanBenchTraffic(t, heap, tr1)
+	t2 := scanBenchTraffic(t, v2, tr2)
 	if t2*2 > t1 {
-		t.Errorf("v2 scan traffic %d B is not >=2x smaller than v1 %d B", t2, t1)
+		t.Errorf("v2 scan traffic %d B is not >=2x smaller than the raw table's %d B", t2, t1)
 	}
 }

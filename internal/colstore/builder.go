@@ -206,26 +206,7 @@ func (b *Builder) Finish() (*BuildResult, error) {
 	if err != nil {
 		return nil, b.fail(err)
 	}
-	sw := newSegWriter(out)
-	res, err := writeSegment(sw, currentVersion, b.schema, b.rows, func(pos int) (columnSource, error) {
-		c := b.cols[pos]
-		f, err := os.Open(filepath.Join(b.spill, fmt.Sprintf("col%d", pos)))
-		if err != nil {
-			return columnSource{}, err
-		}
-		src := columnSource{kind: c.kind, stream: f}
-		if c.kind == dataset.Categorical {
-			src.dict = c.dict
-		} else {
-			src.missing = c.missing
-			if c.forEligible {
-				if w, ok := dataset.FoRWidth(c.forMin, c.forMax); ok {
-					src.forOK, src.forMin, src.forWidth = true, c.forMin, w
-				}
-			}
-		}
-		return src, nil
-	}, b.misfits)
+	res, err := b.writeSegment(newSegWriter(out))
 	if err != nil {
 		out.Close()
 		os.Remove(b.path)
@@ -280,82 +261,53 @@ func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, e
 	return b.Finish()
 }
 
-// WriteTable serializes an existing in-memory table to a segment at path
-// (one sequential write straight from the table's column slices; no
-// spills). Used to serialize programmatically built tables and to rebuild
-// a quarantined segment from a recovered CSV parse — which is also how a
-// v1 segment upgrades to v2 in place through the recovery path.
-func WriteTable(path string, t *dataset.Table) (*BuildResult, error) {
-	return WriteTableVersion(path, t, currentVersion)
-}
-
-// WriteTableVersion is WriteTable at an explicit format version; version
-// 1 writes the legacy full-width layout (for upgrade tests and tooling
-// that must fabricate old segments).
-func WriteTableVersion(path string, t *dataset.Table, ver int) (*BuildResult, error) {
-	if ver != version1 && ver != version2 {
-		return nil, fmt.Errorf("colstore: unsupported segment version %d", ver)
-	}
-	out, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIO, err)
-	}
-	sw := newSegWriter(out)
-	res, err := writeSegment(sw, ver, t.Schema(), t.Size(), func(pos int) (columnSource, error) {
-		cd := t.ColumnData(pos)
-		if cd.Kind == dataset.Categorical {
-			return columnSource{kind: cd.Kind, codes: cd.Codes, packedCodes: cd.PackedCodes, dict: cd.Dict}, nil
-		}
-		return columnSource{kind: cd.Kind, vals: cd.Vals, packedVals: cd.PackedVals, missing: cd.MissingWords}, nil
-	}, t.MisfitCells())
-	if err != nil {
-		out.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("%w: %v", ErrIO, err)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("%w: %v", ErrIO, err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(path)
-		return nil, fmt.Errorf("%w: %v", ErrIO, err)
-	}
-	return res, nil
-}
-
-// columnSource feeds writeSegment one column's payload: an in-memory
-// slice (WriteTable over a heap table), an already-packed vector
-// (WriteTable over a v2 mmap table), or a spill-file stream of raw LE
-// values (Builder), with the builder's frame-of-reference stats riding
-// along so the streaming pass knows the encoding up front.
+// columnSource hands writeSegment one column's payload: the spill-file
+// stream of raw little-endian codes or values, the small state the builder
+// kept in memory (dictionary, missing bitmap), and the frame-of-reference
+// decision Append reached, so the streaming pass knows the encoding up
+// front.
 type columnSource struct {
-	kind dataset.AttrKind
-
-	codes       []int32             // categorical, in-memory
-	packedCodes *dataset.PackedInts // categorical, already bitpacked
-	vals        []float64           // continuous, in-memory
-	packedVals  *dataset.PackedFloats
-	stream      *os.File // alternative: raw LE bytes for codes/vals
+	kind   dataset.AttrKind
+	stream *os.File // raw LE int32 codes / float64 values, one per row
 
 	dict    []string
 	missing []uint64
 
-	// Stream-side frame-of-reference decision (continuous only): set
-	// when every spilled value was FoR-eligible and the span fits.
+	// Frame-of-reference decision (continuous only): set when every
+	// spilled value was FoR-eligible and the span fits.
 	forOK    bool
 	forMin   float64
 	forWidth int
 }
 
+// source opens column pos's spill for the assembly pass.
+func (b *Builder) source(pos int) (columnSource, error) {
+	c := b.cols[pos]
+	f, err := os.Open(filepath.Join(b.spill, fmt.Sprintf("col%d", pos)))
+	if err != nil {
+		return columnSource{}, err
+	}
+	src := columnSource{kind: c.kind, stream: f}
+	if c.kind == dataset.Categorical {
+		src.dict = c.dict
+		return src, nil
+	}
+	src.missing = c.missing
+	if c.forEligible {
+		if w, ok := dataset.FoRWidth(c.forMin, c.forMax); ok {
+			src.forOK, src.forMin, src.forWidth = true, c.forMin, w
+		}
+	}
+	return src, nil
+}
+
 // writeSegment lays the file out: header placeholder, page-aligned column
-// regions, misfit blob, directory, then the real header. ver selects the
-// column encodings: version 1 writes full-width codes/values everywhere;
-// version 2 bitpacks categorical codes and frame-of-reference packs
-// eligible continuous columns (the rest stay raw, marked in the
-// directory).
-func writeSegment(sw *segWriter, ver int, schema *dataset.Schema, rows int, source func(pos int) (columnSource, error), misfits []dataset.MisfitCell) (*BuildResult, error) {
+// regions, misfit blob, directory, then the real header. It writes format
+// v2 and nothing else: categorical codes bitpack, eligible continuous
+// columns frame-of-reference pack, the rest stay raw float64 (marked in
+// the directory).
+func (b *Builder) writeSegment(sw *segWriter) (*BuildResult, error) {
+	schema, rows := b.schema, b.rows
 	if err := sw.writeRaw(make([]byte, headerSize)); err != nil {
 		return nil, err
 	}
@@ -368,41 +320,20 @@ func writeSegment(sw *segWriter, ver int, schema *dataset.Schema, rows int, sour
 	dir.Schema = schemaJSON
 
 	for pos := 0; pos < schema.Arity(); pos++ {
-		src, err := source(pos)
+		src, err := b.source(pos)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %d: %w", pos, err)
 		}
 		a := schema.Attr(pos)
 		dc := dirColumn{Name: a.Name, Kind: kindString(src.kind)}
 		if err := sw.padTo(pageAlign); err != nil {
+			src.stream.Close()
 			return nil, err
 		}
 		if src.kind == dataset.Categorical {
-			var r region
-			switch {
-			case ver >= version2:
-				dc.Enc = encBitpack
-				switch {
-				case src.packedCodes != nil: // already packed (v2 table rewrite)
-					dc.Width = src.packedCodes.Width
-					r, err = sw.writeUint64s(src.packedCodes.Words)
-				case src.stream != nil:
-					dc.Width = dataset.PackedCodeWidth(len(src.dict))
-					r, err = sw.packCodesStream(src.stream, rows, dc.Width)
-					src.stream.Close()
-				default:
-					p := dataset.PackCodes(src.codes, len(src.dict))
-					dc.Width = p.Width
-					r, err = sw.writeUint64s(p.Words)
-				}
-			case src.packedCodes != nil: // legacy v1 write from a packed table
-				r, err = sw.writeInt32s(src.packedCodes.UnpackCodes())
-			case src.stream != nil:
-				r, err = sw.copyStream(src.stream, int64(rows)*4)
-				src.stream.Close()
-			default:
-				r, err = sw.writeInt32s(src.codes)
-			}
+			dc.Enc, dc.Width = encBitpack, dataset.PackedCodeWidth(len(src.dict))
+			r, err := sw.packCodesStream(src.stream, rows, dc.Width)
+			src.stream.Close()
 			if err != nil {
 				return nil, fmt.Errorf("colstore: column %d codes: %w", pos, err)
 			}
@@ -425,32 +356,14 @@ func writeSegment(sw *segWriter, ver int, schema *dataset.Schema, rows int, sour
 				words = norm
 			}
 			var r region
-			switch {
-			case ver >= version2 && src.packedVals != nil:
-				min := src.packedVals.Min
-				dc.Enc, dc.Width, dc.Min = encFoR, src.packedVals.Ints.Width, &min
-				r, err = sw.writeUint64s(src.packedVals.Ints.Words)
-			case ver >= version2 && src.stream != nil && src.forOK:
+			if src.forOK {
 				min := src.forMin
 				dc.Enc, dc.Width, dc.Min = encFoR, src.forWidth, &min
 				r, err = sw.packValsStream(src.stream, rows, src.forWidth, src.forMin, words)
-				src.stream.Close()
-			case ver >= version2 && src.stream == nil:
-				if p, ok := dataset.PackVals(src.vals, words); ok {
-					min := p.Min
-					dc.Enc, dc.Width, dc.Min = encFoR, p.Ints.Width, &min
-					r, err = sw.writeUint64s(p.Ints.Words)
-				} else {
-					r, err = sw.writeFloat64s(src.vals)
-				}
-			case src.packedVals != nil: // legacy v1 write from a packed table
-				r, err = sw.writeFloat64s(src.packedVals.UnpackVals(words))
-			case src.stream != nil:
+			} else {
 				r, err = sw.copyStream(src.stream, int64(rows)*8)
-				src.stream.Close()
-			default:
-				r, err = sw.writeFloat64s(src.vals)
 			}
+			src.stream.Close()
 			if err != nil {
 				return nil, fmt.Errorf("colstore: column %d values: %w", pos, err)
 			}
@@ -468,8 +381,8 @@ func writeSegment(sw *segWriter, ver int, schema *dataset.Schema, rows int, sour
 		dir.Columns = append(dir.Columns, dc)
 	}
 
-	if len(misfits) > 0 {
-		blob, err := encodeMisfits(misfits)
+	if len(b.misfits) > 0 {
+		blob, err := encodeMisfits(b.misfits)
 		if err != nil {
 			return nil, err
 		}
@@ -500,7 +413,7 @@ func writeSegment(sw *segWriter, ver int, schema *dataset.Schema, rows int, sour
 	}
 
 	h := header{
-		version:  uint32(ver),
+		version:  CurrentVersion,
 		rows:     uint64(rows),
 		cols:     uint32(schema.Arity()),
 		dirOff:   dirOff,
@@ -683,44 +596,16 @@ func (sw *segWriter) packValsStream(f *os.File, rows, width int, min float64, mi
 	return rp.finish()
 }
 
-func (sw *segWriter) writeInt32s(v []int32) (region, error) {
-	if hostLittleEndian {
-		return sw.writeRegion(bytesOfInt32s(v))
-	}
-	return sw.writeEncoded(len(v)*4, func(b []byte) {
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(b[i*4:], uint32(x))
-		}
-	})
-}
-
-func (sw *segWriter) writeFloat64s(v []float64) (region, error) {
-	if hostLittleEndian {
-		return sw.writeRegion(bytesOfFloat64s(v))
-	}
-	return sw.writeEncoded(len(v)*8, func(b []byte) {
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
-		}
-	})
-}
-
+// writeUint64s writes v as one little-endian region: the slice's own
+// bytes on LE hosts, an encoded copy elsewhere.
 func (sw *segWriter) writeUint64s(v []uint64) (region, error) {
 	if hostLittleEndian {
 		return sw.writeRegion(bytesOfUint64s(v))
 	}
-	return sw.writeEncoded(len(v)*8, func(b []byte) {
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[i*8:], x)
-		}
-	})
-}
-
-// writeEncoded is the big-endian-host fallback: encode into a scratch
-// buffer, then write as one region.
-func (sw *segWriter) writeEncoded(n int, fill func([]byte)) (region, error) {
-	b := make([]byte, n)
-	fill(b)
+	b := make([]byte, len(v)*8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[i*8:], x)
+	}
 	return sw.writeRegion(b)
 }
 

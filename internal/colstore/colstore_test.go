@@ -116,15 +116,15 @@ func TestBuildCSVRoundTrip(t *testing.T) {
 	}
 	assertTablesMatch(t, heap, loaded)
 
-	// Advise/Release/ResidentBytes must be callable and sane.
-	seg.Advise()
+	// AdviseColumns/Release/ResidentBytes must be callable and sane.
+	seg.AdviseColumns([]int{0, 1, 2})
 	if res, err := seg.ResidentBytes(); err != nil || res < 0 || res > seg.MappedBytes() {
 		t.Fatalf("ResidentBytes = %d, %v (mapped %d)", res, err, seg.MappedBytes())
 	}
 	seg.Release()
 }
 
-func TestWriteTableRoundTripWithMisfits(t *testing.T) {
+func TestAppendRoundTripWithMisfits(t *testing.T) {
 	schema := testSchema(t)
 	heap := dataset.NewTable(schema)
 	heap.MustAppend(dataset.Tuple{dataset.Num(30), dataset.Str("CA"), dataset.Num(100)})
@@ -134,9 +134,7 @@ func TestWriteTableRoundTripWithMisfits(t *testing.T) {
 	heap.MustAppend(dataset.Tuple{dataset.Null, dataset.Null, dataset.Null})
 
 	path := filepath.Join(t.TempDir(), "table.seg")
-	if _, err := WriteTable(path, heap); err != nil {
-		t.Fatal(err)
-	}
+	appendTable(t, path, heap)
 	seg, err := Open(path)
 	if err != nil {
 		t.Fatal(err)

@@ -14,12 +14,13 @@
 //	[0,64)     fixed header: magic, version, row/column counts, the
 //	           directory's location and CRC-32C, and the header's own CRC
 //	[64,dir)   data pages, one per column region in schema order, each
-//	           aligned to a 4 KiB page boundary: codes (4 B/row) then the
-//	           dictionary blob for categorical attributes; values (8 B/row)
+//	           aligned to a 4 KiB page boundary: codes (bitpacked; 4 B/row
+//	           in v1 files) then the dictionary blob for categorical
+//	           attributes; values (frame-of-reference packed or 8 B/row)
 //	           then the missing bitmap (1 bit/row) for continuous ones;
 //	           finally the misfit side table (JSON), if any
-//	[dir,EOF)  directory: JSON naming every region's offset, length and
-//	           CRC-32C, plus the full schema
+//	[dir,EOF)  directory: JSON naming every region's offset, length,
+//	           CRC-32C and encoding, plus the full schema
 //
 // Open verifies every checksum with a bounded-buffer sequential read
 // (never through the mapping, so validation does not inflate resident
@@ -54,11 +55,16 @@ const (
 	magic = "APXSEG1\n"
 	// version1 is the original full-width layout: int32 codes and float64
 	// values. version2 adds per-column lightweight encodings (bitpacked
-	// dictionary codes, frame-of-reference values); the reader accepts
-	// both, the writers emit currentVersion unless told otherwise.
-	version1       = 1
-	version2       = 2
-	currentVersion = version2
+	// dictionary codes, frame-of-reference values). The reader accepts
+	// both; the one writer (Builder) emits CurrentVersion only, so v1 is
+	// read-only history — its bytes in the tests come from the committed
+	// fixture testdata/v1, and the server rebuilds a v1 segment at v2 from
+	// the catalog's source CSV the first time it opens one.
+	version1 = 1
+	version2 = 2
+	// CurrentVersion is the only format the Builder writes; a segment
+	// whose Version() is lower still opens and serves.
+	CurrentVersion = version2
 	headerSize     = 64
 	// pageAlign aligns every column region to the usual OS page size, so
 	// madvise and mincore act on whole regions and no two columns share a
@@ -287,23 +293,8 @@ func uint64View(b []byte) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// bytesOfInt32s / bytesOfFloat64s / bytesOfUint64s are the write-side
-// counterparts (LE hosts only; the builder falls back to per-element
-// encoding elsewhere).
-
-func bytesOfInt32s(v []int32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
-}
-
-func bytesOfFloat64s(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
+// bytesOfUint64s is the write-side counterpart (LE hosts only; the
+// builder falls back to per-element encoding elsewhere).
 
 func bytesOfUint64s(v []uint64) []byte {
 	if len(v) == 0 {

@@ -3,7 +3,6 @@ package colstore
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,28 +13,48 @@ import (
 	"repro/internal/engine"
 )
 
-// TestV1V2Differential is the version-gate proof: the same CSV written as
-// a v1 segment (full-width), a v2 segment (bitpacked codes +
-// frame-of-reference values), and a packed heap copy of the v2 table must
-// all drive byte-identical Definition 6.1 transcripts against the
+// v1Fixture is the committed v1 segment and its source: 500 rows of
+// testCSV(500, 19) over testSchema (NULLs in every column, out-of-domain
+// states, age FoR-eligible, income fractional), written by the v1 writer
+// as it last existed (commit 6115882, format version 1). Nothing in
+// the tree can write this layout any more, so the bytes cannot be
+// regenerated — only read.
+func v1Fixture(t testing.TB) (segPath string, schema *dataset.Schema, csv string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "v1")
+	raw, err := os.ReadFile(filepath.Join(dir, "table.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := os.ReadFile(filepath.Join(dir, "schema.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema = new(dataset.Schema)
+	if err := json.Unmarshal(sj, schema); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, "table.seg"), schema, string(raw)
+}
+
+// TestV1V2Differential is the version-gate proof: the v1 fixture
+// (full-width), a v2 segment built from the fixture's CSV (bitpacked codes
+// + frame-of-reference values), and a packed heap copy of the v2 table
+// must all drive byte-identical Definition 6.1 transcripts against the
 // heap-parsed original. The packed-code kernels evaluate over packed
 // words directly, so any rounding or sentinel slip in the packed path
 // would shift a noise-free count and diverge here.
 func TestV1V2Differential(t *testing.T) {
-	schema := testSchema(t)
-	csv := testCSV(20_000, 11)
-
+	v1Path, schema, csv := v1Fixture(t)
+	if want := testCSV(500, 19); csv != want {
+		t.Fatal("testdata/v1/table.csv is no longer testCSV(500, 19)")
+	}
 	heap, err := dataset.ReadCSV(strings.NewReader(csv), schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "v1.seg")
-	v2Path := filepath.Join(dir, "v2.seg")
-	if _, err := WriteTableVersion(v1Path, heap, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteTableVersion(v2Path, heap, 2); err != nil {
+	v2Path := filepath.Join(t.TempDir(), "v2.seg")
+	if _, err := BuildCSV(v2Path, schema, strings.NewReader(csv)); err != nil {
 		t.Fatal(err)
 	}
 	v1, err := Open(v1Path)
@@ -51,11 +70,13 @@ func TestV1V2Differential(t *testing.T) {
 	if v1.Version() != 1 || v2.Version() != 2 {
 		t.Fatalf("versions: v1=%d v2=%d", v1.Version(), v2.Version())
 	}
+	assertTablesMatch(t, heap, v1.Table())
 	// v2 must actually compress: its column payload strictly under the
 	// v1-equivalent accounting (income stays raw — fractional cents —
-	// but age FoR-packs to 7 bits and state to 3).
-	if v2.DataBytes() >= v2.V1DataBytes() {
-		t.Fatalf("v2 payload %d not smaller than v1-equivalent %d", v2.DataBytes(), v2.V1DataBytes())
+	// but age FoR-packs to 7 bits and state to 3), which is what the v1
+	// file really holds.
+	if v2.DataBytes() >= v2.V1DataBytes() || v2.V1DataBytes() != v1.DataBytes() {
+		t.Fatalf("v2 payload %d, v1-equivalent %d, v1 fixture payload %d", v2.DataBytes(), v2.V1DataBytes(), v1.DataBytes())
 	}
 	packedHeap, err := HeapCopy(v2.Table())
 	if err != nil {
@@ -63,10 +84,10 @@ func TestV1V2Differential(t *testing.T) {
 	}
 
 	queries := []string{
-		`BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 300 CONFIDENCE 0.95;`,
-		`BIN D ON COUNT(*) WHERE W = { state = 'CA', state = 'NY', state = 'TX' } ERROR 400 CONFIDENCE 0.9;`,
-		`BIN D ON COUNT(*) WHERE W = { age > 30 AND state = 'CA', age <= 30 OR state = 'NY' } ERROR 350 CONFIDENCE 0.95;`,
-		`BIN D ON COUNT(*) WHERE W = { income BETWEEN 0 AND 500000, income BETWEEN 500000 AND 1000000 } ERROR 500 CONFIDENCE 0.95;`,
+		`BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 30 CONFIDENCE 0.95;`,
+		`BIN D ON COUNT(*) WHERE W = { state = 'CA', state = 'NY', state = 'TX' } ERROR 40 CONFIDENCE 0.9;`,
+		`BIN D ON COUNT(*) WHERE W = { age > 30 AND state = 'CA', age <= 30 OR state = 'NY' } ERROR 35 CONFIDENCE 0.95;`,
+		`BIN D ON COUNT(*) WHERE W = { income BETWEEN 0 AND 500000, income BETWEEN 500000 AND 1000000 } ERROR 50 CONFIDENCE 0.95;`,
 	}
 	want := runTranscript(t, heap, engine.Optimistic, true, queries)
 	for name, table := range map[string]*dataset.Table{
@@ -80,34 +101,34 @@ func TestV1V2Differential(t *testing.T) {
 
 // TestInspect checks the no-mapping segment summary: version, per-column
 // encodings and the compression accounting recoverysmoke and the bench
-// rely on.
+// rely on — over the v1 fixture and a v2 build of the same rows.
 func TestInspect(t *testing.T) {
-	schema := testSchema(t)
-	csv := testCSV(5_000, 5)
-	heap, err := dataset.ReadCSV(strings.NewReader(csv), schema)
-	if err != nil {
+	v1Path, schema, csv := v1Fixture(t)
+	v2Path := filepath.Join(t.TempDir(), "v2.seg")
+	if _, err := BuildCSV(v2Path, schema, strings.NewReader(csv)); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for ver, wantEnc := range map[int]map[string]string{
-		1: {"age": "", "state": "", "income": ""},
-		2: {"age": encFoR, "state": encBitpack, "income": encRaw},
+	for ver, tc := range map[int]struct {
+		path string
+		enc  map[string]string
+	}{
+		1: {v1Path, map[string]string{"age": "", "state": "", "income": ""}},
+		2: {v2Path, map[string]string{"age": encFoR, "state": encBitpack, "income": encRaw}},
 	} {
-		path := filepath.Join(dir, fmt.Sprintf("v%d.seg", ver))
-		if _, err := WriteTableVersion(path, heap, ver); err != nil {
-			t.Fatal(err)
-		}
-		info, err := Inspect(path)
+		info, err := Inspect(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Version != ver || info.Rows != heap.Size() {
+		if info.Version != ver || info.Rows != 500 {
 			t.Fatalf("v%d: Inspect says version=%d rows=%d", ver, info.Version, info.Rows)
 		}
 		for _, ci := range info.Columns {
-			if ci.Enc != wantEnc[ci.Name] {
-				t.Errorf("v%d: column %s encoded %q, want %q", ver, ci.Name, ci.Enc, wantEnc[ci.Name])
+			if ci.Enc != tc.enc[ci.Name] {
+				t.Errorf("v%d: column %s encoded %q, want %q", ver, ci.Name, ci.Enc, tc.enc[ci.Name])
 			}
+		}
+		if ver == 1 && info.DataBytes != info.V1Bytes {
+			t.Errorf("v1 payload %d differs from its own v1 accounting %d", info.DataBytes, info.V1Bytes)
 		}
 		if ver == 2 && info.DataBytes >= info.V1Bytes {
 			t.Errorf("v2 payload %d not smaller than v1-equivalent %d", info.DataBytes, info.V1Bytes)
@@ -118,7 +139,7 @@ func TestInspect(t *testing.T) {
 // rewriteDirectory re-marshals a tampered directory with consistent CRCs
 // everywhere — appended at EOF with a freshly checksummed header pointing
 // at it — so only the structural validation can catch the lie.
-func rewriteDirectory(t *testing.T, path string, h *header, dir *directory, version uint32) {
+func rewriteDirectory(t testing.TB, path string, h *header, dir *directory, version uint32) {
 	t.Helper()
 	newDir, err := json.Marshal(dir)
 	if err != nil {

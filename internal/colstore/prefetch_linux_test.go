@@ -9,6 +9,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -92,11 +93,32 @@ func TestColumnGranularPrefetch(t *testing.T) {
 		t.Errorf("unplanned income column %.0f%% resident, want <= 30%% (prefetch was not column-granular)", incomeFrac*100)
 	}
 
-	// Releasing the scanned column drops it cold again.
+	// Releasing the scanned column drops it cold again...
 	table.ReleaseColumns(cp.Columns())
 	const posixFadvDontneed = 4
 	syscall.Syscall6(syscall.SYS_FADVISE64, seg.f.Fd(), 0, 0, posixFadvDontneed, 0, 0)
 	if f := frac(agePos); f > 0.5 {
 		t.Errorf("age column still %.0f%% resident after ReleaseColumns", f*100)
+	}
+	if seg.colAdvised[agePos] {
+		t.Error("ReleaseColumns left the age column marked advised")
+	}
+
+	// ...and a released column must be hinted again by the next prefetch:
+	// with no scan to fault pages in, only a re-issued WILLNEED (readahead
+	// is asynchronous, hence the poll) brings the age pages back.
+	table.PrefetchColumns(cp.Columns())
+	if !seg.colAdvised[agePos] {
+		t.Error("prefetch after release did not re-advise the age column")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for frac(agePos) < 0.8 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if f := frac(agePos); f < 0.8 {
+		t.Errorf("age column only %.0f%% resident after release + re-advise, want >= 80%%", f*100)
+	}
+	if f := frac(incomePos); f > 0.3 {
+		t.Errorf("re-advising age dragged income to %.0f%% resident", f*100)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -33,7 +32,6 @@ type Segment struct {
 	version   int
 	dataBytes int64
 	v1Bytes   int64
-	advised   atomic.Bool
 
 	// colSpans[pos] is the page-aligned byte envelope of column pos's
 	// regions inside the mapping — the unit of column-granular madvise
@@ -262,7 +260,6 @@ func open(f *os.File, path string) (*Segment, error) {
 		seg.unmap()
 		return nil, err
 	}
-	table.SetPrefetch(seg.Advise)
 	table.SetColumnHints(seg.AdviseColumns, seg.ReleaseColumns)
 	seg.table = table
 	return seg, nil
@@ -379,37 +376,21 @@ func (s *Segment) ResidentBytes() (int64, error) {
 	return residentBytes(s.data)
 }
 
-// Advise hints the kernel to start faulting the mapping in ahead of a
-// scan (madvise WILLNEED). It is the table's Prefetch hook, called by the
-// scheduler before each batched pass; only the first call after open (or
-// after Release) issues the syscall.
-func (s *Segment) Advise() {
-	if s.advised.CompareAndSwap(false, true) {
-		adviseWillNeed(s.data)
-	}
-}
-
-// Release drops the mapping's resident pages (madvise DONTNEED) — the
-// cold-memory end of the policy lever; pages fault back in on the next
-// scan. The next Advise re-issues its hint.
+// Release drops the whole mapping's resident pages (madvise DONTNEED) —
+// the cold-memory end of the policy lever; pages fault back in on the next
+// scan, and the next AdviseColumns re-issues its hints.
 func (s *Segment) Release() {
 	adviseDontNeed(s.data)
-	s.advised.Store(false)
 	s.advMu.Lock()
-	for i := range s.colAdvised {
-		s.colAdvised[i] = false
-	}
+	clear(s.colAdvised)
 	s.advMu.Unlock()
 }
 
 // AdviseColumns hints WILLNEED over only the named columns' page
 // envelopes — the scheduler's column-granular prefetch, installed as the
 // table's PrefetchColumns hook. A column already advised (and not since
-// released) is skipped; a whole-mapping Advise supersedes everything.
+// released) is skipped.
 func (s *Segment) AdviseColumns(cols []int) {
-	if s.advised.Load() {
-		return
-	}
 	s.advMu.Lock()
 	defer s.advMu.Unlock()
 	for _, pos := range cols {

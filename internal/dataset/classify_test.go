@@ -43,7 +43,7 @@ func FuzzLaneThresholds(f *testing.F) {
 		for l := range vals {
 			vals[l] = float64(base) + float64(l)
 		}
-		p, ok := PackVals(vals, make([]uint64, (n+63)>>6))
+		p, ok := packVals(vals, make([]uint64, (n+63)>>6))
 		if !ok || p.Ints.Width != w {
 			t.Fatalf("all-lanes column did not pack to width %d", w)
 		}

@@ -228,7 +228,7 @@ func (c *numColumn) floats() []float64 {
 		return c.vals
 	}
 	c.decodeOnce.Do(func() {
-		c.vals = c.packed.UnpackVals(c.missing.words)
+		c.vals = c.packed.unpackVals(c.packed.Ints.N, c.missing.words)
 	})
 	return c.vals
 }

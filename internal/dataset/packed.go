@@ -65,18 +65,6 @@ func PackedCodeWidth(dictSize int) int {
 	return w
 }
 
-// PackCodes bitpacks a categorical column's dictionary codes (with the
-// sentinel bias) at the canonical width for the given dictionary size.
-func PackCodes(codes []int32, dictSize int) *PackedInts {
-	w := uint(PackedCodeWidth(dictSize))
-	p := &PackedInts{Width: int(w), N: len(codes), Words: make([]uint64, PackedWordCount(len(codes), int(w)))}
-	lpw := 64 / int(w)
-	for i, c := range codes {
-		p.Words[i/lpw] |= uint64(int64(c)+PackedCodeBias) << (uint(i%lpw) * w)
-	}
-	return p
-}
-
 // FoREligibleValue reports whether v can participate in frame-of-
 // reference packing: a finite integer small enough that value−base is
 // exact in float64.
@@ -99,46 +87,6 @@ func FoRWidth(min, max float64) (int, bool) {
 	return w, true
 }
 
-// PackVals frame-of-reference packs a continuous column when every
-// non-missing value is eligible and the span fits 32-bit lanes; ok is
-// false otherwise (the column stays unpacked full-width float64).
-// Missing rows pack as lane 0.
-func PackVals(vals []float64, missingWords []uint64) (*PackedFloats, bool) {
-	var min, max float64
-	count := 0
-	for i, v := range vals {
-		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		if !FoREligibleValue(v) {
-			return nil, false
-		}
-		if count == 0 || v < min {
-			min = v
-		}
-		if count == 0 || v > max {
-			max = v
-		}
-		count++
-	}
-	w, ok := FoRWidth(min, max)
-	if !ok {
-		return nil, false
-	}
-	p := &PackedFloats{
-		Min:  min,
-		Ints: PackedInts{Width: w, N: len(vals), Words: make([]uint64, PackedWordCount(len(vals), w))},
-	}
-	lpw := 64 / w
-	for i, v := range vals {
-		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		p.Ints.Words[i/lpw] |= uint64(v-min) << (uint(i%lpw) * uint(w))
-	}
-	return p, true
-}
-
 // At returns lane i.
 func (p *PackedInts) At(i int) uint64 {
 	w := uint(p.Width)
@@ -150,11 +98,8 @@ func (p *PackedInts) At(i int) uint64 {
 // At returns the row-i value.
 func (p *PackedFloats) At(i int) float64 { return p.Min + float64(p.Ints.At(i)) }
 
-// UnpackCodes materializes the biased lanes back into int32 dictionary
-// codes (lane − PackedCodeBias), e.g. for heap sampling or for writing a
-// legacy v1 segment from a packed table.
-func (p *PackedInts) UnpackCodes() []int32 { return p.unpackCodes(p.N) }
-
+// unpackCodes materializes the first n biased lanes back into int32
+// dictionary codes (lane − PackedCodeBias), for heap sampling.
 func (p *PackedInts) unpackCodes(n int) []int32 {
 	out := make([]int32, n)
 	w := uint(p.Width)
@@ -174,11 +119,9 @@ func (p *PackedInts) unpackCodes(n int) []int32 {
 	return out
 }
 
-// UnpackVals materializes the frame-of-reference column back into one
-// float64 per row. Rows whose missing bit is set decode as 0, matching
-// the unpacked layout's convention.
-func (p *PackedFloats) UnpackVals(missing []uint64) []float64 { return p.unpackVals(p.Ints.N, missing) }
-
+// unpackVals materializes the first n rows of the frame-of-reference
+// column back into one float64 per row. Rows whose missing bit is set
+// decode as 0, matching the unpacked layout's convention.
 func (p *PackedFloats) unpackVals(n int, missing []uint64) []float64 {
 	out := make([]float64, n)
 	w := uint(p.Ints.Width)

@@ -7,6 +7,65 @@ import (
 	"testing"
 )
 
+// packCodes and packVals are the in-memory packers the column store's
+// in-memory segment writer used until the streaming Builder became the
+// only writer; the tests keep them to build packed tables without a file.
+// They share the production width and eligibility rules (PackedCodeWidth,
+// FoREligibleValue, FoRWidth), so what packs here is what the Builder
+// packs.
+//
+// packCodes bitpacks a categorical column's dictionary codes (with the
+// sentinel bias) at the canonical width for the given dictionary size.
+func packCodes(codes []int32, dictSize int) *PackedInts {
+	w := uint(PackedCodeWidth(dictSize))
+	p := &PackedInts{Width: int(w), N: len(codes), Words: make([]uint64, PackedWordCount(len(codes), int(w)))}
+	lpw := 64 / int(w)
+	for i, c := range codes {
+		p.Words[i/lpw] |= uint64(int64(c)+PackedCodeBias) << (uint(i%lpw) * w)
+	}
+	return p
+}
+
+// packVals frame-of-reference packs a continuous column when every
+// non-missing value is eligible and the span fits 32-bit lanes; ok is
+// false otherwise (the column stays unpacked full-width float64).
+// Missing rows pack as lane 0.
+func packVals(vals []float64, missingWords []uint64) (*PackedFloats, bool) {
+	var min, max float64
+	count := 0
+	for i, v := range vals {
+		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
+			continue
+		}
+		if !FoREligibleValue(v) {
+			return nil, false
+		}
+		if count == 0 || v < min {
+			min = v
+		}
+		if count == 0 || v > max {
+			max = v
+		}
+		count++
+	}
+	w, ok := FoRWidth(min, max)
+	if !ok {
+		return nil, false
+	}
+	p := &PackedFloats{
+		Min:  min,
+		Ints: PackedInts{Width: w, N: len(vals), Words: make([]uint64, PackedWordCount(len(vals), w))},
+	}
+	lpw := 64 / w
+	for i, v := range vals {
+		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
+			continue
+		}
+		p.Ints.Words[i/lpw] |= uint64(v-min) << (uint(i%lpw) * uint(w))
+	}
+	return p, true
+}
+
 // TestPackedCodeWidth pins the width function at the bit-width
 // boundaries the biased sentinel domain creates.
 func TestPackedCodeWidth(t *testing.T) {
@@ -115,9 +174,9 @@ func TestPackedFloatsScan(t *testing.T) {
 			}
 			vals[i] = base + float64(rng.Uint64()%(span+1))
 		}
-		p, ok := PackVals(vals, missing)
+		p, ok := packVals(vals, missing)
 		if !ok {
-			t.Fatalf("span %d: PackVals rejected eligible column", span)
+			t.Fatalf("span %d: packVals rejected eligible column", span)
 		}
 		if w := p.Ints.Width; w > 32 {
 			t.Fatalf("span %d: width %d", span, w)
@@ -174,23 +233,23 @@ func TestPackedFloatsScan(t *testing.T) {
 func TestPackValsRejectsIneligible(t *testing.T) {
 	none := []uint64{0}
 	for _, vals := range [][]float64{
-		{1, 2.5, 3},                   // fractional
-		{0, math.NaN()},               // NaN
-		{0, math.Inf(1)},              // infinite
-		{0, 1 << 53},                  // too large for exact deltas
+		{1, 2.5, 3},           // fractional
+		{0, math.NaN()},       // NaN
+		{0, math.Inf(1)},      // infinite
+		{0, 1 << 53},          // too large for exact deltas
 		{-(1 << 31), 1 << 31}, // span over 32 bits
 		{0, 1 << 32},          // span exactly 2^32
 	} {
-		if p, ok := PackVals(vals, make([]uint64, 1)); ok {
-			t.Errorf("PackVals(%v) accepted, width %d", vals, p.Ints.Width)
+		if p, ok := packVals(vals, make([]uint64, 1)); ok {
+			t.Errorf("packVals(%v) accepted, width %d", vals, p.Ints.Width)
 		}
 	}
 	// Boundary acceptance: span 2^32−1 is the widest packable column.
-	if _, ok := PackVals([]float64{0, float64(1<<32) - 1}, none); !ok {
-		t.Errorf("PackVals rejected span 2^32-1")
+	if _, ok := packVals([]float64{0, float64(1<<32) - 1}, none); !ok {
+		t.Errorf("packVals rejected span 2^32-1")
 	}
 	// All-missing columns pack trivially.
-	if p, ok := PackVals([]float64{0, 0}, []uint64{3}); !ok || p.Ints.Width != 1 {
+	if p, ok := packVals([]float64{0, 0}, []uint64{3}); !ok || p.Ints.Width != 1 {
 		t.Errorf("all-missing column: ok=%v", ok)
 	}
 }
@@ -201,10 +260,10 @@ func TestPackValsRejectsIneligible(t *testing.T) {
 func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 	t.Helper()
 	schema, err := NewSchema(
-		Attribute{Name: "flag", Kind: Categorical, Values: []string{"y"}},                        // width 2 after sentinels
+		Attribute{Name: "flag", Kind: Categorical, Values: []string{"y"}},                           // width 2 after sentinels
 		Attribute{Name: "grade", Kind: Categorical, Values: []string{"a", "b", "c", "d", "e", "f"}}, // width 3
-		Attribute{Name: "code7", Kind: Categorical, Values: domainN(7)},                          // width 4 boundary
-		Attribute{Name: "code254", Kind: Categorical, Values: domainN(254)},                      // width 8 boundary
+		Attribute{Name: "code7", Kind: Categorical, Values: domainN(7)},                             // width 4 boundary
+		Attribute{Name: "code254", Kind: Categorical, Values: domainN(254)},                         // width 8 boundary
 		Attribute{Name: "age", Kind: Continuous},
 		Attribute{Name: "gain", Kind: Continuous},
 		Attribute{Name: "frac", Kind: Continuous}, // fractional: stays unpacked
@@ -258,11 +317,11 @@ func packTable(t *testing.T, tab *Table) *Table {
 	for pos := 0; pos < schema.Arity(); pos++ {
 		cd := tab.ColumnData(pos)
 		if cd.Kind == Categorical {
-			cols[pos] = ColumnData{Kind: Categorical, Dict: cd.Dict, PackedCodes: PackCodes(cd.Codes, len(cd.Dict))}
+			cols[pos] = ColumnData{Kind: Categorical, Dict: cd.Dict, PackedCodes: packCodes(cd.Codes, len(cd.Dict))}
 			continue
 		}
 		cols[pos] = cd
-		if p, ok := PackVals(cd.Vals, cd.MissingWords); ok {
+		if p, ok := packVals(cd.Vals, cd.MissingWords); ok {
 			cols[pos].Vals = nil
 			cols[pos].PackedVals = p
 		}
@@ -290,9 +349,9 @@ func TestPackedTableDifferential(t *testing.T) {
 
 	preds := []Predicate{
 		StrEq{Attr: "flag", Val: "y"},
-		StrEq{Attr: "flag", Val: "n?"},      // out-of-domain value, interned at append time
-		StrEq{Attr: "grade", Val: "h"},      // out-of-domain
-		StrEq{Attr: "grade", Val: "zzz"},    // never interned
+		StrEq{Attr: "flag", Val: "n?"},   // out-of-domain value, interned at append time
+		StrEq{Attr: "grade", Val: "h"},   // out-of-domain
+		StrEq{Attr: "grade", Val: "zzz"}, // never interned
 		StrEq{Attr: "code254", Val: "v253"},
 		IsNull{Attr: "grade"},
 		IsNull{Attr: "age"},

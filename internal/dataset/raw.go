@@ -216,38 +216,22 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 // external column storage by TableFromColumns).
 func (t *Table) Sealed() bool { return t.sealed }
 
-// SetPrefetch installs the storage-layer warmup hook Prefetch invokes.
-// The column store uses it to advise the kernel that a batched scan over
-// an mmap-backed table is imminent; heap-backed tables leave it unset.
-func (t *Table) SetPrefetch(f func()) { t.prefetch = f }
-
-// Prefetch invokes the storage warmup hook, if any. Safe to call from
-// any goroutine and cheap enough to call once per scheduler batch.
-func (t *Table) Prefetch() {
-	if t.prefetch != nil {
-		t.prefetch()
-	}
-}
-
 // SetColumnHints installs the column-granular storage hints: advise is
 // called with the schema positions an imminent batched scan will read
 // (madvise(WILLNEED) over just those byte ranges), release with
-// positions that have gone cold (DONTNEED). Either may be nil; heap
-// tables leave both unset.
+// positions that have gone cold (DONTNEED). The column store installs
+// both on every table it opens; heap tables leave them unset.
 func (t *Table) SetColumnHints(advise, release func(cols []int)) {
 	t.adviseCols = advise
 	t.releaseCols = release
 }
 
 // PrefetchColumns advises the storage layer that a scan over the given
-// schema positions is imminent. Falls back to the whole-table Prefetch
-// hook when the store registered no column-granular hint.
+// schema positions is imminent. No-op for heap tables.
 func (t *Table) PrefetchColumns(cols []int) {
 	if t.adviseCols != nil {
 		t.adviseCols(cols)
-		return
 	}
-	t.Prefetch()
 }
 
 // ReleaseColumns tells the storage layer the given schema positions have

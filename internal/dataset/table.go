@@ -32,10 +32,9 @@ type Table struct {
 	// sealed marks a table whose columns alias external (possibly
 	// read-only mmap'd) storage; Append must not grow or mutate them.
 	sealed bool
-	// prefetch, when set, is the storage-layer warmup hook (see
-	// SetPrefetch in raw.go); adviseCols/releaseCols are its
-	// column-granular refinement (SetColumnHints).
-	prefetch    func()
+	// adviseCols/releaseCols, when set, are the storage layer's
+	// column-granular warmup and cool-down hooks (SetColumnHints in
+	// raw.go).
 	adviseCols  func(cols []int)
 	releaseCols func(cols []int)
 }

@@ -84,9 +84,10 @@ type StoragePolicy struct {
 	MmapThreshold int64
 	// ColdStart restricts recovery to column-store segments: a catalog
 	// entry without a valid segment is skipped instead of re-parsed from
-	// CSV. It proves (and enforces) that restart cost is independent of
-	// dataset size — the recoverysmoke runs the server this way with the
-	// source CSV deleted.
+	// CSV, and a segment in the retired v1 layout is served as it is
+	// instead of being rebuilt from CSV. It proves (and enforces) that
+	// restart cost is independent of dataset size — the recoverysmoke
+	// runs the server this way with the source CSV deleted.
 	ColdStart bool
 }
 
@@ -116,7 +117,7 @@ type Dataset struct {
 // re-parsed from CSV (the legacy path), and how long that took.
 type DatasetRecovery struct {
 	Name    string
-	Source  string // "segment" or "csv (...)" with the fallback reason
+	Source  string // "segment", "segment (v1), segment rebuilt" or "csv (...)" with the fallback reason
 	Mode    StorageMode
 	Rows    int
 	Elapsed time.Duration
@@ -187,10 +188,12 @@ func (p StoragePolicy) mmapWanted(dataBytes int64) bool {
 // column-store segment reopen from it — no CSV re-parse, so restart cost
 // does not scale with row count; a corrupt segment is quarantined
 // (renamed aside, counted in the storage metrics) and the entry falls
-// back to re-parsing the source CSV, after which the segment is rebuilt
-// in place for the next restart. Catalogs predating the column store take
-// the same fallback+rebuild path. With StoragePolicy.ColdStart set the
-// CSV fallback is disabled: an entry without a valid segment is skipped.
+// back to the source CSV, which is streamed into a fresh segment in place
+// and served from there. Catalogs predating the column store take the
+// same fallback+rebuild path, and a healthy segment in the retired v1
+// layout is rebuilt at the current format the same way. With
+// StoragePolicy.ColdStart set no CSV is read: an entry without a valid
+// segment is skipped, and a v1 segment is served as it is.
 //
 // recovered describes every served entry (source, storage mode, timing);
 // skipped describes every catalog entry that could not be served. Damaged
@@ -232,18 +235,26 @@ func (r *Registry) RecoverDatasets() (recovered []DatasetRecovery, skipped []str
 	return recovered, skipped, nil
 }
 
-// openRecord brings one catalog entry to a serving table: segment first,
-// CSV fallback second (unless ColdStart), healing the segment when the
-// fallback ran.
+// openRecord brings one catalog entry to a serving table. A segment that
+// opens is served; one in the retired v1 layout is additionally rebuilt
+// at the current format from the source CSV and reopened, unless
+// ColdStart forbids CSV work. A missing or unusable segment takes the CSV
+// fallback (unless ColdStart): the segment is rebuilt by the same helper
+// and the entry served from it. Only when that rebuild or the reopen
+// fails — a full or read-only disk — is the CSV parsed onto the heap, the
+// last-resort degraded mode.
 func (r *Registry) openRecord(rec *store.DatasetRecord) (*Dataset, string, error) {
 	var segErr error
 	if rec.SegmentPath != "" {
-		ds, err := r.openSegment(rec.SegmentPath)
+		ds, ver, err := r.openSegment(rec.SegmentPath, r.policy)
 		if err == nil {
-			return ds, "segment", nil
+			if ver >= colstore.CurrentVersion || r.policy.ColdStart {
+				return ds, "segment", nil
+			}
+			ds, source := r.upgradeSegment(rec, ds, ver)
+			return ds, source, nil
 		}
 		segErr = err
-		r.segmentOpenFails.Add(1)
 		if errors.Is(err, colstore.ErrCorrupt) {
 			if q, qerr := r.store.QuarantineSegment(rec); qerr == nil {
 				r.segmentQuarantines.Add(1)
@@ -257,15 +268,22 @@ func (r *Registry) openRecord(rec *store.DatasetRecord) (*Dataset, string, error
 		return nil, "", errors.New("cold-start: no column-store segment in catalog entry")
 	}
 
-	// CSV fallback: the legacy full-parse path.
-	csv, err := rec.ReadCSVBytes()
-	if err != nil {
-		if segErr != nil {
-			return nil, "", fmt.Errorf("segment: %v; csv: %v", segErr, err)
-		}
-		return nil, "", err
+	source := "csv (no segment in catalog)"
+	if segErr != nil {
+		source = fmt.Sprintf("csv (%v)", segErr)
 	}
-	table, err := dataset.ReadCSV(bytes.NewReader(csv), rec.Schema)
+	rebuildErr := rebuildSegment(r.store, rec)
+	if rebuildErr == nil {
+		source += ", segment rebuilt"
+		// Serve per policy from the fresh segment; no heap table was built.
+		if ds, _, err := r.openSegment(rec.SegmentPath, r.policy); err == nil {
+			r.csvFallbacks.Add(1)
+			return ds, source, nil
+		}
+	}
+	// Degraded mode: the rows are still in the CSV even though a segment
+	// cannot be written or read back.
+	table, err := readRecordCSV(rec)
 	if err != nil {
 		if segErr != nil {
 			return nil, "", fmt.Errorf("segment: %v; csv: %v", segErr, err)
@@ -273,47 +291,88 @@ func (r *Registry) openRecord(rec *store.DatasetRecord) (*Dataset, string, error
 		return nil, "", err
 	}
 	r.csvFallbacks.Add(1)
-	source := "csv (no segment in catalog)"
-	if segErr != nil {
-		source = fmt.Sprintf("csv (%v)", segErr)
-	}
-
-	// Heal: rebuild the segment next to the entry so the next restart
-	// recovers without this parse. Build under a temp name and adopt via
-	// rename; a crash mid-rebuild leaves the entry exactly as it was.
-	tmp := filepath.Join(r.store.DatasetDir(rec.Name), ".rebuild-"+store.SegmentFile)
-	if _, werr := colstore.WriteTable(tmp, table); werr == nil {
-		if aerr := r.store.AdoptSegment(rec, tmp); aerr == nil {
-			source += ", segment rebuilt"
-			// Serve per policy from the fresh segment — a large table
-			// re-homed to mmap releases its heap copy.
-			if ds, oerr := r.openSegment(rec.SegmentPath); oerr == nil {
-				return ds, source, nil
-			}
-		} else {
-			os.Remove(tmp)
-		}
-	}
 	return newDataset(table, StorageHeap, nil), source, nil
 }
 
-// openSegment opens a segment and homes its table per the storage policy.
-func (r *Registry) openSegment(path string) (*Dataset, error) {
-	seg, err := colstore.Open(path)
+// upgradeSegment rebuilds a healthy segment of a retired format version
+// at the current one and serves the result. The old table keeps serving
+// when the rebuild or the reopen fails; a failed rebuild leaves the file
+// exactly as it was.
+func (r *Registry) upgradeSegment(rec *store.DatasetRecord, old *Dataset, ver int) (*Dataset, string) {
+	if err := rebuildSegment(r.store, rec); err != nil {
+		return old, fmt.Sprintf("segment (v%d; rebuild failed: %v)", ver, err)
+	}
+	r.csvFallbacks.Add(1)
+	source := fmt.Sprintf("segment (v%d), segment rebuilt", ver)
+	ds, _, err := r.openSegment(rec.SegmentPath, r.policy)
+	if err != nil {
+		return old, source
+	}
+	if old.Segment != nil {
+		old.Segment.Close() // never registered: nothing else can hold its table
+	}
+	return ds, source
+}
+
+// rebuildSegment streams the entry's source CSV through the segment
+// builder (bounded memory — no heap table) and adopts the result as the
+// entry's table.seg. It builds under a temp name and adopts via rename,
+// so a crash or error mid-rebuild leaves the entry exactly as it was.
+func rebuildSegment(st *store.Store, rec *store.DatasetRecord) error {
+	src, err := openRecordCSV(rec)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	tmp := filepath.Join(st.DatasetDir(rec.Name), ".rebuild-"+store.SegmentFile)
+	if _, err := colstore.BuildCSV(tmp, rec.Schema, src); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := st.AdoptSegment(rec, tmp); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+func openRecordCSV(rec *store.DatasetRecord) (*os.File, error) {
+	if rec.CSVPath == "" {
+		return nil, fmt.Errorf("dataset %q has no source CSV on disk", rec.Name)
+	}
+	return os.Open(rec.CSVPath)
+}
+
+// readRecordCSV parses the entry's source CSV onto the heap.
+func readRecordCSV(rec *store.DatasetRecord) (*dataset.Table, error) {
+	src, err := openRecordCSV(rec)
 	if err != nil {
 		return nil, err
 	}
-	r.segmentOpens.Add(1)
-	if r.policy.mmapWanted(seg.DataBytes()) {
-		return newDataset(seg.Table(), StorageMmap, seg), nil
+	defer src.Close()
+	return dataset.ReadCSV(src, rec.Schema)
+}
+
+// openSegment opens a segment and homes its table per the storage policy:
+// mapped at or above the threshold, copied onto the heap (and the mapping
+// released) below it. It also reports the file's format version.
+func (r *Registry) openSegment(path string, p StoragePolicy) (*Dataset, int, error) {
+	seg, err := colstore.Open(path)
+	if err != nil {
+		r.segmentOpenFails.Add(1)
+		return nil, 0, err
 	}
-	// Below threshold: copy onto the heap and release the mapping.
+	r.segmentOpens.Add(1)
+	ver := seg.Version()
+	if p.mmapWanted(seg.DataBytes()) {
+		return newDataset(seg.Table(), StorageMmap, seg), ver, nil
+	}
 	heap, err := colstore.HeapCopy(seg.Table())
 	seg.Close()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return newDataset(heap, StorageHeap, nil), nil
+	return newDataset(heap, StorageHeap, nil), ver, nil
 }
 
 func newDataset(t *dataset.Table, mode StorageMode, seg *colstore.Segment) *Dataset {
@@ -381,24 +440,10 @@ func (r *Registry) HealCorruptSegment(name string) error {
 		}
 		r.segmentQuarantines.Add(1)
 	}
-	csv, err := rec.ReadCSVBytes()
-	if err != nil {
-		return fmt.Errorf("server: dataset %q: rebuild needs the source CSV: %w", name, err)
-	}
-	table, err := dataset.ReadCSV(bytes.NewReader(csv), rec.Schema)
-	if err != nil {
-		return fmt.Errorf("server: dataset %q: rebuild: %w", name, err)
+	if err := rebuildSegment(st, rec); err != nil {
+		return fmt.Errorf("server: dataset %q: rebuild from the source CSV: %w", name, err)
 	}
 	r.csvFallbacks.Add(1)
-	tmp := filepath.Join(st.DatasetDir(name), ".rebuild-"+store.SegmentFile)
-	if _, err := colstore.WriteTable(tmp, table); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: dataset %q: rebuild: %w", name, err)
-	}
-	if err := st.AdoptSegment(rec, tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: dataset %q: adopt rebuilt segment: %w", name, err)
-	}
 	return nil
 }
 
@@ -471,7 +516,7 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 		tx.Abort()
 		return nil, err
 	}
-	res, err := colstore.BuildCSV(tx.SegmentPath(), schema, src)
+	_, err = colstore.BuildCSV(tx.SegmentPath(), schema, src)
 	src.Close()
 	if err != nil {
 		tx.Abort()
@@ -502,23 +547,9 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 	// Serve from the durable segment, homed by policy. (Failing to open
 	// a segment written moments ago means disk trouble; surface it
 	// rather than serving state that would not survive a restart.)
-	var ds *Dataset
-	if policy.mmapWanted(res.DataBytes) {
-		seg, err := colstore.Open(rec.SegmentPath)
-		if err != nil {
-			r.segmentOpenFails.Add(1)
-			return nil, fmt.Errorf("%w: reopen fresh segment: %v", ErrStoreFailed, err)
-		}
-		r.segmentOpens.Add(1)
-		ds = newDataset(seg.Table(), StorageMmap, seg)
-	} else {
-		table, err := colstore.Load(rec.SegmentPath)
-		if err != nil {
-			r.segmentOpenFails.Add(1)
-			return nil, fmt.Errorf("%w: reopen fresh segment: %v", ErrStoreFailed, err)
-		}
-		r.segmentOpens.Add(1)
-		ds = newDataset(table, StorageHeap, nil)
+	ds, _, err := r.openSegment(rec.SegmentPath, policy)
+	if err != nil {
+		return nil, fmt.Errorf("%w: reopen fresh segment: %v", ErrStoreFailed, err)
 	}
 	// Bind the (empty) translation sidecar so plans computed for this
 	// dataset persist for future restarts.

@@ -264,3 +264,37 @@ func TestMmapDatasetServesSessions(t *testing.T) {
 		t.Fatalf("transcript: %+v", tr)
 	}
 }
+
+// TestCSVFallbackDegradesToHeap pins the last-resort mode: when the
+// segment cannot be rebuilt (here the rebuild's temp name is occupied by
+// a directory, standing in for a full or read-only disk), the entry is
+// still served — parsed from its CSV onto the heap — and says so.
+func TestCSVFallbackDegradesToHeap(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveDataset("legacy", storageSchema(t), storageCSV(100, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "catalog", "legacy", ".rebuild-"+store.SegmentFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg := durableRegistry(t, dir, server.StoragePolicy{MmapThreshold: 0})
+	recovered, skipped, err := reg.RecoverDatasets()
+	if err != nil || len(skipped) != 0 || len(recovered) != 1 {
+		t.Fatalf("recovered=%+v skipped=%v err=%v", recovered, skipped, err)
+	}
+	rec := recovered[0]
+	if !strings.HasPrefix(rec.Source, "csv (") || strings.Contains(rec.Source, "segment rebuilt") ||
+		rec.Mode != server.StorageHeap || rec.Rows != 100 {
+		t.Fatalf("degraded recovery: %+v", rec)
+	}
+	if c := reg.Counters(); c.CSVFallbacks != 1 || c.SegmentOpens != 0 {
+		t.Fatalf("counters: %+v", c)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "catalog", "legacy", store.SegmentFile)); err == nil {
+		t.Fatal("a segment appeared although the rebuild could not run")
+	}
+}

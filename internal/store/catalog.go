@@ -43,15 +43,6 @@ type DatasetRecord struct {
 	SegmentPath string
 }
 
-// ReadCSVBytes loads the record's source CSV (the fallback/re-ingest
-// path; recovery from a valid segment never calls it).
-func (r *DatasetRecord) ReadCSVBytes() ([]byte, error) {
-	if r.CSVPath == "" {
-		return nil, fmt.Errorf("store: dataset %q has no source CSV on disk", r.Name)
-	}
-	return os.ReadFile(r.CSVPath)
-}
-
 // DatasetTx stages one dataset registration in a temp directory inside
 // the catalog: the caller writes schema, CSV and segment into Dir(), then
 // Commit renames the directory into place atomically and fsyncs the

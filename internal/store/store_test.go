@@ -69,7 +69,7 @@ func TestCatalogSaveLoad(t *testing.T) {
 	if len(recs) != 2 || recs[0].Name != "people" || recs[1].Name != "zoo" {
 		t.Fatalf("recovered %+v", recs)
 	}
-	csvBytes, err := recs[0].ReadCSVBytes()
+	csvBytes, err := os.ReadFile(recs[0].CSVPath)
 	if err != nil {
 		t.Fatal(err)
 	}

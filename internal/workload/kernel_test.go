@@ -73,8 +73,9 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 	return t
 }
 
-// packedForm rebuilds the heap table with every eligible column packed,
-// through the surface the column store uses.
+// packedForm rebuilds the heap table with every eligible column packed
+// in memory, by the column store's rules (PackedCodeWidth, FoREligibleValue,
+// FoRWidth) but without a file — the fuzz target's packed twin.
 func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
 	tb.Helper()
 	s := heap.Schema()
@@ -83,9 +84,32 @@ func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
 		cd := heap.ColumnData(pos)
 		cols[pos] = cd
 		if cd.Kind == dataset.Categorical {
-			cols[pos] = dataset.ColumnData{Kind: cd.Kind, Dict: cd.Dict, PackedCodes: dataset.PackCodes(cd.Codes, len(cd.Dict))}
-		} else if p, ok := dataset.PackVals(cd.Vals, cd.MissingWords); ok {
-			cols[pos].Vals, cols[pos].PackedVals = nil, p
+			lanes := make([]uint64, len(cd.Codes))
+			for i, c := range cd.Codes {
+				lanes[i] = uint64(int64(c) + dataset.PackedCodeBias)
+			}
+			cols[pos] = dataset.ColumnData{Kind: cd.Kind, Dict: cd.Dict, PackedCodes: packLanes(lanes, dataset.PackedCodeWidth(len(cd.Dict)))}
+			continue
+		}
+		present := func(i int) bool { return cd.MissingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
+		lo, hi, ok := math.Inf(1), math.Inf(-1), true
+		for i, v := range cd.Vals {
+			if present(i) {
+				ok = ok && dataset.FoREligibleValue(v)
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+		}
+		if lo > hi {
+			lo, hi = 0, 0 // no value at all: packs trivially
+		}
+		if w, fits := dataset.FoRWidth(lo, hi); ok && fits {
+			lanes := make([]uint64, len(cd.Vals))
+			for i, v := range cd.Vals {
+				if present(i) {
+					lanes[i] = uint64(v - lo)
+				}
+			}
+			cols[pos].Vals, cols[pos].PackedVals = nil, &dataset.PackedFloats{Ints: *packLanes(lanes, w), Min: lo}
 		}
 	}
 	packed, err := dataset.TableFromColumns(s, heap.Size(), cols, heap.MisfitCells())
@@ -95,24 +119,46 @@ func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
 	return packed
 }
 
-// storageForms returns the heap table and its three other homes: packed
-// in memory, and served from a v1 and a v2 mmap segment.
+// packLanes lays lanes out in the no-straddle form dataset.PackedInts
+// documents: ⌊64/width⌋ lanes per word, tail zero.
+func packLanes(lanes []uint64, width int) *dataset.PackedInts {
+	p := &dataset.PackedInts{Width: width, N: len(lanes), Words: make([]uint64, dataset.PackedWordCount(len(lanes), width))}
+	lpw := 64 / width
+	for i, l := range lanes {
+		p.Words[i/lpw] |= l << (uint(i%lpw) * uint(width))
+	}
+	return p
+}
+
+// storageForms returns the heap table and its two other homes: the v2
+// segment its rows stream into, mapped, and that segment's packed
+// columns copied back onto the heap. (A v1 segment reads through the same
+// raw []int32/[]float64 readers as the heap table.)
 func storageForms(tb testing.TB, heap *dataset.Table) map[string]*dataset.Table {
 	tb.Helper()
-	forms := map[string]*dataset.Table{"heap-raw": heap, "heap-packed": packedForm(tb, heap)}
-	for _, ver := range []int{1, 2} {
-		path := filepath.Join(tb.TempDir(), fmt.Sprintf("v%d.seg", ver))
-		if _, err := colstore.WriteTableVersion(path, heap, ver); err != nil {
-			tb.Fatal(err)
-		}
-		seg, err := colstore.Open(path)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { seg.Close() })
-		forms[fmt.Sprintf("v%d", ver)] = seg.Table()
+	path := filepath.Join(tb.TempDir(), "table.seg")
+	b, err := colstore.NewBuilder(path, heap.Schema())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return forms
+	for i := 0; i < heap.Size(); i++ {
+		if err := b.Append(heap.Row(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+	seg, err := colstore.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { seg.Close() })
+	packed, err := colstore.HeapCopy(seg.Table())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*dataset.Table{"heap-raw": heap, "heap-packed": packed, "v2": seg.Table()}
 }
 
 // kernelCut draws a cut constant for the attribute: mostly values the

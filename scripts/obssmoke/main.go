@@ -27,24 +27,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
+
+	"repro/scripts/internal/smoke"
 )
 
 const (
-	schemaJSON = `{"attributes":[{"name":"age","kind":"continuous","min":0,"max":100},{"name":"state","kind":"categorical","values":["CA","NY","TX"]}]}`
-	queryText  = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 50 CONFIDENCE 0.95;"
 	requestID  = "obssmoke-trace-1"
 	requestID2 = "obssmoke-trace-2"
 )
@@ -63,17 +57,15 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(work)
-	bin := filepath.Join(work, "apex-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/apex-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build apex-server: %w", err)
-	}
-	addr, err := freeAddr()
+	bin, err := smoke.BuildServer(work)
 	if err != nil {
 		return err
 	}
-	debugAddr, err := freeAddr()
+	addr, err := smoke.FreeAddr()
+	if err != nil {
+		return err
+	}
+	debugAddr, err := smoke.FreeAddr()
 	if err != nil {
 		return err
 	}
@@ -81,7 +73,7 @@ func run() error {
 
 	// A data dir makes commits durable, so the wal_flush phase is real;
 	// -slow-query 1ns makes every request a slow-query log line.
-	srv, logs, err := startServerCapture(bin, addr,
+	srv, logs, err := smoke.Start(bin, addr,
 		"-data-dir", filepath.Join(work, "data"),
 		"-debug-addr", debugAddr,
 		"-slow-query", "1ns",
@@ -91,17 +83,12 @@ func run() error {
 	}
 	defer srv.Process.Kill()
 
-	var csv strings.Builder
-	csv.WriteString("age,state\n")
-	for i := 0; i < 500; i++ {
-		fmt.Fprintf(&csv, "%d,%s\n", (i*37)%100, []string{"CA", "NY", "TX"}[i%3])
-	}
-	if _, err := post(base+"/v1/datasets", nil, map[string]any{
-		"name": "smoke", "schema": json.RawMessage(schemaJSON), "csv": csv.String(),
+	if _, err := smoke.Post(base+"/v1/datasets", nil, map[string]any{
+		"name": "smoke", "schema": json.RawMessage(smoke.SchemaJSON), "csv": smoke.PeopleCSV(500),
 	}, http.StatusCreated); err != nil {
 		return fmt.Errorf("register dataset: %w", err)
 	}
-	sess, err := post(base+"/v1/sessions", nil, map[string]any{"dataset": "smoke", "budget": 1.0}, http.StatusCreated)
+	sess, err := smoke.Post(base+"/v1/sessions", nil, map[string]any{"dataset": "smoke", "budget": 1.0}, http.StatusCreated)
 	if err != nil {
 		return fmt.Errorf("create session: %w", err)
 	}
@@ -112,7 +99,7 @@ func run() error {
 
 	// ---- the traced query: caller-chosen ID in, same ID everywhere out.
 	hdr := http.Header{"X-Request-Id": []string{requestID}}
-	ans, err := post(base+"/v1/sessions/"+id+"/query", hdr, map[string]any{"query": queryText}, http.StatusOK)
+	ans, err := smoke.Post(base+"/v1/sessions/"+id+"/query", hdr, map[string]any{"query": smoke.QueryText}, http.StatusOK)
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
@@ -121,7 +108,7 @@ func run() error {
 	}
 
 	// Transcript provenance.
-	tr, err := get(base + "/v1/sessions/" + id + "/transcript")
+	tr, err := smoke.Get(base + "/v1/sessions/" + id + "/transcript")
 	if err != nil {
 		return err
 	}
@@ -135,7 +122,7 @@ func run() error {
 	}
 
 	// Audit timeline attributes the spend to the request.
-	audit, err := get(base + "/v1/datasets/smoke/audit")
+	audit, err := smoke.Get(base + "/v1/datasets/smoke/audit")
 	if err != nil {
 		return fmt.Errorf("audit view: %w", err)
 	}
@@ -172,7 +159,7 @@ func run() error {
 	// the shared per-dataset plan cache, visible as the prepare→translate
 	// span's translate_cache_hit attribute.
 	hdr2 := http.Header{"X-Request-Id": []string{requestID2}}
-	if _, err := post(base+"/v1/sessions/"+id+"/query", hdr2, map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := smoke.Post(base+"/v1/sessions/"+id+"/query", hdr2, map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("second query: %w", err)
 	}
 	view2, err := awaitTrace(base, requestID2)
@@ -193,11 +180,11 @@ func run() error {
 	// EXPLAIN predicts a real plan while provably spending nothing: the
 	// session's spent counter and transcript length are identical before
 	// and after.
-	before, err := get(base + "/v1/sessions/" + id)
+	before, err := smoke.Get(base + "/v1/sessions/" + id)
 	if err != nil {
 		return err
 	}
-	ex, err := post(base+"/v1/sessions/"+id+"/explain", nil, map[string]any{"query": queryText}, http.StatusOK)
+	ex, err := smoke.Post(base+"/v1/sessions/"+id+"/explain", nil, map[string]any{"query": smoke.QueryText}, http.StatusOK)
 	if err != nil {
 		return fmt.Errorf("explain: %w", err)
 	}
@@ -213,7 +200,7 @@ func run() error {
 	if sb, _ := ex["predicted_scan_bytes"].(float64); sb <= 0 {
 		return fmt.Errorf("explain predicted_scan_bytes = %v, want > 0", ex["predicted_scan_bytes"])
 	}
-	after, err := get(base + "/v1/sessions/" + id)
+	after, err := smoke.Get(base + "/v1/sessions/" + id)
 	if err != nil {
 		return err
 	}
@@ -235,7 +222,7 @@ func run() error {
 	// runtime and queue gauges.
 	tsDeadline := time.Now().Add(5 * time.Second)
 	for {
-		ts, err := get(base + "/v1/debug/timeseries")
+		ts, err := smoke.Get(base + "/v1/debug/timeseries")
 		if err != nil {
 			return err
 		}
@@ -286,7 +273,7 @@ func run() error {
 	fmt.Printf("obssmoke: slow-query log line: %s\n", slow)
 
 	// Public /metrics exports the per-phase histograms with samples.
-	metrics, err := getRaw(base + "/metrics")
+	metrics, err := smoke.GetRaw(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -306,7 +293,7 @@ func run() error {
 		`apex_analytics_scan_bytes_total{dataset="smoke"}`,
 		`apex_analytics_epsilon_total{dataset="smoke"}`,
 	} {
-		if !hasNonzeroSample(string(metrics), want) {
+		if !smoke.HasNonzeroSample(string(metrics), want) {
 			return fmt.Errorf("/metrics has no nonzero sample for %s", want)
 		}
 	}
@@ -314,14 +301,14 @@ func run() error {
 
 	// The private debug listener answers pprof and runtime gauges.
 	dbgBase := "http://" + debugAddr
-	pprofIndex, err := getRaw(dbgBase + "/debug/pprof/")
+	pprofIndex, err := smoke.GetRaw(dbgBase + "/debug/pprof/")
 	if err != nil {
 		return fmt.Errorf("pprof index: %w", err)
 	}
 	if !strings.Contains(string(pprofIndex), "goroutine") {
 		return fmt.Errorf("pprof index looks wrong: %.200s", pprofIndex)
 	}
-	dbgMetrics, err := getRaw(dbgBase + "/metrics")
+	dbgMetrics, err := smoke.GetRaw(dbgBase + "/metrics")
 	if err != nil {
 		return fmt.Errorf("debug metrics: %w", err)
 	}
@@ -329,7 +316,7 @@ func run() error {
 		return fmt.Errorf("debug /metrics has no runtime gauges (apex_goroutines)")
 	}
 
-	return stopServer(srv)
+	return smoke.Stop(srv)
 }
 
 // awaitTrace polls /v1/debug/traces until the trace with the given ID
@@ -337,7 +324,7 @@ func run() error {
 func awaitTrace(base, id string) (map[string]any, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := get(base + "/v1/debug/traces?dataset=smoke")
+		resp, err := smoke.Get(base + "/v1/debug/traces?dataset=smoke")
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +348,7 @@ func awaitTrace(base, id string) (map[string]any, error) {
 func awaitTop(base string) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := get(base + "/v1/debug/top?by=workload&k=5")
+		resp, err := smoke.Get(base + "/v1/debug/top?by=workload&k=5")
 		if err != nil {
 			return err
 		}
@@ -446,160 +433,10 @@ func findSpanView(view map[string]any, name string) map[string]any {
 	return nil
 }
 
-// hasNonzeroSample reports whether the exposition payload has a sample
-// line for the exact series prefix with a value other than 0.
-func hasNonzeroSample(metrics, series string) bool {
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[1] != "0" {
-			return true
-		}
-	}
-	return false
-}
-
 func keys(m map[string]bool) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k)
 	}
 	return out
-}
-
-// stopServer SIGTERMs the server and waits for a clean exit.
-func stopServer(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("SIGTERM exit: %w", err)
-		}
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("server did not exit within 10s of SIGTERM")
-	}
-	return nil
-}
-
-// startServerCapture starts the server, waits for /healthz, and returns a
-// snapshot function over its combined log output (also teed to stdout).
-func startServerCapture(bin, addr string, extra ...string) (*exec.Cmd, func() string, error) {
-	args := append([]string{"-listen", addr}, extra...)
-	cmd := exec.Command(bin, args...)
-	logs := &lockedBuffer{}
-	tee := io.MultiWriter(os.Stdout, logs)
-	cmd.Stdout = tee
-	cmd.Stderr = tee
-	if err := cmd.Start(); err != nil {
-		return nil, nil, err
-	}
-	base := "http://" + addr
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd, logs.String, nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, nil, fmt.Errorf("server at %s never became healthy", addr)
-}
-
-// lockedBuffer is a mutex-guarded byte buffer (the server writes logs
-// from its own process pipe goroutine while the smoke reads snapshots).
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// freeAddr reserves an ephemeral port and releases it for the server.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
-func post(url string, hdr http.Header, body map[string]any, wantStatus int) (map[string]any, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != wantStatus {
-		return nil, fmt.Errorf("POST %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("POST %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func get(url string) (map[string]any, error) {
-	data, err := getRaw(url)
-	if err != nil {
-		return nil, err
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("GET %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func getRaw(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	return data, nil
 }

@@ -5,11 +5,13 @@
 // and the byte-identical transcript all survived. It then exercises the
 // column-store recovery ladder: a restart with the segment deleted must
 // fall back to re-parsing the CSV and rebuild the segment in place (the
-// legacy cost, whose parse time it records), and a final restart with
-// -cold-start and the source CSV deleted must serve answers purely from
-// the segment — proving restart cost no longer scales with the CSV. It
-// exits nonzero (with a reason) on any divergence. Run it from the
-// repository root:
+// legacy cost, whose parse time it records), a catalog entry whose
+// segment is in the retired v1 layout (the committed fixture
+// internal/colstore/testdata/v1) must be served and rebuilt at v2, and a
+// final restart with -cold-start and the source CSV deleted must serve
+// answers purely from the segment — proving restart cost no longer scales
+// with the CSV. It exits nonzero (with a reason) on any divergence. Run
+// it from the repository root:
 //
 //	go run ./scripts/recoverysmoke
 //
@@ -20,24 +22,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
-	"time"
 
 	"repro/internal/colstore"
+	"repro/scripts/internal/smoke"
 )
 
-const (
-	schemaJSON = `{"attributes":[{"name":"age","kind":"continuous","min":0,"max":100},{"name":"state","kind":"categorical","values":["CA","NY","TX"]}]}`
-	queryText  = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 50 CONFIDENCE 0.95;"
-)
+// v1Fixture is the committed v1 segment with its source CSV and schema;
+// nothing in the tree writes that layout any more.
+var v1Fixture = filepath.Join("internal", "colstore", "testdata", "v1")
 
 func main() {
 	if err := run(); err != nil {
@@ -53,14 +50,12 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(work)
-	bin := filepath.Join(work, "apex-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/apex-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build apex-server: %w", err)
+	bin, err := smoke.BuildServer(work)
+	if err != nil {
+		return err
 	}
 	dataDir := filepath.Join(work, "data")
-	addr, err := freeAddr()
+	addr, err := smoke.FreeAddr()
 	if err != nil {
 		return err
 	}
@@ -73,13 +68,8 @@ func run() error {
 	}
 	defer srv.Process.Kill()
 
-	var csv strings.Builder
-	csv.WriteString("age,state\n")
-	for i := 0; i < 100; i++ {
-		fmt.Fprintf(&csv, "%d,%s\n", (i*37)%100, []string{"CA", "NY", "TX"}[i%3])
-	}
 	if _, err := post(base+"/v1/datasets", map[string]any{
-		"name": "smoke", "schema": json.RawMessage(schemaJSON), "csv": csv.String(),
+		"name": "smoke", "schema": json.RawMessage(smoke.SchemaJSON), "csv": smoke.PeopleCSV(100),
 	}, http.StatusCreated); err != nil {
 		return fmt.Errorf("register dataset: %w", err)
 	}
@@ -91,14 +81,14 @@ func run() error {
 	if id == "" {
 		return fmt.Errorf("session id missing: %v", sess)
 	}
-	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
-	before, err := get(base + "/v1/sessions/" + id)
+	before, err := smoke.Get(base + "/v1/sessions/" + id)
 	if err != nil {
 		return err
 	}
-	transcriptBefore, err := getRaw(base + "/v1/sessions/" + id + "/transcript")
+	transcriptBefore, err := smoke.GetRaw(base + "/v1/sessions/" + id + "/transcript")
 	if err != nil {
 		return err
 	}
@@ -116,10 +106,10 @@ func run() error {
 	}
 	defer srv2.Process.Kill()
 
-	if _, err := get(base + "/v1/datasets/smoke"); err != nil {
+	if _, err := smoke.Get(base + "/v1/datasets/smoke"); err != nil {
 		return fmt.Errorf("dataset lost across restart: %w", err)
 	}
-	after, err := get(base + "/v1/sessions/" + id)
+	after, err := smoke.Get(base + "/v1/sessions/" + id)
 	if err != nil {
 		return fmt.Errorf("session lost across restart: %w", err)
 	}
@@ -128,7 +118,7 @@ func run() error {
 			return fmt.Errorf("session %s changed across restart: %v -> %v", k, before[k], after[k])
 		}
 	}
-	transcriptAfter, err := getRaw(base + "/v1/sessions/" + id + "/transcript")
+	transcriptAfter, err := smoke.GetRaw(base + "/v1/sessions/" + id + "/transcript")
 	if err != nil {
 		return err
 	}
@@ -143,12 +133,12 @@ func run() error {
 		return fmt.Errorf("recovered transcript failed validation: %s", transcriptAfter)
 	}
 	// The recovered session keeps serving.
-	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("post-restart query: %w", err)
 	}
 
 	// ---- graceful shutdown path: SIGTERM must drain and exit cleanly.
-	if err := stopServer(srv2); err != nil {
+	if err := smoke.Stop(srv2); err != nil {
 		return err
 	}
 
@@ -161,107 +151,98 @@ func run() error {
 	if err := os.Remove(filepath.Join(catalogDir, "table.seg")); err != nil {
 		return fmt.Errorf("remove segment: %w", err)
 	}
-	srv3, logs3, err := startServerCapture(bin, addr, dataDir)
+	srv3, logs3, err := smoke.Start(bin, addr, "-data-dir", dataDir)
 	if err != nil {
 		return fmt.Errorf("restart without segment: %w", err)
 	}
 	defer srv3.Process.Kill()
-	if _, err := get(base + "/v1/datasets/smoke"); err != nil {
+	if _, err := smoke.Get(base + "/v1/datasets/smoke"); err != nil {
 		return fmt.Errorf("dataset lost on CSV-fallback restart: %w", err)
 	}
-	csvLine := recoveryLine(logs3())
+	csvLine := recoveryLine(logs3(), "smoke")
 	if !strings.Contains(csvLine, "recovered from csv") || !strings.Contains(csvLine, "segment rebuilt") {
 		return fmt.Errorf("CSV fallback did not rebuild the segment; recovery log: %q", csvLine)
 	}
 	fmt.Printf("recoverysmoke: CSV re-parse recovery: %s\n", csvLine)
-	if err := stopServer(srv3); err != nil {
+	if err := smoke.Stop(srv3); err != nil {
 		return err
 	}
-	if _, err := os.Stat(filepath.Join(catalogDir, "table.seg")); err != nil {
-		return fmt.Errorf("segment not rebuilt on disk: %w", err)
+	if info, err := colstore.Inspect(filepath.Join(catalogDir, "table.seg")); err != nil || info.Version != colstore.CurrentVersion {
+		return fmt.Errorf("segment not rebuilt on disk at v%d: %+v, %v", colstore.CurrentVersion, info, err)
 	}
 
-	// (a2) Version gate + in-place upgrade: rewrite the segment in the
-	// full-width v1 layout — a restart must open and serve it unchanged,
-	// never rewriting a healthy file. Then corrupt it: recovery must
-	// quarantine, fall back to the CSV, and rebuild the segment in place
-	// at v2 — the v1→v2 upgrade riding the existing recovery ladder.
-	segPath := filepath.Join(catalogDir, "table.seg")
-	infoV2, err := colstore.Inspect(segPath)
+	// (a2) Read-then-upgrade: register the v1 fixture's CSV as a second
+	// dataset, stop, and put the fixture's v1 segment in its place — a
+	// catalog entry as a pre-v2 server left it. The restart must serve it
+	// and rebuild it at v2 from the catalog's CSV, with no quarantine.
+	fixCSV, err := os.ReadFile(filepath.Join(v1Fixture, "table.csv"))
 	if err != nil {
-		return fmt.Errorf("inspect rebuilt segment: %w", err)
+		return err
 	}
-	if infoV2.Version != 2 {
-		return fmt.Errorf("rebuilt segment is v%d, want v2", infoV2.Version)
-	}
-	table, err := colstore.Load(segPath)
+	fixSchema, err := os.ReadFile(filepath.Join(v1Fixture, "schema.json"))
 	if err != nil {
-		return fmt.Errorf("load segment for downgrade: %w", err)
+		return err
 	}
-	if _, err := colstore.WriteTableVersion(segPath, table, 1); err != nil {
-		return fmt.Errorf("downgrade segment to v1: %w", err)
-	}
-	infoV1, err := colstore.Inspect(segPath)
+	fixSeg, err := os.ReadFile(filepath.Join(v1Fixture, "table.seg"))
 	if err != nil {
-		return fmt.Errorf("inspect v1 segment: %w", err)
-	}
-	if infoV1.Version != 1 {
-		return fmt.Errorf("downgraded segment is v%d, want v1", infoV1.Version)
-	}
-	if infoV1.DataBytes <= infoV2.DataBytes {
-		return fmt.Errorf("v1 payload (%d B) not larger than v2 (%d B) — encodings bought nothing", infoV1.DataBytes, infoV2.DataBytes)
+		return err
 	}
 	srv3b, err := startServer(bin, addr, dataDir)
 	if err != nil {
-		return fmt.Errorf("restart on v1 segment: %w", err)
+		return fmt.Errorf("restart before registering the legacy dataset: %w", err)
 	}
 	defer srv3b.Process.Kill()
-	sessV1, err := post(base+"/v1/sessions", map[string]any{"dataset": "smoke", "budget": 1.0}, http.StatusCreated)
-	if err != nil {
-		return fmt.Errorf("session on v1 segment: %w", err)
+	if _, err := post(base+"/v1/datasets", map[string]any{
+		"name": "legacy", "schema": json.RawMessage(fixSchema), "csv": string(fixCSV),
+	}, http.StatusCreated); err != nil {
+		return fmt.Errorf("register legacy dataset: %w", err)
 	}
-	idV1, _ := sessV1["id"].(string)
-	if _, err := post(base+"/v1/sessions/"+idV1+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
-		return fmt.Errorf("query over v1 segment: %w", err)
-	}
-	if err := stopServer(srv3b); err != nil {
+	if err := smoke.Stop(srv3b); err != nil {
 		return err
 	}
-	if info, err := colstore.Inspect(segPath); err != nil || info.Version != 1 {
-		return fmt.Errorf("healthy v1 segment did not survive serving (version %v, err %v)", info, err)
-	}
-	// Flip one byte in the first data page: the next restart sees a
-	// corrupt segment, quarantines it and rebuilds from the CSV — at v2.
-	if err := flipByteAt(segPath, 4096+100); err != nil {
+	legacySeg := filepath.Join(dataDir, "catalog", "legacy", "table.seg")
+	if err := os.WriteFile(legacySeg, fixSeg, 0o644); err != nil {
 		return err
 	}
-	srv3c, logs3c, err := startServerCapture(bin, addr, dataDir)
+	infoV1, err := colstore.Inspect(legacySeg)
+	if err != nil || infoV1.Version != 1 {
+		return fmt.Errorf("fixture segment is not a valid v1 file: %+v, %v", infoV1, err)
+	}
+	srv3c, logs3c, err := smoke.Start(bin, addr, "-data-dir", dataDir)
 	if err != nil {
-		return fmt.Errorf("restart on corrupt v1 segment: %w", err)
+		return fmt.Errorf("restart on v1 segment: %w", err)
 	}
 	defer srv3c.Process.Kill()
-	if _, err := get(base + "/v1/datasets/smoke"); err != nil {
-		return fmt.Errorf("dataset lost on corrupt-v1 restart: %w", err)
+	upLine := recoveryLine(logs3c(), "legacy")
+	if !strings.Contains(upLine, "recovered from segment (v1)") || !strings.Contains(upLine, "segment rebuilt") {
+		return fmt.Errorf("v1 segment was not upgraded; recovery log: %q", upLine)
 	}
-	upLine := recoveryLine(logs3c())
-	if !strings.Contains(upLine, "recovered from csv") || !strings.Contains(upLine, "segment rebuilt") {
-		return fmt.Errorf("corrupt v1 segment did not fall back to CSV; recovery log: %q", upLine)
+	sessV1, err := post(base+"/v1/sessions", map[string]any{"dataset": "legacy", "budget": 1.0}, http.StatusCreated)
+	if err != nil {
+		return fmt.Errorf("session on upgraded dataset: %w", err)
 	}
-	if err := stopServer(srv3c); err != nil {
+	idV1, _ := sessV1["id"].(string)
+	if _, err := post(base+"/v1/sessions/"+idV1+"/query", map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
+		return fmt.Errorf("query over upgraded dataset: %w", err)
+	}
+	if err := smoke.Stop(srv3c); err != nil {
 		return err
 	}
-	infoUp, err := colstore.Inspect(segPath)
+	infoUp, err := colstore.Inspect(legacySeg)
 	if err != nil {
 		return fmt.Errorf("inspect upgraded segment: %w", err)
 	}
-	if infoUp.Version != 2 {
-		return fmt.Errorf("recovery rebuilt the segment at v%d, want v2", infoUp.Version)
+	if infoUp.Version != colstore.CurrentVersion {
+		return fmt.Errorf("upgrade left the segment at v%d, want v%d", infoUp.Version, colstore.CurrentVersion)
 	}
 	if infoUp.DataBytes >= infoV1.DataBytes {
-		return fmt.Errorf("upgraded v2 payload (%d B) not smaller than v1 (%d B)", infoUp.DataBytes, infoV1.DataBytes)
+		return fmt.Errorf("upgraded payload (%d B) not smaller than v1 (%d B)", infoUp.DataBytes, infoV1.DataBytes)
 	}
-	fmt.Printf("recoverysmoke: v1 served unchanged; corrupt v1 upgraded in place to v2 (%d B -> %d B payload)\n",
-		infoV1.DataBytes, infoUp.DataBytes)
+	if _, err := os.Stat(legacySeg + ".quarantined"); err == nil {
+		return fmt.Errorf("healthy v1 segment was quarantined")
+	}
+	fmt.Printf("recoverysmoke: v1 segment served and rebuilt in place at v%d (%d B -> %d B payload)\n",
+		infoUp.Version, infoV1.DataBytes, infoUp.DataBytes)
 
 	// (b) Segment-only path: delete the source CSV and restart with
 	// -cold-start. Recovery must come from the segment alone and the
@@ -269,17 +250,17 @@ func run() error {
 	if err := os.Remove(filepath.Join(catalogDir, "data.csv")); err != nil {
 		return fmt.Errorf("remove csv: %w", err)
 	}
-	srv4, logs4, err := startServerCapture(bin, addr, dataDir, "-cold-start")
+	srv4, logs4, err := smoke.Start(bin, addr, "-data-dir", dataDir, "-cold-start")
 	if err != nil {
 		return fmt.Errorf("cold-start restart: %w", err)
 	}
 	defer srv4.Process.Kill()
-	segLine := recoveryLine(logs4())
+	segLine := recoveryLine(logs4(), "smoke")
 	if !strings.Contains(segLine, "recovered from segment") {
 		return fmt.Errorf("cold start did not recover from segment; recovery log: %q", segLine)
 	}
 	fmt.Printf("recoverysmoke: segment recovery (no CSV on disk): %s\n", segLine)
-	ds, err := get(base + "/v1/datasets/smoke")
+	ds, err := smoke.Get(base + "/v1/datasets/smoke")
 	if err != nil {
 		return fmt.Errorf("dataset lost on cold start: %w", err)
 	}
@@ -291,52 +272,17 @@ func run() error {
 		return fmt.Errorf("cold-start session: %w", err)
 	}
 	id2, _ := sess2["id"].(string)
-	if _, err := post(base+"/v1/sessions/"+id2+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := post(base+"/v1/sessions/"+id2+"/query", map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("cold-start query (answers must come from the segment): %w", err)
 	}
-	return stopServer(srv4)
+	return smoke.Stop(srv4)
 }
 
-// flipByteAt XORs one byte of the file in place.
-func flipByteAt(path string, off int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		return fmt.Errorf("flip byte at %d: %w", off, err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		return fmt.Errorf("flip byte at %d: %w", off, err)
-	}
-	return nil
-}
-
-// stopServer SIGTERMs the server and waits for a clean exit.
-func stopServer(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("SIGTERM exit: %w", err)
-		}
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("server did not exit within 10s of SIGTERM")
-	}
-	return nil
-}
-
-// recoveryLine extracts the dataset-recovery log line (source + timing).
-func recoveryLine(logs string) string {
+// recoveryLine extracts the named dataset's recovery log line (source +
+// timing).
+func recoveryLine(logs, name string) string {
 	for _, line := range strings.Split(logs, "\n") {
-		if strings.Contains(line, "recovered from") {
+		if strings.Contains(line, fmt.Sprintf("dataset %q recovered from", name)) {
 			return strings.TrimSpace(line)
 		}
 	}
@@ -344,115 +290,10 @@ func recoveryLine(logs string) string {
 }
 
 func startServer(bin, addr, dataDir string) (*exec.Cmd, error) {
-	cmd, _, err := startServerCapture(bin, addr, dataDir)
+	cmd, _, err := smoke.Start(bin, addr, "-data-dir", dataDir)
 	return cmd, err
 }
 
-// startServerCapture starts the server, waits for /healthz, and returns a
-// snapshot function over its combined log output (also teed to stdout).
-func startServerCapture(bin, addr, dataDir string, extra ...string) (*exec.Cmd, func() string, error) {
-	args := append([]string{"-listen", addr, "-data-dir", dataDir}, extra...)
-	cmd := exec.Command(bin, args...)
-	logs := &lockedBuffer{}
-	tee := io.MultiWriter(os.Stdout, logs)
-	cmd.Stdout = tee
-	cmd.Stderr = tee
-	if err := cmd.Start(); err != nil {
-		return nil, nil, err
-	}
-	base := "http://" + addr
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd, logs.String, nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, nil, fmt.Errorf("server at %s never became healthy", addr)
-}
-
-// lockedBuffer is a mutex-guarded byte buffer (the server writes logs
-// from its own process pipe goroutine while the smoke reads snapshots).
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// freeAddr reserves an ephemeral port and releases it for the server.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
 func post(url string, body map[string]any, wantStatus int) (map[string]any, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != wantStatus {
-		return nil, fmt.Errorf("POST %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("POST %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func get(url string) (map[string]any, error) {
-	data, err := getRaw(url)
-	if err != nil {
-		return nil, err
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("GET %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func getRaw(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	return data, nil
+	return smoke.Post(url, nil, body, wantStatus)
 }

@@ -22,27 +22,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/colstore"
-)
-
-const (
-	schemaJSON = `{"attributes":[{"name":"age","kind":"continuous","min":0,"max":100},{"name":"state","kind":"categorical","values":["CA","NY","TX"]}]}`
-	queryText  = "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 50 CONFIDENCE 0.95;"
+	"repro/scripts/internal/smoke"
 )
 
 func main() {
@@ -59,20 +50,18 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(work)
-	bin := filepath.Join(work, "apex-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/apex-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build apex-server: %w", err)
+	bin, err := smoke.BuildServer(work)
+	if err != nil {
+		return err
 	}
-	addr, err := freeAddr()
+	addr, err := smoke.FreeAddr()
 	if err != nil {
 		return err
 	}
 	base := "http://" + addr
 	dataDir := filepath.Join(work, "data")
 
-	srv, logs, err := startServerCapture(bin, addr,
+	srv, logs, err := smoke.Start(bin, addr,
 		"-data-dir", dataDir,
 		"-scrub-interval", "200ms",
 		"-scrub-rate", "64")
@@ -83,17 +72,12 @@ func run() error {
 
 	// Register a dataset and serve a real query so the scrubber has a
 	// segment, a translation sidecar path and a live session WAL to watch.
-	var csv strings.Builder
-	csv.WriteString("age,state\n")
-	for i := 0; i < 500; i++ {
-		fmt.Fprintf(&csv, "%d,%s\n", (i*37)%100, []string{"CA", "NY", "TX"}[i%3])
-	}
-	if _, err := post(base+"/v1/datasets", map[string]any{
-		"name": "smoke", "schema": json.RawMessage(schemaJSON), "csv": csv.String(),
+	if _, err := smoke.Post(base+"/v1/datasets", nil, map[string]any{
+		"name": "smoke", "schema": json.RawMessage(smoke.SchemaJSON), "csv": smoke.PeopleCSV(500),
 	}, http.StatusCreated); err != nil {
 		return fmt.Errorf("register dataset: %w", err)
 	}
-	sess, err := post(base+"/v1/sessions", map[string]any{"dataset": "smoke", "budget": 2.0}, http.StatusCreated)
+	sess, err := smoke.Post(base+"/v1/sessions", nil, map[string]any{"dataset": "smoke", "budget": 2.0}, http.StatusCreated)
 	if err != nil {
 		return fmt.Errorf("create session: %w", err)
 	}
@@ -101,7 +85,7 @@ func run() error {
 	if id == "" {
 		return fmt.Errorf("session id missing: %v", sess)
 	}
-	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := smoke.Post(base+"/v1/sessions/"+id+"/query", nil, map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("query before corruption: %w", err)
 	}
 
@@ -130,11 +114,11 @@ func run() error {
 	// counter goes nonzero and the incident line lands in the logs.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		metrics, err := getRaw(base + "/metrics")
+		metrics, err := smoke.GetRaw(base + "/metrics")
 		if err != nil {
 			return err
 		}
-		if hasNonzeroSample(string(metrics), `apex_invariant_violations_total{kind="segment"}`) {
+		if smoke.HasNonzeroSample(string(metrics), `apex_invariant_violations_total{kind="segment"}`) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -177,10 +161,10 @@ func run() error {
 	if err := awaitReadyz(base, "ok", 10*time.Second); err != nil {
 		return fmt.Errorf("post-heal readiness: %w", err)
 	}
-	if _, err := post(base+"/v1/sessions/"+id+"/query", map[string]any{"query": queryText}, http.StatusOK); err != nil {
+	if _, err := smoke.Post(base+"/v1/sessions/"+id+"/query", nil, map[string]any{"query": smoke.QueryText}, http.StatusOK); err != nil {
 		return fmt.Errorf("query after heal: %w", err)
 	}
-	hz, err := get(base + "/v1/healthz")
+	hz, err := smoke.Get(base + "/v1/healthz")
 	if err != nil {
 		return err
 	}
@@ -189,7 +173,7 @@ func run() error {
 	}
 	fmt.Println("scrubsmoke: readiness recovered, queries served throughout")
 
-	return stopServer(srv)
+	return smoke.Stop(srv)
 }
 
 // awaitReadyz polls /v1/readyz until it answers 200 with the wanted
@@ -248,146 +232,4 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// hasNonzeroSample reports whether the exposition payload has a sample
-// line for the exact series prefix with a value other than 0.
-func hasNonzeroSample(metrics, series string) bool {
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[1] != "0" {
-			return true
-		}
-	}
-	return false
-}
-
-// stopServer SIGTERMs the server and waits for a clean exit.
-func stopServer(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("SIGTERM exit: %w", err)
-		}
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("server did not exit within 10s of SIGTERM")
-	}
-	return nil
-}
-
-// startServerCapture starts the server, waits for /healthz, and returns a
-// snapshot function over its combined log output (also teed to stdout).
-func startServerCapture(bin, addr string, extra ...string) (*exec.Cmd, func() string, error) {
-	args := append([]string{"-listen", addr}, extra...)
-	cmd := exec.Command(bin, args...)
-	logs := &lockedBuffer{}
-	tee := io.MultiWriter(os.Stdout, logs)
-	cmd.Stdout = tee
-	cmd.Stderr = tee
-	if err := cmd.Start(); err != nil {
-		return nil, nil, err
-	}
-	base := "http://" + addr
-	for i := 0; i < 100; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd, logs.String, nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, nil, fmt.Errorf("server at %s never became healthy", addr)
-}
-
-// lockedBuffer is a mutex-guarded byte buffer (the server writes logs
-// from its own process pipe goroutine while the smoke reads snapshots).
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// freeAddr reserves an ephemeral port and releases it for the server.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
-func post(url string, body map[string]any, wantStatus int) (map[string]any, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != wantStatus {
-		return nil, fmt.Errorf("POST %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("POST %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func get(url string) (map[string]any, error) {
-	data, err := getRaw(url)
-	if err != nil {
-		return nil, err
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("GET %s: %w", url, err)
-	}
-	return out, nil
-}
-
-func getRaw(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, data)
-	}
-	return data, nil
 }
