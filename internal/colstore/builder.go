@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 )
 
 // Builder streams rows into a segment file with bounded memory: the big
@@ -202,23 +203,12 @@ func (b *Builder) Finish() (*BuildResult, error) {
 		c.f = nil
 	}
 
-	out, err := os.OpenFile(b.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	var res *BuildResult
+	err := durable.WriteFile(b.path, func(out *os.File) (err error) {
+		res, err = b.writeSegment(newSegWriter(out))
+		return err
+	})
 	if err != nil {
-		return nil, b.fail(err)
-	}
-	res, err := b.writeSegment(newSegWriter(out))
-	if err != nil {
-		out.Close()
-		os.Remove(b.path)
-		return nil, b.fail(err)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(b.path)
-		return nil, b.fail(err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(b.path)
 		return nil, b.fail(err)
 	}
 	b.err = fmt.Errorf("colstore: builder already finished")

@@ -432,18 +432,36 @@ func (e *Engine) Translations(q *query.Query) ([]Choice, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Choice
+	choices, _, err := e.choose(q, tr, 0)
+	return choices, err
+}
+
+// choose is Algorithm 1's choice, written once: translate q under every
+// applicable mechanism and pick, by the engine mode, the best of those
+// whose worst case fits remaining — nil when none does (a denial). It
+// touches no lock or accounting: callers own locking, spans and logging.
+func (e *Engine) choose(q *query.Query, tr *workload.Transformed, remaining float64) (choices []Choice, best *Choice, err error) {
 	for _, m := range e.mechs {
 		if !m.Applicable(q, tr) {
 			continue
 		}
 		cost, err := m.Translate(q, tr)
 		if err != nil {
-			return nil, fmt.Errorf("engine: %s translate: %w", m.Name(), err)
+			return nil, nil, fmt.Errorf("engine: %s translate: %w", m.Name(), err)
 		}
-		out = append(out, Choice{Mechanism: m, Cost: cost})
+		choices = append(choices, Choice{Mechanism: m, Cost: cost})
 	}
-	return out, nil
+	for i := range choices {
+		if c := &choices[i]; fits(c.Cost, remaining) && (best == nil || e.better(*c, *best)) {
+			best = c
+		}
+	}
+	return choices, best, nil
+}
+
+// fits is the admission rule: the worst case must fit what is left.
+func fits(c mechanism.Cost, remaining float64) bool {
+	return c.Upper <= remaining+epsTol
 }
 
 // Ask answers one exploration query (Algorithm 1's loop body). On denial it
@@ -544,25 +562,10 @@ func (e *Engine) Prepare(ctx context.Context, q *query.Query) (*exec.Plan, *Answ
 		// span can record the answer, so untraced requests skip the probe.
 		tlSpan.Set("translate_cache_hit", e.translations.Ready(tr.MatrixFingerprint()))
 	}
-	remaining := e.budget - e.spent - e.reserved
-	var best *Choice
-	for _, m := range e.mechs {
-		if !m.Applicable(q, tr) {
-			continue
-		}
-		cost, err := m.Translate(q, tr)
-		if err != nil {
-			tlSpan.End()
-			return nil, nil, fmt.Errorf("engine: %s translate: %w", m.Name(), err)
-		}
-		// Only mechanisms whose worst case fits may run (privacy analyzer).
-		if cost.Upper > remaining+epsTol {
-			continue
-		}
-		c := Choice{Mechanism: m, Cost: cost}
-		if best == nil || e.better(c, *best) {
-			best = &c
-		}
+	_, best, err := e.choose(q, tr, e.budget-e.spent-e.reserved)
+	if err != nil {
+		tlSpan.End()
+		return nil, nil, err
 	}
 	if best != nil {
 		tlSpan.Set("mechanism", best.Mechanism.Name())

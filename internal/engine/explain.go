@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -108,29 +106,17 @@ func (e *Engine) Explain(q *query.Query) (*Explain, error) {
 	// Translation outside the lock (like Translations): mechanisms and
 	// the transformed workload are immutable, and the shared translation
 	// plane serializes itself.
-	var best *Choice
-	for _, m := range e.mechs {
-		if !m.Applicable(q, tr) {
-			continue
-		}
-		cost, err := m.Translate(q, tr)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %s translate: %w", m.Name(), err)
-		}
-		affordable := cost.Upper <= ex.Remaining+epsTol
+	choices, best, err := e.choose(q, tr, ex.Remaining)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range choices {
 		ex.Choices = append(ex.Choices, ExplainChoice{
-			Mechanism:    m.Name(),
-			EpsilonLower: cost.Lower,
-			EpsilonUpper: cost.Upper,
-			Affordable:   affordable,
+			Mechanism:    c.Mechanism.Name(),
+			EpsilonLower: c.Cost.Lower,
+			EpsilonUpper: c.Cost.Upper,
+			Affordable:   fits(c.Cost, ex.Remaining),
 		})
-		if !affordable {
-			continue
-		}
-		c := Choice{Mechanism: m, Cost: cost}
-		if best == nil || e.better(c, *best) {
-			best = &c
-		}
 	}
 	if best == nil {
 		ex.Denied = true

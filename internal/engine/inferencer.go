@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/accuracy"
 	"repro/internal/query"
 )
@@ -93,17 +95,14 @@ func better2D(a, b accuracy.Requirement) bool {
 // for q (by its mode) and whether the remaining budget covers its worst
 // case — without running anything or spending budget.
 func (e *Engine) Advise(q *query.Query) (best *Choice, affordable bool, err error) {
-	choices, err := e.Translations(q)
+	tr, err := e.transform(q)
 	if err != nil {
 		return nil, false, err
 	}
-	for i := range choices {
-		if best == nil || e.better(choices[i], *best) {
-			best = &choices[i]
-		}
+	// Best as if budget were no object; affordability is reported beside it.
+	_, best, err = e.choose(q, tr, math.Inf(1))
+	if err != nil || best == nil {
+		return nil, false, err
 	}
-	if best == nil {
-		return nil, false, nil
-	}
-	return best, best.Cost.Upper <= e.Remaining()+epsTol, nil
+	return best, fits(best.Cost, e.Remaining()), nil
 }

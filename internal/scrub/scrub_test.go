@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/scrub"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -100,7 +101,7 @@ func TestStaleV1SidecarIsNotAnIncident(t *testing.T) {
 	if st := reg.TranslateStats()[0].Stats; st.Loads != 0 || st.Rebuilds != 0 {
 		t.Fatalf("translate stats after recovery: %+v, want no loads and no rebuilds", st)
 	}
-	if _, err := os.Stat(sidecar + store.QuarantineSuffix); !os.IsNotExist(err) {
+	if _, err := os.Stat(sidecar + durable.QuarantineSuffix); !os.IsNotExist(err) {
 		t.Fatalf("stale sidecar was quarantined (stat err %v)", err)
 	}
 	if got, err := os.ReadFile(sidecar); err != nil || string(got) != string(v1) {
@@ -152,7 +153,7 @@ func TestStaleV1SidecarIsNotAnIncident(t *testing.T) {
 	if rep := srv.Scrubber().RunCycle(); sidecarViolations(rep) != 1 {
 		t.Fatalf("bit-flipped v2 sidecar: %+v, want exactly one sidecar violation", rep.Violations)
 	}
-	if _, err := os.Stat(sidecar + store.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(sidecar + durable.QuarantineSuffix); err != nil {
 		t.Fatalf("corrupt v2 sidecar not quarantined: %v", err)
 	}
 	if st := reg.TranslateStats()[0].Stats; st.Rebuilds != 1 {

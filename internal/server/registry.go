@@ -402,7 +402,8 @@ func (r *Registry) attachTranslationSidecar(name string, ds *Dataset) int {
 	if quarantined != "" {
 		fmt.Fprintf(os.Stderr, "apex-server: dataset %s: corrupt translation sidecar quarantined to %s (rebuilt with %d plans)\n",
 			name, filepath.Base(quarantined), loaded)
-	} else if err != nil {
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "apex-server: dataset %s: translation sidecar: %v\n", name, err)
 	}
 	return loaded

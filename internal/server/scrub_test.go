@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/durable"
 	"repro/internal/scrub"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -110,7 +111,7 @@ func TestScrubDetectsSegmentBitFlip(t *testing.T) {
 	}
 
 	// The corrupt artifact is aside, the rebuilt segment verifies clean.
-	if _, err := os.Stat(segPath + store.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(segPath + durable.QuarantineSuffix); err != nil {
 		t.Fatalf("quarantined segment missing: %v", err)
 	}
 	if _, err := colstore.Verify(segPath); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/store"
@@ -159,7 +160,7 @@ func TestCorruptSegmentQuarantineAndCSVFallback(t *testing.T) {
 	if !strings.Contains(recovered[0].Source, "segment rebuilt") {
 		t.Fatalf("segment not healed: %+v", recovered)
 	}
-	if _, err := os.Stat(segPath + store.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(segPath + durable.QuarantineSuffix); err != nil {
 		t.Fatalf("corrupt segment not quarantined: %v", err)
 	}
 	if _, err := os.Stat(segPath); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/noise"
 	"repro/internal/query"
@@ -131,7 +132,7 @@ func TestV1SegmentUpgradedOnRecovery(t *testing.T) {
 		if v := segmentVersion(t, segPath); v != colstore.CurrentVersion {
 			t.Fatalf("table.seg is v%d after recovery, want v%d", v, colstore.CurrentVersion)
 		}
-		if _, err := os.Stat(segPath + store.QuarantineSuffix); err == nil {
+		if _, err := os.Stat(segPath + durable.QuarantineSuffix); err == nil {
 			t.Fatal("a healthy v1 segment was quarantined")
 		}
 		if c := reg.Counters(); c.CSVFallbacks != 1 || c.SegmentQuarantines != 0 || c.SegmentOpenFails != 0 {
@@ -194,7 +195,7 @@ func TestV1SegmentServedAsIs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), ".rebuild-") || strings.HasSuffix(e.Name(), store.QuarantineSuffix) {
+			if strings.HasPrefix(e.Name(), ".rebuild-") || strings.HasSuffix(e.Name(), durable.QuarantineSuffix) {
 				t.Fatalf("%s: left %s behind", name, e.Name())
 			}
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 )
 
 // Catalog entry files. A dataset directory holds the public schema, the
@@ -25,9 +27,6 @@ const (
 	// atomically beside schema.json and reloaded on recovery so a restart
 	// never re-samples a previously translated workload.
 	TranslateSidecarFile = "translate.tc"
-	// QuarantineSuffix is appended to a segment that failed checksum
-	// validation; the file is kept for the operator, never reopened.
-	QuarantineSuffix = ".quarantined"
 )
 
 // DatasetRecord is one durable catalog entry. SegmentPath and CSVPath
@@ -87,28 +86,16 @@ func (tx *DatasetTx) WriteSchema(schema *dataset.Schema) error {
 	if err != nil {
 		return fmt.Errorf("store: dataset %q schema: %w", tx.name, err)
 	}
-	if err := writeFileSync(filepath.Join(tx.tmp, SchemaFile), schemaJSON); err != nil {
-		return fmt.Errorf("store: dataset %q: %w", tx.name, err)
-	}
-	return nil
+	return tx.storeFile(SchemaFile, bytes.NewReader(schemaJSON))
 }
 
 // StoreCSV streams the source rows into the staging directory and fsyncs
 // them, without ever holding the whole file in memory.
-func (tx *DatasetTx) StoreCSV(r io.Reader) error {
-	f, err := os.OpenFile(filepath.Join(tx.tmp, CSVFile), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: dataset %q: %w", tx.name, err)
-	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
-		return fmt.Errorf("store: dataset %q: %w", tx.name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: dataset %q: %w", tx.name, err)
-	}
-	if err := f.Close(); err != nil {
+func (tx *DatasetTx) StoreCSV(r io.Reader) error { return tx.storeFile(CSVFile, r) }
+
+func (tx *DatasetTx) storeFile(name string, r io.Reader) error {
+	fill := func(f *os.File) error { _, err := io.Copy(f, r); return err }
+	if err := durable.WriteFile(filepath.Join(tx.tmp, name), fill); err != nil {
 		return fmt.Errorf("store: dataset %q: %w", tx.name, err)
 	}
 	return nil
@@ -121,11 +108,8 @@ func (tx *DatasetTx) Commit() (*DatasetRecord, error) {
 		return nil, fmt.Errorf("store: dataset %q transaction already finished", tx.name)
 	}
 	tx.done = true
-	if err := os.Rename(tx.tmp, tx.final); err != nil {
-		os.RemoveAll(tx.tmp)
-		return nil, fmt.Errorf("store: dataset %q: %w", tx.name, err)
-	}
-	if err := syncDir(tx.store.catalogDir()); err != nil {
+	if err := durable.Rename(tx.tmp, tx.final); err != nil {
+		os.RemoveAll(tx.tmp) // a no-op when only the directory fsync failed
 		return nil, fmt.Errorf("store: dataset %q: %w", tx.name, err)
 	}
 	return tx.store.loadDataset(tx.name)
@@ -151,9 +135,9 @@ func (s *Store) SaveDataset(name string, schema *dataset.Schema, csv []byte) err
 		tx.Abort()
 		return err
 	}
-	if err := writeFileSync(filepath.Join(tx.tmp, CSVFile), csv); err != nil {
+	if err := tx.StoreCSV(bytes.NewReader(csv)); err != nil {
 		tx.Abort()
-		return fmt.Errorf("store: dataset %q: %w", name, err)
+		return err
 	}
 	_, err = tx.Commit()
 	return err
@@ -166,13 +150,10 @@ func (s *Store) QuarantineSegment(rec *DatasetRecord) (string, error) {
 	if rec.SegmentPath == "" {
 		return "", fmt.Errorf("store: dataset %q has no segment to quarantine", rec.Name)
 	}
-	quarantined := rec.SegmentPath + QuarantineSuffix
+	quarantined := rec.SegmentPath + durable.QuarantineSuffix
 	// A leftover quarantine from an earlier life is replaced: the newest
 	// corrupt artifact is the one worth inspecting.
-	if err := os.Rename(rec.SegmentPath, quarantined); err != nil {
-		return "", fmt.Errorf("store: dataset %q: %w", rec.Name, err)
-	}
-	if err := syncDir(filepath.Dir(quarantined)); err != nil {
+	if err := durable.Rename(rec.SegmentPath, quarantined); err != nil {
 		return "", fmt.Errorf("store: dataset %q: %w", rec.Name, err)
 	}
 	rec.SegmentPath = ""
@@ -185,10 +166,7 @@ func (s *Store) QuarantineSegment(rec *DatasetRecord) (string, error) {
 // that predate the column store.
 func (s *Store) AdoptSegment(rec *DatasetRecord, tmpPath string) error {
 	final := filepath.Join(s.catalogDir(), rec.Name, SegmentFile)
-	if err := os.Rename(tmpPath, final); err != nil {
-		return fmt.Errorf("store: dataset %q: %w", rec.Name, err)
-	}
-	if err := syncDir(filepath.Dir(final)); err != nil {
+	if err := durable.Rename(tmpPath, final); err != nil {
 		return fmt.Errorf("store: dataset %q: %w", rec.Name, err)
 	}
 	rec.SegmentPath = final
@@ -259,21 +237,4 @@ func (s *Store) loadDataset(name string) (*DatasetRecord, error) {
 func fileExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.Mode().IsRegular()
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // This file holds the store's surface for the background verification
@@ -71,11 +73,8 @@ func (s *Store) SessionLogFiles() ([]SessionLogFile, error) {
 // (SessionLog.Quarantine), which closes the handle first.
 func (s *Store) QuarantineLogFile(path string) (string, error) {
 	quarantined := path + ".invalid"
-	if err := os.Rename(path, quarantined); err != nil {
+	if err := durable.Rename(path, quarantined); err != nil {
 		return "", fmt.Errorf("store: quarantine session log: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return "", err
 	}
 	return quarantined, nil
 }
@@ -102,19 +101,8 @@ func (s *Store) LoadDataset(name string) (*DatasetRecord, error) {
 func (s *Store) ProbeSync() (time.Duration, error) {
 	start := time.Now()
 	path := filepath.Join(s.sessionsDir(), ".syncprobe")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("store: sync probe: %w", err)
-	}
-	if _, err := f.Write([]byte("probe")); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("store: sync probe: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("store: sync probe: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	fill := func(f *os.File) error { _, err := f.WriteString("probe"); return err }
+	if err := durable.WriteFile(path, fill); err != nil {
 		return 0, fmt.Errorf("store: sync probe: %w", err)
 	}
 	os.Remove(path)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -79,7 +80,7 @@ func (l *SessionLog) Discard() error {
 	if err := os.Remove(l.wal.Path()); err != nil {
 		return fmt.Errorf("store: discard session log: %w", err)
 	}
-	if err := syncDir(filepath.Dir(l.wal.Path())); err != nil {
+	if err := durable.SyncDir(filepath.Dir(l.wal.Path())); err != nil {
 		return err
 	}
 	return closeErr
@@ -87,11 +88,8 @@ func (l *SessionLog) Discard() error {
 
 func (l *SessionLog) retire(suffix string) error {
 	closeErr := l.wal.Close()
-	if err := os.Rename(l.wal.Path(), l.wal.Path()+suffix); err != nil {
+	if err := durable.Rename(l.wal.Path(), l.wal.Path()+suffix); err != nil {
 		return fmt.Errorf("store: retire session log: %w", err)
-	}
-	if err := syncDir(filepath.Dir(l.wal.Path())); err != nil {
-		return err
 	}
 	return closeErr
 }
@@ -130,7 +128,7 @@ func (s *Store) CreateSessionLog(meta SessionMeta) (*SessionLog, error) {
 	// The file's own frames are durable, but the file itself is not until
 	// its directory entry is — without this fsync a power loss could drop
 	// the whole log, and with it a session's charged budget.
-	if err := syncDir(s.sessionsDir()); err != nil {
+	if err := durable.SyncDir(s.sessionsDir()); err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("store: session log: %w", err)
 	}

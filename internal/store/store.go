@@ -20,12 +20,15 @@
 // what any analyst has observed; a crash never under-accounts privacy
 // loss. Dataset registration writes into a temp directory, fsyncs, and
 // renames into the catalog, so a half-written dataset is never visible.
+// Frames, write→fsync→close and rename-then-directory-fsync are
+// internal/durable's; this package holds the policies.
 //
 // Recovery policy: session logs are replayed frame by frame; a torn or
 // corrupt tail (crash mid-write) is truncated back to the last valid
 // frame and the session resumes from there. A log whose frames are
 // intact but whose transcript no longer passes ValidateTranscript is
-// quarantined rather than served.
+// quarantined rather than served, and so is a log that died being born
+// (0..7 bytes of the magic: an empty log with a torn tail).
 package store
 
 import (
@@ -62,15 +65,4 @@ func (s *Store) sessionsDir() string { return filepath.Join(s.dir, "sessions") }
 // sessionPath returns the live WAL path for a session id.
 func (s *Store) sessionPath(id string) string {
 	return filepath.Join(s.sessionsDir(), id+".wal")
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable.
-func syncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

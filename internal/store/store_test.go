@@ -410,3 +410,148 @@ func TestAppendEntryRejectsUnserializableQuery(t *testing.T) {
 		t.Fatal("unserializable entry accepted")
 	}
 }
+
+// TestLogThatDiedBeingBorn: a crash between creating a session log and
+// the first fsync leaves 0..7 bytes of the magic. Every such file is one
+// thing — an empty log with a torn tail — to both readers: recovery
+// quarantines it once (no meta header survived) and never reports it
+// again, the scrubber's read calls it torn, not corrupt. Eight bytes
+// that are not the magic are somebody else's file: refused, left alone.
+func TestLogThatDiedBeingBorn(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := filepath.Join(st.Dir(), "sessions")
+	files := map[string]string{
+		"born0": "",
+		"born4": "APEX",
+		"born8": "APEXWAL1",
+		"alien": "NOTAWAL1",
+	}
+	for id, content := range files {
+		path := filepath.Join(sessions, id+".wal")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		frames, torn, err := store.ReadWALFrames(path)
+		if id == "alien" {
+			if err == nil || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("ReadWALFrames(%s) err = %v, want bad magic", id, err)
+			}
+			continue
+		}
+		wantTorn := int64(len(content))
+		if len(content) == len("APEXWAL1") {
+			wantTorn = 0 // a complete, empty log
+		}
+		if err != nil || len(frames) != 0 || torn != wantTorn {
+			t.Fatalf("ReadWALFrames(%s) = %d frames, torn %d, err %v; want 0 frames, torn %d", id, len(frames), torn, err, wantTorn)
+		}
+	}
+
+	recovered, skipped, err := st.RecoverSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 0 || len(skipped) != 4 {
+		t.Fatalf("first pass: recovered %d, skipped %v", len(recovered), skipped)
+	}
+	for _, s := range skipped { // id order: alien, born0, born4, born8
+		want := "empty log (no meta header survived)"
+		if strings.HasPrefix(s, "alien:") {
+			want = "not a WAL (bad magic)"
+		}
+		if !strings.Contains(s, want) {
+			t.Fatalf("skipped %q, want reason %q", s, want)
+		}
+	}
+	for id, content := range files {
+		live, invalid := filepath.Join(sessions, id+".wal"), filepath.Join(sessions, id+".wal.invalid")
+		if id == "alien" {
+			if got, err := os.ReadFile(live); err != nil || string(got) != content {
+				t.Fatalf("non-WAL file was touched: %q, %v", got, err)
+			}
+			continue
+		}
+		if _, err := os.Stat(invalid); err != nil {
+			t.Fatalf("%s not quarantined: %v", id, err)
+		}
+		if _, err := os.Stat(live); !os.IsNotExist(err) {
+			t.Fatalf("%s still live after quarantine (stat err %v)", id, err)
+		}
+	}
+	// The second restart hears only about the file that is not ours.
+	recovered, skipped, err = st.RecoverSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 0 || len(skipped) != 1 || !strings.HasPrefix(skipped[0], "alien:") {
+		t.Fatalf("second pass: recovered %d, skipped %v; want only the non-WAL file", len(recovered), skipped)
+	}
+}
+
+// TestParentCommitSessionLogRecovers: testdata/session_c6f28c6.wal is a
+// session log written by the commit before internal/durable existed
+// (seed 5, two asks, the second a reuse hit). It must recover here with
+// the same transcript, and this tree must write the same bytes for the
+// same session — the frame format did not move.
+func TestParentCommitSessionLogRecovers(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "session_c6f28c6.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.Dir(), "sessions", "parent.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if frames, torn, err := store.ReadWALFrames(path); len(frames) != 3 || torn != 0 || err != nil {
+		t.Fatalf("ReadWALFrames(fixture) = %d frames, torn %d, err %v", len(frames), torn, err)
+	}
+	recovered, skipped, err := st.RecoverSessions()
+	if err != nil || len(skipped) != 0 || len(recovered) != 1 {
+		t.Fatalf("recovered %d, skipped %v, err %v", len(recovered), skipped, err)
+	}
+	rec := recovered[0]
+	meta := sessionMeta("parent")
+	if rec.Meta != meta || rec.TruncatedBytes != 0 || len(rec.Entries) != 2 {
+		t.Fatalf("meta %+v, truncated %d, %d entries", rec.Meta, rec.TruncatedBytes, len(rec.Entries))
+	}
+	spent, err := engine.ValidateTranscript(rec.Entries, meta.Budget)
+	if err != nil || spent != rec.Entries[0].Epsilon || rec.Entries[1].Epsilon != 0 || rec.Entries[1].Answer.Mechanism != "cache" {
+		t.Fatalf("transcript: spent %v, err %v, entries %+v", spent, err, rec.Entries)
+	}
+	if err := rec.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reverse direction: log the recovered transcript through this
+	// tree's writer and compare with the bytes the parent wrote.
+	st2, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slog, err := st2.CreateSessionLog(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rec.Entries {
+		if err := slog.AppendEntry(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := slog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(st2.Dir(), "sessions", "parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, fixture) {
+		t.Fatal("the session re-logged by this tree differs from the parent commit's bytes")
+	}
+}

@@ -1,13 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // walMagic opens every log file so recovery can tell a WAL from stray
@@ -19,13 +19,6 @@ const walMagic = "APEXWAL1"
 // without the bound a few flipped bits in a length field could make
 // recovery attempt a multi-gigabyte allocation.
 const maxFrameBytes = 16 << 20
-
-// frameHeaderSize is the per-frame prefix: uint32 payload length plus
-// uint32 CRC-32C of the payload, both little-endian.
-const frameHeaderSize = 8
-
-// crcTable is the Castagnoli polynomial, the standard for storage CRCs.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrWALClosed is returned by appends after Close.
 var ErrWALClosed = errors.New("store: WAL is closed")
@@ -68,78 +61,60 @@ func OpenWAL(path string, opts WALOptions) (w *WAL, frames [][]byte, truncated i
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: open WAL: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	fail := func(err error) (*WAL, [][]byte, int64, error) {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("store: stat WAL: %w", err)
+		return nil, nil, 0, err
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return fail(fmt.Errorf("store: read WAL: %w", err))
+	}
+	if err := checkWALMagic(path, data); err != nil {
+		return fail(err)
 	}
 	w = &WAL{path: path, opts: opts, f: f}
-
-	if st.Size() == 0 {
-		if _, err := f.Write([]byte(walMagic)); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("store: init WAL: %w", err)
+	if len(data) < len(walMagic) {
+		// A new file, or one that died being born (crash before the magic
+		// was durable): the same empty log either way. Finish the magic.
+		if _, err := f.Write([]byte(walMagic[len(data):])); err != nil {
+			return fail(fmt.Errorf("store: init WAL: %w", err))
 		}
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("store: init WAL: %w", err)
+			return fail(fmt.Errorf("store: init WAL: %w", err))
 		}
 		w.size = int64(len(walMagic))
 		return w, nil, 0, nil
 	}
 
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("store: read WAL: %w", err)
-	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("store: %s is not a WAL (bad magic)", path)
-	}
-
-	valid := int64(len(walMagic))
-	off := len(walMagic)
-	for {
-		if off+frameHeaderSize > len(data) {
-			break // torn header
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxFrameBytes {
-			break // corrupt length
-		}
-		end := off + frameHeaderSize + int(n)
-		if end > len(data) {
-			break // torn payload
-		}
-		payload := data[off+frameHeaderSize : end]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // corrupt payload
-		}
-		frames = append(frames, append([]byte(nil), payload...))
-		off = end
-		valid = int64(end)
-	}
-	truncated = st.Size() - valid
+	// Open's policy: whatever follows the valid prefix, torn or corrupt,
+	// is cut off and the cut made durable before anything is appended.
+	frames, valid, _, _ := durable.Scan(data, len(walMagic), maxFrameBytes)
+	truncated = int64(len(data) - valid)
 	if truncated > 0 {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("store: truncate corrupt WAL tail: %w", err)
+		if err := f.Truncate(int64(valid)); err != nil {
+			return fail(fmt.Errorf("store: truncate corrupt WAL tail: %w", err))
 		}
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("store: truncate corrupt WAL tail: %w", err)
+			return fail(fmt.Errorf("store: truncate corrupt WAL tail: %w", err))
 		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("store: seek WAL end: %w", err)
+	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
+		return fail(fmt.Errorf("store: seek WAL end: %w", err))
 	}
-	w.size = valid
+	w.size = int64(valid)
 	w.writeSeq = int64(len(frames))
 	w.synced = int64(len(frames))
 	return w, frames, truncated, nil
+}
+
+// checkWALMagic is the one magic check: data starts with walMagic or, if
+// shorter, is a prefix of it (a log that died being born: empty, torn tail).
+func checkWALMagic(path string, data []byte) error {
+	n := min(len(data), len(walMagic))
+	if string(data[:n]) != walMagic[:n] {
+		return fmt.Errorf("store: %s is not a WAL (bad magic)", path)
+	}
+	return nil
 }
 
 // ReadWALFrames verifies the log at path without opening it for writes
@@ -154,46 +129,23 @@ func OpenWAL(path string, opts WALOptions) (w *WAL, frames [][]byte, truncated i
 // must be tolerated, while on a closed log it means the final commit
 // never became durable. A CRC mismatch on a fully-present frame, a bad
 // magic, or an absurd length field is corruption either way and comes
-// back as err.
+// back as err, naming the frame index and file offset.
 func ReadWALFrames(path string) (frames [][]byte, tornTail int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: read WAL: %w", err)
 	}
+	if err := checkWALMagic(path, data); err != nil {
+		return nil, 0, err
+	}
 	if len(data) < len(walMagic) {
-		// A just-created log may not have its magic on disk yet; a prefix
-		// of the magic is torn, anything else is not a WAL.
-		if string(data) == walMagic[:len(data)] {
-			return nil, int64(len(data)), nil
-		}
-		return nil, 0, fmt.Errorf("store: %s is not a WAL (bad magic)", path)
+		return nil, int64(len(data)), nil
 	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return nil, 0, fmt.Errorf("store: %s is not a WAL (bad magic)", path)
+	frames, valid, _, err := durable.Scan(data, len(walMagic), maxFrameBytes)
+	if err != nil {
+		return frames, 0, fmt.Errorf("store: %s: %w", path, err)
 	}
-	off := len(walMagic)
-	for {
-		if off+frameHeaderSize > len(data) {
-			return frames, int64(len(data) - off), nil // torn header
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxFrameBytes {
-			return frames, 0, fmt.Errorf("store: %s: frame %d declares %d bytes (limit %d) — corrupt length at offset %d",
-				path, len(frames), n, maxFrameBytes, off)
-		}
-		end := off + frameHeaderSize + int(n)
-		if end > len(data) {
-			return frames, int64(len(data) - off), nil // torn payload
-		}
-		payload := data[off+frameHeaderSize : end]
-		if got := crc32.Checksum(payload, crcTable); got != sum {
-			return frames, 0, fmt.Errorf("store: %s: frame %d checksum mismatch at offset %d (got %08x, want %08x)",
-				path, len(frames), off, got, sum)
-		}
-		frames = append(frames, append([]byte(nil), payload...))
-		off = end
-	}
+	return frames, int64(len(data) - valid), nil
 }
 
 // Append writes one frame and blocks until it is durable (group commit).
@@ -204,10 +156,7 @@ func (w *WAL) Append(payload []byte) error {
 	if len(payload) > maxFrameBytes {
 		return fmt.Errorf("store: frame of %d bytes exceeds limit %d", len(payload), maxFrameBytes)
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderSize:], payload)
+	buf := durable.AppendFrame(nil, payload)
 
 	w.mu.Lock()
 	if w.closed {

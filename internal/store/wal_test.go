@@ -72,7 +72,7 @@ var corruptTailCases = []struct {
 }{
 	{"torn header", func(d []byte) []byte { return append(d, 0x17, 0x00) }},
 	{"torn payload", func(d []byte) []byte {
-		frame := make([]byte, frameHeaderSize+2)
+		frame := make([]byte, 8+2)
 		binary.LittleEndian.PutUint32(frame, 100) // claims 100 bytes, has 2
 		binary.LittleEndian.PutUint32(frame[4:], 0)
 		return append(d, frame...)
@@ -82,7 +82,7 @@ var corruptTailCases = []struct {
 		return d
 	}},
 	{"absurd length", func(d []byte) []byte {
-		frame := make([]byte, frameHeaderSize)
+		frame := make([]byte, 8)
 		binary.LittleEndian.PutUint32(frame, 1<<30)
 		return append(d, frame...)
 	}},
@@ -249,7 +249,7 @@ func TestWALFrameLayout(t *testing.T) {
 	if n := binary.LittleEndian.Uint32(data[8:]); n != uint32(len(payload)) {
 		t.Fatalf("length field = %d", n)
 	}
-	if sum := binary.LittleEndian.Uint32(data[12:]); sum != crc32.Checksum(payload, crcTable) {
+	if sum := binary.LittleEndian.Uint32(data[12:]); sum != crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) {
 		t.Fatalf("crc field = %x", sum)
 	}
 	if !bytes.Equal(data[16:], payload) {

@@ -24,24 +24,22 @@ package translate
 // replaced by the next persist, without quarantine or alarm.
 //
 // Floats are raw IEEE-754 bits, so a loaded plan is bit-identical to
-// the computed one — the differential tests depend on that. The CRC is
-// crc32.Castagnoli, the same polynomial the WAL frames use. Writes are
-// temp-file-then-rename with directory fsync, so a crash mid-write
-// leaves the previous sidecar intact; a sidecar that fails validation
-// on load keeps its valid frame prefix, is renamed aside with the
-// store's quarantine suffix for the operator, and is immediately
-// rewritten from the surviving plans.
+// the computed one — the differential tests depend on that. Frames and
+// the atomic replace are internal/durable's (shared with the WAL), so a
+// crash mid-write leaves the previous sidecar intact; a sidecar that
+// fails validation on load keeps its valid frame prefix, is renamed aside
+// (durable.QuarantineSuffix) and rewritten from the surviving plans.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"repro/internal/durable"
 	"repro/internal/workload"
 )
 
@@ -50,16 +48,10 @@ const (
 	sidecarVersion = 2
 	// sidecarStaleVersion is the text-keyed format this one replaced.
 	sidecarStaleVersion = 1
-	// sidecarQuarantineSuffix matches store.QuarantineSuffix: corrupt
-	// artifacts are renamed aside, never deleted.
-	sidecarQuarantineSuffix = ".quarantined"
 	// maxSidecarFrame bounds one frame at decode time so a corrupt
 	// length field cannot ask for gigabytes.
 	maxSidecarFrame = 64 << 20
 )
-
-// crcTable is the Castagnoli table, matching the WAL's framing.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // storedPlan is a plan as persisted: everything but the in-memory
 // matrix/strategy handles, which are re-attached on promotion.
@@ -93,9 +85,7 @@ func encodeStoredPlan(buf []byte, s *storedPlan) []byte {
 	for _, z := range s.zs {
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(z))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return durable.AppendFrame(buf, payload)
 }
 
 // decodeStoredPlan parses one payload; it validates internal lengths so
@@ -196,29 +186,17 @@ func decodeSidecar(data []byte) (plans []*storedPlan, corrupt bool) {
 	default:
 		return nil, true
 	}
-	p := data[len(sidecarMagic)+4:]
-	for len(p) > 0 {
-		if len(p) < 8 {
-			return plans, true
-		}
-		n := binary.LittleEndian.Uint32(p)
-		crc := binary.LittleEndian.Uint32(p[4:])
-		p = p[8:]
-		if n > maxSidecarFrame || int(n) > len(p) {
-			return plans, true
-		}
-		payload := p[:n]
-		p = p[n:]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return plans, true
-		}
-		s, err := decodeStoredPlan(payload)
-		if err != nil {
+	// The sidecar's policy: nothing is ever in flight on a file that is
+	// only replaced whole, so a torn tail is as corrupt as a bad checksum.
+	payloads, _, torn, err := durable.Scan(data, len(sidecarMagic)+4, maxSidecarFrame)
+	for _, payload := range payloads {
+		s, derr := decodeStoredPlan(payload)
+		if derr != nil {
 			return plans, true
 		}
 		plans = append(plans, s)
 	}
-	return plans, false
+	return plans, torn || err != nil
 }
 
 // VerifySidecar checks the framing and every CRC of the sidecar at path
@@ -285,7 +263,7 @@ func (c *Cache) persist() {
 	for _, s := range plans {
 		buf = encodeStoredPlan(buf, s)
 	}
-	if err := atomicWriteFile(c.path, buf); err != nil {
+	if err := durable.ReplaceFile(c.path, buf); err != nil {
 		c.persistFails.Add(1)
 	}
 }
@@ -293,10 +271,12 @@ func (c *Cache) persist() {
 // LoadSidecar reads the persisted plans back into the cache (the
 // recovery path). Plans land in the stored set and are promoted to live
 // entries on first ask, so loading never pays a pseudoinverse. A corrupt
-// sidecar is quarantined — renamed aside with the catalog's quarantine
-// suffix — and immediately rewritten from its valid frame prefix; the
-// quarantined path is returned for logging. A stale v1 sidecar loads
-// nothing and is left for the next persist to replace.
+// sidecar is quarantined — renamed aside with durable.QuarantineSuffix —
+// and immediately rewritten from its valid frame prefix; the quarantined
+// path is returned for logging, with a non-nil error when the rename's
+// directory fsync failed (the one quarantine contract: aside and durable,
+// or the caller hears). A stale v1 sidecar loads nothing and is left for
+// the next persist to replace.
 func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	if c.path == "" {
 		return 0, "", nil
@@ -323,16 +303,19 @@ func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	if !corrupt {
 		return len(plans), "", nil
 	}
-	quarantined = c.path + sidecarQuarantineSuffix
+	quarantined = c.path + durable.QuarantineSuffix
 	// A leftover quarantine from an earlier life is replaced, matching
 	// the segment quarantine policy: newest corrupt artifact wins.
-	if rerr := os.Rename(c.path, quarantined); rerr != nil {
-		return len(plans), "", fmt.Errorf("translate: quarantine sidecar: %w", rerr)
+	if rerr := durable.Rename(c.path, quarantined); rerr != nil {
+		err = fmt.Errorf("translate: quarantine sidecar: %w", rerr)
+		if errors.As(rerr, new(*os.LinkError)) {
+			return len(plans), "", err // nothing moved, nothing to rebuild over
+		}
+		// Aside, but the directory fsync failed: rebuild, and say so.
 	}
-	_ = syncDir(filepath.Dir(c.path))
 	c.rebuilds.Add(1)
 	c.persist() // rebuild immediately from the valid prefix
-	return len(plans), quarantined, nil
+	return len(plans), quarantined, err
 }
 
 // planToStored strips a live plan to its persistable fields.
@@ -349,47 +332,4 @@ func planToStored(p *Plan) *storedPlan {
 		frobR:   p.FrobR,
 		zs:      p.Zs,
 	}
-}
-
-// atomicWriteFile writes data to path via a same-directory temp file,
-// fsync, rename, directory fsync — the catalog's durability discipline.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/strategy"
 	"repro/internal/workload"
 )
@@ -646,7 +648,7 @@ func TestStaleV1SidecarIgnored(t *testing.T) {
 	if n, q, err := c.LoadSidecar(); n != 0 || q != "" || err != nil {
 		t.Fatalf("LoadSidecar(v1) = %d, %q, %v; want nothing loaded, no quarantine", n, q, err)
 	}
-	if _, err := os.Stat(path + sidecarQuarantineSuffix); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + durable.QuarantineSuffix); !os.IsNotExist(err) {
 		t.Fatalf("stale sidecar was quarantined (stat err %v)", err)
 	}
 	if st := c.Stats(); st.Loads != 0 || st.Rebuilds != 0 {
@@ -670,4 +672,70 @@ func TestStaleV1SidecarIgnored(t *testing.T) {
 	if _, corrupt := decodeSidecar(v3); !corrupt {
 		t.Fatal("unknown sidecar version accepted")
 	}
+}
+
+// TestParentCommitSidecarLoads: testdata/sidecar_v2.tc was written by the
+// commit before internal/durable existed (two plans). It must verify and
+// load here, and this tree's persist of the same plans must produce the
+// same bytes — the frame format did not move. A torn tail, healthy on a
+// live WAL, is damage on a file that is only ever replaced whole.
+func TestParentCommitSidecarLoads(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "sidecar_v2.tc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "translate.tc")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, corrupt, err := VerifySidecar(path); n != 2 || corrupt || err != nil {
+		t.Fatalf("VerifySidecar(fixture) = %d, %v, %v; want 2 healthy plans", n, corrupt, err)
+	}
+	c := NewCache(path)
+	if n, q, err := c.LoadSidecar(); n != 2 || q != "" || err != nil {
+		t.Fatalf("LoadSidecar(fixture) = %d, %q, %v; want 2 plans, no quarantine", n, q, err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	c.persist()
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, fixture) {
+		t.Fatalf("re-persisted sidecar differs from the parent commit's bytes (err %v)", err)
+	}
+	if plans, corrupt := decodeSidecar(fixture[:len(fixture)-3]); len(plans) != 1 || !corrupt {
+		t.Fatalf("torn sidecar: %d plans, corrupt=%v; want the 1-plan prefix, corrupt", len(plans), corrupt)
+	}
+}
+
+// FuzzStoredPlan: the plan payload decoder never panics on arbitrary
+// bytes, and whatever it accepts re-encodes to exactly the payload it
+// read — there is one byte string per stored plan.
+func FuzzStoredPlan(f *testing.F) {
+	header := len(sidecarMagic) + 4
+	for _, name := range []string{"sidecar_v1.tc", "sidecar_v2.tc"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payloads, _, _, err := durable.Scan(data, header, maxSidecarFrame)
+		if err != nil || len(payloads) == 0 {
+			f.Fatalf("%s: %d frames, err %v", name, len(payloads), err)
+		}
+		for _, p := range payloads {
+			f.Add(p)
+		}
+	}
+	fresh := encodeStoredPlan(nil, &storedPlan{strat: "h2", samples: 2, seed: -7, l: 3, cols: 4, rows: 5, sensA: 1.5, frobR: 2.5, zs: []float64{0.25, 0.5}})
+	payloads, _, _, _ := durable.Scan(fresh, 0, maxSidecarFrame)
+	f.Add(payloads[0])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := decodeStoredPlan(payload)
+		if err != nil {
+			return
+		}
+		frames, _, _, err := durable.Scan(encodeStoredPlan(nil, s), 0, maxSidecarFrame)
+		if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], payload) {
+			t.Fatalf("accepted payload does not re-encode to itself (err %v)", err)
+		}
+	})
 }
