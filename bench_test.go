@@ -1,8 +1,9 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
 // the paper's evaluation (run `go test -bench=. -benchmem`), plus ablations
-// over the design choices called out in DESIGN.md. Benchmarks write their
-// report to the test log on the first iteration so `-bench` output doubles
-// as the reproduction artifact; use cmd/apex-bench for full-scale runs.
+// over its design choices (strategy family, Monte-Carlo sample count, poke
+// count, engine mode). Benchmarks write their report to the test log on
+// the first iteration so `-bench` output doubles as the reproduction
+// artifact; use cmd/apex-bench for full-scale runs.
 package repro
 
 import (
@@ -96,7 +97,7 @@ func BenchmarkFigure6(b *testing.B) { runExperiment(b, experiments.Figure6) }
 // (paper Figure 7).
 func BenchmarkFigure7(b *testing.B) { runExperiment(b, experiments.Figure7) }
 
-// --- ablations (design choices from DESIGN.md) ---
+// --- ablations ---
 
 // prefixFixture builds a prefix-workload WCQ over the Adult table, the
 // workload where the strategy mechanism matters most.
@@ -137,7 +138,7 @@ func BenchmarkAblationH2Fanout(b *testing.B) {
 	}
 	for _, sc := range strategies {
 		b.Run(sc.name, func(b *testing.B) {
-			sm := mechanism.NewSM(sc.s, 1000, 1)
+			sm := mechanism.NewSM(sc.s, 1000)
 			var eps float64
 			for i := 0; i < b.N; i++ {
 				cost, err := sm.Translate(q, tr)
@@ -159,7 +160,7 @@ func BenchmarkAblationMCSamples(b *testing.B) {
 		b.Run(map[int]string{500: "n500", 2000: "n2000", 10000: "n10000"}[n], func(b *testing.B) {
 			var eps float64
 			for i := 0; i < b.N; i++ {
-				sm := mechanism.NewSM(strategy.H2, n, int64(i+1)) // fresh cache each iter
+				sm := mechanism.NewSM(strategy.H2, n) // fresh cache each iter
 				cost, err := sm.Translate(q, tr)
 				if err != nil {
 					b.Fatal(err)
@@ -192,10 +193,14 @@ func BenchmarkAblationPokes(b *testing.B) {
 	for _, m := range []int{2, 10, 50} {
 		b.Run(map[int]string{2: "m2", 10: "m10", 50: "m50"}[m], func(b *testing.B) {
 			mpm := mechanism.MPM{Pokes: m}
+			cost, err := mpm.Translate(q, tr)
+			if err != nil {
+				b.Fatal(err)
+			}
 			rng := noise.NewRand(7)
 			var sum float64
 			for i := 0; i < b.N; i++ {
-				res, err := mpm.Run(q, tr, adult, rng)
+				res, err := mpm.Run(q, tr, adult, rng, cost)
 				if err != nil {
 					b.Fatal(err)
 				}

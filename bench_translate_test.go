@@ -207,7 +207,7 @@ func BenchmarkTranslateE2E(b *testing.B) {
 			Budget:       1e18,
 			Mode:         engine.Optimistic,
 			Rng:          noise.NewRand(1),
-			Mechanisms:   []mechanism.Mechanism{mechanism.NewSM(strategy.H2, translate.DefaultSamples, 1)},
+			Mechanisms:   []mechanism.Mechanism{mechanism.NewSM(strategy.H2, translate.DefaultSamples)},
 			Transforms:   transforms,
 			Translations: shared,
 		})

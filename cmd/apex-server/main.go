@@ -21,7 +21,7 @@
 // Queries run through a per-dataset execution scheduler: pending distinct
 // workloads are coalesced into one batched columnar pass, sessions are
 // dispatched round-robin, and a full queue answers 429 + Retry-After
-// (tune with -queue-depth, -sched-workers, -max-batch, -retry-after).
+// (bound the queue with -queue-depth).
 // Prometheus-format observability — per-mechanism latency, queue depth,
 // batch sizes, budget-spend histograms — is served at /metrics.
 //
@@ -65,57 +65,72 @@ func (d *datasetFlags) Set(v string) error {
 	return nil
 }
 
+// drainTimeout bounds how long shutdown waits for in-flight requests.
+const drainTimeout = 30 * time.Second
+
+// options holds the parsed command line: deployment and owner policy
+// only. The flight-recorder triggers have no flag; PUT /v1/debug/config
+// sets them (and the slow-query threshold) on a live server.
+type options struct {
+	datasets         datasetFlags
+	listen           string
+	dataDir          string
+	maxBudget        float64
+	maxSessions      int
+	allowSeeds       bool
+	queueDepth       int
+	debugAddr        string
+	slowQuery        time.Duration
+	disableTracing   bool
+	mmapThreshold    int64
+	coldStart        bool
+	scrubInterval    time.Duration
+	scrubRate        int64
+	disableAnalytics bool
+	tsInterval       time.Duration
+	recProfile       time.Duration
+	recCooldown      time.Duration
+}
+
+// defineFlags registers every apex-server flag on fs. The README's flag
+// table is checked against this set by main_test.go, both directions.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", ":8080", "address to serve on")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable data directory (empty = in-memory only: datasets and transcripts vanish with the process)")
+	fs.Var(&o.datasets, "dataset", "dataset to host as name=data.csv,schema.file (repeatable)")
+	fs.Float64Var(&o.maxBudget, "max-budget", 0, "per-session budget cap (0 = uncapped)")
+	fs.IntVar(&o.maxSessions, "max-sessions", 0, "live session limit (0 = unlimited)")
+	fs.BoolVar(&o.allowSeeds, "allow-seeds", false, "let analysts fix their session RNG seed (voids privacy against an analyst who knows the seed; for trusted/reproducible use only)")
+	fs.IntVar(&o.queueDepth, "queue-depth", 0, "pending-query bound per dataset before 429 backpressure (0 = scheduler default)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "address for the private debug listener (net/http/pprof + runtime metrics); empty = disabled, keep it off the public network")
+	fs.DurationVar(&o.slowQuery, "slow-query", 0, "log a structured JSON line (with trace ID and per-phase breakdown) for every request at least this slow; 0 = disabled")
+	fs.BoolVar(&o.disableTracing, "disable-tracing", false, "turn off request tracing (span recording, /v1/debug/traces, slow-query log); X-Request-ID assignment stays on")
+	fs.Int64Var(&o.mmapThreshold, "mmap-threshold", server.DefaultMmapThreshold,
+		"raw column bytes at/above which a durable dataset is served from its mmap'd column-store segment instead of the heap (0 = always mmap, negative = never)")
+	fs.BoolVar(&o.coldStart, "cold-start", false,
+		"recover datasets strictly from column-store segments: never re-parse source CSV (entries without a valid segment are skipped)")
+	fs.DurationVar(&o.scrubInterval, "scrub-interval", 0,
+		"pause between background integrity-scrub cycles (segment/WAL/sidecar checksums, live transcript re-validation); 0 = scrubbing off")
+	fs.Int64Var(&o.scrubRate, "scrub-rate", 64,
+		"scrub read-rate limit in MiB/s so verification never competes with query service for disk bandwidth (0 = unpaced)")
+	fs.BoolVar(&o.disableAnalytics, "disable-analytics", false,
+		"turn off the workload analytics plane (cost attribution, /v1/debug/top, /v1/debug/timeseries, flight recorder)")
+	fs.DurationVar(&o.tsInterval, "timeseries-interval", 0,
+		"self-snapshot pace of the time-series sampler, also the flight-recorder check pace (0 = default 1s)")
+	fs.DurationVar(&o.recProfile, "recorder-profile", 0,
+		"CPU-profile length inside each incident bundle (0 = default 2s)")
+	fs.DurationVar(&o.recCooldown, "recorder-cooldown", 0,
+		"minimum spacing between incident captures (0 = default 5m)")
+	return o
+}
+
 func main() {
-	var datasets datasetFlags
-	var (
-		listen       = flag.String("listen", ":8080", "address to serve on")
-		dataDir      = flag.String("data-dir", "", "durable data directory (empty = in-memory only: datasets and transcripts vanish with the process)")
-		maxBudget    = flag.Float64("max-budget", 0, "per-session budget cap (0 = uncapped)")
-		maxSessions  = flag.Int("max-sessions", 0, "live session limit (0 = unlimited)")
-		allowSeeds   = flag.Bool("allow-seeds", false, "let analysts fix their session RNG seed (voids privacy against an analyst who knows the seed; for trusted/reproducible use only)")
-		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
-		queueDepth   = flag.Int("queue-depth", 0, "pending-query bound per dataset before 429 backpressure (0 = scheduler default)")
-		schedWorkers = flag.Int("sched-workers", 0, "batch executors per dataset (0 = scheduler default)")
-		maxBatch     = flag.Int("max-batch", 0, "max queries coalesced into one batched columnar pass (0 = scheduler default)")
-		retryAfter   = flag.Duration("retry-after", 0, "Retry-After hint attached to 429 rejections (0 = scheduler default)")
-		debugAddr    = flag.String("debug-addr", "", "address for the private debug listener (net/http/pprof + runtime metrics); empty = disabled, keep it off the public network")
-		slowQuery    = flag.Duration("slow-query", 0, "log a structured JSON line (with trace ID and per-phase breakdown) for every request at least this slow; 0 = disabled")
-		traceCap     = flag.Int("trace-capacity", 0, "recent request traces retained for GET /v1/debug/traces (0 = default)")
-		disableTrace = flag.Bool("disable-tracing", false, "turn off request tracing (span recording, /v1/debug/traces, slow-query log); X-Request-ID assignment stays on")
-		mmapThresh   = flag.Int64("mmap-threshold", server.DefaultMmapThreshold,
-			"raw column bytes at/above which a durable dataset is served from its mmap'd column-store segment instead of the heap (0 = always mmap, negative = never)")
-		coldStart = flag.Bool("cold-start", false,
-			"recover datasets strictly from column-store segments: never re-parse source CSV (entries without a valid segment are skipped)")
-		scrubInterval = flag.Duration("scrub-interval", 0,
-			"pause between background integrity-scrub cycles (segment/WAL/sidecar checksums, live transcript re-validation); 0 = scrubbing off")
-		scrubRate = flag.Int64("scrub-rate", 64,
-			"scrub read-rate limit in MiB/s so verification never competes with query service for disk bandwidth (0 = unpaced)")
-		adaptiveSched = flag.Bool("adaptive-sched", false,
-			"let the scheduler tune GatherDelay/MaxBatch per dataset from live queue-wait histograms (decisions are logged and exported as gauges)")
-		disableAnalytics = flag.Bool("disable-analytics", false,
-			"turn off the workload analytics plane (cost attribution, /v1/debug/top, /v1/debug/timeseries, flight recorder)")
-		analyticsTopK = flag.Int("analytics-topk", 0,
-			"capacity of the per-session/per-workload cost heavy-hitter sketches (0 = default 64)")
-		tsWindow = flag.Int("timeseries-window", 0,
-			"samples retained in the in-process time-series ring served at /v1/debug/timeseries (0 = default 600)")
-		tsInterval = flag.Duration("timeseries-interval", 0,
-			"self-snapshot pace of the time-series sampler, also the flight-recorder check pace (0 = default 1s)")
-		recP99 = flag.Duration("recorder-p99", 0,
-			"capture an incident bundle when p99 total request latency reaches this (0 = latency trigger off; adjustable at runtime via PUT /v1/debug/config)")
-		recQueueDepth = flag.Int("recorder-queue-depth", 0,
-			"capture an incident bundle when any dataset queue reaches this depth (0 = depth trigger off; adjustable at runtime via PUT /v1/debug/config)")
-		recProfile = flag.Duration("recorder-profile", 0,
-			"CPU-profile length inside each incident bundle (0 = default 2s)")
-		recCooldown = flag.Duration("recorder-cooldown", 0,
-			"minimum spacing between incident captures (0 = default 5m)")
-		recMaxBundles = flag.Int("recorder-max-bundles", 0,
-			"incident bundles kept on disk before the oldest are pruned (0 = default 8)")
-	)
-	flag.Var(&datasets, "dataset", "dataset to host as name=data.csv,schema.file (repeatable)")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	reg := server.NewRegistry()
-	reg.SetStorage(server.StoragePolicy{MmapThreshold: *mmapThresh, ColdStart: *coldStart})
+	reg.SetStorage(server.StoragePolicy{MmapThreshold: o.mmapThreshold, ColdStart: o.coldStart})
 
 	// Recovery phase 1: the catalog. Datasets persisted by a previous
 	// life come back first so recovered sessions find their tables.
@@ -123,9 +138,9 @@ func main() {
 	// per the storage policy without touching the source CSV; the logged
 	// source and elapsed time make a CSV re-parse regression visible.
 	var st *store.Store
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		var err error
-		if st, err = store.Open(*dataDir); err != nil {
+		if st, err = store.Open(o.dataDir); err != nil {
 			log.Fatalf("apex-server: %v", err)
 		}
 		reg.AttachStore(st)
@@ -142,7 +157,7 @@ func main() {
 		}
 	}
 
-	for _, spec := range datasets {
+	for _, spec := range o.datasets {
 		name, files, ok := strings.Cut(spec, "=")
 		if !ok {
 			log.Fatalf("apex-server: -dataset %q: want name=data.csv,schema.file", spec)
@@ -154,7 +169,7 @@ func main() {
 		if _, exists := reg.Get(name); exists {
 			// Recovered from the catalog; the durable copy wins so live
 			// sessions never see their table change across a restart.
-			log.Printf("apex-server: dataset %q already recovered from %s; ignoring -dataset files", name, *dataDir)
+			log.Printf("apex-server: dataset %q already recovered from %s; ignoring -dataset files", name, o.dataDir)
 			continue
 		}
 		if err := reg.LoadFiles(name, csvPath, schemaPath); err != nil {
@@ -169,61 +184,45 @@ func main() {
 	}
 
 	srv := server.New(reg, server.Config{
-		MaxBudget:   *maxBudget,
-		MaxSessions: *maxSessions,
-		AllowSeeds:  *allowSeeds,
+		MaxBudget:   o.maxBudget,
+		MaxSessions: o.maxSessions,
+		AllowSeeds:  o.allowSeeds,
 		Store:       st,
-		Sched: sched.Config{
-			QueueDepth:  *queueDepth,
-			Workers:     *schedWorkers,
-			MaxBatch:    *maxBatch,
-			RetryAfter:  *retryAfter,
-			Adaptive:    *adaptiveSched,
-			AdaptiveLog: os.Stderr,
-		},
+		Sched:       sched.Config{QueueDepth: o.queueDepth},
 		Trace: server.TraceConfig{
-			Disable:   *disableTrace,
-			Capacity:  *traceCap,
-			SlowQuery: *slowQuery,
+			Disable:   o.disableTracing,
+			SlowQuery: o.slowQuery,
 		},
 		Scrub: server.ScrubConfig{
-			Interval:        *scrubInterval,
-			ReadBytesPerSec: *scrubRate << 20,
+			Interval:        o.scrubInterval,
+			ReadBytesPerSec: o.scrubRate << 20,
 		},
 		Analytics: server.AnalyticsConfig{
-			Disable:            *disableAnalytics,
-			TopK:               *analyticsTopK,
-			TimeseriesWindow:   *tsWindow,
-			TimeseriesInterval: *tsInterval,
+			Disable:            o.disableAnalytics,
+			TimeseriesInterval: o.tsInterval,
 			Recorder: analytics.RecorderConfig{
-				Dir:                 incidentDir(*dataDir),
-				MaxBundles:          *recMaxBundles,
-				CPUProfileDuration:  *recProfile,
-				Cooldown:            *recCooldown,
-				P99Threshold:        *recP99,
-				QueueDepthThreshold: *recQueueDepth,
+				Dir:                incidentDir(o.dataDir),
+				CPUProfileDuration: o.recProfile,
+				Cooldown:           o.recCooldown,
 			},
 		},
 	})
-	if dir := incidentDir(*dataDir); dir != "" && !*disableAnalytics {
-		log.Printf("apex-server: flight recorder armed: bundles under %s (p99 trigger: %s, queue-depth trigger: %d)",
-			dir, *recP99, *recQueueDepth)
-	} else if (*recP99 > 0 || *recQueueDepth > 0) && incidentDir(*dataDir) == "" {
-		log.Printf("apex-server: flight recorder triggers set but no -data-dir; recorder disabled (bundles need a durable directory)")
+	if dir := incidentDir(o.dataDir); dir != "" && !o.disableAnalytics {
+		log.Printf("apex-server: flight recorder ready: bundles under %s (triggers off until set via PUT /v1/debug/config)", dir)
 	}
-	if *scrubInterval > 0 {
-		log.Printf("apex-server: background scrubber on: cycle every %s, reads paced at %d MiB/s", *scrubInterval, *scrubRate)
+	if o.scrubInterval > 0 {
+		log.Printf("apex-server: background scrubber on: cycle every %s, reads paced at %d MiB/s", o.scrubInterval, o.scrubRate)
 	}
 
 	// The debug listener is opt-in and separate from the public one, so
 	// profiling endpoints (pprof can dump heap contents) never share a
 	// port with analyst traffic. Enabling it also registers the Go runtime
 	// gauges (goroutines, heap, GC pauses) into the metrics registry.
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		obs.RegisterRuntimeMetrics(srv.Metrics())
-		dbg := &http.Server{Addr: *debugAddr, Handler: obs.DebugHandler(srv.Metrics())}
+		dbg := &http.Server{Addr: o.debugAddr, Handler: obs.DebugHandler(srv.Metrics())}
 		go func() {
-			log.Printf("apex-server: debug listener (pprof + metrics) on %s", *debugAddr)
+			log.Printf("apex-server: debug listener (pprof + metrics) on %s", o.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("apex-server: debug listener: %v", err)
 			}
@@ -246,11 +245,11 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: o.listen, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("apex-server: listening on %s (datasets: %s, durability: %s)",
-		*listen, datasetList(reg), durabilityDesc(*dataDir))
+		o.listen, datasetList(reg), durabilityDesc(o.dataDir))
 
 	// Graceful shutdown: stop accepting, drain in-flight asks — each
 	// handler blocks until its queued query executes and commits to its
@@ -265,8 +264,8 @@ func main() {
 		log.Fatalf("apex-server: %v", err)
 	case <-ctx.Done():
 		stop()
-		log.Printf("apex-server: signal received; draining in-flight requests (up to %s)", *drainWait)
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		log.Printf("apex-server: signal received; draining in-flight requests (up to %s)", drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Scheduler().Drain(drainCtx); err != nil {
 			log.Printf("apex-server: scheduler drain: %v (queued work will be rejected, not dropped)", err)

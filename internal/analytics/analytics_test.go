@@ -95,21 +95,6 @@ func TestExtractCost(t *testing.T) {
 	}
 }
 
-// TestExtractCostLegacyScanAttr: traces recorded before per-request share
-// attribution carry only the batch-total scan_bytes; those are counted
-// only when the batch had a single member (where total == share).
-func TestExtractCostLegacyScanAttr(t *testing.T) {
-	v := requestTrace("t1")
-	delete(v.Spans[0].Spans[0].Attrs, "scan_share_bytes")
-	if rc, _ := ExtractCost(v); rc.Vector.ScanBytes != 0 {
-		t.Fatalf("multi-member legacy batch attributed %d bytes", rc.Vector.ScanBytes)
-	}
-	v.Spans[0].Spans[0].Attrs["batch_size"] = 1
-	if rc, _ := ExtractCost(v); rc.Vector.ScanBytes != 3000 {
-		t.Fatalf("single-member legacy batch: ScanBytes = %d, want 3000", rc.Vector.ScanBytes)
-	}
-}
-
 // TestSpaceSavingGuarantee: any key whose true weight exceeds total/k must
 // survive in the sketch, and every entry's (weight - maxError) lower bound
 // never exceeds its true weight.
@@ -305,15 +290,5 @@ func TestFlightRecorderCaptureAndPrune(t *testing.T) {
 	}
 	if NewFlightRecorder(RecorderConfig{}) != nil {
 		t.Fatal("recorder without a dir must be nil")
-	}
-}
-
-func TestWorkloadIDStable(t *testing.T) {
-	a, b := WorkloadID("k1\x00k2"), WorkloadID("k1\x00k2")
-	if a != b || a == "" || a[0] != 'w' {
-		t.Fatalf("WorkloadID unstable or malformed: %q vs %q", a, b)
-	}
-	if WorkloadID("other") == a {
-		t.Fatal("distinct keys collide trivially")
 	}
 }

@@ -173,36 +173,26 @@ func (c *Collector) Publish(reg *metrics.Registry, datasets func() []string) {
 		c.mu.Unlock()
 		for n, agg := range aggs {
 			l := metrics.L("dataset", n)
-			setCounter(reg, "apex_analytics_requests_total",
-				"Requests attributed to the dataset by the analytics plane.", float64(agg.Requests), l)
-			setCounter(reg, "apex_analytics_cpu_seconds_total",
-				"Attributed processing time (prepare+execute+commit) per dataset.", float64(agg.CPUNanos)/1e9, l)
-			setCounter(reg, "apex_analytics_queue_seconds_total",
-				"Attributed scheduler queue wait per dataset.", float64(agg.QueueNanos)/1e9, l)
-			setCounter(reg, "apex_analytics_translate_seconds_total",
-				"Attributed Monte-Carlo translation time per dataset.", float64(agg.TranslateNanos)/1e9, l)
-			setCounter(reg, "apex_analytics_scan_bytes_total",
-				"Per-request attributed shares of batched scan traffic (sums to apex_scan_bytes_total).", float64(agg.ScanBytes), l)
-			setCounter(reg, "apex_analytics_epsilon_total",
-				"Settled privacy loss attributed per dataset.", agg.Epsilon, l)
-			setCounter(reg, "apex_analytics_denied_total",
-				"Budget denials attributed per dataset.", float64(agg.Denied), l)
-			setCounter(reg, "apex_analytics_cache_hits_total",
-				"Requests whose prepare hit a cache, by cache plane.", float64(agg.TransformHits), l, metrics.L("cache", "transform"))
-			setCounter(reg, "apex_analytics_cache_hits_total",
-				"Requests whose prepare hit a cache, by cache plane.", float64(agg.TranslateHits), l, metrics.L("cache", "translate"))
-			setCounter(reg, "apex_analytics_cache_hits_total",
-				"Requests whose prepare hit a cache, by cache plane.", float64(agg.ReuseHits), l, metrics.L("cache", "reuse"))
+			reg.Counter("apex_analytics_requests_total",
+				"Requests attributed to the dataset by the analytics plane.", l).AdvanceTo(float64(agg.Requests))
+			reg.Counter("apex_analytics_cpu_seconds_total",
+				"Attributed processing time (prepare+execute+commit) per dataset.", l).AdvanceTo(float64(agg.CPUNanos) / 1e9)
+			reg.Counter("apex_analytics_queue_seconds_total",
+				"Attributed scheduler queue wait per dataset.", l).AdvanceTo(float64(agg.QueueNanos) / 1e9)
+			reg.Counter("apex_analytics_translate_seconds_total",
+				"Attributed Monte-Carlo translation time per dataset.", l).AdvanceTo(float64(agg.TranslateNanos) / 1e9)
+			reg.Counter("apex_analytics_scan_bytes_total",
+				"Per-request attributed shares of batched scan traffic (sums to apex_scan_bytes_total).", l).AdvanceTo(float64(agg.ScanBytes))
+			reg.Counter("apex_analytics_epsilon_total",
+				"Settled privacy loss attributed per dataset.", l).AdvanceTo(agg.Epsilon)
+			reg.Counter("apex_analytics_denied_total",
+				"Budget denials attributed per dataset.", l).AdvanceTo(float64(agg.Denied))
+			reg.Counter("apex_analytics_cache_hits_total",
+				"Requests whose prepare hit a cache, by cache plane.", l, metrics.L("cache", "transform")).AdvanceTo(float64(agg.TransformHits))
+			reg.Counter("apex_analytics_cache_hits_total",
+				"Requests whose prepare hit a cache, by cache plane.", l, metrics.L("cache", "translate")).AdvanceTo(float64(agg.TranslateHits))
+			reg.Counter("apex_analytics_cache_hits_total",
+				"Requests whose prepare hit a cache, by cache plane.", l, metrics.L("cache", "reuse")).AdvanceTo(float64(agg.ReuseHits))
 		}
 	})
-}
-
-// setCounter forces a counter series to an absolute value at scrape time.
-// The underlying aggregates are monotone, so the rendered series stays a
-// valid Prometheus counter.
-func setCounter(reg *metrics.Registry, name, help string, v float64, labels ...metrics.Label) {
-	ctr := reg.Counter(name, help, labels...)
-	if delta := v - ctr.Value(); delta > 0 {
-		ctr.Add(delta)
-	}
 }

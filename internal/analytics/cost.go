@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // CostVector is the additive resource cost of one or more requests. All
@@ -93,17 +92,9 @@ type RequestCost struct {
 	TraceID  string
 	Dataset  string
 	Session  string
-	Workload string // WorkloadID of the canonical workload key; "" when untagged
+	Workload string // workload.ID of the canonical workload key; "" when untagged
 	Query    string // bounded query text from the trace tag
 	Vector   CostVector
-}
-
-// WorkloadID folds a canonical workload key (workload.Key — NUL-joined
-// rendered predicates, arbitrarily long) into a short stable identifier
-// usable as a trace tag, sketch key and metric-safe string. It is
-// workload.ID — the same hash the engine stamps on request traces.
-func WorkloadID(key string) string {
-	return workload.ID(key)
 }
 
 // ExtractCost walks one finished trace's span tree and assembles its cost
@@ -148,14 +139,10 @@ func extractSpan(cv *CostVector, sp obs.SpanView) {
 			cv.TranslateHits++
 		}
 	case "scan":
+		// The scheduler stamps every scan span with this request's exact
+		// share of the batch's traffic.
 		if b, ok := attrInt(sp.Attrs, "scan_share_bytes"); ok {
 			cv.ScanBytes += b
-		} else if b, ok := attrInt(sp.Attrs, "scan_bytes"); ok {
-			// Traces recorded before share attribution existed: exact
-			// only for single-request batches.
-			if n, _ := attrInt(sp.Attrs, "batch_size"); n <= 1 {
-				cv.ScanBytes += b
-			}
 		}
 	}
 	switch sp.Name {

@@ -10,7 +10,8 @@ import (
 // NYTaxiSize is the row count of the paper's NYC yellow-taxi extract.
 // Generating the full table is supported but the experiments default to a
 // smaller sample: all privacy-cost formulas depend on α through the ratio
-// α/|D|, so the curve shapes are size invariant (see DESIGN.md).
+// α/|D|, so the curve shapes are size invariant (pinned by
+// TestDatasetScaleInvariance in internal/integration).
 const NYTaxiSize = 9710124
 
 // DefaultNYTaxiSize is the row count experiments use by default.

@@ -152,15 +152,11 @@ type Config struct {
 	Mechanisms []mechanism.Mechanism
 	// Rng drives all mechanism randomness; nil means a fixed-seed source.
 	Rng *rand.Rand
-	// TransformOptions tunes workload transformation limits.
-	TransformOptions workload.Options
 	// Transforms, when set, is the workload transformation cache the
 	// engine evaluates through — typically one shared cache per dataset
 	// (the server wires one up per registered table) so concurrent
 	// sessions asking the same workload share one transformation and one
-	// noise-free Histogram/TrueAnswers scan. Nil means a private cache
-	// built from TransformOptions; when Transforms is set it wins and
-	// TransformOptions is ignored.
+	// noise-free Histogram/TrueAnswers scan. Nil means a private cache.
 	Transforms *workload.TransformCache
 	// Translations, when set, is the Monte-Carlo translation plan source
 	// the strategy mechanism reads through — the per-dataset shared,
@@ -230,7 +226,7 @@ type Engine struct {
 func DefaultMechanisms() []mechanism.Mechanism {
 	return []mechanism.Mechanism{
 		mechanism.LM{},
-		mechanism.NewSM(strategy.H2, 0, 1),
+		mechanism.NewSM(strategy.H2, 0),
 		mechanism.MPM{},
 		mechanism.LTM{},
 	}
@@ -264,7 +260,7 @@ func New(d *dataset.Table, cfg Config) (*Engine, error) {
 	}
 	transforms := cfg.Transforms
 	if transforms == nil {
-		transforms = workload.NewTransformCache(cfg.TransformOptions)
+		transforms = workload.NewTransformCache(workload.Options{})
 	}
 	e := &Engine{
 		data:         d,
@@ -590,7 +586,7 @@ func (e *Engine) Prepare(ctx context.Context, q *query.Query) (*exec.Plan, *Answ
 		Mechanism:   best.Mechanism,
 		Cost:        best.Cost,
 		Key:         key,
-		Needs:       planNeeds(best.Mechanism, q, tr),
+		Needs:       best.Mechanism.Prefetch(q, tr),
 		Owner:       e,
 	}, nil, nil
 }
@@ -609,16 +605,7 @@ func (e *Engine) Execute(ctx context.Context, p *exec.Plan) *exec.Outcome {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
 	start := time.Now()
-	var res *mechanism.Result
-	var err error
-	if pr, ok := p.Mechanism.(mechanism.PreparedRunner); ok {
-		// The plan carries the cost Prepare translated at admission, so
-		// prepared-aware mechanisms skip the redundant execute-time
-		// re-translation (for SM, a second full binary search).
-		res, err = pr.RunPrepared(p.Query, p.Transformed, e.data, e.rng, p.Cost)
-	} else {
-		res, err = p.Mechanism.Run(p.Query, p.Transformed, e.data, e.rng)
-	}
+	res, err := p.Mechanism.Run(p.Query, p.Transformed, e.data, e.rng, p.Cost)
 	elapsed := time.Since(start)
 	span.Set("mechanism", p.Mechanism.Name())
 	span.Set("run_us", elapsed.Microseconds())
@@ -730,16 +717,6 @@ func (e *Engine) TranslationNeeds(q *query.Query) []TranslationNeed {
 		}
 	}
 	return out
-}
-
-// planNeeds asks the mechanism which noise-free evaluations its Run will
-// read (mechanism.Prefetcher); mechanisms that don't say get no warmup
-// and simply evaluate through the cache themselves.
-func planNeeds(m mechanism.Mechanism, q *query.Query, tr *workload.Transformed) mechanism.Prefetch {
-	if pf, ok := m.(mechanism.Prefetcher); ok {
-		return pf.Prefetch(q, tr)
-	}
-	return mechanism.Prefetch{}
 }
 
 // append records one transcript entry and runs the commit hook. Caller

@@ -49,7 +49,7 @@ func newEngine(t *testing.T, d *dataset.Table, budget float64, mode Mode) *Engin
 		Rng:    noise.NewRand(11),
 		Mechanisms: []mechanism.Mechanism{
 			mechanism.LM{},
-			mechanism.NewSM(strategy.H2, 500, 1),
+			mechanism.NewSM(strategy.H2, 500),
 			mechanism.MPM{},
 			mechanism.LTM{},
 		},

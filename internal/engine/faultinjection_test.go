@@ -31,7 +31,11 @@ func (m faultyMechanism) Translate(q *query.Query, tr *workload.Transformed) (me
 	return mechanism.Cost{Lower: 0.001, Upper: 0.001}, nil
 }
 
-func (m faultyMechanism) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*mechanism.Result, error) {
+func (faultyMechanism) Prefetch(*query.Query, *workload.Transformed) mechanism.Prefetch {
+	return mechanism.Prefetch{}
+}
+
+func (m faultyMechanism) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, _ mechanism.Cost) (*mechanism.Result, error) {
 	if m.failRun {
 		return nil, errRunFailed
 	}

@@ -22,7 +22,7 @@ func reuseEngine(t *testing.T, counts []int, budget float64) *Engine {
 		Reuse:  true,
 		Mechanisms: []mechanism.Mechanism{
 			mechanism.LM{},
-			mechanism.NewSM(strategy.H2, 300, 1),
+			mechanism.NewSM(strategy.H2, 300),
 			mechanism.MPM{},
 			mechanism.LTM{},
 		},

@@ -44,7 +44,7 @@ func smEngine(t *testing.T, d *dataset.Table, src translate.Source) *Engine {
 		Budget:       100,
 		Mode:         Optimistic,
 		Rng:          noise.NewRand(7),
-		Mechanisms:   []mechanism.Mechanism{mechanism.NewSM(strategy.H2, 400, 1)},
+		Mechanisms:   []mechanism.Mechanism{mechanism.NewSM(strategy.H2, 400)},
 		Translations: src,
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7 query benchmarks, §8 entity-resolution case study). Each
-// driver prints the same rows/series the paper reports; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// driver prints the same rows/series the paper reports.
 package experiments
 
 import (
@@ -15,7 +14,8 @@ type Config struct {
 	// AdultSize is |D| for the Adult dataset (paper: 32561).
 	AdultSize int
 	// TaxiSize is |D| for the NYTaxi dataset (paper: 9710124; default 100k —
-	// all reported metrics are scaled by |D|, see DESIGN.md).
+	// all reported metrics are scaled by |D|, so the curve shapes are size
+	// invariant: TestDatasetScaleInvariance in internal/integration).
 	TaxiSize int
 	// Runs is the repetition count for per-query experiments (paper: 10).
 	Runs int

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-
+	"math/rand"
 	"sort"
 
 	"repro/internal/accuracy"
@@ -35,29 +35,71 @@ func (c Config) tableFor(b BenchQuery, adult, taxi *dataset.Table) *dataset.Tabl
 func (c Config) mechanisms() []mechanism.Mechanism {
 	return []mechanism.Mechanism{
 		mechanism.LM{},
-		mechanism.NewSM(strategy.H2, c.MCSamples, c.Seed),
+		mechanism.NewSM(strategy.H2, c.MCSamples),
 		mechanism.MPM{},
 		mechanism.LTM{},
 	}
 }
 
+// newEngine builds an optimistic-mode engine over d with the given suite,
+// drawing from rng, under a budget large enough to isolate mechanism choice
+// from budgeting. Every driver reaches mechanisms only through such
+// engines, so the figures exercise the production translate → run path and
+// its shared transformation and translation memos.
+func newEngine(d *dataset.Table, rng *rand.Rand, mechs ...mechanism.Mechanism) (*engine.Engine, error) {
+	return engine.New(d, engine.Config{Budget: 1e12, Mode: engine.Optimistic, Mechanisms: mechs, Rng: rng})
+}
+
+// perMechanism builds one single-mechanism engine per suite member, in
+// suite order, so one mechanism's cost and runs can be read in isolation.
+func perMechanism(d *dataset.Table, rng *rand.Rand, mechs ...mechanism.Mechanism) ([]*engine.Engine, error) {
+	engs := make([]*engine.Engine, len(mechs))
+	for i, m := range mechs {
+		var err error
+		if engs[i], err = newEngine(d, rng, m); err != nil {
+			return nil, err
+		}
+	}
+	return engs, nil
+}
+
+// upperCost is the worst-case privacy cost a single-mechanism engine
+// translates q to; ok is false when its mechanism does not apply to q.
+func upperCost(eng *engine.Engine, q *query.Query) (eps float64, ok bool, err error) {
+	choices, err := eng.Translations(q)
+	if err != nil || len(choices) == 0 {
+		return 0, false, err
+	}
+	return choices[0].Cost.Upper, true, nil
+}
+
+// truthOf returns q's exact answers through the engine's own
+// transformation cache — the scan the mechanisms themselves read.
+func truthOf(eng *engine.Engine, q *query.Query) ([]float64, error) {
+	d := eng.Table()
+	tr, err := eng.Transforms().Transform(d.Schema(), q.Predicates)
+	if err != nil {
+		return nil, err
+	}
+	return tr.TrueAnswers(d), nil
+}
+
 // empiricalError computes the paper's per-kind empirical error, scaled by |D|.
-func empiricalError(q *query.Query, tr *workload.Transformed, d *dataset.Table, res *mechanism.Result) (float64, error) {
-	truth := tr.TrueAnswers(d)
+func empiricalError(q *query.Query, truth []float64, size int, ans *engine.Answer) (float64, error) {
 	var e float64
 	var err error
 	switch q.Kind {
 	case query.WCQ:
-		e, err = accuracy.WCQError(truth, res.Counts)
+		e, err = accuracy.WCQError(truth, ans.Counts)
 	case query.ICQ:
-		e, err = accuracy.ICQError(truth, res.Selected, q.Threshold)
+		e, err = accuracy.ICQError(truth, ans.Selected, q.Threshold)
 	case query.TCQ:
-		e, err = accuracy.TCQError(truth, res.Selected, q.K)
+		e, err = accuracy.TCQError(truth, ans.Selected, q.K)
 	}
 	if err != nil {
 		return 0, err
 	}
-	return e / float64(d.Size()), nil
+	return e / float64(size), nil
 }
 
 // Figure2 reproduces the end-to-end study: for each of the 12 queries and
@@ -72,25 +114,23 @@ func Figure2(cfg Config) error {
 		return err
 	}
 	rng := noise.NewRand(cfg.Seed + 100)
+	engs := make(map[*dataset.Table]*engine.Engine)
+	for _, d := range []*dataset.Table{adult, taxi} {
+		if engs[d], err = newEngine(d, rng, cfg.mechanisms()...); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintln(w, "# Figure 2: privacy cost vs empirical error (optimistic mode)")
 	fmt.Fprintln(w, "query\talpha/|D|\tmechanism\teps_upper\teps_actual_median\terr_median\terr_max")
 	for _, b := range queries {
 		d := cfg.tableFor(b, adult, taxi)
+		eng := engs[d]
 		for _, af := range AlphaFractions {
 			q, err := b.Bind(d.Size(), af, Beta)
 			if err != nil {
 				return err
 			}
-			eng, err := engine.New(d, engine.Config{
-				Budget:     1e12, // isolate mechanism choice from budgeting
-				Mode:       engine.Optimistic,
-				Mechanisms: cfg.mechanisms(),
-				Rng:        rng,
-			})
-			if err != nil {
-				return err
-			}
-			tr, err := workload.Transform(d.Schema(), q.Predicates, workload.Options{})
+			truth, err := truthOf(eng, q)
 			if err != nil {
 				return err
 			}
@@ -105,8 +145,7 @@ func Figure2(cfg Config) error {
 				mechName = ans.Mechanism
 				epsUpper = ans.EpsilonUpper
 				epsActual = append(epsActual, ans.Epsilon)
-				res := &mechanism.Result{Counts: ans.Counts, Selected: ans.Selected}
-				e, err := empiricalError(q, tr, d, res)
+				e, err := empiricalError(q, truth, d.Size(), ans)
 				if err != nil {
 					return err
 				}
@@ -136,28 +175,24 @@ func Figure3(cfg Config) error {
 			continue
 		}
 		d := cfg.tableFor(b, adult, taxi)
+		eng, err := newEngine(d, rng, cfg.mechanisms()...)
+		if err != nil {
+			return err
+		}
 		for _, af := range AlphaFractions {
 			q, err := b.Bind(d.Size(), af, Beta)
 			if err != nil {
 				return err
 			}
-			tr, err := workload.Transform(d.Schema(), q.Predicates, workload.Options{})
+			truth, err := truthOf(eng, q)
 			if err != nil {
 				return err
 			}
-			truth := tr.TrueAnswers(d)
 			var truthSel []bool
 			if q.Kind == query.ICQ {
 				truthSel = accuracy.SelectAbove(truth, q.Threshold)
 			} else {
 				truthSel = accuracy.SelectTopK(truth, q.K)
-			}
-			eng, err := engine.New(d, engine.Config{
-				Budget: 1e12, Mode: engine.Optimistic,
-				Mechanisms: cfg.mechanisms(), Rng: rng,
-			})
-			if err != nil {
-				return err
 			}
 			var epss, f1s []float64
 			for run := 0; run < cfg.Runs; run++ {
@@ -189,6 +224,12 @@ func Table2(cfg Config) error {
 		return err
 	}
 	rng := noise.NewRand(cfg.Seed + 300)
+	suites := make(map[*dataset.Table][]*engine.Engine)
+	for _, d := range []*dataset.Table{adult, taxi} {
+		if suites[d], err = perMechanism(d, rng, cfg.mechanisms()...); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintln(w, "# Table 2: median actual privacy cost per mechanism")
 	fmt.Fprintln(w, "query\talpha/|D|\tmechanism\teps_median\tbest")
 	for _, b := range queries {
@@ -198,28 +239,31 @@ func Table2(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			tr, err := workload.Transform(d.Schema(), q.Predicates, workload.Options{})
-			if err != nil {
-				return err
-			}
 			type row struct {
 				name string
 				eps  float64
 			}
 			var rows []row
-			for _, m := range cfg.mechanisms() {
-				if !m.Applicable(q, tr) {
+			for _, eng := range suites[d] {
+				_, applies, err := upperCost(eng, q)
+				if err != nil {
+					return err
+				}
+				if !applies {
 					continue
 				}
 				var eps []float64
+				var name string
 				for run := 0; run < cfg.Runs; run++ {
-					res, err := m.Run(q, tr, d, rng)
+					ans, err := eng.Ask(q)
 					if err != nil {
-						return fmt.Errorf("%s %s: %w", b.Name, m.Name(), err)
+						return fmt.Errorf("%s: %w", b.Name, err)
 					}
-					eps = append(eps, res.Epsilon)
+					name = ans.Mechanism
+					eps = append(eps, ans.Epsilon)
 				}
-				rows = append(rows, row{qualifiedName(m, q), median(eps)})
+				// Table 2 labels mechanisms with the query type as prefix.
+				rows = append(rows, row{q.Kind.String() + "-" + name, median(eps)})
 			}
 			best := ""
 			bestEps := -1.0
@@ -240,12 +284,6 @@ func Table2(cfg Config) error {
 	return nil
 }
 
-// qualifiedName labels mechanisms the way Table 2 does (query type prefix).
-func qualifiedName(m mechanism.Mechanism, q *query.Query) string {
-	prefix := q.Kind.String()
-	return prefix + "-" + m.Name()
-}
-
 // Figure4a reproduces the workload-size sweep: LM vs SM privacy cost on the
 // QW1 (histogram) and QW2 (prefix) templates for L ∈ {100..500}.
 func Figure4a(cfg Config) error {
@@ -255,7 +293,10 @@ func Figure4a(cfg Config) error {
 	fmt.Fprintln(w, "# Figure 4a: privacy cost vs workload size L (alpha=0.08|D|)")
 	fmt.Fprintln(w, "L\tLM,QW1\tLM,QW2\tSM,QW1\tSM,QW2")
 	req := reqFor(adult.Size(), 0.08, Beta)
-	sm := mechanism.NewSM(strategy.H2, minInt(cfg.MCSamples, 1000), cfg.Seed)
+	engs, err := perMechanism(adult, nil, mechanism.LM{}, mechanism.NewSM(strategy.H2, minInt(cfg.MCSamples, 1000)))
+	if err != nil {
+		return err
+	}
 	for _, l := range []int{100, 200, 300, 400, 500} {
 		hist, err := workload.Histogram1D("capital gain", 0, float64(l*50), 50)
 		if err != nil {
@@ -266,35 +307,18 @@ func Figure4a(cfg Config) error {
 			return err
 		}
 		var costs []float64
-		for _, preds := range [][]dataset.Predicate{hist, prefix} {
-			q, err := query.NewWCQ(preds, req)
-			if err != nil {
-				return err
+		for _, eng := range engs {
+			for _, preds := range [][]dataset.Predicate{hist, prefix} {
+				q, err := query.NewWCQ(preds, req)
+				if err != nil {
+					return err
+				}
+				eps, _, err := upperCost(eng, q)
+				if err != nil {
+					return err
+				}
+				costs = append(costs, eps)
 			}
-			tr, err := workload.Transform(adult.Schema(), preds, workload.Options{})
-			if err != nil {
-				return err
-			}
-			lm, err := mechanism.LM{}.Translate(q, tr)
-			if err != nil {
-				return err
-			}
-			costs = append(costs, lm.Upper)
-		}
-		for _, preds := range [][]dataset.Predicate{hist, prefix} {
-			q, err := query.NewWCQ(preds, req)
-			if err != nil {
-				return err
-			}
-			tr, err := workload.Transform(adult.Schema(), preds, workload.Options{})
-			if err != nil {
-				return err
-			}
-			smc, err := sm.Translate(q, tr)
-			if err != nil {
-				return err
-			}
-			costs = append(costs, smc.Upper)
 		}
 		fmt.Fprintf(w, "%d\t%.6g\t%.6g\t%.6g\t%.6g\n", l, costs[0], costs[1], costs[2], costs[3])
 	}
@@ -320,31 +344,29 @@ func Figure4b(cfg Config) error {
 			qt4 = b
 		}
 	}
+	engs, err := perMechanism(taxi, nil, mechanism.LM{}, mechanism.LTM{})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "# Figure 4b: privacy cost vs TCQ k (alpha=0.08|D|)")
 	fmt.Fprintln(w, "k\tLM,QT3\tLM,QT4\tLTM,QT3\tLTM,QT4")
 	for _, k := range []int{10, 20, 30, 40, 50} {
 		var costs []float64
-		for _, b := range []BenchQuery{qt3, qt4} {
-			b.K = k
-			q, err := b.Bind(taxi.Size(), 0.08, Beta)
-			if err != nil {
-				return err
+		for _, eng := range engs {
+			for _, b := range []BenchQuery{qt3, qt4} {
+				b.K = k
+				q, err := b.Bind(taxi.Size(), 0.08, Beta)
+				if err != nil {
+					return err
+				}
+				eps, _, err := upperCost(eng, q)
+				if err != nil {
+					return err
+				}
+				costs = append(costs, eps)
 			}
-			tr, err := workload.Transform(taxi.Schema(), q.Predicates, workload.Options{})
-			if err != nil {
-				return err
-			}
-			lm, err := mechanism.LM{}.Translate(q, tr)
-			if err != nil {
-				return err
-			}
-			ltm, err := mechanism.LTM{}.Translate(q, tr)
-			if err != nil {
-				return err
-			}
-			costs = append(costs, lm.Upper, ltm.Upper)
 		}
-		fmt.Fprintf(w, "%d\t%.6g\t%.6g\t%.6g\t%.6g\n", k, costs[0], costs[2], costs[1], costs[3])
+		fmt.Fprintf(w, "%d\t%.6g\t%.6g\t%.6g\t%.6g\n", k, costs[0], costs[1], costs[2], costs[3])
 	}
 	return nil
 }
@@ -366,38 +388,37 @@ func Figure4c(cfg Config) error {
 			qi2 = b
 		}
 	}
-	rng := noise.NewRand(cfg.Seed + 400)
-	sm := mechanism.NewSM(strategy.H2, minInt(cfg.MCSamples, 1000), cfg.Seed)
-	mpm := mechanism.MPM{}
-	fmt.Fprintln(w, "# Figure 4c: actual privacy cost vs ICQ threshold c (QI2, alpha=0.08|D|)")
-	fmt.Fprintln(w, "c/|D|\tICQ-LM\tICQ-SM\tICQ-MPM_median")
-	tr, err := workload.Transform(adult.Schema(), qi2.Preds, workload.Options{})
+	engs, err := perMechanism(adult, noise.NewRand(cfg.Seed+400),
+		mechanism.LM{}, mechanism.NewSM(strategy.H2, minInt(cfg.MCSamples, 1000)), mechanism.MPM{})
 	if err != nil {
 		return err
 	}
+	lm, sm, mpm := engs[0], engs[1], engs[2]
+	fmt.Fprintln(w, "# Figure 4c: actual privacy cost vs ICQ threshold c (QI2, alpha=0.08|D|)")
+	fmt.Fprintln(w, "c/|D|\tICQ-LM\tICQ-SM\tICQ-MPM_median")
 	for _, cf := range []float64{0.01, 0.02, 0.04, 0.08, 0.16, 0.24, 0.32, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 1.0} {
 		qi2.ThresholdFrac = cf
 		q, err := qi2.Bind(adult.Size(), 0.08, Beta)
 		if err != nil {
 			return err
 		}
-		lm, err := mechanism.LM{}.Translate(q, tr)
+		lmEps, _, err := upperCost(lm, q)
 		if err != nil {
 			return err
 		}
-		smc, err := sm.Translate(q, tr)
+		smEps, _, err := upperCost(sm, q)
 		if err != nil {
 			return err
 		}
 		var mpmEps []float64
 		for run := 0; run < cfg.Runs; run++ {
-			res, err := mpm.Run(q, tr, adult, rng)
+			ans, err := mpm.Ask(q)
 			if err != nil {
 				return err
 			}
-			mpmEps = append(mpmEps, res.Epsilon)
+			mpmEps = append(mpmEps, ans.Epsilon)
 		}
-		fmt.Fprintf(w, "%.2f\t%.6g\t%.6g\t%.6g\n", cf, lm.Upper, smc.Upper, median(mpmEps))
+		fmt.Fprintf(w, "%.2f\t%.6g\t%.6g\t%.6g\n", cf, lmEps, smEps, median(mpmEps))
 	}
 	return nil
 }

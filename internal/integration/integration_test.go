@@ -295,8 +295,8 @@ func TestConcurrentAsksAreSafe(t *testing.T) {
 	}
 }
 
-// TestDatasetScaleInvariance pins the DESIGN.md claim justifying the NYTaxi
-// size substitution: the privacy cost at accuracy α = frac·|D| depends on
+// TestDatasetScaleInvariance pins the claim justifying the NYTaxi size
+// substitution (datagen.NYTaxiSize): the privacy cost at accuracy α = frac·|D| depends on
 // |D| only through frac, so halving the table halves nothing.
 func TestDatasetScaleInvariance(t *testing.T) {
 	costAt := func(rows int) float64 {

@@ -70,17 +70,13 @@ func lnInvUnionBound(beta, l float64) float64 {
 	return -math.Log(inner)
 }
 
-// Prefetch implements Prefetcher: LM reads the exact workload answers.
+// Prefetch implements Mechanism: LM reads the exact workload answers.
 func (LM) Prefetch(*query.Query, *workload.Transformed) Prefetch {
 	return Prefetch{Truth: true}
 }
 
 // Run implements Mechanism (Algorithm 2's run).
-func (m LM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error) {
-	cost, err := m.Translate(q, tr)
-	if err != nil {
-		return nil, err
-	}
+func (LM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error) {
 	eps := cost.Upper
 	truth := tr.TrueAnswers(d)
 	noisy := make([]float64, len(truth))
@@ -135,17 +131,13 @@ func (m LTM) Translate(q *query.Query, tr *workload.Transformed) (Cost, error) {
 	return Cost{Lower: eps, Upper: eps}, nil
 }
 
-// Prefetch implements Prefetcher: LTM reads the exact workload answers.
+// Prefetch implements Mechanism: LTM reads the exact workload answers.
 func (LTM) Prefetch(*query.Query, *workload.Transformed) Prefetch {
 	return Prefetch{Truth: true}
 }
 
 // Run implements Mechanism.
-func (m LTM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error) {
-	cost, err := m.Translate(q, tr)
-	if err != nil {
-		return nil, err
-	}
+func (LTM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error) {
 	eps := cost.Upper
 	b := float64(q.K) / eps
 	truth := tr.TrueAnswers(d)

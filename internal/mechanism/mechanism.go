@@ -4,9 +4,10 @@
 //
 //   - Translate maps a query plus accuracy requirement (α, β) to a lower and
 //     upper bound (εl, εu) on the privacy loss the mechanism would incur.
-//   - Run executes the mechanism on the data, returning the noisy answer and
-//     the *actual* privacy loss ε (which for data-dependent mechanisms such
-//     as the multi-poking mechanism may be below εu).
+//   - Run executes the mechanism on the data at the cost Translate returned,
+//     yielding the noisy answer and the *actual* privacy loss ε (which for
+//     data-dependent mechanisms such as the multi-poking mechanism may be
+//     below εu).
 //
 // Implemented mechanisms:
 //
@@ -63,41 +64,27 @@ type Mechanism interface {
 	// workload transformation.
 	Applicable(q *query.Query, tr *workload.Transformed) bool
 	// Translate returns the privacy-loss bounds for answering q with the
-	// required accuracy (the mechanism's translate function).
+	// required accuracy (the mechanism's translate function). It fails
+	// with ErrNotApplicable when the mechanism cannot answer q.
 	Translate(q *query.Query, tr *workload.Transformed) (Cost, error)
-	// Run executes the mechanism (the mechanism's run function). The
-	// returned Result's Epsilon is the actual loss; it never exceeds
-	// Translate's Upper.
-	Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error)
+	// Prefetch declares the noise-free evaluations Run reads, so a
+	// batching executor can warm the shared per-dataset evaluation cache
+	// for many queries in one grouped columnar pass before the mechanisms
+	// run. Run evaluates through the same cache, so an unwarmed read is
+	// only slower.
+	Prefetch(q *query.Query, tr *workload.Transformed) Prefetch
+	// Run executes the mechanism (the mechanism's run function) at cost,
+	// the value Translate returned for (q, tr) at admission. The returned
+	// Result's Epsilon is the actual loss; it never exceeds cost.Upper.
+	Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error)
 }
 
-// Prefetch describes the noise-free evaluations a mechanism's Run reads
-// from the workload transformation: the partition histogram x = T_W(D)
-// and/or the exact per-predicate answers. A batching executor uses it to
-// warm the shared per-dataset evaluation cache for many queries in one
-// grouped columnar pass before the mechanisms run.
+// Prefetch names the noise-free evaluations a mechanism's Run reads from
+// the workload transformation: the partition histogram x = T_W(D) and/or
+// the exact per-predicate answers.
 type Prefetch struct {
 	Histogram bool
 	Truth     bool
-}
-
-// Prefetcher is implemented by mechanisms that can declare, ahead of Run,
-// which noise-free evaluations they will read. Declaring is optional and
-// purely an optimization: a mechanism that understates (or doesn't
-// implement the interface) simply computes the evaluation itself inside
-// Run, through the same cache.
-type Prefetcher interface {
-	Prefetch(q *query.Query, tr *workload.Transformed) Prefetch
-}
-
-// PreparedRunner is implemented by mechanisms whose Run begins by
-// re-deriving state the engine already translated at admission (the
-// privacy cost, and with it the cached translation plan). The two-phase
-// engine path calls RunPrepared with the admitted plan's cost so execute
-// time pays no second binary search. Run must behave exactly like
-// Translate followed by RunPrepared with the resulting cost.
-type PreparedRunner interface {
-	RunPrepared(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error)
 }
 
 // TranslationWarmer is implemented by mechanisms whose Translate reads a
@@ -111,7 +98,7 @@ type TranslationWarmer interface {
 	TranslationNeed(q *query.Query, tr *workload.Transformed) (translate.Source, translate.Item, bool)
 }
 
-// ErrNotApplicable is returned by Translate/Run when the mechanism cannot
+// ErrNotApplicable is returned by Translate when the mechanism cannot
 // answer the query (wrong kind, or a required matrix is unavailable).
 var ErrNotApplicable = errors.New("mechanism: not applicable to this query")
 

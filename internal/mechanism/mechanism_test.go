@@ -3,6 +3,7 @@ package mechanism
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -49,6 +50,16 @@ func (f *fixture) histogramQuery(t *testing.T, bins int, width float64, req accu
 		t.Fatal(err)
 	}
 	return q, tr
+}
+
+// translateAndRun runs m at the cost it translates (q, tr) to — Algorithm
+// 1's translate-then-run, as the engine drives it.
+func translateAndRun(m Mechanism, q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error) {
+	cost, err := m.Translate(q, tr)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(q, tr, d, rng, cost)
 }
 
 func TestLMTranslateFormulas(t *testing.T) {
@@ -146,7 +157,7 @@ func TestLMAccuracyGuarantee(t *testing.T) {
 	const runs = 2000
 	var failures int
 	for i := 0; i < runs; i++ {
-		res, err := LM{}.Run(q, tr, f.table, rng)
+		res, err := translateAndRun(LM{}, q, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +183,7 @@ func TestLMICQRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LM{}.Run(q, tr, f.table, noise.NewRand(5))
+	res, err := translateAndRun(LM{}, q, tr, f.table, noise.NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +214,7 @@ func TestLTMTranslateAndRun(t *testing.T) {
 	if math.Abs(cost.Upper-want) > 1e-9 {
 		t.Fatalf("LTM eps = %v, want %v", cost.Upper, want)
 	}
-	res, err := LTM{}.Run(q, tr, f.table, noise.NewRand(7))
+	res, err := translateAndRun(LTM{}, q, tr, f.table, noise.NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +281,7 @@ func TestNotApplicableErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSM(nil, 200, 1)
+	sm := NewSM(nil, 200)
 	if _, err := sm.Translate(qt, tr); !errors.Is(err, ErrNotApplicable) {
 		t.Fatalf("SM on TCQ: %v", err)
 	}
@@ -293,7 +304,7 @@ func TestSMTranslateBeatsLMOnPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSM(strategy.H2, 2000, 1)
+	sm := NewSM(strategy.H2, 2000)
 	smc, err := sm.Translate(q, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +322,7 @@ func TestSMTranslateDeterministic(t *testing.T) {
 	f := newFixture(t, make([]int, 16), 10)
 	req := accuracy.Requirement{Alpha: 20, Beta: 0.05}
 	q, tr := f.histogramQuery(t, 16, 10, req)
-	sm := NewSM(strategy.H2, 1000, 42)
+	sm := NewSM(strategy.H2, 1000)
 	a, err := sm.Translate(q, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -332,13 +343,13 @@ func TestSMAccuracyGuarantee(t *testing.T) {
 	req := accuracy.Requirement{Alpha: 40, Beta: 0.1}
 	q, tr := f.histogramQuery(t, 8, 10, req)
 	truth := tr.TrueAnswers(f.table)
-	sm := NewSM(strategy.H2, 3000, 9)
+	sm := NewSM(strategy.H2, 3000)
 
 	rng := noise.NewRand(31)
 	const runs = 1000
 	var failures int
 	for i := 0; i < runs; i++ {
-		res, err := sm.Run(q, tr, f.table, rng)
+		res, err := translateAndRun(sm, q, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +377,7 @@ func TestSMICQCheaperThanWCQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSM(strategy.H2, 2000, 3)
+	sm := NewSM(strategy.H2, 2000)
 	cw, err := sm.Translate(q, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +413,7 @@ func TestSMNotApplicableWhenImplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSM(nil, 100, 1)
+	sm := NewSM(nil, 100)
 	if sm.Applicable(q, tr) {
 		t.Fatal("SM must not be applicable to implicit workloads")
 	}
@@ -451,7 +462,7 @@ func TestMPMDataDependence(t *testing.T) {
 		rng := noise.NewRand(77)
 		var epss []float64
 		for i := 0; i < 31; i++ {
-			res, err := m.Run(q, tr, f.table, rng)
+			res, err := translateAndRun(m, q, tr, f.table, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +502,7 @@ func TestExample54(t *testing.T) {
 	var stoppedEarly int
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		res, err := m.Run(q, tr, f.table, rng)
+		res, err := translateAndRun(m, q, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +531,7 @@ func TestMPMAccuracyGuarantee(t *testing.T) {
 	const runs = 500
 	var failures int
 	for i := 0; i < runs; i++ {
-		res, err := m.Run(q, tr, f.table, rng)
+		res, err := translateAndRun(m, q, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +563,7 @@ func TestMPMEpsilonNeverExceedsUpper(t *testing.T) {
 	}
 	rng := noise.NewRand(66)
 	for i := 0; i < 100; i++ {
-		res, err := m.Run(q, tr, f.table, rng)
+		res, err := translateAndRun(m, q, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,7 +629,7 @@ func TestZeroSensitivityIsFree(t *testing.T) {
 	if cost.Upper != 0 {
 		t.Fatalf("LM cost = %v, want 0", cost.Upper)
 	}
-	res, err := LM{}.Run(qw, tr, f.table, rng)
+	res, err := translateAndRun(LM{}, qw, tr, f.table, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +641,7 @@ func TestZeroSensitivityIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := MPM{}.Run(qi, tr, f.table, rng)
+	mres, err := translateAndRun(MPM{}, qi, tr, f.table, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,9 +649,9 @@ func TestZeroSensitivityIsFree(t *testing.T) {
 		t.Fatalf("MPM free run: eps=%v sel=%v", mres.Epsilon, mres.Selected)
 	}
 
-	sm := NewSM(nil, 200, 1)
+	sm := NewSM(nil, 200)
 	if sm.Applicable(qw, tr) {
-		sres, err := sm.Run(qw, tr, f.table, rng)
+		sres, err := translateAndRun(sm, qw, tr, f.table, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,18 +64,14 @@ func (m MPM) Translate(q *query.Query, tr *workload.Transformed) (Cost, error) {
 	return Cost{Lower: epsMax / mm, Upper: epsMax}, nil
 }
 
-// Prefetch implements Prefetcher: MPM reads the exact workload answers.
+// Prefetch implements Mechanism: MPM reads the exact workload answers.
 func (MPM) Prefetch(*query.Query, *workload.Transformed) Prefetch {
 	return Prefetch{Truth: true}
 }
 
 // Run implements Mechanism (Algorithm 4). The returned Epsilon is the
 // privacy actually spent: ε_i of the poke at which the mechanism returned.
-func (m MPM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error) {
-	cost, err := m.Translate(q, tr)
-	if err != nil {
-		return nil, err
-	}
+func (m MPM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error) {
 	epsMax := cost.Upper
 	mm := m.pokes()
 	sens := tr.Sensitivity()

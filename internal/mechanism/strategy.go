@@ -45,11 +45,6 @@ type SM struct {
 	Strategy strategy.Strategy
 	// Samples is the Monte-Carlo sample count N; 0 means DefaultMCSamples.
 	Samples int
-	// Seed is retained for constructor compatibility but no longer feeds
-	// the sampler: seeds are derived canonically from (strategy, N,
-	// strategy-matrix rows), so ε cannot depend on arrival order or on
-	// which session translated first.
-	Seed int64
 	// Source, when set, supplies translation plans — typically the
 	// per-dataset shared translate.Cache so all sessions pay each
 	// workload's sampling once and restarts reload it from the sidecar.
@@ -64,10 +59,9 @@ type SM struct {
 const DefaultMCSamples = translate.DefaultSamples
 
 // NewSM returns an SM with the given strategy (nil for H2) and sample count
-// (0 for the default). The seed parameter is kept for compatibility; see
-// SM.Seed.
-func NewSM(s strategy.Strategy, samples int, seed int64) *SM {
-	return &SM{Strategy: s, Samples: samples, Seed: seed}
+// (0 for the default).
+func NewSM(s strategy.Strategy, samples int) *SM {
+	return &SM{Strategy: s, Samples: samples}
 }
 
 // Name implements Mechanism.
@@ -194,25 +188,13 @@ func passes(p *translate.Plan, eps, alpha, beta float64) bool {
 	return be+db+pp/2 < beta
 }
 
-// Prefetch implements Prefetcher: SM reads the partition histogram.
+// Prefetch implements Mechanism: SM reads the partition histogram.
 func (*SM) Prefetch(*query.Query, *workload.Transformed) Prefetch {
 	return Prefetch{Histogram: true}
 }
 
 // Run implements Mechanism (Algorithm 3's run).
-func (m *SM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand) (*Result, error) {
-	cost, err := m.Translate(q, tr)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunPrepared(q, tr, d, rng, cost)
-}
-
-// RunPrepared implements PreparedRunner: it executes with the privacy
-// cost the engine already translated at admission, skipping the redundant
-// re-translation (plan lookup plus full binary search) the single-shot
-// Run pays at execute time.
-func (m *SM) RunPrepared(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error) {
+func (m *SM) Run(q *query.Query, tr *workload.Transformed, d *dataset.Table, rng *rand.Rand, cost Cost) (*Result, error) {
 	eps := cost.Upper
 	p, err := m.plan(tr)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/accuracy"
-	"repro/internal/noise"
 	"repro/internal/query"
 	"repro/internal/strategy"
 	"repro/internal/translate"
@@ -12,7 +11,7 @@ import (
 )
 
 // Regression for the order-dependent Monte-Carlo seeding bug: the sampler
-// used to be seeded with m.Seed ^ len(cache)+1, so a workload's ε depended
+// used to be seeded from the SM's cache size, so a workload's ε depended
 // on how many workloads the same SM had translated before it, and two
 // sessions translating the same workload could disagree. Seeds are now
 // canonical (translate.SampleSeed), so ε must be bit-equal across
@@ -42,9 +41,8 @@ func TestSMEpsilonOrderIndependent(t *testing.T) {
 	qp, trp := f.prefixQuery(t, 8, 10, req)
 
 	// Session 1 translates histogram first; session 2 prefix first; session
-	// 3 only ever sees the prefix workload. Different SM seeds on purpose:
-	// the constructor seed must not influence translation.
-	sm1 := NewSM(strategy.H2, 800, 1)
+	// 3 only ever sees the prefix workload.
+	sm1 := NewSM(strategy.H2, 800)
 	h1, err := sm1.Translate(qh, trh)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +52,7 @@ func TestSMEpsilonOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sm2 := NewSM(strategy.H2, 800, 99)
+	sm2 := NewSM(strategy.H2, 800)
 	p2, err := sm2.Translate(qp, trp)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +62,7 @@ func TestSMEpsilonOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sm3 := NewSM(strategy.H2, 800, 1234)
+	sm3 := NewSM(strategy.H2, 800)
 	p3, err := sm3.Translate(qp, trp)
 	if err != nil {
 		t.Fatal(err)
@@ -86,16 +84,16 @@ func TestSMSharedSourceMatchesPrivate(t *testing.T) {
 	req := accuracy.Requirement{Alpha: 8, Beta: 0.05}
 	q, tr := f.histogramQuery(t, 4, 10, req)
 
-	private := NewSM(strategy.H2, 800, 1)
+	private := NewSM(strategy.H2, 800)
 	cPriv, err := private.Translate(q, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	shared := translate.NewCache("")
-	smA := NewSM(strategy.H2, 800, 1)
+	smA := NewSM(strategy.H2, 800)
 	smA.Source = shared
-	smB := NewSM(strategy.H2, 800, 2)
+	smB := NewSM(strategy.H2, 800)
 	smB.Source = shared
 	cA, err := smA.Translate(q, tr)
 	if err != nil {
@@ -111,42 +109,5 @@ func TestSMSharedSourceMatchesPrivate(t *testing.T) {
 	}
 	if st := shared.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("two SMs on one cache: %+v, want 1 miss 1 hit", st)
-	}
-}
-
-// TestSMRunPreparedMatchesRun: the prepared path (engine translates at
-// admission, executes later) must produce exactly the noise and counts of
-// the single-shot Run.
-func TestSMRunPreparedMatchesRun(t *testing.T) {
-	f := newFixture(t, []int{100, 200, 300, 400}, 10)
-	req := accuracy.Requirement{Alpha: 20, Beta: 0.05}
-	q, tr := f.histogramQuery(t, 4, 10, req)
-
-	smRun := NewSM(strategy.H2, 800, 1)
-	resRun, err := smRun.Run(q, tr, f.table, noise.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	smPrep := NewSM(strategy.H2, 800, 1)
-	cost, err := smPrep.Translate(q, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPrep, err := smPrep.RunPrepared(q, tr, f.table, noise.NewRand(7), cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resRun.Epsilon != resPrep.Epsilon {
-		t.Fatalf("ε: run %v, prepared %v", resRun.Epsilon, resPrep.Epsilon)
-	}
-	if len(resRun.Counts) != len(resPrep.Counts) {
-		t.Fatalf("count lengths differ: %d vs %d", len(resRun.Counts), len(resPrep.Counts))
-	}
-	for i := range resRun.Counts {
-		if resRun.Counts[i] != resPrep.Counts[i] {
-			t.Fatalf("count[%d]: run %v, prepared %v", i, resRun.Counts[i], resPrep.Counts[i])
-		}
 	}
 }

@@ -79,11 +79,11 @@ func TestSMSharedPlanAcrossConstants(t *testing.T) {
 
 				// ε through the shared cache is bit-identical to a private
 				// per-workload cache — the seed path.
-				private, err := NewSM(strategy.H2, 600, 1).Translate(q, tr)
+				private, err := NewSM(strategy.H2, 600).Translate(q, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sm := NewSM(strategy.H2, 600, 1)
+				sm := NewSM(strategy.H2, 600)
 				sm.Source = shared
 				cost, err := sm.Translate(q, tr)
 				if err != nil {
@@ -96,7 +96,7 @@ func TestSMSharedPlanAcrossConstants(t *testing.T) {
 				// At a huge ε the noise vanishes, so the answer must be this
 				// workload's own true counts — not those of whichever
 				// workload first built the plan.
-				res, err := sm.RunPrepared(q, tr, tab, noise.NewRand(3), Cost{Lower: 1e9, Upper: 1e9})
+				res, err := sm.Run(q, tr, tab, noise.NewRand(3), Cost{Lower: 1e9, Upper: 1e9})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -95,6 +95,16 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
+// AdvanceTo raises the counter to v. It publishes, at scrape time, a
+// total another component owns and keeps monotone, so the rendered series
+// stays a true counter (rate() semantics) rather than a gauge snapshot; a
+// v at or below the current count changes nothing.
+func (c *Counter) AdvanceTo(v float64) {
+	if delta := v - c.Value(); delta > 0 {
+		c.Add(delta)
+	}
+}
+
 func (c *Counter) render(sb *strings.Builder, name, labels string) {
 	fmt.Fprintf(sb, "%s%s %s\n", name, labels, formatFloat(c.Value()))
 }

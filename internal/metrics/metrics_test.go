@@ -42,6 +42,15 @@ func TestSameSeriesIsSameInstance(t *testing.T) {
 	}
 }
 
+func TestCounterAdvanceToNeverLowers(t *testing.T) {
+	c := NewRegistry().Counter("c_total", "h")
+	for _, step := range []struct{ to, want float64 }{{3, 3}, {3, 3}, {1, 3}, {7.5, 7.5}} {
+		if c.AdvanceTo(step.to); c.Value() != step.want {
+			t.Fatalf("AdvanceTo(%v): value %v, want %v", step.to, c.Value(), step.want)
+		}
+	}
+}
+
 func TestHistogramBucketsAreCumulative(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "Latency.", []float64{0.1, 1, 10}, L("mech", "LM"))

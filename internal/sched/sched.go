@@ -32,11 +32,9 @@ package sched
 import (
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -91,17 +89,6 @@ type Config struct {
 	// queue depth and batch sizes per dataset, queue-wait, per-mechanism
 	// latency and budget-spend histograms, and outcome counters.
 	Metrics *metrics.Registry
-	// Adaptive enables the feedback controller that retunes GatherDelay
-	// and MaxBatch per dataset from the live queue-wait histogram (see
-	// adaptive.go). Off by default: the static tuning is the predictable
-	// one, and the controller requires Metrics (the histogram is its
-	// sensor).
-	Adaptive bool
-	// AdaptiveInterval is the controller's observation window; <= 0 means
-	// DefaultAdaptiveInterval.
-	AdaptiveInterval time.Duration
-	// AdaptiveLog, when set, receives one JSON line per tuning decision.
-	AdaptiveLog io.Writer
 }
 
 // Defaults for Config's zero values. The default worker count adapts to
@@ -145,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.GatherDelay <= 0 {
 		c.GatherDelay = DefaultGatherDelay
 	}
-	if c.AdaptiveInterval <= 0 {
-		c.AdaptiveInterval = DefaultAdaptiveInterval
-	}
 	return c
 }
 
@@ -163,25 +147,15 @@ type Scheduler struct {
 
 	mechMu  sync.Mutex
 	mechLat map[string]*metrics.Histogram
-
-	adaptStop chan struct{}
-	adaptDone chan struct{}
-	adaptOnce sync.Once
 }
 
 // New returns a scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{
+	return &Scheduler{
 		cfg:     cfg.withDefaults(),
 		queues:  make(map[string]*dsQueue),
 		mechLat: make(map[string]*metrics.Histogram),
 	}
-	if s.cfg.Adaptive && s.cfg.Metrics != nil {
-		s.adaptStop = make(chan struct{})
-		s.adaptDone = make(chan struct{})
-		go s.adaptLoop()
-	}
-	return s
 }
 
 // RetryAfter returns the backoff hint for queue-full rejections.
@@ -240,13 +214,6 @@ type dsQueue struct {
 	name string
 	cfg  Config
 
-	// Live tuning knobs, atomics because take() reads them on every batch
-	// while the adaptive controller (when enabled) rewrites them from
-	// another goroutine. They start at the configured values and never
-	// move unless the controller is on.
-	gatherDelayNs atomic.Int64
-	maxBatchN     atomic.Int32
-
 	mu       sync.Mutex
 	cond     sync.Cond
 	sessions map[string]*sessQueue
@@ -273,24 +240,10 @@ type dsQueue struct {
 	colMu    sync.Mutex
 	colLast  map[int]uint64
 	batchSeq uint64
-
-	// Adaptive controller state (adaptive.go); zero-valued when off.
-	lastWaitCount uint64
-	lastWaitSum   float64
-	gatherGauge   *metrics.Gauge
-	batchGauge    *metrics.Gauge
-	adjustUp      *metrics.Counter
-	adjustDown    *metrics.Counter
 }
-
-// gatherDelay and maxBatch are the knobs take() actually consults.
-func (d *dsQueue) gatherDelay() time.Duration { return time.Duration(d.gatherDelayNs.Load()) }
-func (d *dsQueue) maxBatch() int              { return int(d.maxBatchN.Load()) }
 
 func (s *Scheduler) newQueue(name string) *dsQueue {
 	q := &dsQueue{name: name, cfg: s.cfg, sessions: make(map[string]*sessQueue)}
-	q.gatherDelayNs.Store(int64(s.cfg.GatherDelay))
-	q.maxBatchN.Store(int32(s.cfg.MaxBatch))
 	q.cond.L = &q.mu
 	if m := s.cfg.Metrics; m != nil {
 		q.depth = m.Gauge("apex_sched_queue_depth",
@@ -460,18 +413,17 @@ func (d *dsQueue) take() []*request {
 			d.cond.Wait()
 			continue
 		}
-		maxBatch := d.maxBatch()
-		if !gathered && ready < maxBatch && ready < len(d.sessions) {
+		if !gathered && ready < d.cfg.MaxBatch && ready < len(d.sessions) {
 			// More sessions are active than have a request ready: give
 			// the stragglers one bounded window to coalesce.
 			gathered = true
 			d.mu.Unlock()
-			time.Sleep(d.gatherDelay())
+			time.Sleep(d.cfg.GatherDelay)
 			d.mu.Lock()
 			continue
 		}
 		var batch []*request
-		for off := 0; off < len(d.rr) && len(batch) < maxBatch; off++ {
+		for off := 0; off < len(d.rr) && len(batch) < d.cfg.MaxBatch; off++ {
 			id := d.rr[(d.rrStart+off)%len(d.rr)]
 			sq := d.sessions[id]
 			if sq == nil || sq.busy || len(sq.reqs) == 0 {
@@ -784,7 +736,6 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 // ErrShutdown (no request is silently dropped between accept and
 // execution), lets in-flight batches finish, and stops the workers.
 func (s *Scheduler) Close() {
-	s.stopAdaptive()
 	s.mu.Lock()
 	s.draining = true
 	queues := make([]*dsQueue, 0, len(s.queues))

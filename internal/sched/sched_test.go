@@ -280,7 +280,10 @@ func (g gateMech) Applicable(q *query.Query, _ *workload.Transformed) bool {
 func (g gateMech) Translate(*query.Query, *workload.Transformed) (mechanism.Cost, error) {
 	return mechanism.Cost{Lower: 0.01, Upper: 0.01}, nil
 }
-func (g gateMech) Run(q *query.Query, _ *workload.Transformed, _ *dataset.Table, _ *rand.Rand) (*mechanism.Result, error) {
+func (g gateMech) Prefetch(*query.Query, *workload.Transformed) mechanism.Prefetch {
+	return mechanism.Prefetch{}
+}
+func (g gateMech) Run(q *query.Query, _ *workload.Transformed, _ *dataset.Table, _ *rand.Rand, _ mechanism.Cost) (*mechanism.Result, error) {
 	g.state.mu.Lock()
 	g.state.log = append(g.state.log, g.owner)
 	g.state.mu.Unlock()

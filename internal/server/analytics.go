@@ -10,6 +10,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 // AnalyticsConfig tunes the workload analytics plane (Config.Analytics):
@@ -22,9 +23,6 @@ type AnalyticsConfig struct {
 	// time series, no recorder). Attribution also requires tracing: with
 	// Trace.Disable set there are no finished traces to attribute.
 	Disable bool
-	// TopK bounds the per-session and per-workload heavy-hitter
-	// sketches; <= 0 means analytics.DefaultTopK.
-	TopK int
 	// TimeseriesWindow is the sample-ring size; <= 0 means
 	// analytics.DefaultWindow (600 samples).
 	TimeseriesWindow int
@@ -144,7 +142,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		TraceID:            obs.RequestID(r.Context()),
 		Dataset:            sess.Dataset,
 		Session:            sess.ID,
-		Workload:           analytics.WorkloadID(ex.Key),
+		Workload:           workload.ID(ex.Key),
 		Storage:            storage,
 		Denied:             ex.Denied,
 		Mechanism:          ex.Mechanism,

@@ -20,9 +20,6 @@ type TraceConfig struct {
 	// echo) X-Request-ID trace IDs — only span recording, the debug-trace
 	// ring and the slow-query log are disabled.
 	Disable bool
-	// Capacity bounds the ring of recent traces served at
-	// /v1/debug/traces; <= 0 means obs.DefaultCapacity.
-	Capacity int
 	// SlowQuery, when > 0, logs every request at least this slow as one
 	// structured JSON line to SlowWriter.
 	SlowQuery time.Duration

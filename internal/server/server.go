@@ -130,12 +130,11 @@ func New(reg *Registry, cfg Config) *Server {
 	// tracer's OnFinish on the request goroutine.
 	var collector *analytics.Collector
 	if !cfg.Trace.Disable && !cfg.Analytics.Disable {
-		collector = analytics.NewCollector(analytics.Config{TopK: cfg.Analytics.TopK})
+		collector = analytics.NewCollector(analytics.Config{})
 	}
 	var tracer *obs.Tracer
 	if !cfg.Trace.Disable {
 		tracer = obs.New(obs.Config{
-			Capacity:      cfg.Trace.Capacity,
 			Metrics:       reg2,
 			SlowThreshold: cfg.Trace.SlowQuery,
 			SlowWriter:    cfg.Trace.SlowWriter,

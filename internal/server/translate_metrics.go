@@ -1,39 +1,30 @@
 package server
 
 import (
-	"sync"
-
 	"repro/internal/metrics"
-	"repro/internal/translate"
 )
 
 // registerTranslateMetrics exports the per-dataset Monte-Carlo
 // translation-plane counters on /metrics. The caches keep monotonic
-// lifetime counts; the scrape hook feeds each registry Counter the delta
-// since the previous scrape so the exposition keeps the true counter
-// type (and with it rate() semantics) instead of gauge snapshots.
+// lifetime counts; the scrape hook advances each registry Counter to
+// them so the exposition keeps the true counter type (and with it rate()
+// semantics) instead of gauge snapshots.
 func registerTranslateMetrics(reg *Registry, m *metrics.Registry) {
-	var mu sync.Mutex
-	last := make(map[string]translate.Stats)
 	m.OnScrape(func() {
-		mu.Lock()
-		defer mu.Unlock()
 		for _, ts := range reg.TranslateStats() {
 			ds := metrics.L("dataset", ts.Name)
-			prev := last[ts.Name]
 			m.Counter("apex_translate_cache_hits",
 				"workload translations served from the shared plan cache (memory or sidecar)", ds).
-				Add(float64(ts.Stats.Hits - prev.Hits))
+				AdvanceTo(float64(ts.Stats.Hits))
 			m.Counter("apex_translate_cache_misses",
 				"workload translations that paid a fresh Monte-Carlo sampling pass", ds).
-				Add(float64(ts.Stats.Misses - prev.Misses))
+				AdvanceTo(float64(ts.Stats.Misses))
 			m.Counter("apex_translate_cache_loads",
 				"translation plans loaded from the dataset's sidecar at recovery", ds).
-				Add(float64(ts.Stats.Loads - prev.Loads))
+				AdvanceTo(float64(ts.Stats.Loads))
 			m.Counter("apex_translate_cache_rebuilds",
 				"corrupt translation sidecars quarantined and rebuilt from their valid prefix", ds).
-				Add(float64(ts.Stats.Rebuilds - prev.Rebuilds))
-			last[ts.Name] = ts.Stats
+				AdvanceTo(float64(ts.Stats.Rebuilds))
 		}
 	})
 }

@@ -108,7 +108,7 @@ func (s *Store) CreateSessionLog(meta SessionMeta) (*SessionLog, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	wal, frames, _, err := OpenWAL(path, WALOptions{})
+	wal, frames, _, err := OpenWAL(path)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +181,7 @@ func (s *Store) RecoverSessions() (recovered []RecoveredSession, skipped []strin
 // recoverSession replays one log; on structural failure the log is
 // quarantined and the error describes why.
 func (s *Store) recoverSession(id string) (*RecoveredSession, error) {
-	wal, frames, truncated, err := OpenWAL(s.sessionPath(id), WALOptions{})
+	wal, frames, truncated, err := OpenWAL(s.sessionPath(id))
 	if err != nil {
 		// Could not even open/repair: leave the file for the operator.
 		return nil, err

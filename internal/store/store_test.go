@@ -309,7 +309,7 @@ func TestRecoverQuarantinesStructurallyBrokenLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A log whose only frame is valid CRC-wise but is not a meta header.
-	w, _, _, err := store.OpenWAL(filepath.Join(st.Dir(), "sessions", "bad.wal"), store.WALOptions{})
+	w, _, _, err := store.OpenWAL(filepath.Join(st.Dir(), "sessions", "bad.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ var ErrWALClosed = errors.New("store: WAL is closed")
 // ever acknowledging an unflushed write.
 type WAL struct {
 	path string
-	opts WALOptions
 
 	mu       sync.Mutex // serializes writes and guards all fields below
 	f        *os.File
@@ -44,19 +43,12 @@ type WAL struct {
 	syncMu sync.Mutex // serializes fsyncs; the group-commit queue
 }
 
-// WALOptions tunes one log.
-type WALOptions struct {
-	// NoSync skips fsync on append (Close still syncs). Only for tests
-	// and benchmarks: a crash can lose acknowledged frames.
-	NoSync bool
-}
-
 // OpenWAL opens or creates the log at path and recovers its contents: it
 // returns every intact frame payload in order and truncates any corrupt
 // or torn tail (short frame, bad CRC, absurd length) so the log ends at
 // its last valid frame before new appends go in. truncated reports how
 // many trailing bytes were dropped.
-func OpenWAL(path string, opts WALOptions) (w *WAL, frames [][]byte, truncated int64, err error) {
+func OpenWAL(path string) (w *WAL, frames [][]byte, truncated int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: open WAL: %w", err)
@@ -72,7 +64,7 @@ func OpenWAL(path string, opts WALOptions) (w *WAL, frames [][]byte, truncated i
 	if err := checkWALMagic(path, data); err != nil {
 		return fail(err)
 	}
-	w = &WAL{path: path, opts: opts, f: f}
+	w = &WAL{path: path, f: f}
 	if len(data) < len(walMagic) {
 		// A new file, or one that died being born (crash before the magic
 		// was durable): the same empty log either way. Finish the magic.
@@ -179,9 +171,6 @@ func (w *WAL) Append(payload []byte) error {
 	seq := w.writeSeq
 	w.mu.Unlock()
 
-	if w.opts.NoSync {
-		return nil
-	}
 	return w.syncTo(seq)
 }
 

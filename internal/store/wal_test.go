@@ -13,7 +13,7 @@ import (
 
 func openWAL(t *testing.T, path string) (*WAL, [][]byte, int64) {
 	t.Helper()
-	w, frames, truncated, err := OpenWAL(path, WALOptions{})
+	w, frames, truncated, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestWALRejectsNonWALFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("definitely not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenWAL(path, WALOptions{}); err == nil {
+	if _, _, _, err := OpenWAL(path); err == nil {
 		t.Fatal("opened a non-WAL file")
 	}
 }

@@ -50,6 +50,7 @@
 package translate
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -267,46 +268,32 @@ func (c *Cache) bindSchema(s *dataset.Schema) error {
 		return nil
 	}
 	if c.schema != s {
-		return fmt.Errorf("translate: cache is bound to another schema (one translation cache per dataset)")
+		return errOtherSchema
 	}
 	return nil
 }
 
-// Plan implements Source: the singleflight lookup-or-compute path.
+var errOtherSchema = errors.New("translate: cache is bound to another schema (one translation cache per dataset)")
+
+// Plan implements Source: the singleflight lookup-or-compute path, run
+// as a batch of one. A lookup that finds (or promotes) an entry is a
+// hit, waiting out another asker's in-flight computation included; a
+// fresh computation is one miss.
 func (c *Cache) Plan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error) {
 	if !tr.Materialized() {
 		return nil, fmt.Errorf("translate: workload transformation is implicit (no query matrix)")
 	}
-	it := Item{Tr: tr, Strategy: strat, Samples: samples}
-	k := keyOf(it)
-	c.mu.Lock()
-	if err := c.bindSchema(tr.Schema()); err != nil {
-		c.mu.Unlock()
-		return nil, err
+	ents, claimed, _ := c.translateBatch([]Item{{Tr: tr, Strategy: strat, Samples: samples}})
+	e := ents[0]
+	if e == nil {
+		// The matrix is materialized, so the batch skipped it for its schema.
+		return nil, errOtherSchema
 	}
-	e, ok := c.entries[k]
-	if !ok {
-		e, ok = c.promoteLocked(k, it)
-	}
-	if ok {
-		c.mu.Unlock()
-		<-e.done
+	<-e.done
+	if claimed == 0 {
 		c.hits.Add(1)
-		return e.plan, e.err
 	}
-	e = c.claimLocked(k)
-	c.mu.Unlock()
-	c.misses.Add(1)
-	rec, err := strategy.NewReconstruction(tr.Matrix(), strat)
-	if err != nil {
-		c.finish(k, e, nil, fmt.Errorf("translate: %w", err))
-		return nil, e.err
-	}
-	seed := SampleSeed(k.strat, samples, rec.A.Rows())
-	zs := sampleNorms([]*linalg.Matrix{rec.R}, rec.A.Rows(), samples, seed)[0]
-	c.finish(k, e, newPlan(k, it, rec, seed, zs), nil)
-	c.persist()
-	return e.plan, nil
+	return e.plan, e.err
 }
 
 // promoteLocked turns the sidecar-loaded plan for k, if there is one,
@@ -390,7 +377,17 @@ func newPlan(k planKey, it Item, rec *strategy.Reconstruction, seed int64, zs []
 // strategy, N and strategy-matrix rows) sharing the drawn sample blocks.
 // Items that differ only in predicate text dedupe to one claim.
 func (c *Cache) TranslateBatch(items []Item) int {
-	// Claim pass: dedupe, skip cached, promote stored, claim the rest.
+	_, _, computed := c.translateBatch(items)
+	return computed
+}
+
+// translateBatch is TranslateBatch returning, besides the number of plans
+// computed, each item's entry (nil for an item with no query matrix or
+// another schema's; possibly still in flight under another asker) and how
+// many entries this call claimed.
+func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed int) {
+	// Claim pass: skip cached (an item repeating an earlier one's matrix
+	// finds that one's claim), promote stored, claim the rest.
 	type claim struct {
 		k    planKey
 		it   Item
@@ -405,31 +402,29 @@ func (c *Cache) TranslateBatch(items []Item) int {
 			keys[i] = keyOf(it) // hashes a fresh matrix: keep it outside c.mu
 		}
 	}
+	ents = make([]*entry, len(items))
 	c.mu.Lock()
-	seen := make(map[planKey]bool, len(items))
 	for i, it := range items {
 		if it.Tr == nil || !it.Tr.Materialized() {
 			continue
 		}
 		if err := c.bindSchema(it.Tr.Schema()); err != nil {
-			continue // wrong wiring; the solo path will fail loudly
+			continue // wrong wiring; Plan fails loudly
 		}
 		k := keys[i]
-		if seen[k] {
-			continue
+		e, ok := c.entries[k]
+		if !ok {
+			e, ok = c.promoteLocked(k, it)
 		}
-		seen[k] = true
-		if _, ok := c.entries[k]; ok {
-			continue
+		if !ok {
+			e = c.claimLocked(k)
+			claims = append(claims, claim{k: k, it: it, e: e})
 		}
-		if _, ok := c.promoteLocked(k, it); ok {
-			continue
-		}
-		claims = append(claims, claim{k: k, it: it, e: c.claimLocked(k)})
+		ents[i] = e
 	}
 	c.mu.Unlock()
 	if len(claims) == 0 {
-		return 0
+		return ents, 0, 0
 	}
 	c.misses.Add(int64(len(claims)))
 
@@ -472,7 +467,6 @@ func (c *Cache) TranslateBatch(items []Item) int {
 		sh := shape{strat: cl.k.strat, samples: cl.k.samples, rows: cl.rec.A.Rows()}
 		groups[sh] = append(groups[sh], cl)
 	}
-	computed := 0
 	for sh, g := range groups {
 		rs := make([]*linalg.Matrix, len(g))
 		for i, cl := range g {
@@ -487,7 +481,7 @@ func (c *Cache) TranslateBatch(items []Item) int {
 	if computed > 0 {
 		c.persist()
 	}
-	return computed
+	return ents, len(claims), computed
 }
 
 // SampleSeed derives the canonical Monte-Carlo seed for a strategy shape:

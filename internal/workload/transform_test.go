@@ -585,3 +585,13 @@ func mustPrefix(t *testing.T, attr string, lo, hi, w float64) []dataset.Predicat
 	}
 	return preds
 }
+
+func TestIDStable(t *testing.T) {
+	a, b := ID("k1\x00k2"), ID("k1\x00k2")
+	if a != b || a == "" || a[0] != 'w' {
+		t.Fatalf("ID unstable or malformed: %q vs %q", a, b)
+	}
+	if ID("other") == a {
+		t.Fatal("distinct keys collide trivially")
+	}
+}
