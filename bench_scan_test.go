@@ -17,6 +17,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -175,8 +176,12 @@ func BenchmarkCompressedScan(b *testing.B) {
 
 // tcq12Cases are the scan-fresh shapes of bench/: a 12-bin histogram over
 // one continuous attribute, with and without a categorical filter ANDed
-// onto every bin, over a frame-of-reference column (PUID, 9-bit lanes)
-// and a full-width float64 one (fare amount does not pack).
+// onto every bin, over each reader a continuous column has: an integer
+// frame-of-reference column (PUID, 9-bit lanes), a decimal one (fare
+// amount, cents in 14-bit lanes — both through the lane lookup table) and
+// a full-width float64 one. No NYTaxi column is raw any more, so the last
+// is derived: fare·√2, the same rows in the same twelve bins, in values no
+// decimal scale holds.
 var tcq12Cases = []struct {
 	name, attr string
 	lo, width  float64
@@ -184,8 +189,34 @@ var tcq12Cases = []struct {
 }{
 	{"for", "PUID", 3, 20, false},
 	{"for+cat", "PUID", 3, 20, true},
-	{"f64", "fare amount", 2.5, 6.25, false},
-	{"f64+cat", "fare amount", 2.5, 6.25, true},
+	{"dec", "fare amount", 2.5, 6.25, false},
+	{"dec+cat", "fare amount", 2.5, 6.25, true},
+	{"f64", tcq12RawAttr, 2.5 * math.Sqrt2, 6.25 * math.Sqrt2, false},
+	{"f64+cat", tcq12RawAttr, 2.5 * math.Sqrt2, 6.25 * math.Sqrt2, true},
+}
+
+const tcq12RawAttr = "fare amount x sqrt2"
+
+// tcq12Table is NYTaxi plus the derived raw-float64 column.
+func tcq12Table(tb testing.TB, rows int) *dataset.Table {
+	tb.Helper()
+	taxi := datagen.NYTaxi(rows, 1)
+	var attrs []dataset.Attribute
+	for pos := 0; pos < taxi.Schema().Arity(); pos++ {
+		attrs = append(attrs, taxi.Schema().Attr(pos))
+	}
+	farePos, ok := taxi.Schema().Lookup("fare amount")
+	if !ok {
+		tb.Fatal("NYTaxi has no fare amount")
+	}
+	attrs = append(attrs, dataset.Attribute{Name: tcq12RawAttr, Kind: dataset.Continuous, Min: 0, Max: 500 * math.Sqrt2})
+	t := dataset.NewTable(dataset.MustSchema(attrs...))
+	for i := 0; i < rows; i++ {
+		row := taxi.Row(i)
+		fare, _ := row[farePos].AsNum()
+		t.MustAppend(append(row, dataset.Num(fare*math.Sqrt2)))
+	}
+	return t
 }
 
 // BenchmarkCompressedScanTCQ12 serves one never-seen 12-bin top-k
@@ -197,12 +228,19 @@ var tcq12Cases = []struct {
 func BenchmarkCompressedScanTCQ12(b *testing.B) {
 	for _, rows := range scanBenchSizes(testing.Short()) {
 		path := filepath.Join(b.TempDir(), "taxi.seg")
-		scanBenchWrite(b, path, datagen.NYTaxi(rows, 1))
+		scanBenchWrite(b, path, tcq12Table(b, rows))
 		seg, err := colstore.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
 		d := seg.Table()
+		for attr, want := range map[string]string{"PUID": "for", "fare amount": "for10", tcq12RawAttr: colstore.EncodingRaw} {
+			pos, _ := d.Schema().Lookup(attr)
+			if got := colstore.EncodingOf(d.ColumnData(pos)); got != want {
+				b.Fatalf("column %q is served %s, its arms need %s", attr, got, want)
+			}
+		}
+		b.Logf("rows=%s: segment payload %d B, full-width %d B", colstoreSizeName(rows), seg.DataBytes(), seg.V1DataBytes())
 		for _, c := range tcq12Cases {
 			preds, err := workload.Histogram1D(c.attr, c.lo, c.lo+12*c.width, c.width)
 			if err != nil {

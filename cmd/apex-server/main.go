@@ -107,7 +107,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.slowQuery, "slow-query", 0, "log a structured JSON line (with trace ID and per-phase breakdown) for every request at least this slow; 0 = disabled")
 	fs.BoolVar(&o.disableTracing, "disable-tracing", false, "turn off request tracing (span recording, /v1/debug/traces, slow-query log); X-Request-ID assignment stays on")
 	fs.Int64Var(&o.mmapThreshold, "mmap-threshold", server.DefaultMmapThreshold,
-		"raw column bytes at/above which a durable dataset is served from its mmap'd column-store segment instead of the heap (0 = always mmap, negative = never)")
+		"full-width column bytes (4 B a categorical cell, 8 B a continuous one, whatever the segment packs them to) at/above which a durable dataset is served from its mmap'd column-store segment instead of the heap (0 = always mmap, negative = never)")
 	fs.BoolVar(&o.coldStart, "cold-start", false,
 		"recover datasets strictly from column-store segments: never re-parse source CSV (entries without a valid segment are skipped)")
 	fs.DurationVar(&o.scrubInterval, "scrub-interval", 0,

@@ -48,14 +48,11 @@ type colBuilder struct {
 	index map[string]int32
 
 	// Continuous state: the missing bitmap words, plus the running
-	// frame-of-reference eligibility stats over the non-missing values
-	// (decided cheaply during Append so Finish can pack the spill in one
-	// streaming pass without a pre-scan).
-	missing     []uint64
-	forEligible bool
-	forCount    int
-	forMin      float64
-	forMax      float64
+	// frame-of-reference decision over the non-missing values (made
+	// cheaply during Append so Finish can pack the spill in one streaming
+	// pass without a pre-scan).
+	missing []uint64
+	frame   dataset.FoRFrame
 }
 
 // NewBuilder opens a builder that will write the segment at path. The
@@ -74,7 +71,7 @@ func NewBuilder(path string, schema *dataset.Schema) (*Builder, error) {
 			b.Abort()
 			return nil, fmt.Errorf("%w: %v", ErrIO, err)
 		}
-		cb := &colBuilder{kind: a.Kind, f: f, w: bufio.NewWriterSize(f, 1<<16), forEligible: true}
+		cb := &colBuilder{kind: a.Kind, f: f, w: bufio.NewWriterSize(f, 1<<16)}
 		if a.Kind == dataset.Categorical {
 			cb.index = make(map[string]int32, len(a.Values))
 			for _, v := range a.Values {
@@ -133,19 +130,7 @@ func (b *Builder) Append(row dataset.Tuple) error {
 		val, missing := 0.0, true
 		if n, ok := v.AsNum(); ok {
 			val, missing = n, false
-			if c.forEligible {
-				if !dataset.FoREligibleValue(n) {
-					c.forEligible = false
-				} else {
-					if c.forCount == 0 || n < c.forMin {
-						c.forMin = n
-					}
-					if c.forCount == 0 || n > c.forMax {
-						c.forMax = n
-					}
-					c.forCount++
-				}
-			}
+			c.frame.Add(n)
 		} else if !v.IsNull() {
 			b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
 		}
@@ -263,11 +248,10 @@ type columnSource struct {
 	dict    []string
 	missing []uint64
 
-	// Frame-of-reference decision (continuous only): set when every
-	// spilled value was FoR-eligible and the span fits.
-	forOK    bool
-	forMin   float64
-	forWidth int
+	// Frame-of-reference decision (continuous only): the frame every
+	// spilled value round-trips through, nil when there is none and the
+	// column stays raw float64.
+	packing *dataset.PackedFloats
 }
 
 // source opens column pos's spill for the assembly pass.
@@ -283,19 +267,17 @@ func (b *Builder) source(pos int) (columnSource, error) {
 		return src, nil
 	}
 	src.missing = c.missing
-	if c.forEligible {
-		if w, ok := dataset.FoRWidth(c.forMin, c.forMax); ok {
-			src.forOK, src.forMin, src.forWidth = true, c.forMin, w
-		}
+	if p, ok := c.frame.Packing(); ok {
+		src.packing = &p
 	}
 	return src, nil
 }
 
 // writeSegment lays the file out: header placeholder, page-aligned column
 // regions, misfit blob, directory, then the real header. It writes format
-// v2 and nothing else: categorical codes bitpack, eligible continuous
-// columns frame-of-reference pack, the rest stay raw float64 (marked in
-// the directory).
+// v2 and nothing else: categorical codes bitpack, continuous columns of
+// short decimals frame-of-reference pack ("for" at exponent 0, "for10"
+// above), the rest stay raw float64 (marked in the directory).
 func (b *Builder) writeSegment(sw *segWriter) (*BuildResult, error) {
 	schema, rows := b.schema, b.rows
 	if err := sw.writeRaw(make([]byte, headerSize)); err != nil {
@@ -346,10 +328,12 @@ func (b *Builder) writeSegment(sw *segWriter) (*BuildResult, error) {
 				words = norm
 			}
 			var r region
-			if src.forOK {
-				min := src.forMin
-				dc.Enc, dc.Width, dc.Min = encFoR, src.forWidth, &min
-				r, err = sw.packValsStream(src.stream, rows, src.forWidth, src.forMin, words)
+			if p := src.packing; p != nil {
+				dc.Enc, dc.Width, dc.Min, dc.Exp = encFoR, p.Ints.Width, &p.Min, p.Exp
+				if p.Exp > 0 {
+					dc.Enc = encFoR10
+				}
+				r, err = sw.packValsStream(src.stream, rows, p, words)
 			} else {
 				r, err = sw.copyStream(src.stream, int64(rows)*8)
 			}
@@ -562,9 +546,11 @@ func (sw *segWriter) packCodesStream(f *os.File, rows, width int) (region, error
 }
 
 // packValsStream frame-of-reference packs a continuous spill (raw LE
-// float64s); rows whose missing bit is set pack as lane 0.
-func (sw *segWriter) packValsStream(f *os.File, rows, width int, min float64, missing []uint64) (region, error) {
-	rp := sw.newRegionPacker(width)
+// float64s) into the given frame; rows whose missing bit is set pack as
+// lane 0. A value the frame cannot give back bit for bit fails the build
+// rather than be written as a neighbour.
+func (sw *segWriter) packValsStream(f *os.File, rows int, frame *dataset.PackedFloats, missing []uint64) (region, error) {
+	rp := sw.newRegionPacker(frame.Ints.Width)
 	br := bufio.NewReaderSize(f, 1<<20)
 	var raw [8]byte
 	for i := 0; i < rows; i++ {
@@ -574,7 +560,11 @@ func (sw *segWriter) packValsStream(f *os.File, rows, width int, min float64, mi
 		lane := uint64(0)
 		if missing[i>>6]&(1<<(uint(i)&63)) == 0 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-			lane = uint64(v - min)
+			var ok bool
+			if lane, ok = frame.LaneOf(v); !ok {
+				return rp.r, fmt.Errorf("row %d: %v does not round-trip through base %v, exponent %d, width %d",
+					i, v, frame.Min, frame.Exp, frame.Ints.Width)
+			}
 		}
 		if err := rp.add(lane); err != nil {
 			return rp.r, err

@@ -20,6 +20,13 @@ func buildTestSegment(t *testing.T) (string, *header, *directory) {
 	if _, err := BuildCSV(path, schema, strings.NewReader(testCSV(2000, 7))); err != nil {
 		t.Fatal(err)
 	}
+	h, dir := readDirectory(t, path)
+	return path, h, dir
+}
+
+// readDirectory decodes the header and directory of the segment at path.
+func readDirectory(t *testing.T, path string) (*header, *directory) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +39,7 @@ func buildTestSegment(t *testing.T) (string, *header, *directory) {
 	if err := json.Unmarshal(raw[h.dirOff:h.dirOff+h.dirLen], &dir); err != nil {
 		t.Fatal(err)
 	}
-	return path, h, &dir
+	return h, &dir
 }
 
 // flipByte XORs one byte of the file in place.

@@ -138,12 +138,16 @@ type region struct {
 }
 
 // Column encodings (dirColumn.Enc). Empty means the full-width v1
-// layout; v2 files may mix encodings per column (a continuous column
-// with fractional values stays raw, its neighbors pack).
+// layout; v2 files may mix encodings per column (a continuous column of
+// arbitrary float64s stays raw, its neighbors pack). "for10" is its own
+// name rather than an exponent on "for" so that a binary that predates it
+// refuses the file as an unknown encoding instead of reading cents as
+// dollars.
 const (
 	encRaw     = ""        // int32 codes / float64 values
 	encBitpack = "bitpack" // categorical: biased codes at Width bits/row
-	encFoR     = "for"     // continuous: Min + lane, Width bits/row
+	encFoR     = "for"     // continuous integers: Min + lane, Width bits/row
+	encFoR10   = "for10"   // continuous decimals: (Min + lane) / 10^Exp, Exp >= 1
 )
 
 // dirColumn is one column's entry in the directory.
@@ -151,11 +155,13 @@ type dirColumn struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"` // "categorical" | "continuous"
 
-	// Enc selects the region encoding; Width and Min parameterize the
-	// packed forms (Min only for enc "for"). Absent in v1 files.
+	// Enc selects the region encoding; Width, Min and Exp parameterize the
+	// packed forms (Min for "for" and "for10", Exp for "for10" only).
+	// Absent in v1 files.
 	Enc   string   `json:"enc,omitempty"`
 	Width int      `json:"width,omitempty"`
 	Min   *float64 `json:"min,omitempty"`
+	Exp   int      `json:"exp,omitempty"`
 
 	Codes *region `json:"codes,omitempty"` // categorical: codes (raw or bitpacked)
 	Dict  *region `json:"dict,omitempty"`  // categorical: string blob

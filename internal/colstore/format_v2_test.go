@@ -15,7 +15,7 @@ import (
 
 // v1Fixture is the committed v1 segment and its source: 500 rows of
 // testCSV(500, 19) over testSchema (NULLs in every column, out-of-domain
-// states, age FoR-eligible, income fractional), written by the v1 writer
+// states, age integral, income in cents), written by the v1 writer
 // as it last existed (commit 6115882, format version 1). Nothing in
 // the tree can write this layout any more, so the bytes cannot be
 // regenerated — only read.
@@ -39,8 +39,9 @@ func v1Fixture(t testing.TB) (segPath string, schema *dataset.Schema, csv string
 
 // TestV1V2Differential is the version-gate proof: the v1 fixture
 // (full-width), a v2 segment built from the fixture's CSV (bitpacked codes
-// + frame-of-reference values), and a packed heap copy of the v2 table
-// must all drive byte-identical Definition 6.1 transcripts against the
+// + frame-of-reference values, integer and decimal), a packed heap copy
+// of the v2 table and the v2 segment the parent commit built of the same
+// rows (income still raw) must all drive byte-identical Definition 6.1 transcripts against the
 // heap-parsed original. The packed-code kernels evaluate over packed
 // words directly, so any rounding or sentinel slip in the packed path
 // would shift a noise-free count and diverge here.
@@ -71,10 +72,23 @@ func TestV1V2Differential(t *testing.T) {
 		t.Fatalf("versions: v1=%d v2=%d", v1.Version(), v2.Version())
 	}
 	assertTablesMatch(t, heap, v1.Table())
+	// The same rows as commit 7da849a's Builder wrote them, before "for10"
+	// existed: a v2 file whose income column is raw float64. It must keep
+	// opening, as what it is.
+	rawPath := filepath.Join("testdata", "v2_7da849a", "table.seg")
+	v2raw, err := Open(rawPath)
+	if err != nil {
+		t.Fatalf("open parent-written v2: %v", err)
+	}
+	defer v2raw.Close()
+	if info, err := Inspect(rawPath); err != nil || info.Version != 2 || info.Columns[2].Enc != encRaw || info.Columns[0].Enc != encFoR {
+		t.Fatalf("parent-written v2 fixture: %+v, %v; want v2 with age for, income raw", info, err)
+	}
+	assertTablesMatch(t, heap, v2raw.Table())
 	// v2 must actually compress: its column payload strictly under the
-	// v1-equivalent accounting (income stays raw — fractional cents —
-	// but age FoR-packs to 7 bits and state to 3), which is what the v1
-	// file really holds.
+	// v1-equivalent accounting (age FoR-packs to 7 bits, state to 3,
+	// income — cents — to 27 as for10), which is what the v1 file really
+	// holds.
 	if v2.DataBytes() >= v2.V1DataBytes() || v2.V1DataBytes() != v1.DataBytes() {
 		t.Fatalf("v2 payload %d, v1-equivalent %d, v1 fixture payload %d", v2.DataBytes(), v2.V1DataBytes(), v1.DataBytes())
 	}
@@ -91,7 +105,7 @@ func TestV1V2Differential(t *testing.T) {
 	}
 	want := runTranscript(t, heap, engine.Optimistic, true, queries)
 	for name, table := range map[string]*dataset.Table{
-		"v1segment": v1.Table(), "v2segment": v2.Table(), "packedheap": packedHeap,
+		"v1segment": v1.Table(), "v2segment": v2.Table(), "packedheap": packedHeap, "v2segment-7da849a": v2raw.Table(),
 	} {
 		if got := runTranscript(t, table, engine.Optimistic, true, queries); !bytes.Equal(want, got) {
 			t.Errorf("%s: transcript diverges from heap original", name)
@@ -113,7 +127,7 @@ func TestInspect(t *testing.T) {
 		enc  map[string]string
 	}{
 		1: {v1Path, map[string]string{"age": "", "state": "", "income": ""}},
-		2: {v2Path, map[string]string{"age": encFoR, "state": encBitpack, "income": encRaw}},
+		2: {v2Path, map[string]string{"age": encFoR, "state": encBitpack, "income": encFoR10}},
 	} {
 		info, err := Inspect(tc.path)
 		if err != nil {
@@ -125,6 +139,9 @@ func TestInspect(t *testing.T) {
 		for _, ci := range info.Columns {
 			if ci.Enc != tc.enc[ci.Name] {
 				t.Errorf("v%d: column %s encoded %q, want %q", ver, ci.Name, ci.Enc, tc.enc[ci.Name])
+			}
+			if wantExp := map[string]int{encFoR10: 2}[ci.Enc]; ci.Exp != wantExp {
+				t.Errorf("v%d: column %s (%q) reports decimal exponent %d, want %d", ver, ci.Name, ci.Enc, ci.Exp, wantExp)
 			}
 		}
 		if ver == 1 && info.DataBytes != info.V1Bytes {
@@ -166,10 +183,12 @@ func rewriteDirectory(t testing.TB, path string, h *header, dir *directory, vers
 
 // TestTamperedEncodingEntries rewrites the v2 directory's encoding
 // metadata with otherwise-consistent checksums: every lie about Enc,
-// Width or the FoR base must fail structural validation with ErrCorrupt,
-// never reach the kernels.
+// Width, the FoR base or the decimal exponent must fail structural
+// validation with ErrCorrupt, never reach the kernels.
 func TestTamperedEncodingEntries(t *testing.T) {
-	// Column order in testSchema: age (FoR), state (bitpack), income (raw).
+	// Column order in testSchema: age (for), state (bitpack), income
+	// (for10 at exponent 2).
+	setMin := func(dc *dirColumn, m float64) { dc.Min = &m }
 	cases := []struct {
 		name   string
 		tamper func(dir *directory)
@@ -184,11 +203,22 @@ func TestTamperedEncodingEntries(t *testing.T) {
 		}},
 		{"for without base", func(dir *directory) { dir.Columns[0].Min = nil }},
 		{"for width widened", func(dir *directory) { dir.Columns[0].Width = 32 }},
-		{"raw claims bitpack", func(dir *directory) {
-			dir.Columns[2].Enc = encFoR
-			dir.Columns[2].Width = 8
-			min := 0.0
-			dir.Columns[2].Min = &min
+		{"for base beyond exact sums", func(dir *directory) { setMin(&dir.Columns[0], 1<<53) }},
+		{"for fractional base", func(dir *directory) { setMin(&dir.Columns[0], 0.5) }},
+		{"for carries an exponent", func(dir *directory) { dir.Columns[0].Exp = 2 }},
+		{"for10 relabelled for", func(dir *directory) { dir.Columns[2].Enc = encFoR }},
+		{"for relabelled for10", func(dir *directory) { dir.Columns[0].Enc = encFoR10 }},
+		{"for10 exponent zero", func(dir *directory) { dir.Columns[2].Exp = 0 }},
+		{"for10 negative exponent", func(dir *directory) { dir.Columns[2].Exp = -1 }},
+		{"for10 exponent past the cap", func(dir *directory) { dir.Columns[2].Exp = dataset.MaxDecimalExp + 1 }},
+		{"for10 without base", func(dir *directory) { dir.Columns[2].Min = nil }},
+		{"for10 fractional base", func(dir *directory) { setMin(&dir.Columns[2], 12.5) }},
+		{"for10 width 33", func(dir *directory) { dir.Columns[2].Width = 33 }},
+		{"for10 width narrowed", func(dir *directory) { dir.Columns[2].Width-- }},
+		{"bitpack with exponent", func(dir *directory) { dir.Columns[1].Exp = 2 }},
+		{"for10 on a categorical column", func(dir *directory) {
+			dir.Columns[1].Enc, dir.Columns[1].Exp = encFoR10, 2
+			setMin(&dir.Columns[1], 0)
 		}},
 	}
 	for _, tc := range cases {
@@ -207,7 +237,7 @@ func TestTamperedEncodingEntries(t *testing.T) {
 
 // TestPackedPageBitFlip flips one byte in each packed page of a v2
 // segment — the bitpacked code words and the frame-of-reference value
-// words — and requires the per-page CRC to refuse the open. (The raw
+// words, integer and decimal — and requires the per-page CRC to refuse the open. (The raw
 // layout's equivalent lives in TestCorruptDataPages.)
 func TestPackedPageBitFlip(t *testing.T) {
 	_, _, dir := buildTestSegment(t)
@@ -222,15 +252,15 @@ func TestPackedPageBitFlip(t *testing.T) {
 				what string
 				off  uint64
 			}{"packed codes " + dc.Name, dc.Codes.Off + dc.Codes.Len/2})
-		case encFoR:
+		case encFoR, encFoR10:
 			flips = append(flips, struct {
 				what string
 				off  uint64
 			}{"packed values " + dc.Name, dc.Vals.Off + dc.Vals.Len/2})
 		}
 	}
-	if len(flips) < 2 {
-		t.Fatalf("test segment has %d packed columns, want both kinds", len(flips))
+	if len(flips) < 3 {
+		t.Fatalf("test segment has %d packed columns, want all three kinds", len(flips))
 	}
 	for _, fl := range flips {
 		p, _, _ := buildTestSegment(t)

@@ -15,13 +15,15 @@ import (
 
 // FuzzSegmentDirectory lies about one column in an otherwise valid
 // segment's directory — its encoding, lane width, frame-of-reference
-// base, where its regions sit and how long they are, the row count — and
+// base and decimal exponent, where its regions sit and how long they are,
+// the row count — and
 // re-checksums everything (region CRCs over whatever bytes the lie now
 // points at, directory CRC, header), so nothing but structural validation
 // stands between the lie and the kernels. Open must then either refuse
 // with ErrCorrupt or hand back a table that a compiled predicate and the
 // atom classifier can read end to end, over every column, without
-// panicking. Seeds: the committed v1 fixture and a fresh v2 file.
+// panicking. Seeds: the committed v1 fixture and a fresh v2 file of the
+// same rows (age "for", state "bitpack", income "for10" at exponent 2).
 func FuzzSegmentDirectory(f *testing.F) {
 	v1Path, schema, csv := v1Fixture(f)
 	v1Bytes, err := os.ReadFile(v1Path)
@@ -46,19 +48,35 @@ func FuzzSegmentDirectory(f *testing.F) {
 		mRows
 		mSecond // aim Off/Len at the dictionary / missing bitmap instead
 		mRaw    // take Off/Len as given instead of from another region
+		mExp
 	)
-	f.Add(false, uint8(0), uint8(0), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0))
-	f.Add(true, uint8(0), uint8(0), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0))
-	f.Add(true, uint8(1), uint8(mWidth), uint8(0), int8(4), uint64(0), uint64(0), uint64(0), int32(0))
-	f.Add(true, uint8(0), uint8(mWidth|mMin), uint8(0), int8(32), math.Float64bits(-7), uint64(0), uint64(0), int32(0))
-	f.Add(false, uint8(1), uint8(mEnc|mWidth), uint8(1), int8(3), uint64(0), uint64(0), uint64(0), int32(0))
-	f.Add(true, uint8(2), uint8(mEnc|mWidth|mMin|mOff|mLen), uint8(2), int8(8), math.Float64bits(0), uint64(0), uint64(0), int32(0))
-	f.Add(false, uint8(0), uint8(mOff|mLen), uint8(0), int8(0), uint64(0), uint64(2), uint64(2), int32(0))
-	f.Add(true, uint8(1), uint8(mOff|mLen|mRaw), uint8(0), int8(0), uint64(0), uint64(pageAlign+8), ^uint64(0)-pageAlign, int32(0))
-	f.Add(true, uint8(0), uint8(mRows), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(-436))
-	f.Add(false, uint8(2), uint8(mRows|mSecond|mLen), uint8(0), int8(0), uint64(0), uint64(0), uint64(1), int32(64))
+	f.Add(false, uint8(0), uint16(0), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(0), uint16(0), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(1), uint16(mWidth), uint8(0), int8(4), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(0), uint16(mWidth|mMin), uint8(0), int8(32), math.Float64bits(-7), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(false, uint8(1), uint16(mEnc|mWidth), uint8(1), int8(3), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(2), uint16(mEnc|mWidth|mMin|mOff|mLen), uint8(2), int8(8), math.Float64bits(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(false, uint8(0), uint16(mOff|mLen), uint8(0), int8(0), uint64(0), uint64(2), uint64(2), int32(0), int8(0))
+	f.Add(true, uint8(1), uint16(mOff|mLen|mRaw), uint8(0), int8(0), uint64(0), uint64(pageAlign+8), ^uint64(0)-pageAlign, int32(0), int8(0))
+	f.Add(true, uint8(0), uint16(mRows), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(-436), int8(0))
+	f.Add(false, uint8(2), uint16(mRows|mSecond|mLen), uint8(0), int8(0), uint64(0), uint64(0), uint64(1), int32(64), int8(0))
+	// The decimal encoding: a true relabelling of the integer column, the
+	// exponent out of range both ways, a fractional and an oversized base,
+	// width past the lane cap, for10 claimed by the categorical column and
+	// by the v1 file, and the for10 column's exponent dropped and moved.
+	f.Add(true, uint8(0), uint16(mEnc|mExp), uint8(3), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(1))
+	f.Add(true, uint8(2), uint16(mExp), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(dataset.MaxDecimalExp+1))
+	f.Add(true, uint8(2), uint16(mExp), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(-1))
+	f.Add(true, uint8(2), uint16(mExp), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(2), uint16(mExp), uint8(0), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(5))
+	f.Add(true, uint8(2), uint16(mMin), uint8(0), int8(0), math.Float64bits(0.5), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(2), uint16(mMin), uint8(0), int8(0), math.Float64bits(1<<53), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(2), uint16(mWidth), uint8(0), int8(33), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
+	f.Add(true, uint8(1), uint16(mEnc|mExp|mMin), uint8(3), int8(0), math.Float64bits(2), uint64(0), uint64(0), int32(0), int8(2))
+	f.Add(false, uint8(2), uint16(mEnc|mExp|mMin|mWidth), uint8(3), int8(27), math.Float64bits(2), uint64(0), uint64(0), int32(0), int8(2))
+	f.Add(true, uint8(2), uint16(mEnc), uint8(2), int8(0), uint64(0), uint64(0), uint64(0), int32(0), int8(0))
 
-	f.Fuzz(func(t *testing.T, v2 bool, col, what, enc uint8, width int8, minBits, off, length uint64, rows int32) {
+	f.Fuzz(func(t *testing.T, v2 bool, col uint8, what uint16, enc uint8, width int8, minBits, off, length uint64, rows int32, exp int8) {
 		raw := v1Bytes
 		if v2 {
 			raw = v2Bytes
@@ -87,7 +105,10 @@ func FuzzSegmentDirectory(f *testing.F) {
 
 		dc := &dir.Columns[int(col)%len(dir.Columns)]
 		if what&mEnc != 0 {
-			dc.Enc = []string{encRaw, encBitpack, encFoR, "zstd"}[enc%4]
+			dc.Enc = []string{encRaw, encBitpack, encFoR, encFoR10, "zstd"}[enc%5]
+		}
+		if what&mExp != 0 {
+			dc.Exp = int(exp)
 		}
 		if what&mWidth != 0 {
 			dc.Width = int(width)

@@ -3,6 +3,8 @@ package colstore
 import (
 	"fmt"
 	"os"
+
+	"repro/internal/dataset"
 )
 
 // Info summarizes an on-disk segment: format version, per-column
@@ -23,8 +25,9 @@ type Info struct {
 type ColumnInfo struct {
 	Name  string
 	Kind  string // "categorical" | "continuous"
-	Enc   string // "" (raw), "bitpack", or "for"
+	Enc   string // "" (raw), "bitpack", "for" or "for10"
 	Width int    // bits per row for packed encodings, 0 for raw
+	Exp   int    // decimal exponent of a "for10" column, 0 otherwise
 	Bytes int64  // this column's payload bytes in the file
 }
 
@@ -48,7 +51,7 @@ func Inspect(path string) (*Info, error) {
 		Columns:   make([]ColumnInfo, len(m.dir.Columns)),
 	}
 	for pos, dc := range m.dir.Columns {
-		ci := ColumnInfo{Name: dc.Name, Kind: dc.Kind, Enc: dc.Enc, Width: dc.Width}
+		ci := ColumnInfo{Name: dc.Name, Kind: dc.Kind, Enc: dc.Enc, Width: dc.Width, Exp: dc.Exp}
 		for _, r := range []*region{dc.Codes, dc.Dict, dc.Vals, dc.Missing} {
 			if r != nil {
 				ci.Bytes += int64(r.Len)
@@ -57,4 +60,28 @@ func Inspect(path string) (*Info, error) {
 		info.Columns[pos] = ci
 	}
 	return info, nil
+}
+
+// EncodingRaw is EncodingOf's name for full-width storage, whose
+// directory Enc is empty.
+const EncodingRaw = "raw"
+
+// Encodings are the names EncodingOf can return: everything the Builder
+// can pack, then the fallback.
+var Encodings = []string{encBitpack, encFoR, encFoR10, EncodingRaw}
+
+// EncodingOf names the encoding a table column is served in — the
+// directory's Enc for a column of a mapped or heap-copied segment,
+// EncodingRaw for full-width storage (a v1 segment, a parsed CSV, or a continuous
+// column no frame of reference fits).
+func EncodingOf(cd dataset.ColumnData) string {
+	switch {
+	case cd.PackedCodes != nil:
+		return encBitpack
+	case cd.PackedVals == nil:
+		return EncodingRaw
+	case cd.PackedVals.Exp > 0:
+		return encFoR10
+	}
+	return encFoR
 }

@@ -36,8 +36,8 @@ func evictSegment(t *testing.T, seg *Segment) {
 // the (much larger, unplanned) income column cold. Whole-table prefetch
 // would drag every column back; this asserts it does not.
 func TestColumnGranularPrefetch(t *testing.T) {
-	// 300k rows: age FoR-packs to ~260 KiB + bitmap, income stays raw at
-	// ~2.4 MiB — big enough that sequential-readahead spillover from the
+	// 300k rows: age FoR-packs to ~260 KiB + bitmap, income (cents, 27-bit
+	// lanes, two to a word) to ~1.2 MiB — big enough that sequential-readahead spillover from the
 	// age scan cannot meaningfully warm income.
 	rng := rand.New(rand.NewSource(9))
 	var sb strings.Builder

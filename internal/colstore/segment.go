@@ -167,7 +167,7 @@ func validateFile(f *os.File) (*segMeta, error) {
 		// Encoding entries are version-gated: a v1 file declaring a packed
 		// encoding (or a packed entry with a nonsense width/base) is as
 		// corrupt as a flipped page byte.
-		if h.version < version2 && (dc.Enc != encRaw || dc.Width != 0 || dc.Min != nil) {
+		if h.version < version2 && (dc.Enc != encRaw || dc.Width != 0 || dc.Min != nil || dc.Exp != 0) {
 			return nil, fmt.Errorf("%w: column %d declares encoding %q in a v%d segment", ErrCorrupt, pos, dc.Enc, h.version)
 		}
 		packedLen := int64(0)
@@ -185,8 +185,8 @@ func validateFile(f *os.File) (*segMeta, error) {
 					return nil, err
 				}
 			case encBitpack:
-				if dc.Min != nil {
-					return nil, fmt.Errorf("%w: column %d bitpack entry carries a FoR base", ErrCorrupt, pos)
+				if dc.Min != nil || dc.Exp != 0 {
+					return nil, fmt.Errorf("%w: column %d bitpack entry carries a FoR base or exponent", ErrCorrupt, pos)
 				}
 				if err := checkRegion(dc.Codes, "packed codes", packedLen, 8); err != nil {
 					return nil, err
@@ -204,9 +204,15 @@ func validateFile(f *os.File) (*segMeta, error) {
 				if err := checkRegion(dc.Vals, "values", int64(rows)*8, 8); err != nil {
 					return nil, err
 				}
-			case encFoR:
-				if dc.Min == nil || math.IsNaN(*dc.Min) || math.IsInf(*dc.Min, 0) {
-					return nil, fmt.Errorf("%w: column %d FoR entry lacks a finite base", ErrCorrupt, pos)
+			case encFoR, encFoR10:
+				// "for" is exponent 0 and says so by carrying none; "for10"
+				// carries 1..MaxDecimalExp. The base is the column minimum in
+				// units of 10^−Exp: an integer (TableFromColumns bounds it).
+				if dc.Min == nil || math.IsInf(*dc.Min, 0) || math.Trunc(*dc.Min) != *dc.Min {
+					return nil, fmt.Errorf("%w: column %d %s entry lacks a finite integral base", ErrCorrupt, pos, dc.Enc)
+				}
+				if (dc.Enc == encFoR) != (dc.Exp == 0) || dc.Exp < 0 || dc.Exp > dataset.MaxDecimalExp {
+					return nil, fmt.Errorf("%w: column %d %s entry has decimal exponent %d", ErrCorrupt, pos, dc.Enc, dc.Exp)
 				}
 				if err := checkRegion(dc.Vals, "packed values", packedLen, 8); err != nil {
 					return nil, err
@@ -310,7 +316,7 @@ func (s *Segment) buildTable(schema *dataset.Schema, rows int, dir *directory) (
 				Kind:         dataset.Continuous,
 				MissingWords: viewUint64s(s.region(*dc.Missing)),
 			}
-			if dc.Enc == encFoR {
+			if dc.Enc != encRaw {
 				cd.PackedVals = &dataset.PackedFloats{
 					Ints: dataset.PackedInts{
 						Width: dc.Width,
@@ -318,6 +324,7 @@ func (s *Segment) buildTable(schema *dataset.Schema, rows int, dir *directory) (
 						Words: viewUint64s(s.region(*dc.Vals)),
 					},
 					Min: *dc.Min,
+					Exp: dc.Exp,
 				}
 			} else {
 				cd.Vals = viewFloat64s(s.region(*dc.Vals))
@@ -350,8 +357,9 @@ func (s *Segment) Path() string { return s.path }
 // Rows returns the row count.
 func (s *Segment) Rows() int { return s.rows }
 
-// DataBytes returns the raw column payload size (the threshold policy's
-// measure of how big the table would be on the heap).
+// DataBytes returns the column payload size as stored — packed columns at
+// their packed width. It is what a scan of every column reads, and what a
+// heap copy of the table costs.
 func (s *Segment) DataBytes() int64 { return s.dataBytes }
 
 // MappedBytes returns the size of the file mapping.
@@ -363,7 +371,9 @@ func (s *Segment) Version() int { return s.version }
 // V1DataBytes reports what the same columns would occupy in the
 // full-width v1 layout (codes 4 B/row, values 8 B/row, plus
 // dictionaries and missing bitmaps) — the denominator of the
-// compression-ratio gauge.
+// compression-ratio gauge, and the size the server's mmap threshold
+// compares: a function of the table's shape alone, so no encoding
+// improvement ever moves a table between heap and mmap.
 func (s *Segment) V1DataBytes() int64 { return s.v1Bytes }
 
 // ResidentBytes reports how much of the mapping currently sits in
@@ -498,14 +508,9 @@ func HeapCopy(t *dataset.Table) (*dataset.Table, error) {
 			}
 		}
 		if cd.PackedVals != nil {
-			hc.PackedVals = &dataset.PackedFloats{
-				Ints: dataset.PackedInts{
-					Width: cd.PackedVals.Ints.Width,
-					N:     cd.PackedVals.Ints.N,
-					Words: append([]uint64(nil), cd.PackedVals.Ints.Words...),
-				},
-				Min: cd.PackedVals.Min,
-			}
+			pv := *cd.PackedVals // frame and all; only the words move
+			pv.Ints.Words = append([]uint64(nil), pv.Ints.Words...)
+			hc.PackedVals = &pv
 		}
 		cols[pos] = hc
 	}

@@ -163,10 +163,11 @@ func (a *Atoms) Rep(atom int) (v Value, ok bool) {
 }
 
 // lutMaxWidth is the widest packed lane that classifies through a
-// lookup table (4096 entries, 16 KiB — comfortably L1-resident next to
-// the morsel buffers); wider frame-of-reference lanes search integer
-// thresholds instead.
-const lutMaxWidth = 12
+// lookup table: 65536 entries, 256 KiB at the cap — L2-resident, and the
+// lanes a real column holds cluster in far fewer lines than that. Cents
+// and hundredths of a mile land at 11–14 bits, where one load per row
+// costs a quarter of the threshold search wider lanes fall back to.
+const lutMaxWidth = 16
 
 // AtomReader classifies the rows of one table column into atom indices.
 // It is immutable after Bind and safe for concurrent Read calls.
@@ -216,32 +217,45 @@ func (a *Atoms) Bind(t *Table) *AtomReader {
 	col := t.nums[a.pos]
 	r.missing = col.missing.words
 	p := col.packed
-	switch {
-	case p == nil:
+	if p == nil {
 		r.vals, r.keys = col.vals, a.keys
-	case p.Ints.Width <= lutMaxWidth:
-		r.packed = &p.Ints
-		vals := make([]float64, 1<<uint(p.Ints.Width))
-		for l := range vals {
-			vals[l] = p.Min + float64(l)
-		}
-		r.lut = make([]uint32, len(vals))
-		classifyFloats(vals, a.keys, r.null+1, r.lut)
-	default:
-		r.packed, r.laneThr = &p.Ints, a.laneThresholds(p)
+		return r
+	}
+	r.packed = &p.Ints
+	if thr := a.laneThresholds(p); p.Ints.Width <= lutMaxWidth {
+		r.lut = laneTable(thr, p.Ints.Width)
+	} else {
+		r.laneThr = padKeys(thr)
 	}
 	return r
 }
 
 // laneThresholds is the lane twin of keys for a frame-of-reference
 // column: per cut, the first lane at or above it and the first lane above
-// it (1<<Width when there is none, which no lane reaches either).
+// it (1<<Width when there is none, which no lane reaches either). A
+// lane's atom is the number of thresholds at or below it.
 func (a *Atoms) laneThresholds(p *PackedFloats) []uint64 {
 	thr := make([]uint64, 0, 2*len(a.cuts))
 	for _, c := range a.cuts {
 		thr = append(thr, p.laneGE(c), p.laneGT(c))
 	}
-	return padKeys(thr)
+	return thr
+}
+
+// laneTable spreads sorted lane thresholds into the lane → atom table:
+// the run of lanes from threshold j−1 up to threshold j is atom j.
+func laneTable(thr []uint64, width int) []uint32 {
+	lut := make([]uint32, 1<<uint(width))
+	for j, t := range thr { // lanes below thr[0] are atom 0 already
+		end := uint64(len(lut))
+		if j+1 < len(thr) {
+			end = thr[j+1]
+		}
+		for l := t; l < end; l++ {
+			lut[l] = uint32(j + 1)
+		}
+	}
+	return lut
 }
 
 // Read writes the atom of row lo+i into dst[i]. lo must be a multiple

@@ -22,38 +22,52 @@ func cmpFloat(op CmpOp, v, c float64) bool {
 	return v >= c
 }
 
+// allLanes packs the column that holds every lane of a w-bit frame once:
+// row l is (base + l) / 10^exp.
+func allLanes(tb testing.TB, base int64, exp, w int) (*PackedFloats, []float64) {
+	tb.Helper()
+	n := 1 << uint(w)
+	vals := make([]float64, n)
+	for l := range vals {
+		vals[l] = float64(base+int64(l)) / pow10[exp]
+	}
+	p, ok := packVals(vals, make([]uint64, (n+63)>>6))
+	if !ok || p.Ints.Width != w || p.Exp != exp || p.Min != float64(base) {
+		tb.Fatalf("all-lanes column (base %d, exp %d) did not pack to width %d: %+v", base, exp, w, p)
+	}
+	return p, vals
+}
+
 // FuzzLaneThresholds checks the float → lane translation on every lane
-// of a narrow frame-of-reference column, for arbitrary bases and
-// constants (fractional, out of range, infinite, NaN): the thresholds
-// against the float predicate, the bitmap kernels built on them against
-// the float comparison, and the three classify loops — float keys,
-// lookup table, lane thresholds — against each other and against the
-// meaning of an atom.
+// of a narrow frame-of-reference column, for arbitrary bases, decimal
+// exponents and constants (fractional, out of range, infinite, NaN): the
+// thresholds against the float predicate, the bitmap kernels built on
+// them against the float comparison, and the three classify loops — float
+// keys, run-filled lookup table, lane thresholds — against each other and
+// against the meaning of an atom.
 func FuzzLaneThresholds(f *testing.F) {
-	f.Add(uint8(8), int64(1), math.Float64bits(43.5), math.Float64bits(44))
-	f.Add(uint8(3), int64(-4), math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)))
-	f.Add(uint8(9), int64(1)<<50, math.Float64bits(float64(int64(1)<<50)+0.5), math.Float64bits(math.Inf(1)))
-	f.Add(uint8(0), int64(7), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)))
-	f.Add(uint8(5), int64(0), math.Float64bits(31), math.Float64bits(math.Nextafter(31, 32)))
-	f.Fuzz(func(t *testing.T, width uint8, base int64, c1Bits, c2Bits uint64) {
+	f.Add(uint8(8), int64(1), uint8(0), math.Float64bits(43.5), math.Float64bits(44))
+	f.Add(uint8(3), int64(-4), uint8(0), math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)))
+	f.Add(uint8(9), int64(1)<<49, uint8(0), math.Float64bits(float64(int64(1)<<49)+0.5), math.Float64bits(math.Inf(1)))
+	f.Add(uint8(0), int64(7), uint8(0), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)))
+	f.Add(uint8(5), int64(0), uint8(0), math.Float64bits(31), math.Float64bits(math.Nextafter(31, 32)))
+	f.Add(uint8(7), int64(250), uint8(2), math.Float64bits(2.5+0.07), math.Float64bits(2.57*100))
+	f.Add(uint8(6), int64(-30), uint8(1), math.Float64bits(-0.3), math.Float64bits(math.Nextafter(0.3, 1)))
+	f.Add(uint8(9), int64(1)<<49, uint8(6), math.Float64bits(float64(int64(1)<<49)/1e6), math.Float64bits(5.63e8))
+	f.Add(uint8(4), int64(-7), uint8(3), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, width uint8, base int64, k uint8, c1Bits, c2Bits uint64) {
 		w := 1 + int(width)%10
-		base %= 1 << 51 // a FoR-eligible base
+		exp := int(k) % (MaxDecimalExp + 1)
+		base %= 1 << 49 // every lane within maxScaled
 		n := 1 << uint(w)
-		vals := make([]float64, n)
-		for l := range vals {
-			vals[l] = float64(base) + float64(l)
-		}
-		p, ok := packVals(vals, make([]uint64, (n+63)>>6))
-		if !ok || p.Ints.Width != w {
-			t.Fatalf("all-lanes column did not pack to width %d", w)
-		}
+		p, vals := allLanes(t, base, exp, w)
 		c1, c2 := math.Float64frombits(c1Bits), math.Float64frombits(c2Bits)
 
 		for _, c := range []float64{c1, c2} {
 			ge, gt := p.laneGE(c), p.laneGT(c)
 			for l, v := range vals {
 				if (uint64(l) >= ge) != (v >= c) || (uint64(l) >= gt) != (v > c) {
-					t.Fatalf("base %d c %v lane %d: laneGE %d laneGT %d disagree with the float predicate", base, c, l, ge, gt)
+					t.Fatalf("base %d exp %d c %v lane %d: laneGE %d laneGT %d disagree with the float predicate", base, exp, c, l, ge, gt)
 				}
 			}
 			for op := Eq; op <= Ge; op++ {
@@ -61,7 +75,7 @@ func FuzzLaneThresholds(f *testing.F) {
 				p.scanCmpInto(op, c, got)
 				for l, v := range vals {
 					if got.Get(l) != cmpFloat(op, v, c) {
-						t.Fatalf("base %d: lane %d %v %v: scanCmpInto says %v", base, l, op, c, got.Get(l))
+						t.Fatalf("base %d exp %d: lane %d %v %v: scanCmpInto says %v", base, exp, l, op, c, got.Get(l))
 					}
 				}
 			}
@@ -70,15 +84,16 @@ func FuzzLaneThresholds(f *testing.F) {
 		p.scanRangeInto(c1, c2, got)
 		for l, v := range vals {
 			if got.Get(l) != (v >= c1 && v < c2) {
-				t.Fatalf("base %d: lane %d in [%v,%v): scanRangeInto says %v", base, l, c1, c2, got.Get(l))
+				t.Fatalf("base %d exp %d: lane %d in [%v,%v): scanRangeInto says %v", base, exp, l, c1, c2, got.Get(l))
 			}
 		}
 
 		a := NumAtoms(0, []float64{c1, c2})
 		byKey := make([]uint32, n)
 		classifyFloats(vals, a.keys, a.null()+1, byKey)
-		lut := &AtomReader{lut: byKey}
-		thr := &AtomReader{laneThr: a.laneThresholds(p)}
+		thrs := a.laneThresholds(p)
+		lut := &AtomReader{lut: laneTable(thrs, w)}
+		thr := &AtomReader{laneThr: padKeys(thrs)}
 		byLUT, byThr := make([]uint32, n), make([]uint32, n)
 		p.Ints.unpack(0, byLUT)
 		p.Ints.unpack(0, byThr)
@@ -86,7 +101,7 @@ func FuzzLaneThresholds(f *testing.F) {
 		thr.classifyLanes(byThr)
 		for l, v := range vals {
 			if byKey[l] != byLUT[l] || byKey[l] != byThr[l] {
-				t.Fatalf("base %d cuts %v lane %d: atoms differ: keys %d, lut %d, thresholds %d", base, a.cuts, l, byKey[l], byLUT[l], byThr[l])
+				t.Fatalf("base %d exp %d cuts %v lane %d: atoms differ: keys %d, lut %d, thresholds %d", base, exp, a.cuts, l, byKey[l], byLUT[l], byThr[l])
 			}
 			// An atom means: every comparison with a cut has the value it
 			// has on the atom's representative.
@@ -104,6 +119,56 @@ func FuzzLaneThresholds(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLaneTableMatchesFloatKeys: at every width the lookup table serves,
+// and at every decimal exponent, the table Bind fills from the per-cut
+// lane thresholds is, lane for lane, what the float-key classifier makes
+// of the reconstructed values — for cuts on lanes, between them, on both
+// ends of the frame, outside it, infinite and NaN.
+func TestLaneTableMatchesFloatKeys(t *testing.T) {
+	for w := 1; w <= lutMaxWidth; w++ {
+		for exp := 0; exp <= MaxDecimalExp; exp++ {
+			base := int64(-37 + 1000*exp)
+			p, vals := allLanes(t, base, exp, w)
+			top := vals[len(vals)-1]
+			cuts := []float64{vals[0], top, vals[len(vals)/2], vals[len(vals)/3] + 0.3/pow10[exp],
+				math.Nextafter(vals[1], math.Inf(-1)), math.Nextafter(top, math.Inf(1)),
+				vals[0] - 1, top + 1, math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)}
+			a := NumAtoms(0, cuts)
+			want := make([]uint32, len(vals))
+			classifyFloats(vals, a.keys, a.null()+1, want)
+
+			schema := MustSchema(Attribute{Name: "x", Kind: Continuous})
+			tab, err := TableFromColumns(schema, len(vals), []ColumnData{{
+				Kind: Continuous, PackedVals: p, MissingWords: make([]uint64, (len(vals)+63)>>6),
+			}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := a.Bind(tab)
+			if len(r.lut) != len(vals) || r.laneThr != nil {
+				t.Fatalf("width %d: Bind chose a %d-entry table and %d thresholds", w, len(r.lut), len(r.laneThr))
+			}
+			got := make([]uint32, len(vals))
+			r.Read(0, got)
+			for l := range want {
+				if r.lut[l] != want[l] || got[l] != want[l] {
+					t.Fatalf("width %d exp %d lane %d (%v): table %d, Read %d, float keys %d", w, exp, l, vals[l], r.lut[l], got[l], want[l])
+				}
+			}
+		}
+	}
+	// One bit past the cap, Bind searches thresholds instead.
+	p, _ := allLanes(t, 0, 2, lutMaxWidth+1)
+	tab, err := TableFromColumns(MustSchema(Attribute{Name: "x", Kind: Continuous}), p.Ints.N,
+		[]ColumnData{{Kind: Continuous, PackedVals: p, MissingWords: make([]uint64, (p.Ints.N+63)>>6)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := NumAtoms(0, []float64{1.5}).Bind(tab); r.lut != nil || r.laneThr == nil {
+		t.Fatalf("width %d: Bind built a lookup table", lutMaxWidth+1)
+	}
 }
 
 // TestAtomsOfFloatColumn walks the float-key classifier over the values

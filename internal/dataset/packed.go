@@ -10,12 +10,13 @@ import (
 // Packed column storage: the in-memory (and mmap'd) form of segment
 // format v2's lightweight encodings. Categorical dictionary codes are
 // bitpacked to ⌈log2(dictSize+sentinels)⌉ bits per row; continuous
-// columns whose values are all small integers are frame-of-reference
-// packed (value = Min + lane). The compiled predicate kernels evaluate
-// equality/set/range predicates directly over the packed words — a
-// word-at-a-time unpack-compare into the selection Bitmap, never a
-// materialized int32/float64 decode — so a scan moves width/32 (or
-// width/64) of the bytes the unpacked layout would.
+// columns whose values are all short decimals — integers, cents,
+// hundredths of a mile — are frame-of-reference packed in their smallest
+// exact decimal scale (value = (Min + lane) / 10^Exp). The compiled
+// predicate kernels evaluate equality/set/range predicates directly over
+// the packed words — a word-at-a-time unpack-compare into the selection
+// Bitmap, never a materialized int32/float64 decode — so a scan moves
+// width/32 (or width/64) of the bytes the unpacked layout would.
 //
 // Layout ("no-straddle", after SIMD-BP style packing): each uint64 word
 // holds ⌊64/Width⌋ lanes, lane j at bits [j·Width, (j+1)·Width). Lanes
@@ -38,13 +39,107 @@ type PackedInts struct {
 }
 
 // PackedFloats is a frame-of-reference packed continuous column: the
-// row-i value is Min + float64(lane i). Packing is only applied when
-// every non-missing value is a small integer (so the reconstruction is
-// exact); missing rows pack as lane 0 and are masked by the column's
-// missing bitmap exactly as in the unpacked layout.
+// row-i value is (Min + float64(lane i)) / 10^Exp, with Min an integer —
+// the column's smallest value in units of 10^−Exp. Exp 0 is segment
+// encoding "for" (integers), Exp 1..MaxDecimalExp is "for10" (fixed-point
+// decimals). Packing is only applied when that reconstruction returns
+// every non-missing value bit for bit (FoRFrame decides); missing rows
+// pack as lane 0 and are masked by the column's missing bitmap exactly as
+// in the unpacked layout.
 type PackedFloats struct {
 	Ints PackedInts
 	Min  float64
+	Exp  int
+}
+
+// MaxDecimalExp is the largest decimal exponent a packed column may
+// carry: micro-units. A column that needs more digits stays raw float64.
+const MaxDecimalExp = 6
+
+var pow10 = [MaxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// maxScaled bounds |v·10^k| for a value FoRFrame packs. Below it Min +
+// lane is exact, distinct lanes reconstruct to distinct float64s, and the
+// product v·10^k — off from the integer it stands for by at most
+// |n|·2^−52 — still rounds to that integer.
+const maxScaled = 1 << 50
+
+// maxBase bounds |Min| for a column the reader accepts: Min + lane stays
+// exact up to there, and segments written before maxScaled existed hold
+// integer columns that large.
+const maxBase = 1 << 52
+
+// scaledInt returns the integer n = v·10^k when n/10^k gives v back bit
+// for bit and |n| fits maxScaled. NaN, ±Inf and −0 (n + 0 is +0) never do.
+func scaledInt(v float64, k int) (float64, bool) {
+	n := math.Round(v * pow10[k])
+	return n, math.Abs(n) <= maxScaled && math.Float64bits((n+0)/pow10[k]) == math.Float64bits(v)
+}
+
+// FoRFrame decides a continuous column's packing one value at a time: it
+// tracks the smallest decimal exponent at which every value seen so far
+// round-trips, and the span of the scaled integers there. A value that
+// round-trips at k does at k+1 too (n/10^k and 10n/10^(k+1) are the same
+// correctly rounded quotient), so raising the exponent for a later value
+// never invalidates an earlier one. The zero value is an empty column.
+type FoRFrame struct {
+	raw    bool // some value fits no frame: the column stays float64
+	seen   bool
+	exp    int
+	lo, hi float64 // span of the scaled integers at exp
+}
+
+// Add folds one non-missing value into the frame.
+func (f *FoRFrame) Add(v float64) {
+	if f.raw {
+		return
+	}
+	n, ok := scaledInt(v, f.exp)
+	for !ok && f.exp < MaxDecimalExp {
+		f.exp++
+		f.lo, f.hi = f.lo*10, f.hi*10
+		n, ok = scaledInt(v, f.exp)
+	}
+	if !f.seen || n < f.lo {
+		f.lo = n
+	}
+	if !f.seen || n > f.hi {
+		f.hi = n
+	}
+	f.seen = true
+	f.raw = !ok || f.hi-f.lo >= 1<<32 || -f.lo > maxScaled || f.hi > maxScaled
+}
+
+// Packing returns the column's frame — base, exponent and lane width, no
+// lanes yet — or false when the column must stay raw. A column with no
+// value at all packs trivially at width 1.
+func (f *FoRFrame) Packing() (PackedFloats, bool) {
+	if f.raw {
+		return PackedFloats{}, false
+	}
+	w := bits.Len64(uint64(f.hi - f.lo))
+	if w < 1 {
+		w = 1
+	}
+	return PackedFloats{Ints: PackedInts{Width: w}, Min: f.lo, Exp: f.exp}, true
+}
+
+// LaneOf returns the lane that reconstructs to v, or false when none
+// within the column's width does so bit for bit.
+func (p *PackedFloats) LaneOf(v float64) (uint64, bool) {
+	n, ok := scaledInt(v, p.Exp)
+	l := n - p.Min
+	if !ok || l < 0 || l >= float64(uint64(1)<<uint(p.Ints.Width)) {
+		return 0, false
+	}
+	return uint64(l), true
+}
+
+// value reconstructs the float64 a lane stands for: a correctly rounded
+// quotient of an exact sum (validate bounds Min so that it is), hence
+// non-decreasing in the lane — all the threshold searches need.
+func (p *PackedFloats) value(lane uint64) float64 {
+	return (p.Min + float64(lane)) / pow10[p.Exp]
 }
 
 // PackedWordCount returns the number of uint64 words a no-straddle
@@ -65,28 +160,6 @@ func PackedCodeWidth(dictSize int) int {
 	return w
 }
 
-// FoREligibleValue reports whether v can participate in frame-of-
-// reference packing: a finite integer small enough that value−base is
-// exact in float64.
-func FoREligibleValue(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && math.Trunc(v) == v && math.Abs(v) <= 1<<52
-}
-
-// FoRWidth returns the lane width for a frame-of-reference column whose
-// non-missing values span [min, max], and whether that span fits the
-// 32-bit lane cap. Both bounds must already be FoREligibleValue.
-func FoRWidth(min, max float64) (int, bool) {
-	span := max - min
-	if span < 0 || span >= 1<<32 {
-		return 0, false
-	}
-	w := bits.Len64(uint64(span))
-	if w < 1 {
-		w = 1
-	}
-	return w, true
-}
-
 // At returns lane i.
 func (p *PackedInts) At(i int) uint64 {
 	w := uint(p.Width)
@@ -96,7 +169,7 @@ func (p *PackedInts) At(i int) uint64 {
 }
 
 // At returns the row-i value.
-func (p *PackedFloats) At(i int) float64 { return p.Min + float64(p.Ints.At(i)) }
+func (p *PackedFloats) At(i int) float64 { return p.value(p.Ints.At(i)) }
 
 // unpackCodes materializes the first n biased lanes back into int32
 // dictionary codes (lane − PackedCodeBias), for heap sampling.
@@ -134,7 +207,7 @@ func (p *PackedFloats) unpackVals(n int, missing []uint64) []float64 {
 			end = n
 		}
 		for ; i < end; i++ {
-			out[i] = p.Min + float64(x&mask)
+			out[i] = p.value(x & mask)
 			x >>= w
 		}
 	}
@@ -151,10 +224,25 @@ func (p *PackedFloats) unpackVals(n int, missing []uint64) []float64 {
 	return out
 }
 
+// validate checks the frame — a decimal exponent within the cap and a
+// finite integral base small enough that Min + lane is exact — then the
+// lanes' canonical form.
+func (p *PackedFloats) validate(n int) error {
+	if p.Exp < 0 || p.Exp > MaxDecimalExp {
+		return errPackedf("decimal exponent %d out of range [0,%d]", p.Exp, MaxDecimalExp)
+	}
+	if !(math.Abs(p.Min) <= maxBase) || math.Trunc(p.Min) != p.Min {
+		return errPackedf("frame-of-reference base %v is not an integer within ±2^52", p.Min)
+	}
+	return p.Ints.validate(n, uint64(1)<<uint(p.Ints.Width))
+}
+
 // validate checks the canonical no-straddle form: width in range, the
 // exact word count for n lanes, every lane below maxLane, and all slack
 // — the unused high bits of every word and the lanes past n — zero.
-// It is O(n), the packed counterpart of the unpacked code-bounds scan.
+// It is O(n), the packed counterpart of the unpacked code-bounds scan;
+// when maxLane is the full 1<<Width (frame-of-reference lanes) no lane
+// can exceed it and only the words' slack is looked at.
 func (p *PackedInts) validate(n int, maxLane uint64) error {
 	if p.Width < 1 || p.Width > 32 {
 		return errPackedf("lane width %d out of range [1,32]", p.Width)
@@ -168,6 +256,7 @@ func (p *PackedInts) validate(n int, maxLane uint64) error {
 	w := uint(p.Width)
 	lpw := 64 / int(w)
 	used := uint(lpw) * w
+	anyLane := maxLane >= uint64(1)<<w
 	for wi, word := range p.Words {
 		if used < 64 && word>>used != 0 {
 			return errPackedf("word %d has nonzero slack bits", wi)
@@ -176,6 +265,13 @@ func (p *PackedInts) validate(n int, maxLane uint64) error {
 		end := lpw
 		if n-base < end {
 			end = n - base
+			// Lanes past n in the final word must be zero.
+			if word>>(uint(end)*w) != 0 {
+				return errPackedf("word %d has nonzero lanes past row %d", wi, n)
+			}
+		}
+		if anyLane {
+			continue
 		}
 		x := word
 		for j := 0; j < end; j++ {
@@ -183,10 +279,6 @@ func (p *PackedInts) validate(n int, maxLane uint64) error {
 				return errPackedf("row %d lane %d out of range [0,%d)", base+j, x&(1<<w-1), maxLane)
 			}
 			x >>= w
-		}
-		// Lanes past n in the final word must be zero.
-		if end < lpw && x != 0 {
-			return errPackedf("word %d has nonzero lanes past row %d", wi, n)
 		}
 	}
 	return nil
@@ -252,24 +344,24 @@ func (p *PackedInts) unpack(lo int, dst []uint32) {
 	}
 }
 
-// laneGE returns the first lane whose reconstructed value Min + lane is
-// >= c, or 1<<Width when no lane's is (always, for a NaN c). The
-// reconstruction is monotone in the lane, so a binary search over the
+// laneGE returns the first lane whose reconstructed value is >= c, or
+// 1<<Width when no lane's is (always, for a NaN c). The reconstruction
+// is monotone in the lane, so a binary search over the
 // exact float predicate finds the threshold with no rounding argument:
 // whatever c is — fractional, infinite, out of range — lane l satisfies
 // "v >= c" iff l >= laneGE(c).
 func (p *PackedFloats) laneGE(c float64) uint64 {
-	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.Min+float64(l) >= c }))
+	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.value(uint64(l)) >= c }))
 }
 
 // laneGT is laneGE for the strict predicate "v > c".
 func (p *PackedFloats) laneGT(c float64) uint64 {
-	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.Min+float64(l) > c }))
+	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.value(uint64(l)) > c }))
 }
 
 // scanCmpInto sets dst's bit for every row whose reconstructed value
-// (Min + lane) satisfies "v op c". Missing rows are the caller's concern
-// (mask afterwards, as in the unpacked kernel). The constant is
+// satisfies "v op c". Missing rows are the caller's concern (mask
+// afterwards, as in the unpacked kernel). The constant is
 // translated once into the interval of lanes that satisfy the exact
 // float predicate, and the scan compares lanes as integers — so
 // NULL/NaN/fractional-constant semantics match the unpacked kernel bit

@@ -11,8 +11,7 @@ import (
 // in-memory segment writer used until the streaming Builder became the
 // only writer; the tests keep them to build packed tables without a file.
 // They share the production width and eligibility rules (PackedCodeWidth,
-// FoREligibleValue, FoRWidth), so what packs here is what the Builder
-// packs.
+// FoRFrame, LaneOf), so what packs here is what the Builder packs.
 //
 // packCodes bitpacks a categorical column's dictionary codes (with the
 // sentinel bias) at the canonical width for the given dictionary size.
@@ -26,44 +25,36 @@ func packCodes(codes []int32, dictSize int) *PackedInts {
 	return p
 }
 
-// packVals frame-of-reference packs a continuous column when every
-// non-missing value is eligible and the span fits 32-bit lanes; ok is
-// false otherwise (the column stays unpacked full-width float64).
-// Missing rows pack as lane 0.
+// packVals frame-of-reference packs a continuous column when FoRFrame
+// finds a decimal exponent every non-missing value round-trips at and the
+// span fits 32-bit lanes; ok is false otherwise (the column stays unpacked
+// full-width float64). Missing rows pack as lane 0.
 func packVals(vals []float64, missingWords []uint64) (*PackedFloats, bool) {
-	var min, max float64
-	count := 0
+	present := func(i int) bool { return missingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
+	var frame FoRFrame
 	for i, v := range vals {
-		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
+		if present(i) {
+			frame.Add(v)
 		}
-		if !FoREligibleValue(v) {
-			return nil, false
-		}
-		if count == 0 || v < min {
-			min = v
-		}
-		if count == 0 || v > max {
-			max = v
-		}
-		count++
 	}
-	w, ok := FoRWidth(min, max)
+	p, ok := frame.Packing()
 	if !ok {
 		return nil, false
 	}
-	p := &PackedFloats{
-		Min:  min,
-		Ints: PackedInts{Width: w, N: len(vals), Words: make([]uint64, PackedWordCount(len(vals), w))},
-	}
+	w := p.Ints.Width
+	p.Ints.N, p.Ints.Words = len(vals), make([]uint64, PackedWordCount(len(vals), w))
 	lpw := 64 / w
 	for i, v := range vals {
-		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
+		if !present(i) {
 			continue
 		}
-		p.Ints.Words[i/lpw] |= uint64(v-min) << (uint(i%lpw) * uint(w))
+		lane, ok := p.LaneOf(v)
+		if !ok {
+			panic(fmt.Sprintf("FoRFrame accepted %v, which its frame (min %v, exp %d, width %d) cannot hold", v, p.Min, p.Exp, w))
+		}
+		p.Ints.Words[i/lpw] |= lane << (uint(i%lpw) * uint(w))
 	}
-	return p, true
+	return &p, true
 }
 
 // TestPackedCodeWidth pins the width function at the bit-width
@@ -229,27 +220,58 @@ func TestPackedFloatsScan(t *testing.T) {
 	}
 }
 
-// TestPackValsRejectsIneligible pins the fall-back-to-unpacked cases.
+// TestPackValsRejectsIneligible pins the fall-back-to-unpacked cases —
+// the cliff apex_dataset_columns{enc="raw"} counts — and the frames just
+// inside them.
 func TestPackValsRejectsIneligible(t *testing.T) {
 	none := []uint64{0}
+	tenth, fifth := 0.1, 0.2 // variables: the constant 0.1 + 0.2 is exactly 0.3
 	for _, vals := range [][]float64{
-		{1, 2.5, 3},           // fractional
-		{0, math.NaN()},       // NaN
-		{0, math.Inf(1)},      // infinite
-		{0, 1 << 53},          // too large for exact deltas
-		{-(1 << 31), 1 << 31}, // span over 32 bits
-		{0, 1 << 32},          // span exactly 2^32
+		{0, math.NaN()},                 // NaN
+		{0, math.Inf(1)},                // infinite
+		{1, math.Copysign(0, -1)},       // −0 would come back as +0
+		{1, tenth + fifth},              // 0.30000000000000004: no short decimal
+		{1, 1e-7},                       // one digit past MaxDecimalExp
+		{0, 1 << 53},                    // too large for exact deltas
+		{0, 1<<50 + 1},                  // just past maxScaled
+		{0.5, 1 << 49},                  // fits at exp 0, not once scaled by 10
+		{-(1 << 31), 1 << 31},           // span over 32 bits
+		{0, 1 << 32},                    // span exactly 2^32
+		{0, 0.01, float64(1<<32) / 100}, // span 2^32 in cents
 	} {
 		if p, ok := packVals(vals, make([]uint64, 1)); ok {
-			t.Errorf("packVals(%v) accepted, width %d", vals, p.Ints.Width)
+			t.Errorf("packVals(%v) accepted, exp %d width %d", vals, p.Exp, p.Ints.Width)
 		}
 	}
-	// Boundary acceptance: span 2^32−1 is the widest packable column.
-	if _, ok := packVals([]float64{0, float64(1<<32) - 1}, none); !ok {
-		t.Errorf("packVals rejected span 2^32-1")
+	for _, c := range []struct {
+		vals       []float64
+		exp, width int
+		min        float64
+	}{
+		{[]float64{0, float64(1<<32) - 1}, 0, 32, 0}, // the widest packable span
+		{[]float64{-(1 << 50), -(1 << 50) + 3}, 0, 2, -(1 << 50)},
+		{[]float64{1, 2.5, 3}, 1, 5, 10},              // one decimal
+		{[]float64{12.34, 2.5, 7}, 2, 10, 250},        // the exponent rises mid-column
+		{[]float64{-0.07, 0.29, 0.57}, 2, 7, -7},      // cents that are not v·100 exactly
+		{[]float64{0.000001, 0.25}, 6, 18, 1},         // MaxDecimalExp
+		{[]float64{(1<<32 - 1) / 100.0, 0}, 2, 32, 0}, // widest span, scaled
+	} {
+		p, ok := packVals(c.vals, none)
+		if !ok {
+			t.Errorf("packVals(%v) rejected", c.vals)
+			continue
+		}
+		if p.Exp != c.exp || p.Ints.Width != c.width || p.Min != c.min {
+			t.Errorf("packVals(%v): exp %d width %d min %v, want %d %d %v", c.vals, p.Exp, p.Ints.Width, p.Min, c.exp, c.width, c.min)
+		}
+		for i, v := range c.vals {
+			if got := p.At(i); math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("packVals(%v): row %d reads back %v", c.vals, i, got)
+			}
+		}
 	}
 	// All-missing columns pack trivially.
-	if p, ok := packVals([]float64{0, 0}, []uint64{3}); !ok || p.Ints.Width != 1 {
+	if p, ok := packVals([]float64{0, 0}, []uint64{3}); !ok || p.Ints.Width != 1 || p.Exp != 0 {
 		t.Errorf("all-missing column: ok=%v", ok)
 	}
 }
@@ -266,7 +288,10 @@ func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 		Attribute{Name: "code254", Kind: Categorical, Values: domainN(254)},                         // width 8 boundary
 		Attribute{Name: "age", Kind: Continuous},
 		Attribute{Name: "gain", Kind: Continuous},
-		Attribute{Name: "frac", Kind: Continuous}, // fractional: stays unpacked
+		Attribute{Name: "frac", Kind: Continuous},  // 17 significant digits: stays unpacked
+		Attribute{Name: "cents", Kind: Continuous}, // two decimals: exp 2, 16-bit lanes
+		Attribute{Name: "tenth", Kind: Continuous}, // one decimal, negative base: exp 1
+		Attribute{Name: "mixed", Kind: Continuous}, // integers, halves, eighths, mills: exp 3
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +308,9 @@ func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 			Num(float64(17 + rng.Intn(74))),
 			Num(float64(rng.Intn(100000))),
 			Num(rng.Float64() * 100),
+			Num(float64(rng.Intn(60000)) / 100),
+			Num(float64(rng.Intn(4000)-2000) / 10),
+			Num([]float64{3, 2.5, 0.125, 17.003, 40}[rng.Intn(5)] + float64(rng.Intn(90))),
 		}
 		for pos := range row {
 			if rng.Intn(23) == 0 {
@@ -293,7 +321,7 @@ func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 			row[rng.Intn(4)] = Num(float64(rng.Intn(5)))
 		}
 		if rng.Intn(41) == 0 {
-			row[4+rng.Intn(3)] = Str("oops")
+			row[4+rng.Intn(6)] = Str("oops")
 		}
 		tab.MustAppend(row)
 	}
@@ -343,6 +371,11 @@ func TestPackedTableDifferential(t *testing.T) {
 	if fp := packed.ColumnData(6); fp.PackedVals != nil {
 		t.Fatalf("fractional column unexpectedly packed")
 	}
+	for pos, exp := range map[int]int{4: 0, 5: 0, 7: 2, 8: 1, 9: 3} {
+		if pv := packed.ColumnData(pos).PackedVals; pv == nil || pv.Exp != exp {
+			t.Fatalf("column %d: packed %+v, want decimal exponent %d", pos, pv, exp)
+		}
+	}
 	if cp := packed.ColumnData(0); cp.PackedCodes == nil {
 		t.Fatalf("categorical column not packed")
 	}
@@ -360,6 +393,14 @@ func TestPackedTableDifferential(t *testing.T) {
 		NumCmp{Attr: "gain", Op: Eq, C: 0},
 		NumCmp{Attr: "gain", Op: Ne, C: math.NaN()},
 		NumCmp{Attr: "frac", Op: Le, C: 50},
+		NumCmp{Attr: "cents", Op: Eq, C: 0.07}, // 7/100, not 0.07·100 = 7.000000000000001
+		NumCmp{Attr: "cents", Op: Gt, C: 299.995},
+		Range{Attr: "cents", Lo: 0.29, Hi: 0.57},
+		Range{Attr: "tenth", Lo: -0.3, Hi: 0.3},
+		NumCmp{Attr: "tenth", Op: Le, C: -199.95},
+		NumCmp{Attr: "mixed", Op: Ge, C: 17.003},
+		NumCmp{Attr: "mixed", Op: Ne, C: 2.5},
+		Range{Attr: "mixed", Lo: math.Inf(-1), Hi: 40.125},
 		Range{Attr: "age", Lo: 20, Hi: 65},
 		Range{Attr: "gain", Lo: 100, Hi: 10000},
 		And{StrEq{Attr: "flag", Val: "y"}, Range{Attr: "age", Lo: 30, Hi: 50}},
@@ -388,11 +429,11 @@ func TestPackedTableDifferential(t *testing.T) {
 		}
 	}
 
-	for pos := 4; pos <= 6; pos++ {
+	for pos := 4; pos <= 9; pos++ {
 		vu, _, _ := tab.Floats(pos)
 		vp, _, _ := packed.Floats(pos)
 		for i := range vu {
-			if vu[i] != vp[i] {
+			if math.Float64bits(vu[i]) != math.Float64bits(vp[i]) {
 				t.Fatalf("Floats pos %d row %d: unpacked %v packed %v", pos, i, vu[i], vp[i])
 			}
 		}

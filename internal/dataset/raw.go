@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -33,8 +32,9 @@ type ColumnData struct {
 	// Continuous: one float64 per row plus the missing bitmap (64 rows
 	// per word, row i at word i/64 bit i%64; tail bits zero). A set bit
 	// means the cell holds no number (NULL, or a misfit cell).
-	// PackedVals is the v2 frame-of-reference alternative to Vals;
-	// exactly one of the two is set for a continuous column.
+	// PackedVals is the v2 frame-of-reference alternative to Vals
+	// (integers, or fixed-point decimals when its Exp > 0); exactly one of
+	// the two is set for a continuous column.
 	Vals         []float64
 	PackedVals   *PackedFloats
 	MissingWords []uint64
@@ -153,10 +153,7 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 			if col.Vals != nil {
 				return nil, fmt.Errorf("dataset: column %d has both unpacked and packed values", pos)
 			}
-			if m := col.PackedVals.Min; math.IsNaN(m) || math.IsInf(m, 0) {
-				return nil, fmt.Errorf("dataset: column %d frame-of-reference base %v is not finite", pos, m)
-			}
-			if err := col.PackedVals.Ints.validate(n, uint64(1)<<uint(col.PackedVals.Ints.Width)); err != nil {
+			if err := col.PackedVals.validate(n); err != nil {
 				return nil, fmt.Errorf("column %d: %w", pos, err)
 			}
 		default:

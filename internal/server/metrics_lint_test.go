@@ -149,6 +149,7 @@ func lintExposition(t *testing.T, r io.Reader) {
 		"apex_dataset_budget_burn_epsilon_per_second",
 		"apex_dataset_budget_exhausted_seconds",
 		"apex_scan_bytes_total", "apex_scan_rows_total", "apex_scan_fallback_total",
+		"apex_dataset_columns",
 		"apex_analytics_requests_total", "apex_analytics_cpu_seconds_total",
 		"apex_analytics_queue_seconds_total", "apex_analytics_translate_seconds_total",
 		"apex_analytics_scan_bytes_total", "apex_analytics_epsilon_total",

@@ -68,19 +68,22 @@ func (m StorageMode) String() string {
 	return "heap"
 }
 
-// DefaultMmapThreshold is the raw-column-bytes size at which a durable
-// dataset switches from heap to mmap serving when the owner sets no
-// explicit policy: 64 MiB keeps small exploratory tables in RAM and maps
-// everything that would meaningfully compete with the OS page cache.
+// DefaultMmapThreshold is the full-width column-bytes size (4 B a
+// categorical cell, 8 B a continuous one — what the table would occupy
+// unpacked) at which a durable dataset switches from heap to mmap serving
+// when the owner sets no explicit policy: 64 MiB keeps small exploratory
+// tables in RAM and maps everything that would meaningfully compete with
+// the OS page cache.
 const DefaultMmapThreshold int64 = 64 << 20
 
 // StoragePolicy is the owner's resident-memory policy for durable
 // datasets.
 type StoragePolicy struct {
-	// MmapThreshold is the raw column payload size (bytes) at or above
-	// which a dataset is served from its mmap'd segment. 0 maps every
-	// durable dataset; a negative value disables mmap entirely (heap
-	// always).
+	// MmapThreshold is the full-width column payload size (bytes) at or
+	// above which a dataset is served from its mmap'd segment — the size
+	// of the table's shape, not of its encoding, so a segment that packs
+	// better after a rebuild keeps its home. 0 maps every durable dataset;
+	// a negative value disables mmap entirely (heap always).
 	MmapThreshold int64
 	// ColdStart restricts recovery to column-store segments: a catalog
 	// entry without a valid segment is skipped instead of re-parsed from
@@ -175,12 +178,13 @@ func (r *Registry) SetStorage(p StoragePolicy) {
 	r.policy = p
 }
 
-// mmapWanted applies the threshold to a segment's raw column payload.
-func (p StoragePolicy) mmapWanted(dataBytes int64) bool {
+// mmapWanted applies the threshold to a segment's full-width column
+// payload.
+func (p StoragePolicy) mmapWanted(fullWidthBytes int64) bool {
 	if p.MmapThreshold < 0 {
 		return false
 	}
-	return dataBytes >= p.MmapThreshold
+	return fullWidthBytes >= p.MmapThreshold
 }
 
 // RecoverDatasets loads every dataset persisted in the attached store
@@ -364,7 +368,7 @@ func (r *Registry) openSegment(path string, p StoragePolicy) (*Dataset, int, err
 	}
 	r.segmentOpens.Add(1)
 	ver := seg.Version()
-	if p.mmapWanted(seg.DataBytes()) {
+	if p.mmapWanted(seg.V1DataBytes()) {
 		return newDataset(seg.Table(), StorageMmap, seg), ver, nil
 	}
 	heap, err := colstore.HeapCopy(seg.Table())
@@ -677,6 +681,10 @@ type StorageStat struct {
 	SegmentVersion int
 	FileBytes      int64
 	V1Bytes        int64
+	// Columns counts the dataset's columns by the encoding they are
+	// served in (colstore.Encodings); "raw" is where a column that fit no
+	// packed form fell back to.
+	Columns map[string]int
 }
 
 // StorageCounters are the registry's lifetime segment counters.
@@ -693,7 +701,10 @@ func (r *Registry) StorageStats() []StorageStat {
 	defer r.mu.RUnlock()
 	out := make([]StorageStat, 0, len(r.tables))
 	for name, ds := range r.tables {
-		stat := StorageStat{Name: name, Mode: ds.Mode, Rows: ds.Table.Size()}
+		stat := StorageStat{Name: name, Mode: ds.Mode, Rows: ds.Table.Size(), Columns: map[string]int{}}
+		for pos := 0; pos < ds.Table.Schema().Arity(); pos++ {
+			stat.Columns[colstore.EncodingOf(ds.Table.ColumnData(pos))]++
+		}
 		if ds.Segment != nil {
 			stat.DataBytes = ds.Segment.DataBytes()
 			stat.MappedBytes = ds.Segment.MappedBytes()

@@ -1,15 +1,17 @@
 package server
 
 import (
+	"repro/internal/colstore"
 	"repro/internal/metrics"
 )
 
 // registerStorageMetrics wires the column-store residency gauges into the
 // /metrics registry. They are computed on scrape (mincore + rusage are
 // syscalls; no need to pay them on the query path): per-dataset raw
-// column payload, mapped and resident bytes, the storage mode, the
-// registry's segment lifecycle counters, and the process page-fault
-// counts that show mmap-backed scans faulting pages in.
+// column payload, mapped and resident bytes, the storage mode, how many
+// columns each encoding serves (a column that fit no packed form shows
+// under enc="raw"), the registry's segment lifecycle counters, and the
+// process page-fault counts that show mmap-backed scans faulting pages in.
 func registerStorageMetrics(reg *Registry, m *metrics.Registry) {
 	m.OnScrape(func() {
 		for _, st := range reg.StorageStats() {
@@ -22,6 +24,10 @@ func registerStorageMetrics(reg *Registry, m *metrics.Registry) {
 				"bytes of the dataset currently in physical memory (mincore for mmap, full payload for heap)", ds).Set(float64(st.ResidentBytes))
 			m.Gauge("apex_dataset_storage_mode",
 				"1 for the dataset's active storage mode", ds, metrics.L("mode", st.Mode.String())).Set(1)
+			for _, enc := range colstore.Encodings {
+				m.Gauge("apex_dataset_columns",
+					"columns of the dataset served in each encoding; raw = full-width, no packed form fit", ds, metrics.L("enc", enc)).Set(float64(st.Columns[enc]))
+			}
 			if st.SegmentVersion > 0 {
 				m.Gauge("apex_dataset_segment_version",
 					"on-disk column-store format version of the dataset's segment", ds).Set(float64(st.SegmentVersion))

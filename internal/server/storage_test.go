@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -48,20 +50,34 @@ func durableRegistry(t *testing.T, dir string, policy server.StoragePolicy) *ser
 
 func TestStoragePolicyThreshold(t *testing.T) {
 	dir := t.TempDir()
-	// Threshold of 2 KiB against v2 compressed payloads: "small"
-	// (100 rows, a few hundred bytes packed) stays heap, "large"
-	// (5000 rows ≈ 7 KiB packed) maps.
-	reg := durableRegistry(t, dir, server.StoragePolicy{MmapThreshold: 2 << 10})
+	// Threshold of 2 KiB against full-width column bytes (12 B a row
+	// here, plus bitmap and dictionary): "small" (100 rows ≈ 1.2 KiB) stays
+	// heap, "large" (5000 rows ≈ 60 KiB) maps — and so does "medium" (500
+	// rows ≈ 6 KiB), although its packed payload, 7-bit ages and 3-bit
+	// states, is under the threshold: how well a table packs must not
+	// decide where it lives.
+	const threshold = 2 << 10
+	reg := durableRegistry(t, dir, server.StoragePolicy{MmapThreshold: threshold})
 	if _, err := reg.AddCSV("small", storageSchema(t), storageCSV(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.AddCSV("medium", storageSchema(t), storageCSV(500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.AddCSV("large", storageSchema(t), storageCSV(5000, 2)); err != nil {
 		t.Fatal(err)
 	}
 	small, _ := reg.Dataset("small")
+	medium, _ := reg.Dataset("medium")
 	large, _ := reg.Dataset("large")
 	if small.Mode != server.StorageHeap || small.Segment != nil {
 		t.Fatalf("small: mode=%v segment=%v", small.Mode, small.Segment)
+	}
+	if medium.Mode != server.StorageMmap || medium.Segment == nil {
+		t.Fatalf("medium: mode=%v segment=%v", medium.Mode, medium.Segment)
+	}
+	if packed, full := medium.Segment.DataBytes(), medium.Segment.V1DataBytes(); packed >= threshold || full < threshold {
+		t.Fatalf("medium: packed payload %d B, full-width %d B; the case needs %d between them", packed, full, threshold)
 	}
 	if large.Mode != server.StorageMmap || large.Segment == nil {
 		t.Fatalf("large: mode=%v segment=%v", large.Mode, large.Segment)
@@ -72,16 +88,76 @@ func TestStoragePolicyThreshold(t *testing.T) {
 		t.Fatal("counts unavailable")
 	}
 	stats := reg.StorageStats()
-	if len(stats) != 2 {
+	if len(stats) != 3 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	for _, s := range stats {
-		if s.Name == "large" {
+		if s.Name != "small" {
 			if s.MappedBytes <= 0 {
-				t.Fatalf("large not mapped: %+v", s)
+				t.Fatalf("%s not mapped: %+v", s.Name, s)
 			}
 		} else if s.MappedBytes != 0 {
 			t.Fatalf("small mapped: %+v", s)
+		}
+	}
+}
+
+// TestColumnEncodingGauge: /metrics counts a dataset's columns by the
+// encoding they are served in, every encoding exported from the first
+// scrape — so the column that fit no packed form (here one whose values
+// are a third of an integer) is a visible enc="raw" 1, on the mapped
+// segment and on the heap copy alike, and a table parsed straight onto the
+// heap is raw throughout.
+func TestColumnEncodingGauge(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "age", Kind: dataset.Continuous, Min: 0, Max: 100},
+		dataset.Attribute{Name: "state", Kind: dataset.Categorical, Values: []string{"CA", "NY", "TX"}},
+		dataset.Attribute{Name: "fare", Kind: dataset.Continuous, Min: 0, Max: 500},
+		dataset.Attribute{Name: "third", Kind: dataset.Continuous, Min: 0, Max: 100},
+	)
+	var sb strings.Builder
+	sb.WriteString("age,state,fare,third\n")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&sb, "%d,%s,%.2f,%v\n", i%90, []string{"CA", "NY", "TX"}[i%3], float64(i*37%40000)/100, float64(i)/3)
+	}
+	reg := durableRegistry(t, t.TempDir(), server.StoragePolicy{MmapThreshold: 0})
+	if _, err := reg.AddCSV("mapped", schema, []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	reg.SetStorage(server.StoragePolicy{MmapThreshold: -1})
+	if _, err := reg.AddCSV("copied", schema, []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := dataset.ReadCSV(strings.NewReader(sb.String()), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add("parsed", parsed); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{})
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ds, want := range map[string]map[string]float64{
+		"mapped": {"bitpack": 1, "for": 1, "for10": 1, "raw": 1},
+		"copied": {"bitpack": 1, "for": 1, "for10": 1, "raw": 1},
+		"parsed": {"bitpack": 0, "for": 0, "for10": 0, "raw": 4},
+	} {
+		for enc, n := range want {
+			series := fmt.Sprintf(`apex_dataset_columns{dataset=%q,enc=%q}`, ds, enc)
+			if got := metricValue(t, string(raw), series); got != n {
+				t.Errorf("%s = %v, want %v", series, got, n)
+			}
 		}
 	}
 }

@@ -25,19 +25,26 @@ import (
 // bytes, and the heap table parsed from the same CSV as the reference.
 func v1Catalog(t *testing.T) (dir, segPath string, v1 []byte, heap *dataset.Table) {
 	t.Helper()
-	fixture := filepath.Join("..", "colstore", "testdata", "v1")
+	return fixtureCatalog(t, filepath.Join("v1", "table.seg"))
+}
+
+// fixtureCatalog is v1Catalog for any committed segment of the v1
+// fixture's rows, named relative to colstore's testdata.
+func fixtureCatalog(t *testing.T, segFile string) (dir, segPath string, seg []byte, heap *dataset.Table) {
+	t.Helper()
+	testdata := filepath.Join("..", "colstore", "testdata")
 	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(fixture, name))
+		b, err := os.ReadFile(filepath.Join(testdata, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 	schema := new(dataset.Schema)
-	if err := json.Unmarshal(read("schema.json"), schema); err != nil {
+	if err := json.Unmarshal(read(filepath.Join("v1", "schema.json")), schema); err != nil {
 		t.Fatal(err)
 	}
-	csv := read("table.csv")
+	csv := read(filepath.Join("v1", "table.csv"))
 	heap, err := dataset.ReadCSV(bytes.NewReader(csv), schema)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +57,11 @@ func v1Catalog(t *testing.T) (dir, segPath string, v1 []byte, heap *dataset.Tabl
 		t.Fatal(err)
 	}
 	segPath = filepath.Join(dir, "catalog", "legacy", store.SegmentFile)
-	v1 = read("table.seg")
-	if err := os.WriteFile(segPath, v1, 0o644); err != nil {
+	seg = read(segFile)
+	if err := os.WriteFile(segPath, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return dir, segPath, v1, heap
+	return dir, segPath, seg, heap
 }
 
 // transcriptOf drives one seeded session over the table and returns the
@@ -202,5 +209,55 @@ func TestV1SegmentServedAsIs(t *testing.T) {
 		if c := reg.Counters(); c.CSVFallbacks != 0 || c.SegmentQuarantines != 0 {
 			t.Fatalf("%s: counters %+v", name, c)
 		}
+	}
+}
+
+// TestParentCommitSegmentServedUntouched: a v2 segment written before the
+// decimal encoding existed (commit 7da849a's Builder over the v1 fixture's
+// rows: income, in cents, is raw float64 there) is current-version and
+// healthy, so recovery — CSV on disk, no ColdStart, nothing forbidding a
+// rebuild — serves it as it is: same answers as the CSV-parsed table and
+// as today's for10 build of the same rows, income counted as the raw
+// column it is, and not one byte of the file changed.
+func TestParentCommitSegmentServedUntouched(t *testing.T) {
+	dir, segPath, old, heap := fixtureCatalog(t, filepath.Join("v2_7da849a", "table.seg"))
+	reg, rec := recoverLegacy(t, dir, server.StoragePolicy{MmapThreshold: 0})
+	if rec.Source != "segment" {
+		t.Fatalf("recovered from %q, want a plain segment open", rec.Source)
+	}
+	ds, _ := reg.Dataset("legacy")
+	if ds.Segment == nil || ds.Segment.Version() != colstore.CurrentVersion {
+		t.Fatalf("not serving the planted v2 segment: %+v", ds)
+	}
+	stat := reg.StorageStats()[0]
+	if stat.Columns["raw"] != 1 || stat.Columns["for10"] != 0 || stat.Columns["for"] != 1 || stat.Columns["bitpack"] != 1 {
+		t.Fatalf("columns by encoding: %v, want income raw, age for, state bitpack", stat.Columns)
+	}
+	want := transcriptOf(t, heap)
+	if got := transcriptOf(t, ds.Table); !bytes.Equal(want, got) {
+		t.Fatal("transcript over the parent-written segment diverges from the CSV-parsed table")
+	}
+	if now, err := os.ReadFile(segPath); err != nil || !bytes.Equal(old, now) {
+		t.Fatalf("table.seg changed (err %v)", err)
+	}
+	if c := reg.Counters(); c.CSVFallbacks != 0 || c.SegmentQuarantines != 0 || c.SegmentOpens != 1 {
+		t.Fatalf("counters: %+v", c)
+	}
+
+	// The same rows through today's Builder: income packs, answers do not move.
+	fresh := durableRegistry(t, t.TempDir(), server.StoragePolicy{MmapThreshold: 0})
+	csv, err := os.ReadFile(filepath.Join(dir, "catalog", "legacy", store.CSVFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.AddCSV("legacy", heap.Schema(), csv); err != nil {
+		t.Fatal(err)
+	}
+	if cols := fresh.StorageStats()[0].Columns; cols["for10"] != 1 || cols["raw"] != 0 {
+		t.Fatalf("fresh build's columns by encoding: %v, want income for10", cols)
+	}
+	freshDS, _ := fresh.Dataset("legacy")
+	if got := transcriptOf(t, freshDS.Table); !bytes.Equal(want, got) {
+		t.Fatal("transcript over the for10 build diverges from the CSV-parsed table")
 	}
 }

@@ -15,7 +15,10 @@ import (
 // kernelSchema covers every storage arm of the scan kernel once packed:
 // age frame-of-reference packs to 8-bit lanes (lookup table), gain to
 // 21-bit lanes (integer thresholds), frac holds fractions and non-finite
-// values and stays float64, state and flag bit-pack their codes.
+// values and stays float64, state and flag bit-pack their codes. fare
+// (cents, 14-bit lanes: lookup table), tenth (one decimal, negative base)
+// and mixed (integers, halves and eighths in one column: exponent 3,
+// 17-bit lanes, integer thresholds) pack as fixed-point decimals.
 func kernelSchema(tb testing.TB) *dataset.Schema {
 	tb.Helper()
 	s, err := dataset.NewSchema(
@@ -24,11 +27,25 @@ func kernelSchema(tb testing.TB) *dataset.Schema {
 		dataset.Attribute{Name: "frac", Kind: dataset.Continuous, Min: -1, Max: 1},
 		dataset.Attribute{Name: "state", Kind: dataset.Categorical, Values: []string{"CA", "NY", "TX"}},
 		dataset.Attribute{Name: "flag", Kind: dataset.Categorical, Values: []string{"y", "n"}},
+		dataset.Attribute{Name: "fare", Kind: dataset.Continuous, Min: 0, Max: 120},
+		dataset.Attribute{Name: "tenth", Kind: dataset.Continuous, Min: -100, Max: 100},
+		dataset.Attribute{Name: "mixed", Kind: dataset.Continuous, Min: 0, Max: 100},
 	)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
+}
+
+// kernelDecimal draws a value of one of the fixed-point columns.
+func kernelDecimal(rng *rand.Rand, attr string) float64 {
+	switch attr {
+	case "fare":
+		return float64(rng.Intn(12001)) / 100
+	case "tenth":
+		return float64(rng.Intn(2001)-1000) / 10
+	}
+	return float64(rng.Intn(801)) / 8 // mixed
 }
 
 // kernelTable fills a heap table with in-domain rows and NULLs; wild
@@ -44,14 +61,19 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 			dataset.Num(fracs[rng.Intn(len(fracs))]),
 			dataset.Str([]string{"CA", "NY", "TX"}[rng.Intn(3)]),
 			dataset.Str([]string{"y", "n"}[rng.Intn(2)]),
+			dataset.Num(kernelDecimal(rng, "fare")),
+			dataset.Num(kernelDecimal(rng, "tenth")),
+			dataset.Num(kernelDecimal(rng, "mixed")),
 		}
 		if rng.Intn(3) == 0 {
 			row[2] = dataset.Num(rng.Float64()*2 - 1)
 		}
 		if wild && rng.Intn(12) == 0 {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
 				row[0] = dataset.Num(float64(101 + rng.Intn(60)))
+			case 5:
+				row[5+rng.Intn(3)] = dataset.Num(float64(12001+rng.Intn(900)) / 100)
 			case 1:
 				row[1] = dataset.Num(float64(1<<20 + 1 + rng.Intn(1000)))
 			case 2:
@@ -60,7 +82,7 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 				row[3] = dataset.Str("ZZ")
 			default: // misfit: a number in a categorical cell, a string in a continuous one
 				row[3+rng.Intn(2)] = dataset.Num(float64(rng.Intn(3)))
-				row[rng.Intn(3)] = dataset.Str("oops")
+				row[[]int{0, 1, 2, 5, 6, 7}[rng.Intn(6)]] = dataset.Str("oops")
 			}
 		}
 		for pos := range row {
@@ -74,8 +96,8 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 }
 
 // packedForm rebuilds the heap table with every eligible column packed
-// in memory, by the column store's rules (PackedCodeWidth, FoREligibleValue,
-// FoRWidth) but without a file — the fuzz target's packed twin.
+// in memory, by the column store's rules (PackedCodeWidth, FoRFrame,
+// LaneOf) but without a file — the fuzz target's packed twin.
 func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
 	tb.Helper()
 	s := heap.Schema()
@@ -92,24 +114,23 @@ func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
 			continue
 		}
 		present := func(i int) bool { return cd.MissingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
-		lo, hi, ok := math.Inf(1), math.Inf(-1), true
+		var frame dataset.FoRFrame
 		for i, v := range cd.Vals {
 			if present(i) {
-				ok = ok && dataset.FoREligibleValue(v)
-				lo, hi = math.Min(lo, v), math.Max(hi, v)
+				frame.Add(v)
 			}
 		}
-		if lo > hi {
-			lo, hi = 0, 0 // no value at all: packs trivially
-		}
-		if w, fits := dataset.FoRWidth(lo, hi); ok && fits {
+		if p, ok := frame.Packing(); ok {
 			lanes := make([]uint64, len(cd.Vals))
 			for i, v := range cd.Vals {
 				if present(i) {
-					lanes[i] = uint64(v - lo)
+					if lanes[i], ok = p.LaneOf(v); !ok {
+						tb.Fatalf("column %d: FoRFrame accepted %v, which its frame %+v cannot hold", pos, v, p)
+					}
 				}
 			}
-			cols[pos].Vals, cols[pos].PackedVals = nil, &dataset.PackedFloats{Ints: *packLanes(lanes, w), Min: lo}
+			p.Ints = *packLanes(lanes, p.Ints.Width)
+			cols[pos].Vals, cols[pos].PackedVals = nil, &p
 		}
 	}
 	packed, err := dataset.TableFromColumns(s, heap.Size(), cols, heap.MisfitCells())
@@ -165,7 +186,7 @@ func storageForms(tb testing.TB, heap *dataset.Table) map[string]*dataset.Table 
 // data holds exactly (so point atoms are hit), plus fractions, constants
 // outside [Min, Max], non-finite ones and −0.
 func kernelCut(rng *rand.Rand, attr string) float64 {
-	hi := map[string]float64{"age": 100, "gain": 1 << 20, "frac": 1}[attr]
+	hi := map[string]float64{"age": 100, "gain": 1 << 20, "frac": 1, "fare": 120, "tenth": 100, "mixed": 100}[attr]
 	switch rng.Intn(10) {
 	case 0:
 		return []float64{-7, hi + 30, 1e12, -1e12}[rng.Intn(4)]
@@ -179,15 +200,23 @@ func kernelCut(rng *rand.Rand, attr string) float64 {
 		return []float64{-1, -0.5, 0, 0.25, 0.5, 1}[rng.Intn(6)]
 	case "gain":
 		return float64(rng.Intn(65) << 14)
+	case "fare", "tenth", "mixed":
+		return kernelDecimal(rng, attr)
 	}
 	return float64(rng.Intn(101))
 }
 
-// kernelAtom draws an atomic predicate, including NumCmp Eq/Ne, ranges
+// kernelNums are the continuous attributes of kernelSchema. A workload
+// draws its predicates over three of them: the component grid of all six
+// at once outgrows what Transform materializes.
+var kernelNums = []string{"age", "gain", "frac", "fare", "tenth", "mixed"}
+
+// kernelAtom draws an atomic predicate over the given continuous
+// attributes (and the categorical ones), including NumCmp Eq/Ne, ranges
 // whose bounds are adjacent floats (an empty open interval between two
 // cuts) and comparisons against the wrong attribute kind.
-func kernelAtom(rng *rand.Rand) dataset.Predicate {
-	num := []string{"age", "gain", "frac"}[rng.Intn(3)]
+func kernelAtom(rng *rand.Rand, nums []string) dataset.Predicate {
+	num := nums[rng.Intn(len(nums))]
 	switch rng.Intn(8) {
 	case 0, 1:
 		lo := kernelCut(rng, num)
@@ -202,20 +231,20 @@ func kernelAtom(rng *rand.Rand) dataset.Predicate {
 	case 6:
 		return dataset.StrEq{Attr: []string{"flag", "age"}[rng.Intn(2)], Val: "y"}
 	}
-	return dataset.IsNull{Attr: []string{"age", "gain", "frac", "state", "flag"}[rng.Intn(5)]}
+	return dataset.IsNull{Attr: append([]string{"state", "flag"}, nums...)[rng.Intn(2+len(nums))]}
 }
 
-func kernelPredicate(rng *rand.Rand, depth int) dataset.Predicate {
+func kernelPredicate(rng *rand.Rand, nums []string, depth int) dataset.Predicate {
 	if depth == 0 || rng.Intn(3) == 0 {
-		return kernelAtom(rng)
+		return kernelAtom(rng, nums)
 	}
 	switch rng.Intn(3) {
 	case 0:
-		return dataset.And{kernelPredicate(rng, depth-1), kernelPredicate(rng, depth-1)}
+		return dataset.And{kernelPredicate(rng, nums, depth-1), kernelPredicate(rng, nums, depth-1)}
 	case 1:
-		return dataset.Or{kernelPredicate(rng, depth-1), kernelPredicate(rng, depth-1)}
+		return dataset.Or{kernelPredicate(rng, nums, depth-1), kernelPredicate(rng, nums, depth-1)}
 	}
-	return dataset.Not{P: kernelPredicate(rng, depth-1)}
+	return dataset.Not{P: kernelPredicate(rng, nums, depth-1)}
 }
 
 // checkKernelAgainstRows is the differential oracle: the scan kernel's
@@ -251,6 +280,7 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	s := kernelSchema(t)
 	var sawError, sawHistogram bool
+	sawExp := map[int]bool{}
 	trials := 24
 	if testing.Short() {
 		trials = 6
@@ -259,10 +289,19 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 		// Sizes straddle the morsel so first-bad-row parity crosses one.
 		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
 		forms := storageForms(t, heap)
+		for pos := 5; pos <= 7; pos++ { // fare, tenth, mixed
+			pv := forms["v2"].ColumnData(pos).PackedVals
+			if pv == nil {
+				t.Fatalf("trial %d: decimal column %d stayed raw in the segment", trial, pos)
+			}
+			sawExp[pv.Exp] = true
+		}
 		for w := 0; w < 6; w++ {
 			preds := make([]dataset.Predicate, 1+rng.Intn(7))
+			perm := rng.Perm(len(kernelNums))
+			nums := []string{kernelNums[perm[0]], kernelNums[perm[1]], kernelNums[perm[2]]}
 			for i := range preds {
-				preds[i] = kernelPredicate(rng, 2)
+				preds[i] = kernelPredicate(rng, nums, 2)
 			}
 			tr, err := Transform(s, preds, Options{})
 			if err != nil {
@@ -282,6 +321,9 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 	}
 	if !sawError || !sawHistogram {
 		t.Fatalf("generator is lopsided: out-of-domain error seen %v, clean histogram seen %v", sawError, sawHistogram)
+	}
+	if !sawExp[1] || !sawExp[2] || !sawExp[3] {
+		t.Fatalf("decimal exponents seen: %v, want 1, 2 and 3", sawExp)
 	}
 }
 
@@ -381,7 +423,7 @@ func TestKernelGridFallback(t *testing.T) {
 // float64 bit patterns: NaNs, infinities, denormals, adjacent floats),
 // the frame-of-reference base and lane width, the lanes and the predicate
 // shapes. Column "v" holds base+lane — packed, it classifies by lookup
-// table up to 12-bit lanes and by integer lane thresholds above; narrow
+// table up to 16-bit lanes and by integer lane thresholds above; narrow
 // columns additionally hold every lane once. Column "f" holds the cut
 // constants themselves and their neighbours, unpacked. The atom → cell →
 // signature chain must then equal predicate-by-predicate Eval (the row
