@@ -49,9 +49,10 @@ type colSpan struct{ start, end uint64 }
 // Open verifies and maps the segment at path and rebuilds its table with
 // zero-copy column views. Every checksum (header, directory, each column
 // page, dictionaries, misfit table) is verified first via a sequential
-// bounded-buffer read of the file — not through the mapping, so
-// validation leaves the resident set alone. Corruption anywhere fails
-// with ErrCorrupt.
+// bounded-buffer read of the file — not through the mapping — and the
+// pages the packed lanes' canonical-form check does touch are dropped
+// before Open returns, so validation leaves the resident set alone.
+// Corruption anywhere fails with ErrCorrupt.
 func Open(path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -268,6 +269,12 @@ func open(f *os.File, path string) (*Segment, error) {
 	}
 	table.SetColumnHints(seg.AdviseColumns, seg.ReleaseColumns)
 	seg.table = table
+	// buildTable's canonical-form check walked every packed column through
+	// the mapping; drop those pages from the process again (they stay in
+	// the page cache, so a scan's first touch is a minor fault).
+	if mapped {
+		adviseDontNeed(seg.data)
+	}
 	return seg, nil
 }
 

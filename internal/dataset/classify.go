@@ -167,6 +167,8 @@ func (a *Atoms) Rep(atom int) (v Value, ok bool) {
 // lanes a real column holds cluster in far fewer lines than that. Cents
 // and hundredths of a mile land at 11–14 bits, where one load per row
 // costs a quarter of the threshold search wider lanes fall back to.
+// Bind fills the table per query, so it only does when the column has
+// at least as many rows as the table has entries.
 const lutMaxWidth = 16
 
 // AtomReader classifies the rows of one table column into atom indices.
@@ -193,8 +195,8 @@ type AtomReader struct {
 // Bind specializes the atoms to t's storage of the attribute: it
 // resolves the string constants to dictionary codes, or translates the
 // float thresholds into the column's lane domain — a lookup table when
-// the lanes are narrow, integer thresholds otherwise — so that Read
-// never reconstructs a value.
+// the lanes are narrow and the column has a row per entry, integer
+// thresholds otherwise — so that Read never reconstructs a value.
 func (a *Atoms) Bind(t *Table) *AtomReader {
 	r := &AtomReader{null: a.null()}
 	if a.cat {
@@ -222,7 +224,7 @@ func (a *Atoms) Bind(t *Table) *AtomReader {
 		return r
 	}
 	r.packed = &p.Ints
-	if thr := a.laneThresholds(p); p.Ints.Width <= lutMaxWidth {
+	if thr := a.laneThresholds(p); p.Ints.Width <= lutMaxWidth && p.Ints.N >= 1<<uint(p.Ints.Width) {
 		r.lut = laneTable(thr, p.Ints.Width)
 	} else {
 		r.laneThr = padKeys(thr)

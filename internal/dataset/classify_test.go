@@ -55,10 +55,15 @@ func FuzzLaneThresholds(f *testing.F) {
 	f.Add(uint8(6), int64(-30), uint8(1), math.Float64bits(-0.3), math.Float64bits(math.Nextafter(0.3, 1)))
 	f.Add(uint8(9), int64(1)<<49, uint8(6), math.Float64bits(float64(int64(1)<<49)/1e6), math.Float64bits(5.63e8))
 	f.Add(uint8(4), int64(-7), uint8(3), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)))
+	f.Add(uint8(9), int64(1)<<51-1, uint8(0), math.Float64bits(float64(int64(1)<<51)+0.5), math.Float64bits(float64(int64(1)<<51)))
 	f.Fuzz(func(t *testing.T, width uint8, base int64, k uint8, c1Bits, c2Bits uint64) {
 		w := 1 + int(width)%10
 		exp := int(k) % (MaxDecimalExp + 1)
-		base %= 1 << 49 // every lane within maxScaled
+		if exp == 0 {
+			base %= 1 << 51 // every lane within maxBase,
+		} else {
+			base %= 1 << 49 // within maxScaled
+		}
 		n := 1 << uint(w)
 		p, vals := allLanes(t, base, exp, w)
 		c1, c2 := math.Float64frombits(c1Bits), math.Float64frombits(c2Bits)
@@ -159,15 +164,21 @@ func TestLaneTableMatchesFloatKeys(t *testing.T) {
 			}
 		}
 	}
-	// One bit past the cap, Bind searches thresholds instead.
-	p, _ := allLanes(t, 0, 2, lutMaxWidth+1)
-	tab, err := TableFromColumns(MustSchema(Attribute{Name: "x", Kind: Continuous}), p.Ints.N,
-		[]ColumnData{{Kind: Continuous, PackedVals: p, MissingWords: make([]uint64, (p.Ints.N+63)>>6)}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := NumAtoms(0, []float64{1.5}).Bind(tab); r.lut != nil || r.laneThr == nil {
-		t.Fatalf("width %d: Bind built a lookup table", lutMaxWidth+1)
+	// One bit past the cap, or one row short of the table's size, Bind
+	// searches thresholds instead.
+	wide, _ := allLanes(t, 0, 2, lutMaxWidth+1)
+	short, _ := allLanes(t, 0, 2, lutMaxWidth)
+	short.Ints.N--
+	short.Ints.Words[len(short.Ints.Words)-1] = 0 // the dropped row's word: canonical again
+	for _, p := range []*PackedFloats{wide, short} {
+		tab, err := TableFromColumns(MustSchema(Attribute{Name: "x", Kind: Continuous}), p.Ints.N,
+			[]ColumnData{{Kind: Continuous, PackedVals: p, MissingWords: make([]uint64, (p.Ints.N+63)>>6)}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := NumAtoms(0, []float64{1.5}).Bind(tab); r.lut != nil || r.laneThr == nil {
+			t.Fatalf("width %d, %d rows: Bind built a lookup table", p.Ints.Width, p.Ints.N)
+		}
 	}
 }
 

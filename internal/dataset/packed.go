@@ -58,22 +58,30 @@ const MaxDecimalExp = 6
 
 var pow10 = [MaxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
 
-// maxScaled bounds |v·10^k| for a value FoRFrame packs. Below it Min +
-// lane is exact, distinct lanes reconstruct to distinct float64s, and the
-// product v·10^k — off from the integer it stands for by at most
-// |n|·2^−52 — still rounds to that integer.
-const maxScaled = 1 << 50
-
-// maxBase bounds |Min| for a column the reader accepts: Min + lane stays
-// exact up to there, and segments written before maxScaled existed hold
-// integer columns that large.
+// maxBase bounds |Min + lane|: up to there the sum is exact and distinct
+// lanes reconstruct to distinct float64s. It is also the bound on an
+// integer column's values (exponent 0, where v·10^0 is v itself).
 const maxBase = 1 << 52
 
+// maxScaled is the tighter bound on |v·10^k| once k > 0: the product is
+// off from the integer it stands for by at most |n|·2^−52, and below
+// 2^50 that still rounds to the integer.
+const maxScaled = 1 << 50
+
+// scaledBound returns the largest |v·10^k| FoRFrame packs at exponent k.
+func scaledBound(k int) float64 {
+	if k == 0 {
+		return maxBase
+	}
+	return maxScaled
+}
+
 // scaledInt returns the integer n = v·10^k when n/10^k gives v back bit
-// for bit and |n| fits maxScaled. NaN, ±Inf and −0 (n + 0 is +0) never do.
+// for bit and |n| fits scaledBound(k). NaN, ±Inf and −0 (n + 0 is +0)
+// never do.
 func scaledInt(v float64, k int) (float64, bool) {
 	n := math.Round(v * pow10[k])
-	return n, math.Abs(n) <= maxScaled && math.Float64bits((n+0)/pow10[k]) == math.Float64bits(v)
+	return n, math.Abs(n) <= scaledBound(k) && math.Float64bits((n+0)/pow10[k]) == math.Float64bits(v)
 }
 
 // FoRFrame decides a continuous column's packing one value at a time: it
@@ -107,7 +115,8 @@ func (f *FoRFrame) Add(v float64) {
 		f.hi = n
 	}
 	f.seen = true
-	f.raw = !ok || f.hi-f.lo >= 1<<32 || -f.lo > maxScaled || f.hi > maxScaled
+	b := scaledBound(f.exp)
+	f.raw = !ok || f.hi-f.lo >= 1<<32 || -f.lo > b || f.hi > b
 }
 
 // Packing returns the column's frame — base, exponent and lane width, no

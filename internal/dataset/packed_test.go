@@ -233,8 +233,10 @@ func TestPackValsRejectsIneligible(t *testing.T) {
 		{1, tenth + fifth},              // 0.30000000000000004: no short decimal
 		{1, 1e-7},                       // one digit past MaxDecimalExp
 		{0, 1 << 53},                    // too large for exact deltas
-		{0, 1<<50 + 1},                  // just past maxScaled
+		{1<<52 + 2, 1<<52 + 4},          // integers just past maxBase
+		{(1<<50 + 5) / 10.0},            // tenths just past maxScaled
 		{0.5, 1 << 49},                  // fits at exp 0, not once scaled by 10
+		{1 << 51, 0.5},                  // the same, the fraction arriving second
 		{-(1 << 31), 1 << 31},           // span over 32 bits
 		{0, 1 << 32},                    // span exactly 2^32
 		{0, 0.01, float64(1<<32) / 100}, // span 2^32 in cents
@@ -248,13 +250,15 @@ func TestPackValsRejectsIneligible(t *testing.T) {
 		exp, width int
 		min        float64
 	}{
-		{[]float64{0, float64(1<<32) - 1}, 0, 32, 0}, // the widest packable span
-		{[]float64{-(1 << 50), -(1 << 50) + 3}, 0, 2, -(1 << 50)},
-		{[]float64{1, 2.5, 3}, 1, 5, 10},              // one decimal
-		{[]float64{12.34, 2.5, 7}, 2, 10, 250},        // the exponent rises mid-column
-		{[]float64{-0.07, 0.29, 0.57}, 2, 7, -7},      // cents that are not v·100 exactly
-		{[]float64{0.000001, 0.25}, 6, 18, 1},         // MaxDecimalExp
-		{[]float64{(1<<32 - 1) / 100.0, 0}, 2, 32, 0}, // widest span, scaled
+		{[]float64{0, float64(1<<32) - 1}, 0, 32, 0},              // the widest packable span
+		{[]float64{-(1 << 52), -(1 << 52) + 3}, 0, 2, -(1 << 52)}, // integers reach maxBase,
+		{[]float64{1<<52 - 3, 1 << 52}, 0, 2, 1<<52 - 3},          // on both sides;
+		{[]float64{(1<<50 - 5) / 10.0}, 1, 1, 1<<50 - 5},          // decimals reach maxScaled
+		{[]float64{1, 2.5, 3}, 1, 5, 10},                          // one decimal
+		{[]float64{12.34, 2.5, 7}, 2, 10, 250},                    // the exponent rises mid-column
+		{[]float64{-0.07, 0.29, 0.57}, 2, 7, -7},                  // cents that are not v·100 exactly
+		{[]float64{0.000001, 0.25}, 6, 18, 1},                     // MaxDecimalExp
+		{[]float64{(1<<32 - 1) / 100.0, 0}, 2, 32, 0},             // widest span, scaled
 	} {
 		p, ok := packVals(c.vals, none)
 		if !ok {
