@@ -114,7 +114,12 @@ func runCommand(eng *engine.Engine, line string) {
 		fmt.Printf("budget B=%g, spent %.4g, remaining %.4g\n",
 			eng.Budget(), eng.Spent(), eng.Remaining())
 	case ".transcript":
-		for i, e := range eng.Transcript() {
+		entries, err := eng.Transcript()
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		for i, e := range entries {
 			switch {
 			case e.Denied:
 				fmt.Printf("  %3d DENIED\n", i+1)

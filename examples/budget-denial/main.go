@@ -59,7 +59,11 @@ func main() {
 
 	// The transcript proves the invariant: actual losses sum to Spent() ≤ B.
 	var sum float64
-	for _, e := range eng.Transcript() {
+	entries, err := eng.Transcript()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range entries {
 		sum += e.Epsilon
 	}
 	fmt.Printf("transcript total ε=%.4f, budget B=%.2f — invariant holds: %v\n",

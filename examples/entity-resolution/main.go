@@ -78,7 +78,11 @@ func main() {
 
 	// 4. Transcript: every query the analyst asked, with its actual cost.
 	fmt.Println("\nblocking transcript:")
-	for i, e := range engBlock.Transcript() {
+	entries, err := engBlock.Transcript()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, e := range entries {
 		status := fmt.Sprintf("ε=%.4f", e.Epsilon)
 		if e.Denied {
 			status = "DENIED"

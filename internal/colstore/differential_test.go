@@ -89,7 +89,11 @@ func runTranscript(t *testing.T, table *dataset.Table, mode engine.Mode, reuse b
 		}
 	}
 	var out bytes.Buffer
-	for i, e := range eng.Transcript() {
+	entries, err := eng.Transcript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
 		b, err := engine.EncodeEntry(e)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)

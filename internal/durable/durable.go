@@ -20,15 +20,16 @@ import (
 // is renamed aside for the operator, never deleted and never reopened.
 const QuarantineSuffix = ".quarantined"
 
-// frameHeader is the per-frame prefix: u32 payload length, then u32
-// CRC-32C (Castagnoli) of the payload, both little-endian.
-const frameHeader = 8
+// FrameHeader is the size of the per-frame prefix: u32 payload length,
+// then u32 CRC-32C (Castagnoli) of the payload, both little-endian. A
+// frame occupies FrameHeader + len(payload) bytes.
+const FrameHeader = 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends payload to dst as one `len | crc32c | payload` frame.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = slices.Grow(dst, frameHeader+len(payload))
+	dst = slices.Grow(dst, FrameHeader+len(payload))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	return append(dst, payload...)
@@ -45,7 +46,7 @@ func AppendFrame(dst, payload []byte) []byte {
 func Scan(data []byte, start int, maxPayload uint32) (payloads [][]byte, valid int, torn bool, err error) {
 	for valid = start; valid < len(data); {
 		rest := data[valid:]
-		if len(rest) < frameHeader {
+		if len(rest) < FrameHeader {
 			return payloads, valid, true, nil
 		}
 		n, want := binary.LittleEndian.Uint32(rest), binary.LittleEndian.Uint32(rest[4:])
@@ -53,16 +54,16 @@ func Scan(data []byte, start int, maxPayload uint32) (payloads [][]byte, valid i
 			return payloads, valid, false, fmt.Errorf("frame %d declares %d bytes (limit %d) — corrupt length at offset %d",
 				len(payloads), n, maxPayload, valid)
 		}
-		if uint64(len(rest)) < frameHeader+uint64(n) {
+		if uint64(len(rest)) < FrameHeader+uint64(n) {
 			return payloads, valid, true, nil
 		}
-		payload := rest[frameHeader : frameHeader+int(n)]
+		payload := rest[FrameHeader : FrameHeader+int(n)]
 		if got := crc32.Checksum(payload, castagnoli); got != want {
 			return payloads, valid, false, fmt.Errorf("frame %d checksum mismatch at offset %d (got %08x, want %08x)",
 				len(payloads), valid, got, want)
 		}
 		payloads = append(payloads, payload)
-		valid += frameHeader + int(n)
+		valid += FrameHeader + int(n)
 	}
 	return payloads, valid, false, nil
 }

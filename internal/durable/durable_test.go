@@ -47,7 +47,7 @@ var corruptTailCases = []struct {
 }{
 	{"torn header", func(d []byte) []byte { return append(d, 0x17, 0x00) }, 5, true, ""},
 	{"torn payload", func(d []byte) []byte {
-		frame := make([]byte, frameHeader+2)
+		frame := make([]byte, FrameHeader+2)
 		binary.LittleEndian.PutUint32(frame, 100) // claims 100 bytes, has 2
 		return append(d, frame...)
 	}, 5, true, ""},
@@ -56,7 +56,7 @@ var corruptTailCases = []struct {
 		return d
 	}, 4, false, "frame 4 checksum mismatch at offset 56"},
 	{"absurd length", func(d []byte) []byte {
-		frame := make([]byte, frameHeader)
+		frame := make([]byte, FrameHeader)
 		binary.LittleEndian.PutUint32(frame, 1<<30)
 		return append(d, frame...)
 	}, 5, false, "frame 5 declares 1073741824 bytes (limit 1024) — corrupt length at offset 71"},

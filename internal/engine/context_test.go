@@ -36,8 +36,8 @@ func TestAskContextCanceled(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// A canceled ask charges nothing and leaves no transcript entry.
-	if e.Spent() != 0 || len(e.Transcript()) != 0 {
-		t.Fatalf("canceled ask mutated state: spent=%v entries=%d", e.Spent(), len(e.Transcript()))
+	if e.Spent() != 0 || e.TranscriptLen() != 0 {
+		t.Fatalf("canceled ask mutated state: spent=%v entries=%d", e.Spent(), e.TranscriptLen())
 	}
 
 	// The same query still answers normally afterwards.

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"strings"
 	"sync"
@@ -182,10 +183,23 @@ type Config struct {
 	// context, carrying its trace so the hook's own waits (WAL flush)
 	// appear as spans in the request's trace.
 	OnCommit CommitHook
+	// History, when set, is the read side of OnCommit: it reads committed
+	// entries [from, to) back from wherever the hook made them durable.
+	// An engine with a History keeps only its fixed-size ledger on the
+	// heap — the durable log is the one home of full entries — and every
+	// transcript read goes through it, outside the engine lock. Without
+	// one (library use, the CLI, a server without a data directory) the
+	// engine retains its entries in memory.
+	History History
 }
 
 // CommitHook observes transcript appends; see Config.OnCommit.
 type CommitHook func(ctx context.Context, n int, e Entry) error
+
+// History reads transcript entries [from, to) back in order, one at a
+// time; see Config.History. The engine only asks for entries whose commit
+// hook has returned. A read that fails yields the error and stops.
+type History func(from, to int) iter.Seq2[Entry, error]
 
 // Engine is the APEx privacy engine for one sensitive table.
 type Engine struct {
@@ -196,7 +210,13 @@ type Engine struct {
 	mode   Mode
 	mechs  []mechanism.Mechanism
 	rng    *rand.Rand
-	log    []Entry
+
+	// The transcript. ledger holds, for every entry, the fields
+	// Definition 6.1 and admission control read; full entries live in the
+	// durable log behind history or, when there is none, in entries.
+	ledger  []ledgerRecord
+	entries []Entry // retained only when history == nil
+	history History
 
 	// Two-phase bookkeeping: reserved is the summed worst-case loss of
 	// every prepared-but-unfinished plan (admission checks against
@@ -273,40 +293,44 @@ func New(d *dataset.Table, cfg Config) (*Engine, error) {
 		reuse:        cfg.Reuse,
 		answers:      make(map[string]*cachedAnswer),
 		onCommit:     cfg.OnCommit,
+		history:      cfg.History,
 	}
 	e.idle.L = &e.mu
 	return e, nil
 }
 
-// Replay rebuilds an engine from a recovered transcript: the entries are
-// validated against cfg.Budget (Definition 6.1), the cumulative actual
-// loss becomes the engine's spent counter, and when cfg.Reuse is set the
-// inferencer cache is rebuilt from the answered WCQ entries so recovered
-// sessions keep their free-reuse behavior. cfg.OnCommit is NOT invoked
-// for the replayed entries — they are already durable; it fires only for
+// Replay rebuilds an engine from a recovered transcript, consumed one
+// entry at a time: each entry is checked against cfg.Budget (Definition
+// 6.1) and recorded in the ledger, the cumulative actual loss becomes the
+// engine's spent counter, and when cfg.Reuse is set the inferencer cache
+// is rebuilt from the answered WCQ entries so recovered sessions keep
+// their free-reuse behavior. With cfg.History set the entries themselves
+// are not kept — they are already durable where History reads them.
+// cfg.OnCommit is NOT invoked for the replayed entries; it fires only for
 // entries appended after recovery.
 //
 // cfg.Rng should be a fresh source: re-seeding a recovered session with
 // the seed it was created with would replay noise the analyst has already
 // seen, voiding the privacy guarantee for post-recovery answers.
-func Replay(d *dataset.Table, cfg Config, entries []Entry) (*Engine, error) {
+func Replay(d *dataset.Table, cfg Config, entries iter.Seq2[Entry, error]) (*Engine, error) {
 	e, err := New(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	spent, err := ValidateTranscript(entries, cfg.Budget)
-	if err != nil {
-		return nil, fmt.Errorf("engine: replay: %w", err)
-	}
-	e.log = append([]Entry(nil), entries...)
-	e.spent = spent
-	if e.reuse {
-		for _, en := range e.log {
-			if en.Query != nil && en.Answer != nil && en.Answer.Counts != nil {
-				e.remember(en.Query, workload.Key(en.Query.Predicates), en.Answer.Counts)
-			}
+	v := validator{budget: cfg.Budget}
+	for en, err := range entries {
+		if err != nil {
+			return nil, fmt.Errorf("engine: replay: %w", err)
+		}
+		if err := v.add(len(e.ledger), recordOf(en)); err != nil {
+			return nil, fmt.Errorf("engine: replay: %w", err)
+		}
+		e.record(en)
+		if e.reuse && en.Query != nil && en.Answer != nil && en.Answer.Counts != nil {
+			e.remember(en.Query, workload.Key(en.Query.Predicates), en.Answer.Counts)
 		}
 	}
+	e.spent = v.spent
 	return e, nil
 }
 
@@ -340,56 +364,97 @@ func (e *Engine) Remaining() float64 {
 }
 
 // Transcript returns a copy of the interaction log.
-func (e *Engine) Transcript() []Entry {
+func (e *Engine) Transcript() ([]Entry, error) {
 	return e.TranscriptSince(0)
 }
 
 // TranscriptSince returns a copy of the transcript entries from index n
-// on, so incremental consumers (the server's ?since= transcript fetches,
-// audit tailers) copy only the delta instead of O(entries) per call. A
-// negative n is treated as 0; n past the end returns nil.
-func (e *Engine) TranscriptSince(n int) []Entry {
-	if n < 0 {
-		n = 0
+// on, so incremental consumers copy only the delta instead of O(entries)
+// per call. A negative n is treated as 0; n past the end returns nil. The
+// error is a failed read of the durable log (see Entries).
+func (e *Engine) TranscriptSince(n int) ([]Entry, error) {
+	var out []Entry
+	for en, err := range e.Entries(n) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, en)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n >= len(e.log) {
-		return nil
-	}
-	return append([]Entry(nil), e.log[n:]...)
+	return out, nil
 }
 
-// Validate re-checks the Definition 6.1 invariant on the live transcript
-// without copying it, returning the cumulative actual loss. This is what
-// the server's transcript endpoint runs on every audit read.
+// Entries streams the transcript entries committed so far from index
+// from on (negative means 0). The entry count is snapshotted under the
+// engine lock and the entries are read outside it — from the durable log
+// through Config.History, or from memory when the engine has none — so a
+// reader never blocks a commit. A failed durable read yields one error
+// and ends the sequence; commits are unaffected.
+func (e *Engine) Entries(from int) iter.Seq2[Entry, error] {
+	return func(yield func(Entry, error) bool) {
+		from = max(from, 0)
+		e.mu.Lock()
+		to := len(e.ledger)
+		// Entries are append-only and never rewritten, so the slots below
+		// to can be read after the lock is released.
+		mem := e.entries
+		e.mu.Unlock()
+		if from >= to {
+			return
+		}
+		if e.history != nil {
+			e.history(from, to)(yield)
+			return
+		}
+		for _, en := range mem[from:to] {
+			if !yield(en, nil) {
+				return
+			}
+		}
+	}
+}
+
+// Validate re-checks the Definition 6.1 invariant on the live ledger,
+// returning the cumulative actual loss. This is what the server's
+// transcript endpoint runs on every audit read.
 func (e *Engine) Validate() (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return ValidateTranscript(e.log, e.budget)
+	return validateLedger(e.ledger, e.budget)
 }
 
-// TranscriptLen returns the number of transcript entries without copying
-// the log.
+// TranscriptLen returns the number of transcript entries.
 func (e *Engine) TranscriptLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.log)
+	return len(e.ledger)
+}
+
+// LedgerEpsilons returns the actual loss the ledger holds for every
+// entry, in transcript order: the in-memory half of the scrubber's
+// double-entry check against the ε recorded in the WAL's frames.
+func (e *Engine) LedgerEpsilons() []float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]float64, len(e.ledger))
+	for i, r := range e.ledger {
+		out[i] = r.eps
+	}
+	return out
 }
 
 // VerifyAccounting is the background scrubber's live invariant check,
-// one atomic look at both halves of the accounting: the transcript must
+// one atomic look at both halves of the accounting: the ledger must
 // pass Definition 6.1 against the budget, and the spent counter — the
 // number admission control actually gates on — must equal the
-// transcript-derived cumulative loss. Both are read under one lock hold,
+// ledger-derived cumulative loss. Both are read under one lock hold,
 // so no commit can slip between the two reads and fake a divergence. It
-// returns the transcript-derived loss and, on failure, an error that
+// returns the ledger-derived loss and, on failure, an error that
 // starts with "transcript:" (invalid history) or "spent counter:"
 // (counter drifted from the history it is supposed to summarize).
 func (e *Engine) VerifyAccounting() (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	logSpent, err := ValidateTranscript(e.log, e.budget)
+	logSpent, err := validateLedger(e.ledger, e.budget)
 	if err != nil {
 		return logSpent, fmt.Errorf("transcript: %w", err)
 	}
@@ -720,9 +785,9 @@ func (e *Engine) TranslationNeeds(q *query.Query) []TranslationNeed {
 }
 
 // append records one transcript entry and runs the commit hook. Caller
-// holds e.mu. On hook failure the entry stays in the in-memory log (and
-// any charge the caller applied stands) and an ErrPersist-wrapped error
-// is returned for the caller to surface instead of the answer.
+// holds e.mu. On hook failure the entry stays in the ledger (and any
+// charge the caller applied stands) and an ErrPersist-wrapped error is
+// returned for the caller to surface instead of the answer.
 //
 // Provenance (TraceID, At) is stamped only when ctx carries a request ID:
 // engine-direct callers keep byte-identical transcripts across runs and
@@ -732,8 +797,8 @@ func (e *Engine) append(ctx context.Context, en Entry) error {
 		en.TraceID = id
 		en.At = time.Now()
 	}
-	n := len(e.log)
-	e.log = append(e.log, en)
+	n := len(e.ledger)
+	e.record(en)
 	if e.onCommit == nil {
 		return nil
 	}
@@ -822,38 +887,90 @@ func (e *Engine) transform(q *query.Query) (*workload.Transformed, error) {
 	return e.transforms.Transform(e.data.Schema(), q.Predicates)
 }
 
+// ledgerRecord is what the engine keeps on the heap for every transcript
+// entry: exactly the fields Definition 6.1 reads (32 bytes).
+type ledgerRecord struct {
+	eps      float64 // actual loss charged (0 when denied)
+	ansEps   float64 // the answer's own record of that loss
+	ansUpper float64 // worst-case loss reserved for the answer
+	denied   bool
+	answered bool
+}
+
+func recordOf(en Entry) ledgerRecord {
+	r := ledgerRecord{eps: en.Epsilon, denied: en.Denied}
+	if en.Answer != nil {
+		r.answered, r.ansEps, r.ansUpper = true, en.Answer.Epsilon, en.Answer.EpsilonUpper
+	}
+	return r
+}
+
+// record adds en to the transcript: its ledger record always, the entry
+// itself only when no History can read it back. Caller holds e.mu (or
+// owns the engine exclusively, as Replay does).
+func (e *Engine) record(en Entry) {
+	e.ledger = append(e.ledger, recordOf(en))
+	if e.history == nil {
+		e.entries = append(e.entries, en)
+	}
+}
+
+// validator checks Definition 6.1 one record at a time; spent is the
+// cumulative actual loss of the records added so far.
+type validator struct {
+	budget, spent float64
+}
+
+// add checks record i against the records before it and charges it.
+func (v *validator) add(i int, r ledgerRecord) error {
+	if r.eps < 0 {
+		return fmt.Errorf("engine: entry %d has negative epsilon %v", i, r.eps)
+	}
+	if r.denied {
+		if r.eps != 0 {
+			return fmt.Errorf("engine: denied entry %d charged %v", i, r.eps)
+		}
+		return nil
+	}
+	if r.answered {
+		if r.ansEps != r.eps {
+			return fmt.Errorf("engine: entry %d epsilon mismatch: %v vs %v", i, r.ansEps, r.eps)
+		}
+		if r.ansUpper+epsTol < r.eps {
+			return fmt.Errorf("engine: entry %d actual %v above reserved %v", i, r.eps, r.ansUpper)
+		}
+		if v.spent+r.ansUpper > v.budget+epsTol {
+			return fmt.Errorf("engine: entry %d reserved %v beyond remaining %v", i, r.ansUpper, v.budget-v.spent)
+		}
+	}
+	v.spent += r.eps
+	if v.spent > v.budget+epsTol {
+		return fmt.Errorf("engine: cumulative loss %v exceeds budget %v at entry %d", v.spent, v.budget, i)
+	}
+	return nil
+}
+
+func validateLedger(ledger []ledgerRecord, budget float64) (float64, error) {
+	v := validator{budget: budget}
+	for i, r := range ledger {
+		if err := v.add(i, r); err != nil {
+			return v.spent, err
+		}
+	}
+	return v.spent, nil
+}
+
 // ValidateTranscript checks the §6 validity invariants (Definition 6.1) on
 // a transcript against a budget B: actual losses are nonnegative and sum to
 // at most B, denied entries charge nothing, and no single answered entry's
 // reserved worst case could have exceeded the budget remaining when it was
 // asked. It returns the total actual loss.
 func ValidateTranscript(entries []Entry, budget float64) (float64, error) {
-	var spent float64
+	v := validator{budget: budget}
 	for i, e := range entries {
-		if e.Epsilon < 0 {
-			return spent, fmt.Errorf("engine: entry %d has negative epsilon %v", i, e.Epsilon)
-		}
-		if e.Denied {
-			if e.Epsilon != 0 {
-				return spent, fmt.Errorf("engine: denied entry %d charged %v", i, e.Epsilon)
-			}
-			continue
-		}
-		if e.Answer != nil {
-			if e.Answer.Epsilon != e.Epsilon {
-				return spent, fmt.Errorf("engine: entry %d epsilon mismatch: %v vs %v", i, e.Answer.Epsilon, e.Epsilon)
-			}
-			if e.Answer.EpsilonUpper+epsTol < e.Epsilon {
-				return spent, fmt.Errorf("engine: entry %d actual %v above reserved %v", i, e.Epsilon, e.Answer.EpsilonUpper)
-			}
-			if spent+e.Answer.EpsilonUpper > budget+epsTol {
-				return spent, fmt.Errorf("engine: entry %d reserved %v beyond remaining %v", i, e.Answer.EpsilonUpper, budget-spent)
-			}
-		}
-		spent += e.Epsilon
-		if spent > budget+epsTol {
-			return spent, fmt.Errorf("engine: cumulative loss %v exceeds budget %v at entry %d", spent, budget, i)
+		if err := v.add(i, recordOf(e)); err != nil {
+			return v.spent, err
 		}
 	}
-	return spent, nil
+	return v.spent, nil
 }

@@ -41,6 +41,17 @@ func histQuery(t *testing.T, bins int, req accuracy.Requirement) *query.Query {
 	return q
 }
 
+// transcriptOf returns e's full transcript; an engine with no History
+// reads from memory and cannot fail.
+func transcriptOf(t testing.TB, e *Engine) []Entry {
+	t.Helper()
+	entries, err := e.Transcript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
 func newEngine(t *testing.T, d *dataset.Table, budget float64, mode Mode) *Engine {
 	t.Helper()
 	e, err := New(d, Config{
@@ -125,7 +136,7 @@ func TestQueryDenied(t *testing.T) {
 	if e.Spent() != 0 {
 		t.Fatal("denial must not consume budget")
 	}
-	tr := e.Transcript()
+	tr := transcriptOf(t, e)
 	if len(tr) != 1 || !tr[0].Denied {
 		t.Fatalf("transcript = %+v", tr)
 	}
@@ -297,7 +308,7 @@ func TestTranscriptRecordsEverything(t *testing.T) {
 	if _, err := e.Ask(q); err != nil {
 		t.Fatal(err)
 	}
-	log := e.Transcript()
+	log := transcriptOf(t, e)
 	if len(log) != 2 {
 		t.Fatalf("transcript length %d", len(log))
 	}
@@ -390,7 +401,7 @@ func TestValidateTranscript(t *testing.T) {
 			break
 		}
 	}
-	spent, err := ValidateTranscript(e.Transcript(), e.Budget())
+	spent, err := ValidateTranscript(transcriptOf(t, e), e.Budget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +409,7 @@ func TestValidateTranscript(t *testing.T) {
 		t.Fatalf("validated spent %v != engine spent %v", spent, e.Spent())
 	}
 	// Corrupted transcripts are rejected.
-	bad := e.Transcript()
+	bad := transcriptOf(t, e)
 	if len(bad) > 0 {
 		bad[0].Epsilon = -1
 		if _, err := ValidateTranscript(bad, e.Budget()); err == nil {

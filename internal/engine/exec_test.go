@@ -39,7 +39,7 @@ func TestTwoPhaseMatchesAsk(t *testing.T) {
 	if !reflect.DeepEqual(ansA, ansB) {
 		t.Fatalf("answers differ:\nAsk:      %+v\ntwo-phase: %+v", ansA, ansB)
 	}
-	if !reflect.DeepEqual(direct.Transcript(), phased.Transcript()) {
+	if !reflect.DeepEqual(transcriptOf(t, direct), transcriptOf(t, phased)) {
 		t.Fatal("transcripts differ")
 	}
 }

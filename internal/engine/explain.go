@@ -67,7 +67,7 @@ type Explain struct {
 // every applicable mechanism (through the shared translation plane) and
 // the admission decision — without reserving budget, executing anything,
 // charging any loss or appending to the transcript. The zero-ε guarantee
-// is structural: Explain never touches e.spent, e.reserved or e.log, so
+// is structural: Explain never touches e.spent, e.reserved or the ledger, so
 // transcripts and WALs are byte-identical before and after any number of
 // Explain calls. A predicted denial is a report (Denied=true), not an
 // error, and is NOT logged — unlike Prepare, which records real denials.

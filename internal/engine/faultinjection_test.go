@@ -107,7 +107,7 @@ func TestChargeExternalValidation(t *testing.T) {
 	if e.Spent() != 0.3 {
 		t.Fatalf("spent %v", e.Spent())
 	}
-	log := e.Transcript()
+	log := transcriptOf(t, e)
 	if len(log) != 1 || log[0].Label != "ok" {
 		t.Fatalf("transcript %+v", log)
 	}

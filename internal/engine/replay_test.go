@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,6 +14,27 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 )
+
+// mustTranscript is TranscriptSince for an engine whose reads cannot fail.
+func mustTranscript(t testing.TB, e *engine.Engine, since int) []engine.Entry {
+	t.Helper()
+	entries, err := e.TranscriptSince(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// seqOf feeds a slice of entries to engine.Replay.
+func seqOf(entries []engine.Entry) iter.Seq2[engine.Entry, error] {
+	return func(yield func(engine.Entry, error) bool) {
+		for _, e := range entries {
+			if !yield(e, nil) {
+				return
+			}
+		}
+	}
+}
 
 // replayTable builds a small deterministic table over (age, state).
 func replayTable(t *testing.T, n int) *dataset.Table {
@@ -87,7 +109,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		t.Fatalf("budget denial: %v", err)
 	}
 
-	entries := eng.Transcript()
+	entries := mustTranscript(t, eng, 0)
 	for i, e := range entries {
 		b, err := engine.EncodeEntry(e)
 		if err != nil {
@@ -226,21 +248,21 @@ func TestTranscriptSince(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := eng.Transcript()
+	full := mustTranscript(t, eng, 0)
 	if len(full) != 3 {
 		t.Fatalf("len = %d", len(full))
 	}
-	tail := eng.TranscriptSince(2)
+	tail := mustTranscript(t, eng, 2)
 	if len(tail) != 1 || tail[0].Query.String() != full[2].Query.String() {
 		t.Fatalf("TranscriptSince(2) = %+v", tail)
 	}
-	if got := eng.TranscriptSince(3); got != nil {
+	if got := mustTranscript(t, eng, 3); got != nil {
 		t.Fatalf("TranscriptSince(len) = %+v, want nil", got)
 	}
-	if got := eng.TranscriptSince(99); got != nil {
+	if got := mustTranscript(t, eng, 99); got != nil {
 		t.Fatalf("TranscriptSince(past end) = %+v, want nil", got)
 	}
-	if got := eng.TranscriptSince(-5); len(got) != 3 {
+	if got := mustTranscript(t, eng, -5); len(got) != 3 {
 		t.Fatalf("TranscriptSince(-5) len = %d, want 3", len(got))
 	}
 	spent, err := eng.Validate()
@@ -269,7 +291,7 @@ func TestReplayRestoresBudgetAndReuse(t *testing.T) {
 
 	// Round-trip every entry through the WAL encoding, as recovery does.
 	var recovered []engine.Entry
-	for _, e := range eng.Transcript() {
+	for _, e := range mustTranscript(t, eng, 0) {
 		b, err := engine.EncodeEntry(e)
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +303,7 @@ func TestReplayRestoresBudgetAndReuse(t *testing.T) {
 		recovered = append(recovered, d)
 	}
 
-	re, err := engine.Replay(tb, engine.Config{Budget: 5, Rng: rand.New(rand.NewSource(99)), Reuse: true}, recovered)
+	re, err := engine.Replay(tb, engine.Config{Budget: 5, Rng: rand.New(rand.NewSource(99)), Reuse: true}, seqOf(recovered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +338,7 @@ func TestReplayRestoresBudgetAndReuse(t *testing.T) {
 	// A transcript that violates the invariant must refuse to replay.
 	bad := append([]engine.Entry(nil), recovered...)
 	bad = append(bad, engine.Entry{Label: "forged", Epsilon: 100})
-	if _, err := engine.Replay(tb, engine.Config{Budget: 5, Rng: rand.New(rand.NewSource(1))}, bad); err == nil {
+	if _, err := engine.Replay(tb, engine.Config{Budget: 5, Rng: rand.New(rand.NewSource(1))}, seqOf(bad)); err == nil {
 		t.Fatal("replayed an invalid transcript; want error")
 	}
 }

@@ -65,7 +65,7 @@ func askAll(t *testing.T, e *Engine, qs []*query.Query) ([]float64, [][]byte) {
 		epss = append(epss, ans.Epsilon)
 	}
 	var enc [][]byte
-	for _, en := range e.Transcript() {
+	for _, en := range transcriptOf(t, e) {
 		b, err := EncodeEntry(en)
 		if err != nil {
 			t.Fatal(err)

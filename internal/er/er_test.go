@@ -310,7 +310,7 @@ func TestRunBS1EndToEnd(t *testing.T) {
 	if task.Engine.Spent() > task.Engine.Budget()+1e-9 {
 		t.Fatal("budget exceeded")
 	}
-	if len(task.Engine.Transcript()) == 0 {
+	if task.Engine.TranscriptLen() == 0 {
 		t.Fatal("no queries issued")
 	}
 }

@@ -152,7 +152,10 @@ func TestAdaptiveSequenceInvariants(t *testing.T) {
 		}
 	}
 	var sum float64
-	for _, e := range eng.Transcript() {
+	for e, err := range eng.Entries(0) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		if e.Denied && e.Epsilon != 0 {
 			t.Fatal("denied entries must not charge")
 		}
@@ -342,7 +345,10 @@ func TestTranscriptReadableRendering(t *testing.T) {
 	if _, err := eng.Ask(q); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range eng.Transcript() {
+	for e, err := range eng.Entries(0) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := fmt.Sprintf("%s -> eps %.4f", e.Query, e.Epsilon)
 		if len(s) == 0 {
 			t.Fatal("unrenderable transcript entry")

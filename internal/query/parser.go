@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -40,9 +41,21 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
+// MaxPredicateDepth bounds how deep NOT and parentheses may nest inside
+// one predicate. The parser — and every walk of the tree it builds
+// (String, Eval, the transcript codec) — recurses once per level, so
+// without a bound a 1 MiB line of "(" or "NOT" is a megabyte-deep stack
+// in each of them. Hand-written and generated workloads nest a few levels.
+const MaxPredicateDepth = 64
+
+// ErrTooDeep is the parse error for a predicate nested beyond
+// MaxPredicateDepth.
+var ErrTooDeep = errors.New("query: predicate nesting exceeds the limit")
+
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // NOT and parenthesis levels open around the current factor
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -250,24 +263,30 @@ func (p *parser) parseAnd() (dataset.Predicate, error) {
 }
 
 func (p *parser) parseFactor() (dataset.Predicate, error) {
-	if p.acceptKeyword("NOT") {
+	not := p.acceptKeyword("NOT")
+	if !not && !p.acceptSymbol("(") {
+		return p.parseAtom()
+	}
+	if p.depth == MaxPredicateDepth {
+		return nil, fmt.Errorf("%w of %d levels of NOT and parentheses, at %s", ErrTooDeep, MaxPredicateDepth, p.cur())
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	if not {
 		inner, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
 		return dataset.Not{P: inner}, nil
 	}
-	if p.acceptSymbol("(") {
-		inner, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
+	inner, err := p.parseOr()
+	if err != nil {
+		return nil, err
 	}
-	return p.parseAtom()
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return inner, nil
 }
 
 func (p *parser) parseAtom() (dataset.Predicate, error) {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -215,4 +216,59 @@ func TestParsedQueryEvaluates(t *testing.T) {
 	if q.Predicates[0].Eval(s, row2) {
 		t.Fatal("predicate should not match row2")
 	}
+}
+
+// TestParseDepthBound: NOT and parentheses nest MaxPredicateDepth levels
+// and no further, mixed or not, and a hostile megabyte of openers is one
+// ErrTooDeep instead of a megabyte-deep stack.
+func TestParseDepthBound(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return `BIN D ON COUNT(*) WHERE W = { ` + strings.Repeat(open, n) + `age > 5` + strings.Repeat(close, n) + ` } ERROR 1 CONFIDENCE 0.9;`
+	}
+	for _, c := range []struct{ open, close string }{{"(", ")"}, {"NOT ", ""}, {"NOT (", ")"}} {
+		per := strings.Count(c.open, "NOT") + strings.Count(c.open, "(")
+		if _, err := Parse(nest(c.open, c.close, MaxPredicateDepth/per)); err != nil {
+			t.Errorf("%q × %d: %v", c.open, MaxPredicateDepth/per, err)
+		}
+		if _, err := Parse(nest(c.open, c.close, MaxPredicateDepth/per+1)); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%q × %d: err = %v, want ErrTooDeep", c.open, MaxPredicateDepth/per+1, err)
+		}
+	}
+	if _, err := Parse(nest("(", "", 1<<19)); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("half a megabyte of '(': err = %v, want ErrTooDeep", err)
+	}
+	// The bound is per factor, not per query: siblings do not add up.
+	wide := `BIN D ON COUNT(*) WHERE W = { ` + strings.Repeat(`(NOT (age > 5)) AND `, 200) + `age > 1 } ERROR 1 CONFIDENCE 0.9;`
+	if _, err := Parse(wide); err != nil {
+		t.Errorf("200 shallow siblings: %v", err)
+	}
+}
+
+// FuzzParseLine: the parser never panics, whatever the line, and text it
+// accepts is accepted again with the same rendering — parsing keeps no
+// state and String walks whatever tree Parse can build.
+func FuzzParseLine(f *testing.F) {
+	for _, seed := range []string{
+		``, `# comment`,
+		`BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 50 CONFIDENCE 0.95;`,
+		`BIN D ON COUNT(*) WHERE W = { NOT (sex = 'M' OR "cap gain" >= -1.5e3) AND age IS NOT NULL } HAVING COUNT(*) > 10 ERROR 1 CONFIDENCE 0.9;`,
+		`BIN D ON COUNT(*) WHERE W = { a != 'x', b <= 2, c < 3 } ORDER BY COUNT(*) LIMIT 2 ERROR 5 CONFIDENCE 0.99;`,
+		`BIN D ON COUNT(*) WHERE W = { ((((NOT NOT (a > 1))))) } ERROR 1 CONFIDENCE 0.5`,
+		`BIN D ON COUNT(*) WHERE W = { (age > 5 } ERROR 1 CONFIDENCE 0.9;`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		q, err := ParseLine(line)
+		if err != nil || q == nil {
+			return
+		}
+		again, err := ParseLine(line)
+		if err != nil || again == nil {
+			t.Fatalf("accepted once, then: %v", err)
+		}
+		if q.String() != again.String() {
+			t.Fatalf("re-parse renders differently:\n%s\n%s", q.String(), again.String())
+		}
+	})
 }

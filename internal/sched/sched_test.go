@@ -161,7 +161,11 @@ func TestSchedulerMatchesDirectAsk(t *testing.T) {
 				reused = true
 			}
 		}
-		dt, st := directEngines[i].Transcript(), schedEngines[i].Transcript()
+		dt, derr := directEngines[i].Transcript()
+		st, serr := schedEngines[i].Transcript()
+		if derr != nil || serr != nil {
+			t.Fatalf("session %d: transcript reads: %v, %v", i, derr, serr)
+		}
 		if !reflect.DeepEqual(dt, st) {
 			t.Fatalf("session %d: transcripts differ", i)
 		}

@@ -325,14 +325,16 @@ func (s *Scrubber) scrubSidecar(rep *CycleReport, ds DatasetArtifacts) {
 }
 
 // scrubSession re-validates one live session: the Definition 6.1
-// transcript and spent counter inside the engine, then the on-disk WAL
-// cross-checked frame by frame against the transcript.
+// ledger and spent counter inside the engine, then the on-disk WAL
+// cross-checked frame by frame against the ledger — the WAL holds the
+// transcript, the ledger what admission control charged for it, and the
+// two were written by different code, so this is a double-entry audit.
 //
 // Ordering matters for the cross-check: the engine's commit path appends
-// to its in-memory log before the WAL hook runs (both under the engine
-// lock), so frame i of the WAL always corresponds to transcript entry i.
-// We snapshot the transcript first and read the WAL second; either side
-// may have more entries than the other by the time both reads land
+// to its ledger before the WAL hook runs (both under the engine lock),
+// so frame i of the WAL always corresponds to ledger record i. We
+// snapshot the ledger's epsilons first and read the WAL second; either
+// side may have more entries than the other by the time both reads land
 // (commits race the scrubber), so only the epsilons at shared indices
 // are compared — count drift is in-flight traffic, not corruption.
 func (s *Scrubber) scrubSession(rep *CycleReport, sess SessionAccounting) {
@@ -354,7 +356,7 @@ func (s *Scrubber) scrubSession(rep *CycleReport, sess SessionAccounting) {
 		return
 	}
 	s.check(rep, KindWAL)
-	transcript := sess.Engine.Transcript() // snapshot BEFORE reading the WAL
+	ledger := sess.Engine.LedgerEpsilons() // snapshot BEFORE reading the WAL
 	start := time.Now()
 	frames, _, err := store.ReadWALFrames(sess.WALPath)
 	if err != nil {
@@ -385,25 +387,21 @@ func (s *Scrubber) scrubSession(rep *CycleReport, sess SessionAccounting) {
 
 	s.check(rep, KindAccounting)
 	walEntries := frames[1:]
-	n := len(walEntries)
-	if len(transcript) < n {
-		n = len(transcript)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(walEntries), len(ledger)) {
 		en, derr := engine.DecodeEntry(walEntries[i])
 		if derr != nil {
 			s.violate(rep, Violation{Kind: KindWAL, Dataset: sess.Dataset, Session: sess.ID,
 				Artifact: sess.WALPath, Detail: fmt.Sprintf("entry %d survived CRC but no longer decodes: %v", i, derr)})
 			return
 		}
-		diff := en.Epsilon - transcript[i].Epsilon
+		diff := en.Epsilon - ledger[i]
 		if diff < 0 {
 			diff = -diff
 		}
 		if diff > epsTol {
 			s.violate(rep, Violation{Kind: KindAccounting, Dataset: sess.Dataset, Session: sess.ID,
 				Artifact: sess.WALPath,
-				Detail:   fmt.Sprintf("entry %d: WAL records ε=%v, engine transcript ε=%v", i, en.Epsilon, transcript[i].Epsilon)})
+				Detail:   fmt.Sprintf("entry %d: WAL records ε=%v, engine ledger ε=%v", i, en.Epsilon, ledger[i])})
 			return
 		}
 	}

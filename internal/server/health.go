@@ -288,12 +288,19 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 func (s *Server) registerHealthMetrics(m *metrics.Registry) {
 	ready := m.Gauge("apex_ready", "1 when the server passes every readiness check, 0 when degraded.")
 	ready.Set(0)
+	ledger := m.Gauge("apex_session_ledger_entries",
+		"Transcript entries across live sessions: each holds one fixed-size ledger record on the heap (the full entry is in the session's WAL when the server is durable).")
 	m.OnScrape(func() {
 		if s.healthChecks().Status == HealthOK {
 			ready.Set(1)
 		} else {
 			ready.Set(0)
 		}
+		var entries int
+		for _, sess := range s.sessions.List() {
+			entries += sess.Engine().TranscriptLen()
+		}
+		ledger.Set(float64(entries))
 		now := time.Now()
 		for _, name := range s.registry.Names() {
 			b := s.datasetBudget(name, now)

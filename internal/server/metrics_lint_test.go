@@ -150,6 +150,8 @@ func lintExposition(t *testing.T, r io.Reader) {
 		"apex_dataset_budget_exhausted_seconds",
 		"apex_scan_bytes_total", "apex_scan_rows_total", "apex_scan_fallback_total",
 		"apex_dataset_columns",
+		"apex_session_ledger_entries", "apex_transcript_read_seconds",
+		"apex_transcript_read_errors_total",
 		"apex_analytics_requests_total", "apex_analytics_cpu_seconds_total",
 		"apex_analytics_queue_seconds_total", "apex_analytics_translate_seconds_total",
 		"apex_analytics_scan_bytes_total", "apex_analytics_epsilon_total",

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -205,7 +206,8 @@ type AuditResponse struct {
 }
 
 // handleAudit reconstructs the per-dataset budget spend timeline from the
-// live sessions' transcripts. Entries committed by traced requests carry
+// live sessions' transcripts, each streamed once and reduced to its
+// events as it is read. Entries committed by traced requests carry
 // their commit time and trace ID and sort chronologically; entries
 // without timing (engine-direct charges, transcripts from before tracing)
 // keep their per-session order, ahead of the timed ones.
@@ -223,7 +225,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	var events []keyed
 	for _, sess := range sessions {
-		for i, e := range sess.Engine().Transcript() {
+		err := s.readTranscript(sess, 0, func(i int, e engine.Entry) {
 			ev := AuditEvent{
 				Session: sess.ID,
 				Index:   i,
@@ -243,6 +245,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 				ev.EpsilonUpper = e.Answer.EpsilonUpper
 			}
 			events = append(events, keyed{ev: ev, at: e.At})
+		})
+		if err != nil {
+			writeError(w, r, http.StatusInternalServerError, CodeTranscriptUnavailable,
+				"transcript of session "+sess.ID+" could not be read back from its log")
+			return
 		}
 	}
 	sort.SliceStable(events, func(i, j int) bool {

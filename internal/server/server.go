@@ -89,6 +89,11 @@ type Server struct {
 	tracer     *obs.Tracer
 	allowSeeds bool
 
+	// Transcript reads (transcript and audit endpoints): latency of one
+	// session's read-back, and reads the durable log could not serve.
+	transcriptRead     *metrics.Histogram
+	transcriptReadErrs *metrics.Counter
+
 	// Health plane state.
 	st       *store.Store // nil on non-durable servers
 	scrubber *scrub.Scrubber
@@ -152,6 +157,11 @@ func New(reg *Registry, cfg Config) *Server {
 		budget:     newBudgetTracker(budgetWindow),
 		started:    time.Now(),
 		analytics:  collector,
+		transcriptRead: reg2.Histogram("apex_transcript_read_seconds",
+			"Time to read one session's transcript entries back (from its WAL on a durable server) and render them.",
+			metrics.ExpBuckets(1e-5, 10, 8)),
+		transcriptReadErrs: reg2.Counter("apex_transcript_read_errors_total",
+			"Transcript reads that failed because the session's durable log could not be read back."),
 	}
 	if collector != nil {
 		collector.Publish(reg2, reg.Names)
@@ -336,6 +346,10 @@ const (
 	CodeQueueFull        = "queue_full"         // dataset queue at capacity; retry after backoff
 	CodeUnavailable      = "unavailable"        // server draining for shutdown
 	CodeInternal         = "internal_error"     // unexpected engine failure
+	// CodeTranscriptUnavailable: a durable session's log could not be read
+	// back (truncated or damaged under the live session). Commits are
+	// unaffected; the scrubber reports the log as a wal violation.
+	CodeTranscriptUnavailable = "transcript_unavailable"
 )
 
 // DatasetInfo describes one registered dataset. Storage says where the
@@ -724,15 +738,14 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 		since = n
 	}
 	eng := sess.Engine()
-	entries := eng.TranscriptSince(since)
 	resp := TranscriptResponse{
 		Session: sess.ID,
 		Dataset: sess.Dataset,
 		Budget:  eng.Budget(),
-		Entries: make([]TranscriptEntry, 0, len(entries)),
+		Entries: []TranscriptEntry{},
 	}
-	for i, e := range entries {
-		te := TranscriptEntry{Index: since + i, Label: e.Label, Denied: e.Denied, Epsilon: e.Epsilon, TraceID: e.TraceID}
+	err := s.readTranscript(sess, since, func(i int, e engine.Entry) {
+		te := TranscriptEntry{Index: i, Label: e.Label, Denied: e.Denied, Epsilon: e.Epsilon, TraceID: e.TraceID}
 		if !e.At.IsZero() {
 			te.At = e.At.UTC().Format(time.RFC3339Nano)
 		}
@@ -747,8 +760,12 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 			te.Predicates = renderPredicates(e.Answer.Predicates)
 		}
 		resp.Entries = append(resp.Entries, te)
+	})
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, CodeTranscriptUnavailable, "session transcript could not be read back from its log")
+		return
 	}
-	// Validate in place (no transcript copy) over the full history.
+	// The verdict covers the full history, from the engine's ledger.
 	spent, err := eng.Validate()
 	resp.Spent = spent
 	resp.Valid = err == nil
@@ -756,6 +773,28 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 		resp.Invalid = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// readTranscript streams sess's transcript entries from index from (≥ 0)
+// on through fn, one at a time, so a caller keeps only what it renders from
+// each. On a durable server the entries come from the session's WAL,
+// read outside the engine lock: a read never blocks a commit. A failed
+// read is logged and counted and returns the error; fn may have seen a
+// prefix by then.
+func (s *Server) readTranscript(sess *Session, from int, fn func(i int, e engine.Entry)) error {
+	start := time.Now()
+	i := from
+	for e, err := range sess.Engine().Entries(from) {
+		if err != nil {
+			s.transcriptReadErrs.Inc()
+			log.Printf("server: session %s: transcript read: %v", sess.ID, err)
+			return err
+		}
+		fn(i, e)
+		i++
+	}
+	s.transcriptRead.Observe(time.Since(start).Seconds())
+	return nil
 }
 
 func sessionInfo(sess *Session) SessionInfo {

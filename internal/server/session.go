@@ -46,8 +46,8 @@ func (s *Session) LogPath() string {
 }
 
 // SessionManager creates, finds and closes sessions. Closing a session
-// only forgets it; its transcript lives in the engine, so callers that
-// need a final audit should fetch the transcript first.
+// only forgets it; its transcript is served through the engine, so
+// callers that need a final audit should fetch the transcript first.
 type SessionManager struct {
 	mu          sync.RWMutex
 	sessions    map[string]*Session
@@ -120,6 +120,7 @@ func (m *SessionManager) Create(datasetName string, ds *Dataset, budget float64,
 	// fsynced first, so any session an analyst ever saw is recoverable.
 	var wal *store.SessionLog
 	var onCommit engine.CommitHook
+	var history engine.History
 	if m.store != nil {
 		wal, err = m.store.CreateSessionLog(store.SessionMeta{
 			ID:      id,
@@ -132,8 +133,7 @@ func (m *SessionManager) Create(datasetName string, ds *Dataset, budget float64,
 		if err != nil {
 			return nil, fmt.Errorf("server: session log: %w", err)
 		}
-		slog := wal
-		onCommit = func(ctx context.Context, _ int, e engine.Entry) error { return slog.AppendEntry(ctx, e) }
+		onCommit, history = commitTo(wal), wal.Entries
 	}
 	abort := func() {
 		if wal != nil {
@@ -151,6 +151,7 @@ func (m *SessionManager) Create(datasetName string, ds *Dataset, budget float64,
 		Transforms:   ds.Transforms,
 		Translations: ds.Translations,
 		OnCommit:     onCommit,
+		History:      history,
 	})
 	if err != nil {
 		abort()
@@ -167,10 +168,17 @@ func (m *SessionManager) Create(datasetName string, ds *Dataset, budget float64,
 	return s, nil
 }
 
-// Restore re-admits one recovered session: the transcript is replayed
-// into a fresh engine (re-validating the Definition 6.1 invariant and
-// re-deriving the spent budget), the session keeps its original id and
-// creation time, and further commits append to the same log. The
+// commitTo is the engine commit hook of a durable session: frame the
+// entry into the session's log before the answer is released.
+func commitTo(l *store.SessionLog) engine.CommitHook {
+	return func(ctx context.Context, _ int, e engine.Entry) error { return l.AppendEntry(ctx, e) }
+}
+
+// Restore re-admits one recovered session: the transcript is streamed
+// from its log into a fresh engine's ledger (re-validating the Definition
+// 6.1 invariant and re-deriving the spent budget; the entries themselves
+// stay in the log), the session keeps its original id and creation time,
+// and further commits append to the same log. The
 // engine's randomness is freshly seeded — replaying the original seed
 // would reuse noise the analyst has already observed. Recovered sessions
 // bypass the owner's current budget/session caps: they were admitted
@@ -191,8 +199,9 @@ func (m *SessionManager) Restore(ds *Dataset, rec *store.RecoveredSession) (*Ses
 		Reuse:        rec.Meta.Reuse,
 		Transforms:   ds.Transforms,
 		Translations: ds.Translations,
-		OnCommit:     func(ctx context.Context, _ int, e engine.Entry) error { return rec.Log.AppendEntry(ctx, e) },
-	}, rec.Entries)
+		OnCommit:     commitTo(rec.Log),
+		History:      rec.Log.Entries,
+	}, rec.Log.Entries(0, rec.Log.Len()))
 	if err != nil {
 		return nil, fmt.Errorf("server: restore session %s: %w", rec.Meta.ID, err)
 	}

@@ -86,7 +86,10 @@ func transcriptOf(t *testing.T, table *dataset.Table) []byte {
 		}
 	}
 	var out bytes.Buffer
-	for _, e := range eng.Transcript() {
+	for e, err := range eng.Entries(0) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := engine.EncodeEntry(e)
 		if err != nil {
 			t.Fatal(err)

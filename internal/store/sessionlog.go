@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,7 +33,8 @@ type SessionMeta struct {
 // SessionLog is one session's durable transcript: a WAL whose first
 // frame is the SessionMeta and whose subsequent frames are encoded
 // engine entries, appended by the engine's commit hook as each
-// interaction commits.
+// interaction commits and read back through Entries — the log is the
+// one home of a durable session's full entries (engine.Config.History).
 type SessionLog struct {
 	wal  *WAL
 	meta SessionMeta
@@ -57,6 +59,43 @@ func (l *SessionLog) AppendEntry(ctx context.Context, e engine.Entry) error {
 		sp.Set("bytes", len(b))
 	}
 	return err
+}
+
+// Len returns the number of transcript entries in the log: every frame
+// but the meta header.
+func (l *SessionLog) Len() int { return l.wal.Frames() - 1 }
+
+// entriesPerRead bounds how many frames one read of Entries holds in
+// memory: a transcript of any length streams through ~this many frames'
+// bytes at a time.
+const entriesPerRead = 256
+
+// Entries reads transcript entries [from, to) back from the log's file,
+// decoding one frame at a time; frames before from are never read. It has
+// the shape of engine.History. A range the file no longer holds intact, or
+// a frame that no longer decodes, yields one error naming the entry and
+// ends the sequence.
+func (l *SessionLog) Entries(from, to int) iter.Seq2[engine.Entry, error] {
+	return func(yield func(engine.Entry, error) bool) {
+		for lo := from; lo < to; lo += entriesPerRead {
+			// Frame 0 is the meta header: entry i is frame i+1.
+			frames, err := l.wal.ReadFrames(lo+1, min(lo+entriesPerRead, to)+1)
+			if err != nil {
+				yield(engine.Entry{}, err)
+				return
+			}
+			for i, frame := range frames {
+				e, err := engine.DecodeEntry(frame)
+				if err != nil {
+					yield(engine.Entry{}, fmt.Errorf("store: %s: entry %d: %w", l.wal.Path(), lo+i, err))
+					return
+				}
+				if !yield(e, nil) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Close flushes and closes the log, leaving the file in place to be
@@ -135,23 +174,24 @@ func (s *Store) CreateSessionLog(meta SessionMeta) (*SessionLog, error) {
 	return &SessionLog{wal: wal, meta: meta}, nil
 }
 
-// RecoveredSession is one session log replayed at startup: its header,
-// the decoded transcript entries that survived tail repair, how many
-// corrupt trailing bytes were dropped, and the log itself — open and
-// positioned for further appends.
+// RecoveredSession is one session log reopened at startup: its header,
+// how many corrupt trailing bytes were dropped, and the log itself — open
+// and positioned for further appends. The transcript stays in the file:
+// Log.Entries(0, Log.Len()) streams it to engine.Replay.
 type RecoveredSession struct {
 	Meta           SessionMeta
-	Entries        []engine.Entry
 	Log            *SessionLog
 	TruncatedBytes int64
 }
 
-// RecoverSessions replays every live session log under the store, in id
+// RecoverSessions reopens every live session log under the store, in id
 // order. Logs whose tail is torn or corrupt are repaired (truncated to
-// the last valid frame) and still recovered; logs that are structurally
-// beyond repair — unreadable header, an intact-CRC frame that no longer
-// decodes — are quarantined (renamed *.wal.invalid) and reported in
-// skipped rather than served.
+// the last valid frame) and still recovered; logs whose header is
+// unreadable are quarantined (renamed *.wal.invalid) and reported in
+// skipped rather than served. Entries are not decoded here: an
+// intact-CRC frame that no longer decodes surfaces from Log.Entries as
+// the transcript is replayed, and the caller quarantines the log then,
+// as it does a transcript that fails Definition 6.1.
 func (s *Store) RecoverSessions() (recovered []RecoveredSession, skipped []string, err error) {
 	entries, err := os.ReadDir(s.sessionsDir())
 	if err != nil {
@@ -178,7 +218,7 @@ func (s *Store) RecoverSessions() (recovered []RecoveredSession, skipped []strin
 	return recovered, skipped, nil
 }
 
-// recoverSession replays one log; on structural failure the log is
+// recoverSession reopens one log; on structural failure the log is
 // quarantined and the error describes why.
 func (s *Store) recoverSession(id string) (*RecoveredSession, error) {
 	wal, frames, truncated, err := OpenWAL(s.sessionPath(id))
@@ -203,17 +243,8 @@ func (s *Store) recoverSession(id string) (*RecoveredSession, error) {
 	if meta.ID != id {
 		return nil, quarantine(fmt.Errorf("meta id %q does not match file name %q", meta.ID, id))
 	}
-	ents := make([]engine.Entry, 0, len(frames)-1)
-	for i, frame := range frames[1:] {
-		e, err := engine.DecodeEntry(frame)
-		if err != nil {
-			return nil, quarantine(fmt.Errorf("entry %d: %v", i, err))
-		}
-		ents = append(ents, e)
-	}
 	return &RecoveredSession{
 		Meta:           meta,
-		Entries:        ents,
 		Log:            &SessionLog{wal: wal, meta: meta},
 		TruncatedBytes: truncated,
 	}, nil

@@ -3,10 +3,14 @@ package store_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +31,19 @@ func testSchema(t *testing.T) *dataset.Schema {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// logEntries reads the whole transcript back from an open session log.
+func logEntries(t *testing.T, l *store.SessionLog) []engine.Entry {
+	t.Helper()
+	var out []engine.Entry
+	for e, err := range l.Entries(0, l.Len()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 const testCSV = "age,state\n12,CA\n70,NY\n44,TX\n44,CA\n"
@@ -223,15 +240,26 @@ func TestSessionLogRoundTrip(t *testing.T) {
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("clean log reports %d truncated bytes", rec.TruncatedBytes)
 	}
-	if len(rec.Entries) != 2 {
-		t.Fatalf("recovered %d entries", len(rec.Entries))
+	if rec.Log.Len() != 2 {
+		t.Fatalf("recovered %d entries", rec.Log.Len())
 	}
 	re, err := engine.Replay(tb, engine.Config{
 		Budget: meta.Budget, Mode: engine.Optimistic,
 		Rng: rand.New(rand.NewSource(99)), Reuse: true,
-	}, rec.Entries)
+		History: rec.Log.Entries,
+	}, rec.Log.Entries(0, rec.Log.Len()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The replayed engine holds a ledger only; its transcript reads back
+	// through the log and matches what the live engine retained.
+	live, err := eng.Transcript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := re.Transcript()
+	if err != nil || !reflect.DeepEqual(replayed, logEntries(t, rec.Log)) || len(replayed) != len(live) {
+		t.Fatalf("replayed transcript: %d entries (live %d), err %v", len(replayed), len(live), err)
 	}
 	if re.Spent() != eng.Spent() {
 		t.Fatalf("replayed spend %v != live %v", re.Spent(), eng.Spent())
@@ -293,11 +321,12 @@ func TestSessionLogTornTailRecoversToLastValidFrame(t *testing.T) {
 	if rec.TruncatedBytes == 0 {
 		t.Fatal("torn tail not reported")
 	}
-	if len(rec.Entries) != 2 {
-		t.Fatalf("recovered %d entries past repair, want 2", len(rec.Entries))
+	entries := logEntries(t, rec.Log)
+	if len(entries) != 2 {
+		t.Fatalf("recovered %d entries past repair, want 2", len(entries))
 	}
 	// The recovered transcript still satisfies Definition 6.1.
-	if _, err := engine.ValidateTranscript(rec.Entries, meta.Budget); err != nil {
+	if _, err := engine.ValidateTranscript(entries, meta.Budget); err != nil {
 		t.Fatalf("recovered transcript invalid: %v", err)
 	}
 	rec.Log.Close()
@@ -518,12 +547,13 @@ func TestParentCommitSessionLogRecovers(t *testing.T) {
 	}
 	rec := recovered[0]
 	meta := sessionMeta("parent")
-	if rec.Meta != meta || rec.TruncatedBytes != 0 || len(rec.Entries) != 2 {
-		t.Fatalf("meta %+v, truncated %d, %d entries", rec.Meta, rec.TruncatedBytes, len(rec.Entries))
+	entries := logEntries(t, rec.Log)
+	if rec.Meta != meta || rec.TruncatedBytes != 0 || len(entries) != 2 {
+		t.Fatalf("meta %+v, truncated %d, %d entries", rec.Meta, rec.TruncatedBytes, len(entries))
 	}
-	spent, err := engine.ValidateTranscript(rec.Entries, meta.Budget)
-	if err != nil || spent != rec.Entries[0].Epsilon || rec.Entries[1].Epsilon != 0 || rec.Entries[1].Answer.Mechanism != "cache" {
-		t.Fatalf("transcript: spent %v, err %v, entries %+v", spent, err, rec.Entries)
+	spent, err := engine.ValidateTranscript(entries, meta.Budget)
+	if err != nil || spent != entries[0].Epsilon || entries[1].Epsilon != 0 || entries[1].Answer.Mechanism != "cache" {
+		t.Fatalf("transcript: spent %v, err %v, entries %+v", spent, err, entries)
 	}
 	if err := rec.Log.Close(); err != nil {
 		t.Fatal(err)
@@ -539,7 +569,7 @@ func TestParentCommitSessionLogRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range rec.Entries {
+	for _, e := range entries {
 		if err := slog.AppendEntry(context.Background(), e); err != nil {
 			t.Fatal(err)
 		}
@@ -553,5 +583,118 @@ func TestParentCommitSessionLogRecovers(t *testing.T) {
 	}
 	if !bytes.Equal(again, fixture) {
 		t.Fatal("the session re-logged by this tree differs from the parent commit's bytes")
+	}
+}
+
+// TestSessionLogEntriesReadBack: the log's reader returns exactly the
+// entries appended, for any [from, to) — across its internal read size,
+// across a reopen, and while appends are in flight behind the range — and
+// touches nothing before from: with entry 0's frame destroyed on disk,
+// every range that starts after it still reads, and every range that
+// includes it is an error naming the log.
+func TestSessionLogEntriesReadBack(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slog, err := st.CreateSessionLog(sessionMeta("rb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600 // more than two of the reader's internal reads
+	label := func(i int) string { return "charge-" + strconv.Itoa(i) }
+	for i := 0; i < n; i++ {
+		if err := slog.AppendEntry(context.Background(), engine.Entry{Label: label(i), Epsilon: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(l *store.SessionLog, from, to int) {
+		t.Helper()
+		i := from
+		for e, err := range l.Entries(from, to) {
+			if err != nil {
+				t.Fatalf("[%d, %d): entry %d: %v", from, to, i, err)
+			}
+			if e.Label != label(i) || e.Epsilon != float64(i) {
+				t.Fatalf("[%d, %d): entry %d is %+v", from, to, i, e)
+			}
+			i++
+		}
+		if i != max(to, from) {
+			t.Fatalf("[%d, %d): read up to %d", from, to, i)
+		}
+	}
+	if slog.Len() != n {
+		t.Fatalf("Len = %d, want %d", slog.Len(), n)
+	}
+	for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {255, 257}, {256, 512}, {n - 1, n}, {7, 8}} {
+		check(slog, r[0], r[1])
+	}
+	for _, err := range slog.Entries(n-1, n+1) {
+		if err == nil {
+			t.Fatal("read past the last entry succeeded")
+		}
+	}
+	// An early stop is honoured: nothing is read after the consumer quits.
+	for range slog.Entries(0, n) {
+		break
+	}
+
+	// Readers of a fixed range race appends behind it.
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := 100
+				for e, err := range slog.Entries(100, n) {
+					if err != nil || e.Label != label(i) {
+						t.Errorf("racing read: entry %d: %+v, %v", i, e, err)
+						return
+					}
+					i++
+				}
+			}
+		}()
+	}
+	for i := n; i < n+50; i++ {
+		if err := slog.AppendEntry(context.Background(), engine.Entry{Label: label(i), Epsilon: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	check(slog, 0, n+50)
+	if err := slog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen the log as recovery does, then destroy entry 0's payload
+	// under the live handle (byte 8 starts the meta frame; entry 0's
+	// frame follows it): its CRC no longer matches.
+	recovered, skipped, err := st.RecoverSessions()
+	if err != nil || len(skipped) != 0 || len(recovered) != 1 {
+		t.Fatalf("recovered %d, skipped %v, err %v", len(recovered), skipped, err)
+	}
+	live := recovered[0].Log
+	defer live.Close()
+	check(live, 0, n+50)
+	raw, err := os.ReadFile(live.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry0 := 8 + 8 + int(binary.LittleEndian.Uint32(raw[8:]))
+	raw[entry0+8+2] ^= 0xff
+	if err := os.WriteFile(live.Path(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check(live, 1, n+50)
+	check(live, 300, 301)
+	var failed error
+	for _, err := range live.Entries(0, 2) {
+		failed = err
+	}
+	if failed == nil || !strings.Contains(failed.Error(), live.Path()) {
+		t.Fatalf("read over a destroyed frame: err = %v", failed)
 	}
 }

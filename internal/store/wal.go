@@ -35,9 +35,10 @@ type WAL struct {
 	mu       sync.Mutex // serializes writes and guards all fields below
 	f        *os.File
 	size     int64
-	writeSeq int64 // frames written to the OS
-	synced   int64 // frames known durable
-	err      error // sticky failure; the WAL refuses further work
+	offsets  []int64 // file offset of every frame written; frame i ends where i+1 starts (or at size)
+	writeSeq int64   // frames written to the OS
+	synced   int64   // frames known durable
+	err      error   // sticky failure; the WAL refuses further work
 	closed   bool
 
 	syncMu sync.Mutex // serializes fsyncs; the group-commit queue
@@ -94,6 +95,12 @@ func OpenWAL(path string) (w *WAL, frames [][]byte, truncated int64, err error) 
 		return fail(fmt.Errorf("store: seek WAL end: %w", err))
 	}
 	w.size = int64(valid)
+	w.offsets = make([]int64, len(frames))
+	off := int64(len(walMagic))
+	for i, frame := range frames {
+		w.offsets[i] = off
+		off += durable.FrameHeader + int64(len(frame))
+	}
 	w.writeSeq = int64(len(frames))
 	w.synced = int64(len(frames))
 	return w, frames, truncated, nil
@@ -140,6 +147,50 @@ func ReadWALFrames(path string) (frames [][]byte, tornTail int64, err error) {
 	return frames, int64(len(data) - valid), nil
 }
 
+// ReadFrames reads the payloads of frames [from, to) back from the log's
+// own file with one positional read of exactly their bytes, so it never
+// sees an append in flight behind them and never touches a frame before
+// from. It holds no lock while it reads: appends proceed. Anything but
+// to-from intact frames in that range — the file was truncated or
+// damaged under the live log, or an append failed and the frame was never
+// written — is an error.
+func (w *WAL) ReadFrames(from, to int) ([][]byte, error) {
+	w.mu.Lock()
+	n, f := len(w.offsets), w.f
+	if from < 0 || from > to || to > n {
+		w.mu.Unlock()
+		return nil, fmt.Errorf("store: %s: frames [%d, %d) requested, %d written", w.path, from, to, n)
+	}
+	bound := func(i int) int64 {
+		if i < n {
+			return w.offsets[i]
+		}
+		return w.size
+	}
+	start, end := bound(from), bound(to)
+	w.mu.Unlock()
+
+	buf := make([]byte, end-start)
+	if _, err := f.ReadAt(buf, start); err != nil {
+		return nil, fmt.Errorf("store: read WAL: %s: frames [%d, %d) at offset %d: %w", w.path, from, to, start, err)
+	}
+	frames, _, torn, err := durable.Scan(buf, 0, maxFrameBytes)
+	if err == nil && (torn || len(frames) != to-from) {
+		err = fmt.Errorf("%d intact frames where %d were written", len(frames), to-from)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: frames [%d, %d) at offset %d: %w", w.path, from, to, start, err)
+	}
+	return frames, nil
+}
+
+// Frames returns the number of frames written to the log.
+func (w *WAL) Frames() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.offsets)
+}
+
 // Append writes one frame and blocks until it is durable (group commit).
 // After any write or sync failure the WAL turns sticky-failed: the frame
 // boundary on disk is unknown, so all further appends return the error
@@ -166,6 +217,7 @@ func (w *WAL) Append(payload []byte) error {
 		w.mu.Unlock()
 		return err
 	}
+	w.offsets = append(w.offsets, w.size)
 	w.size += int64(len(buf))
 	w.writeSeq++
 	seq := w.writeSeq
