@@ -37,6 +37,10 @@ type Table struct {
 	// raw.go).
 	adviseCols  func(cols []int)
 	releaseCols func(cols []int)
+
+	// proj holds the projections built over a sealed table's packed
+	// columns (projection.go).
+	proj projections
 }
 
 // NewTable returns an empty table over the schema.

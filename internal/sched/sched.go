@@ -230,6 +230,8 @@ type dsQueue struct {
 	scanBytes *metrics.Counter            // idem; column bytes read by batched scans
 	scanRows  *metrics.Counter            // idem; rows scanned by batched scans
 	fallbacks map[string]*metrics.Counter // idem; workloads evaluated outside the scan kernel, by reason
+	projected map[string]*metrics.Counter // idem; kernel workloads by projection outcome
+	projBytes *metrics.Gauge              // idem; bytes of the projections the table holds
 
 	// Cold-column planner state: colLast[pos] is the batch sequence at
 	// which a batched scan last planned schema position pos. A column
@@ -266,10 +268,10 @@ func (s *Scheduler) newQueue(name string) *dsQueue {
 				metrics.L("dataset", name), metrics.L("outcome", o))
 		}
 		q.scanBytes = m.Counter("apex_scan_bytes_total",
-			"Column storage bytes read by batched noise-free scans (packed words for v2 columns).",
+			"Storage bytes read by batched noise-free scans (packed words for v2 columns; a projection's lanes and weights when it answers).",
 			metrics.L("dataset", name))
 		q.scanRows = m.Counter("apex_scan_rows_total",
-			"Rows scanned by batched noise-free scans (column passes times table rows).",
+			"Rows classified by batched noise-free scans, per column read (table rows for a column pass, a projection's rows when it answers).",
 			metrics.L("dataset", name))
 		q.fallbacks = make(map[string]*metrics.Counter)
 		for _, r := range workload.FallbackReasons {
@@ -277,6 +279,15 @@ func (s *Scheduler) newQueue(name string) *dsQueue {
 				"Workloads a batched scan evaluated outside the one-pass-per-column kernel, by reason.",
 				metrics.L("dataset", name), metrics.L("reason", r))
 		}
+		q.projected = make(map[string]*metrics.Counter)
+		for _, o := range dataset.ProjectionOutcomes {
+			q.projected[o] = m.Counter("apex_scan_projection_total",
+				"Workloads the scan kernel evaluated, by projection outcome: answered by a held projection of their column set (hit), by one they built first (build), or over the table's rows because the set has none (ineligible).",
+				metrics.L("dataset", name), metrics.L("outcome", o))
+		}
+		q.projBytes = m.Gauge("apex_scan_projection_bytes",
+			"Bytes of the column-set projections the dataset's table holds (bounded by a quarter of its column storage).",
+			metrics.L("dataset", name))
 	}
 	return q
 }
@@ -288,9 +299,12 @@ func (s *Scheduler) newQueue(name string) *dsQueue {
 // ones for page cache.
 const coldAfterBatches = 64
 
-// noteColumns advances the cold-column planner by one batch: the given
-// planned columns become hot, and any tracked column that has gone
-// coldAfterBatches batches without being planned is released.
+// noteColumns advances the cold-column planner by one batch: the columns
+// whose storage the batch read (none, when projections answered all of
+// it) become hot, and any tracked column that has gone coldAfterBatches
+// batches without being read is released — which is also how the pages a
+// projection build walked are dropped once the projection serves the
+// column set.
 func (d *dsQueue) noteColumns(t *dataset.Table, cols []int) {
 	d.colMu.Lock()
 	defer d.colMu.Unlock()
@@ -610,8 +624,9 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 	// derives the batch's planned column set from its deduplicated
 	// predicates and prefetches only those byte ranges (column-granular
 	// madvise on an mmap-backed table, a no-op for heap tables); the
-	// returned stats feed the scan-bandwidth counters and the cold-column
-	// release planner. The pass is shared, so its span lands on every
+	// returned stats feed the scan-bandwidth and projection counters and
+	// the cold-column release planner (advanced by every batch that
+	// evaluated a workload, whether or not it read a column). The pass is shared, so its span lands on every
 	// flight's trace with the membership that explains the shared
 	// duration.
 	scanStart := time.Now()
@@ -622,13 +637,21 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 		warmed += len(g.items)
 		scanBytes += st.ScanBytes
 		scanRows += st.Rows
-		if st.ColumnPasses > 0 {
+		if st.Workloads > 0 {
 			d.noteColumns(g.table, st.Columns)
 		}
 		for reason, n := range st.Fallbacks {
 			if c := d.fallbacks[reason]; c != nil {
 				c.Add(float64(n))
 			}
+		}
+		for outcome, n := range st.Projections {
+			if c := d.projected[outcome]; c != nil {
+				c.Add(float64(n))
+			}
+		}
+		if d.projBytes != nil {
+			d.projBytes.Set(float64(g.table.ProjectionBytes()))
 		}
 	}
 	if d.scanBytes != nil && scanBytes > 0 {

@@ -195,18 +195,26 @@ func buildCompKernel(tr *Transformed, c *component) (compKernel, bool) {
 	return kc, true
 }
 
-// scanTraffic returns the column passes an evaluation over d issues and
-// the storage bytes they read: one pass per referenced column for the
-// scan kernel, one per (predicate, column) on the bitmap path. The row
-// path's traffic is not modelled by the column directory.
-func (k *colKernels) scanTraffic(d *dataset.Table) (passes int, bytes int64) {
-	switch k.fallback {
-	case "":
+// scanTraffic returns what an evaluation over d reads, given what
+// d.Projection (or PlannedProjection) said of the kernel's column set: the
+// full-column passes it issues, the rows it classifies (per column read)
+// and the storage bytes behind them. A projection hit passes over no
+// column: it classifies the projection's rows and reads the projection's
+// own lanes and weights. A build and an ineligible set read each
+// referenced column of the table once — the build's answer from the
+// projection it just made is not counted again. The bitmap path pays one
+// pass per (predicate, column); the row path's traffic is not modelled by
+// the column directory.
+func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, outcome string) (passes int, rows, bytes int64) {
+	switch {
+	case k.fallback == "" && outcome == dataset.ProjectionHit:
+		return 0, int64(len(k.cols)) * int64(proj.Table().Size()), proj.Bytes()
+	case k.fallback == "":
+		passes = len(k.cols)
 		for _, pos := range k.cols {
 			bytes += d.ColumnScanBytes(pos)
 		}
-		return len(k.cols), bytes
-	case FallbackImplicit:
+	case k.fallback == FallbackImplicit:
 		for _, cp := range k.preds {
 			for _, pos := range cp.Columns() {
 				passes++
@@ -214,22 +222,29 @@ func (k *colKernels) scanTraffic(d *dataset.Table) (passes int, bytes int64) {
 			}
 		}
 	}
-	return passes, bytes
+	return passes, int64(passes) * int64(d.Size()), bytes
 }
 
-// ScanPlan predicts the columnar scan a noise-free evaluation of this
-// workload alone would issue over d, without running it: the sorted
-// column set and the byte traffic. It runs the identical accounting as
-// EvaluateBatch, so for a single-workload batch the predicted ScanBytes
-// equals BatchStats.ScanBytes exactly. ok is false when the evaluation
-// would take the row path, whose traffic the column accounting does not
-// model.
+// ScanPlan predicts the scan a noise-free evaluation of this workload
+// alone would issue over d, without running it: the sorted set of columns
+// the workload references and the byte traffic. It runs the identical
+// accounting as EvaluateBatch over what d.PlannedProjection predicts — a
+// projection hit reads the projection's bytes rather than the columns', a
+// build or an ineligible set each column once — so for a single-workload
+// batch the predicted ScanBytes equals BatchStats.ScanBytes exactly. ok is
+// false when the evaluation would take the row path, whose traffic the
+// column accounting does not model.
 func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, ok bool) {
 	k := tr.kernels()
 	if k.fallback == FallbackOpaque || k.fallback == FallbackGrid {
 		return nil, 0, false
 	}
-	_, scanBytes = k.scanTraffic(d)
+	var proj *dataset.Projection
+	var outcome string
+	if k.fallback == "" {
+		proj, outcome = d.PlannedProjection(k.cols)
+	}
+	_, _, scanBytes = k.scanTraffic(d, proj, outcome)
 	return append([]int(nil), k.cols...), scanBytes, true
 }
 
@@ -243,9 +258,44 @@ type evalTask struct {
 	xErr   error
 	truths []float64
 
-	// readers are the kernel's atoms bound to the table under evaluation,
-	// by component and attribute; nil for a fallback task.
+	// unprojected keeps the task on the table's rows whatever projection
+	// the table could offer (EvaluateUnprojected).
+	unprojected bool
+
+	// Set by bind for a kernel task, nil/empty for a fallback one. src is
+	// what the scan reads: the rows of proj, the projection of the kernel's
+	// column set, when the table has one (outcome says whether this task
+	// built it), else the table itself. readers are the kernel's atoms
+	// bound to src, by component and attribute.
+	src     *dataset.Table
+	proj    *dataset.Projection
+	outcome string
 	readers [][]*dataset.AtomReader
+}
+
+// bind decides what the task scans and binds the kernel's atoms to it.
+func (t *evalTask) bind(d *dataset.Table) {
+	k := t.tr.kernels()
+	if k.fallback != "" {
+		return
+	}
+	t.src, t.outcome = d, dataset.ProjectionIneligible
+	if !t.unprojected {
+		if t.proj, t.outcome = d.Projection(k.cols); t.proj != nil {
+			t.src = t.proj.Table()
+		}
+	}
+	t.bindReaders(t.src)
+}
+
+func (t *evalTask) bindReaders(src *dataset.Table) {
+	k := t.tr.kernels()
+	t.readers = make([][]*dataset.AtomReader, len(k.comps))
+	for ci := range k.comps {
+		for _, a := range k.comps[ci].atoms {
+			t.readers[ci] = append(t.readers[ci], a.Bind(src))
+		}
+	}
 }
 
 // counts accumulates one worker's share of one task.
@@ -297,12 +347,17 @@ func (t *evalTask) classify(ci, lo int, misfits []int, cell, atoms []uint32) {
 	}
 }
 
-// scanMorsel counts rows [lo, hi) of the task into c.
-func (t *evalTask) scanMorsel(d *dataset.Table, lo, hi int, c *counts, b *morselBufs) {
+// scanMorsel counts rows [lo, hi) of the task's source into c: one per
+// row, or the row's weight when the source is a projection.
+func (t *evalTask) scanMorsel(lo, hi int, c *counts, b *morselBufs) {
 	k := t.tr.kernels()
 	n := hi - lo
 	cell, atoms, part := b.cell[:n], b.atoms[:n], b.part[:n]
-	misfits := rowsIn(d.MisfitRows(), lo, hi)
+	misfits := rowsIn(t.src.MisfitRows(), lo, hi)
+	var w []uint32
+	if t.proj != nil {
+		w = t.proj.Weights()[lo:hi]
+	}
 	if c.joint != nil {
 		clear(part)
 	}
@@ -310,8 +365,14 @@ func (t *evalTask) scanMorsel(d *dataset.Table, lo, hi int, c *counts, b *morsel
 		t.classify(ci, lo, misfits, cell, atoms)
 		cellSig, cnt := k.comps[ci].cellSig, c.sig[ci]
 		if c.joint == nil {
-			for _, x := range cell {
-				cnt[cellSig[x]]++
+			if w == nil {
+				for _, x := range cell {
+					cnt[cellSig[x]]++
+				}
+			} else {
+				for i, x := range cell {
+					cnt[cellSig[x]] += int64(w[i])
+				}
 			}
 			continue
 		}
@@ -320,7 +381,7 @@ func (t *evalTask) scanMorsel(d *dataset.Table, lo, hi int, c *counts, b *morsel
 		radix := uint32(len(t.tr.comps[ci].partSigs))
 		for i, x := range cell {
 			s := cellSig[x]
-			cnt[s]++
+			cnt[s] += weightOf(w, i)
 			p := uint32(s)
 			if p >= radix {
 				p = 0
@@ -332,10 +393,19 @@ func (t *evalTask) scanMorsel(d *dataset.Table, lo, hi int, c *counts, b *morsel
 		for _, r := range misfits {
 			part[r-lo] = uint32(len(c.joint) - 1)
 		}
-		for _, p := range part {
-			c.joint[p]++
+		for i, p := range part {
+			c.joint[p] += weightOf(w, i)
 		}
 	}
+}
+
+// weightOf returns the rows behind row i of a morsel: one, unless the
+// morsel is a projection's.
+func weightOf(w []uint32, i int) int64 {
+	if w == nil {
+		return 1
+	}
+	return int64(w[i])
 }
 
 // rowsIn returns the subslice of the sorted rows lying in [lo, hi).
@@ -347,29 +417,27 @@ func rowsIn(rows []int, lo, hi int) []int {
 	return rows[i : i+sort.SearchInts(rows[i:], hi)]
 }
 
-// evaluate computes every task's requested results over d. Work is cut
-// into (task, morsel) units pulled by up to GOMAXPROCS workers, so a lone
-// workload spreads over the cores exactly as a batch of many does; a
-// fallback task is one unit. Each worker counts into its own integer
-// accumulators, summed at the end — the result does not depend on the
-// worker count or on which worker took which morsel.
+// evaluate computes every task's requested results over d.
 func evaluate(d *dataset.Table, tasks []*evalTask) {
-	n := d.Size()
-	morsels := (n + morselRows - 1) / morselRows
+	for _, t := range tasks {
+		t.bind(d)
+	}
+	scan(d, tasks)
+}
+
+// scan runs the bound tasks. Work is cut into (task, morsel) units pulled
+// by up to GOMAXPROCS workers, so a lone workload spreads over the cores
+// exactly as a batch of many does; a fallback task is one unit. Each
+// worker counts into its own integer accumulators, summed at the end — the
+// result does not depend on the worker count or on which worker took which
+// morsel.
+func scan(d *dataset.Table, tasks []*evalTask) {
 	// first[i] is task i's first unit; first[len(tasks)] the unit count.
 	first := make([]int, len(tasks)+1)
 	for i, t := range tasks {
-		k := t.tr.kernels()
 		first[i+1] = first[i] + 1
-		if k.fallback != "" {
-			continue
-		}
-		first[i+1] = first[i] + morsels
-		t.readers = make([][]*dataset.AtomReader, len(k.comps))
-		for ci := range k.comps {
-			for _, a := range k.comps[ci].atoms {
-				t.readers[ci] = append(t.readers[ci], a.Bind(d))
-			}
+		if t.src != nil {
+			first[i+1] = first[i] + (t.src.Size()+morselRows-1)/morselRows
 		}
 	}
 	units := first[len(tasks)]
@@ -391,7 +459,7 @@ func evaluate(d *dataset.Table, tasks []*evalTask) {
 				ti++
 			}
 			t := tasks[ti]
-			if t.readers == nil {
+			if t.src == nil {
 				t.evalFallback(d)
 				continue
 			}
@@ -399,7 +467,7 @@ func evaluate(d *dataset.Table, tasks []*evalTask) {
 				mine[ti] = t.newCounts()
 			}
 			lo := (u - first[ti]) * morselRows
-			t.scanMorsel(d, lo, min(lo+morselRows, n), mine[ti], &bufs)
+			t.scanMorsel(lo, min(lo+morselRows, t.src.Size()), mine[ti], &bufs)
 		}
 	}
 	if nw == 1 {
@@ -417,7 +485,7 @@ func evaluate(d *dataset.Table, tasks []*evalTask) {
 	}
 
 	for ti, t := range tasks {
-		if t.readers == nil {
+		if t.src == nil {
 			continue
 		}
 		total := t.newCounts()
@@ -534,11 +602,14 @@ func (c *counts) anyUnseen(tr *Transformed) bool {
 	return false
 }
 
-// firstUnseen rescans d in row order for the first non-misfit row whose
-// signature some component has no partition for; ties between components
-// go to the earlier one, like the row path's component loop.
+// firstUnseen rescans d's own rows in order for the first non-misfit row
+// whose signature some component has no partition for; ties between
+// components go to the earlier one, like the row path's component loop.
 func (t *evalTask) firstUnseen(d *dataset.Table) (int, string) {
 	tr, k := t.tr, t.tr.kernels()
+	if t.src != d { // a projection has no row numbers
+		t.bindReaders(d)
+	}
 	var b morselBufs
 	for lo := 0; lo < d.Size(); lo += morselRows {
 		hi := min(lo+morselRows, d.Size())

@@ -99,45 +99,100 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 // in memory, by the column store's rules (PackedCodeWidth, FoRFrame,
 // LaneOf) but without a file — the fuzz target's packed twin.
 func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
+	return repeatedPackedForm(tb, heap, 1)
+}
+
+// repeatedPackedForm is packedForm of the heap table's rows repeat times
+// over, copy after copy.
+func repeatedPackedForm(tb testing.TB, heap *dataset.Table, repeat int) *dataset.Table {
 	tb.Helper()
-	s := heap.Schema()
+	s, n := heap.Schema(), heap.Size()
 	cols := make([]dataset.ColumnData, s.Arity())
 	for pos := range cols {
 		cd := heap.ColumnData(pos)
-		cols[pos] = cd
 		if cd.Kind == dataset.Categorical {
-			lanes := make([]uint64, len(cd.Codes))
-			for i, c := range cd.Codes {
-				lanes[i] = uint64(int64(c) + dataset.PackedCodeBias)
+			lanes := make([]uint64, n*repeat)
+			for i := range lanes {
+				lanes[i] = uint64(int64(cd.Codes[i%n]) + dataset.PackedCodeBias)
 			}
 			cols[pos] = dataset.ColumnData{Kind: cd.Kind, Dict: cd.Dict, PackedCodes: packLanes(lanes, dataset.PackedCodeWidth(len(cd.Dict)))}
 			continue
 		}
 		present := func(i int) bool { return cd.MissingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
+		col := dataset.ColumnData{Kind: cd.Kind, MissingWords: make([]uint64, (n*repeat+63)>>6)}
 		var frame dataset.FoRFrame
 		for i, v := range cd.Vals {
 			if present(i) {
 				frame.Add(v)
 			}
 		}
-		if p, ok := frame.Packing(); ok {
-			lanes := make([]uint64, len(cd.Vals))
-			for i, v := range cd.Vals {
-				if present(i) {
-					if lanes[i], ok = p.LaneOf(v); !ok {
-						tb.Fatalf("column %d: FoRFrame accepted %v, which its frame %+v cannot hold", pos, v, p)
-					}
+		p, packs := frame.Packing()
+		lanes := make([]uint64, n*repeat) // a missing row packs as lane 0
+		for i := range lanes {
+			if !present(i % n) {
+				col.MissingWords[i>>6] |= 1 << (uint(i) & 63)
+			} else if packs {
+				var ok bool
+				if lanes[i], ok = p.LaneOf(cd.Vals[i%n]); !ok {
+					tb.Fatalf("column %d: FoRFrame accepted %v, which its frame %+v cannot hold", pos, cd.Vals[i%n], p)
 				}
 			}
+		}
+		if packs {
 			p.Ints = *packLanes(lanes, p.Ints.Width)
-			cols[pos].Vals, cols[pos].PackedVals = nil, &p
+			col.PackedVals = &p
+		} else {
+			for k := 0; k < repeat; k++ {
+				col.Vals = append(col.Vals, cd.Vals...)
+			}
+		}
+		cols[pos] = col
+	}
+	var misfits []dataset.MisfitCell
+	for k := 0; k < repeat; k++ {
+		for _, m := range heap.MisfitCells() {
+			m.Row += k * n
+			misfits = append(misfits, m)
 		}
 	}
-	packed, err := dataset.TableFromColumns(s, heap.Size(), cols, heap.MisfitCells())
+	packed, err := dataset.TableFromColumns(s, n*repeat, cols, misfits)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return packed
+}
+
+// projectedForm returns the heap table's rows, packed, repeated as often
+// as it takes for the workload's column set to have a projection (a slot
+// per eight rows), and how often that is; nil when the set cannot have one
+// — a column of it stays full-width, or it has more than maxSlots slots.
+func projectedForm(tb testing.TB, heap *dataset.Table, tr *Transformed, maxSlots int) (*dataset.Table, int) {
+	tb.Helper()
+	cols := tr.kernels().cols
+	if tr.kernels().fallback != "" || heap.Size() == 0 {
+		return nil, 0
+	}
+	once := packedForm(tb, heap)
+	slots := 1
+	for _, pos := range cols {
+		switch cd := once.ColumnData(pos); {
+		case cd.PackedCodes != nil:
+			slots *= len(cd.Dict) + dataset.PackedCodeBias
+		case cd.PackedVals != nil && cd.PackedVals.Ints.Width < 30:
+			slots *= 1<<uint(cd.PackedVals.Ints.Width) + 1 // one more for NULL
+		default:
+			return nil, 0
+		}
+		if slots > maxSlots {
+			return nil, 0
+		}
+	}
+	repeat := (8*slots + heap.Size() - 1) / heap.Size()
+	d := repeatedPackedForm(tb, heap, repeat)
+	if _, outcome := d.PlannedProjection(cols); outcome != dataset.ProjectionBuild {
+		tb.Fatalf("%d slots over columns %v of %d rows: projection planned %q, want a build", slots, cols, d.Size(), outcome)
+	}
+	return d, repeat
 }
 
 // packLanes lays lanes out in the no-straddle form dataset.PackedInts
@@ -252,23 +307,63 @@ func kernelPredicate(rng *rand.Rand, nums []string, depth int) dataset.Predicate
 // the row-at-a-time reference, which is predicate-by-predicate Eval.
 func checkKernelAgainstRows(tb testing.TB, label string, tr *Transformed, d *dataset.Table) {
 	tb.Helper()
-	truth, rows := tr.TrueAnswers(d), tr.TrueAnswersRows(d)
+	checkKernelAgainstRepeatedRows(tb, label, tr, d, d, 1)
+}
+
+// checkProjectedAgainstRows is the oracle's third form, next to the raw
+// and the packed table: the heap table's rows repeated until the
+// workload's column set has a projection, evaluated through it — first
+// building it (truth-only), then answered by the held one (hist-only) —
+// against the row path over the heap table. It reports false when the
+// column set cannot have a projection of at most maxSlots slots.
+func checkProjectedAgainstRows(tb testing.TB, label string, tr *Transformed, heap *dataset.Table, maxSlots int) bool {
+	tb.Helper()
+	d, repeat := projectedForm(tb, heap, tr, maxSlots)
+	if d == nil {
+		return false
+	}
+	checkKernelAgainstRepeatedRows(tb, label, tr, d, heap, repeat)
+	if _, outcome := d.PlannedProjection(tr.kernels().cols); outcome != dataset.ProjectionHit {
+		tb.Fatalf("%s: the evaluation left no projection behind (%s)", label, outcome)
+	}
+	x, truths, err := tr.EvaluateUnprojected(d)
+	checkResults(tb, label+" (row kernel)", tr, x, truths, err, heap, repeat)
+	return true
+}
+
+// checkKernelAgainstRepeatedRows evaluates over d, which holds ref's rows
+// repeat times over; the row path runs over ref. Every count is then
+// repeat times ref's, and the first row outside the public domain the
+// same row.
+func checkKernelAgainstRepeatedRows(tb testing.TB, label string, tr *Transformed, d, ref *dataset.Table, repeat int) {
+	tb.Helper()
+	truths := tr.TrueAnswers(d)
+	var x []float64
+	var err error
+	if tr.Materialized() {
+		x, err = tr.Histogram(d)
+	}
+	checkResults(tb, label, tr, x, truths, err, ref, repeat)
+}
+
+func checkResults(tb testing.TB, label string, tr *Transformed, x, truths []float64, err error, ref *dataset.Table, repeat int) {
+	tb.Helper()
+	rows := tr.TrueAnswersRows(ref)
 	for j := range rows {
-		if truth[j] != rows[j] {
-			tb.Fatalf("%s: TrueAnswers[%d] kernel %v, rows %v (predicate %v)", label, j, truth[j], rows[j], tr.preds[j])
+		if truths[j] != float64(repeat)*rows[j] {
+			tb.Fatalf("%s: TrueAnswers[%d] kernel %v, rows %d × %v (predicate %v)", label, j, truths[j], repeat, rows[j], tr.preds[j])
 		}
 	}
 	if !tr.Materialized() {
 		return
 	}
-	x, err := tr.Histogram(d)
-	xr, errRows := tr.HistogramRows(d)
+	xr, errRows := tr.HistogramRows(ref)
 	if (err == nil) != (errRows == nil) || (err != nil && err.Error() != errRows.Error()) {
 		tb.Fatalf("%s: Histogram error\nkernel: %v\nrows:   %v", label, err, errRows)
 	}
 	for p := range xr {
-		if x[p] != xr[p] {
-			tb.Fatalf("%s: Histogram[%d] kernel %v, rows %v", label, p, x[p], xr[p])
+		if x[p] != float64(repeat)*xr[p] {
+			tb.Fatalf("%s: Histogram[%d] kernel %v, rows %d × %v", label, p, x[p], repeat, xr[p])
 		}
 	}
 }
@@ -324,6 +419,48 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 	}
 	if !sawExp[1] || !sawExp[2] || !sawExp[3] {
 		t.Fatalf("decimal exponents seen: %v, want 1, 2 and 3", sawExp)
+	}
+}
+
+// TestProjectedMatchesRowPath: random predicate trees over the narrow
+// columns (age, state, flag — NULL lanes, an out-of-dictionary "other",
+// misfit rows, cuts that are NaN, infinite or outside the domain), as one
+// component or several (a joint histogram over the union column set),
+// answered from a projection: the one the truth-only evaluation builds,
+// then, hist-only, the held one. Out-of-domain errors must name the same
+// first row as the row path.
+func TestProjectedMatchesRowPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261005))
+	s := kernelSchema(t)
+	var sawError, sawHistogram, sawJoint bool
+	trials := 16
+	if testing.Short() {
+		trials = 5
+	}
+	for trial := 0; trial < trials; trial++ {
+		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
+		for w := 0; w < 4; w++ {
+			preds := make([]dataset.Predicate, 1+rng.Intn(7))
+			for i := range preds {
+				preds[i] = kernelPredicate(rng, []string{"age"}, 2)
+			}
+			tr, err := Transform(s, preds, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			label := fmt.Sprintf("trial %d projected %v", trial, preds)
+			if !checkProjectedAgainstRows(t, label, tr, heap, 1<<13) {
+				t.Fatalf("%s: columns %v have no projection", label, tr.kernels().cols)
+			}
+			if tr.Materialized() {
+				_, err := tr.HistogramRows(heap)
+				sawError, sawHistogram = sawError || err != nil, sawHistogram || err == nil
+				sawJoint = sawJoint || len(tr.comps) > 1
+			}
+		}
+	}
+	if !sawError || !sawHistogram || !sawJoint {
+		t.Fatalf("generator is lopsided: out-of-domain error seen %v, clean histogram seen %v, joint histogram seen %v", sawError, sawHistogram, sawJoint)
 	}
 }
 
@@ -427,7 +564,10 @@ func TestKernelGridFallback(t *testing.T) {
 // columns additionally hold every lane once. Column "f" holds the cut
 // constants themselves and their neighbours, unpacked. The atom → cell →
 // signature chain must then equal predicate-by-predicate Eval (the row
-// path) on the raw and the packed table alike. (dataset's
+// path) on the raw and the packed table alike — and, when the workload's
+// columns all pack into at most 4096 lane combinations (lanes up to 11
+// bits, "f" holding short decimals), answered from the projection of
+// those rows repeated until the set is eligible. (dataset's
 // FuzzLaneThresholds checks the integer thresholds themselves on every
 // lane of a narrow column.)
 func FuzzClassifyMatchesEval(f *testing.F) {
@@ -512,5 +652,6 @@ func FuzzClassifyMatchesEval(f *testing.F) {
 		}
 		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d raw %v", w, base, preds), tr, heap)
 		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d packed %v", w, base, preds), tr, packedForm(t, heap))
+		checkProjectedAgainstRows(t, fmt.Sprintf("w=%d base=%d projected %v", w, base, preds), tr, heap, 1<<12)
 	})
 }

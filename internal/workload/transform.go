@@ -226,10 +226,12 @@ func (tr *Transformed) NumPartitions() int { return tr.parts }
 // Matrix returns the L×|domW(R)| query matrix, or nil when implicit.
 func (tr *Transformed) Matrix() *linalg.Matrix { return tr.mat }
 
-// Histogram computes x = T_W(D), the per-partition tuple counts, with one
-// pass per referenced column (kernel.go): rows are classified into the
-// workload's elementary intervals and counted per cell, instead of being
-// interpreted predicate by predicate. It errors if the workload is
+// Histogram computes x = T_W(D), the per-partition tuple counts, with at
+// most one pass per referenced column (kernel.go): rows — or, when the
+// table holds a projection of the referenced column set, its weighted
+// distinct lane tuples — are classified into the workload's elementary
+// intervals and counted per cell, instead of being interpreted predicate
+// by predicate. It errors if the workload is
 // implicit or a tuple falls outside the public domain. When the
 // Transformed came from a TransformCache, the noise-free result is
 // memoized per table and shared across callers.
@@ -248,6 +250,18 @@ func (tr *Transformed) histogram(d *dataset.Table) ([]float64, error) {
 	t := &evalTask{tr: tr, hist: true}
 	evaluate(d, []*evalTask{t})
 	return t.x, t.xErr
+}
+
+// EvaluateUnprojected runs the scan kernel over d's own rows whatever
+// projection d holds or could build — the path a column set without one
+// takes — and returns both results of that one pass (x is nil for an
+// implicit transformation). It exists, like HistogramRows, as a reference
+// for differential tests and the form=rows benchmark arms; nothing on the
+// request path calls it.
+func (tr *Transformed) EvaluateUnprojected(d *dataset.Table) (x, truths []float64, err error) {
+	t := &evalTask{tr: tr, hist: tr.mat != nil, truth: true, unprojected: true}
+	evaluate(d, []*evalTask{t})
+	return t.x, t.truths, t.xErr
 }
 
 // HistogramRows is the row-at-a-time reference implementation of
@@ -270,8 +284,7 @@ func (tr *Transformed) HistogramRows(d *dataset.Table) ([]float64, error) {
 
 // TrueAnswers returns the exact workload answers c_ϕi(D) = w_i·x
 // (available even for implicit transformations, and for tables on which
-// Histogram errors), from the same one-pass-per-column cell counts as
-// Histogram. When the Transformed came from a TransformCache, the
+// Histogram errors), from the same cell counts as Histogram. When the Transformed came from a TransformCache, the
 // noise-free result is memoized per table.
 func (tr *Transformed) TrueAnswers(d *dataset.Table) []float64 {
 	if tr.memo != nil {
