@@ -253,6 +253,52 @@ func TestColstoreRSSBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	// From 1M rows up the first of those scans built the projection of
+	// (age, state) and the other two were answered from it. Once the two
+	// columns' pages are released — what the scheduler's cold-column
+	// planner does after 64 batches that read no column — a hundred fresh
+	// workloads over the set must not fault one of them back in.
+	cols, _, _ := tr.ScanPlan(seg.Table())
+	if _, outcome := seg.Table().PlannedProjection(cols); outcome == dataset.ProjectionHit {
+		seg.Table().ReleaseColumns(cols)
+		released, err := seg.ResidentBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		releasedFile := readStatus(t, "RssFile:")
+		for i := 0; i < 100; i++ {
+			lo := float64(i%7) + 0.5
+			bins, err := workload.Histogram1D("age", lo, lo+90, 5+float64(i%5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := workload.Transform(seg.Table().Schema(), append(bins, dataset.StrEq{Attr: "state", Val: colstoreBenchSchema().Attr(1).Values[i%5]}), workload.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Histogram(seg.Table()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, err := seg.ResidentBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		afterFile := readStatus(t, "RssFile:")
+		t.Logf("projection of columns %v holds %d B; after release: mapping resident (mincore) %d B, process RssFile %d B; after 100 projection-answered workloads: %d B, %d B",
+			cols, seg.Table().ProjectionBytes(), released, releasedFile, after, afterFile)
+		// mincore counts the page cache, which a freshly written segment
+		// fills whatever this process does; RssFile counts the file pages
+		// in this process's own page tables, and the released columns left
+		// those. Either one growing by a fraction of a column (each is
+		// ≈ 0.8 B/row) is a column page faulted back in.
+		if after > released || afterFile-releasedFile > int64(rows)/4 {
+			t.Fatalf("100 projection-answered workloads made %d B of the mapping resident and grew RssFile by %d B", after-released, afterFile-releasedFile)
+		}
+	} else if rows >= 1_000_000 {
+		t.Fatalf("columns %v of %d rows have no projection (%s)", cols, rows, outcome)
+	}
 	debug.FreeOSMemory()
 	afterRSS := readRSS(t)
 	resident, err := seg.ResidentBytes()
@@ -276,14 +322,17 @@ func TestColstoreRSSBound(t *testing.T) {
 }
 
 // readRSS returns the process resident set in bytes (VmRSS).
-func readRSS(t *testing.T) int64 {
+func readRSS(t *testing.T) int64 { return readStatus(t, "VmRSS:") }
+
+// readStatus returns one kB-valued field of /proc/self/status, in bytes.
+func readStatus(t *testing.T, field string) int64 {
 	t.Helper()
 	b, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		t.Skipf("no /proc: %v", err)
 	}
 	for _, line := range strings.Split(string(b), "\n") {
-		if strings.HasPrefix(line, "VmRSS:") {
+		if strings.HasPrefix(line, field) {
 			fields := strings.Fields(line)
 			if len(fields) >= 2 {
 				kb, err := strconv.ParseInt(fields[1], 10, 64)
@@ -294,6 +343,6 @@ func readRSS(t *testing.T) int64 {
 			}
 		}
 	}
-	t.Fatal("VmRSS not found")
+	t.Fatalf("%s not found in /proc/self/status", field)
 	return 0
 }

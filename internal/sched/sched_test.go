@@ -650,3 +650,101 @@ func TestSchedulerCountsScanFallbacks(t *testing.T) {
 		t.Errorf("fallback reasons are not pre-registered at zero:\n%s", reg.Render())
 	}
 }
+
+// packedTable is a sealed table of one frame-of-reference packed integer
+// column (7-bit lanes) — a table whose column set has a projection —
+// built by the column store's rules without a file.
+func packedTable(t testing.TB, rows int) *dataset.Table {
+	t.Helper()
+	s := dataset.MustSchema(dataset.Attribute{Name: "v", Kind: dataset.Continuous, Min: 0, Max: 100})
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]float64, rows)
+	var frame dataset.FoRFrame
+	for i := range vals {
+		vals[i] = float64(rng.Intn(101))
+		frame.Add(vals[i])
+	}
+	p, ok := frame.Packing()
+	if !ok {
+		t.Fatal("integer column does not pack")
+	}
+	w := p.Ints.Width
+	p.Ints.N, p.Ints.Words = rows, make([]uint64, dataset.PackedWordCount(rows, w))
+	for i, v := range vals {
+		lane, _ := p.LaneOf(v)
+		p.Ints.Words[i/(64/w)] |= lane << (uint(i%(64/w)) * uint(w))
+	}
+	tab, err := dataset.TableFromColumns(s, rows, []dataset.ColumnData{
+		{Kind: dataset.Continuous, PackedVals: &p, MissingWords: make([]uint64, (rows+63)/64)},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestColdPlannerAdvancesOnProjectionHits: once a projection answers
+// every batch, no batch reads a column — and the planner must still count
+// those batches, or the pages the build walked stay resident for good.
+// One build, then coldAfterBatches projection-answered batches: the built
+// column is released exactly once, through the table's one release hook,
+// and every workload is counted under its outcome.
+func TestColdPlannerAdvancesOnProjectionHits(t *testing.T) {
+	d := packedTable(t, 4096)
+	var mu sync.Mutex
+	var advised, released [][]int
+	d.SetColumnHints(
+		func(cols []int) { mu.Lock(); advised = append(advised, append([]int(nil), cols...)); mu.Unlock() },
+		func(cols []int) { mu.Lock(); released = append(released, append([]int(nil), cols...)); mu.Unlock() },
+	)
+	reg := metrics.NewRegistry()
+	s := New(Config{Workers: 1, Metrics: reg})
+	defer s.Close()
+	e := newSessionEngine(t, d, workload.NewTransformCache(workload.Options{}), 1000, 1, false)
+	ask := func(i int) {
+		t.Helper()
+		lo := float64(i) + 0.5 // a never-seen workload each time: no memo answers it
+		q, err := query.NewWCQ([]dataset.Predicate{dataset.Range{Attr: "v", Lo: lo, Hi: lo + 10}}, accuracy.Requirement{Alpha: 400, Beta: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ask(context.Background(), "d", "s", e, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := func(outcome string) float64 {
+		return reg.Counter("apex_scan_projection_total", "", metrics.L("dataset", "d"), metrics.L("outcome", outcome)).Value()
+	}
+	ask(0)
+	if b, h := counted(dataset.ProjectionBuild), counted(dataset.ProjectionHit); b != 1 || h != 0 {
+		t.Fatalf("after the first workload: %v builds, %v hits; want the one build", b, h)
+	}
+	for i := 1; i < coldAfterBatches; i++ {
+		ask(i)
+	}
+	mu.Lock()
+	if len(released) != 0 {
+		t.Fatalf("column released after %d idle batches: %v", coldAfterBatches-1, released)
+	}
+	mu.Unlock()
+	for i := coldAfterBatches; i < coldAfterBatches+10; i++ {
+		ask(i)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(released) != 1 || !reflect.DeepEqual(released[0], []int{0}) {
+		t.Fatalf("released = %v, want the built column [0] exactly once", released)
+	}
+	if len(advised) == 0 || !reflect.DeepEqual(advised[0], []int{0}) {
+		t.Fatalf("advised = %v, want the build to advise column [0]", advised)
+	}
+	if b, h, in := counted(dataset.ProjectionBuild), counted(dataset.ProjectionHit), counted(dataset.ProjectionIneligible); b != 1 || h != coldAfterBatches+9 || in != 0 {
+		t.Fatalf("projection outcomes: %v builds, %v hits, %v ineligible; want 1, %d, 0", b, h, in, coldAfterBatches+9)
+	}
+	if held := reg.Gauge("apex_scan_projection_bytes", "", metrics.L("dataset", "d")).Value(); held != float64(d.ProjectionBytes()) || held <= 0 {
+		t.Fatalf("apex_scan_projection_bytes = %v, the table holds %d B", held, d.ProjectionBytes())
+	}
+	if !strings.Contains(reg.Render(), `apex_scan_projection_total{dataset="d",outcome="ineligible"} 0`) {
+		t.Errorf("projection outcomes are not pre-registered at zero:\n%s", reg.Render())
+	}
+}

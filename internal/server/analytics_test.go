@@ -251,6 +251,81 @@ func TestCostVectorScanBytesExact(t *testing.T) {
 	}
 }
 
+// TestScanBytesExactOnProjectionOutcomes: on a durable server the table
+// is sealed and packed, so a column set may be answered from a
+// projection — and EXPLAIN's predicted_scan_bytes must still equal what
+// the query then reads, to the byte, whichever way it goes: the workload
+// that builds the projection (each column of the set, once), the next
+// workload over the same set (the projection's own lanes and weights, a
+// fraction of the column), and a set too wide for this table (the columns,
+// as ever). Each is counted under its outcome, and the analytics plane's
+// attribution still sums to the scheduler's total.
+func TestScanBytesExactOnProjectionOutcomes(t *testing.T) {
+	_, c, _ := scrubServer(t, 2000) // age: 129 slots ≤ 2000/8; age × state: 645 are not
+	sess, err := c.CreateSession(server.CreateSessionRequest{Dataset: "people", Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(c.BaseURL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	const scanBytes = `apex_scan_bytes_total{dataset="people"}`
+	var read []float64 // bytes read per step
+	var total float64  // the counter so far; its series appears with the first query
+	for _, step := range []struct{ outcome, query string }{
+		{"build", "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50, age BETWEEN 50 AND 100 } ERROR 100 CONFIDENCE 0.95;"},
+		{"hit", "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 30, age BETWEEN 30 AND 100 } ERROR 100 CONFIDENCE 0.95;"},
+		{"ineligible", "BIN D ON COUNT(*) WHERE W = { age BETWEEN 0 AND 50 AND state = 'CA', age BETWEEN 50 AND 100 AND state = 'CA' } ERROR 100 CONFIDENCE 0.95;"},
+	} {
+		ex, err := c.Explain(sess.ID, step.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(sess.ID, step.query); err != nil {
+			t.Fatal(err)
+		}
+		body := scrape()
+		got := metricValue(t, body, scanBytes) - total
+		total += got
+		if !ex.ScanPlanExact || got <= 0 || float64(ex.PredictedScanBytes) != got {
+			t.Fatalf("%s: explain predicted %d scan bytes (exact %v), the query read %v", step.outcome, ex.PredictedScanBytes, ex.ScanPlanExact, got)
+		}
+		if n := metricValue(t, body, `apex_scan_projection_total{dataset="people",outcome="`+step.outcome+`"}`); n != 1 {
+			t.Fatalf("apex_scan_projection_total{outcome=%q} = %v after its step, want 1", step.outcome, n)
+		}
+		read = append(read, got)
+	}
+	if read[1] >= read[0] {
+		t.Fatalf("the projection-answered workload read %v B, the build %v B", read[1], read[0])
+	}
+	body := scrape()
+	if held := metricValue(t, body, `apex_scan_projection_bytes{dataset="people"}`); held != read[1] {
+		t.Fatalf("apex_scan_projection_bytes = %v, the one held projection reads as %v B", held, read[1])
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, body, `apex_analytics_requests_total{dataset="people"}`) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never attributed by the analytics plane")
+		}
+		time.Sleep(10 * time.Millisecond)
+		body = scrape()
+	}
+	if attributed, scanned := metricValue(t, body, `apex_analytics_scan_bytes_total{dataset="people"}`), metricValue(t, body, scanBytes); attributed != scanned {
+		t.Fatalf("attributed scan bytes %v != BatchStats accounting %v", attributed, scanned)
+	}
+}
+
 // TestTopEndpointValidation: dimension and parameter validation on
 // /v1/debug/top, including the strict unknown-parameter 400s.
 func TestTopEndpointValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -176,4 +177,95 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 	if _, bytes, ok := trImplicit.ScanPlan(d); !ok || bytes != int64(len(bins))*d.ColumnScanBytes(2) {
 		t.Fatalf("implicit ScanPlan = %d bytes, ok %v", bytes, ok)
 	}
+}
+
+// TestBatchStatsProjectionOutcomes: the one accounting holds, and ScanPlan
+// predicts it exactly, on all three projection outcomes — a build reads
+// each column of the set once, a hit no column but the projection's own
+// lanes and weights, an ineligible set what it always did — and every
+// kernel workload is counted under exactly one of them.
+func TestBatchStatsProjectionOutcomes(t *testing.T) {
+	s := kernelSchema(t)
+	d := repeatedPackedForm(t, kernelTable(rand.New(rand.NewSource(5)), s, 3*morselRows, false), 1)
+	agePos, _ := s.Lookup("age")
+	gainPos, _ := s.Lookup("gain")
+	bins := func(attr string, lo, width float64) []dataset.Predicate {
+		preds, err := Histogram1D(attr, lo, lo+6*width, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return preds
+	}
+	cache := NewTransformCache(Options{})
+	evaluate := func(label string, preds ...[]dataset.Predicate) (BatchStats, int64) {
+		t.Helper()
+		var items []BatchItem
+		var predicted int64
+		for _, p := range preds {
+			tr, err := cache.Transform(s, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, bytes, ok := tr.ScanPlan(d)
+			if !ok {
+				t.Fatalf("%s: no scan plan", label)
+			}
+			predicted += bytes
+			items = append(items, BatchItem{Tr: tr, Histogram: true, Truth: true})
+		}
+		st := cache.EvaluateBatch(d, items)
+		for _, it := range items {
+			checkKernelAgainstRows(t, label, it.Tr, d)
+		}
+		return st, predicted
+	}
+	check := func(label string, st BatchStats, want BatchStats) {
+		t.Helper()
+		if st.Workloads != want.Workloads || st.ColumnPasses != want.ColumnPasses || st.Rows != want.Rows ||
+			st.ScanBytes != want.ScanBytes || fmt.Sprint(st.Columns) != fmt.Sprint(want.Columns) ||
+			fmt.Sprint(st.Projections) != fmt.Sprint(want.Projections) || st.Fallbacks != nil {
+			t.Fatalf("%s:\n got %+v\nwant %+v", label, st, want)
+		}
+	}
+
+	n := int64(d.Size())
+	st, predicted := evaluate("build", bins("age", 0, 10))
+	check("build", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(agePos),
+		Columns: []int{agePos}, Projections: map[string]int{dataset.ProjectionBuild: 1}})
+	if predicted != st.ScanBytes {
+		t.Fatalf("build: ScanPlan predicted %d B, the batch read %d", predicted, st.ScanBytes)
+	}
+
+	p, outcome := d.PlannedProjection([]int{agePos})
+	if outcome != dataset.ProjectionHit {
+		t.Fatalf("the build left no projection (%s)", outcome)
+	}
+	st, predicted = evaluate("hit", bins("age", 5, 12))
+	check("hit", st, BatchStats{Workloads: 1, Rows: int64(p.Table().Size()), ScanBytes: p.Bytes(),
+		Projections: map[string]int{dataset.ProjectionHit: 1}})
+	if predicted != st.ScanBytes || st.ScanBytes >= d.ColumnScanBytes(agePos) {
+		t.Fatalf("hit: ScanPlan predicted %d B, the batch read %d, the column is %d", predicted, st.ScanBytes, d.ColumnScanBytes(agePos))
+	}
+
+	st, predicted = evaluate("ineligible", bins("gain", 0, 1<<16)) // 21-bit lanes
+	check("ineligible", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(gainPos),
+		Columns: []int{gainPos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
+	if predicted != st.ScanBytes {
+		t.Fatalf("ineligible: ScanPlan predicted %d B, the batch read %d", predicted, st.ScanBytes)
+	}
+
+	// Two fresh workloads over one cold column set in one batch: the first
+	// builds, the second is answered by what the first built.
+	flagPos, _ := s.Lookup("flag")
+	flagged := func(preds []dataset.Predicate) []dataset.Predicate {
+		for i, p := range preds {
+			preds[i] = dataset.And{p, dataset.StrEq{Attr: "flag", Val: "y"}}
+		}
+		return preds
+	}
+	st, _ = evaluate("build+hit", flagged(bins("age", 0, 10)), flagged(bins("age", 3, 9)))
+	pf, _ := d.PlannedProjection([]int{agePos, flagPos})
+	check("build+hit", st, BatchStats{Workloads: 2, ColumnPasses: 2, Rows: 2*n + 2*int64(pf.Table().Size()),
+		ScanBytes: d.ColumnScanBytes(agePos) + d.ColumnScanBytes(flagPos) + pf.Bytes(), Columns: []int{agePos, flagPos},
+		Projections: map[string]int{dataset.ProjectionBuild: 1, dataset.ProjectionHit: 1}})
 }
