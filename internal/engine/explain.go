@@ -51,10 +51,12 @@ type Explain struct {
 	Sensitivity float64
 	Partitions  int
 	// PlannedColumns is the deduplicated sorted set of schema positions
-	// the noise-free scan would read; PredictedScanBytes is its byte
-	// traffic, matching BatchStats accounting exactly (ScanPlanExact is
-	// false when the workload would take the row path instead, making
-	// the column prediction inapplicable).
+	// the workload references; PredictedScanBytes is the byte traffic of
+	// its noise-free scan — those columns once each, or the projection of
+	// that column set when the table already holds it — matching
+	// BatchStats accounting exactly (ScanPlanExact is false when the
+	// workload would take the row path instead, making the column
+	// prediction inapplicable).
 	PlannedColumns     []int
 	PredictedScanBytes int64
 	ScanPlanExact      bool
