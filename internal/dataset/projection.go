@@ -192,21 +192,27 @@ func (t *Table) Projection(cols []int) (*Projection, string) {
 	if !e.built {
 		e.built = true
 		pr.held += e.p.bytes
+		pr.evict(t.projectionBound(), e)
 	}
-	for bound := t.projectionBound(); pr.held > bound; {
+	return e.p, outcome
+}
+
+// evict drops least recently used built projections, never keep, until
+// the held bytes fit the bound. Called with mu held.
+func (pr *projections) evict(bound int64, keep *projEntry) {
+	for pr.held > bound {
 		lruKey, lru := "", (*projEntry)(nil)
-		for k, o := range pr.entries {
-			if o.built && o != e && (lru == nil || o.used < lru.used) {
-				lruKey, lru = k, o
+		for k, e := range pr.entries {
+			if e.built && e != keep && (lru == nil || e.used < lru.used) {
+				lruKey, lru = k, e
 			}
 		}
 		if lru == nil {
-			break
+			return
 		}
 		delete(pr.entries, lruKey)
 		pr.held -= lru.p.bytes
 	}
-	return e.p, outcome
 }
 
 // PlannedProjection predicts what Projection(cols) would do, without
