@@ -379,33 +379,42 @@ func (t *evalTask) scanMorsel(lo, hi int, c *counts, b *morselBufs) {
 		// An unseen signature has no partition; count the row anywhere —
 		// its signature count already dooms the histogram.
 		radix := uint32(len(t.tr.comps[ci].partSigs))
-		for i, x := range cell {
-			s := cellSig[x]
-			cnt[s] += weightOf(w, i)
-			p := uint32(s)
-			if p >= radix {
-				p = 0
+		if w == nil {
+			for i, x := range cell {
+				s := cellSig[x]
+				cnt[s]++
+				p := uint32(s)
+				if p >= radix {
+					p = 0
+				}
+				part[i] = part[i]*radix + p
 			}
-			part[i] = part[i]*radix + p
+		} else {
+			for i, x := range cell {
+				s := cellSig[x]
+				cnt[s] += int64(w[i])
+				p := uint32(s)
+				if p >= radix {
+					p = 0
+				}
+				part[i] = part[i]*radix + p
+			}
 		}
 	}
 	if c.joint != nil {
 		for _, r := range misfits {
 			part[r-lo] = uint32(len(c.joint) - 1)
 		}
-		for i, p := range part {
-			c.joint[p] += weightOf(w, i)
+		if w == nil {
+			for _, p := range part {
+				c.joint[p]++
+			}
+		} else {
+			for i, p := range part {
+				c.joint[p] += int64(w[i])
+			}
 		}
 	}
-}
-
-// weightOf returns the rows behind row i of a morsel: one, unless the
-// morsel is a projection's.
-func weightOf(w []uint32, i int) int64 {
-	if w == nil {
-		return 1
-	}
-	return int64(w[i])
 }
 
 // rowsIn returns the subslice of the sorted rows lying in [lo, hi).
