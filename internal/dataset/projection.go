@@ -1,9 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 	"sync"
 )
 
@@ -143,14 +143,7 @@ func (t *Table) projectionBound() int64 {
 	return total / projectionBoundDivisor
 }
 
-func projectionKey(cols []int) string {
-	key := make([]byte, 0, 4*len(cols))
-	for _, pos := range cols {
-		key = strconv.AppendInt(key, int64(pos), 10)
-		key = append(key, ',')
-	}
-	return string(key)
-}
+func projectionKey(cols []int) string { return fmt.Sprint(cols) }
 
 // Projection returns the projection of the sorted column set cols and
 // what obtaining it took. An ineligible set (see projectionSlots) has
@@ -328,12 +321,14 @@ func (t *Table) buildProjection(cols []int, slots int64) *Projection {
 	}
 	for i, pos := range cols {
 		pc := &pcs[i]
-		pc.dst = &PackedInts{Width: pc.src.Width, N: distinct, Words: make([]uint64, PackedWordCount(distinct, pc.src.Width))}
+		lanes := PackedInts{Width: pc.src.Width, N: distinct, Words: make([]uint64, PackedWordCount(distinct, pc.src.Width))}
 		if c := t.cats[pos]; c != nil {
+			pc.dst = &lanes
 			p.table.cats[pos] = &catColumn{packed: pc.dst, dict: c.dict, index: c.index}
 		} else {
 			src := t.nums[pos].packed
-			col := &numColumn{packed: &PackedFloats{Ints: *pc.dst, Min: src.Min, Exp: src.Exp}}
+			col := &numColumn{packed: &PackedFloats{Ints: lanes, Min: src.Min, Exp: src.Exp}}
+			pc.dst = &col.packed.Ints
 			col.missing.Reset(distinct)
 			pc.dstMiss = col.missing.words
 			p.table.nums[pos] = col

@@ -626,9 +626,9 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 	// madvise on an mmap-backed table, a no-op for heap tables); the
 	// returned stats feed the scan-bandwidth and projection counters and
 	// the cold-column release planner (advanced by every batch that
-	// evaluated a workload, whether or not it read a column). The pass is shared, so its span lands on every
-	// flight's trace with the membership that explains the shared
-	// duration.
+	// evaluated a workload, whether or not it read a column). The pass is
+	// shared, so its span lands on every flight's trace with the membership
+	// that explains the shared duration.
 	scanStart := time.Now()
 	var warmed int
 	var scanBytes, scanRows int64
