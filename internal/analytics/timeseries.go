@@ -30,7 +30,7 @@ type Timeseries struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
-	done      chan struct{}
+	exited    chan struct{} // closed once the sampling goroutine has returned
 }
 
 // Default sampling shape: one sample per second over a ten-minute window.
@@ -52,7 +52,7 @@ func NewTimeseries(window int, interval time.Duration) *Timeseries {
 		interval: interval,
 		ring:     make([]Sample, window),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		exited:   make(chan struct{}),
 	}
 }
 
@@ -85,7 +85,7 @@ func (ts *Timeseries) Start() {
 	}
 	ts.startOnce.Do(func() {
 		go func() {
-			defer close(ts.done)
+			defer close(ts.exited)
 			t := time.NewTicker(ts.interval)
 			defer t.Stop()
 			for {
@@ -107,8 +107,8 @@ func (ts *Timeseries) Stop() {
 		return
 	}
 	ts.stopOnce.Do(func() { close(ts.stop) })
-	ts.startOnce.Do(func() { close(ts.done) }) // never started: unblock the wait
-	<-ts.done
+	ts.startOnce.Do(func() { close(ts.exited) }) // never started: unblock the wait
+	<-ts.exited
 }
 
 // Tick takes one sample at now. Exported so tests (and callers that pace

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // Projections: the distinct lane tuples of a column set, weighted.
@@ -78,32 +79,14 @@ func (p *Projection) Weights() []uint32 { return p.weights }
 // words, missing bitmaps and weights.
 func (p *Projection) Bytes() int64 { return p.bytes }
 
-// projections is a table's set of built projections, keyed by column set.
-type projections struct {
-	mu      sync.Mutex
-	entries map[string]*projEntry
-	clock   uint64 // last use stamp handed out
-	held    int64  // bytes of the built projections in entries
-}
-
-// projEntry builds its projection at most once, however many batches ask
-// for a cold column set at the same time.
-type projEntry struct {
-	once sync.Once
-	p    *Projection
-
-	// Guarded by projections.mu: built entries count toward held and carry
-	// the stamp of their last use; an entry still building is never evicted.
-	built bool
-	used  uint64
-}
-
 // projectionSlots returns the number of lane combinations of the column
 // set — per continuous column its lanes plus a NULL slot, per categorical
 // one its biased codes — and whether the set is eligible: the table is
 // sealed, every column packed, and the slots at most a row in eight.
 func (t *Table) projectionSlots(cols []int) (slots int64, ok bool) {
-	if !t.sealed || int64(t.n) > math.MaxUint32 { // weights are uint32
+	// Only a table TableFromColumns sealed holds projections (not a
+	// projection's own table).
+	if t.proj == nil || int64(t.n) > math.MaxUint32 { // weights are uint32
 		return 0, false
 	}
 	limit := int64(t.n / projectionRowsPerSlot)
@@ -156,56 +139,13 @@ func (t *Table) Projection(cols []int) (*Projection, string) {
 	if !ok {
 		return nil, ProjectionIneligible
 	}
-	key := projectionKey(cols)
-	pr := &t.proj
-	pr.mu.Lock()
-	e := pr.entries[key]
-	if e == nil {
-		if pr.entries == nil {
-			pr.entries = make(map[string]*projEntry)
-		}
-		e = &projEntry{}
-		pr.entries[key] = e
-	}
-	pr.mu.Unlock()
-
 	outcome := ProjectionHit
-	e.once.Do(func() {
-		e.p = t.buildProjection(cols, slots)
+	p, _ := t.proj.Get(projectionKey(cols), func() (*Projection, int64, error) {
 		outcome = ProjectionBuild
+		p := t.buildProjection(cols, slots)
+		return p, p.bytes, nil
 	})
-
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.entries[key] != e { // dropped while this caller waited; still usable
-		return e.p, outcome
-	}
-	pr.clock++
-	e.used = pr.clock
-	if !e.built {
-		e.built = true
-		pr.held += e.p.bytes
-		pr.evict(t.projectionBound(), e)
-	}
-	return e.p, outcome
-}
-
-// evict drops least recently used built projections, never keep, until
-// the held bytes fit the bound. Called with mu held.
-func (pr *projections) evict(bound int64, keep *projEntry) {
-	for pr.held > bound {
-		lruKey, lru := "", (*projEntry)(nil)
-		for k, e := range pr.entries {
-			if e.built && e != keep && (lru == nil || e.used < lru.used) {
-				lruKey, lru = k, e
-			}
-		}
-		if lru == nil {
-			return
-		}
-		delete(pr.entries, lruKey)
-		pr.held -= lru.p.bytes
-	}
+	return p, outcome
 }
 
 // PlannedProjection predicts what Projection(cols) would do, without
@@ -216,20 +156,23 @@ func (t *Table) PlannedProjection(cols []int) (*Projection, string) {
 	if _, ok := t.projectionSlots(cols); !ok {
 		return nil, ProjectionIneligible
 	}
-	t.proj.mu.Lock()
-	defer t.proj.mu.Unlock()
-	if e := t.proj.entries[projectionKey(cols)]; e != nil && e.built {
-		return e.p, ProjectionHit
+	if p, ok := t.proj.Peek(projectionKey(cols)); ok {
+		return p, ProjectionHit
 	}
 	return nil, ProjectionBuild
 }
 
 // ProjectionBytes returns the bytes of the projections the table holds —
 // at most its bound, or one projection if that alone is larger.
-func (t *Table) ProjectionBytes() int64 {
-	t.proj.mu.Lock()
-	defer t.proj.mu.Unlock()
-	return t.proj.held
+func (t *Table) ProjectionBytes() int64 { return t.ProjectionStats().Held }
+
+// ProjectionStats returns the counters of the table's projection cache
+// (zero for a table that holds none).
+func (t *Table) ProjectionStats() memo.Stats {
+	if t.proj == nil {
+		return memo.Stats{}
+	}
+	return t.proj.Stats()
 }
 
 // projectedColumn is one column of a build: where its lanes come from and

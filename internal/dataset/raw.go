@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/memo"
 )
 
 // This file is the raw-column boundary between Table and external column
@@ -206,6 +208,7 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 		t.misfitRows = append(t.misfitRows, row)
 	}
 	sort.Ints(t.misfitRows)
+	t.proj = memo.New[string, *Projection](t.projectionBound())
 	return t, nil
 }
 

@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/memo"
 )
 
 // Tuple is one row; cells are indexed by schema position.
@@ -38,9 +40,9 @@ type Table struct {
 	adviseCols  func(cols []int)
 	releaseCols func(cols []int)
 
-	// proj holds the projections built over a sealed table's packed
-	// columns (projection.go).
-	proj projections
+	// proj holds the projections built over the packed columns of a table
+	// TableFromColumns sealed (projection.go); nil for every other table.
+	proj *memo.Cache[string, *Projection]
 }
 
 // NewTable returns an empty table over the schema.

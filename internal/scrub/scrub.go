@@ -141,7 +141,7 @@ type Scrubber struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
+	exited   chan struct{} // closed once the loop goroutine has returned
 	started  bool
 }
 
@@ -180,9 +180,9 @@ func (s *Scrubber) Start() {
 		return
 	}
 	s.started = true
-	s.done = make(chan struct{})
+	s.exited = make(chan struct{})
 	go func() {
-		defer close(s.done)
+		defer close(s.exited)
 		t := time.NewTicker(s.cfg.Interval)
 		defer t.Stop()
 		for {
@@ -204,7 +204,7 @@ func (s *Scrubber) Running() bool { return s.started }
 func (s *Scrubber) Stop() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	if s.started {
-		<-s.done
+		<-s.exited
 	}
 }
 

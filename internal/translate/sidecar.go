@@ -40,7 +40,6 @@ import (
 	"sort"
 
 	"repro/internal/durable"
-	"repro/internal/workload"
 )
 
 const (
@@ -53,44 +52,31 @@ const (
 	maxSidecarFrame = 64 << 20
 )
 
-// storedPlan is a plan as persisted: everything but the in-memory
-// matrix/strategy handles, which are re-attached on promotion.
-type storedPlan struct {
-	matrix  workload.Fingerprint
-	strat   string
-	samples int
-	seed    int64
-	l       int // query-matrix rows (workload length L)
-	cols    int // query-matrix columns (partitions)
-	rows    int // strategy-matrix rows l
-	sensA   float64
-	frobR   float64
-	zs      []float64
-}
-
-// encodeStoredPlan appends one framed plan to buf.
-func encodeStoredPlan(buf []byte, s *storedPlan) []byte {
-	payload := make([]byte, 0, len(s.matrix)+1+len(s.strat)+4+8+4+4+4+8+8+4+8*len(s.zs))
-	payload = append(payload, s.matrix[:]...)
-	payload = append(payload, byte(len(s.strat)))
-	payload = append(payload, s.strat...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.samples))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(s.seed))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.l))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.cols))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(s.rows))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.sensA))
-	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.frobR))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(s.zs)))
-	for _, z := range s.zs {
+// encodeStoredPlan appends one framed plan to buf: everything but the
+// matrix/strategy handles, which are attached on the plan's first ask.
+func encodeStoredPlan(buf []byte, p *Plan) []byte {
+	payload := make([]byte, 0, len(p.Matrix)+1+len(p.Strategy)+4+8+4+4+4+8+8+4+8*len(p.Zs))
+	payload = append(payload, p.Matrix[:]...)
+	payload = append(payload, byte(len(p.Strategy)))
+	payload = append(payload, p.Strategy...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Samples))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.Seed))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.l))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.cols))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.rows))
+	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(p.SensA))
+	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(p.FrobR))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(p.Zs)))
+	for _, z := range p.Zs {
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(z))
 	}
 	return durable.AppendFrame(buf, payload)
 }
 
-// decodeStoredPlan parses one payload; it validates internal lengths so
-// a CRC-valid frame from a future incompatible version fails cleanly.
-func decodeStoredPlan(p []byte) (*storedPlan, error) {
+// decodeStoredPlan parses one payload into a plan not yet bound to a
+// matrix; it validates internal lengths so a CRC-valid frame from a future
+// incompatible version fails cleanly.
+func decodeStoredPlan(p []byte) (*Plan, error) {
 	u32 := func() (uint32, error) {
 		if len(p) < 4 {
 			return 0, fmt.Errorf("translate: truncated payload")
@@ -107,28 +93,28 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 		p = p[8:]
 		return v, nil
 	}
-	s := &storedPlan{}
-	if len(p) < len(s.matrix)+1 {
+	s := &Plan{}
+	if len(p) < len(s.Matrix)+1 {
 		return nil, fmt.Errorf("translate: truncated payload")
 	}
-	p = p[copy(s.matrix[:], p):]
+	p = p[copy(s.Matrix[:], p):]
 	stratLen := int(p[0])
 	p = p[1:]
 	if stratLen > len(p) {
 		return nil, fmt.Errorf("translate: strategy name overruns payload")
 	}
-	s.strat = string(p[:stratLen])
+	s.Strategy = string(p[:stratLen])
 	p = p[stratLen:]
 	samples, err := u32()
 	if err != nil {
 		return nil, err
 	}
-	s.samples = int(samples)
+	s.Samples = int(samples)
 	seed, err := u64()
 	if err != nil {
 		return nil, err
 	}
-	s.seed = int64(seed)
+	s.Seed = int64(seed)
 	l, err := u32()
 	if err != nil {
 		return nil, err
@@ -148,25 +134,25 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.sensA = math.Float64frombits(sa)
+	s.SensA = math.Float64frombits(sa)
 	fr, err := u64()
 	if err != nil {
 		return nil, err
 	}
-	s.frobR = math.Float64frombits(fr)
+	s.FrobR = math.Float64frombits(fr)
 	nzs, err := u32()
 	if err != nil {
 		return nil, err
 	}
-	if int(nzs) != s.samples {
-		return nil, fmt.Errorf("translate: %d samples framed, header says %d", nzs, s.samples)
+	if int(nzs) != s.Samples {
+		return nil, fmt.Errorf("translate: %d samples framed, header says %d", nzs, s.Samples)
 	}
 	if len(p) != 8*int(nzs) {
 		return nil, fmt.Errorf("translate: sample block is %d bytes, want %d", len(p), 8*int(nzs))
 	}
-	s.zs = make([]float64, nzs)
-	for i := range s.zs {
-		s.zs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	s.Zs = make([]float64, nzs)
+	for i := range s.Zs {
+		s.Zs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return s, nil
 }
@@ -175,7 +161,7 @@ func decodeStoredPlan(p []byte) (*storedPlan, error) {
 // valid frame prefix plus corrupt=true if anything after that prefix is
 // damaged (bad magic, bad CRC, truncation, undecodable payload). A stale
 // (v1) sidecar decodes to no plans and is not corrupt.
-func decodeSidecar(data []byte) (plans []*storedPlan, corrupt bool) {
+func decodeSidecar(data []byte) (plans []*Plan, corrupt bool) {
 	if len(data) < len(sidecarMagic)+4 || string(data[:len(sidecarMagic)]) != sidecarMagic {
 		return nil, true
 	}
@@ -228,33 +214,24 @@ func (c *Cache) persist() {
 	c.persistMu.Lock()
 	defer c.persistMu.Unlock()
 
-	c.mu.Lock()
-	plans := make([]*storedPlan, 0, len(c.entries)+len(c.stored))
-	for _, e := range c.entries {
-		select {
-		case <-e.done:
-			if e.err == nil && e.plan != nil {
-				plans = append(plans, planToStored(e.plan))
-			}
-		default: // in flight; its own completion will persist again
-		}
-	}
-	for _, s := range c.stored {
-		plans = append(plans, s)
-	}
-	c.mu.Unlock()
+	// Plans still in flight are skipped: their own completion persists.
+	var plans []*Plan
+	c.plans.Range(func(_ planKey, p *Plan) bool {
+		plans = append(plans, p)
+		return true
+	})
 
 	// Deterministic order: byte-identical cache content yields a
 	// byte-identical sidecar.
 	sort.Slice(plans, func(i, j int) bool {
 		a, b := plans[i], plans[j]
-		if c := bytes.Compare(a.matrix[:], b.matrix[:]); c != 0 {
+		if c := bytes.Compare(a.Matrix[:], b.Matrix[:]); c != 0 {
 			return c < 0
 		}
-		if a.strat != b.strat {
-			return a.strat < b.strat
+		if a.Strategy != b.Strategy {
+			return a.Strategy < b.Strategy
 		}
-		return a.samples < b.samples
+		return a.Samples < b.Samples
 	})
 
 	buf := make([]byte, 0, 1024)
@@ -269,8 +246,9 @@ func (c *Cache) persist() {
 }
 
 // LoadSidecar reads the persisted plans back into the cache (the
-// recovery path). Plans land in the stored set and are promoted to live
-// entries on first ask, so loading never pays a pseudoinverse. A corrupt
+// recovery path). Plans become entries like computed ones, older than
+// any, and are bound to their matrix on first ask, so loading never pays
+// a pseudoinverse. A corrupt
 // sidecar is quarantined — renamed aside with durable.QuarantineSuffix —
 // and immediately rewritten from its valid frame prefix; the quarantined
 // path is returned for logging, with a non-nil error when the rename's
@@ -290,13 +268,11 @@ func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	}
 	plans, corrupt := decodeSidecar(data)
 	c.mu.Lock()
-	for _, s := range plans {
-		k := planKey{matrix: s.matrix, strat: s.strat, samples: s.samples}
-		if _, live := c.entries[k]; live {
-			continue // a heal re-reading the file this cache wrote
+	for _, p := range plans {
+		// A key already held is a heal re-reading the file this cache wrote.
+		if e, fresh := c.plans.Claim(planKey{matrix: p.Matrix, strat: p.Strategy, samples: p.Samples}); fresh {
+			c.plans.Finish(e, p, 1, nil)
 		}
-		c.stored[k] = s
-		c.ready[s.matrix] = struct{}{}
 	}
 	c.mu.Unlock()
 	c.loads.Add(int64(len(plans)))
@@ -316,20 +292,4 @@ func (c *Cache) LoadSidecar() (loaded int, quarantined string, err error) {
 	c.rebuilds.Add(1)
 	c.persist() // rebuild immediately from the valid prefix
 	return len(plans), quarantined, err
-}
-
-// planToStored strips a live plan to its persistable fields.
-func planToStored(p *Plan) *storedPlan {
-	return &storedPlan{
-		matrix:  p.Matrix,
-		strat:   p.Strategy,
-		samples: p.Samples,
-		seed:    p.Seed,
-		l:       p.mat.Rows(),
-		cols:    p.mat.Cols(),
-		rows:    p.rows,
-		sensA:   p.SensA,
-		frobR:   p.FrobR,
-		zs:      p.Zs,
-	}
 }

@@ -60,6 +60,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
+	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/strategy"
 	"repro/internal/workload"
@@ -74,13 +75,12 @@ const DefaultSamples = 10000
 // pure function of the canonical seed regardless of worker scheduling.
 const sampleBlock = 256
 
-// maxEntries bounds the distinct plans one cache retains (an analyst can
-// still mint fresh matrices by varying the workload's length or shape;
-// each plan holds N float64 samples). Reaching the bound drops the cache
-// wholesale
-// — plans held by in-flight queries stay valid, repeats recompute once —
-// and the sidecar is rewritten to the surviving content on the next
-// persist.
+// maxEntries bounds the distinct plans one cache retains, sidecar-loaded
+// ones included (an analyst can still mint fresh matrices by varying the
+// workload's length or shape; each plan holds N float64 samples). Past the
+// bound the least recently used plan is dropped — plans held by in-flight
+// queries stay valid, a later repeat recomputes once — and the next
+// persist rewrites the sidecar to the plans retained.
 const maxEntries = 256
 
 // Plan is one query matrix's translation state: the sorted normalized
@@ -108,9 +108,12 @@ type Plan struct {
 	// Zs are the N draws of ‖R·Lap(1)^l‖∞, sorted ascending.
 	Zs []float64
 
-	rows int // strategy-matrix rows (the Laplace vector length)
+	rows    int // strategy-matrix rows (the Laplace vector length)
+	l, cols int // query-matrix shape
 
-	mat     *linalg.Matrix // the query matrix W the plan serves
+	// mat and strat are the query matrix W the plan serves and its
+	// strategy; nil in a plan loaded from the sidecar until its first ask.
+	mat     *linalg.Matrix
 	strat   strategy.Strategy
 	recOnce sync.Once
 	rec     *strategy.Reconstruction
@@ -157,7 +160,7 @@ type Source interface {
 	// callers) the translation plan for the workload's query matrix.
 	Plan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error)
 	// Ready reports whether any plan for the query matrix is already
-	// available without sampling. Advisory, for observability; O(1).
+	// available without sampling. Advisory, for observability.
 	Ready(matrix workload.Fingerprint) bool
 	// TranslateBatch warms the plans for a batch of workloads in one
 	// fanned-out sampling pass, sharing drawn sample blocks across
@@ -178,21 +181,17 @@ func keyOf(it Item) planKey {
 	return planKey{matrix: it.Tr.MatrixFingerprint(), strat: it.Strategy.Name(), samples: it.Samples}
 }
 
-// entry is one singleflight slot: done closes when plan/err are final.
-type entry struct {
-	done chan struct{}
-	plan *Plan
-	err  error
-}
-
 // Stats snapshots a cache's lifetime counters.
 type Stats struct {
 	// Hits counts translations served from the cache (including callers
 	// that waited on another asker's in-flight computation and plans
-	// promoted from the persisted sidecar).
+	// loaded from the persisted sidecar).
 	Hits int64
 	// Misses counts fresh Monte-Carlo computations.
 	Misses int64
+	// Evictions counts plans dropped, least recently used first, to keep
+	// maxEntries.
+	Evictions int64
 	// Loads counts plans loaded from the sidecar at recovery.
 	Loads int64
 	// Rebuilds counts corrupt sidecars quarantined and rebuilt.
@@ -206,13 +205,11 @@ type Stats struct {
 // the server (every session reads through it), or one private to a
 // mechanism in library use. The zero path means memory-only.
 type Cache struct {
-	mu      sync.Mutex
-	schema  *dataset.Schema
-	entries map[planKey]*entry
-	stored  map[planKey]*storedPlan
-	// ready is the set of matrices with a finished or stored plan: what
-	// Ready answers from, without scanning entries.
-	ready map[workload.Fingerprint]struct{}
+	// mu orders claim passes and sidecar loads: the schema binding and a
+	// loaded plan's replacement on first ask.
+	mu     sync.Mutex
+	schema *dataset.Schema
+	plans  *memo.Cache[planKey, *Plan]
 
 	path      string
 	persistMu sync.Mutex
@@ -224,12 +221,7 @@ type Cache struct {
 // persistent: computed plans are framed into that file (atomically,
 // temp-and-rename) and LoadSidecar reads them back on recovery.
 func NewCache(sidecarPath string) *Cache {
-	return &Cache{
-		entries: make(map[planKey]*entry),
-		stored:  make(map[planKey]*storedPlan),
-		ready:   make(map[workload.Fingerprint]struct{}),
-		path:    sidecarPath,
-	}
+	return &Cache{plans: memo.New[planKey, *Plan](maxEntries), path: sidecarPath}
 }
 
 // Stats returns the cache's lifetime counters.
@@ -237,26 +229,26 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
+		Evictions:       c.plans.Stats().Evictions,
 		Loads:           c.loads.Load(),
 		Rebuilds:        c.rebuilds.Load(),
 		PersistFailures: c.persistFails.Load(),
 	}
 }
 
-// Len returns the number of resident plans (computed or in flight),
-// excluding sidecar entries not yet asked for.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+// Len returns the number of resident plans: computed, in flight, or
+// loaded from the sidecar.
+func (c *Cache) Len() int { return c.plans.Len() }
 
-// Ready implements Source.
+// Ready implements Source by scanning the retained plans; only traced
+// requests and EXPLAIN ask.
 func (c *Cache) Ready(matrix workload.Fingerprint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.ready[matrix]
-	return ok
+	ready := false
+	c.plans.Range(func(_ planKey, p *Plan) bool {
+		ready = p.Matrix == matrix
+		return !ready
+	})
+	return ready
 }
 
 // bindSchema enforces one cache per dataset: plans bake in the domain
@@ -276,9 +268,9 @@ func (c *Cache) bindSchema(s *dataset.Schema) error {
 var errOtherSchema = errors.New("translate: cache is bound to another schema (one translation cache per dataset)")
 
 // Plan implements Source: the singleflight lookup-or-compute path, run
-// as a batch of one. A lookup that finds (or promotes) an entry is a
-// hit, waiting out another asker's in-flight computation included; a
-// fresh computation is one miss.
+// as a batch of one. A lookup that finds an entry (or binds a loaded
+// one) is a hit, waiting out another asker's in-flight computation
+// included; a fresh computation is one miss.
 func (c *Cache) Plan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error) {
 	if !tr.Materialized() {
 		return nil, fmt.Errorf("translate: workload transformation is implicit (no query matrix)")
@@ -289,69 +281,26 @@ func (c *Cache) Plan(tr *workload.Transformed, strat strategy.Strategy, samples 
 		// The matrix is materialized, so the batch skipped it for its schema.
 		return nil, errOtherSchema
 	}
-	<-e.done
+	p, err := e.Wait()
 	if claimed == 0 {
 		c.hits.Add(1)
 	}
-	return e.plan, e.err
+	return p, err
 }
 
-// promoteLocked turns the sidecar-loaded plan for k, if there is one,
-// into a live entry serving the asker's matrix. The fingerprint already
-// commits to the matrix; re-checking L and the column count here (and
-// SensA / rows / ‖R‖_F when the reconstruction is rebuilt) means a
-// sidecar whose frames disagree with their own key is resampled over,
-// never served. Caller holds c.mu.
-func (c *Cache) promoteLocked(k planKey, it Item) (*entry, bool) {
-	s, ok := c.stored[k]
-	if !ok {
-		return nil, false
-	}
-	delete(c.stored, k)
+// bind returns a sidecar-loaded plan attached to the asker's matrix and
+// strategy, or nil when the frame's L or column count disagrees with that
+// matrix. The fingerprint already commits to the matrix; re-checking the
+// shape here (and SensA / rows / ‖R‖_F when the reconstruction is rebuilt)
+// means a sidecar whose frames disagree with their own key is resampled
+// over, never served.
+func (p *Plan) bind(it Item) *Plan {
 	mat := it.Tr.Matrix()
-	if s.l != mat.Rows() || s.cols != mat.Cols() {
-		return nil, false
+	if p.l != mat.Rows() || p.cols != mat.Cols() {
+		return nil
 	}
-	e := &entry{done: closedChan, plan: &Plan{
-		Matrix:   s.matrix,
-		Strategy: s.strat,
-		Samples:  s.samples,
-		Seed:     s.seed,
-		SensA:    s.sensA,
-		FrobR:    s.frobR,
-		Zs:       s.zs,
-		rows:     s.rows,
-		mat:      mat,
-		strat:    it.Strategy,
-	}}
-	c.entries[k] = e
-	return e, true
-}
-
-// claimLocked inserts a fresh in-flight entry, resetting the cache
-// wholesale at the retention bound. Caller holds c.mu.
-func (c *Cache) claimLocked(k planKey) *entry {
-	if len(c.entries) >= maxEntries {
-		c.entries = make(map[planKey]*entry)
-		c.stored = make(map[planKey]*storedPlan)
-		c.ready = make(map[workload.Fingerprint]struct{})
-	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[k] = e
-	return e
-}
-
-// finish publishes a claimed entry's result and wakes its waiters. An
-// entry dropped by a wholesale reset while it was in flight still serves
-// the askers already holding it, but is not advertised as ready.
-func (c *Cache) finish(k planKey, e *entry, p *Plan, err error) {
-	e.plan, e.err = p, err
-	c.mu.Lock()
-	if err == nil && c.entries[k] == e {
-		c.ready[k.matrix] = struct{}{}
-	}
-	c.mu.Unlock()
-	close(e.done)
+	return &Plan{Matrix: p.Matrix, Strategy: p.Strategy, Samples: p.Samples, Seed: p.Seed, SensA: p.SensA, FrobR: p.FrobR,
+		Zs: p.Zs, rows: p.rows, l: p.l, cols: p.cols, mat: mat, strat: it.Strategy}
 }
 
 // newPlan assembles a freshly sampled plan; zs is sorted in place.
@@ -366,6 +315,8 @@ func newPlan(k planKey, it Item, rec *strategy.Reconstruction, seed int64, zs []
 		FrobR:    rec.R.FrobeniusNorm(),
 		Zs:       zs,
 		rows:     rec.A.Rows(),
+		l:        it.Tr.Matrix().Rows(),
+		cols:     it.Tr.Matrix().Cols(),
 		mat:      it.Tr.Matrix(),
 		strat:    it.Strategy,
 		rec:      rec,
@@ -385,13 +336,14 @@ func (c *Cache) TranslateBatch(items []Item) int {
 // computed, each item's entry (nil for an item with no query matrix or
 // another schema's; possibly still in flight under another asker) and how
 // many entries this call claimed.
-func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed int) {
+func (c *Cache) translateBatch(items []Item) (ents []*memo.Entry[planKey, *Plan], claimed, computed int) {
 	// Claim pass: skip cached (an item repeating an earlier one's matrix
-	// finds that one's claim), promote stored, claim the rest.
+	// finds that one's claim), bind loaded plans on their first ask, claim
+	// the rest.
 	type claim struct {
 		k    planKey
 		it   Item
-		e    *entry
+		e    *memo.Entry[planKey, *Plan]
 		rec  *strategy.Reconstruction
 		seed int64
 	}
@@ -402,7 +354,7 @@ func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed i
 			keys[i] = keyOf(it) // hashes a fresh matrix: keep it outside c.mu
 		}
 	}
-	ents = make([]*entry, len(items))
+	ents = make([]*memo.Entry[planKey, *Plan], len(items))
 	c.mu.Lock()
 	for i, it := range items {
 		if it.Tr == nil || !it.Tr.Materialized() {
@@ -412,12 +364,18 @@ func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed i
 			continue // wrong wiring; Plan fails loudly
 		}
 		k := keys[i]
-		e, ok := c.entries[k]
-		if !ok {
-			e, ok = c.promoteLocked(k, it)
+		var bound *Plan
+		if p, ok := c.plans.Peek(k); ok && p != nil && p.mat == nil {
+			// A loaded plan's first ask replaces it with one bound to the
+			// asker's matrix — or, failing the shape check, a resampled one.
+			c.plans.Forget(k)
+			bound = p.bind(it)
 		}
-		if !ok {
-			e = c.claimLocked(k)
+		e, fresh := c.plans.Claim(k)
+		switch {
+		case fresh && bound != nil:
+			c.plans.Finish(e, bound, 1, nil)
+		case fresh:
 			claims = append(claims, claim{k: k, it: it, e: e})
 		}
 		ents[i] = e
@@ -461,7 +419,7 @@ func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed i
 	for i := range claims {
 		cl := &claims[i]
 		if errs[i] != nil {
-			c.finish(cl.k, cl.e, nil, errs[i])
+			c.plans.Finish(cl.e, nil, 1, errs[i])
 			continue
 		}
 		sh := shape{strat: cl.k.strat, samples: cl.k.samples, rows: cl.rec.A.Rows()}
@@ -474,7 +432,7 @@ func (c *Cache) translateBatch(items []Item) (ents []*entry, claimed, computed i
 		}
 		zss := sampleNorms(rs, sh.rows, sh.samples, g[0].seed)
 		for i, cl := range g {
-			c.finish(cl.k, cl.e, newPlan(cl.k, cl.it, cl.rec, cl.seed, zss[i]), nil)
+			c.plans.Finish(cl.e, newPlan(cl.k, cl.it, cl.rec, cl.seed, zss[i]), 1, nil)
 			computed++
 		}
 	}
@@ -555,11 +513,3 @@ func sampleNorms(rs []*linalg.Matrix, rows, n int, seed int64) [][]float64 {
 	}
 	return out
 }
-
-// closedChan is a pre-closed done channel for entries that are born
-// final (sidecar promotions).
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()

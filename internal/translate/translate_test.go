@@ -382,35 +382,87 @@ func TestReady(t *testing.T) {
 	}
 }
 
-// TestCacheCapResets: crossing maxEntries drops the cache wholesale
-// rather than growing without bound.
-func TestCacheCapResets(t *testing.T) {
+// distinctMatrix transforms the i-th of 1023 workloads with distinct query
+// matrices: ten fixed bins plus one row OR-ing the subset of bins named by
+// the bits of i+1. Fresh constants no longer mint fresh plans; fresh
+// matrices do.
+func (f *fixture) distinctMatrix(t *testing.T, i int) *workload.Transformed {
+	t.Helper()
+	preds, err := workload.Histogram1D("v", 5, 95, 9)
+	var or dataset.Or
+	for b := 0; b < 10; b++ {
+		if (i+1)&(1<<b) != 0 {
+			or = append(or, preds[b])
+		}
+	}
+	return f.transform(t, append(preds, or), err)
+}
+
+// TestCacheCapEvictsLeastRecentlyUsed: crossing maxEntries drops the least
+// recently used plan, one at a time, rather than growing without bound or
+// dropping the cache wholesale.
+func TestCacheCapEvictsLeastRecentlyUsed(t *testing.T) {
 	f := newFixture(t, 100)
 	c := NewCache("")
-	for i := 0; i < maxEntries+1; i++ {
-		// Fresh constants no longer mint fresh plans; fresh matrices do.
-		// Nine fixed bins plus one row OR-ing the subset of bins named by
-		// the bits of i+1: a distinct matrix per i.
-		preds, err := workload.Histogram1D("v", 5, 95, 10)
-		var or dataset.Or
-		for b := 0; b < 9; b++ {
-			if (i+1)&(1<<b) != 0 {
-				or = append(or, preds[b])
-			}
-		}
-		tr := f.transform(t, append(preds, or), err)
-		if _, err := c.Plan(tr, strategy.Identity{}, 8); err != nil {
+	ask := func(i int) {
+		t.Helper()
+		if _, err := c.Plan(f.distinctMatrix(t, i), strategy.Identity{}, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < maxEntries+1; i++ {
+		ask(i)
+	}
+	if st := c.Stats(); st.Misses != maxEntries+1 || st.Evictions != 1 {
+		t.Fatalf("%d distinct matrices: %+v, want %d samplings and 1 eviction", maxEntries+1, st, maxEntries+1)
+	}
+	if n := c.Len(); n != maxEntries {
+		t.Fatalf("cache holds %d entries, want the bound %d", n, maxEntries)
+	}
+	ask(maxEntries)
 	if st := c.Stats(); st.Misses != maxEntries+1 {
-		t.Fatalf("%d distinct matrices paid %d samplings", maxEntries+1, st.Misses)
+		t.Fatalf("re-asking the newest matrix resampled (misses %d)", st.Misses)
 	}
-	if n := c.Len(); n > maxEntries {
-		t.Fatalf("cache grew to %d entries, cap is %d", n, maxEntries)
+	ask(0)
+	if st := c.Stats(); st.Misses != maxEntries+2 {
+		t.Fatalf("re-asking the evicted first matrix did not resample (misses %d)", st.Misses)
 	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("cache holds %d entries after wholesale reset, want 1", n)
+}
+
+// TestSidecarBoundedAcrossLives: plans loaded from the sidecar share the
+// one bounded map with computed ones, so the file stays within maxEntries
+// frames however many lives append to it, and a plan asked in this life
+// outlives one that was loaded and never asked.
+func TestSidecarBoundedAcrossLives(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "translate.tc")
+	f := newFixture(t, 100)
+	const perLife = 200
+	for life := 0; life < 3; life++ {
+		c := NewCache(path)
+		loaded, _, err := c.LoadSidecar()
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]Item, perLife)
+		for i := range items {
+			items[i] = Item{Tr: f.distinctMatrix(t, life*perLife+i), Strategy: strategy.Identity{}, Samples: 8}
+		}
+		if n := c.TranslateBatch(items); n != perLife {
+			t.Fatalf("life %d: computed %d plans, want %d", life, n, perLife)
+		}
+		frames, corrupt, err := VerifySidecar(path)
+		if err != nil || corrupt || frames != min((life+1)*perLife, maxEntries) {
+			t.Fatalf("life %d: sidecar holds %d frames (corrupt %v, err %v), want %d", life, frames, corrupt, err, min((life+1)*perLife, maxEntries))
+		}
+		// Every eviction fell on a loaded plan: this life's all survive.
+		if got, want := c.Stats().Evictions, int64(max(0, loaded+perLife-maxEntries)); got != want {
+			t.Fatalf("life %d: %d evictions, want %d", life, got, want)
+		}
+		for _, it := range items {
+			if !c.Ready(it.Tr.MatrixFingerprint()) {
+				t.Fatalf("life %d: a plan asked in this life was dropped", life)
+			}
+		}
 	}
 }
 
@@ -561,7 +613,7 @@ func TestDistinctMatricesDoNotShare(t *testing.T) {
 // rewriteSidecar decodes the sidecar at path, lets edit tamper with its
 // single plan, and writes it back with valid framing — a file whose CRCs
 // hold but whose content disagrees with its own key.
-func rewriteSidecar(t *testing.T, path string, edit func(*storedPlan)) {
+func rewriteSidecar(t *testing.T, path string, edit func(*Plan)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -586,16 +638,16 @@ func TestPromotionRechecksShape(t *testing.T) {
 	f := newFixture(t, 1000)
 	for _, tc := range []struct {
 		name   string
-		edit   func(*storedPlan)
+		edit   func(*Plan)
 		misses int64 // samplings the second life pays
 		recErr bool
 	}{
-		{"intact", func(*storedPlan) {}, 0, false},
-		{"wrong L", func(s *storedPlan) { s.l++ }, 1, false},
-		{"wrong columns", func(s *storedPlan) { s.cols-- }, 1, false},
-		{"wrong SensA", func(s *storedPlan) { s.sensA++ }, 0, true},
-		{"wrong rows", func(s *storedPlan) { s.rows++ }, 0, true},
-		{"wrong FrobR", func(s *storedPlan) { s.frobR *= 2 }, 0, true},
+		{"intact", func(*Plan) {}, 0, false},
+		{"wrong L", func(p *Plan) { p.l++ }, 1, false},
+		{"wrong columns", func(p *Plan) { p.cols-- }, 1, false},
+		{"wrong SensA", func(p *Plan) { p.SensA++ }, 0, true},
+		{"wrong rows", func(p *Plan) { p.rows++ }, 0, true},
+		{"wrong FrobR", func(p *Plan) { p.FrobR *= 2 }, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "translate.tc")
@@ -725,7 +777,7 @@ func FuzzStoredPlan(f *testing.F) {
 			f.Add(p)
 		}
 	}
-	fresh := encodeStoredPlan(nil, &storedPlan{strat: "h2", samples: 2, seed: -7, l: 3, cols: 4, rows: 5, sensA: 1.5, frobR: 2.5, zs: []float64{0.25, 0.5}})
+	fresh := encodeStoredPlan(nil, &Plan{Strategy: "h2", Samples: 2, Seed: -7, l: 3, cols: 4, rows: 5, SensA: 1.5, FrobR: 2.5, Zs: []float64{0.25, 0.5}})
 	payloads, _, _, _ := durable.Scan(fresh, 0, maxSidecarFrame)
 	f.Add(payloads[0])
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -92,8 +92,10 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 		}
 		// Histogram is only defined for materialized transformations, and
 		// anything already memoized needs no work.
-		hist := it.Histogram && tr.Materialized() && !tr.memo.ready(&tr.memo.hist, d)
-		truth := it.Truth && !tr.memo.ready(&tr.memo.truth, d)
+		_, histDone := tr.memo.Peek(evalKey{d, d.Size(), false})
+		_, truthDone := tr.memo.Peek(evalKey{d, d.Size(), true})
+		hist := it.Histogram && tr.Materialized() && !histDone
+		truth := it.Truth && !truthDone
 		if !hist && !truth {
 			continue
 		}
@@ -151,10 +153,10 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 
 	for _, t := range tasks {
 		if t.hist {
-			t.tr.memo.get(&t.tr.memo.hist, d).compute(func() ([]float64, error) { return t.x, t.xErr })
+			t.tr.memo.Get(evalKey{d, d.Size(), false}, func() ([]float64, int64, error) { return t.x, 1, t.xErr })
 		}
 		if t.truth {
-			t.tr.memo.get(&t.tr.memo.truth, d).compute(func() ([]float64, error) { return t.truths, nil })
+			t.tr.memo.Get(evalKey{d, d.Size(), true}, func() ([]float64, int64, error) { return t.truths, 1, nil })
 		}
 	}
 	return stats

@@ -164,7 +164,7 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 		t.Fatalf("passes = %d over columns %v, want %d over 2", st.ColumnPasses, st.Columns, len(bins)+1)
 	}
 	for _, tr := range []*Transformed{trFunc, trImplicit, trKernel} {
-		if !tr.memo.ready(&tr.memo.truth, d) {
+		if _, ok := tr.memo.Peek(evalKey{d, d.Size(), true}); !ok {
 			t.Fatalf("workload %v was not warmed", tr.preds)
 		}
 		got, want := tr.TrueAnswers(d), tr.TrueAnswersRows(d)

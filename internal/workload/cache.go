@@ -5,10 +5,10 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/memo"
 )
 
 // Key returns the canonical cache key of a workload: the rendered
@@ -47,28 +47,21 @@ func ID(key string) string {
 // before anything reaches an analyst.
 type TransformCache struct {
 	opt     Options
-	mu      sync.Mutex
-	entries map[string]*transformEntry
+	schema  atomic.Pointer[dataset.Schema]
+	entries *memo.Cache[string, *Transformed]
 }
 
-type transformEntry struct {
-	schema *dataset.Schema
-	once   sync.Once
-	tr     *Transformed
-	err    error
-}
-
-// transformCacheMaxEntries bounds the distinct workloads one cache
-// retains. A server-side cache lives as long as its dataset and any
-// analyst can mint fresh workload keys by varying predicate constants,
-// so reaching the bound drops the map wholesale (Transformeds held by
-// live engines stay valid; subsequent repeats just recompute once).
-const transformCacheMaxEntries = 256
+// transformCacheEntries bounds the distinct workloads one cache retains.
+// A server-side cache lives as long as its dataset and any analyst can
+// mint fresh workload keys by varying predicate constants, so past the
+// bound the least recently used workload is dropped (Transformeds held by
+// live engines stay valid; a later repeat just recomputes once).
+const transformCacheEntries = 256
 
 // NewTransformCache returns an empty cache applying opt to every
 // transformation.
 func NewTransformCache(opt Options) *TransformCache {
-	return &TransformCache{opt: opt, entries: make(map[string]*transformEntry)}
+	return &TransformCache{opt: opt, entries: memo.New[string, *Transformed](transformCacheEntries)}
 }
 
 // Transform returns the cached T(W) for the workload, computing it at
@@ -78,124 +71,59 @@ func NewTransformCache(opt Options) *TransformCache {
 // bug and fails loudly instead of returning kernels for the wrong table
 // layout.
 func (c *TransformCache) Transform(s *dataset.Schema, preds []dataset.Predicate) (*Transformed, error) {
-	key := Key(preds)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		if len(c.entries) >= transformCacheMaxEntries {
-			c.entries = make(map[string]*transformEntry)
-		}
-		e = &transformEntry{schema: s}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	if e.schema != s {
+	if c.schema.CompareAndSwap(nil, s); c.schema.Load() != s {
 		return nil, fmt.Errorf("workload: TransformCache is bound to another schema (one cache per dataset; workload %v)", preds)
 	}
-	e.once.Do(func() {
-		e.tr, e.err = Transform(s, preds, c.opt)
-		if e.err == nil {
-			e.tr.memo = &evalMemo{}
+	return c.entries.Get(Key(preds), func() (*Transformed, int64, error) {
+		tr, err := Transform(s, preds, c.opt)
+		if err == nil {
+			tr.memo = memo.New[evalKey, []float64](evalMemoEntries)
 		}
+		return tr, 1, err
 	})
-	return e.tr, e.err
 }
 
 // Len returns the number of cached workloads.
-func (c *TransformCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *TransformCache) Len() int { return c.entries.Len() }
 
-// Has reports whether the cache already holds (or is computing) the
+// Has reports whether the cache already holds the transformation of the
 // workload with the given Key. It is advisory — a concurrent Transform
 // can change the answer immediately — and exists for observability:
 // request traces record it as the transform-cache hit/miss attribute.
 func (c *TransformCache) Has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
+	_, ok := c.entries.Peek(key)
 	return ok
 }
 
-// evalMemo caches a Transformed's noise-free evaluations per table. The
-// key includes the table size so appending to a table (the only mutation
-// the Table API allows) naturally invalidates stale entries.
-type evalMemo struct {
-	mu    sync.Mutex
-	hist  map[memoKey]*memoEntry
-	truth map[memoKey]*memoEntry
+// Stats returns the counters of the workload cache (not of the
+// Transformeds' evaluation memos).
+func (c *TransformCache) Stats() memo.Stats { return c.entries.Stats() }
+
+// evalKey names one memoized noise-free evaluation of a Transformed: the
+// table, its size — appending to a table (the only mutation the Table API
+// allows) changes it, so stale results are never served — and which of
+// the two results.
+type evalKey struct {
+	t     *dataset.Table
+	n     int
+	truth bool
 }
 
-type memoKey struct {
-	t *dataset.Table
-	n int
-}
+// evalMemoEntries bounds one Transformed's memoized evaluations; in
+// practice a server evaluates one workload against one registered table
+// (two entries), so the bound only guards pathological use.
+const evalMemoEntries = 16
 
-type memoEntry struct {
-	once sync.Once
-	done atomic.Bool // set once vals/err are final; lets batchers peek
-	vals []float64
-	err  error
-}
-
-// compute runs fn at most once and marks the entry ready.
-func (e *memoEntry) compute(fn func() ([]float64, error)) {
-	e.once.Do(func() {
-		e.vals, e.err = fn()
-		e.done.Store(true)
+// memoized returns a copy of tr's memoized evaluation over d — the true
+// answers or the histogram — running eval at most once per (table, size)
+// across all concurrent sessions.
+func (tr *Transformed) memoized(d *dataset.Table, truth bool, eval func() ([]float64, error)) ([]float64, error) {
+	vals, err := tr.memo.Get(evalKey{d, d.Size(), truth}, func() ([]float64, int64, error) {
+		vals, err := eval()
+		return vals, 1, err
 	})
-}
-
-// memoMaxTables bounds each memo map; in practice a server evaluates one
-// workload against one registered table, so the bound only guards
-// pathological use.
-const memoMaxTables = 8
-
-func (m *evalMemo) get(mp *map[memoKey]*memoEntry, d *dataset.Table) *memoEntry {
-	k := memoKey{t: d, n: d.Size()}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if *mp == nil {
-		*mp = make(map[memoKey]*memoEntry)
+	if err != nil {
+		return nil, err
 	}
-	if e, ok := (*mp)[k]; ok {
-		return e
-	}
-	if len(*mp) >= memoMaxTables {
-		*mp = make(map[memoKey]*memoEntry)
-	}
-	e := &memoEntry{}
-	(*mp)[k] = e
-	return e
-}
-
-// ready reports whether the memoized value for d is already final in mp,
-// without creating an entry. Batchers use it to skip work another batch
-// (or an unbatched evaluation) has done.
-func (m *evalMemo) ready(mp *map[memoKey]*memoEntry, d *dataset.Table) bool {
-	k := memoKey{t: d, n: d.Size()}
-	m.mu.Lock()
-	e, ok := (*mp)[k]
-	m.mu.Unlock()
-	return ok && e.done.Load()
-}
-
-// histogram returns a copy of the memoized x = T_W(D), computing it once
-// per (workload, table) across all concurrent sessions.
-func (m *evalMemo) histogram(tr *Transformed, d *dataset.Table) ([]float64, error) {
-	e := m.get(&m.hist, d)
-	e.compute(func() ([]float64, error) { return tr.histogram(d) })
-	if e.err != nil {
-		return nil, e.err
-	}
-	return append([]float64(nil), e.vals...), nil
-}
-
-// trueAnswers returns a copy of the memoized exact workload answers.
-func (m *evalMemo) trueAnswers(tr *Transformed, d *dataset.Table) []float64 {
-	e := m.get(&m.truth, d)
-	e.compute(func() ([]float64, error) { return tr.trueAnswers(d), nil })
-	return append([]float64(nil), e.vals...)
+	return append([]float64(nil), vals...), nil
 }

@@ -331,6 +331,45 @@ func TestTransformCacheBoundsEntries(t *testing.T) {
 	}
 }
 
+// TestTransformCacheKeepsTheHotSet: 48 hot workloads asked between 2,000
+// fresh ones — one fresh key in five requests, as in the benchmark's mixed
+// traffic — stay cached across all of it. Every hot re-ask returns the
+// same Transformed with its evaluations still memoized, so it scans
+// nothing; a wholesale drop of the full cache would fail both.
+func TestTransformCacheKeepsTheHotSet(t *testing.T) {
+	s := columnarSchema(t)
+	d := randDomainTable(rand.New(rand.NewSource(4)), s, 200)
+	c := NewTransformCache(Options{})
+	ask := func(preds []dataset.Predicate) (*Transformed, BatchStats) {
+		t.Helper()
+		tr, err := c.Transform(s, preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, c.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
+	}
+	const hotN, fresh = 48, 2000
+	hot := make([]*Transformed, hotN)
+	for h := range hot {
+		hot[h], _ = ask([]dataset.Predicate{dataset.Range{Attr: "age", Lo: float64(h), Hi: float64(h) + 50}})
+	}
+	for i, f := 0, 0; f < fresh; i++ {
+		if i%5 == 4 {
+			ask([]dataset.Predicate{dataset.Range{Attr: "gain", Lo: float64(f) / 4, Hi: 1000}})
+			f++
+			continue
+		}
+		h := i % hotN
+		tr, st := ask([]dataset.Predicate{dataset.Range{Attr: "age", Lo: float64(h), Hi: float64(h) + 50}})
+		if tr != hot[h] {
+			t.Fatalf("request %d: hot workload %d was transformed again", i, h)
+		}
+		if st.Workloads != 0 {
+			t.Fatalf("request %d: hot workload %d was rescanned (%+v)", i, h, st)
+		}
+	}
+}
+
 // TestHistogramErrorParityAcrossComponents: when different rows are
 // out-of-domain in different components, both paths must still report
 // the same (first) failing row — the row path scans rows outermost, so

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
+	"repro/internal/memo"
 )
 
 // Options tunes the transformation limits.
@@ -75,7 +76,7 @@ type Transformed struct {
 	acc   *atomAcc
 	kOnce sync.Once
 	k     colKernels
-	memo  *evalMemo
+	memo  *memo.Cache[evalKey, []float64]
 
 	// fpOnce/fp lazily cache the query-matrix fingerprint
 	// (MatrixFingerprint), so the strategy-translation cache — which looks
@@ -240,7 +241,7 @@ func (tr *Transformed) Histogram(d *dataset.Table) ([]float64, error) {
 		return nil, fmt.Errorf("workload: histogram unavailable for implicit transformation")
 	}
 	if tr.memo != nil {
-		return tr.memo.histogram(tr, d)
+		return tr.memoized(d, false, func() ([]float64, error) { return tr.histogram(d) })
 	}
 	return tr.histogram(d)
 }
@@ -288,7 +289,8 @@ func (tr *Transformed) HistogramRows(d *dataset.Table) ([]float64, error) {
 // noise-free result is memoized per table.
 func (tr *Transformed) TrueAnswers(d *dataset.Table) []float64 {
 	if tr.memo != nil {
-		return tr.memo.trueAnswers(tr, d)
+		truths, _ := tr.memoized(d, true, func() ([]float64, error) { return tr.trueAnswers(d), nil })
+		return truths
 	}
 	return tr.trueAnswers(d)
 }
