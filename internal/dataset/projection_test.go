@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -85,40 +86,146 @@ func catTable(t *testing.T, n, ncols, values int) *Table {
 	return packTable(t, tab)
 }
 
-// TestProjectionEligibility pins the rule: sealed, every column packed,
-// and at most one slot per eight rows — exactly.
+// edgeTable is a sealed table of rows rows holding exactly distinct
+// tuples over a wide packed column ("wide": 1000·k + 7, 16 or more bits)
+// and a raw float64 one ("raw": k + 0.1234567891234) — plus, with misfit,
+// one more row holding a tuple of its own next to a string in "raw".
+func edgeTable(t *testing.T, rows, distinct int, misfit bool) *Table {
+	t.Helper()
+	schema, err := NewSchema(Attribute{Name: "wide", Kind: Continuous}, Attribute{Name: "raw", Kind: Continuous})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable(schema)
+	for i := 0; i < rows; i++ {
+		k := float64(i % distinct)
+		tab.MustAppend(Tuple{Num(1000*k + 7), Num(k + 0.1234567891234)})
+	}
+	if misfit {
+		tab.MustAppend(Tuple{Num(999_007), Str("oops")})
+	}
+	packed := packTable(t, tab)
+	if packed.ColumnData(0).PackedVals == nil || packed.ColumnData(1).PackedVals != nil {
+		t.Fatal("fixture: want a packed wide column and a raw one")
+	}
+	return packed
+}
+
+// TestProjectionEligibility pins the observed rule at its exact edge: a
+// set of a sealed table whose columns are packed or raw float64 gets a
+// projection when its rows hold at most one distinct tuple per eight rows,
+// however many lane combinations its columns could form; one tuple more
+// aborts the build, which is remembered, so asking again runs no pass.
+// Misfit rows do not count. Only a set whose keys alone are within the
+// limit is sure to build before it is tried.
 func TestProjectionEligibility(t *testing.T) {
 	heap := buildMixedTable(t, 60_000, 3)
 	if _, outcome := heap.Projection([]int{0}); outcome != ProjectionIneligible {
 		t.Fatalf("an unsealed table got a projection (%s)", outcome)
 	}
-	packed := packTable(t, heap)
-	if _, outcome := packed.Projection([]int{0, 6}); outcome != ProjectionIneligible { // frac stays raw float64
-		t.Fatalf("a set with a full-width column got a projection (%s)", outcome)
+	var misfits []MisfitCell
+	for _, m := range heap.MisfitCells() {
+		if m.Pos == 0 {
+			misfits = append(misfits, m)
+		}
 	}
-	if _, outcome := packed.Projection([]int{0}); outcome != ProjectionBuild {
-		t.Fatalf("a narrow packed column of a sealed table has no projection (%s)", outcome)
+	// Unpacked codes, as a v1 segment serves them.
+	codes, err := TableFromColumns(MustSchema(heap.Schema().Attr(0)), heap.Size(), []ColumnData{heap.ColumnData(0)}, misfits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome := codes.Projection([]int{0}); outcome != ProjectionIneligible {
+		t.Fatalf("a set with an unpacked categorical column got a projection (%s)", outcome)
 	}
 
-	// One categorical column of 3 values: 3 + PackedCodeBias = 5 slots.
-	// Two of them: 25.
-	for _, c := range []struct {
-		rows int
-		cols []int
-		want string
-	}{
-		{40, []int{0}, ProjectionBuild},      // slots = rows/8
-		{39, []int{0}, ProjectionIneligible}, // slots = rows/8 + 1
-		{200, []int{0, 1}, ProjectionBuild},
-		{199, []int{0, 1}, ProjectionIneligible},
-	} {
-		tab := catTable(t, c.rows, 2, 3)
-		if _, got := tab.PlannedProjection(c.cols); got != c.want {
-			t.Errorf("%d rows, columns %v: planned %q, want %q", c.rows, c.cols, got, c.want)
+	const rows = 400 // the limit is 50 tuples
+	for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+		for _, distinct := range []int{rows / 8, rows/8 + 1} {
+			tab := edgeTable(t, rows, distinct, false)
+			passes := 0
+			tab.SetColumnHints(func([]int) { passes++ }, nil)
+			if _, planned := tab.PlannedProjection(cols); planned != ProjectionBuild || !tab.ProjectionMayAbort(cols) {
+				t.Fatalf("columns %v, %d tuples: untried set planned %q (may abort: %v), want an unsure build", cols, distinct, planned, tab.ProjectionMayAbort(cols))
+			}
+			p, outcome := tab.Projection(cols)
+			if distinct <= rows/8 {
+				if outcome != ProjectionBuild || p.Table().Size() != distinct {
+					t.Fatalf("columns %v, %d tuples: %q, want a build of %d rows", cols, distinct, outcome, distinct)
+				}
+				continue
+			}
+			if outcome != ProjectionAbort || p != nil {
+				t.Fatalf("columns %v, %d tuples: %q, want an aborted build", cols, distinct, outcome)
+			}
+			for range 2 {
+				if p, outcome := tab.Projection(cols); outcome != ProjectionIneligible || p != nil {
+					t.Fatalf("columns %v: asked again after the abort: %q", cols, outcome)
+				}
+			}
+			if _, planned := tab.PlannedProjection(cols); planned != ProjectionIneligible {
+				t.Fatalf("columns %v: planned %q after the abort, want ineligible", cols, planned)
+			}
+			if st := tab.ProjectionStats(); passes != 1 || st.Builds != 1 || st.Held != int64(len(projectionKey(cols))) {
+				t.Fatalf("columns %v: %d passes, stats %+v; want one pass, one build and the key's bytes held", cols, passes, st)
+			}
 		}
-		if _, got := tab.Projection(c.cols); got != c.want {
-			t.Errorf("%d rows, columns %v: %q, want %q", c.rows, c.cols, got, c.want)
+	}
+
+	withMisfit := edgeTable(t, rows, rows/8, true)
+	for _, cols := range [][]int{{0}, {0, 1}} {
+		if p, outcome := withMisfit.Projection(cols); outcome != ProjectionBuild || p.Table().Size() != rows/8 {
+			t.Fatalf("columns %v: a misfit row's tuple was counted (%q)", cols, outcome)
 		}
+	}
+
+	// One categorical column of 3 values has 3 + PackedCodeBias = 5 keys:
+	// sure to build on 40 rows, not on 39.
+	if narrow := catTable(t, 40, 1, 3); narrow.ProjectionMayAbort([]int{0}) {
+		t.Fatal("5 keys on 40 rows may abort")
+	}
+	if narrow := catTable(t, 39, 1, 3); !narrow.ProjectionMayAbort([]int{0}) {
+		t.Fatal("5 keys on 39 rows are sure to build")
+	}
+}
+
+// TestProjectionAbortsStayBounded: a thousand distinct column sets that
+// all abort are remembered within the table's byte bound — each costs its
+// key's bytes, so the cache holds a bounded number of them — and asking a
+// remembered set again runs no pass.
+func TestProjectionAbortsStayBounded(t *testing.T) {
+	tab := catTable(t, 512, 16, 200) // a column alone holds ~180 values, the limit is 64
+	bound := tab.projectionBound()
+	passes := 0
+	tab.SetColumnHints(func([]int) { passes++ }, nil)
+	var sets [][]int
+	var grow func(set []int, next int)
+	grow = func(set []int, next int) {
+		if len(set) > 0 {
+			sets = append(sets, slices.Clone(set))
+		}
+		for c := next; c < 16 && len(set) < 4; c++ {
+			grow(append(set, c), c+1)
+		}
+	}
+	grow(nil, 0)
+	sets = sets[:1000]
+	for _, cols := range sets {
+		if _, outcome := tab.Projection(cols); outcome != ProjectionAbort {
+			t.Fatalf("%v: %q, want an aborted build", cols, outcome)
+		}
+		if held := tab.ProjectionStats().Held; held > bound {
+			t.Fatalf("after %v: %d B held, bound %d B", cols, held, bound)
+		}
+		if n := tab.proj.Len(); n > int(bound)/len("[0]") {
+			t.Fatalf("after %v: %d entries, more than the bound holds", cols, n)
+		}
+	}
+	if passes != len(sets) || tab.ProjectionStats().Evictions == 0 {
+		t.Fatalf("%d passes for %d sets, %d evictions; want one pass each and the bound to bite", passes, len(sets), tab.ProjectionStats().Evictions)
+	}
+	last := sets[len(sets)-1]
+	if _, outcome := tab.Projection(last); outcome != ProjectionIneligible || passes != len(sets) {
+		t.Fatalf("re-asking %v: %q after %d passes; want ineligible and no pass", last, outcome, passes-len(sets))
 	}
 }
 

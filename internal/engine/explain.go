@@ -54,9 +54,12 @@ type Explain struct {
 	// the workload references; PredictedScanBytes is the byte traffic of
 	// its noise-free scan — those columns once each, or the projection of
 	// that column set when the table already holds it — matching
-	// BatchStats accounting exactly (ScanPlanExact is false when the
-	// workload would take the row path instead, making the column
-	// prediction inapplicable).
+	// BatchStats accounting exactly when ScanPlanExact. ScanPlanExact is
+	// false when the workload would take the row path instead, making the
+	// column prediction inapplicable, and for a column set never tried
+	// whose projection build may abort (the prediction assumes the build;
+	// an abort reads the columns twice); it is true once the set has been
+	// tried.
 	PlannedColumns     []int
 	PredictedScanBytes int64
 	ScanPlanExact      bool

@@ -78,7 +78,7 @@ func TestSMEpsilonOrderIndependent(t *testing.T) {
 
 // TestSMSharedSourceMatchesPrivate: reading through a shared per-dataset
 // cache must not change ε relative to a private one, and a second SM on
-// the shared cache must hit rather than resample.
+// the shared cache must find the plan rather than resample.
 func TestSMSharedSourceMatchesPrivate(t *testing.T) {
 	f := newFixture(t, []int{10, 20, 30, 40}, 10)
 	req := accuracy.Requirement{Alpha: 8, Beta: 0.05}
@@ -107,7 +107,7 @@ func TestSMSharedSourceMatchesPrivate(t *testing.T) {
 	if cA.Upper != cPriv.Upper || cB.Upper != cPriv.Upper {
 		t.Fatalf("shared-cache ε diverged: private %v, shared %v / %v", cPriv.Upper, cA.Upper, cB.Upper)
 	}
-	if st := shared.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("two SMs on one cache: %+v, want 1 miss 1 hit", st)
+	if st := shared.Stats(); st.Misses != 1 {
+		t.Fatalf("two SMs on one cache: %+v, want 1 miss", st)
 	}
 }

@@ -84,8 +84,11 @@ type ExplainResponse struct {
 	Partitions         int      `json:"partitions"`
 	PlannedColumns     []string `json:"planned_columns,omitempty"`
 	PredictedScanBytes int64    `json:"predicted_scan_bytes"`
-	// ScanPlanExact is true when the prediction uses the columnar
-	// accounting BatchStats uses (false for row-path workloads).
+	// ScanPlanExact is true when the prediction is what the query will
+	// read, to the byte, by the columnar accounting BatchStats uses. It is
+	// false for row-path workloads, and for a column set never tried whose
+	// projection build may abort: the prediction assumes the build, an
+	// abort reads the columns twice. Once the set has been tried it is true.
 	ScanPlanExact bool `json:"scan_plan_exact"`
 
 	Choices []ExplainChoiceView `json:"choices,omitempty"`

@@ -183,11 +183,14 @@ func keyOf(it Item) planKey {
 
 // Stats snapshots a cache's lifetime counters.
 type Stats struct {
-	// Hits counts translations served from the cache (including callers
-	// that waited on another asker's in-flight computation and plans
-	// loaded from the persisted sidecar).
+	// Hits counts requests whose plan the cache already held when a
+	// scheduler warmed their translation (TranslateBatch, once per item):
+	// computed earlier, in flight for another asker, or loaded from the
+	// persisted sidecar. Plan, the lookup a mechanism repeats within a
+	// request (Translate in Prepare, then Run), counts no hit, so a warmed
+	// request counts one miss and no hit, or one hit.
 	Hits int64
-	// Misses counts fresh Monte-Carlo computations.
+	// Misses counts fresh Monte-Carlo computations, wherever paid.
 	Misses int64
 	// Evictions counts plans dropped, least recently used first, to keep
 	// maxEntries.
@@ -268,24 +271,18 @@ func (c *Cache) bindSchema(s *dataset.Schema) error {
 var errOtherSchema = errors.New("translate: cache is bound to another schema (one translation cache per dataset)")
 
 // Plan implements Source: the singleflight lookup-or-compute path, run
-// as a batch of one. A lookup that finds an entry (or binds a loaded
-// one) is a hit, waiting out another asker's in-flight computation
-// included; a fresh computation is one miss.
+// as a batch of one. A fresh computation is one miss; finding an entry is
+// not counted (see Stats.Hits).
 func (c *Cache) Plan(tr *workload.Transformed, strat strategy.Strategy, samples int) (*Plan, error) {
 	if !tr.Materialized() {
 		return nil, fmt.Errorf("translate: workload transformation is implicit (no query matrix)")
 	}
-	ents, claimed, _ := c.translateBatch([]Item{{Tr: tr, Strategy: strat, Samples: samples}})
-	e := ents[0]
-	if e == nil {
+	ents, _, _ := c.translateBatch([]Item{{Tr: tr, Strategy: strat, Samples: samples}})
+	if ents[0] == nil {
 		// The matrix is materialized, so the batch skipped it for its schema.
 		return nil, errOtherSchema
 	}
-	p, err := e.Wait()
-	if claimed == 0 {
-		c.hits.Add(1)
-	}
-	return p, err
+	return ents[0].Wait()
 }
 
 // bind returns a sidecar-loaded plan attached to the asker's matrix and
@@ -326,9 +323,17 @@ func newPlan(k planKey, it Item, rec *strategy.Reconstruction, seed int64, zs []
 // TranslateBatch implements Source: every fresh matrix in the batch is
 // sampled in one fanned-out pass, with same-shape matrices (same
 // strategy, N and strategy-matrix rows) sharing the drawn sample blocks.
-// Items that differ only in predicate text dedupe to one claim.
+// Items that differ only in predicate text dedupe to one claim. Each item
+// counts one request: a miss when it claimed its plan, else a hit.
 func (c *Cache) TranslateBatch(items []Item) int {
-	_, _, computed := c.translateBatch(items)
+	ents, claimed, computed := c.translateBatch(items)
+	found := -claimed
+	for _, e := range ents {
+		if e != nil {
+			found++
+		}
+	}
+	c.hits.Add(int64(found))
 	return computed
 }
 

@@ -27,8 +27,8 @@ type BatchStats struct {
 	// ColumnPasses is the number of physical full-column passes the batch
 	// ran over the table: summed over its deduplicated workloads, none for
 	// one a held projection answered, one per referenced column for one
-	// that built its projection or has none (the bitmap fallback pays one
-	// per predicate and column).
+	// that built its projection or has none, two for one whose build
+	// aborted (the bitmap fallback pays one per predicate and column).
 	ColumnPasses int
 	// Rows is the rows the batch classified, per column read: table rows
 	// for every column pass, the projection's rows for a workload a held
@@ -49,8 +49,8 @@ type BatchStats struct {
 	Fallbacks map[string]int
 	// Projections counts, by outcome (dataset.ProjectionOutcomes), the
 	// workloads the scan kernel evaluated: answered by a held projection,
-	// by one they built first, or — the set being ineligible — over the
-	// table's rows. Nil when there were none.
+	// by one they built first, or — the set being ineligible, or its build
+	// aborting — over the table's rows. Nil when there were none.
 	Projections map[string]int
 }
 
@@ -130,7 +130,11 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 			if stats.Projections == nil {
 				stats.Projections = make(map[string]int)
 			}
-			stats.Projections[t.outcome]++
+			outcome := t.outcome
+			if outcome == dataset.ProjectionAbort {
+				outcome = dataset.ProjectionIneligible
+			}
+			stats.Projections[outcome]++
 		}
 		passes, rows, bytes := k.scanTraffic(d, t.proj, t.outcome)
 		stats.ColumnPasses += passes

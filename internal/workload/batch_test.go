@@ -180,10 +180,11 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 }
 
 // TestBatchStatsProjectionOutcomes: the one accounting holds, and ScanPlan
-// predicts it exactly, on all three projection outcomes — a build reads
-// each column of the set once, a hit no column but the projection's own
-// lanes and weights, an ineligible set what it always did — and every
-// kernel workload is counted under exactly one of them.
+// predicts it exactly once a set's outcome is known, on all three
+// projection outcomes — a build reads each column of the set once, a hit
+// no column but the projection's own lanes and weights, an ineligible set
+// what it always did (and the build that found it so, its columns twice)
+// — and every kernel workload is counted under exactly one of them.
 func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	s := kernelSchema(t)
 	d := repeatedPackedForm(t, kernelTable(rand.New(rand.NewSource(5)), s, 3*morselRows, false), 1)
@@ -247,9 +248,37 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 		t.Fatalf("hit: ScanPlan predicted %d B, the batch read %d, the column is %d", predicted, st.ScanBytes, d.ColumnScanBytes(agePos))
 	}
 
-	st, predicted = evaluate("ineligible", bins("gain", 0, 1<<16)) // 21-bit lanes
-	check("ineligible", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(gainPos),
-		Columns: []int{gainPos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
+	// A set whose lanes could form more combinations than a row in eight:
+	// before it is tried, ScanPlan predicts the build's traffic and says it
+	// is not sure of it.
+	untried := func(label string, pos int, preds []dataset.Predicate) BatchStats {
+		t.Helper()
+		tr, err := cache.Transform(s, preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, bytes, exact := tr.ScanPlan(d); exact || bytes != d.ColumnScanBytes(pos) {
+			t.Fatalf("%s: ScanPlan predicted %d B (exact %v), want the build's %d B, not exact", label, bytes, exact, d.ColumnScanBytes(pos))
+		}
+		st := cache.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
+		checkKernelAgainstRows(t, label, tr, d)
+		return st
+	}
+	// gain's lanes are 21 bits wide, but its rows hold 66 distinct values:
+	// the set builds like a narrow one.
+	check("wide", untried("wide", gainPos, bins("gain", 0, 1<<16)), BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n,
+		ScanBytes: d.ColumnScanBytes(gainPos), Columns: []int{gainPos}, Projections: map[string]int{dataset.ProjectionBuild: 1}})
+
+	// fare holds thousands of distinct cents, more than a row in eight. The
+	// first workload's build aborts: an attempt pass, then the row pass. The
+	// set is remembered: the next workload reads what a row pass reads, as
+	// predicted.
+	farePos, _ := s.Lookup("fare")
+	check("abort", untried("abort", farePos, bins("fare", 0, 20)), BatchStats{Workloads: 1, ColumnPasses: 2, Rows: 2 * n, ScanBytes: 2 * d.ColumnScanBytes(farePos),
+		Columns: []int{farePos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
+	st, predicted = evaluate("ineligible", bins("fare", 1, 19))
+	check("ineligible", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(farePos),
+		Columns: []int{farePos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
 	if predicted != st.ScanBytes {
 		t.Fatalf("ineligible: ScanPlan predicted %d B, the batch read %d", predicted, st.ScanBytes)
 	}

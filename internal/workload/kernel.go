@@ -200,11 +200,12 @@ func buildCompKernel(tr *Transformed, c *component) (compKernel, bool) {
 // full-column passes it issues, the rows it classifies (per column read)
 // and the storage bytes behind them. A projection hit passes over no
 // column: it classifies the projection's rows and reads the projection's
-// own lanes and weights. A build and an ineligible set read each
+// own columns and weights. A build and an ineligible set read each
 // referenced column of the table once — the build's answer from the
-// projection it just made is not counted again. The bitmap path pays one
-// pass per (predicate, column); the row path's traffic is not modelled by
-// the column directory.
+// projection it just made is not counted again; an aborted build reads
+// them twice, once for the attempt and once for the row pass. The bitmap
+// path pays one pass per (predicate, column); the row path's traffic is
+// not modelled by the column directory.
 func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, outcome string) (passes int, rows, bytes int64) {
 	switch {
 	case k.fallback == "" && outcome == dataset.ProjectionHit:
@@ -213,6 +214,9 @@ func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, out
 		passes = len(k.cols)
 		for _, pos := range k.cols {
 			bytes += d.ColumnScanBytes(pos)
+		}
+		if outcome == dataset.ProjectionAbort {
+			passes, bytes = 2*passes, 2*bytes
 		}
 	case k.fallback == FallbackImplicit:
 		for _, cp := range k.preds {
@@ -230,22 +234,26 @@ func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, out
 // the workload references and the byte traffic. It runs the identical
 // accounting as EvaluateBatch over what d.PlannedProjection predicts — a
 // projection hit reads the projection's bytes rather than the columns', a
-// build or an ineligible set each column once — so for a single-workload
-// batch the predicted ScanBytes equals BatchStats.ScanBytes exactly. ok is
+// build or an ineligible set each column once. exact says the prediction
+// equals BatchStats.ScanBytes of a single-workload batch to the byte. It is
 // false when the evaluation would take the row path, whose traffic the
-// column accounting does not model.
-func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, ok bool) {
+// column accounting does not model (cols is then nil), and for a column
+// set never tried whose build may abort, which reads its columns twice:
+// the prediction assumes the build.
+func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, exact bool) {
 	k := tr.kernels()
 	if k.fallback == FallbackOpaque || k.fallback == FallbackGrid {
 		return nil, 0, false
 	}
 	var proj *dataset.Projection
 	var outcome string
+	exact = true
 	if k.fallback == "" {
 		proj, outcome = d.PlannedProjection(k.cols)
+		exact = outcome != dataset.ProjectionBuild || !d.ProjectionMayAbort(k.cols)
 	}
 	_, _, scanBytes = k.scanTraffic(d, proj, outcome)
-	return append([]int(nil), k.cols...), scanBytes, true
+	return append([]int(nil), k.cols...), scanBytes, exact
 }
 
 // evalTask is one workload's share of an evaluation: what is wanted, and

@@ -163,34 +163,47 @@ func repeatedPackedForm(tb testing.TB, heap *dataset.Table, repeat int) *dataset
 }
 
 // projectedForm returns the heap table's rows, packed, repeated as often
-// as it takes for the workload's column set to have a projection (a slot
-// per eight rows), and how often that is; nil when the set cannot have one
-// — a column of it stays full-width, or it has more than maxSlots slots.
-func projectedForm(tb testing.TB, heap *dataset.Table, tr *Transformed, maxSlots int) (*dataset.Table, int) {
+// as it takes for the workload's column set to have a projection (at most
+// a distinct tuple per eight rows, misfit rows not counted), and how often
+// that is; nil when the workload takes no kernel or the set's rows hold
+// more than maxTuples distinct tuples.
+func projectedForm(tb testing.TB, heap *dataset.Table, tr *Transformed, maxTuples int) (*dataset.Table, int) {
 	tb.Helper()
 	cols := tr.kernels().cols
 	if tr.kernels().fallback != "" || heap.Size() == 0 {
 		return nil, 0
 	}
-	once := packedForm(tb, heap)
-	slots := 1
-	for _, pos := range cols {
-		switch cd := once.ColumnData(pos); {
-		case cd.PackedCodes != nil:
-			slots *= len(cd.Dict) + dataset.PackedCodeBias
-		case cd.PackedVals != nil && cd.PackedVals.Ints.Width < 30:
-			slots *= 1<<uint(cd.PackedVals.Ints.Width) + 1 // one more for NULL
-		default:
-			return nil, 0
-		}
-		if slots > maxSlots {
-			return nil, 0
-		}
+	misfit := make(map[int]bool)
+	for _, r := range heap.MisfitRows() {
+		misfit[r] = true
 	}
-	repeat := (8*slots + heap.Size() - 1) / heap.Size()
+	tuples := make(map[string]bool)
+	for i := 0; i < heap.Size(); i++ {
+		if misfit[i] {
+			continue
+		}
+		row := heap.Row(i)
+		var key []byte
+		for _, pos := range cols {
+			v := row[pos]
+			switch f, isNum := v.AsNum(); {
+			case isNum:
+				key = fmt.Appendf(key, "n%x|", math.Float64bits(f)) // −0 and +0 are two tuples
+			case v.IsNull():
+				key = append(key, "-|"...)
+			default:
+				key = fmt.Appendf(key, "s%q|", v.String())
+			}
+		}
+		tuples[string(key)] = true
+	}
+	if len(tuples) > maxTuples {
+		return nil, 0
+	}
+	repeat := max(1, (8*len(tuples)+heap.Size()-1)/heap.Size())
 	d := repeatedPackedForm(tb, heap, repeat)
 	if _, outcome := d.PlannedProjection(cols); outcome != dataset.ProjectionBuild {
-		tb.Fatalf("%d slots over columns %v of %d rows: projection planned %q, want a build", slots, cols, d.Size(), outcome)
+		tb.Fatalf("%d tuples over columns %v of %d rows: projection planned %q, want a build", len(tuples), cols, d.Size(), outcome)
 	}
 	return d, repeat
 }
@@ -315,10 +328,10 @@ func checkKernelAgainstRows(tb testing.TB, label string, tr *Transformed, d *dat
 // workload's column set has a projection, evaluated through it — first
 // building it (truth-only), then answered by the held one (hist-only) —
 // against the row path over the heap table. It reports false when the
-// column set cannot have a projection of at most maxSlots slots.
-func checkProjectedAgainstRows(tb testing.TB, label string, tr *Transformed, heap *dataset.Table, maxSlots int) bool {
+// column set cannot have a projection of at most maxTuples rows.
+func checkProjectedAgainstRows(tb testing.TB, label string, tr *Transformed, heap *dataset.Table, maxTuples int) bool {
 	tb.Helper()
-	d, repeat := projectedForm(tb, heap, tr, maxSlots)
+	d, repeat := projectedForm(tb, heap, tr, maxTuples)
 	if d == nil {
 		return false
 	}
@@ -462,13 +475,41 @@ func TestProjectedMatchesRowPath(t *testing.T) {
 	if !sawError || !sawHistogram || !sawJoint {
 		t.Fatalf("generator is lopsided: out-of-domain error seen %v, clean histogram seen %v, joint histogram seen %v", sawError, sawHistogram, sawJoint)
 	}
+
+	// Two shapes whose lane combinations outnumber the rows, so only their
+	// occupied tuples make them eligible: a raw float64 column (frac:
+	// random values next to repeated ones, −0 next to +0, NULLs and a
+	// misfit string) and a sparse wide one (gain: 21-bit lanes, 65 values
+	// plus the out-of-domain ones), alone or next to the categorical columns.
+	for trial := 0; trial < trials; trial++ {
+		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), true)
+		for _, frac := range []dataset.Value{dataset.Num(math.Copysign(0, -1)), dataset.Num(0), dataset.Null, dataset.Str("oops")} {
+			heap.MustAppend(dataset.Tuple{dataset.Num(7), dataset.Num(1 << 18), frac, dataset.Str("CA"), dataset.Str("y"),
+				dataset.Num(1), dataset.Num(1), dataset.Num(1)})
+		}
+		for _, attr := range []string{"frac", "gain"} {
+			preds := make([]dataset.Predicate, 1+rng.Intn(7))
+			for i := range preds {
+				preds[i] = kernelPredicate(rng, []string{attr}, 2)
+			}
+			tr, err := Transform(s, preds, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			label := fmt.Sprintf("trial %d projected %s %v", trial, attr, preds)
+			if !checkProjectedAgainstRows(t, label, tr, heap, heap.Size()) {
+				t.Fatalf("%s: columns %v have no projection", label, tr.kernels().cols)
+			}
+		}
+	}
 }
 
 // TestKernelWorkloadShapes pins the shapes the predicate-at-a-time
 // evaluator special-cased: a component wider than one signature word, a
 // multi-component histogram, an implicit-but-componentised workload
 // (truths from per-component counts), and cuts that leave [Min, Max].
-// Every one must take the kernel, at one pass per referenced column.
+// Every one must take the kernel, at one pass per referenced column (two
+// where the table's attempt to project the set aborts first).
 func TestKernelWorkloadShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := kernelSchema(t)
@@ -509,13 +550,18 @@ func TestKernelWorkloadShapes(t *testing.T) {
 				t.Fatalf("%s: Materialized() = %v, want %v", c.name, tr.Materialized(), c.mat)
 			}
 			for name, d := range forms {
+				_, before := d.PlannedProjection(tr.kernels().cols)
 				st := cache.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
-				if st.ColumnPasses != c.cols || len(st.Columns) != c.cols || st.Fallbacks != nil {
-					t.Fatalf("%s %s: %d passes over columns %v, fallbacks %v; want one pass over each of %d",
-						c.name, name, st.ColumnPasses, st.Columns, st.Fallbacks, c.cols)
+				passes := c.cols
+				if _, after := d.PlannedProjection(tr.kernels().cols); before == dataset.ProjectionBuild && after == dataset.ProjectionIneligible {
+					passes *= 2 // the aborted projection build's attempt, then the row pass
 				}
-				if st.Rows != int64(c.cols*d.Size()) {
-					t.Fatalf("%s %s: Rows = %d, want %d", c.name, name, st.Rows, c.cols*d.Size())
+				if st.ColumnPasses != passes || len(st.Columns) != c.cols || st.Fallbacks != nil {
+					t.Fatalf("%s %s: %d passes over columns %v, fallbacks %v; want %d over the %d columns",
+						c.name, name, st.ColumnPasses, st.Columns, st.Fallbacks, passes, c.cols)
+				}
+				if st.Rows != int64(passes*d.Size()) {
+					t.Fatalf("%s %s: Rows = %d, want %d", c.name, name, st.Rows, passes*d.Size())
 				}
 				checkKernelAgainstRows(t, fmt.Sprintf("%s %s wild=%v", c.name, name, wild), tr, d)
 			}
@@ -564,12 +610,11 @@ func TestKernelGridFallback(t *testing.T) {
 // columns additionally hold every lane once. Column "f" holds the cut
 // constants themselves and their neighbours, unpacked. The atom → cell →
 // signature chain must then equal predicate-by-predicate Eval (the row
-// path) on the raw and the packed table alike — and, when the workload's
-// columns all pack into at most 4096 lane combinations (lanes up to 11
-// bits, "f" holding short decimals), answered from the projection of
-// those rows repeated until the set is eligible. (dataset's
-// FuzzLaneThresholds checks the integer thresholds themselves on every
-// lane of a narrow column.)
+// path) on the raw and the packed table alike — and answered from the
+// projection of those rows repeated until the set is eligible, where "f"
+// is a raw float64 column unless its values are short decimals.
+// (dataset's FuzzLaneThresholds checks the integer thresholds themselves
+// on every lane of a narrow column.)
 func FuzzClassifyMatchesEval(f *testing.F) {
 	bits := func(xs ...float64) []byte {
 		var out []byte
@@ -582,6 +627,10 @@ func FuzzClassifyMatchesEval(f *testing.F) {
 	f.Add(uint8(20), int64(-5000), bits(-5000, 0, math.Copysign(0, -1), 1<<19, 1e300), []byte{1, 2, 3, 4, 250, 251, 252, 253}, []byte{7, 6, 5, 4, 3, 2, 1, 0, 9, 33})
 	f.Add(uint8(32), int64(1)<<40, bits(math.NaN(), math.Inf(1), math.Inf(-1), float64(int64(1)<<40)+0.5), []byte{0, 0, 0, 0, 255, 255, 255, 255}, []byte{2, 10, 18, 26, 34, 42})
 	f.Add(uint8(1), int64(0), bits(0.5, math.Nextafter(0.5, 1), 5e-324), []byte{1, 0, 1}, []byte{4, 12, 20, 28})
+	// Every shape over "f" — a raw column of thirds, −0 next to +0 and
+	// NULLs — alone and next to a 16-bit "v".
+	f.Add(uint8(15), int64(7), bits(1.0/3, math.Copysign(0, -1), 0, 2.0/3, -1.0/3), []byte{9, 0, 0, 0, 77, 1, 0, 0, 255, 255, 0, 0}, []byte{8, 9, 10, 11, 12, 13, 14, 15, 30, 46})
+	f.Add(uint8(31), int64(-3), bits(math.Pi, math.Copysign(0, -1), math.Inf(-1), math.NaN()), []byte{3, 3, 3, 3, 200, 0, 0, 1}, []byte{14, 13, 9, 8, 11})
 	f.Fuzz(func(t *testing.T, width uint8, base int64, cutBits, laneBytes, shapes []byte) {
 		w := 1 + int(width)%32
 		base %= 1 << 41 // |base| + lane stays exactly representable
