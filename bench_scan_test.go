@@ -311,7 +311,7 @@ func benchFreshRows(b *testing.B, d *dataset.Table, preds []dataset.Predicate) {
 func benchFreshBatch(b *testing.B, d *dataset.Table, preds []dataset.Predicate, cold bool) {
 	fresh := func(view *dataset.Table) int64 {
 		cache := workload.NewTransformCache(workload.Options{})
-		tr, err := cache.Transform(d.Schema(), preds)
+		tr, err := cache.Transform(d.Schema(), workload.Key(preds), preds)
 		if err != nil {
 			b.Fatal(err)
 		}

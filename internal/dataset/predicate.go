@@ -3,7 +3,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Predicate is a boolean condition over tuples: the ϕ in a workload
@@ -90,7 +90,15 @@ func (p NumCmp) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p NumCmp) String() string { return fmt.Sprintf("%s%s%g", p.Attr, p.Op, p.C) }
+func (p NumCmp) String() string {
+	var buf [48]byte
+	return string(p.appendText(buf[:0]))
+}
+
+func (p NumCmp) appendText(dst []byte) []byte {
+	dst = append(append(dst, p.Attr...), p.Op.String()...)
+	return appendNum(dst, p.C)
+}
 
 // Attrs implements Predicate.
 func (p NumCmp) Attrs() []string { return []string{p.Attr} }
@@ -112,7 +120,14 @@ func (p StrEq) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p StrEq) String() string { return fmt.Sprintf("%s=%q", p.Attr, p.Val) }
+func (p StrEq) String() string {
+	var buf [48]byte
+	return string(p.appendText(buf[:0]))
+}
+
+func (p StrEq) appendText(dst []byte) []byte {
+	return strconv.AppendQuote(append(append(dst, p.Attr...), '='), p.Val)
+}
 
 // Attrs implements Predicate.
 func (p StrEq) Attrs() []string { return []string{p.Attr} }
@@ -135,7 +150,15 @@ func (p Range) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p Range) String() string { return fmt.Sprintf("%s∈[%g,%g)", p.Attr, p.Lo, p.Hi) }
+func (p Range) String() string {
+	var buf [48]byte
+	return string(p.appendText(buf[:0]))
+}
+
+func (p Range) appendText(dst []byte) []byte {
+	dst = appendNum(append(append(dst, p.Attr...), "∈["...), p.Lo)
+	return append(appendNum(append(dst, ','), p.Hi), ')')
+}
 
 // Attrs implements Predicate.
 func (p Range) Attrs() []string { return []string{p.Attr} }
@@ -155,7 +178,7 @@ func (p IsNull) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p IsNull) String() string { return fmt.Sprintf("%s IS NULL", p.Attr) }
+func (p IsNull) String() string { return p.Attr + " IS NULL" }
 
 // Attrs implements Predicate.
 func (p IsNull) Attrs() []string { return []string{p.Attr} }
@@ -174,7 +197,7 @@ func (p And) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p And) String() string { return joinPreds(p, " AND ") }
+func (p And) String() string { return string(AppendPredicate(nil, p)) }
 
 // Attrs implements Predicate.
 func (p And) Attrs() []string { return unionAttrs(p) }
@@ -193,7 +216,7 @@ func (p Or) Eval(s *Schema, t Tuple) bool {
 }
 
 // String implements Predicate.
-func (p Or) String() string { return joinPreds(p, " OR ") }
+func (p Or) String() string { return string(AppendPredicate(nil, p)) }
 
 // Attrs implements Predicate.
 func (p Or) Attrs() []string { return unionAttrs(p) }
@@ -207,7 +230,7 @@ type Not struct {
 func (p Not) Eval(s *Schema, t Tuple) bool { return !p.P.Eval(s, t) }
 
 // String implements Predicate.
-func (p Not) String() string { return "NOT (" + p.P.String() + ")" }
+func (p Not) String() string { return string(AppendPredicate(nil, p)) }
 
 // Attrs implements Predicate.
 func (p Not) Attrs() []string { return p.P.Attrs() }
@@ -245,13 +268,49 @@ func (p Func) Attrs() []string {
 	return out
 }
 
-func joinPreds(ps []Predicate, sep string) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = "(" + p.String() + ")"
+// AppendPredicate appends p.String() to dst. The built-in predicates
+// render here without fmt, a combinator's children straight into the same
+// buffer; any other Predicate appends its own String(). Constants render
+// exactly as %g and category values as %q (strconv's shortest 'g' form
+// and AppendQuote): the text is the cache key and the transcript's bins.
+func AppendPredicate(dst []byte, p Predicate) []byte {
+	switch v := p.(type) {
+	case NumCmp:
+		return v.appendText(dst)
+	case StrEq:
+		return v.appendText(dst)
+	case Range:
+		return v.appendText(dst)
+	case IsNull:
+		return append(append(dst, v.Attr...), " IS NULL"...)
+	case And:
+		return appendJoined(dst, v, " AND ")
+	case Or:
+		return appendJoined(dst, v, " OR ")
+	case Not:
+		return append(AppendPredicate(append(dst, "NOT ("...), v.P), ')')
+	case True:
+		return append(dst, "TRUE"...)
+	case Func:
+		return append(dst, v.Name...)
+	default:
+		return append(dst, p.String()...)
 	}
-	return strings.Join(parts, sep)
 }
+
+// appendJoined renders each child parenthesized, separated by sep.
+func appendJoined(dst []byte, ps []Predicate, sep string) []byte {
+	for i, p := range ps {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = append(AppendPredicate(append(dst, '('), p), ')')
+	}
+	return dst
+}
+
+// appendNum renders a constant as %g does.
+func appendNum(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'g', -1, 64) }
 
 func unionAttrs(ps []Predicate) []string {
 	set := make(map[string]struct{})

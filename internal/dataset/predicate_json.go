@@ -3,6 +3,8 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/jsonw"
 )
 
 // Predicate JSON codec. The transcript write-ahead log (internal/store)
@@ -18,18 +20,22 @@ import (
 //	{"t":"and","ps":[...]} / {"t":"or","ps":[...]} / {"t":"not","p":...}
 //	{"t":"true"}
 //
-// Float constants round-trip exactly (encoding/json emits the shortest
-// representation that parses back to the same float64), so a decoded
-// predicate renders byte-identically to the original in transcripts.
+// Float constants round-trip exactly (the writer emits the shortest
+// representation that parses back to the same float64, as encoding/json
+// does), so a decoded predicate renders byte-identically to the original
+// in transcripts. Writing is hand-rolled (AppendPredicateJSON); reading
+// stays on encoding/json.
 //
 // Func predicates wrap arbitrary Go closures and cannot be serialized;
 // MarshalPredicate reports an error for them. Every predicate the query
 // parser can produce is covered.
 
-// predJSON is the wire form of one predicate node. The float constants
-// are carried as pointers rather than omitempty values: omitempty would
-// drop -0.0 (it compares equal to zero) and the decoded +0.0 renders
-// differently, breaking the byte-identical transcript guarantee.
+// predJSON is the wire form of one predicate node, as the decoder reads
+// it; AppendPredicateJSON writes the same fields in the same order. The
+// float constants are pointers so a node without one is told apart from
+// a zero (and written always: omitting -0.0 as "empty" would decode as
+// +0.0, which renders differently, breaking the byte-identical transcript
+// guarantee).
 type predJSON struct {
 	T    string            `json:"t"`
 	Attr string            `json:"attr,omitempty"`
@@ -45,54 +51,81 @@ type predJSON struct {
 // MarshalPredicate serializes p to its structural JSON form. Predicates
 // carrying Go closures (Func) are not serializable.
 func MarshalPredicate(p Predicate) ([]byte, error) {
-	switch v := p.(type) {
-	case NumCmp:
-		return json.Marshal(predJSON{T: "num", Attr: v.Attr, Op: v.Op.String(), C: &v.C})
-	case StrEq:
-		return json.Marshal(predJSON{T: "streq", Attr: v.Attr, Val: v.Val})
-	case Range:
-		return json.Marshal(predJSON{T: "range", Attr: v.Attr, Lo: &v.Lo, Hi: &v.Hi})
-	case IsNull:
-		return json.Marshal(predJSON{T: "isnull", Attr: v.Attr})
-	case And:
-		ps, err := marshalPredicates(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(predJSON{T: "and", Ps: ps})
-	case Or:
-		ps, err := marshalPredicates(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(predJSON{T: "or", Ps: ps})
-	case Not:
-		inner, err := MarshalPredicate(v.P)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(predJSON{T: "not", P: inner})
-	case True:
-		return json.Marshal(predJSON{T: "true"})
-	case Func:
-		return nil, fmt.Errorf("dataset: predicate %q wraps a Go function and cannot be serialized", v.Name)
-	case nil:
-		return nil, fmt.Errorf("dataset: nil predicate")
-	default:
-		return nil, fmt.Errorf("dataset: predicate type %T cannot be serialized", p)
+	b, err := AppendPredicateJSON(nil, p)
+	if err != nil {
+		return nil, err
 	}
+	return b, nil
 }
 
-func marshalPredicates(ps []Predicate) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(ps))
-	for i, p := range ps {
-		b, err := MarshalPredicate(p)
-		if err != nil {
-			return nil, err
+// AppendPredicateJSON appends p's structural JSON form to dst: byte for
+// byte what encoding/json makes of the predJSON node (field order,
+// omitempty, float and string forms), written without reflection. A NaN
+// or infinite constant, a Func or a nil predicate is an error, and dst's
+// bytes past its original length are then unspecified.
+func AppendPredicateJSON(dst []byte, p Predicate) ([]byte, error) {
+	var err error
+	switch v := p.(type) {
+	case NumCmp:
+		dst = appendJSONField(appendJSONField(append(dst, `{"t":"num"`...), "attr", v.Attr), "op", v.Op.String())
+		dst, err = jsonw.AppendFloat(append(dst, `,"c":`...), v.C)
+	case StrEq:
+		dst = appendJSONField(appendJSONField(append(dst, `{"t":"streq"`...), "attr", v.Attr), "val", v.Val)
+	case Range:
+		dst = appendJSONField(append(dst, `{"t":"range"`...), "attr", v.Attr)
+		if dst, err = jsonw.AppendFloat(append(dst, `,"lo":`...), v.Lo); err == nil {
+			dst, err = jsonw.AppendFloat(append(dst, `,"hi":`...), v.Hi)
 		}
-		out[i] = b
+	case IsNull:
+		dst = appendJSONField(append(dst, `{"t":"isnull"`...), "attr", v.Attr)
+	case And:
+		dst, err = appendJSONList(append(dst, `{"t":"and"`...), v)
+	case Or:
+		dst, err = appendJSONList(append(dst, `{"t":"or"`...), v)
+	case Not:
+		dst, err = AppendPredicateJSON(append(dst, `{"t":"not","p":`...), v.P)
+	case True:
+		dst = append(dst, `{"t":"true"`...)
+	case Func:
+		err = fmt.Errorf("dataset: predicate %q wraps a Go function and cannot be serialized", v.Name)
+	case nil:
+		err = fmt.Errorf("dataset: nil predicate")
+	default:
+		err = fmt.Errorf("dataset: predicate type %T cannot be serialized", p)
 	}
-	return out, nil
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONField appends `,"name":"val"`, or nothing for an empty val
+// (omitempty).
+func appendJSONField(dst []byte, name, val string) []byte {
+	if val == "" {
+		return dst
+	}
+	dst = append(append(append(dst, ',', '"'), name...), '"', ':')
+	return jsonw.AppendString(dst, val)
+}
+
+// appendJSONList appends `,"ps":[...]`, or nothing for no children
+// (omitempty).
+func appendJSONList(dst []byte, ps []Predicate) ([]byte, error) {
+	if len(ps) == 0 {
+		return dst, nil
+	}
+	dst = append(dst, `,"ps":[`...)
+	for i, p := range ps {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = AppendPredicateJSON(dst, p); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // UnmarshalPredicate parses the MarshalPredicate form.

@@ -3,10 +3,12 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/accuracy"
 	"repro/internal/dataset"
+	"repro/internal/jsonw"
 	"repro/internal/query"
 )
 
@@ -19,11 +21,12 @@ import (
 // Queries are carried structurally (kind, predicates via the dataset
 // predicate codec, threshold/k, accuracy requirement) rather than as
 // rendered text: the text form is lossy (Range renders in math notation
-// the parser does not accept). Counts and epsilons are float64s, which
-// encoding/json round-trips exactly.
+// the parser does not accept). Counts and epsilons are float64s, written
+// in their shortest round-tripping form, so they decode exactly.
 
-// entryWire is the on-disk form of one Entry. Float fields are never
-// omitempty: omitempty drops -0.0 (it compares equal to zero), and the
+// entryWire is the on-disk form of one Entry, as DecodeEntry reads it;
+// appendEntry writes the same fields in the same order. Float fields are
+// never omitempty: omitempty drops -0.0 (it compares equal to zero), and the
 // decoded +0.0 would render differently, breaking the byte-identical
 // transcript guarantee. The provenance pair (trace_id, at_ns) is only
 // present when the entry was committed by a traced request — engine-
@@ -60,29 +63,128 @@ type answerWire struct {
 // EncodeEntry serializes one transcript entry for the WAL. Entries whose
 // query uses a non-serializable predicate (dataset.Func) cannot be
 // encoded; such queries only arise through the programmatic API, never
-// from the parser the server and CLI feed.
+// from the parser the server and CLI feed. Neither can entries carrying a
+// NaN or infinite float, which JSON has no form for.
+//
+// The writer is hand-rolled: it emits exactly the bytes encoding/json
+// makes of the entryWire form (field order and omitempty as tagged there,
+// floats and strings through internal/jsonw), without reflection and into
+// one buffer sized up front. The codec tests pin the two byte for byte.
 func EncodeEntry(e Entry) ([]byte, error) {
-	w := entryWire{Label: e.Label, Denied: e.Denied, Epsilon: e.Epsilon, TraceID: e.TraceID}
-	if !e.At.IsZero() {
-		w.At = e.At.UnixNano()
-	}
+	return appendEntry(make([]byte, 0, entrySizeHint(e)), e)
+}
+
+// entrySizeHint is a generous estimate of e's encoded length, so the
+// buffer is allocated once in the common case.
+func entrySizeHint(e Entry) int {
+	n := 160 + len(e.Label) + len(e.TraceID)
 	if e.Query != nil {
-		qw, err := encodeQuery(e.Query)
-		if err != nil {
-			return nil, err
-		}
-		w.Query = qw
+		n += 96 * len(e.Query.Predicates)
 	}
 	if e.Answer != nil {
-		w.Answer = &answerWire{
-			Counts:       e.Answer.Counts,
-			Selected:     e.Answer.Selected,
-			Epsilon:      e.Answer.Epsilon,
-			EpsilonUpper: e.Answer.EpsilonUpper,
-			Mechanism:    e.Answer.Mechanism,
+		n += 24*len(e.Answer.Counts) + 6*len(e.Answer.Selected) + len(e.Answer.Mechanism)
+	}
+	return n
+}
+
+func appendEntry(b []byte, e Entry) ([]byte, error) {
+	var err error
+	b = append(b, '{')
+	if e.Query != nil {
+		if b, err = appendQuery(append(b, `"query":`...), e.Query); err != nil {
+			return nil, err
+		}
+		b = append(b, ',')
+	}
+	if e.Label != "" {
+		b = append(jsonw.AppendString(append(b, `"label":`...), e.Label), ',')
+	}
+	if e.Denied {
+		b = append(b, `"denied":true,`...)
+	}
+	if b, err = jsonw.AppendFloat(append(b, `"epsilon":`...), e.Epsilon); err != nil {
+		return nil, err
+	}
+	if a := e.Answer; a != nil {
+		if b, err = appendAnswer(append(b, `,"answer":`...), a); err != nil {
+			return nil, err
 		}
 	}
-	return json.Marshal(w)
+	if e.TraceID != "" {
+		b = jsonw.AppendString(append(b, `,"trace_id":`...), e.TraceID)
+	}
+	if !e.At.IsZero() {
+		if at := e.At.UnixNano(); at != 0 {
+			b = strconv.AppendInt(append(b, `,"at_ns":`...), at, 10)
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendQuery writes the queryWire object.
+func appendQuery(b []byte, q *query.Query) ([]byte, error) {
+	var err error
+	b = jsonw.AppendString(append(b, `{"kind":`...), q.Kind.String())
+	b = append(b, `,"predicates":[`...)
+	for i, p := range q.Predicates {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = dataset.AppendPredicateJSON(b, p); err != nil {
+			return nil, fmt.Errorf("engine: entry query: %w", err)
+		}
+	}
+	if b, err = jsonw.AppendFloat(append(b, `],"threshold":`...), q.Threshold); err != nil {
+		return nil, err
+	}
+	if q.K != 0 {
+		b = strconv.AppendInt(append(b, `,"k":`...), int64(q.K), 10)
+	}
+	if b, err = jsonw.AppendFloat(append(b, `,"alpha":`...), q.Req.Alpha); err != nil {
+		return nil, err
+	}
+	if b, err = jsonw.AppendFloat(append(b, `,"beta":`...), q.Req.Beta); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendAnswer writes the answerWire object.
+func appendAnswer(b []byte, a *Answer) ([]byte, error) {
+	var err error
+	b = append(b, '{')
+	if len(a.Counts) > 0 {
+		b = append(b, `"counts":[`...)
+		for i, c := range a.Counts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = jsonw.AppendFloat(b, c); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, `],`...)
+	}
+	if len(a.Selected) > 0 {
+		b = append(b, `"selected":[`...)
+		for i, sel := range a.Selected {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, sel)
+		}
+		b = append(b, `],`...)
+	}
+	if b, err = jsonw.AppendFloat(append(b, `"epsilon":`...), a.Epsilon); err != nil {
+		return nil, err
+	}
+	if b, err = jsonw.AppendFloat(append(b, `,"epsilon_upper":`...), a.EpsilonUpper); err != nil {
+		return nil, err
+	}
+	if a.Mechanism != "" {
+		b = jsonw.AppendString(append(b, `,"mechanism":`...), a.Mechanism)
+	}
+	return append(b, '}'), nil
 }
 
 // DecodeEntry parses the EncodeEntry form. A decoded answer shares the
@@ -116,25 +218,6 @@ func DecodeEntry(b []byte) (Entry, error) {
 		}
 	}
 	return e, nil
-}
-
-func encodeQuery(q *query.Query) (*queryWire, error) {
-	w := &queryWire{
-		Kind:      q.Kind.String(),
-		Threshold: q.Threshold,
-		K:         q.K,
-		Alpha:     q.Req.Alpha,
-		Beta:      q.Req.Beta,
-	}
-	w.Predicates = make([]json.RawMessage, len(q.Predicates))
-	for i, p := range q.Predicates {
-		b, err := dataset.MarshalPredicate(p)
-		if err != nil {
-			return nil, fmt.Errorf("engine: entry query: %w", err)
-		}
-		w.Predicates[i] = b
-	}
-	return w, nil
 }
 
 func decodeQuery(w *queryWire) (*query.Query, error) {

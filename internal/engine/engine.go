@@ -489,7 +489,7 @@ type Choice struct {
 // Translations returns every applicable mechanism's privacy-cost interval
 // for q, without running anything or consuming budget.
 func (e *Engine) Translations(q *query.Query) ([]Choice, error) {
-	tr, err := e.transform(q)
+	tr, err := e.transform(q, workload.Key(q.Predicates))
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +587,7 @@ func (e *Engine) Prepare(ctx context.Context, q *query.Query) (*exec.Plan, *Answ
 	// workload from this tag without re-rendering the predicates.
 	obs.FromContext(ctx).Tag("workload", workload.ID(key))
 	prepSpan.Set("transform_cache_hit", e.transforms.Has(key))
-	tr, err := e.transform(q)
+	tr, err := e.transform(q, key)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -767,7 +767,7 @@ func (e *Engine) TranslationNeeds(q *query.Query) []TranslationNeed {
 	if q.Validate() != nil {
 		return nil
 	}
-	tr, err := e.transform(q)
+	tr, err := e.transform(q, workload.Key(q.Predicates))
 	if err != nil {
 		return nil
 	}
@@ -882,9 +882,10 @@ func (e *Engine) better(a, b Choice) bool {
 // the engine's transformation cache; repeated workloads (common in the
 // entity-resolution case study) skip re-partitioning, and with a shared
 // cache (Config.Transforms) concurrent sessions share one transformation
-// and one noise-free evaluation per workload.
-func (e *Engine) transform(q *query.Query) (*workload.Transformed, error) {
-	return e.transforms.Transform(e.data.Schema(), q.Predicates)
+// and one noise-free evaluation per workload. key is
+// workload.Key(q.Predicates), rendered once by the caller.
+func (e *Engine) transform(q *query.Query, key string) (*workload.Transformed, error) {
+	return e.transforms.Transform(e.data.Schema(), key, q.Predicates)
 }
 
 // ledgerRecord is what the engine keeps on the heap for every transcript

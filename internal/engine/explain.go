@@ -82,7 +82,7 @@ func (e *Engine) Explain(q *query.Query) (*Explain, error) {
 	}
 	key := workload.Key(q.Predicates)
 	ex := &Explain{Key: key, TransformCacheHit: e.transforms.Has(key)}
-	tr, err := e.transform(q)
+	tr, err := e.transform(q, key)
 	if err != nil {
 		return nil, err
 	}

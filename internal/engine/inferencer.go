@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accuracy"
 	"repro/internal/query"
+	"repro/internal/workload"
 )
 
 // The inferencer implements the paper's §9 future-work item (b): reusing
@@ -95,7 +96,7 @@ func better2D(a, b accuracy.Requirement) bool {
 // for q (by its mode) and whether the remaining budget covers its worst
 // case — without running anything or spending budget.
 func (e *Engine) Advise(q *query.Query) (best *Choice, affordable bool, err error) {
-	tr, err := e.transform(q)
+	tr, err := e.transform(q, workload.Key(q.Predicates))
 	if err != nil {
 		return nil, false, err
 	}

@@ -77,7 +77,7 @@ func upperCost(eng *engine.Engine, q *query.Query) (eps float64, ok bool, err er
 // transformation cache — the scan the mechanisms themselves read.
 func truthOf(eng *engine.Engine, q *query.Query) ([]float64, error) {
 	d := eng.Table()
-	tr, err := eng.Transforms().Transform(d.Schema(), q.Predicates)
+	tr, err := eng.Transforms().Transform(d.Schema(), workload.Key(q.Predicates), q.Predicates)
 	if err != nil {
 		return nil, err
 	}

@@ -812,10 +812,21 @@ func sessionInfo(sess *Session) SessionInfo {
 	}
 }
 
+// renderPredicates returns each predicate's String(), rendered into one
+// buffer and cut out of one string: a response's bins cost a few
+// allocations, not a few per bin.
 func renderPredicates(preds []dataset.Predicate) []string {
-	out := make([]string, len(preds))
+	b := make([]byte, 0, 32*len(preds))
+	ends := make([]int, len(preds))
 	for i, p := range preds {
-		out[i] = p.String()
+		b = dataset.AppendPredicate(b, p)
+		ends[i] = len(b)
+	}
+	all := string(b)
+	out := make([]string, len(preds))
+	start := 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
 	}
 	return out
 }

@@ -12,6 +12,7 @@ package strategy
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/linalg"
 )
@@ -53,7 +54,7 @@ var H2 = Hierarchical{Branch: 2}
 
 // Name implements Strategy.
 func (h Hierarchical) Name() string {
-	return fmt.Sprintf("h%d", h.branch())
+	return "h" + strconv.Itoa(h.branch())
 }
 
 func (h Hierarchical) branch() int {

@@ -33,11 +33,11 @@ func TestEvaluateBatchMatchesUnbatched(t *testing.T) {
 		var items []BatchItem
 		var trsB, trsP []*Transformed
 		for _, preds := range batchPreds {
-			trB, err := batched.Transform(s, preds)
+			trB, err := batched.Transform(s, Key(preds), preds)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			trP, err := plain.Transform(s, preds)
+			trP, err := plain.Transform(s, Key(preds), preds)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -82,7 +82,7 @@ func TestEvaluateBatchErrorParity(t *testing.T) {
 	preds := []dataset.Predicate{dataset.NumCmp{Attr: "age", Op: dataset.Ge, C: 150}}
 
 	c := NewTransformCache(Options{})
-	tr, err := c.Transform(s, preds)
+	tr, err := c.Transform(s, Key(preds), preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,8 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 		},
 		bps: map[string][]float64{"age": {50}},
 	}
-	trFunc, err := c.Transform(s, []dataset.Predicate{f})
+	opaque := []dataset.Predicate{f}
+	trFunc, err := c.Transform(s, Key(opaque), opaque)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +133,15 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trImplicit, err := c.Transform(s, bins)
+	trImplicit, err := c.Transform(s, Key(bins), bins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trImplicit.Materialized() || trImplicit.comps != nil {
 		t.Fatal("expected an implicit transformation without components")
 	}
-	trKernel, err := c.Transform(s, []dataset.Predicate{dataset.Range{Attr: "age", Lo: 0, Hi: 50}})
+	kernel := []dataset.Predicate{dataset.Range{Attr: "age", Lo: 0, Hi: 50}}
+	trKernel, err := c.Transform(s, Key(kernel), kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 		var items []BatchItem
 		var predicted int64
 		for _, p := range preds {
-			tr, err := cache.Transform(s, p)
+			tr, err := cache.Transform(s, Key(p), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +255,7 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	// is not sure of it.
 	untried := func(label string, pos int, preds []dataset.Predicate) BatchStats {
 		t.Helper()
-		tr, err := cache.Transform(s, preds)
+		tr, err := cache.Transform(s, Key(preds), preds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/memo"
@@ -16,13 +16,17 @@ import (
 // workloads with the same key are the same workload. The engine's
 // transformation and answer caches and the server's shared per-dataset
 // evaluation cache all key on it.
+//
+// The predicates render straight into one buffer
+// (dataset.AppendPredicate), sized for 32 bytes a predicate, and the key
+// shares its bytes as strings.Builder does — b is never written again —
+// so a key costs one allocation unless a predicate renders long.
 func Key(preds []dataset.Predicate) string {
-	var sb strings.Builder
+	b := make([]byte, 0, 32*len(preds))
 	for _, p := range preds {
-		sb.WriteString(p.String())
-		sb.WriteByte(0)
+		b = append(dataset.AppendPredicate(b, p), 0)
 	}
-	return sb.String()
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // ID folds a canonical Key (arbitrarily long) into a short stable
@@ -64,17 +68,18 @@ func NewTransformCache(opt Options) *TransformCache {
 	return &TransformCache{opt: opt, entries: memo.New[string, *Transformed](transformCacheEntries)}
 }
 
-// Transform returns the cached T(W) for the workload, computing it at
-// most once per key even under concurrent callers. A cache is bound to
-// the first schema it sees: compiled kernels bake in attribute positions
-// and category codes, so sharing one cache across schemas is a wiring
-// bug and fails loudly instead of returning kernels for the wrong table
-// layout.
-func (c *TransformCache) Transform(s *dataset.Schema, preds []dataset.Predicate) (*Transformed, error) {
+// Transform returns the cached T(W) for the workload preds, computing it
+// at most once per key even under concurrent callers. key must be
+// Key(preds): callers render it anyway, and rendering is the costly part
+// of a hit, so it is rendered once. A cache is bound to the first schema
+// it sees: compiled kernels bake in attribute positions and category
+// codes, so sharing one cache across schemas is a wiring bug and fails
+// loudly instead of returning kernels for the wrong table layout.
+func (c *TransformCache) Transform(s *dataset.Schema, key string, preds []dataset.Predicate) (*Transformed, error) {
 	if c.schema.CompareAndSwap(nil, s); c.schema.Load() != s {
 		return nil, fmt.Errorf("workload: TransformCache is bound to another schema (one cache per dataset; workload %v)", preds)
 	}
-	return c.entries.Get(Key(preds), func() (*Transformed, int64, error) {
+	return c.entries.Get(key, func() (*Transformed, int64, error) {
 		tr, err := Transform(s, preds, c.opt)
 		if err == nil {
 			tr.memo = memo.New[evalKey, []float64](evalMemoEntries)

@@ -234,7 +234,7 @@ func TestTransformCacheSharesOneEvaluation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := c.Transform(s, preds)
+			tr, err := c.Transform(s, Key(preds), preds)
 			if err != nil {
 				t.Error(err)
 				return
@@ -300,14 +300,14 @@ func TestTransformCacheRejectsForeignSchema(t *testing.T) {
 	}
 	c := NewTransformCache(Options{})
 	preds := []dataset.Predicate{dataset.Range{Attr: "age", Lo: 0, Hi: 50}}
-	if _, err := c.Transform(s1, preds); err != nil {
+	if _, err := c.Transform(s1, Key(preds), preds); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Transform(s2, preds); err == nil {
+	if _, err := c.Transform(s2, Key(preds), preds); err == nil {
 		t.Fatal("same cache across two schemas must error")
 	}
 	// The bound schema keeps working.
-	if _, err := c.Transform(s1, preds); err != nil {
+	if _, err := c.Transform(s1, Key(preds), preds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -322,7 +322,7 @@ func TestTransformCacheBoundsEntries(t *testing.T) {
 		if i%7 == 0 {
 			preds[0] = dataset.NumCmp{Attr: "gain", Op: dataset.Lt, C: float64(i)}
 		}
-		if _, err := c.Transform(s, preds); err != nil {
+		if _, err := c.Transform(s, Key(preds), preds); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +342,7 @@ func TestTransformCacheKeepsTheHotSet(t *testing.T) {
 	c := NewTransformCache(Options{})
 	ask := func(preds []dataset.Predicate) (*Transformed, BatchStats) {
 		t.Helper()
-		tr, err := c.Transform(s, preds)
+		tr, err := c.Transform(s, Key(preds), preds)
 		if err != nil {
 			t.Fatal(err)
 		}

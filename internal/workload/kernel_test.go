@@ -542,7 +542,7 @@ func TestKernelWorkloadShapes(t *testing.T) {
 		forms := storageForms(t, kernelTable(rng, s, 2*morselRows+77, wild))
 		for _, c := range cases {
 			cache := NewTransformCache(c.opt)
-			tr, err := cache.Transform(s, c.preds)
+			tr, err := cache.Transform(s, Key(c.preds), c.preds)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -584,7 +584,7 @@ func TestKernelGridFallback(t *testing.T) {
 		})
 	}
 	cache := NewTransformCache(Options{})
-	tr, err := cache.Transform(s, preds)
+	tr, err := cache.Transform(s, Key(preds), preds)
 	if err != nil {
 		t.Fatal(err)
 	}
