@@ -10,10 +10,13 @@
 package repro
 
 import (
+	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/aggregate"
+	"repro/internal/colstore"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/workload"
@@ -93,7 +96,8 @@ func BenchmarkHistogram(b *testing.B) {
 }
 
 // BenchmarkTrueAnswers compares the exact workload answers c_ϕ(D)
-// row-at-a-time vs one compiled kernel per predicate.
+// row-at-a-time vs the scan kernel, plus the implicit arm: a workload too
+// large to transform as a whole, answered predicate by predicate.
 func BenchmarkTrueAnswers(b *testing.B) {
 	preds := columnarBenchWorkload(b)
 	for _, sz := range columnarBenchSizes {
@@ -113,11 +117,68 @@ func BenchmarkTrueAnswers(b *testing.B) {
 			}
 		})
 	}
+	if testing.Short() {
+		return
+	}
+	b.Run("rows=200k/path=implicit", func(b *testing.B) {
+		d := implicitBenchTable(b, 200_000)
+		preds := implicitBenchWorkload(378)
+		tr, err := workload.Transform(d.Schema(), preds, workload.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.Materialized() {
+			b.Fatal("the box workload must stay implicit")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.TrueAnswers(d)
+		}
+	})
+}
+
+// implicitBenchTable is rows NYTaxi rows with packed columns: the heap
+// copy of their segment.
+func implicitBenchTable(b *testing.B, rows int) *dataset.Table {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "taxi.seg")
+	scanBenchWrite(b, path, datagen.NYTaxi(rows, 1))
+	seg, err := colstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer seg.Close()
+	d, err := colstore.HeapCopy(seg.Table())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// implicitBenchWorkload draws n 3-D boxes over trip distance, fare and tip
+// in cents: hundreds of cuts per attribute put the workload's one
+// component far above the cells Transform enumerates, while each box alone
+// is a few hundred cells.
+func implicitBenchWorkload(n int) []dataset.Predicate {
+	rng := rand.New(rand.NewSource(1))
+	preds := make([]dataset.Predicate, n)
+	for i := range preds {
+		box := make(dataset.And, 0, 3)
+		for _, a := range []struct {
+			attr string
+			max  int
+		}{{"trip distance", 3000}, {"fare amount", 8000}, {"tip amount", 2000}} {
+			lo, hi := rng.Intn(a.max), rng.Intn(a.max)
+			box = append(box, dataset.Range{Attr: a.attr, Lo: float64(min(lo, hi)) / 100, Hi: float64(max(lo, hi)+1) / 100})
+		}
+		preds[i] = box
+	}
+	return preds
 }
 
 // rowPathSums is the seed implementation of the noise-free SUM workload
-// (per-row predicate interpretation), kept here as the benchmark
-// baseline for aggregate.ExactSums.
+// (per-row predicate interpretation, no clipping: every Adult value is in
+// its domain), kept here as the benchmark baseline for aggregate.ExactSums.
 func rowPathSums(d *dataset.Table, attr string, preds []dataset.Predicate) []float64 {
 	idx, _ := d.Schema().Lookup(attr)
 	sums := make([]float64, len(preds))
@@ -137,7 +198,7 @@ func rowPathSums(d *dataset.Table, attr string, preds []dataset.Predicate) []flo
 }
 
 // BenchmarkSum compares SUM("capital gain") per education group
-// row-at-a-time vs the compiled-bitmap column kernel.
+// row-at-a-time vs the scan kernel's one classify pass (aggregate.ExactSums).
 func BenchmarkSum(b *testing.B) {
 	preds := workload.CategoryPredicates("education", datagen.AdultEducations)
 	for _, sz := range columnarBenchSizes {

@@ -21,7 +21,6 @@ package aggregate
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/accuracy"
 	"repro/internal/dataset"
@@ -41,7 +40,8 @@ type SumResult struct {
 // Sum answers a workload of SUM(attr) aggregates under (α, β) accuracy with
 // the Laplace mechanism, charging the engine's budget through its
 // accounting hook. attr must be continuous with a finite public domain
-// [Min, Max] with Min >= 0; the per-tuple contribution bound is Max.
+// [Min, Max] with Min >= 0; every value is clipped to it (ExactSums), so
+// the per-tuple contribution bound is Max.
 //
 // Sum is implemented directly against the engine's table (not via Ask,
 // whose mechanisms are count specific); it charges the engine via
@@ -53,10 +53,11 @@ func Sum(eng *engine.Engine, d *dataset.Table, attr string, preds []dataset.Pred
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	a, ok := d.Schema().AttrByName(attr)
+	pos, ok := d.Schema().Lookup(attr)
 	if !ok {
 		return nil, fmt.Errorf("aggregate: unknown attribute %q", attr)
 	}
+	a := d.Schema().Attr(pos)
 	if a.Kind != dataset.Continuous {
 		return nil, fmt.Errorf("aggregate: SUM needs a continuous attribute, %q is %v", attr, a.Kind)
 	}
@@ -78,10 +79,7 @@ func Sum(eng *engine.Engine, d *dataset.Table, attr string, preds []dataset.Pred
 	if err := eng.ChargeExternal(eps, eps, fmt.Sprintf("SUM(%s) x%d", attr, len(preds))); err != nil {
 		return nil, err
 	}
-	sums, err := ExactSums(d, attr, preds)
-	if err != nil {
-		return nil, err
-	}
+	sums := exactSums(d, tr, pos)
 	if eps > 0 {
 		b := sens / eps
 		for j, z := range eng.LaplaceNoise(b, len(sums)) {
@@ -92,58 +90,56 @@ func Sum(eng *engine.Engine, d *dataset.Table, attr string, preds []dataset.Pred
 }
 
 // ExactSums computes the noise-free per-predicate sums of a continuous
-// attribute with the columnar evaluator: each predicate compiles to a
-// selection bitmap and the sum runs over the packed column slice,
-// skipping rows without a numeric value. Predicates the compiler cannot
-// introspect (dataset.Func) fall back to row-at-a-time evaluation; either
-// way the result matches the row path exactly.
+// attribute: each row's value, clipped to the attribute's public domain
+// [Min, Max] — the per-tuple contribution Sum's sensitivity assumes —
+// counts toward every predicate the row satisfies; NULL, non-numeric and
+// NaN values count toward none. The workload's scan kernel
+// (workload.Transformed.Sums) computes the sums in one pass; a workload it
+// does not cover (opaque predicates, grids too large to index) is summed
+// row-at-a-time. Either way the result is bit for bit the row path's.
 func ExactSums(d *dataset.Table, attr string, preds []dataset.Predicate) ([]float64, error) {
-	idx, ok := d.Schema().Lookup(attr)
+	pos, ok := d.Schema().Lookup(attr)
 	if !ok {
 		return nil, fmt.Errorf("aggregate: unknown attribute %q", attr)
 	}
-	vals, missing, ok := d.Floats(idx)
-	if !ok {
+	if d.Schema().Attr(pos).Kind != dataset.Continuous {
 		return nil, fmt.Errorf("aggregate: SUM needs a continuous attribute, %q is categorical", attr)
 	}
-	sums := make([]float64, len(preds))
-	sel := dataset.NewBitmap(d.Size())
-	for j, p := range preds {
-		cp, err := dataset.Compile(d.Schema(), p)
-		if err != nil {
-			sums[j] = rowSum(d, idx, p)
-			continue
-		}
-		cp.EvalInto(d, sel)
-		var s float64
-		mw := missing.Words()
-		for wi, w := range sel.Words() {
-			w &^= mw[wi]
-			base := wi << 6
-			for w != 0 {
-				s += vals[base+bits.TrailingZeros64(w)]
-				w &= w - 1
-			}
-		}
-		sums[j] = s
+	tr, err := workload.Transform(d.Schema(), preds, workload.Options{})
+	if err != nil { // predicates Transform cannot introspect take the row path
+		return rowSums(d, pos, preds), nil
 	}
-	return sums, nil
+	return exactSums(d, tr, pos), nil
 }
 
-// rowSum is the row-at-a-time fallback for one non-compilable predicate.
-func rowSum(d *dataset.Table, idx int, p dataset.Predicate) float64 {
-	var s float64
+// exactSums is ExactSums over a workload Transform has already taken.
+func exactSums(d *dataset.Table, tr *workload.Transformed, pos int) []float64 {
+	if sums, ok := tr.Sums(d, pos); ok {
+		return sums
+	}
+	return rowSums(d, pos, tr.Predicates())
+}
+
+// rowSums is the row-at-a-time path of ExactSums.
+func rowSums(d *dataset.Table, pos int, preds []dataset.Predicate) []float64 {
+	a := d.Schema().Attr(pos)
+	sums := make([]float64, len(preds))
 	for i := 0; i < d.Size(); i++ {
 		row := d.Row(i)
-		v, ok := row[idx].AsNum()
+		v, ok := row[pos].AsNum()
+		if ok {
+			v, ok = a.Clamp(v)
+		}
 		if !ok {
 			continue
 		}
-		if p.Eval(d.Schema(), row) {
-			s += v
+		for j, p := range preds {
+			if p.Eval(d.Schema(), row) {
+				sums[j] += v
+			}
 		}
 	}
-	return s
+	return sums
 }
 
 // QuantileResult is the answer to a quantile query.

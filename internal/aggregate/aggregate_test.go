@@ -169,3 +169,48 @@ func TestGroupByNoGroups(t *testing.T) {
 		t.Fatalf("got %+v, want empty", res)
 	}
 }
+
+// TestExactSumsBoundedByNeighbour: Sum's noise is calibrated to one tuple
+// moving each predicate's sum by at most the attribute's Max. A
+// neighbouring table — one extra row holding 1e9, +Inf, NaN or −5 — must
+// keep that bound on every exact sum, over the scan kernel and over the
+// row path an opaque predicate takes.
+func TestExactSumsBoundedByNeighbour(t *testing.T) {
+	s := dataset.MustSchema(
+		dataset.Attribute{Name: "tip", Kind: dataset.Continuous, Min: 0, Max: 10},
+		dataset.Attribute{Name: "group", Kind: dataset.Categorical, Values: []string{"a", "b"}},
+	)
+	build := func(extra []dataset.Tuple) *dataset.Table {
+		tab := dataset.NewTable(s)
+		for i := 0; i < 100; i++ {
+			tab.MustAppend(dataset.Tuple{dataset.Num(float64(i % 11)), dataset.Str([]string{"a", "b"}[i%2])})
+		}
+		for _, row := range extra {
+			tab.MustAppend(row)
+		}
+		return tab
+	}
+	opaque := dataset.Func{Name: "any", ReadAttrs: []string{"group"}, Fn: func(*dataset.Schema, dataset.Tuple) bool { return true }}
+	workloads := map[string][]dataset.Predicate{
+		"kernel": workload.CategoryPredicates("group", []string{"a", "b"}),
+		"rows":   append(workload.CategoryPredicates("group", []string{"a", "b"}), opaque),
+	}
+	base := build(nil)
+	for name, preds := range workloads {
+		before, err := ExactSums(base, "tip", preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []float64{1e9, math.Inf(1), math.NaN(), -5} {
+			after, err := ExactSums(build([]dataset.Tuple{{dataset.Num(v), dataset.Str("b")}}), "tip", preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range preds {
+				if d := math.Abs(after[j] - before[j]); !(d <= 10) {
+					t.Errorf("%s: a row with tip %v moves sum %d (%v) by %v, beyond Max 10", name, v, j, preds[j], d)
+				}
+			}
+		}
+	}
+}

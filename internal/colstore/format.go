@@ -4,8 +4,8 @@
 // float64s plus missing bitmaps for continuous ones, and the exact misfit
 // side table — into a paged, checksummed, versioned segment file, and
 // reopens that file via mmap as zero-copy column slices behind the
-// existing dataset.Table interfaces. The compiled predicate kernels,
-// Histogram/TrueAnswers/ExactSums and the workload transformation cache
+// existing dataset.Table interfaces. The workload scan kernel
+// (Histogram/TrueAnswers/Sums) and the workload transformation cache
 // run unchanged over disk-resident data, so a table far larger than RAM
 // serves queries with the kernel's page cache as the only working set.
 //

@@ -72,16 +72,25 @@ func TestColumnGranularPrefetch(t *testing.T) {
 		t.Skipf("page cache would not release the segment (income %.0f%% resident after eviction)", f*100)
 	}
 
-	// The scheduler's path: derive the planned columns from the compiled
-	// predicate, prefetch only those, scan.
-	cp, err := dataset.Compile(schema, dataset.Range{Attr: "age", Lo: 20, Hi: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The scheduler's path: derive the planned columns from the atoms the
+	// predicate cuts, prefetch only those, scan.
+	p := dataset.Range{Attr: "age", Lo: 20, Hi: 60}
+	atoms := dataset.NumAtoms(agePos, []float64{p.Lo, p.Hi})
+	cols := []int{atoms.Pos()}
 	table := seg.Table()
-	table.PrefetchColumns(cp.Columns())
-	bm := cp.Eval(table)
-	if bm.Count() == 0 {
+	table.PrefetchColumns(cols)
+	r, dst, matched := atoms.Bind(table), make([]uint32, 4096), 0
+	row := make(dataset.Tuple, schema.Arity())
+	for lo := 0; lo < table.Size(); lo += len(dst) {
+		part := dst[:min(len(dst), table.Size()-lo)]
+		r.Read(lo, part)
+		for _, atom := range part {
+			if row[agePos], _ = atoms.Rep(int(atom)); p.Eval(schema, row) {
+				matched++
+			}
+		}
+	}
+	if matched == 0 {
 		t.Fatal("scan matched nothing — bad test data")
 	}
 
@@ -94,7 +103,7 @@ func TestColumnGranularPrefetch(t *testing.T) {
 	}
 
 	// Releasing the scanned column drops it cold again...
-	table.ReleaseColumns(cp.Columns())
+	table.ReleaseColumns(cols)
 	const posixFadvDontneed = 4
 	syscall.Syscall6(syscall.SYS_FADVISE64, seg.f.Fd(), 0, 0, posixFadvDontneed, 0, 0)
 	if f := frac(agePos); f > 0.5 {
@@ -107,7 +116,7 @@ func TestColumnGranularPrefetch(t *testing.T) {
 	// ...and a released column must be hinted again by the next prefetch:
 	// with no scan to fault pages in, only a re-issued WILLNEED (readahead
 	// is asynchronous, hence the poll) brings the age pages back.
-	table.PrefetchColumns(cp.Columns())
+	table.PrefetchColumns(cols)
 	if !seg.colAdvised[agePos] {
 		t.Error("prefetch after release did not re-advise the age column")
 	}

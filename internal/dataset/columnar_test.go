@@ -1,9 +1,9 @@
 package dataset
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,129 +43,6 @@ func randColumnarTable(rng *rand.Rand, s *Schema, n int, misfits bool) *Table {
 		t.MustAppend(row)
 	}
 	return t
-}
-
-// randPredicate grows a random predicate AST of bounded depth over the
-// schema, including unknown attributes and kind-mismatched atoms.
-func randPredicate(rng *rand.Rand, s *Schema, depth int) Predicate {
-	attrName := func() string {
-		if rng.Float64() < 0.05 {
-			return "no-such-attr"
-		}
-		return s.Attr(rng.Intn(s.Arity())).Name
-	}
-	if depth <= 0 || rng.Float64() < 0.45 {
-		switch rng.Intn(5) {
-		case 0:
-			return NumCmp{Attr: attrName(), Op: CmpOp(rng.Intn(6)), C: float64(rng.Intn(120) - 10)}
-		case 1:
-			lo := float64(rng.Intn(100))
-			return Range{Attr: attrName(), Lo: lo, Hi: lo + float64(rng.Intn(40))}
-		case 2:
-			vals := []string{"AL", "AK", "WY", "extra0", "extra2", "never-seen"}
-			return StrEq{Attr: attrName(), Val: vals[rng.Intn(len(vals))]}
-		case 3:
-			return IsNull{Attr: attrName()}
-		default:
-			return True{}
-		}
-	}
-	switch rng.Intn(3) {
-	case 0:
-		kids := make(And, rng.Intn(3)+1)
-		for i := range kids {
-			kids[i] = randPredicate(rng, s, depth-1)
-		}
-		return kids
-	case 1:
-		kids := make(Or, rng.Intn(3)+1)
-		for i := range kids {
-			kids[i] = randPredicate(rng, s, depth-1)
-		}
-		return kids
-	default:
-		return Not{P: randPredicate(rng, s, depth-1)}
-	}
-}
-
-// TestCompiledMatchesEvalRandomized is the columnar/row differential
-// test: for random tables (with NULLs, out-of-domain values and
-// kind-mismatched cells) and random predicate ASTs, the compiled
-// evaluator must agree with Predicate.Eval on every single row.
-func TestCompiledMatchesEvalRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := testSchema(t)
-	for trial := 0; trial < 60; trial++ {
-		tab := randColumnarTable(rng, s, 50+rng.Intn(150), trial%2 == 0)
-		for k := 0; k < 25; k++ {
-			p := randPredicate(rng, s, 3)
-			cp, err := Compile(s, p)
-			if err != nil {
-				t.Fatalf("compile %s: %v", p, err)
-			}
-			got := cp.Eval(tab)
-			for i := 0; i < tab.Size(); i++ {
-				want := p.Eval(s, tab.Row(i))
-				if got.Get(i) != want {
-					t.Fatalf("trial %d predicate %s row %d (%v): compiled %v, eval %v",
-						trial, p, i, tab.Row(i), got.Get(i), want)
-				}
-			}
-			if got.Count() != tab.Count(p) {
-				t.Fatalf("Count mismatch for %s", p)
-			}
-		}
-	}
-}
-
-// TestCompiledMatchesEvalFromCSV covers the import path: values that
-// arrive via CSV (including out-of-domain categorical strings) must
-// evaluate identically columnar and row-at-a-time after a round trip.
-func TestCompiledMatchesEvalFromCSV(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := testSchema(t)
-	tab := randColumnarTable(rng, s, 200, false)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tab); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Size() != tab.Size() {
-		t.Fatalf("round trip lost rows: %d vs %d", back.Size(), tab.Size())
-	}
-	for k := 0; k < 100; k++ {
-		p := randPredicate(rng, s, 3)
-		cp, err := Compile(s, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := cp.Eval(back)
-		for i := 0; i < back.Size(); i++ {
-			if want := p.Eval(s, back.Row(i)); got.Get(i) != want {
-				t.Fatalf("predicate %s row %d: compiled %v, eval %v", p, i, got.Get(i), want)
-			}
-		}
-	}
-}
-
-func TestCompileRejectsOpaquePredicates(t *testing.T) {
-	s := testSchema(t)
-	f := Func{Name: "f", ReadAttrs: []string{"age"}, Fn: func(*Schema, Tuple) bool { return true }}
-	if _, err := Compile(s, f); err == nil {
-		t.Fatal("Func must not compile")
-	}
-	if _, err := Compile(s, And{True{}, f}); err == nil {
-		t.Fatal("Func nested in And must not compile")
-	}
-	// The row fallback still counts it.
-	tab := NewTable(s)
-	tab.MustAppend(Tuple{Num(1), Str("AL"), Num(2)})
-	if got := tab.Count(f); got != 1 {
-		t.Fatalf("Count fallback = %d", got)
-	}
 }
 
 // TestRowIsACopy pins the compatibility contract of the columnar Table:
@@ -217,26 +94,26 @@ func TestSamplePreservesColumnsAndMisfits(t *testing.T) {
 		}
 	}
 	// The sample is independent storage: appending must not disturb the
-	// parent, and compiled evaluation over the sample stays exact.
-	sm.MustAppend(Tuple{Num(1), Str("brand-new"), Num(2)})
+	// parent — its rows, its dictionary or its missing bitmaps.
+	before := tab.Row(40)
+	sm.MustAppend(Tuple{Num(1), Str("brand-new"), Null})
 	if tab.Size() != 100 {
 		t.Fatalf("parent grew to %d", tab.Size())
 	}
-	p := Or{StrEq{Attr: "state", Val: "brand-new"}, IsNull{Attr: "gain"}}
-	cp, err := Compile(s, p)
-	if err != nil {
-		t.Fatal(err)
+	if got := sm.Row(40); got[1] != Str("brand-new") || !got[2].IsNull() {
+		t.Fatalf("appended sample row reads back as %v", got)
 	}
-	got := cp.Eval(sm)
-	for i := 0; i < sm.Size(); i++ {
-		if want := p.Eval(s, sm.Row(i)); got.Get(i) != want {
-			t.Fatalf("sample row %d: compiled %v, eval %v", i, got.Get(i), want)
-		}
+	if vals, _ := tab.DistinctValues("state"); slices.Contains(vals, "brand-new") {
+		t.Fatalf("the sample's new string leaked into the parent's dictionary: %v", vals)
+	}
+	if after := tab.Row(40); !slices.Equal(after, before) {
+		t.Fatalf("parent row 40 changed from %v to %v", before, after)
 	}
 }
 
 func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(70) // straddles a word boundary
+	var b Bitmap
+	b.Reset(70) // straddles a word boundary
 	if b.Count() != 0 || b.Len() != 70 {
 		t.Fatalf("fresh bitmap: count %d len %d", b.Count(), b.Len())
 	}
@@ -247,28 +124,8 @@ func TestBitmapBasics(t *testing.T) {
 	if b.Count() != 4 || !b.Get(63) || !b.Get(64) || b.Get(1) {
 		t.Fatalf("after sets: count %d", b.Count())
 	}
-	b.Clear(63)
-	if b.Count() != 3 || b.Get(63) {
-		t.Fatal("clear failed")
-	}
-	b.Not()
-	if b.Count() != 67 {
-		t.Fatalf("Not must respect the tail mask: count %d", b.Count())
-	}
-	b.SetAll()
-	if b.Count() != 70 {
-		t.Fatalf("SetAll: count %d", b.Count())
-	}
-	o := NewBitmap(70)
-	o.Set(5)
-	b.And(o)
-	if b.Count() != 1 || !b.Get(5) {
-		t.Fatal("And failed")
-	}
-	o.Set(6)
-	b.Or(o)
-	if b.Count() != 2 {
-		t.Fatal("Or failed")
+	if c := b.clonePrefix(64); c.Len() != 64 || c.Count() != 2 || !c.Get(63) {
+		t.Fatalf("clonePrefix(64) must keep bits 0 and 63 and mask 64 and 69: len %d count %d", c.Len(), c.Count())
 	}
 	var g Bitmap
 	for i := 0; i < 130; i++ {

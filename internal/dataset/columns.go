@@ -5,19 +5,12 @@ import (
 	"sync"
 )
 
-// Bitmap is a fixed-length bitset over row indices — the selection vector
-// of the columnar evaluator. The zero value is an empty bitmap; Reset
-// sizes it. Bitmaps are not safe for concurrent mutation.
+// Bitmap is a fixed-length bitset over row indices — a continuous
+// column's missing rows (NULLs and misfits). The zero value is an empty
+// bitmap; Reset sizes it. Bitmaps are not safe for concurrent mutation.
 type Bitmap struct {
 	n     int
 	words []uint64
-}
-
-// NewBitmap returns a zeroed bitmap over n rows.
-func NewBitmap(n int) *Bitmap {
-	b := &Bitmap{}
-	b.Reset(n)
-	return b
 }
 
 // Reset resizes the bitmap to n rows and clears every bit, reusing the
@@ -41,54 +34,14 @@ func (b *Bitmap) Len() int { return b.n }
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Get reports bit i.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// SetAll sets every bit in [0, Len).
-func (b *Bitmap) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.maskTail()
-}
-
-// maskTail zeroes the unused bits of the last word so Count and Not stay
-// exact.
+// maskTail zeroes the unused bits of the last word so Count stays exact.
 func (b *Bitmap) maskTail() {
 	if r := uint(b.n) & 63; r != 0 && len(b.words) > 0 {
 		b.words[len(b.words)-1] &= (1 << r) - 1
 	}
-}
-
-// And intersects b with o in place. The bitmaps must have equal length.
-func (b *Bitmap) And(o *Bitmap) {
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-// Or unions o into b in place. The bitmaps must have equal length.
-func (b *Bitmap) Or(o *Bitmap) {
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// Not flips every bit in [0, Len) in place.
-func (b *Bitmap) Not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.maskTail()
-}
-
-// CopyFrom makes b an exact copy of o.
-func (b *Bitmap) CopyFrom(o *Bitmap) {
-	b.Reset(o.n)
-	copy(b.words, o.words)
 }
 
 // Count returns the number of set bits.
@@ -99,11 +52,6 @@ func (b *Bitmap) Count() int {
 	}
 	return c
 }
-
-// Words exposes the backing words (64 rows per word, row i at word i/64
-// bit i%64); the unused tail bits of the last word are always zero.
-// Callers must treat the slice as read-only.
-func (b *Bitmap) Words() []uint64 { return b.words }
 
 // appendBit grows the bitmap by one row, optionally setting it.
 func (b *Bitmap) appendBit(set bool) {

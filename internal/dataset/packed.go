@@ -12,11 +12,11 @@ import (
 // bitpacked to ⌈log2(dictSize+sentinels)⌉ bits per row; continuous
 // columns whose values are all short decimals — integers, cents,
 // hundredths of a mile — are frame-of-reference packed in their smallest
-// exact decimal scale (value = (Min + lane) / 10^Exp). The compiled
-// predicate kernels evaluate equality/set/range predicates directly over
-// the packed words — a word-at-a-time unpack-compare into the selection
-// Bitmap, never a materialized int32/float64 decode — so a scan moves
-// width/32 (or width/64) of the bytes the unpacked layout would.
+// exact decimal scale (value = (Min + lane) / 10^Exp). The atom
+// classifier (classify.go) reads the packed words directly — a block
+// unpack into lanes, never a materialized int32/float64 decode — so a
+// scan moves width/32 (or width/64) of the bytes the unpacked layout
+// would.
 //
 // Layout ("no-straddle", after SIMD-BP style packing): each uint64 word
 // holds ⌊64/Width⌋ lanes, lane j at bits [j·Width, (j+1)·Width). Lanes
@@ -293,49 +293,8 @@ func (p *PackedInts) validate(n int, maxLane uint64) error {
 	return nil
 }
 
-// scanEqInto sets dst's bit for every row whose lane equals target. The
-// kernel is word-at-a-time SWAR: XOR against a broadcast target, then an
-// exact zero-lane test — with H the high-bit-per-lane mask and L the
-// remaining lane bits, ((x&L)+L)|x has a lane's high bit set iff the
-// lane is nonzero (the per-lane sum lowbits + 2^(w−1)−1 cannot carry
-// across lanes), so its complement under H marks the equal lanes.
-func (p *PackedInts) scanEqInto(target uint64, dst *Bitmap) {
-	w := uint(p.Width)
-	if target >= uint64(1)<<w {
-		return
-	}
-	lpw := 64 / int(w)
-	var pattern, hi uint64
-	for j := 0; j < lpw; j++ {
-		pattern |= target << (uint(j) * w)
-		hi |= 1 << (uint(j)*w + w - 1)
-	}
-	used := uint64(1)<<(uint(lpw)*w) - 1
-	if uint(lpw)*w == 64 {
-		used = ^uint64(0)
-	}
-	low := used &^ hi
-	n := p.N
-	for wi, word := range p.Words {
-		x := word ^ pattern
-		z := ^(((x & low) + low) | x) & hi
-		if z == 0 {
-			continue
-		}
-		base := wi * lpw
-		for z != 0 {
-			row := base + bits.TrailingZeros64(z)/int(w)
-			if row >= n {
-				break // zero lanes past N match a zero target; not rows
-			}
-			dst.Set(row)
-			z &= z - 1
-		}
-	}
-}
-
 // unpack decodes lanes [lo, lo+len(dst)) into dst. It is the one reader
-// of packed words for range scans and atom classification, shared by
+// of packed words, for atom classification and projection builds, shared by
 // bit-packed dictionary codes and frame-of-reference lanes.
 func (p *PackedInts) unpack(lo int, dst []uint32) {
 	w := uint(p.Width)
@@ -366,66 +325,6 @@ func (p *PackedFloats) laneGE(c float64) uint64 {
 // laneGT is laneGE for the strict predicate "v > c".
 func (p *PackedFloats) laneGT(c float64) uint64 {
 	return uint64(sort.Search(1<<uint(p.Ints.Width), func(l int) bool { return p.value(uint64(l)) > c }))
-}
-
-// scanCmpInto sets dst's bit for every row whose reconstructed value
-// satisfies "v op c". Missing rows are the caller's concern (mask
-// afterwards, as in the unpacked kernel). The constant is
-// translated once into the interval of lanes that satisfy the exact
-// float predicate, and the scan compares lanes as integers — so
-// NULL/NaN/fractional-constant semantics match the unpacked kernel bit
-// for bit. dst must be zeroed and sized to the column.
-func (p *PackedFloats) scanCmpInto(op CmpOp, c float64, dst *Bitmap) {
-	all := uint64(1) << uint(p.Ints.Width)
-	var lo, hi uint64 // satisfying lanes: [lo, hi); empty for a NaN c
-	if c == c {
-		switch op {
-		case Eq, Ne:
-			lo, hi = p.laneGE(c), p.laneGT(c)
-		case Lt:
-			hi = p.laneGE(c)
-		case Le:
-			hi = p.laneGT(c)
-		case Gt:
-			lo, hi = p.laneGT(c), all
-		case Ge:
-			lo, hi = p.laneGE(c), all
-		}
-	}
-	p.Ints.scanLanesInto(lo, hi, op == Ne, dst)
-}
-
-// scanRangeInto sets dst's bit for every row whose reconstructed value
-// lies in [lo, hi).
-func (p *PackedFloats) scanRangeInto(lo, hi float64, dst *Bitmap) {
-	if lo != lo || hi != hi {
-		return
-	}
-	p.Ints.scanLanesInto(p.laneGE(lo), p.laneGE(hi), false, dst)
-}
-
-// scanLanesInto sets dst's bit for every row whose lane lies in [lo, hi)
-// — outside it when invert is set — one whole bitmap word per 64 rows,
-// with no per-row branch: for lanes and bounds below 2^33, l−lo and l−hi
-// wrap negative exactly when l is below the bound.
-func (p *PackedInts) scanLanesInto(lo, hi uint64, invert bool, dst *Bitmap) {
-	var buf [512]uint32
-	var flip uint64
-	if invert {
-		flip = ^flip
-	}
-	for base := 0; base < p.N; base += len(buf) {
-		lanes := buf[:min(len(buf), p.N-base)]
-		p.unpack(base, lanes)
-		for off := 0; off < len(lanes); off += 64 {
-			var word uint64
-			for j, l := range lanes[off:min(off+64, len(lanes))] {
-				word |= (^(uint64(l) - lo) & (uint64(l) - hi)) >> 63 << uint(j)
-			}
-			dst.words[(base+off)>>6] = word ^ flip
-		}
-	}
-	dst.maskTail()
 }
 
 func errPackedf(format string, args ...any) error {

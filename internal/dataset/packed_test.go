@@ -111,48 +111,15 @@ func TestPackedIntsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedScanEq compares the SWAR equality kernel against a naive
-// lane loop, including targets at 0 (the biased misfit sentinel, which
-// zero tail lanes must not leak), the lane maximum, and out of width.
-func TestPackedScanEq(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, width := range []int{1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 21, 31, 32} {
-		for _, n := range []int{1, 64, 127, 1000} {
-			limit := uint64(1) << uint(width)
-			domain := limit
-			if domain > 8 {
-				domain = 8 // dense hits
-			}
-			lanes := make([]uint64, n)
-			p := &PackedInts{Width: width, N: n, Words: make([]uint64, PackedWordCount(n, width))}
-			lpw := 64 / width
-			for i := range lanes {
-				lanes[i] = rng.Uint64() % domain
-				if rng.Intn(10) == 0 {
-					lanes[i] = rng.Uint64() % limit
-				}
-				p.Words[i/lpw] |= lanes[i] << (uint(i%lpw) * uint(width))
-			}
-			targets := []uint64{0, 1, domain - 1, limit - 1, limit, limit + 3}
-			for _, target := range targets {
-				got := NewBitmap(n)
-				p.scanEqInto(target, got)
-				for i := 0; i < n; i++ {
-					want := target < limit && lanes[i] == target
-					if got.Get(i) != want {
-						t.Fatalf("width %d n %d target %d row %d: got %v want %v", width, n, target, i, got.Get(i), want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPackedFloatsScan compares the frame-of-reference compare/range
-// kernels against the unpacked loops for fractional, negative, NaN and
-// infinite constants.
+// TestPackedFloatsScan classifies frame-of-reference columns — by lane
+// lookup table at narrow widths, by lane thresholds at wide ones —
+// against their unpacked twins, for fractional, negative, NaN and
+// infinite cut constants: every row must land in the atom the float64
+// reader puts it in, and every comparison with a cut must hold on the
+// row's value as on the atom's representative.
 func TestPackedFloatsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	schema := MustSchema(Attribute{Name: "v", Kind: Continuous})
 	for _, span := range []uint64{0, 1, 100, 1 << 16, 1 << 31} {
 		n := 777
 		base := float64(-50)
@@ -172,48 +139,39 @@ func TestPackedFloatsScan(t *testing.T) {
 		if w := p.Ints.Width; w > 32 {
 			t.Fatalf("span %d: width %d", span, w)
 		}
+		raw, err := TableFromColumns(schema, n, []ColumnData{{Kind: Continuous, Vals: vals, MissingWords: missing}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := TableFromColumns(schema, n, []ColumnData{{Kind: Continuous, PackedVals: p, MissingWords: missing}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		consts := []float64{base, base + 1, base + 0.5, base + float64(span), -1e9, 1e9,
 			math.NaN(), math.Inf(1), math.Inf(-1), 0, 40.25}
-		ops := []CmpOp{Eq, Ne, Lt, Le, Gt, Ge}
 		for _, c := range consts {
-			for _, op := range ops {
-				got := NewBitmap(n)
-				p.scanCmpInto(op, c, got)
-				for i, v := range vals {
-					// The kernel sees lane 0 (= base) at missing rows; the
-					// caller masks those. Mirror that here.
-					if missing[i>>6]&(1<<(uint(i)&63)) != 0 {
-						v = p.Min
-					}
-					var want bool
-					switch op {
-					case Eq:
-						want = v == c
-					case Ne:
-						want = v != c
-					case Lt:
-						want = v < c
-					case Le:
-						want = v <= c
-					case Gt:
-						want = v > c
-					case Ge:
-						want = v >= c
-					}
-					if got.Get(i) != want {
-						t.Fatalf("span %d op %v c %v row %d (v=%v): got %v want %v", span, op, c, i, v, got.Get(i), want)
-					}
-				}
-			}
-			lo, hi := c, c+float64(span)/3+1
-			got := NewBitmap(n)
-			p.scanRangeInto(lo, hi, got)
+			a := NumAtoms(0, []float64{c, c + float64(span)/3 + 1})
+			want, got := make([]uint32, n), make([]uint32, n)
+			a.Bind(raw).Read(0, want)
+			a.Bind(packed).Read(0, got)
 			for i, v := range vals {
-				if missing[i>>6]&(1<<(uint(i)&63)) != 0 {
-					v = p.Min
+				if got[i] != want[i] {
+					t.Fatalf("span %d cuts %v row %d (v=%v): packed atom %d, unpacked %d", span, a.cuts, i, v, got[i], want[i])
 				}
-				if want := v >= lo && v < hi; got.Get(i) != want {
-					t.Fatalf("span %d range [%v,%v) row %d: got %v want %v", span, lo, hi, i, got.Get(i), want)
+				if missing[i>>6]&(1<<(uint(i)&63)) != 0 {
+					if got[i] != a.null() {
+						t.Fatalf("span %d row %d: missing row in atom %d, not NULL", span, i, got[i])
+					}
+					continue
+				}
+				rep, _ := a.Rep(int(got[i]))
+				r, _ := rep.AsNum()
+				for _, cut := range a.cuts {
+					for op := Eq; op <= Ge; op++ {
+						if cmpFloat(op, v, cut) != cmpFloat(op, r, cut) {
+							t.Fatalf("span %d cuts %v: %v and its atom-%d representative %v differ on %v %v", span, a.cuts, v, got[i], r, op, cut)
+						}
+					}
 				}
 			}
 		}
@@ -365,9 +323,10 @@ func packTable(t *testing.T, tab *Table) *Table {
 	return packed
 }
 
-// TestPackedTableDifferential evaluates a predicate battery over the
-// unpacked table and its packed twin and requires bit-identical
-// selection vectors, plus identical row reconstruction and Floats.
+// TestPackedTableDifferential requires the unpacked table and its packed
+// twin to reconstruct identical rows, Floats and DistinctValues. (The
+// predicate battery evaluated over both lives on in workload's
+// TestOnePredicateMatchesRowsPackedBattery.)
 func TestPackedTableDifferential(t *testing.T) {
 	tab := buildMixedTable(t, 4097, 7)
 	packed := packTable(t, tab)
@@ -384,47 +343,7 @@ func TestPackedTableDifferential(t *testing.T) {
 		t.Fatalf("categorical column not packed")
 	}
 
-	preds := []Predicate{
-		StrEq{Attr: "flag", Val: "y"},
-		StrEq{Attr: "flag", Val: "n?"},   // out-of-domain value, interned at append time
-		StrEq{Attr: "grade", Val: "h"},   // out-of-domain
-		StrEq{Attr: "grade", Val: "zzz"}, // never interned
-		StrEq{Attr: "code254", Val: "v253"},
-		IsNull{Attr: "grade"},
-		IsNull{Attr: "age"},
-		NumCmp{Attr: "age", Op: Lt, C: 40},
-		NumCmp{Attr: "age", Op: Ge, C: 40.5},
-		NumCmp{Attr: "gain", Op: Eq, C: 0},
-		NumCmp{Attr: "gain", Op: Ne, C: math.NaN()},
-		NumCmp{Attr: "frac", Op: Le, C: 50},
-		NumCmp{Attr: "cents", Op: Eq, C: 0.07}, // 7/100, not 0.07·100 = 7.000000000000001
-		NumCmp{Attr: "cents", Op: Gt, C: 299.995},
-		Range{Attr: "cents", Lo: 0.29, Hi: 0.57},
-		Range{Attr: "tenth", Lo: -0.3, Hi: 0.3},
-		NumCmp{Attr: "tenth", Op: Le, C: -199.95},
-		NumCmp{Attr: "mixed", Op: Ge, C: 17.003},
-		NumCmp{Attr: "mixed", Op: Ne, C: 2.5},
-		Range{Attr: "mixed", Lo: math.Inf(-1), Hi: 40.125},
-		Range{Attr: "age", Lo: 20, Hi: 65},
-		Range{Attr: "gain", Lo: 100, Hi: 10000},
-		And{StrEq{Attr: "flag", Val: "y"}, Range{Attr: "age", Lo: 30, Hi: 50}},
-		Or{IsNull{Attr: "gain"}, NumCmp{Attr: "gain", Op: Gt, C: 90000}},
-		Not{StrEq{Attr: "grade", Val: "a"}},
-	}
-	for _, p := range preds {
-		cu, err := Compile(tab.Schema(), p)
-		if err != nil {
-			t.Fatalf("compile %v: %v", p, err)
-		}
-		bu, bp := cu.Eval(tab), cu.Eval(packed)
-		for i := 0; i < tab.Size(); i++ {
-			if bu.Get(i) != bp.Get(i) {
-				t.Fatalf("predicate %v row %d: unpacked %v packed %v", p, i, bu.Get(i), bp.Get(i))
-			}
-		}
-	}
-
-	for _, i := range []int{0, 1, 63, 64, 4095, 4096} {
+	for i := 0; i < tab.Size(); i++ {
 		ru, rp := tab.Row(i), packed.Row(i)
 		for pos := range ru {
 			if ru[pos] != rp[pos] {
@@ -452,18 +371,5 @@ func TestPackedTableDifferential(t *testing.T) {
 	// Packed categorical scans read ~width/32 of the unpacked bytes.
 	if up, pk := tab.ColumnScanBytes(3), packed.ColumnScanBytes(3); pk*3 > up {
 		t.Fatalf("code254 packed scan bytes %d not < 1/3 of unpacked %d", pk, up)
-	}
-}
-
-// TestCompiledColumns pins the planned-column derivation.
-func TestCompiledColumns(t *testing.T) {
-	tab := buildMixedTable(t, 8, 1)
-	p := And{StrEq{Attr: "grade", Val: "a"}, Range{Attr: "age", Lo: 0, Hi: 10}, StrEq{Attr: "grade", Val: "b"}}
-	cp, err := Compile(tab.Schema(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(cp.Columns()); got != "[1 4]" {
-		t.Fatalf("Columns() = %v, want [1 4]", got)
 	}
 }

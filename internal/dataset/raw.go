@@ -10,9 +10,8 @@ import (
 // This file is the raw-column boundary between Table and external column
 // storage (internal/colstore): it exports a table's typed columns for
 // serialization and rebuilds a Table over caller-provided column slices —
-// including slices that alias a read-only mmap region — so the compiled
-// predicate kernels and workload scans run unchanged over disk-resident
-// data.
+// including slices that alias a read-only mmap region — so workload
+// scans run unchanged over disk-resident data.
 
 // ColumnData is the raw storage of one attribute, in schema position
 // order. Exactly one of the categorical (Codes/Dict) or continuous

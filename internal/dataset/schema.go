@@ -5,14 +5,11 @@
 //
 // Tables are stored column-major — dictionary-encoded int32 codes for
 // categorical attributes, packed float64s plus a missing bitmap for
-// continuous ones — and predicates can be compiled (Compile) into
-// vectorized programs that evaluate a whole column slice into a selection
-// Bitmap, resolving attribute positions and category codes once instead
-// of per row. Whole workloads are evaluated attribute-at-a-time instead:
+// continuous ones — and workloads are evaluated attribute-at-a-time:
 // Atoms (classify.go) maps each row of a column to the elementary class
 // of values its predicates can distinguish, one pass per column however
 // many predicates there are. The row-at-a-time Predicate.Eval remains the
-// semantic reference; both columnar paths match it exactly.
+// semantic reference; the columnar path matches it exactly.
 //
 // The paper assumes the schema and full attribute domains are public
 // (§3); only the table instance is sensitive.
@@ -52,6 +49,17 @@ type Attribute struct {
 	Values []string
 	// Min and Max delimit the public domain for Continuous attributes.
 	Min, Max float64
+}
+
+// Clamp returns v clipped to the continuous attribute's public domain
+// [Min, Max] — what one tuple's value may add to a sum of the attribute
+// under the sensitivity the domain bounds. ok is false for NaN, which
+// adds nothing.
+func (a Attribute) Clamp(v float64) (clamped float64, ok bool) {
+	if v != v {
+		return 0, false
+	}
+	return min(max(v, a.Min), a.Max), true
 }
 
 // Schema is a single-table relational schema with public domains.
@@ -170,5 +178,5 @@ func (v Value) String() string {
 }
 
 // Tuple and Table (the columnar storage behind the row API) live in
-// table.go; the predicate AST in predicate.go; the columnar predicate
-// evaluator in compiled.go.
+// table.go; the predicate AST in predicate.go; the atom classifier the
+// workload scan kernel reads columns through in classify.go.

@@ -14,14 +14,14 @@ type Tuple []Value
 // column-major: categorical attributes as dictionary-encoded int32 codes,
 // continuous attributes as packed float64s with a missing bitmap. The
 // row-oriented API (Append, Row) remains the compatibility surface; the
-// columnar layout is what CompiledPredicate and the workload scan kernel
-// (Atoms) evaluate against.
+// columnar layout is what the workload scan kernel (Atoms) evaluates
+// against.
 //
 // Cells whose Value kind does not match the attribute kind (a Num in a
 // categorical column, a Str in a continuous one — impossible via CSV but
 // expressible through Append) are kept exactly in a side table of
-// "misfits"; the columnar evaluators patch those rows with a
-// row-at-a-time pass so their answers match Predicate.Eval bit for bit.
+// "misfits"; the scan kernel evaluates those rows row-at-a-time so its
+// answers match Predicate.Eval bit for bit.
 type Table struct {
 	schema *Schema
 	n      int
@@ -172,8 +172,8 @@ func (t *Table) addMisfit(pos int, v Value) {
 // views into the table and must be treated as read-only. For a
 // frame-of-reference packed column (v2 segments) the slice is a lazily
 // decoded copy, materialized once per column and cached — random-access
-// consumers like the exact-sum aggregates keep a real slice while the
-// predicate kernels stay on the packed words.
+// consumers like the exact sums keep a real slice while the atom
+// classifier stays on the packed words.
 func (t *Table) Floats(pos int) (vals []float64, missing *Bitmap, ok bool) {
 	if pos < 0 || pos >= len(t.nums) || t.nums[pos] == nil {
 		return nil, nil, false
@@ -182,12 +182,9 @@ func (t *Table) Floats(pos int) (vals []float64, missing *Bitmap, ok bool) {
 	return c.floats(), &c.missing, true
 }
 
-// Count returns the number of rows satisfying p, via the columnar
-// evaluator when p compiles and row-at-a-time otherwise.
+// Count returns the number of rows satisfying p, row-at-a-time: the
+// reference the workload scan kernel is checked against.
 func (t *Table) Count(p Predicate) int {
-	if cp, err := Compile(t.schema, p); err == nil {
-		return cp.Eval(t).Count()
-	}
 	var n int
 	for i := 0; i < t.n; i++ {
 		if p.Eval(t.schema, t.Row(i)) {

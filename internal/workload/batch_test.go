@@ -128,7 +128,7 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A component grid above the (lowered) enumeration cap: implicit, no
-	// components, one bitmap scan per predicate.
+	// components, one kernel pass per predicate.
 	bins, err := Histogram1D("gain", 0, 1000, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 	if st.Fallbacks[FallbackOpaque] != 1 || st.Fallbacks[FallbackImplicit] != 1 || len(st.Fallbacks) != 2 {
 		t.Fatalf("fallbacks = %v, want one opaque and one implicit", st.Fallbacks)
 	}
-	// 10 bitmap scans of gain plus the kernel's single pass over age.
+	// One pass over gain per bin plus the kernel's single pass over age.
 	if st.ColumnPasses != len(bins)+1 || len(st.Columns) != 2 {
 		t.Fatalf("passes = %d over columns %v, want %d over 2", st.ColumnPasses, st.Columns, len(bins)+1)
 	}

@@ -72,7 +72,7 @@ func NewTransformCache(opt Options) *TransformCache {
 // at most once per key even under concurrent callers. key must be
 // Key(preds): callers render it anyway, and rendering is the costly part
 // of a hit, so it is rendered once. A cache is bound to the first schema
-// it sees: compiled kernels bake in attribute positions and category
+// it sees: scan kernels bake in attribute positions and category
 // codes, so sharing one cache across schemas is a wiring bug and fails
 // loudly instead of returning kernels for the wrong table layout.
 func (c *TransformCache) Transform(s *dataset.Schema, key string, preds []dataset.Predicate) (*Transformed, error) {

@@ -164,7 +164,7 @@ func TestHistogramOutOfDomainErrorParity(t *testing.T) {
 }
 
 // TestFuncPredicateFallsBackToRows: an opaque predicate with declared
-// breakpoints transforms fine but cannot compile; evaluation must fall
+// breakpoints transforms fine, but the scan kernel cannot evaluate it; it must fall
 // back to the row path and still be exact.
 func TestFuncPredicateFallsBackToRows(t *testing.T) {
 	s := columnarSchema(t)
@@ -286,7 +286,7 @@ func TestTransformCacheSharesOneEvaluation(t *testing.T) {
 	}
 }
 
-// TestTransformCacheRejectsForeignSchema: compiled kernels bake in
+// TestTransformCacheRejectsForeignSchema: scan kernels bake in
 // attribute positions, so one cache must refuse a second schema instead
 // of serving kernels for the wrong table layout.
 func TestTransformCacheRejectsForeignSchema(t *testing.T) {

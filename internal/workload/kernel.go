@@ -52,18 +52,19 @@ const (
 	// (dataset.Func); the workload takes the row path.
 	FallbackOpaque = "opaque"
 	// FallbackImplicit: the transformation has no component grid (a
-	// component too large to enumerate); true answers take one bitmap
-	// scan per predicate.
+	// component too large to enumerate); each predicate is evaluated as a
+	// workload of its own, one scan kernel pass over its columns.
 	FallbackImplicit = "implicit"
 	// FallbackGrid: the kernel's own cell table, or the partition space,
-	// is too large to index; the workload takes the row path.
+	// is too large to index — or a lone predicate's own component is too
+	// large to enumerate; the workload takes the row path.
 	FallbackGrid = "grid"
 )
 
 // FallbackReasons lists every fallback reason, for metric registration.
 var FallbackReasons = []string{FallbackOpaque, FallbackImplicit, FallbackGrid}
 
-// colKernels is the compiled evaluator of one workload.
+// colKernels is the scan kernel of one workload.
 type colKernels struct {
 	// fallback is empty when the scan kernel applies, else the reason it
 	// does not.
@@ -71,9 +72,12 @@ type colKernels struct {
 	comps    []compKernel // aligned with Transformed.comps
 	// cols is the sorted set of schema positions an evaluation reads.
 	cols []int
-	// preds are the per-predicate bitmap kernels of the FallbackImplicit
-	// path, aligned with Transformed.preds.
-	preds []*dataset.CompiledPredicate
+	// predCols are, on the FallbackImplicit path, the sorted columns each
+	// predicate's own evaluation reads (aligned with Transformed.preds);
+	// nil for a predicate whose own grid takes the row path, counted in
+	// rowPreds.
+	predCols [][]int
+	rowPreds int
 }
 
 // compKernel classifies rows into one component's signatures.
@@ -100,22 +104,23 @@ func buildKernels(tr *Transformed) colKernels {
 		return colKernels{fallback: FallbackOpaque}
 	}
 	if tr.comps == nil {
-		k := colKernels{fallback: FallbackImplicit, preds: make([]*dataset.CompiledPredicate, len(tr.preds))}
-		seen := make(map[int]bool)
+		if len(tr.preds) == 1 {
+			// A lone predicate's own component is too large: evaluating it
+			// as a workload of its own would land here again.
+			return colKernels{fallback: FallbackGrid}
+		}
+		k := colKernels{fallback: FallbackImplicit, predCols: make([][]int, len(tr.preds))}
 		for i, p := range tr.preds {
-			cp, err := dataset.Compile(tr.schema, p)
-			if err != nil { // unreachable: only opaque predicates fail to compile
-				return colKernels{fallback: FallbackOpaque}
-			}
-			k.preds[i] = cp
-			for _, pos := range cp.Columns() {
-				if !seen[pos] {
-					seen[pos] = true
-					k.cols = append(k.cols, pos)
-				}
+			cols, fits := soloColumns(tr.schema, p)
+			k.cols = append(k.cols, cols...)
+			if fits {
+				k.predCols[i] = cols
+			} else {
+				k.rowPreds++
 			}
 		}
-		sort.Ints(k.cols)
+		slices.Sort(k.cols)
+		k.cols = slices.Compact(k.cols)
 		return k
 	}
 	if tr.parts >= math.MaxInt32 {
@@ -134,19 +139,55 @@ func buildKernels(tr *Transformed) colKernels {
 	return k
 }
 
-func buildCompKernel(tr *Transformed, c *component) (compKernel, bool) {
-	kc := compKernel{atoms: make([]*dataset.Atoms, len(c.attrs))}
-	cells := 1
-	for i, pos := range c.attrs {
-		if tr.schema.Attr(pos).Kind == dataset.Categorical {
-			kc.atoms[i] = dataset.CatAtoms(pos, slices.Collect(maps.Keys(tr.acc.strs[pos])))
-		} else {
-			kc.atoms[i] = dataset.NumAtoms(pos, slices.Collect(maps.Keys(tr.acc.nums[pos])))
-		}
-		if cells *= kc.atoms[i].Count(); cells > maxKernelCells {
-			return compKernel{}, false
+// soloColumns returns the sorted columns predicate p reads and whether p
+// as a workload of its own — how an implicit transformation evaluates it
+// — gets a component grid that both Transform and the scan kernel index.
+// When it does not, p takes the row path.
+func soloColumns(s *dataset.Schema, p dataset.Predicate) ([]int, bool) {
+	var cols []int
+	for _, attr := range p.Attrs() {
+		if pos, ok := s.Lookup(attr); ok {
+			cols = append(cols, pos)
 		}
 	}
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
+	acc := newAtomAcc(s)
+	if acc.collect(p) != nil { // unreachable: p's workload collected it
+		return cols, false
+	}
+	if _, _, ok := acc.grid(cols, DefaultMaxCells); !ok {
+		return cols, false
+	}
+	_, _, ok := acc.atoms(cols)
+	return cols, ok
+}
+
+// atoms returns the scan kernel's atoms of each attribute under the
+// collected constants and the number of cells of their product, or false
+// once that passes maxKernelCells.
+func (a *atomAcc) atoms(attrs []int) (atoms []*dataset.Atoms, cells int, ok bool) {
+	atoms = make([]*dataset.Atoms, len(attrs))
+	cells = 1
+	for i, pos := range attrs {
+		if a.schema.Attr(pos).Kind == dataset.Categorical {
+			atoms[i] = dataset.CatAtoms(pos, slices.Collect(maps.Keys(a.strs[pos])))
+		} else {
+			atoms[i] = dataset.NumAtoms(pos, slices.Collect(maps.Keys(a.nums[pos])))
+		}
+		if cells *= atoms[i].Count(); cells > maxKernelCells {
+			return nil, 0, false
+		}
+	}
+	return atoms, cells, true
+}
+
+func buildCompKernel(tr *Transformed, c *component) (compKernel, bool) {
+	atoms, cells, ok := tr.acc.atoms(c.attrs)
+	if !ok {
+		return compKernel{}, false
+	}
+	kc := compKernel{atoms: atoms}
 
 	sigID := make(map[string]int32, len(c.sigToPart))
 	for sig, part := range c.sigToPart {
@@ -203,9 +244,9 @@ func buildCompKernel(tr *Transformed, c *component) (compKernel, bool) {
 // own columns and weights. A build and an ineligible set read each
 // referenced column of the table once — the build's answer from the
 // projection it just made is not counted again; an aborted build reads
-// them twice, once for the attempt and once for the row pass. The bitmap
-// path pays one pass per (predicate, column); the row path's traffic is
-// not modelled by the column directory.
+// them twice, once for the attempt and once for the row pass. The
+// implicit path pays one pass per (predicate, column); the row path's
+// traffic is not modelled by the column directory.
 func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, outcome string) (passes int, rows, bytes int64) {
 	switch {
 	case k.fallback == "" && outcome == dataset.ProjectionHit:
@@ -219,8 +260,8 @@ func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, out
 			passes, bytes = 2*passes, 2*bytes
 		}
 	case k.fallback == FallbackImplicit:
-		for _, cp := range k.preds {
-			for _, pos := range cp.Columns() {
+		for _, cols := range k.predCols {
+			for _, pos := range cols {
 				passes++
 				bytes += d.ColumnScanBytes(pos)
 			}
@@ -237,9 +278,10 @@ func (k *colKernels) scanTraffic(d *dataset.Table, proj *dataset.Projection, out
 // build or an ineligible set each column once. exact says the prediction
 // equals BatchStats.ScanBytes of a single-workload batch to the byte. It is
 // false when the evaluation would take the row path, whose traffic the
-// column accounting does not model (cols is then nil), and for a column
-// set never tried whose build may abort, which reads its columns twice:
-// the prediction assumes the build.
+// column accounting does not model (cols is then nil), when some predicate
+// of an implicit transformation would, and for a column set never tried
+// whose build may abort, which reads its columns twice: the prediction
+// assumes the build.
 func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, exact bool) {
 	k := tr.kernels()
 	if k.fallback == FallbackOpaque || k.fallback == FallbackGrid {
@@ -247,7 +289,7 @@ func (tr *Transformed) ScanPlan(d *dataset.Table) (cols []int, scanBytes int64, 
 	}
 	var proj *dataset.Projection
 	var outcome string
-	exact = true
+	exact = k.rowPreds == 0
 	if k.fallback == "" {
 		proj, outcome = d.PlannedProjection(k.cols)
 		exact = outcome != dataset.ProjectionBuild || !d.ProjectionMayAbort(k.cols)
@@ -536,12 +578,25 @@ func (t *evalTask) evalFallback(d *dataset.Table) {
 		t.truths = t.tr.TrueAnswersRows(d)
 		return
 	}
-	t.truths = make([]float64, len(k.preds))
-	var scratch dataset.Bitmap
-	for j, cp := range k.preds {
-		cp.EvalInto(d, &scratch)
-		t.truths[j] = float64(scratch.Count())
+	// Each predicate alone, over the table's rows: L column sets of one
+	// predicate each would crowd the table's projections out.
+	t.truths = make([]float64, len(t.tr.preds))
+	for j := range t.truths {
+		solo := &evalTask{tr: t.tr.soloTransform(j), truth: true, unprojected: true}
+		evaluate(d, []*evalTask{solo})
+		t.truths[j] = solo.truths[0]
 	}
+}
+
+// soloTransform returns predicate j as a workload of its own, the form in
+// which an implicit transformation evaluates it. Only the per-predicate
+// column positions are kept between evaluations (colKernels.predCols).
+func (tr *Transformed) soloTransform(j int) *Transformed {
+	solo, err := Transform(tr.schema, tr.preds[j:j+1], Options{})
+	if err != nil { // unreachable: tr's own Transform collected the predicate
+		panic(fmt.Sprintf("workload: predicate %d transforms in its workload but not alone: %v", j, err))
+	}
+	return solo
 }
 
 // finish turns the summed counts into the task's results, after
@@ -657,4 +712,97 @@ func (t *evalTask) firstUnseen(d *dataset.Table) (int, string) {
 // unseenSignature renders the row path's out-of-domain error.
 func unseenSignature(row int, sig string) error {
 	return fmt.Errorf("workload: row %d: tuple outside public domain (unseen signature %s)", row, sig)
+}
+
+// Sums returns the exact per-predicate sums of the continuous attribute
+// at schema position pos over d's rows, from one classify pass of the
+// scan kernel: each row's value, clipped to the attribute's public domain
+// (dataset.Attribute.Clamp), is added to every predicate the row's cells
+// make true, in row order, and a misfit row is evaluated row-at-a-time
+// where it stands — so every sum is bit for bit the row-at-a-time one. A
+// NULL, non-numeric or NaN value adds nothing. An implicit transformation
+// sums predicate by predicate, as it counts. ok is false when some
+// predicate takes the row path (opaque predicates, a grid too large to
+// index) or pos is not continuous; the caller sums row-at-a-time then.
+func (tr *Transformed) Sums(d *dataset.Table, pos int) (sums []float64, ok bool) {
+	k := tr.kernels()
+	if k.fallback == FallbackImplicit && k.rowPreds == 0 {
+		sums = make([]float64, len(tr.preds))
+		for j := range sums {
+			s, ok := tr.soloTransform(j).Sums(d, pos)
+			if !ok {
+				return nil, false
+			}
+			sums[j] = s[0]
+		}
+		return sums, true
+	}
+	vals, missing, ok := d.Floats(pos)
+	if k.fallback != "" || !ok {
+		return nil, false
+	}
+	a := tr.schema.Attr(pos)
+	// hits[ci][s] lists the predicates signature s of component ci makes
+	// true; the skip cell's id has no entry (its rows are misfits).
+	hits := make([][][]int, len(k.comps))
+	sig := make([][]int32, len(k.comps))
+	for ci, comp := range tr.comps {
+		hits[ci] = make([][]int, len(k.comps[ci].sigs))
+		for s, text := range k.comps[ci].sigs {
+			for bi, pi := range comp.predIdx {
+				if text[bi] == '1' {
+					hits[ci][s] = append(hits[ci][s], pi)
+				}
+			}
+		}
+		sig[ci] = make([]int32, morselRows)
+	}
+	t := &evalTask{tr: tr, src: d}
+	t.bindReaders(d)
+	sums = make([]float64, len(tr.preds))
+	var b morselBufs
+	for lo := 0; lo < d.Size(); lo += morselRows {
+		hi := min(lo+morselRows, d.Size())
+		cell := b.cell[:hi-lo]
+		misfits := rowsIn(d.MisfitRows(), lo, hi)
+		for ci := range k.comps {
+			t.classify(ci, lo, misfits, cell, b.atoms[:hi-lo])
+			cellSig := k.comps[ci].cellSig
+			for i, x := range cell {
+				sig[ci][i] = cellSig[x]
+			}
+		}
+		for r := lo; r < hi; r++ {
+			if len(misfits) > 0 && misfits[0] == r {
+				misfits = misfits[1:]
+				row := d.Row(r)
+				v, ok := row[pos].AsNum()
+				if ok {
+					v, ok = a.Clamp(v)
+				}
+				if !ok {
+					continue
+				}
+				for j, p := range tr.preds {
+					if p.Eval(tr.schema, row) {
+						sums[j] += v
+					}
+				}
+				continue
+			}
+			if missing.Get(r) {
+				continue
+			}
+			v, ok := a.Clamp(vals[r])
+			if !ok {
+				continue
+			}
+			for ci := range sig {
+				for _, j := range hits[ci][sig[ci][r-lo]] {
+					sums[j] += v
+				}
+			}
+		}
+	}
+	return sums, true
 }

@@ -518,6 +518,24 @@ func (a *atomAcc) representatives(attrPos int) []dataset.Value {
 	return out
 }
 
+// grid returns the representatives of each attribute and the number of
+// cells of their product, or false once that passes maxCells.
+func (a *atomAcc) grid(attrs []int, maxCells int) (reps [][]dataset.Value, cells int, ok bool) {
+	reps = make([][]dataset.Value, len(attrs))
+	cells = 1
+	for i, pos := range attrs {
+		reps[i] = a.representatives(pos)
+		if cells > maxCells/len(reps[i])+1 {
+			return nil, 0, false
+		}
+		cells *= len(reps[i])
+		if cells > maxCells {
+			return nil, 0, false
+		}
+	}
+	return reps, cells, true
+}
+
 func dedupFloats(xs []float64) []float64 {
 	out := xs[:0]
 	for i, x := range xs {
@@ -591,17 +609,9 @@ func buildComponent(s *dataset.Schema, preds []dataset.Predicate, group []int, a
 	}
 	sort.Ints(c.attrs)
 
-	reps := make([][]dataset.Value, len(c.attrs))
-	cells := 1
-	for i, pos := range c.attrs {
-		reps[i] = acc.representatives(pos)
-		if cells > maxCells/len(reps[i])+1 {
-			return nil, false, nil
-		}
-		cells *= len(reps[i])
-		if cells > maxCells {
-			return nil, false, nil
-		}
+	reps, cells, ok := acc.grid(c.attrs, maxCells)
+	if !ok {
+		return nil, false, nil
 	}
 
 	// Enumerate the grid; the row template carries NULLs for attributes
