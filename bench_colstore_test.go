@@ -5,6 +5,7 @@
 // columns the workload touches, not the table size. Run with
 //
 //	go test -run '^$' -bench Colstore -benchmem
+//	go test -run '^$' -bench ColstoreBuildCSV -benchtime=3x
 //	APEX_COLSTORE_ROWS=10000000 go test -run ColstoreRSS -v
 //
 // and see BENCH_colstore.json for recorded numbers. Sizes above 100k are
@@ -13,8 +14,10 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -22,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/workload"
 )
@@ -159,6 +163,67 @@ func BenchmarkColstoreBuild(b *testing.B) {
 				os.Remove(path)
 			}
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkColstoreBuildCSV measures CSV registration (BuildCSV: the
+// block ingest into the segment builder, then Finish) over a NYTaxi CSV
+// file, in MB/s of CSV at one worker and at GOMAXPROCS workers, next to
+// the rate at which the same file reads into io.Discard.
+func BenchmarkColstoreBuildCSV(b *testing.B) {
+	rows := 1_600_000
+	if testing.Short() {
+		rows = 100_000
+	}
+	dir := b.TempDir()
+	csvPath := filepath.Join(dir, "nytaxi.csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	table := datagen.NYTaxi(rows, 1)
+	if err := dataset.WriteCSV(f, table); err != nil {
+		b.Fatal(err)
+	}
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err != nil || f.Close() != nil {
+		b.Fatal(err)
+	}
+	name := fmt.Sprintf("rows=%d", rows)
+	b.Run(name+"/read", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			in, err := os.Open(csvPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, in); err != nil {
+				b.Fatal(err)
+			}
+			in.Close()
+		}
+	})
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				in, err := os.Open(csvPath)
+				if err != nil {
+					b.Fatal(err)
+				}
+				seg := filepath.Join(dir, "t.seg")
+				res, err := colstore.BuildCSV(seg, table.Schema(), in)
+				in.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Rows != rows || res.FallbackRecords != 0 {
+					b.Fatalf("built %+v, want %d rows on the block path", res, rows)
+				}
+				os.Remove(seg)
+			}
 		})
 	}
 }

@@ -35,6 +35,9 @@ type Builder struct {
 	cols    []*colBuilder
 	misfits []dataset.MisfitCell
 	err     error // first failure; poisons Append and Finish
+
+	one     *dataset.Block // Append's one-row block
+	scratch []byte         // one block column's spill bytes
 }
 
 type colBuilder struct {
@@ -46,6 +49,7 @@ type colBuilder struct {
 	// exactly like dataset.NewTable so codes match heap-built tables.
 	dict  []string
 	index map[string]int32
+	remap []int32 // a block's local codes -> dict codes
 
 	// Continuous state: the missing bitmap words, plus the running
 	// frame-of-reference decision over the non-missing values (made
@@ -63,7 +67,7 @@ func NewBuilder(path string, schema *dataset.Schema) (*Builder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrIO, err)
 	}
-	b := &Builder{schema: schema, path: path, spill: spill}
+	b := &Builder{schema: schema, path: path, spill: spill, one: dataset.NewBlock(schema)}
 	for pos := 0; pos < schema.Arity(); pos++ {
 		a := schema.Attr(pos)
 		f, err := os.OpenFile(filepath.Join(spill, fmt.Sprintf("col%d", pos)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -100,9 +104,10 @@ const (
 )
 
 // Append adds one row. The tuple may be reused by the caller after the
-// call returns (StreamCSV's contract). Cell semantics match
-// dataset.Table.Append exactly, misfit cells included, so a segment built
-// from the same rows reopens as an equivalent table.
+// call returns. Cell semantics match dataset.Table.Append exactly, misfit
+// cells included, so a segment built from the same rows reopens as an
+// equivalent table. The row goes through the same block writer as a CSV
+// ingest, as a block of one.
 func (b *Builder) Append(row dataset.Tuple) error {
 	if b.err != nil {
 		return b.err
@@ -110,42 +115,72 @@ func (b *Builder) Append(row dataset.Tuple) error {
 	if len(row) != b.schema.Arity() {
 		return fmt.Errorf("colstore: tuple arity %d, schema arity %d", len(row), b.schema.Arity())
 	}
-	var scratch [8]byte
+	one := b.one
+	one.Reset()
+	one.Rows = 1
 	for pos, v := range row {
-		c := b.cols[pos]
-		if c.kind == dataset.Categorical {
+		bc := &one.Cols[pos]
+		if b.cols[pos].kind == dataset.Categorical {
 			code := nullCode
 			if s, ok := v.AsStr(); ok {
-				code = c.code(s)
+				code = 0
+				bc.Dict = append(bc.Dict, s)
 			} else if !v.IsNull() {
 				code = misfitCode
 				b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
 			}
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(code))
-			if _, err := c.w.Write(scratch[:4]); err != nil {
-				return b.fail(err)
-			}
+			bc.Codes = append(bc.Codes, code)
 			continue
 		}
-		val, missing := 0.0, true
+		val, missing := 0.0, uint64(1)
 		if n, ok := v.AsNum(); ok {
-			val, missing = n, false
-			c.frame.Add(n)
+			val, missing = n, 0
 		} else if !v.IsNull() {
 			b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
 		}
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(val))
-		if _, err := c.w.Write(scratch[:8]); err != nil {
+		bc.Vals = append(bc.Vals, val)
+		bc.Missing = append(bc.Missing, missing)
+	}
+	return b.appendBlock(one)
+}
+
+// appendBlock writes a block's rows to the spills: each block-local
+// dictionary maps onto the column's in order (so codes are the ones
+// row-at-a-time appends give), and the frame-of-reference decision folds
+// the block's values in row order.
+func (b *Builder) appendBlock(blk *dataset.Block) error {
+	if b.err != nil {
+		return b.err
+	}
+	for pos, c := range b.cols {
+		bc := &blk.Cols[pos]
+		out := b.scratch[:0]
+		if c.kind == dataset.Categorical {
+			c.remap = c.remap[:0]
+			for _, s := range bc.Dict {
+				c.remap = append(c.remap, c.code(s))
+			}
+			for _, code := range bc.Codes {
+				if code >= 0 {
+					code = c.remap[code]
+				}
+				out = binary.LittleEndian.AppendUint32(out, uint32(code))
+			}
+		} else {
+			for i, v := range bc.Vals {
+				if !bc.MissingAt(i) {
+					c.frame.Add(v)
+				}
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			}
+			c.missing = dataset.AppendBits(c.missing, b.rows, bc.Missing, blk.Rows)
+		}
+		b.scratch = out
+		if _, err := c.w.Write(out); err != nil {
 			return b.fail(err)
 		}
-		if b.rows&63 == 0 {
-			c.missing = append(c.missing, 0)
-		}
-		if missing {
-			c.missing[len(c.missing)-1] |= 1 << (uint(b.rows) & 63)
-		}
 	}
-	b.rows++
+	b.rows += blk.Rows
 	return nil
 }
 
@@ -168,6 +203,9 @@ type BuildResult struct {
 	// FileBytes is the full segment size including header, page padding
 	// and directory.
 	FileBytes int64
+	// FallbackRecords is how many of BuildCSV's records the encoding/csv
+	// arm parsed (quoted or CRLF input; dataset.IngestStats).
+	FallbackRecords int
 }
 
 // Finish assembles the segment from the spills, fsyncs it and removes the
@@ -216,15 +254,17 @@ func (b *Builder) Abort() {
 }
 
 // BuildCSV streams CSV (ReadCSV semantics) straight into a segment at
-// path with bounded memory — the disk-backed counterpart of ReadCSV.
-// Malformed CSV surfaces as the dataset package's parse error (bad
-// input); disk trouble wraps ErrIO.
+// path with bounded memory — the disk-backed counterpart of ReadCSV. The
+// rows arrive as dataset.IngestCSV's column blocks. Malformed CSV surfaces
+// as the dataset package's parse error (bad input); disk trouble wraps
+// ErrIO.
 func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, error) {
 	b, err := NewBuilder(path, schema)
 	if err != nil {
 		return nil, err
 	}
-	if err := dataset.StreamCSV(r, schema, b.Append); err != nil {
+	st, err := dataset.IngestCSV(r, schema, b.appendBlock)
+	if err != nil {
 		b.Abort()
 		// A poisoned builder means the failure was ours (spill write),
 		// not the caller's CSV.
@@ -233,7 +273,12 @@ func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, e
 		}
 		return nil, err
 	}
-	return b.Finish()
+	res, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	res.FallbackRecords = st.FallbackRecords
+	return res, nil
 }
 
 // columnSource hands writeSegment one column's payload: the spill-file
@@ -524,23 +569,47 @@ func (rp *regionPacker) finish() (region, error) {
 	return rp.r, nil
 }
 
+// spillBatch is how many spill bytes the finish pass reads and decodes at
+// a time.
+const spillBatch = 1 << 20
+
+// readSpill reads a spill of rows fixed-size little-endian cells in
+// batches of up to spillBatch bytes and hands each batch to fn with the
+// row of its first cell. The spill must hold exactly rows cells.
+func readSpill(f *os.File, rows, cell int, fn func(b []byte, row int) error) error {
+	buf := make([]byte, spillBatch)
+	for row := 0; row < rows; {
+		n := min(rows-row, spillBatch/cell)
+		b := buf[:n*cell]
+		if _, err := io.ReadFull(f, b); err != nil {
+			return err
+		}
+		if err := fn(b, row); err != nil {
+			return err
+		}
+		row += n
+	}
+	if _, err := f.Read(buf[:1]); err != io.EOF {
+		return fmt.Errorf("holds more than %d rows", rows)
+	}
+	return nil
+}
+
 // packCodesStream bitpacks a categorical spill (raw LE int32 codes) into
 // a segment region at the given lane width.
 func (sw *segWriter) packCodesStream(f *os.File, rows, width int) (region, error) {
 	rp := sw.newRegionPacker(width)
-	br := bufio.NewReaderSize(f, 1<<20)
-	var raw [4]byte
-	for i := 0; i < rows; i++ {
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return rp.r, fmt.Errorf("codes spill: %w", err)
+	err := readSpill(f, rows, 4, func(b []byte, _ int) error {
+		for i := 0; i < len(b); i += 4 {
+			code := int32(binary.LittleEndian.Uint32(b[i:]))
+			if err := rp.add(uint64(int64(code) + dataset.PackedCodeBias)); err != nil {
+				return err
+			}
 		}
-		code := int32(binary.LittleEndian.Uint32(raw[:]))
-		if err := rp.add(uint64(int64(code) + dataset.PackedCodeBias)); err != nil {
-			return rp.r, err
-		}
-	}
-	if _, err := br.Read(raw[:1]); err != io.EOF {
-		return rp.r, fmt.Errorf("codes spill holds more than %d rows", rows)
+		return nil
+	})
+	if err != nil {
+		return rp.r, fmt.Errorf("codes spill: %w", err)
 	}
 	return rp.finish()
 }
@@ -551,27 +620,25 @@ func (sw *segWriter) packCodesStream(f *os.File, rows, width int) (region, error
 // rather than be written as a neighbour.
 func (sw *segWriter) packValsStream(f *os.File, rows int, frame *dataset.PackedFloats, missing []uint64) (region, error) {
 	rp := sw.newRegionPacker(frame.Ints.Width)
-	br := bufio.NewReaderSize(f, 1<<20)
-	var raw [8]byte
-	for i := 0; i < rows; i++ {
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return rp.r, fmt.Errorf("values spill: %w", err)
-		}
-		lane := uint64(0)
-		if missing[i>>6]&(1<<(uint(i)&63)) == 0 {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-			var ok bool
-			if lane, ok = frame.LaneOf(v); !ok {
-				return rp.r, fmt.Errorf("row %d: %v does not round-trip through base %v, exponent %d, width %d",
-					i, v, frame.Min, frame.Exp, frame.Ints.Width)
+	err := readSpill(f, rows, 8, func(b []byte, row int) error {
+		for i := row; len(b) > 0; i, b = i+1, b[8:] {
+			lane := uint64(0)
+			if missing[i>>6]&(1<<(uint(i)&63)) == 0 {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+				var ok bool
+				if lane, ok = frame.LaneOf(v); !ok {
+					return fmt.Errorf("row %d: %v does not round-trip through base %v, exponent %d, width %d",
+						i, v, frame.Min, frame.Exp, frame.Ints.Width)
+				}
+			}
+			if err := rp.add(lane); err != nil {
+				return err
 			}
 		}
-		if err := rp.add(lane); err != nil {
-			return rp.r, err
-		}
-	}
-	if _, err := br.Read(raw[:1]); err != io.EOF {
-		return rp.r, fmt.Errorf("values spill holds more than %d rows", rows)
+		return nil
+	})
+	if err != nil {
+		return rp.r, fmt.Errorf("values spill: %w", err)
 	}
 	return rp.finish()
 }

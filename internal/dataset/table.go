@@ -119,6 +119,33 @@ func (t *Table) Append(row Tuple) error {
 	return nil
 }
 
+// appendBlock appends a block of CSV records: each block-local dictionary
+// maps onto the column's in order, so codes are those row-at-a-time
+// appends would have given. CSV blocks hold no kind-mismatched cells.
+func (t *Table) appendBlock(b *Block) {
+	var remap []int32
+	for pos, bc := range b.Cols {
+		if c := t.cats[pos]; c != nil {
+			remap = remap[:0]
+			for _, s := range bc.Dict {
+				remap = append(remap, c.code(s))
+			}
+			for _, code := range bc.Codes {
+				if code >= 0 {
+					code = remap[code]
+				}
+				c.codes = append(c.codes, code)
+			}
+			continue
+		}
+		c := t.nums[pos]
+		c.vals = append(c.vals, bc.Vals...)
+		c.missing.words = AppendBits(c.missing.words, c.missing.n, bc.Missing, b.Rows)
+		c.missing.n += b.Rows
+	}
+	t.n += b.Rows
+}
+
 // MustAppend is Append that panics on error.
 func (t *Table) MustAppend(row Tuple) {
 	if err := t.Append(row); err != nil {

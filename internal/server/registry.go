@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -521,7 +522,7 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 		tx.Abort()
 		return nil, err
 	}
-	_, err = colstore.BuildCSV(tx.SegmentPath(), schema, src)
+	built, err := colstore.BuildCSV(tx.SegmentPath(), schema, src)
 	src.Close()
 	if err != nil {
 		tx.Abort()
@@ -531,6 +532,10 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 			return nil, fmt.Errorf("%w: %v", ErrStoreFailed, err)
 		}
 		return nil, err
+	}
+	if built.FallbackRecords > 0 {
+		log.Printf("server: dataset %q: %d of %d records parsed by the quoted-CSV fallback (encoding/csv, one goroutine)",
+			name, built.FallbackRecords, built.Rows)
 	}
 	// Pass 2: the source CSV, byte-exact, for audit and fallback.
 	src, err = openCSV()

@@ -129,6 +129,24 @@ func TestDatasetEndpoints(t *testing.T) {
 	}
 }
 
+// TestAddDatasetRefusesDuplicateHeader: a CSV header naming a column twice
+// is the owner's bad input — a 400 naming the column, memory-only and
+// durable alike — not a 500, and nothing is registered.
+func TestAddDatasetRefusesDuplicateHeader(t *testing.T) {
+	durable, _, _, _ := startDurableServer(t, t.TempDir())
+	for name, c := range map[string]*client.Client{"memory": newTestServer(t, server.Config{}), "durable": durable} {
+		_, err := c.AddDataset(server.AddDatasetRequest{Name: "dup", Schema: peopleSchema(t), CSV: "age,state,age\n1,CA,2\n"})
+		var apiErr *client.APIError
+		if !isAPIError(err, 400, server.CodeBadRequest) || !errors.As(err, &apiErr) ||
+			!strings.Contains(apiErr.Message, `CSV column "age" appears twice in the header`) {
+			t.Fatalf("%s: duplicate header column: %v", name, err)
+		}
+		if _, err := c.Dataset("dup"); !isAPIError(err, 404, server.CodeNotFound) {
+			t.Fatalf("%s: refused dataset is visible: %v", name, err)
+		}
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	c := newTestServer(t, server.Config{AllowSeeds: true})
 
