@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/datagen"
@@ -170,7 +171,8 @@ func BenchmarkColstoreBuild(b *testing.B) {
 // BenchmarkColstoreBuildCSV measures CSV registration (BuildCSV: the
 // block ingest into the segment builder, then Finish) over a NYTaxi CSV
 // file, in MB/s of CSV at one worker and at GOMAXPROCS workers, next to
-// the rate at which the same file reads into io.Discard.
+// the rate at which the same file reads into io.Discard. The ingest and
+// Finish (pack) wall times are reported apart.
 func BenchmarkColstoreBuildCSV(b *testing.B) {
 	rows := 1_600_000
 	if testing.Short() {
@@ -208,6 +210,7 @@ func BenchmarkColstoreBuildCSV(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.SetBytes(size)
+			var ingest, pack time.Duration
 			for i := 0; i < b.N; i++ {
 				in, err := os.Open(csvPath)
 				if err != nil {
@@ -222,8 +225,12 @@ func BenchmarkColstoreBuildCSV(b *testing.B) {
 				if res.Rows != rows || res.FallbackRecords != 0 {
 					b.Fatalf("built %+v, want %d rows on the block path", res, rows)
 				}
+				ingest += res.Ingest
+				pack += res.Pack
 				os.Remove(seg)
 			}
+			b.ReportMetric(ingest.Seconds()*1e3/float64(b.N), "ingest-ms/op")
+			b.ReportMetric(pack.Seconds()*1e3/float64(b.N), "pack-ms/op")
 		})
 	}
 }

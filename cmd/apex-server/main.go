@@ -175,9 +175,9 @@ func main() {
 		if err := reg.LoadFiles(name, csvPath, schemaPath); err != nil {
 			log.Fatalf("apex-server: %v", err)
 		}
-		t, _ := reg.Get(name)
-		log.Printf("apex-server: dataset %q loaded: %d rows, %d attributes",
-			name, t.Size(), t.Schema().Arity())
+		ds, _ := reg.Dataset(name)
+		log.Printf("apex-server: dataset %q loaded: %d rows, %d attributes, took %s (%s)",
+			name, ds.Table.Size(), ds.Table.Schema().Arity(), ds.Load.Took.Round(time.Microsecond), ds.Load)
 	}
 	if len(reg.Names()) == 0 {
 		log.Printf("apex-server: starting with no datasets; register them via POST /v1/datasets")

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/durable"
@@ -19,9 +22,16 @@ import (
 // Builder streams rows into a segment file with bounded memory: the big
 // per-row regions (codes, values) spill to temp files next to the output
 // as they arrive, while only the small state — dictionaries, missing
-// bitmaps (1 bit per row) and the rare misfit cells — stays in memory.
-// Finish assembles the final segment in one sequential pass over the
-// spills and fsyncs it; a 10M-row ingest never materializes a table.
+// bitmaps (1 bit per row), each continuous column's frame-of-reference
+// decision and the rare misfit cells — stays in memory. A continuous
+// column spills integers: each block's values at the column's decimal
+// exponent of the moment, as the ingest folded them from the parsed
+// digits, or float64 bits once the column has gone raw. Finish plans the
+// whole layout first — every region's length follows from the row count,
+// the lane widths, the dictionaries and the bitmaps — then packs the
+// columns on GOMAXPROCS workers, each writing its regions at their planned
+// offsets, and fsyncs the file; a 10M-row ingest never materializes a
+// table.
 //
 // The builder writes directly at the given path and the file is complete
 // only after Finish returns nil; callers wanting atomicity build inside a
@@ -51,12 +61,31 @@ type colBuilder struct {
 	index map[string]int32
 	remap []int32 // a block's local codes -> dict codes
 
-	// Continuous state: the missing bitmap words, plus the running
-	// frame-of-reference decision over the non-missing values (made
-	// cheaply during Append so Finish can pack the spill in one streaming
-	// pass without a pre-scan).
+	// Continuous state: the missing bitmap words, the frame-of-reference
+	// decision merged from the blocks' frames in chunk order, and the
+	// spill's runs.
 	missing []uint64
 	frame   dataset.FoRFrame
+	runs    []spillRun
+}
+
+// spillRun is a stretch of consecutive rows of a continuous spill in one
+// form: integers at decimal exponent exp (the values times 10^exp, 0 where
+// missing), or float64 bits when exp is rawRun. The column's exponent only
+// rises and a raw column stays raw, so a spill has at most
+// MaxDecimalExp+2 runs.
+type spillRun struct {
+	rows, exp int
+}
+
+const rawRun = -1
+
+func (c *colBuilder) addRun(exp, rows int) {
+	if n := len(c.runs); n > 0 && c.runs[n-1].exp == exp {
+		c.runs[n-1].rows += rows
+		return
+	}
+	c.runs = append(c.runs, spillRun{rows: rows, exp: exp})
 }
 
 // NewBuilder opens a builder that will write the segment at path. The
@@ -132,22 +161,25 @@ func (b *Builder) Append(row dataset.Tuple) error {
 			bc.Codes = append(bc.Codes, code)
 			continue
 		}
-		val, missing := 0.0, uint64(1)
+		bc.Missing = append(bc.Missing, 0)
 		if n, ok := v.AsNum(); ok {
-			val, missing = n, 0
-		} else if !v.IsNull() {
+			bc.AppendValue(n)
+			continue
+		}
+		if !v.IsNull() {
 			b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
 		}
-		bc.Vals = append(bc.Vals, val)
-		bc.Missing = append(bc.Missing, missing)
+		bc.AppendMissing(0)
 	}
 	return b.appendBlock(one)
 }
 
 // appendBlock writes a block's rows to the spills: each block-local
 // dictionary maps onto the column's in order (so codes are the ones
-// row-at-a-time appends give), and the frame-of-reference decision folds
-// the block's values in row order.
+// row-at-a-time appends give), and each block's frame merges into the
+// column's (the same decision a value-by-value fold reaches; see
+// dataset.FoRFrame). While the column packs, the block's scaled integers
+// spill at the column's exponent; once it is raw, the float64 bits.
 func (b *Builder) appendBlock(blk *dataset.Block) error {
 	if b.err != nil {
 		return b.err
@@ -167,12 +199,21 @@ func (b *Builder) appendBlock(blk *dataset.Block) error {
 				out = binary.LittleEndian.AppendUint32(out, uint32(code))
 			}
 		} else {
-			for i, v := range bc.Vals {
-				if !bc.MissingAt(i) {
-					c.frame.Add(v)
+			c.frame.Merge(&bc.Frame)
+			exp, packed := c.frame.Exp()
+			if packed {
+				bexp, _ := bc.Frame.Exp()
+				mul := dataset.DecimalScale(exp - bexp)
+				for _, n := range bc.Scaled {
+					out = binary.LittleEndian.AppendUint64(out, uint64(n*mul))
 				}
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			} else {
+				exp = rawRun
+				for _, v := range bc.Vals {
+					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+				}
 			}
+			c.addRun(exp, blk.Rows)
 			c.missing = dataset.AppendBits(c.missing, b.rows, bc.Missing, blk.Rows)
 		}
 		b.scratch = out
@@ -206,6 +247,9 @@ type BuildResult struct {
 	// FallbackRecords is how many of BuildCSV's records the encoding/csv
 	// arm parsed (quoted or CRLF input; dataset.IngestStats).
 	FallbackRecords int
+	// Ingest is how long BuildCSV spent parsing the CSV into the spills,
+	// and Pack how long Finish took: planning, packing and the fsync.
+	Ingest, Pack time.Duration
 }
 
 // Finish assembles the segment from the spills, fsyncs it and removes the
@@ -216,6 +260,7 @@ func (b *Builder) Finish() (*BuildResult, error) {
 		return nil, b.err
 	}
 	defer b.Abort() // releases spills; the output only on failure
+	start := time.Now()
 	for _, c := range b.cols {
 		if err := c.w.Flush(); err != nil {
 			return nil, b.fail(err)
@@ -228,13 +273,14 @@ func (b *Builder) Finish() (*BuildResult, error) {
 
 	var res *BuildResult
 	err := durable.WriteFile(b.path, func(out *os.File) (err error) {
-		res, err = b.writeSegment(newSegWriter(out))
+		res, err = b.writeSegment(out)
 		return err
 	})
 	if err != nil {
 		return nil, b.fail(err)
 	}
 	b.err = fmt.Errorf("colstore: builder already finished")
+	res.Pack = time.Since(start)
 	return res, nil
 }
 
@@ -259,6 +305,7 @@ func (b *Builder) Abort() {
 // as the dataset package's parse error (bad input); disk trouble wraps
 // ErrIO.
 func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, error) {
+	start := time.Now()
 	b, err := NewBuilder(path, schema)
 	if err != nil {
 		return nil, err
@@ -273,131 +320,51 @@ func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, e
 		}
 		return nil, err
 	}
+	ingest := time.Since(start)
 	res, err := b.Finish()
 	if err != nil {
 		return nil, err
 	}
 	res.FallbackRecords = st.FallbackRecords
+	res.Ingest = ingest
 	return res, nil
 }
 
-// columnSource hands writeSegment one column's payload: the spill-file
-// stream of raw little-endian codes or values, the small state the builder
-// kept in memory (dictionary, missing bitmap), and the frame-of-reference
-// decision Append reached, so the streaming pass knows the encoding up
-// front.
-type columnSource struct {
-	kind   dataset.AttrKind
-	stream *os.File // raw LE int32 codes / float64 values, one per row
-
-	dict    []string
-	missing []uint64
-
-	// Frame-of-reference decision (continuous only): the frame every
-	// spilled value round-trips through, nil when there is none and the
-	// column stays raw float64.
-	packing *dataset.PackedFloats
+// colJob is one column's share of Finish: its directory entry, whose
+// regions the plan has placed, and what packs them.
+type colJob struct {
+	pos     int
+	dc      *dirColumn
+	dict    []byte   // categorical: the encoded dictionary
+	missing []uint64 // continuous: the bitmap, ⌈rows/64⌉ words
+	frame   *dataset.PackedFloats
+	runs    []spillRun
 }
 
-// source opens column pos's spill for the assembly pass.
-func (b *Builder) source(pos int) (columnSource, error) {
-	c := b.cols[pos]
-	f, err := os.Open(filepath.Join(b.spill, fmt.Sprintf("col%d", pos)))
-	if err != nil {
-		return columnSource{}, err
-	}
-	src := columnSource{kind: c.kind, stream: f}
-	if c.kind == dataset.Categorical {
-		src.dict = c.dict
-		return src, nil
-	}
-	src.missing = c.missing
-	if p, ok := c.frame.Packing(); ok {
-		src.packing = &p
-	}
-	return src, nil
-}
-
-// writeSegment lays the file out: header placeholder, page-aligned column
-// regions, misfit blob, directory, then the real header. It writes format
-// v2 and nothing else: categorical codes bitpack, continuous columns of
-// short decimals frame-of-reference pack ("for" at exponent 0, "for10"
-// above), the rest stay raw float64 (marked in the directory).
-func (b *Builder) writeSegment(sw *segWriter) (*BuildResult, error) {
-	schema, rows := b.schema, b.rows
-	if err := sw.writeRaw(make([]byte, headerSize)); err != nil {
-		return nil, err
-	}
-	var dataBytes int64
-	dir := directory{Rows: rows}
-	schemaJSON, err := json.Marshal(schema)
+// writeSegment writes format v2 and nothing else: categorical codes
+// bitpack, continuous columns of short decimals frame-of-reference pack
+// ("for" at exponent 0, "for10" above), the rest stay raw float64 (marked
+// in the directory). It lays the file out first — header, page-aligned
+// column regions, misfit blob, directory — packs the columns in parallel
+// at their planned offsets, then writes the misfit blob, the directory
+// and the header.
+func (b *Builder) writeSegment(f *os.File) (*BuildResult, error) {
+	schemaJSON, err := json.Marshal(b.schema)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: schema: %w", err)
 	}
-	dir.Schema = schemaJSON
-
-	for pos := 0; pos < schema.Arity(); pos++ {
-		src, err := b.source(pos)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: column %d: %w", pos, err)
+	dir := directory{Rows: b.rows, Schema: schemaJSON}
+	jobs, off := b.plan(&dir)
+	if err := b.packColumns(f, jobs); err != nil {
+		return nil, err
+	}
+	var dataBytes int64
+	for _, dc := range dir.Columns {
+		for _, r := range []*region{dc.Codes, dc.Dict, dc.Vals, dc.Missing} {
+			if r != nil {
+				dataBytes += int64(r.Len)
+			}
 		}
-		a := schema.Attr(pos)
-		dc := dirColumn{Name: a.Name, Kind: kindString(src.kind)}
-		if err := sw.padTo(pageAlign); err != nil {
-			src.stream.Close()
-			return nil, err
-		}
-		if src.kind == dataset.Categorical {
-			dc.Enc, dc.Width = encBitpack, dataset.PackedCodeWidth(len(src.dict))
-			r, err := sw.packCodesStream(src.stream, rows, dc.Width)
-			src.stream.Close()
-			if err != nil {
-				return nil, fmt.Errorf("colstore: column %d codes: %w", pos, err)
-			}
-			dc.Codes = &r
-			if err := sw.padTo(8); err != nil {
-				return nil, err
-			}
-			dictR, err := sw.writeRegion(encodeDict(src.dict))
-			if err != nil {
-				return nil, fmt.Errorf("colstore: column %d dictionary: %w", pos, err)
-			}
-			dc.Dict = &dictR
-			dataBytes += int64(r.Len) + int64(dictR.Len)
-		} else {
-			words := src.missing
-			if want := (rows + 63) >> 6; len(words) != want {
-				// A zero-row or short bitmap from the builder; normalize.
-				norm := make([]uint64, want)
-				copy(norm, words)
-				words = norm
-			}
-			var r region
-			if p := src.packing; p != nil {
-				dc.Enc, dc.Width, dc.Min, dc.Exp = encFoR, p.Ints.Width, &p.Min, p.Exp
-				if p.Exp > 0 {
-					dc.Enc = encFoR10
-				}
-				r, err = sw.packValsStream(src.stream, rows, p, words)
-			} else {
-				r, err = sw.copyStream(src.stream, int64(rows)*8)
-			}
-			src.stream.Close()
-			if err != nil {
-				return nil, fmt.Errorf("colstore: column %d values: %w", pos, err)
-			}
-			dc.Vals = &r
-			if err := sw.padTo(8); err != nil {
-				return nil, err
-			}
-			missR, err := sw.writeUint64s(words)
-			if err != nil {
-				return nil, fmt.Errorf("colstore: column %d missing bitmap: %w", pos, err)
-			}
-			dc.Missing = &missR
-			dataBytes += int64(r.Len) + int64(missR.Len)
-		}
-		dir.Columns = append(dir.Columns, dc)
 	}
 
 	if len(b.misfits) > 0 {
@@ -405,255 +372,346 @@ func (b *Builder) writeSegment(sw *segWriter) (*BuildResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sw.padTo(8); err != nil {
+		r := &region{Off: alignUp(off, 8), Len: uint64(len(blob))}
+		if err := writeRegionAt(f, r, blob); err != nil {
 			return nil, err
 		}
-		r, err := sw.writeRegion(blob)
-		if err != nil {
-			return nil, err
-		}
-		dir.Misfits = &r
+		dir.Misfits = r
 		dataBytes += int64(r.Len)
+		off = r.Off + r.Len
 	}
 
 	dirJSON, err := json.Marshal(&dir)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: directory: %w", err)
 	}
-	if err := sw.padTo(8); err != nil {
+	dirOff := alignUp(off, 8)
+	if _, err := f.WriteAt(dirJSON, int64(dirOff)); err != nil {
 		return nil, err
 	}
-	dirOff := sw.off
-	if err := sw.writeRaw(dirJSON); err != nil {
-		return nil, err
-	}
-	if err := sw.flush(); err != nil {
-		return nil, err
-	}
-
 	h := header{
 		version:  CurrentVersion,
-		rows:     uint64(rows),
-		cols:     uint32(schema.Arity()),
+		rows:     uint64(b.rows),
+		cols:     uint32(b.schema.Arity()),
 		dirOff:   dirOff,
 		dirLen:   uint64(len(dirJSON)),
 		dirCRC:   crc32.Checksum(dirJSON, castagnoli),
-		fileSize: sw.off,
+		fileSize: dirOff + uint64(len(dirJSON)),
 	}
-	if _, err := sw.f.WriteAt(h.encode(), 0); err != nil {
+	if _, err := f.WriteAt(h.encode(), 0); err != nil {
 		return nil, fmt.Errorf("colstore: header: %w", err)
 	}
-	return &BuildResult{Rows: rows, DataBytes: dataBytes, FileBytes: int64(sw.off)}, nil
+	return &BuildResult{Rows: b.rows, DataBytes: dataBytes, FileBytes: int64(h.fileSize)}, nil
 }
 
-// segWriter tracks the write offset and computes per-region CRCs.
-type segWriter struct {
-	f   *os.File
-	w   *bufio.Writer
-	off uint64
+func alignUp(off, align uint64) uint64 { return (off + align - 1) / align * align }
+
+// plan fills in the directory's column entries — encodings and every
+// region's offset and length, the CRCs still to come — and returns the
+// columns' jobs and the offset the column regions end at. Codes and packed
+// values take PackedWordCount(rows, width)·8 bytes, raw values rows·8,
+// dictionaries and missing bitmaps their bytes; each column starts on a
+// page.
+func (b *Builder) plan(dir *directory) ([]colJob, uint64) {
+	rows := b.rows
+	off := uint64(headerSize)
+	place := func(align uint64, n int) *region {
+		r := &region{Off: alignUp(off, align), Len: uint64(n)}
+		off = r.Off + r.Len
+		return r
+	}
+	dir.Columns = make([]dirColumn, len(b.cols))
+	jobs := make([]colJob, len(b.cols))
+	for pos, c := range b.cols {
+		dc := &dir.Columns[pos]
+		*dc = dirColumn{Name: b.schema.Attr(pos).Name, Kind: kindString(c.kind)}
+		j := &jobs[pos]
+		*j = colJob{pos: pos, dc: dc, runs: c.runs}
+		if c.kind == dataset.Categorical {
+			dc.Enc, dc.Width = encBitpack, dataset.PackedCodeWidth(len(c.dict))
+			j.dict = encodeDict(c.dict)
+			dc.Codes = place(pageAlign, dataset.PackedWordCount(rows, dc.Width)*8)
+			dc.Dict = place(8, len(j.dict))
+			continue
+		}
+		j.missing = c.missing
+		if want := (rows + 63) >> 6; len(j.missing) != want {
+			// A zero-row or short bitmap from the builder; normalize.
+			j.missing = make([]uint64, want)
+			copy(j.missing, c.missing)
+		}
+		valLen := rows * 8
+		if p, ok := c.frame.Packing(); ok {
+			j.frame = &p
+			dc.Enc, dc.Width, dc.Min, dc.Exp = encFoR, p.Ints.Width, &p.Min, p.Exp
+			if p.Exp > 0 {
+				dc.Enc = encFoR10
+			}
+			valLen = dataset.PackedWordCount(rows, p.Ints.Width) * 8
+		}
+		dc.Vals = place(pageAlign, valLen)
+		dc.Missing = place(8, len(j.missing)*8)
+	}
+	return jobs, off
 }
 
-func newSegWriter(f *os.File) *segWriter {
-	return &segWriter{f: f, w: bufio.NewWriterSize(f, 1<<20)}
-}
+// spillBatch bounds the bytes Finish holds in flight: the workers' spill
+// buffers together take at most spillBatch, and so do their pack buffers.
+const spillBatch = 1 << 20
 
-func (sw *segWriter) writeRaw(b []byte) error {
-	n, err := sw.w.Write(b)
-	sw.off += uint64(n)
-	return err
-}
-
-func (sw *segWriter) padTo(align uint64) error {
-	if rem := sw.off % align; rem != 0 {
-		return sw.writeRaw(make([]byte, align-rem))
+// packColumns packs every column's regions at their planned offsets on
+// GOMAXPROCS workers (at most one per column), each reusing one spill
+// buffer and one pack buffer. A failing column stops the workers and
+// fails the build.
+func (b *Builder) packColumns(f *os.File, jobs []colJob) error {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	size := max(spillBatch/max(workers, 1), 64<<10) &^ 7
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			p := &packer{f: f, spill: make([]byte, size), buf: make([]byte, 0, size)}
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				if errs[i] = b.packColumn(p, &jobs[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// writeRegion writes b as one checksummed region.
-func (sw *segWriter) writeRegion(b []byte) (region, error) {
-	r := region{Off: sw.off, Len: uint64(len(b)), CRC: crc32.Checksum(b, castagnoli)}
-	return r, sw.writeRaw(b)
-}
-
-// copyStream copies a spill file (already little-endian bytes) into the
-// segment, checksumming on the way through a bounded buffer.
-func (sw *segWriter) copyStream(f *os.File, wantLen int64) (region, error) {
-	r := region{Off: sw.off}
-	crc := crc32.New(castagnoli)
-	buf := make([]byte, 1<<20)
-	var n int64
-	for {
-		k, err := f.Read(buf)
-		if k > 0 {
-			crc.Write(buf[:k])
-			if werr := sw.writeRaw(buf[:k]); werr != nil {
-				return r, werr
-			}
-			n += int64(k)
+// packColumn writes one column's regions and fills in their CRCs.
+func (b *Builder) packColumn(p *packer, j *colJob) error {
+	sf, err := os.Open(filepath.Join(b.spill, fmt.Sprintf("col%d", j.pos)))
+	if err != nil {
+		return fmt.Errorf("colstore: column %d: %w", j.pos, err)
+	}
+	defer sf.Close()
+	dc := j.dc
+	if dc.Codes != nil {
+		if err := p.packCodes(sf, b.rows, dc); err != nil {
+			return fmt.Errorf("colstore: column %d codes: %w", j.pos, err)
 		}
-		if err == io.EOF {
-			break
+		if err := writeRegionAt(p.f, dc.Dict, j.dict); err != nil {
+			return fmt.Errorf("colstore: column %d dictionary: %w", j.pos, err)
 		}
-		if err != nil {
-			return r, err
+		return nil
+	}
+	if err := p.packVals(sf, b.rows, j); err != nil {
+		return fmt.Errorf("colstore: column %d values: %w", j.pos, err)
+	}
+	words := bytesOfUint64s(j.missing)
+	if !hostLittleEndian {
+		words = make([]byte, len(j.missing)*8)
+		for i, x := range j.missing {
+			binary.LittleEndian.PutUint64(words[i*8:], x)
 		}
 	}
-	if n != wantLen {
-		return r, fmt.Errorf("spill holds %d bytes, want %d", n, wantLen)
+	if err := writeRegionAt(p.f, dc.Missing, words); err != nil {
+		return fmt.Errorf("colstore: column %d missing bitmap: %w", j.pos, err)
 	}
-	r.Len = uint64(n)
-	r.CRC = crc.Sum32()
-	return r, nil
+	return nil
 }
 
-// regionPacker accumulates fixed-width lanes into no-straddle words and
-// streams them out as one checksummed region through a bounded buffer —
-// the write-side twin of dataset.PackedInts, shaped for the builder's
-// spill-to-segment pass so packing never materializes a column.
-type regionPacker struct {
-	sw    *segWriter
+// writeRegionAt writes data as region r, whose length the plan fixed, and
+// sets its CRC.
+func writeRegionAt(f *os.File, r *region, data []byte) error {
+	if uint64(len(data)) != r.Len {
+		return fmt.Errorf("colstore: region of %d bytes, planned %d", len(data), r.Len)
+	}
+	r.CRC = crc32.Checksum(data, castagnoli)
+	_, err := f.WriteAt(data, int64(r.Off))
+	return err
+}
+
+// packer writes one region at a time at its planned place through a
+// reused buffer, checksumming on the way: lanes packed into no-straddle
+// words at a fixed width (the write-side twin of dataset.PackedInts), or
+// whole words, or bytes. A region that would run past its planned length,
+// or ends short of it, fails.
+type packer struct {
+	f     *os.File
+	spill []byte // the worker's spill read buffer
+	buf   []byte // the worker's pack buffer; cap a multiple of 8
+	r     *region
+	off   uint64 // where buf's first byte goes
+	crc   uint32
+	err   error // sticky for the region
+
 	width uint
 	lpw   int
 	cur   uint64
 	lane  int
-	buf   []byte
-	crc   hash.Hash32
-	r     region
 }
 
-func (sw *segWriter) newRegionPacker(width int) *regionPacker {
-	return &regionPacker{
-		sw: sw, width: uint(width), lpw: 64 / width,
-		buf: make([]byte, 0, 1<<20), crc: crc32.New(castagnoli),
-		r: region{Off: sw.off},
+func (p *packer) begin(r *region, width int) {
+	p.r, p.off, p.crc, p.err = r, r.Off, 0, nil
+	p.width, p.lpw, p.cur, p.lane = uint(width), 64/width, 0, 0
+	p.buf = p.buf[:0]
+}
+
+func (p *packer) add(lane uint64) {
+	p.cur |= lane << (uint(p.lane) * p.width)
+	if p.lane++; p.lane == p.lpw {
+		p.word(p.cur)
+		p.cur, p.lane = 0, 0
 	}
 }
 
-func (rp *regionPacker) add(lane uint64) error {
-	rp.cur |= lane << (uint(rp.lane) * rp.width)
-	rp.lane++
-	if rp.lane == rp.lpw {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], rp.cur)
-		rp.buf = append(rp.buf, b[:]...)
-		rp.cur, rp.lane = 0, 0
-		if len(rp.buf) >= 1<<20 {
-			return rp.flushBuf()
+func (p *packer) word(x uint64) {
+	p.buf = binary.LittleEndian.AppendUint64(p.buf, x)
+	if len(p.buf) == cap(p.buf) {
+		p.flush()
+	}
+}
+
+func (p *packer) write(b []byte) {
+	for len(b) > 0 {
+		n := copy(p.buf[len(p.buf):cap(p.buf)], b)
+		p.buf, b = p.buf[:len(p.buf)+n], b[n:]
+		if len(p.buf) == cap(p.buf) {
+			p.flush()
 		}
 	}
-	return nil
 }
 
-func (rp *regionPacker) flushBuf() error {
-	if len(rp.buf) == 0 {
-		return nil
+func (p *packer) flush() {
+	if p.err == nil && len(p.buf) > 0 {
+		end := p.off + uint64(len(p.buf))
+		if end > p.r.Off+p.r.Len {
+			p.err = fmt.Errorf("packs past its planned %d bytes", p.r.Len)
+		} else if _, err := p.f.WriteAt(p.buf, int64(p.off)); err != nil {
+			p.err = err
+		} else {
+			p.crc = crc32.Update(p.crc, castagnoli, p.buf)
+			p.off = end
+		}
 	}
-	rp.crc.Write(rp.buf)
-	err := rp.sw.writeRaw(rp.buf)
-	rp.r.Len += uint64(len(rp.buf))
-	rp.buf = rp.buf[:0]
-	return err
+	p.buf = p.buf[:0]
 }
 
-func (rp *regionPacker) finish() (region, error) {
-	if rp.lane > 0 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], rp.cur)
-		rp.buf = append(rp.buf, b[:]...)
+// finish writes out the last partial word and sets the region's CRC.
+func (p *packer) finish() error {
+	if p.lane > 0 {
+		p.word(p.cur)
 	}
-	if err := rp.flushBuf(); err != nil {
-		return rp.r, err
+	p.flush()
+	if p.err == nil && p.off != p.r.Off+p.r.Len {
+		p.err = fmt.Errorf("packs %d bytes, planned %d", p.off-p.r.Off, p.r.Len)
 	}
-	rp.r.CRC = rp.crc.Sum32()
-	return rp.r, nil
+	p.r.CRC = p.crc
+	return p.err
 }
 
-// spillBatch is how many spill bytes the finish pass reads and decodes at
-// a time.
-const spillBatch = 1 << 20
-
-// readSpill reads a spill of rows fixed-size little-endian cells in
-// batches of up to spillBatch bytes and hands each batch to fn with the
-// row of its first cell. The spill must hold exactly rows cells.
-func readSpill(f *os.File, rows, cell int, fn func(b []byte, row int) error) error {
-	buf := make([]byte, spillBatch)
+// readSpill reads a spill of rows fixed-size little-endian cells into the
+// packer's spill buffer, a batch at a time, and hands each batch to fn
+// with the row of its first cell. The spill must hold exactly rows cells.
+func (p *packer) readSpill(f *os.File, rows, cell int, fn func(b []byte, row int)) error {
 	for row := 0; row < rows; {
-		n := min(rows-row, spillBatch/cell)
-		b := buf[:n*cell]
+		n := min(rows-row, len(p.spill)/cell)
+		b := p.spill[:n*cell]
 		if _, err := io.ReadFull(f, b); err != nil {
-			return err
+			return fmt.Errorf("spill of %d rows: %w", rows, err)
 		}
-		if err := fn(b, row); err != nil {
-			return err
+		fn(b, row)
+		if p.err != nil {
+			return p.err
 		}
 		row += n
 	}
-	if _, err := f.Read(buf[:1]); err != io.EOF {
-		return fmt.Errorf("holds more than %d rows", rows)
+	if _, err := f.Read(p.spill[:1]); err != io.EOF {
+		return fmt.Errorf("spill holds more than %d rows", rows)
 	}
 	return nil
 }
 
-// packCodesStream bitpacks a categorical spill (raw LE int32 codes) into
-// a segment region at the given lane width.
-func (sw *segWriter) packCodesStream(f *os.File, rows, width int) (region, error) {
-	rp := sw.newRegionPacker(width)
-	err := readSpill(f, rows, 4, func(b []byte, _ int) error {
+// packCodes bitpacks a categorical spill (LE int32 codes) into dc.Codes.
+func (p *packer) packCodes(f *os.File, rows int, dc *dirColumn) error {
+	p.begin(dc.Codes, dc.Width)
+	err := p.readSpill(f, rows, 4, func(b []byte, _ int) {
 		for i := 0; i < len(b); i += 4 {
 			code := int32(binary.LittleEndian.Uint32(b[i:]))
-			if err := rp.add(uint64(int64(code) + dataset.PackedCodeBias)); err != nil {
-				return err
-			}
+			p.add(uint64(int64(code) + dataset.PackedCodeBias))
 		}
-		return nil
 	})
 	if err != nil {
-		return rp.r, fmt.Errorf("codes spill: %w", err)
+		return err
 	}
-	return rp.finish()
+	return p.finish()
 }
 
-// packValsStream frame-of-reference packs a continuous spill (raw LE
-// float64s) into the given frame; rows whose missing bit is set pack as
-// lane 0. A value the frame cannot give back bit for bit fails the build
-// rather than be written as a neighbour.
-func (sw *segWriter) packValsStream(f *os.File, rows int, frame *dataset.PackedFloats, missing []uint64) (region, error) {
-	rp := sw.newRegionPacker(frame.Ints.Width)
-	err := readSpill(f, rows, 8, func(b []byte, row int) error {
-		for i := row; len(b) > 0; i, b = i+1, b[8:] {
-			lane := uint64(0)
-			if missing[i>>6]&(1<<(uint(i)&63)) == 0 {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(b))
-				var ok bool
-				if lane, ok = frame.LaneOf(v); !ok {
-					return fmt.Errorf("row %d: %v does not round-trip through base %v, exponent %d, width %d",
-						i, v, frame.Min, frame.Exp, frame.Ints.Width)
+// packVals writes a continuous spill into dc.Vals. A packed column's lane
+// is its scaled integer moved up to the frame's exponent less the base —
+// integer arithmetic only; rows whose missing bit is set pack as lane 0,
+// and a lane outside the frame's width fails the build rather than be
+// written as a neighbour. A raw column copies float64 bits and turns its
+// integer runs back into the float64s they stand for, bit for bit: each
+// is n/10^exp at an exponent where the value round-trips.
+func (p *packer) packVals(f *os.File, rows int, j *colJob) error {
+	fr := j.frame
+	width := 64
+	if fr != nil {
+		width = fr.Ints.Width
+	}
+	p.begin(j.dc.Vals, width)
+	ri, left := 0, 0
+	err := p.readSpill(f, rows, 8, func(b []byte, row int) {
+		for len(b) > 0 && p.err == nil {
+			for left == 0 {
+				left = j.runs[ri].rows
+				ri++
+			}
+			exp := j.runs[ri-1].exp
+			n := min(left, len(b)/8)
+			switch {
+			case fr != nil:
+				p.lanes(b[:n*8], row, fr, exp, j.missing)
+			case exp == rawRun:
+				p.write(b[:n*8])
+			default:
+				div := float64(dataset.DecimalScale(exp))
+				for i := 0; i < n*8; i += 8 {
+					p.word(math.Float64bits(float64(int64(binary.LittleEndian.Uint64(b[i:]))) / div))
 				}
 			}
-			if err := rp.add(lane); err != nil {
-				return err
-			}
+			b, row, left = b[n*8:], row+n, left-n
 		}
-		return nil
 	})
 	if err != nil {
-		return rp.r, fmt.Errorf("values spill: %w", err)
+		return err
 	}
-	return rp.finish()
+	return p.finish()
 }
 
-// writeUint64s writes v as one little-endian region: the slice's own
-// bytes on LE hosts, an encoded copy elsewhere.
-func (sw *segWriter) writeUint64s(v []uint64) (region, error) {
-	if hostLittleEndian {
-		return sw.writeRegion(bytesOfUint64s(v))
+// lanes packs a run's scaled integers at exponent exp, the first at row.
+func (p *packer) lanes(b []byte, row int, fr *dataset.PackedFloats, exp int, missing []uint64) {
+	mul, base := dataset.DecimalScale(fr.Exp-exp), int64(fr.Min)
+	maxLane := uint64(1)<<uint(fr.Ints.Width) - 1
+	for i := 0; i < len(b); i, row = i+8, row+1 {
+		lane := uint64(0)
+		if missing[row>>6]&(1<<(uint(row)&63)) == 0 {
+			n := int64(binary.LittleEndian.Uint64(b[i:]))
+			if lane = uint64(n*mul - base); lane > maxLane {
+				p.err = fmt.Errorf("row %d: %d at exponent %d is outside base %d, exponent %d, width %d",
+					row, n, exp, base, fr.Exp, fr.Ints.Width)
+				return
+			}
+		}
+		p.add(lane)
 	}
-	b := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], x)
-	}
-	return sw.writeRegion(b)
 }
-
-func (sw *segWriter) flush() error { return sw.w.Flush() }

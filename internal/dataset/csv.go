@@ -72,12 +72,18 @@ type Block struct {
 // one code per row: an index into Dict, or a sentinel (-1 for an empty
 // cell; -2 for a kind-mismatched cell, which only a programmatic append
 // produces). A continuous column carries one float64 per row (0 where
-// missing) and the missing bitmap (row i at word i/64, bit i%64).
+// missing), the missing bitmap (row i at word i/64, bit i%64), and what
+// the segment builder packs lanes from: Frame, the frame-of-reference
+// decision over the block's values, and — while Frame is not raw — Scaled,
+// each row's value times 10^exp at the frame's exponent (0 where missing).
+// Values the parser read digit by digit are folded in from their digits.
 type BlockColumn struct {
 	Dict    []string
 	Codes   []int32
 	Vals    []float64
 	Missing []uint64
+	Frame   FoRFrame
+	Scaled  []int64
 }
 
 // NewBlock returns an empty block shaped for the schema.
@@ -92,12 +98,66 @@ func (b *Block) Reset() {
 	for i := range b.Cols {
 		c := &b.Cols[i]
 		c.Dict, c.Codes, c.Vals, c.Missing = c.Dict[:0], c.Codes[:0], c.Vals[:0], c.Missing[:0]
+		c.Frame, c.Scaled = FoRFrame{}, c.Scaled[:0]
 	}
 }
 
 // MissingAt reports whether row i of a continuous block column holds no
 // number.
 func (c *BlockColumn) MissingAt(i int) bool { return c.Missing[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// AppendValue appends a number to a continuous column, folding it into the
+// frame through scaledInt.
+func (c *BlockColumn) AppendValue(v float64) {
+	old := c.Frame.exp
+	c.Vals = append(c.Vals, v)
+	c.keepScaled(c.Frame.Add(v), old)
+}
+
+// AppendMissing appends row, which holds no number, to a continuous column
+// whose Missing bitmap already has row's word.
+func (c *BlockColumn) AppendMissing(row int) {
+	c.Vals = append(c.Vals, 0)
+	c.Missing[row>>6] |= 1 << (uint(row) & 63)
+	if !c.Frame.raw {
+		c.Scaled = append(c.Scaled, 0)
+	}
+}
+
+// appendNumber parses a continuous cell onto the column. A plain decimal
+// folds into the frame from its digits; −0 and whatever strconv reads go
+// through scaledInt.
+func (c *BlockColumn) appendNumber(s string) error {
+	m, frac, neg, ok := parseDecimal(s)
+	if !ok || m == 0 && neg {
+		v, err := parseFloat(s)
+		if err != nil {
+			return err
+		}
+		c.AppendValue(v)
+		return nil
+	}
+	old := c.Frame.exp
+	c.Vals = append(c.Vals, decimalFloat(m, frac, neg))
+	c.keepScaled(c.Frame.addDigits(m, frac, neg), old)
+	return nil
+}
+
+// keepScaled appends a row's scaled integer as the frame's fold returned
+// it; old is the frame's exponent before that fold, and the rows before
+// move up with a raised exponent. A raw frame keeps none.
+func (c *BlockColumn) keepScaled(n int64, old int) {
+	if c.Frame.raw {
+		return
+	}
+	if d := c.Frame.exp - old; d > 0 {
+		p := pow10i[d]
+		for i := range c.Scaled {
+			c.Scaled[i] *= p
+		}
+	}
+	c.Scaled = append(c.Scaled, n)
+}
 
 // AppendBits appends the first m bits of src to the n-bit bitmap words
 // (len(words) == ⌈n/64⌉, unused tail bits zero) and returns the words of
@@ -559,14 +619,11 @@ func (p *chunkParser) record(blk *Block, line int, rec []string) error {
 			}
 			col.Codes = append(col.Codes, code)
 		case s == "":
-			col.Vals = append(col.Vals, 0)
-			col.Missing[row>>6] |= 1 << (uint(row) & 63)
+			col.AppendMissing(row)
 		default:
-			f, err := parseFloat(s)
-			if err != nil {
+			if err := col.appendNumber(s); err != nil {
 				return fmt.Errorf("dataset: line %d, column %q: %w", line, p.in.schema.Attr(pos).Name, err)
 			}
-			col.Vals = append(col.Vals, f)
 		}
 	}
 	for _, pos := range p.in.absent {
@@ -574,8 +631,7 @@ func (p *chunkParser) record(blk *Block, line int, rec []string) error {
 		if p.index[pos] != nil {
 			col.Codes = append(col.Codes, nullCode)
 		} else {
-			col.Vals = append(col.Vals, 0)
-			col.Missing[row>>6] |= 1 << (uint(row) & 63)
+			col.AppendMissing(row)
 		}
 	}
 	blk.Lines = append(blk.Lines, line)
@@ -583,17 +639,24 @@ func (p *chunkParser) record(blk *Block, line int, rec []string) error {
 	return nil
 }
 
-// parseFloat is strconv.ParseFloat(s, 64), with plain decimals of at most
-// 15 digits (-?d+, -?d+.d+ or -?.d+) read directly: such a mantissa and its power
-// of ten are exact float64s, so their correctly rounded quotient is the
-// correctly rounded value of s — ParseFloat's result, bit for bit.
+// parseFloat is strconv.ParseFloat(s, 64), with plain decimals read
+// directly by parseDecimal.
 func parseFloat(s string) (float64, error) {
-	i, neg := 0, false
+	if m, frac, neg, ok := parseDecimal(s); ok {
+		return decimalFloat(m, frac, neg), nil
+	}
+	return strconv.ParseFloat(s, 64)
+}
+
+// parseDecimal reads a plain decimal of at most 15 digits (-?d+, -?d+.d+
+// or -?.d+): its digits as the integer m, the number of them after the
+// point, and the sign. ok is false for anything else.
+func parseDecimal(s string) (m uint64, frac int, neg, ok bool) {
+	i := 0
 	if len(s) > 0 && s[0] == '-' {
 		i, neg = 1, true
 	}
-	var m uint64
-	digits, frac, dot := 0, 0, -1
+	digits, dot := 0, -1
 	for ; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -606,17 +669,23 @@ func parseFloat(s string) (float64, error) {
 		case c == '.' && dot < 0:
 			dot = i
 		default:
-			return strconv.ParseFloat(s, 64)
+			return 0, 0, false, false
 		}
 	}
-	if digits == 0 || digits > 15 || dot >= 0 && frac == 0 {
-		return strconv.ParseFloat(s, 64)
-	}
+	ok = digits > 0 && digits <= 15 && (dot < 0 || frac > 0)
+	return m, frac, neg, ok
+}
+
+// decimalFloat is the float64 of ±m/10^frac, as parseDecimal read it: the
+// mantissa and its power of ten are exact float64s, so their correctly
+// rounded quotient is the correctly rounded value of the text —
+// strconv.ParseFloat's result, bit for bit.
+func decimalFloat(m uint64, frac int, neg bool) float64 {
 	f := float64(m) / float64pow10[frac]
 	if neg {
 		f = -f
 	}
-	return f, nil
+	return f
 }
 
 var float64pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}

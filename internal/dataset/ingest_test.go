@@ -125,6 +125,39 @@ var ingestSeeds = []string{
 	"sex,\"sex\"\nM,F\n",
 	// A dictionary value first seen in a late chunk.
 	lateValueCSV(),
+	// Frames folded from the parsed digits: trailing zeros; −0 in its
+	// spellings and 0.000; exactly 15 and 16 digits; .5 and 5.; more
+	// fraction digits than MaxDecimalExp, with and without a zero past it.
+	"age,gain\n12.50,3.10\n1.5,2.000\n-7.250,100.00\n",
+	"age,gain\n-0,0.000\n-0.0,1\n0.000,-.000\n",
+	"age,gain\n0.000,-0\n1,2\n",
+	"age,gain\n123456789012345,12345678901234.5\n1234567890123456,1234567890123.456\n",
+	"age,gain\n.5,5.\n-.5,-5.\n",
+	"age,gain\n0.1234567,1.5000000\n2,0.000001\n",
+	// Scaled values at 2^50 and 2^52 ± 1: packable at exponent 0 up to 2^52,
+	// above it only up to 2^50.
+	"age,gain\n4503599627370496,112589990684262.4\n-4503599627370496,-112589990684262.4\n",
+	"age,gain\n4503599627370497,112589990684262.5\n1,1\n",
+	"age,gain\n4503599627370495,1125899906842623\n0,1125899906842625\n",
+	"age,gain\n99999999999999.9,1\n0.25,1\n",
+	"age,gain\n1,112589990684262.4\n2,112589990684263\n",
+	// An exponent raised mid-column across a chunk boundary, and a column
+	// turning raw after packed blocks.
+	lateFrameCSV("0.125", "7.5"),
+	lateFrameCSV("3", "0.1234567"),
+	lateFrameCSV("1e300", "-0"),
+}
+
+// lateFrameCSV has enough integer rows that the cells given last arrive in
+// a late chunk, after the columns packed at exponent 0.
+func lateFrameCSV(age, gain string) string {
+	var b strings.Builder
+	b.WriteString("age,gain\n")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&b, "%d,%d\n", i, 1000-i)
+	}
+	fmt.Fprintf(&b, "%s,%s\n5,6\n", age, gain)
+	return b.String()
 }
 
 // FuzzCSVIngestMatchesRows checks the block ingest against the

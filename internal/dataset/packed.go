@@ -84,40 +84,178 @@ func scaledInt(v float64, k int) (float64, bool) {
 	return n, math.Abs(n) <= scaledBound(k) && math.Float64bits((n+0)/pow10[k]) == math.Float64bits(v)
 }
 
-// FoRFrame decides a continuous column's packing one value at a time: it
-// tracks the smallest decimal exponent at which every value seen so far
-// round-trips, and the span of the scaled integers there. A value that
-// round-trips at k does at k+1 too (n/10^k and 10n/10^(k+1) are the same
-// correctly rounded quotient), so raising the exponent for a later value
-// never invalidates an earlier one. The zero value is an empty column.
+// FoRFrame decides a continuous column's packing: the smallest decimal
+// exponent at which every value seen so far round-trips, and the span of
+// the scaled integers there. A value that round-trips at k does at k+1 too
+// (n/10^k and 10n/10^(k+1) are the same correctly rounded quotient), so
+// raising the exponent for a later value never invalidates an earlier one.
+// The zero value is an empty column.
+//
+// The frame is a pure function of the multiset of values it has seen, so
+// frames of consecutive runs (the ingest's blocks) merge to the frame of
+// the whole run. Each value v has a smallest exponent e(v) (∞ if none up
+// to MaxDecimalExp); a frame that is not raw sits at E = max e(v) with
+// lo/hi the extreme values of v·10^E. Folding one value at a time goes raw
+// iff some e(v) is ∞ or the final (E, lo, hi) breaks a bound: a state
+// that breaks one at exponent E' still breaks it at every later state,
+// since the exponent only rises, lo and hi only spread (×10 per step, and
+// as min/max over more values), the span only grows, and scaledBound only
+// falls. Merge therefore goes raw iff either side is raw or the merged
+// span breaks a bound, and reaches the same (E, lo, hi) otherwise: bit
+// for bit the one-at-a-time fold, in any cut and in any order.
 type FoRFrame struct {
 	raw    bool // some value fits no frame: the column stays float64
 	seen   bool
 	exp    int
-	lo, hi float64 // span of the scaled integers at exp
+	lo, hi int64 // span of the scaled integers at exp
 }
 
-// Add folds one non-missing value into the frame.
-func (f *FoRFrame) Add(v float64) {
+// pow10i is pow10 as integers, for moving a scaled integer up exponents.
+var pow10i = [MaxDecimalExp + 1]int64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// DecimalScale returns 10^d for 0 <= d <= MaxDecimalExp: what a scaled
+// integer at exponent k is multiplied by to stand at exponent k+d.
+func DecimalScale(d int) int64 { return pow10i[d] }
+
+// Add folds one non-missing value into the frame through scaledInt and
+// returns v·10^exp at the frame's exponent after the fold (meaningless
+// once the frame is raw). The search starts at the frame's exponent,
+// where nearly every value already fits.
+func (f *FoRFrame) Add(v float64) int64 {
 	if f.raw {
+		return 0
+	}
+	k := f.exp
+	n, ok := scaledInt(v, k)
+	for !ok && k < MaxDecimalExp {
+		k++
+		n, ok = scaledInt(v, k)
+	}
+	if !ok {
+		f.raw = true
+		return 0
+	}
+	return f.addScaled(int64(n), k)
+}
+
+// addDigits folds in the plain decimal ±m/10^frac (m < 10^15, and m ≠ 0
+// when neg: −0 round-trips at no exponent and goes through Add) from its
+// digits, with no rounding or float division, and returns its scaled
+// integer as Add does. With the trailing zeros stripped, frac is the
+// value's smallest exponent and ±m its scaled integer there: an integer n
+// whose n/10^k rounds to the same float64 v is within an ulp of it, so
+// |n·10^(frac−k) − m| ≤ m·2^−52 < ¼ and n·10^(frac−k) = m, which for
+// k < frac would make m's last digit a zero; at k = frac, v·10^frac is
+// within ¼ of m, so scaledInt rounds to m too. m < 10^15 < 2^50 is within
+// scaledBound at every exponent.
+func (f *FoRFrame) addDigits(m uint64, frac int, neg bool) int64 {
+	if f.raw {
+		return 0
+	}
+	for frac > 0 && m%10 == 0 {
+		m /= 10
+		frac--
+	}
+	if frac > MaxDecimalExp {
+		f.raw = true
+		return 0
+	}
+	n := int64(m)
+	if neg {
+		n = -n
+	}
+	return f.addScaled(n, frac)
+}
+
+// addScaled folds in a value whose scaled integer at exponent k is n,
+// where k is at least the value's smallest exponent and |n| is within
+// scaledBound(k), and returns n at the frame's exponent after the fold.
+// A value at or below the frame's exponent — nearly every one — takes the
+// short arm; Merge of the value's own frame does the rest.
+func (f *FoRFrame) addScaled(n int64, k int) int64 {
+	switch {
+	case f.raw:
+		return 0
+	case k > f.exp && f.seen:
+		one := FoRFrame{seen: true, exp: k, lo: n, hi: n}
+		f.Merge(&one)
+		return n * pow10i[f.exp-k]
+	case k > f.exp:
+		f.exp = k
+	}
+	if d := f.exp - k; d > 0 {
+		if lim := scaledLimit[f.exp][d]; n < -lim || n > lim {
+			f.raw = true
+			return 0
+		}
+		n *= pow10i[d]
+	}
+	switch {
+	case !f.seen:
+		f.seen, f.lo, f.hi = true, n, n
+		return n
+	case n < f.lo:
+		f.lo = n
+	case n > f.hi:
+		f.hi = n
+	default:
+		return n
+	}
+	f.raw = f.hi-f.lo >= 1<<32
+	return n
+}
+
+// Merge folds g — the frame of the values that follow f's — into f.
+func (f *FoRFrame) Merge(g *FoRFrame) {
+	switch {
+	case f.raw:
+		return
+	case g.raw:
+		f.raw = true
+		return
+	case !g.seen:
+		return
+	case !f.seen:
+		*f = *g
 		return
 	}
-	n, ok := scaledInt(v, f.exp)
-	for !ok && f.exp < MaxDecimalExp {
-		f.exp++
-		f.lo, f.hi = f.lo*10, f.hi*10
-		n, ok = scaledInt(v, f.exp)
+	if f.exp == g.exp {
+		// Both spans are within scaledBound(exp) already.
+		f.lo, f.hi = min(f.lo, g.lo), max(f.hi, g.hi)
+		f.raw = f.hi-f.lo >= 1<<32
+		return
 	}
-	if !f.seen || n < f.lo {
-		f.lo = n
-	}
-	if !f.seen || n > f.hi {
-		f.hi = n
-	}
-	f.seen = true
-	b := scaledBound(f.exp)
-	f.raw = !ok || f.hi-f.lo >= 1<<32 || -f.lo > b || f.hi > b
+	exp := max(f.exp, g.exp)
+	flo, fhi, fok := rescaleSpan(f.lo, f.hi, exp, exp-f.exp)
+	glo, ghi, gok := rescaleSpan(g.lo, g.hi, exp, exp-g.exp)
+	f.exp, f.lo, f.hi = exp, min(flo, glo), max(fhi, ghi)
+	f.raw = !fok || !gok || f.hi-f.lo >= 1<<32
 }
+
+// scaledLimit[e][d] is the largest |n| at exponent e−d that stays within
+// scaledBound(e) once moved up to e.
+var scaledLimit = func() (t [MaxDecimalExp + 1][MaxDecimalExp + 1]int64) {
+	for e := range t {
+		for d := 0; d <= e; d++ {
+			t[e][d] = int64(scaledBound(e)) / pow10i[d]
+		}
+	}
+	return t
+}()
+
+// rescaleSpan moves a span up d exponents to exp, false when it leaves
+// ±scaledBound(exp) there.
+func rescaleSpan(lo, hi int64, exp, d int) (int64, int64, bool) {
+	lim := scaledLimit[exp][d]
+	if lo < -lim || hi > lim {
+		return 0, 0, false
+	}
+	return lo * pow10i[d], hi * pow10i[d], true
+}
+
+// Exp returns the decimal exponent the frame scales by, false once it is
+// raw.
+func (f *FoRFrame) Exp() (int, bool) { return f.exp, !f.raw }
 
 // Packing returns the column's frame — base, exponent and lane width, no
 // lanes yet — or false when the column must stay raw. A column with no
@@ -130,7 +268,7 @@ func (f *FoRFrame) Packing() (PackedFloats, bool) {
 	if w < 1 {
 		w = 1
 	}
-	return PackedFloats{Ints: PackedInts{Width: w}, Min: f.lo, Exp: f.exp}, true
+	return PackedFloats{Ints: PackedInts{Width: w}, Min: float64(f.lo), Exp: f.exp}, true
 }
 
 // LaneOf returns the lane that reconstructs to v, or false when none

@@ -114,6 +114,49 @@ type Dataset struct {
 	// (nil for heap tables). It stays open for the process lifetime:
 	// closing it would unmap the columns under live sessions.
 	Segment *colstore.Segment
+	// Load is how long the registration that built the dataset took, step
+	// by step: schema, ingest, pack, store-csv (the source copy and the
+	// catalog commit) and open when durable, parse when memory-only; zero
+	// for a recovered or programmatically added dataset.
+	Load LoadTiming
+}
+
+// LoadTiming is how long a registration or a segment rebuild took, and
+// the steps it ran one after another to do so, for the log line that
+// attributes the wall time without a profiler. Took is the whole; what
+// the phases leave of it is bookkeeping between them.
+type LoadTiming struct {
+	Took   time.Duration
+	Phases []Phase
+}
+
+// Phase is one step of a LoadTiming.
+type Phase struct {
+	Name string
+	Took time.Duration
+}
+
+func (l *LoadTiming) add(name string, took time.Duration) {
+	l.Phases = append(l.Phases, Phase{Name: name, Took: took})
+}
+
+// String renders the phases: "ingest 812ms, pack 204ms, …".
+func (l LoadTiming) String() string {
+	var b []byte
+	for i, p := range l.Phases {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, p.Name+" "+p.Took.Round(time.Microsecond).String()...)
+	}
+	return string(b)
+}
+
+// addBuild adds a segment build's steps: the CSV ingest into the spills,
+// and Finish's packing and fsync.
+func (l *LoadTiming) addBuild(res *colstore.BuildResult) {
+	l.add("ingest", res.Ingest)
+	l.add("pack", res.Pack)
 }
 
 // DatasetRecovery describes how one catalog entry came back at startup —
@@ -277,11 +320,14 @@ func (r *Registry) openRecord(rec *store.DatasetRecord) (*Dataset, string, error
 	if segErr != nil {
 		source = fmt.Sprintf("csv (%v)", segErr)
 	}
-	rebuildErr := rebuildSegment(r.store, rec)
+	timing, rebuildErr := rebuildSegment(r.store, rec)
 	if rebuildErr == nil {
-		source += ", segment rebuilt"
 		// Serve per policy from the fresh segment; no heap table was built.
-		if ds, _, err := r.openSegment(rec.SegmentPath, r.policy); err == nil {
+		start := time.Now()
+		ds, _, err := r.openSegment(rec.SegmentPath, r.policy)
+		timing.add("open", time.Since(start))
+		source += ", segment rebuilt (" + timing.String() + ")"
+		if err == nil {
 			r.csvFallbacks.Add(1)
 			return ds, source, nil
 		}
@@ -304,12 +350,15 @@ func (r *Registry) openRecord(rec *store.DatasetRecord) (*Dataset, string, error
 // when the rebuild or the reopen fails; a failed rebuild leaves the file
 // exactly as it was.
 func (r *Registry) upgradeSegment(rec *store.DatasetRecord, old *Dataset, ver int) (*Dataset, string) {
-	if err := rebuildSegment(r.store, rec); err != nil {
+	timing, err := rebuildSegment(r.store, rec)
+	if err != nil {
 		return old, fmt.Sprintf("segment (v%d; rebuild failed: %v)", ver, err)
 	}
 	r.csvFallbacks.Add(1)
-	source := fmt.Sprintf("segment (v%d), segment rebuilt", ver)
+	start := time.Now()
 	ds, _, err := r.openSegment(rec.SegmentPath, r.policy)
+	timing.add("open", time.Since(start))
+	source := fmt.Sprintf("segment (v%d), segment rebuilt (%s)", ver, timing)
 	if err != nil {
 		return old, source
 	}
@@ -322,23 +371,29 @@ func (r *Registry) upgradeSegment(rec *store.DatasetRecord, old *Dataset, ver in
 // rebuildSegment streams the entry's source CSV through the segment
 // builder (bounded memory — no heap table) and adopts the result as the
 // entry's table.seg. It builds under a temp name and adopts via rename,
-// so a crash or error mid-rebuild leaves the entry exactly as it was.
-func rebuildSegment(st *store.Store, rec *store.DatasetRecord) error {
+// so a crash or error mid-rebuild leaves the entry exactly as it was. It
+// reports the rebuild's steps: ingest, pack and adopt.
+func rebuildSegment(st *store.Store, rec *store.DatasetRecord) (LoadTiming, error) {
 	src, err := openRecordCSV(rec)
 	if err != nil {
-		return err
+		return LoadTiming{}, err
 	}
 	defer src.Close()
 	tmp := filepath.Join(st.DatasetDir(rec.Name), ".rebuild-"+store.SegmentFile)
-	if _, err := colstore.BuildCSV(tmp, rec.Schema, src); err != nil {
+	res, err := colstore.BuildCSV(tmp, rec.Schema, src)
+	if err != nil {
 		os.Remove(tmp)
-		return err
+		return LoadTiming{}, err
 	}
+	var timing LoadTiming
+	timing.addBuild(res)
+	adopt := time.Now()
 	if err := st.AdoptSegment(rec, tmp); err != nil {
 		os.Remove(tmp)
-		return err
+		return LoadTiming{}, err
 	}
-	return nil
+	timing.add("adopt", time.Since(adopt))
+	return timing, nil
 }
 
 func openRecordCSV(rec *store.DatasetRecord) (*os.File, error) {
@@ -446,7 +501,7 @@ func (r *Registry) HealCorruptSegment(name string) error {
 		}
 		r.segmentQuarantines.Add(1)
 	}
-	if err := rebuildSegment(st, rec); err != nil {
+	if _, err := rebuildSegment(st, rec); err != nil {
 		return fmt.Errorf("server: dataset %q: rebuild from the source CSV: %w", name, err)
 	}
 	r.csvFallbacks.Add(1)
@@ -491,6 +546,7 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateDataset, name)
 	}
+	start := time.Now()
 
 	if st == nil {
 		// Memory-only registration: parse straight onto the heap.
@@ -503,10 +559,14 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 		if err != nil {
 			return nil, err
 		}
-		r.register(name, newDataset(table, StorageHeap, nil))
+		ds := newDataset(table, StorageHeap, nil)
+		ds.Load.Took = time.Since(start)
+		ds.Load.add("parse", ds.Load.Took)
+		r.register(name, ds)
 		return table, nil
 	}
 
+	var timing LoadTiming
 	tx, err := st.CreateDataset(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreFailed, err)
@@ -515,6 +575,7 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 		tx.Abort()
 		return nil, fmt.Errorf("%w: %v", ErrStoreFailed, err)
 	}
+	timing.add("schema", time.Since(start))
 	// Pass 1: stream the rows through the segment builder. A CSV parse
 	// error surfaces here, before anything is persisted.
 	src, err := openCSV()
@@ -537,7 +598,9 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 		log.Printf("server: dataset %q: %d of %d records parsed by the quoted-CSV fallback (encoding/csv, one goroutine)",
 			name, built.FallbackRecords, built.Rows)
 	}
+	timing.addBuild(built)
 	// Pass 2: the source CSV, byte-exact, for audit and fallback.
+	step := time.Now()
 	src, err = openCSV()
 	if err != nil {
 		tx.Abort()
@@ -553,10 +616,12 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreFailed, err)
 	}
+	timing.add("store-csv", time.Since(step))
 
 	// Serve from the durable segment, homed by policy. (Failing to open
 	// a segment written moments ago means disk trouble; surface it
 	// rather than serving state that would not survive a restart.)
+	step = time.Now()
 	ds, _, err := r.openSegment(rec.SegmentPath, policy)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reopen fresh segment: %v", ErrStoreFailed, err)
@@ -564,6 +629,9 @@ func (r *Registry) addCSV(name string, schema *dataset.Schema, openCSV func() (i
 	// Bind the (empty) translation sidecar so plans computed for this
 	// dataset persist for future restarts.
 	r.attachTranslationSidecar(name, ds)
+	timing.add("open", time.Since(step))
+	timing.Took = time.Since(start)
+	ds.Load = timing
 	r.register(name, ds)
 	return ds.Table, nil
 }

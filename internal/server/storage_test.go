@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/durable"
@@ -197,6 +198,25 @@ func TestRecoveryUsesSegmentNotCSV(t *testing.T) {
 	}
 }
 
+// TestRegistrationPhases checks that a durable registration reports its
+// steps, in order, and that they fit in its wall time.
+func TestRegistrationPhases(t *testing.T) {
+	reg := durableRegistry(t, t.TempDir(), server.StoragePolicy{MmapThreshold: 0})
+	if _, err := reg.AddCSV("people", storageSchema(t), storageCSV(1000, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := reg.Dataset("people")
+	var names []string
+	var sum time.Duration
+	for _, p := range ds.Load.Phases {
+		names = append(names, p.Name)
+		sum += p.Took
+	}
+	if got := strings.Join(names, ","); got != "schema,ingest,pack,store-csv,open" || sum > ds.Load.Took || sum <= 0 {
+		t.Fatalf("phases %s summing to %v of %v: %s", got, sum, ds.Load.Took, ds.Load)
+	}
+}
+
 func TestCorruptSegmentQuarantineAndCSVFallback(t *testing.T) {
 	dir := t.TempDir()
 	reg := durableRegistry(t, dir, server.StoragePolicy{MmapThreshold: 0})
@@ -233,8 +253,9 @@ func TestCorruptSegmentQuarantineAndCSVFallback(t *testing.T) {
 	if len(recovered) != 1 || !strings.HasPrefix(recovered[0].Source, "csv (") {
 		t.Fatalf("recovered: %+v", recovered)
 	}
-	if !strings.Contains(recovered[0].Source, "segment rebuilt") {
-		t.Fatalf("segment not healed: %+v", recovered)
+	if !strings.Contains(recovered[0].Source, "segment rebuilt (ingest ") || !strings.Contains(recovered[0].Source, ", adopt ") ||
+		!strings.Contains(recovered[0].Source, ", open ") {
+		t.Fatalf("segment not healed, or its rebuild's phases not reported: %+v", recovered)
 	}
 	if _, err := os.Stat(segPath + durable.QuarantineSuffix); err != nil {
 		t.Fatalf("corrupt segment not quarantined: %v", err)
