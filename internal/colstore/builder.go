@@ -48,6 +48,7 @@ type Builder struct {
 
 	one     *dataset.Block // Append's one-row block
 	scratch []byte         // one block column's spill bytes
+	floats  []float64      // one raw block column's values
 }
 
 type colBuilder struct {
@@ -209,7 +210,8 @@ func (b *Builder) appendBlock(blk *dataset.Block) error {
 				}
 			} else {
 				exp = rawRun
-				for _, v := range bc.Vals {
+				b.floats = bc.AppendFloats(b.floats[:0])
+				for _, v := range b.floats {
 					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 				}
 			}

@@ -71,12 +71,13 @@ type Block struct {
 // column carries a block-local dictionary in first-appearance order and
 // one code per row: an index into Dict, or a sentinel (-1 for an empty
 // cell; -2 for a kind-mismatched cell, which only a programmatic append
-// produces). A continuous column carries one float64 per row (0 where
-// missing), the missing bitmap (row i at word i/64, bit i%64), and what
-// the segment builder packs lanes from: Frame, the frame-of-reference
-// decision over the block's values, and — while Frame is not raw — Scaled,
-// each row's value times 10^exp at the frame's exponent (0 where missing).
-// Values the parser read digit by digit are folded in from their digits.
+// produces). A continuous column carries the missing bitmap (row i at
+// word i/64, bit i%64), Frame — the frame-of-reference decision over the
+// block's values, folded from the digits of those the parser read digit by
+// digit — and its rows in one of two forms (0 where missing): while Frame
+// is not raw, Scaled, each value times 10^exp at the frame's exponent,
+// which the segment builder packs lanes from; once Frame is raw, Vals, one
+// float64 per row. AppendFloats gives the float64s in either form.
 type BlockColumn struct {
 	Dict    []string
 	Codes   []int32
@@ -109,24 +110,26 @@ func (c *BlockColumn) MissingAt(i int) bool { return c.Missing[i>>6]&(1<<(uint(i
 // AppendValue appends a number to a continuous column, folding it into the
 // frame through scaledInt.
 func (c *BlockColumn) AppendValue(v float64) {
-	old := c.Frame.exp
+	if old := c.Frame.exp; !c.Frame.raw && c.keepScaled(old, c.Frame.Add(v)) {
+		return
+	}
 	c.Vals = append(c.Vals, v)
-	c.keepScaled(c.Frame.Add(v), old)
 }
 
 // AppendMissing appends row, which holds no number, to a continuous column
 // whose Missing bitmap already has row's word.
 func (c *BlockColumn) AppendMissing(row int) {
-	c.Vals = append(c.Vals, 0)
 	c.Missing[row>>6] |= 1 << (uint(row) & 63)
-	if !c.Frame.raw {
+	if c.Frame.raw {
+		c.Vals = append(c.Vals, 0)
+	} else {
 		c.Scaled = append(c.Scaled, 0)
 	}
 }
 
 // appendNumber parses a continuous cell onto the column. A plain decimal
-// folds into the frame from its digits; −0 and whatever strconv reads go
-// through scaledInt.
+// folds into the frame from its digits and becomes a float64 only once the
+// frame is raw; −0 and whatever strconv reads go through scaledInt.
 func (c *BlockColumn) appendNumber(s string) error {
 	m, frac, neg, ok := parseDecimal(s)
 	if !ok || m == 0 && neg {
@@ -137,18 +140,23 @@ func (c *BlockColumn) appendNumber(s string) error {
 		c.AppendValue(v)
 		return nil
 	}
-	old := c.Frame.exp
+	if old := c.Frame.exp; !c.Frame.raw && c.keepScaled(old, c.Frame.addDigits(m, frac, neg)) {
+		return nil
+	}
 	c.Vals = append(c.Vals, decimalFloat(m, frac, neg))
-	c.keepScaled(c.Frame.addDigits(m, frac, neg), old)
 	return nil
 }
 
 // keepScaled appends a row's scaled integer as the frame's fold returned
-// it; old is the frame's exponent before that fold, and the rows before
-// move up with a raised exponent. A raw frame keeps none.
-func (c *BlockColumn) keepScaled(n int64, old int) {
+// it, old being the frame's exponent before that fold: the rows before
+// move up with a raised exponent. When the fold sent the frame raw it
+// keeps nothing and reports false, having turned the rows before into
+// float64s for the caller to append the row's own to.
+func (c *BlockColumn) keepScaled(old int, n int64) bool {
 	if c.Frame.raw {
-		return
+		c.Vals = appendScaledFloats(c.Vals[:0], c.Scaled, old)
+		c.Scaled = c.Scaled[:0]
+		return false
 	}
 	if d := c.Frame.exp - old; d > 0 {
 		p := pow10i[d]
@@ -157,6 +165,25 @@ func (c *BlockColumn) keepScaled(n int64, old int) {
 		}
 	}
 	c.Scaled = append(c.Scaled, n)
+	return true
+}
+
+// AppendFloats appends the continuous column's rows to dst as float64s (0
+// where missing). A scaled integer gives back its value bit for bit: n is
+// v·10^exp at an exponent where v round-trips.
+func (c *BlockColumn) AppendFloats(dst []float64) []float64 {
+	if c.Frame.raw {
+		return append(dst, c.Vals...)
+	}
+	return appendScaledFloats(dst, c.Scaled, c.Frame.exp)
+}
+
+func appendScaledFloats(dst []float64, scaled []int64, exp int) []float64 {
+	p := pow10[exp]
+	for _, n := range scaled {
+		dst = append(dst, float64(n)/p)
+	}
+	return dst
 }
 
 // AppendBits appends the first m bits of src to the n-bit bitmap words

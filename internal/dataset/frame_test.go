@@ -116,8 +116,8 @@ func randomDecimal(rng *rand.Rand, scale, odd int) string {
 // into block columns (frames folded from the digits where the parser
 // reads them) and merged in order, give the frame FoRFrame.Add reaches
 // over the same floats one at a time, and that the float64 reference
-// fold reaches — Packing compared field for field. Every block's Scaled
-// holds each value at the block's exponent.
+// fold reaches — Packing compared field for field. Every block gives back
+// strconv's float64s, and its Scaled holds each at the block's exponent.
 func TestBlockFrameMatchesFoRFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var outcomes [MaxDecimalExp + 2]int // packed at each exponent, then raw
@@ -143,16 +143,23 @@ func TestBlockFrameMatchesFoRFrame(t *testing.T) {
 			for i, s := range cells[lo:hi] {
 				if s == "" {
 					blk.AppendMissing(i)
-					continue
-				}
-				if err := blk.appendNumber(s); err != nil {
+				} else if err := blk.appendNumber(s); err != nil {
 					t.Fatalf("%q: %v", s, err)
 				}
-				v := blk.Vals[i]
-				seq.Add(v)
-				ref.add(v)
 			}
-			checkScaled(t, &blk, cells[lo:hi])
+			vals := blk.AppendFloats(nil)
+			for i, s := range cells[lo:hi] {
+				want := 0.0
+				if s != "" {
+					want, _ = strconv.ParseFloat(s, 64)
+					seq.Add(want)
+					ref.add(want)
+				}
+				if math.Float64bits(vals[i]) != math.Float64bits(want) {
+					t.Fatalf("cells %q: row %d reads %v, want %v", cells[lo:hi], i, vals[i], want)
+				}
+			}
+			checkScaled(t, &blk, vals, cells[lo:hi])
 			merged.Merge(&blk.Frame)
 			lo = hi
 		}
@@ -180,18 +187,18 @@ func TestBlockFrameMatchesFoRFrame(t *testing.T) {
 	t.Logf("outcomes by exponent (raw last): %v", outcomes)
 }
 
-// checkScaled checks a block column's Scaled against scaledInt at the
-// block frame's exponent.
-func checkScaled(t *testing.T, c *BlockColumn, cells []string) {
+// checkScaled checks a block column's Scaled against scaledInt of its
+// values at the block frame's exponent.
+func checkScaled(t *testing.T, c *BlockColumn, vals []float64, cells []string) {
 	t.Helper()
 	exp, ok := c.Frame.Exp()
 	if !ok {
 		return
 	}
-	if len(c.Scaled) != len(c.Vals) {
-		t.Fatalf("cells %q: %d scaled values for %d rows", cells, len(c.Scaled), len(c.Vals))
+	if len(c.Scaled) != len(vals) {
+		t.Fatalf("cells %q: %d scaled values for %d rows", cells, len(c.Scaled), len(vals))
 	}
-	for i, v := range c.Vals {
+	for i, v := range vals {
 		want := 0.0
 		if !c.MissingAt(i) {
 			var ok bool

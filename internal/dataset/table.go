@@ -139,7 +139,7 @@ func (t *Table) appendBlock(b *Block) {
 			continue
 		}
 		c := t.nums[pos]
-		c.vals = append(c.vals, bc.Vals...)
+		c.vals = bc.AppendFloats(c.vals)
 		c.missing.words = AppendBits(c.missing.words, c.missing.n, bc.Missing, b.Rows)
 		c.missing.n += b.Rows
 	}
