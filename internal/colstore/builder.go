@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,19 +18,19 @@ import (
 	"repro/internal/durable"
 )
 
-// Builder streams rows into a segment file with bounded memory: the big
-// per-row regions (codes, values) spill to temp files next to the output
-// as they arrive, while only the small state — dictionaries, missing
-// bitmaps (1 bit per row), each continuous column's frame-of-reference
-// decision and the rare misfit cells — stays in memory. A continuous
-// column spills integers: each block's values at the column's decimal
-// exponent of the moment, as the ingest folded them from the parsed
-// digits, or float64 bits once the column has gone raw. Finish plans the
-// whole layout first — every region's length follows from the row count,
-// the lane widths, the dictionaries and the bitmaps — then packs the
-// columns on GOMAXPROCS workers, each writing its regions at their planned
-// offsets, and fsyncs the file; a 10M-row ingest never materializes a
-// table.
+// Builder streams rows into a segment file with bounded memory. The
+// columns are encoded by dataset's one column encoder, as every table's
+// are: the big per-row regions — the encoder's cells, a categorical row's
+// biased lane and a continuous row's scaled integer or float64 bits —
+// spill to temp files next to the output as they arrive, while only the
+// small state — dictionaries, missing bitmaps (1 bit per row), each
+// continuous column's frame-of-reference decision and the rare misfit
+// cells — stays in memory. Finish plans the whole layout first — every
+// region's length follows from the row count, the lane widths, the
+// dictionaries and the bitmaps — then packs the spills on GOMAXPROCS
+// workers through the encoders' packers, each writing its regions at
+// their planned offsets, and fsyncs the file; a 10M-row ingest never
+// materializes a table.
 //
 // The builder writes directly at the given path and the file is complete
 // only after Finish returns nil; callers wanting atomicity build inside a
@@ -41,52 +40,22 @@ type Builder struct {
 	schema  *dataset.Schema
 	path    string
 	spill   string // temp dir holding per-column spill files
-	rows    int
+	rows    int    // rows in the spills
 	cols    []*colBuilder
 	misfits []dataset.MisfitCell
 	err     error // first failure; poisons Append and Finish
 
-	one     *dataset.Block // Append's one-row block
+	pending *dataset.Block // appended rows not yet spilled
 	scratch []byte         // one block column's spill bytes
-	floats  []float64      // one raw block column's values
+	lanes   []uint32       // one categorical block column's cells
+	cells   []uint64       // one continuous block column's cells
 }
 
 type colBuilder struct {
 	kind dataset.AttrKind
 	f    *os.File
 	w    *bufio.Writer
-
-	// Categorical state: the dictionary, seeded with the public domain
-	// exactly like dataset.NewTable so codes match heap-built tables.
-	dict  []string
-	index map[string]int32
-	remap []int32 // a block's local codes -> dict codes
-
-	// Continuous state: the missing bitmap words, the frame-of-reference
-	// decision merged from the blocks' frames in chunk order, and the
-	// spill's runs.
-	missing []uint64
-	frame   dataset.FoRFrame
-	runs    []spillRun
-}
-
-// spillRun is a stretch of consecutive rows of a continuous spill in one
-// form: integers at decimal exponent exp (the values times 10^exp, 0 where
-// missing), or float64 bits when exp is rawRun. The column's exponent only
-// rises and a raw column stays raw, so a spill has at most
-// MaxDecimalExp+2 runs.
-type spillRun struct {
-	rows, exp int
-}
-
-const rawRun = -1
-
-func (c *colBuilder) addRun(exp, rows int) {
-	if n := len(c.runs); n > 0 && c.runs[n-1].exp == exp {
-		c.runs[n-1].rows += rows
-		return
-	}
-	c.runs = append(c.runs, spillRun{rows: rows, exp: exp})
+	enc  *dataset.ColumnEncoder
 }
 
 // NewBuilder opens a builder that will write the segment at path. The
@@ -97,7 +66,7 @@ func NewBuilder(path string, schema *dataset.Schema) (*Builder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrIO, err)
 	}
-	b := &Builder{schema: schema, path: path, spill: spill, one: dataset.NewBlock(schema)}
+	b := &Builder{schema: schema, path: path, spill: spill, pending: dataset.NewBlock(schema)}
 	for pos := 0; pos < schema.Arity(); pos++ {
 		a := schema.Attr(pos)
 		f, err := os.OpenFile(filepath.Join(spill, fmt.Sprintf("col%d", pos)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -105,39 +74,16 @@ func NewBuilder(path string, schema *dataset.Schema) (*Builder, error) {
 			b.Abort()
 			return nil, fmt.Errorf("%w: %v", ErrIO, err)
 		}
-		cb := &colBuilder{kind: a.Kind, f: f, w: bufio.NewWriterSize(f, 1<<16)}
-		if a.Kind == dataset.Categorical {
-			cb.index = make(map[string]int32, len(a.Values))
-			for _, v := range a.Values {
-				cb.code(v)
-			}
-		}
-		b.cols = append(b.cols, cb)
+		b.cols = append(b.cols, &colBuilder{kind: a.Kind, f: f, w: bufio.NewWriterSize(f, 1<<16), enc: dataset.NewColumnEncoder(a)})
 	}
 	return b, nil
 }
 
-func (c *colBuilder) code(v string) int32 {
-	if id, ok := c.index[v]; ok {
-		return id
-	}
-	id := int32(len(c.dict))
-	c.dict = append(c.dict, v)
-	c.index[v] = id
-	return id
-}
-
-// sentinel codes, matching dataset's internal encoding.
-const (
-	nullCode   int32 = -1
-	misfitCode int32 = -2
-)
-
 // Append adds one row. The tuple may be reused by the caller after the
-// call returns. Cell semantics match dataset.Table.Append exactly, misfit
-// cells included, so a segment built from the same rows reopens as an
-// equivalent table. The row goes through the same block writer as a CSV
-// ingest, as a block of one.
+// call returns. Rows gather in the same row block as dataset.Table.Append's,
+// misfit cells included, so a segment built from the same rows reopens as
+// the table those appends seal to; a full block goes through the same
+// block writer as a CSV ingest.
 func (b *Builder) Append(row dataset.Tuple) error {
 	if b.err != nil {
 		return b.err
@@ -145,42 +91,28 @@ func (b *Builder) Append(row dataset.Tuple) error {
 	if len(row) != b.schema.Arity() {
 		return fmt.Errorf("colstore: tuple arity %d, schema arity %d", len(row), b.schema.Arity())
 	}
-	one := b.one
-	one.Reset()
-	one.Rows = 1
-	for pos, v := range row {
-		bc := &one.Cols[pos]
-		if b.cols[pos].kind == dataset.Categorical {
-			code := nullCode
-			if s, ok := v.AsStr(); ok {
-				code = 0
-				bc.Dict = append(bc.Dict, s)
-			} else if !v.IsNull() {
-				code = misfitCode
-				b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
-			}
-			bc.Codes = append(bc.Codes, code)
-			continue
-		}
-		bc.Missing = append(bc.Missing, 0)
-		if n, ok := v.AsNum(); ok {
-			bc.AppendValue(n)
-			continue
-		}
-		if !v.IsNull() {
-			b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.rows, Pos: pos, Value: v})
-		}
-		bc.AppendMissing(0)
+	if b.pending.AddRow(row, b.addMisfit) {
+		return b.flush()
 	}
-	return b.appendBlock(one)
+	return nil
 }
 
-// appendBlock writes a block's rows to the spills: each block-local
-// dictionary maps onto the column's in order (so codes are the ones
-// row-at-a-time appends give), and each block's frame merges into the
-// column's (the same decision a value-by-value fold reaches; see
-// dataset.FoRFrame). While the column packs, the block's scaled integers
-// spill at the column's exponent; once it is raw, the float64 bits.
+// addMisfit records a kind-mismatched cell of the row being appended.
+func (b *Builder) addMisfit(pos int, v dataset.Value) {
+	b.misfits = append(b.misfits, dataset.MisfitCell{Row: b.Rows(), Pos: pos, Value: v})
+}
+
+// flush spills the appended rows the pending block holds.
+func (b *Builder) flush() error {
+	if b.pending.Rows == 0 {
+		return nil
+	}
+	err := b.appendBlock(b.pending)
+	b.pending.Reset()
+	return err
+}
+
+// appendBlock encodes a block's rows and spills their cells.
 func (b *Builder) appendBlock(blk *dataset.Block) error {
 	if b.err != nil {
 		return b.err
@@ -189,34 +121,15 @@ func (b *Builder) appendBlock(blk *dataset.Block) error {
 		bc := &blk.Cols[pos]
 		out := b.scratch[:0]
 		if c.kind == dataset.Categorical {
-			c.remap = c.remap[:0]
-			for _, s := range bc.Dict {
-				c.remap = append(c.remap, c.code(s))
-			}
-			for _, code := range bc.Codes {
-				if code >= 0 {
-					code = c.remap[code]
-				}
-				out = binary.LittleEndian.AppendUint32(out, uint32(code))
+			b.lanes = c.enc.AppendLanes(b.lanes[:0], bc)
+			for _, l := range b.lanes {
+				out = binary.LittleEndian.AppendUint32(out, l)
 			}
 		} else {
-			c.frame.Merge(&bc.Frame)
-			exp, packed := c.frame.Exp()
-			if packed {
-				bexp, _ := bc.Frame.Exp()
-				mul := dataset.DecimalScale(exp - bexp)
-				for _, n := range bc.Scaled {
-					out = binary.LittleEndian.AppendUint64(out, uint64(n*mul))
-				}
-			} else {
-				exp = rawRun
-				b.floats = bc.AppendFloats(b.floats[:0])
-				for _, v := range b.floats {
-					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-				}
+			b.cells = c.enc.AppendCells(b.cells[:0], bc, blk.Rows)
+			for _, x := range b.cells {
+				out = binary.LittleEndian.AppendUint64(out, x)
 			}
-			c.addRun(exp, blk.Rows)
-			c.missing = dataset.AppendBits(c.missing, b.rows, bc.Missing, blk.Rows)
 		}
 		b.scratch = out
 		if _, err := c.w.Write(out); err != nil {
@@ -235,7 +148,7 @@ func (b *Builder) fail(err error) error {
 }
 
 // Rows returns the number of rows appended so far.
-func (b *Builder) Rows() int { return b.rows }
+func (b *Builder) Rows() int { return b.rows + b.pending.Rows }
 
 // BuildResult summarizes a finished segment.
 type BuildResult struct {
@@ -257,6 +170,7 @@ type BuildResult struct {
 // Finish assembles the segment from the spills, fsyncs it and removes the
 // spill directory. The builder is spent afterwards.
 func (b *Builder) Finish() (*BuildResult, error) {
+	b.flush()
 	if b.err != nil {
 		b.Abort()
 		return nil, b.err
@@ -337,10 +251,9 @@ func BuildCSV(path string, schema *dataset.Schema, r io.Reader) (*BuildResult, e
 type colJob struct {
 	pos     int
 	dc      *dirColumn
+	pk      *dataset.ColumnPacker
 	dict    []byte   // categorical: the encoded dictionary
 	missing []uint64 // continuous: the bitmap, ⌈rows/64⌉ words
-	frame   *dataset.PackedFloats
-	runs    []spillRun
 }
 
 // writeSegment writes format v2 and nothing else: categorical codes
@@ -428,23 +341,17 @@ func (b *Builder) plan(dir *directory) ([]colJob, uint64) {
 		dc := &dir.Columns[pos]
 		*dc = dirColumn{Name: b.schema.Attr(pos).Name, Kind: kindString(c.kind)}
 		j := &jobs[pos]
-		*j = colJob{pos: pos, dc: dc, runs: c.runs}
+		*j = colJob{pos: pos, dc: dc, pk: c.enc.Packer()}
 		if c.kind == dataset.Categorical {
-			dc.Enc, dc.Width = encBitpack, dataset.PackedCodeWidth(len(c.dict))
-			j.dict = encodeDict(c.dict)
+			dc.Enc, dc.Width = encBitpack, j.pk.Width()
+			j.dict = encodeDict(c.enc.Dict())
 			dc.Codes = place(pageAlign, dataset.PackedWordCount(rows, dc.Width)*8)
 			dc.Dict = place(8, len(j.dict))
 			continue
 		}
-		j.missing = c.missing
-		if want := (rows + 63) >> 6; len(j.missing) != want {
-			// A zero-row or short bitmap from the builder; normalize.
-			j.missing = make([]uint64, want)
-			copy(j.missing, c.missing)
-		}
+		j.missing = c.enc.Missing()
 		valLen := rows * 8
-		if p, ok := c.frame.Packing(); ok {
-			j.frame = &p
+		if p := j.pk.Frame(); p != nil {
 			dc.Enc, dc.Width, dc.Min, dc.Exp = encFoR, p.Ints.Width, &p.Min, p.Exp
 			if p.Exp > 0 {
 				dc.Enc = encFoR10
@@ -458,12 +365,12 @@ func (b *Builder) plan(dir *directory) ([]colJob, uint64) {
 }
 
 // spillBatch bounds the bytes Finish holds in flight: the workers' spill
-// buffers together take at most spillBatch, and so do their pack buffers.
+// buffers together take at most spillBatch, and so do their packed words.
 const spillBatch = 1 << 20
 
 // packColumns packs every column's regions at their planned offsets on
 // GOMAXPROCS workers (at most one per column), each reusing one spill
-// buffer and one pack buffer. A failing column stops the workers and
+// buffer and one word buffer. A failing column stops the workers and
 // fails the build.
 func (b *Builder) packColumns(f *os.File, jobs []colJob) error {
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
@@ -476,7 +383,7 @@ func (b *Builder) packColumns(f *os.File, jobs []colJob) error {
 	for range workers {
 		go func() {
 			defer wg.Done()
-			p := &packer{f: f, spill: make([]byte, size), buf: make([]byte, 0, size)}
+			p := &packer{f: f, spill: make([]byte, size), words: make([]uint64, 0, size/8)}
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= len(jobs) {
@@ -497,7 +404,8 @@ func (b *Builder) packColumns(f *os.File, jobs []colJob) error {
 	return nil
 }
 
-// packColumn writes one column's regions and fills in their CRCs.
+// packColumn writes one column's regions and fills in their CRCs: the
+// spill's cells go through the column's packer batch by batch.
 func (b *Builder) packColumn(p *packer, j *colJob) error {
 	sf, err := os.Open(filepath.Join(b.spill, fmt.Sprintf("col%d", j.pos)))
 	if err != nil {
@@ -505,27 +413,32 @@ func (b *Builder) packColumn(p *packer, j *colJob) error {
 	}
 	defer sf.Close()
 	dc := j.dc
+	what, region, cell := "values", dc.Vals, 8
+	pack := func(c []byte) ([]uint64, error) { return j.pk.Cells(p.words[:0], viewUint64s(c)) }
 	if dc.Codes != nil {
-		if err := p.packCodes(sf, b.rows, dc); err != nil {
-			return fmt.Errorf("colstore: column %d codes: %w", j.pos, err)
-		}
-		if err := writeRegionAt(p.f, dc.Dict, j.dict); err != nil {
-			return fmt.Errorf("colstore: column %d dictionary: %w", j.pos, err)
-		}
-		return nil
+		what, region, cell = "codes", dc.Codes, 4
+		pack = func(c []byte) ([]uint64, error) { return j.pk.Lanes(p.words[:0], viewUint32s(c)), nil }
 	}
-	if err := p.packVals(sf, b.rows, j); err != nil {
-		return fmt.Errorf("colstore: column %d values: %w", j.pos, err)
+	p.begin(region)
+	err = p.readSpill(sf, b.rows, cell, func(c []byte) (err error) {
+		p.words, err = pack(c)
+		p.write(p.words)
+		return err
+	})
+	if err == nil {
+		p.write(j.pk.Flush(p.words[:0]))
+		err = p.finish()
 	}
-	words := bytesOfUint64s(j.missing)
-	if !hostLittleEndian {
-		words = make([]byte, len(j.missing)*8)
-		for i, x := range j.missing {
-			binary.LittleEndian.PutUint64(words[i*8:], x)
-		}
+	if err != nil {
+		return fmt.Errorf("colstore: column %d %s: %w", j.pos, what, err)
 	}
-	if err := writeRegionAt(p.f, dc.Missing, words); err != nil {
-		return fmt.Errorf("colstore: column %d missing bitmap: %w", j.pos, err)
+	if dc.Codes != nil {
+		what, err = "dictionary", writeRegionAt(p.f, dc.Dict, j.dict)
+	} else {
+		what, err = "missing bitmap", writeRegionAt(p.f, dc.Missing, bytesOfWords(j.missing, nil))
+	}
+	if err != nil {
+		return fmt.Errorf("colstore: column %d %s: %w", j.pos, what, err)
 	}
 	return nil
 }
@@ -541,78 +454,59 @@ func writeRegionAt(f *os.File, r *region, data []byte) error {
 	return err
 }
 
-// packer writes one region at a time at its planned place through a
-// reused buffer, checksumming on the way: lanes packed into no-straddle
-// words at a fixed width (the write-side twin of dataset.PackedInts), or
-// whole words, or bytes. A region that would run past its planned length,
-// or ends short of it, fails.
+// bytesOfWords returns the little-endian bytes of words: a view on a
+// little-endian host, encoded into buf's storage elsewhere.
+func bytesOfWords(words []uint64, buf []byte) []byte {
+	if hostLittleEndian {
+		return bytesOfUint64s(words)
+	}
+	buf = buf[:0]
+	for _, x := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, x)
+	}
+	return buf
+}
+
+// packer writes one region at a time at its planned place, checksumming
+// on the way. A region that would run past its planned length, or ends
+// short of it, fails.
 type packer struct {
 	f     *os.File
-	spill []byte // the worker's spill read buffer
-	buf   []byte // the worker's pack buffer; cap a multiple of 8
+	spill []byte   // the worker's spill read buffer
+	words []uint64 // the packed words of one spill batch
+	bytes []byte   // their bytes, on a big-endian host
 	r     *region
-	off   uint64 // where buf's first byte goes
+	off   uint64 // where the next byte goes
 	crc   uint32
 	err   error // sticky for the region
-
-	width uint
-	lpw   int
-	cur   uint64
-	lane  int
 }
 
-func (p *packer) begin(r *region, width int) {
+func (p *packer) begin(r *region) {
 	p.r, p.off, p.crc, p.err = r, r.Off, 0, nil
-	p.width, p.lpw, p.cur, p.lane = uint(width), 64/width, 0, 0
-	p.buf = p.buf[:0]
 }
 
-func (p *packer) add(lane uint64) {
-	p.cur |= lane << (uint(p.lane) * p.width)
-	if p.lane++; p.lane == p.lpw {
-		p.word(p.cur)
-		p.cur, p.lane = 0, 0
+// write writes packed words at the region's next offset.
+func (p *packer) write(words []uint64) {
+	if p.err != nil || len(words) == 0 {
+		return
+	}
+	b := bytesOfWords(words, p.bytes)
+	if !hostLittleEndian {
+		p.bytes = b
+	}
+	end := p.off + uint64(len(b))
+	if end > p.r.Off+p.r.Len {
+		p.err = fmt.Errorf("packs past its planned %d bytes", p.r.Len)
+	} else if _, err := p.f.WriteAt(b, int64(p.off)); err != nil {
+		p.err = err
+	} else {
+		p.crc = crc32.Update(p.crc, castagnoli, b)
+		p.off = end
 	}
 }
 
-func (p *packer) word(x uint64) {
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, x)
-	if len(p.buf) == cap(p.buf) {
-		p.flush()
-	}
-}
-
-func (p *packer) write(b []byte) {
-	for len(b) > 0 {
-		n := copy(p.buf[len(p.buf):cap(p.buf)], b)
-		p.buf, b = p.buf[:len(p.buf)+n], b[n:]
-		if len(p.buf) == cap(p.buf) {
-			p.flush()
-		}
-	}
-}
-
-func (p *packer) flush() {
-	if p.err == nil && len(p.buf) > 0 {
-		end := p.off + uint64(len(p.buf))
-		if end > p.r.Off+p.r.Len {
-			p.err = fmt.Errorf("packs past its planned %d bytes", p.r.Len)
-		} else if _, err := p.f.WriteAt(p.buf, int64(p.off)); err != nil {
-			p.err = err
-		} else {
-			p.crc = crc32.Update(p.crc, castagnoli, p.buf)
-			p.off = end
-		}
-	}
-	p.buf = p.buf[:0]
-}
-
-// finish writes out the last partial word and sets the region's CRC.
+// finish sets the region's CRC; a region short of its plan fails.
 func (p *packer) finish() error {
-	if p.lane > 0 {
-		p.word(p.cur)
-	}
-	p.flush()
 	if p.err == nil && p.off != p.r.Off+p.r.Len {
 		p.err = fmt.Errorf("packs %d bytes, planned %d", p.off-p.r.Off, p.r.Len)
 	}
@@ -621,16 +515,18 @@ func (p *packer) finish() error {
 }
 
 // readSpill reads a spill of rows fixed-size little-endian cells into the
-// packer's spill buffer, a batch at a time, and hands each batch to fn
-// with the row of its first cell. The spill must hold exactly rows cells.
-func (p *packer) readSpill(f *os.File, rows, cell int, fn func(b []byte, row int)) error {
+// packer's spill buffer, a batch at a time, and hands each batch to fn.
+// The spill must hold exactly rows cells.
+func (p *packer) readSpill(f *os.File, rows, cell int, fn func(b []byte) error) error {
 	for row := 0; row < rows; {
 		n := min(rows-row, len(p.spill)/cell)
 		b := p.spill[:n*cell]
 		if _, err := io.ReadFull(f, b); err != nil {
 			return fmt.Errorf("spill of %d rows: %w", rows, err)
 		}
-		fn(b, row)
+		if err := fn(b); err != nil {
+			return err
+		}
 		if p.err != nil {
 			return p.err
 		}
@@ -640,80 +536,4 @@ func (p *packer) readSpill(f *os.File, rows, cell int, fn func(b []byte, row int
 		return fmt.Errorf("spill holds more than %d rows", rows)
 	}
 	return nil
-}
-
-// packCodes bitpacks a categorical spill (LE int32 codes) into dc.Codes.
-func (p *packer) packCodes(f *os.File, rows int, dc *dirColumn) error {
-	p.begin(dc.Codes, dc.Width)
-	err := p.readSpill(f, rows, 4, func(b []byte, _ int) {
-		for i := 0; i < len(b); i += 4 {
-			code := int32(binary.LittleEndian.Uint32(b[i:]))
-			p.add(uint64(int64(code) + dataset.PackedCodeBias))
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return p.finish()
-}
-
-// packVals writes a continuous spill into dc.Vals. A packed column's lane
-// is its scaled integer moved up to the frame's exponent less the base —
-// integer arithmetic only; rows whose missing bit is set pack as lane 0,
-// and a lane outside the frame's width fails the build rather than be
-// written as a neighbour. A raw column copies float64 bits and turns its
-// integer runs back into the float64s they stand for, bit for bit: each
-// is n/10^exp at an exponent where the value round-trips.
-func (p *packer) packVals(f *os.File, rows int, j *colJob) error {
-	fr := j.frame
-	width := 64
-	if fr != nil {
-		width = fr.Ints.Width
-	}
-	p.begin(j.dc.Vals, width)
-	ri, left := 0, 0
-	err := p.readSpill(f, rows, 8, func(b []byte, row int) {
-		for len(b) > 0 && p.err == nil {
-			for left == 0 {
-				left = j.runs[ri].rows
-				ri++
-			}
-			exp := j.runs[ri-1].exp
-			n := min(left, len(b)/8)
-			switch {
-			case fr != nil:
-				p.lanes(b[:n*8], row, fr, exp, j.missing)
-			case exp == rawRun:
-				p.write(b[:n*8])
-			default:
-				div := float64(dataset.DecimalScale(exp))
-				for i := 0; i < n*8; i += 8 {
-					p.word(math.Float64bits(float64(int64(binary.LittleEndian.Uint64(b[i:]))) / div))
-				}
-			}
-			b, row, left = b[n*8:], row+n, left-n
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return p.finish()
-}
-
-// lanes packs a run's scaled integers at exponent exp, the first at row.
-func (p *packer) lanes(b []byte, row int, fr *dataset.PackedFloats, exp int, missing []uint64) {
-	mul, base := dataset.DecimalScale(fr.Exp-exp), int64(fr.Min)
-	maxLane := uint64(1)<<uint(fr.Ints.Width) - 1
-	for i := 0; i < len(b); i, row = i+8, row+1 {
-		lane := uint64(0)
-		if missing[row>>6]&(1<<(uint(row)&63)) == 0 {
-			n := int64(binary.LittleEndian.Uint64(b[i:]))
-			if lane = uint64(n*mul - base); lane > maxLane {
-				p.err = fmt.Errorf("row %d: %d at exponent %d is outside base %d, exponent %d, width %d",
-					row, n, exp, base, fr.Exp, fr.Ints.Width)
-				return
-			}
-		}
-		p.add(lane)
-	}
 }

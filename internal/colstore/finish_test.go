@@ -171,6 +171,9 @@ func TestFinishRefusesBadSpill(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if err := b.flush(); err != nil { // the rows still in the pending block
+					t.Fatal(err)
+				}
 				c := b.cols[pos]
 				if err := c.w.Flush(); err != nil {
 					t.Fatal(err)
@@ -203,11 +206,9 @@ func TestPackerHoldsToPlan(t *testing.T) {
 	}
 	defer f.Close()
 	for _, words := range []int{1, 3} {
-		p := &packer{f: f, buf: make([]byte, 0, 8)}
-		p.begin(&region{Off: 64, Len: 16}, 32)
-		for i := 0; i < 2*words; i++ {
-			p.add(uint64(i))
-		}
+		p := &packer{f: f}
+		p.begin(&region{Off: 64, Len: 16})
+		p.write(make([]uint64, words))
 		if err := p.finish(); err == nil {
 			t.Fatalf("%d words into a 2-word region: no error", words)
 		}

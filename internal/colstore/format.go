@@ -278,11 +278,11 @@ var hostLittleEndian = func() bool {
 // the segment encodes little-endian, so on LE hosts the file bytes are
 // the in-memory representation.
 
-func int32View(b []byte) []int32 {
+func uint32View(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
 func float64View(b []byte) []float64 {

@@ -70,10 +70,10 @@ const EncodingRaw = "raw"
 // can pack, then the fallback.
 var Encodings = []string{encBitpack, encFoR, encFoR10, EncodingRaw}
 
-// EncodingOf names the encoding a table column is served in — the
-// directory's Enc for a column of a mapped or heap-copied segment,
-// EncodingRaw for full-width storage (a v1 segment, a parsed CSV, or a continuous
-// column no frame of reference fits).
+// EncodingOf names the encoding a table column is served in — the one
+// the column encoder chose, for a segment's columns and a heap table's
+// alike: EncodingRaw for float64 values (a continuous column no frame of
+// reference fits, or a v1 segment's values).
 func EncodingOf(cd dataset.ColumnData) string {
 	switch {
 	case cd.PackedCodes != nil:

@@ -314,8 +314,8 @@ func (s *Segment) buildTable(schema *dataset.Schema, rows int, dir *directory) (
 					N:     rows,
 					Words: viewUint64s(s.region(*dc.Codes)),
 				}
-			} else {
-				cd.Codes = viewInt32s(s.region(*dc.Codes))
+			} else if cd.PackedCodes, err = packV1Codes(s.region(*dc.Codes), len(dict)); err != nil {
+				return nil, fmt.Errorf("%w: column %d: %v", ErrCorrupt, pos, err)
 			}
 			cols[pos] = cd
 		} else {
@@ -354,6 +354,23 @@ func (s *Segment) buildTable(schema *dataset.Schema, rows int, dir *directory) (
 }
 
 func (s *Segment) region(r region) []byte { return s.data[r.Off : r.Off+r.Len] }
+
+// packV1Codes packs a v1 segment's full-width codes (little-endian int32,
+// one per row) onto the heap by the column encoder's rules, refusing a
+// code outside the dictionary and its sentinels.
+func packV1Codes(b []byte, dictSize int) (*dataset.PackedInts, error) {
+	lanes := make([]uint32, len(b)/4)
+	for i := range lanes {
+		lane := int64(int32(binary.LittleEndian.Uint32(b[i*4:]))) + dataset.PackedCodeBias
+		if lane < 0 || lane >= int64(dictSize)+dataset.PackedCodeBias {
+			return nil, fmt.Errorf("row %d code %d out of range [%d,%d)", i, lane-dataset.PackedCodeBias, -dataset.PackedCodeBias, dictSize)
+		}
+		lanes[i] = uint32(lane)
+	}
+	pk := dataset.NewCodePacker(dictSize)
+	words := pk.Flush(pk.Lanes(make([]uint64, 0, dataset.PackedWordCount(len(lanes), pk.Width())), lanes))
+	return &dataset.PackedInts{Width: pk.Width(), N: len(lanes), Words: words}, nil
+}
 
 // Table returns the mmap-backed table. Valid until Close.
 func (s *Segment) Table() *dataset.Table { return s.table }
@@ -500,7 +517,6 @@ func HeapCopy(t *dataset.Table) (*dataset.Table, error) {
 		cd := t.ColumnData(pos)
 		hc := dataset.ColumnData{
 			Kind:         cd.Kind,
-			Codes:        append([]int32(nil), cd.Codes...),
 			Dict:         append([]string(nil), cd.Dict...),
 			Vals:         append([]float64(nil), cd.Vals...),
 			MissingWords: append([]uint64(nil), cd.MissingWords...),
@@ -552,16 +568,16 @@ func verifyRegion(f *os.File, r region, buf []byte) error {
 	return nil
 }
 
-// viewInt32s reinterprets mapped bytes as []int32 on little-endian hosts
-// and decode-copies otherwise (correct everywhere, zero-copy where the
-// representation matches).
-func viewInt32s(b []byte) []int32 {
+// viewUint32s reinterprets little-endian bytes as []uint32 on
+// little-endian hosts and decode-copies otherwise (correct everywhere,
+// zero-copy where the representation matches).
+func viewUint32s(b []byte) []uint32 {
 	if hostLittleEndian {
-		return int32View(b)
+		return uint32View(b)
 	}
-	out := make([]int32, len(b)/4)
+	out := make([]uint32, len(b)/4)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
+		out[i] = binary.LittleEndian.Uint32(b[i*4:])
 	}
 	return out
 }

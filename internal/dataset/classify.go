@@ -18,12 +18,13 @@ import (
 // read everything the predicates could ask of that column — once, however
 // many predicates there are.
 //
-// Storage reaches the classifiers through exactly two readers — the
+// Every table is sealed by the one column encoder (encode.go), so storage
+// reaches the classifiers through one reader per encoding — the
 // packed-word block unpacker (PackedInts.unpack, shared by bit-packed
-// dictionary codes and frame-of-reference lanes) and the full-width
-// slices — and three classify loops: a threshold search over float64
-// values, a lane→atom lookup table, and a threshold search over integer
-// lanes.
+// dictionary codes and frame-of-reference lanes) and a raw column's
+// float64 slice — and three classify loops: a threshold search over
+// float64 values, a lane→atom lookup table, and a threshold search over
+// integer lanes.
 
 // Atoms describes the atoms of one attribute for a fixed set of
 // predicate constants. It is immutable and table-independent; Bind
@@ -176,12 +177,10 @@ const lutMaxWidth = 16
 type AtomReader struct {
 	null uint32
 
-	// Source: exactly one of vals (full-width continuous), codes
-	// (full-width categorical) or packed (bit-packed codes or
-	// frame-of-reference lanes) is set for a non-empty table; missing is
-	// the continuous column's NULL/misfit bitmap.
+	// Source: packed (bit-packed codes or frame-of-reference lanes), or
+	// vals for a raw continuous column; missing is the continuous column's
+	// NULL/misfit bitmap.
 	vals    []float64
-	codes   []int32
 	packed  *PackedInts
 	missing []uint64
 
@@ -198,10 +197,11 @@ type AtomReader struct {
 // the lanes are narrow and the column has a row per entry, integer
 // thresholds otherwise — so that Read never reconstructs a value.
 func (a *Atoms) Bind(t *Table) *AtomReader {
+	t.seal()
 	r := &AtomReader{null: a.null()}
 	if a.cat {
 		col := t.cats[a.pos]
-		r.codes, r.packed = col.codes, col.packed
+		r.packed = col.packed
 		// Lane domain: code + PackedCodeBias. The misfit sentinel
 		// classifies as NULL; the caller patches misfit rows itself.
 		r.lut = make([]uint32, len(col.dict)+PackedCodeBias)
@@ -264,17 +264,11 @@ func laneTable(thr []uint64, width int) []uint32 {
 // of 64 (the scan's morsels are), so the missing bitmap is consumed in
 // whole words.
 func (r *AtomReader) Read(lo int, dst []uint32) {
-	switch {
-	case r.vals != nil:
-		classifyFloats(r.vals[lo:lo+len(dst)], r.keys, r.null+1, dst)
-	case r.packed != nil:
+	if r.packed != nil {
 		r.packed.unpack(lo, dst)
 		r.classifyLanes(dst)
-	default:
-		for i, c := range r.codes[lo : lo+len(dst)] {
-			dst[i] = uint32(c + PackedCodeBias)
-		}
-		r.classifyLanes(dst)
+	} else {
+		classifyFloats(r.vals[lo:lo+len(dst)], r.keys, r.null+1, dst)
 	}
 	for wi := 0; wi<<6 < len(dst) && r.missing != nil; wi++ {
 		for w := r.missing[lo>>6+wi]; w != 0; w &= w - 1 {

@@ -31,8 +31,8 @@ func allLanes(tb testing.TB, base int64, exp, w int) (*PackedFloats, []float64) 
 	for l := range vals {
 		vals[l] = float64(base+int64(l)) / pow10[exp]
 	}
-	p, ok := packVals(vals, make([]uint64, (n+63)>>6))
-	if !ok || p.Ints.Width != w || p.Exp != exp || p.Min != float64(base) {
+	p := sealFloats(tb, vals, make([]uint64, (n+63)>>6)).PackedVals
+	if p == nil || p.Ints.Width != w || p.Exp != exp || p.Min != float64(base) {
 		tb.Fatalf("all-lanes column (base %d, exp %d) did not pack to width %d: %+v", base, exp, w, p)
 	}
 	return p, vals

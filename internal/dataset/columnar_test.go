@@ -3,8 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -77,40 +75,6 @@ func TestAppendReusesCallerTuple(t *testing.T) {
 	}
 }
 
-func TestSamplePreservesColumnsAndMisfits(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := testSchema(t)
-	tab := randColumnarTable(rng, s, 100, true)
-	sm := tab.Sample(40)
-	if sm.Size() != 40 {
-		t.Fatalf("sample size %d", sm.Size())
-	}
-	for i := 0; i < sm.Size(); i++ {
-		a, b := tab.Row(i), sm.Row(i)
-		for pos := range a {
-			if a[pos] != b[pos] {
-				t.Fatalf("row %d pos %d: %v vs %v", i, pos, a[pos], b[pos])
-			}
-		}
-	}
-	// The sample is independent storage: appending must not disturb the
-	// parent — its rows, its dictionary or its missing bitmaps.
-	before := tab.Row(40)
-	sm.MustAppend(Tuple{Num(1), Str("brand-new"), Null})
-	if tab.Size() != 100 {
-		t.Fatalf("parent grew to %d", tab.Size())
-	}
-	if got := sm.Row(40); got[1] != Str("brand-new") || !got[2].IsNull() {
-		t.Fatalf("appended sample row reads back as %v", got)
-	}
-	if vals, _ := tab.DistinctValues("state"); slices.Contains(vals, "brand-new") {
-		t.Fatalf("the sample's new string leaked into the parent's dictionary: %v", vals)
-	}
-	if after := tab.Row(40); !slices.Equal(after, before) {
-		t.Fatalf("parent row 40 changed from %v to %v", before, after)
-	}
-}
-
 func TestBitmapBasics(t *testing.T) {
 	var b Bitmap
 	b.Reset(70) // straddles a word boundary
@@ -124,35 +88,23 @@ func TestBitmapBasics(t *testing.T) {
 	if b.Count() != 4 || !b.Get(63) || !b.Get(64) || b.Get(1) {
 		t.Fatalf("after sets: count %d", b.Count())
 	}
-	if c := b.clonePrefix(64); c.Len() != 64 || c.Count() != 2 || !c.Get(63) {
-		t.Fatalf("clonePrefix(64) must keep bits 0 and 63 and mask 64 and 69: len %d count %d", c.Len(), c.Count())
-	}
-	var g Bitmap
-	for i := 0; i < 130; i++ {
-		g.appendBit(i%3 == 0)
-	}
-	if g.Len() != 130 || g.Count() != 44 {
-		t.Fatalf("appendBit: len %d count %d", g.Len(), g.Count())
-	}
 }
 
-func TestDistinctValuesSeesMisfitStrings(t *testing.T) {
+// TestMisfitStringsReadBack: a string in a continuous column and an
+// out-of-domain string in a categorical one read back as appended once
+// the table is sealed.
+func TestMisfitStringsReadBack(t *testing.T) {
 	s := testSchema(t)
 	tab := NewTable(s)
 	tab.MustAppend(Tuple{Str("stray"), Str("AL"), Num(1)}) // Str in continuous "age"
 	tab.MustAppend(Tuple{Num(4), Str("zz-extra"), Num(1)}) // out-of-domain state
-	vals, err := tab.DistinctValues("age")
-	if err != nil {
-		t.Fatal(err)
+	if got := tab.Row(0)[0]; got != Str("stray") {
+		t.Fatalf("row 0 age = %v, want the misfit string", got)
 	}
-	if len(vals) != 1 || vals[0] != "stray" {
-		t.Fatalf("DistinctValues(age) = %v", vals)
+	if got := tab.Row(1)[1]; got != Str("zz-extra") {
+		t.Fatalf("row 1 state = %v", got)
 	}
-	states, err := tab.DistinctValues("state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(states, ",") != "AL,zz-extra" {
-		t.Fatalf("DistinctValues(state) = %v", states)
+	if rows := tab.MisfitRows(); len(rows) != 1 || rows[0] != 0 {
+		t.Fatalf("misfit rows %v, want [0]", rows)
 	}
 }

@@ -45,26 +45,31 @@ func WriteCSV(w io.Writer, t *Table) error {
 // ReadCSV reads a table conforming to the schema from CSV with a header
 // row. Columns are matched to attributes by header name; empty cells load
 // as NULL; cells of continuous attributes must parse as floats. The
-// records arrive as IngestCSV's column blocks and append to the table's
-// columnar storage block by block.
+// records arrive as IngestCSV's column blocks, go through the column
+// encoder block by block, and the table is returned sealed.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	tab := NewTable(schema)
 	if _, err := IngestCSV(r, schema, func(b *Block) error {
-		tab.appendBlock(b)
+		tab.encode(b)
+		tab.n += b.Rows
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	tab.seal()
 	return tab, nil
 }
 
-// Block is a run of consecutive CSV records in columnar form — what one
-// chunk of the input parses to. IngestCSV reuses a block and its slices
-// once the sink it was handed to returns; a sink copies what it keeps.
+// Block is a run of consecutive records in columnar form — what one chunk
+// of CSV input parses to, or what AddRow gathers of appended tuples.
+// IngestCSV reuses a block and its slices once the sink it was handed to
+// returns; a sink copies what it keeps.
 type Block struct {
 	Rows  int
-	Lines []int         // physical (1-based) input line of each record
+	Lines []int         // physical (1-based) input line of each CSV record
 	Cols  []BlockColumn // by schema position
+
+	index []map[string]int32 // block-local dictionary index; nil for continuous
 }
 
 // BlockColumn is one attribute's cells within a block. A categorical
@@ -76,7 +81,7 @@ type Block struct {
 // block's values, folded from the digits of those the parser read digit by
 // digit — and its rows in one of two forms (0 where missing): while Frame
 // is not raw, Scaled, each value times 10^exp at the frame's exponent,
-// which the segment builder packs lanes from; once Frame is raw, Vals, one
+// which the column encoder forms lanes from; once Frame is raw, Vals, one
 // float64 per row. AppendFloats gives the float64s in either form.
 type BlockColumn struct {
 	Dict    []string
@@ -89,10 +94,16 @@ type BlockColumn struct {
 
 // NewBlock returns an empty block shaped for the schema.
 func NewBlock(schema *Schema) *Block {
-	return &Block{Cols: make([]BlockColumn, schema.Arity())}
+	b := &Block{Cols: make([]BlockColumn, schema.Arity()), index: make([]map[string]int32, schema.Arity())}
+	for pos := range b.index {
+		if schema.Attr(pos).Kind == Categorical {
+			b.index[pos] = make(map[string]int32)
+		}
+	}
+	return b
 }
 
-// Reset empties the block, keeping its storage.
+// Reset empties the block and its dictionaries, keeping their storage.
 func (b *Block) Reset() {
 	b.Rows = 0
 	b.Lines = b.Lines[:0]
@@ -100,7 +111,73 @@ func (b *Block) Reset() {
 		c := &b.Cols[i]
 		c.Dict, c.Codes, c.Vals, c.Missing = c.Dict[:0], c.Codes[:0], c.Vals[:0], c.Missing[:0]
 		c.Frame, c.Scaled = FoRFrame{}, c.Scaled[:0]
+		clear(b.index[i])
 	}
+}
+
+// beginRow gives row b.Rows its word in the continuous columns' missing
+// bitmaps.
+func (b *Block) beginRow() {
+	if b.Rows&63 != 0 {
+		return
+	}
+	for pos, idx := range b.index {
+		if idx == nil {
+			b.Cols[pos].Missing = append(b.Cols[pos].Missing, 0)
+		}
+	}
+}
+
+// code returns s's code in the block-local dictionary of the categorical
+// column at pos, adding a copy of s (it may view a reused buffer).
+func (b *Block) code(pos int, s string) int32 {
+	code, ok := b.index[pos][s]
+	if !ok {
+		c := &b.Cols[pos]
+		code = int32(len(c.Dict))
+		s = strings.Clone(s)
+		c.Dict = append(c.Dict, s)
+		b.index[pos][s] = code
+	}
+	return code
+}
+
+// blockRows is how many appended rows AddRow gathers before the block is
+// full, and how many records the encoding/csv arm of IngestCSV gathers per
+// block.
+const blockRows = 4096
+
+// AddRow appends a tuple of the schema's arity — Table.Append and
+// colstore.Builder.Append both gather rows this way — and reports whether
+// the block is full. A cell whose Value kind does not match its attribute
+// is stored as the misfit sentinel (categorical) or a missing bit
+// (continuous) and handed to misfit, which keeps the Value.
+func (b *Block) AddRow(row Tuple, misfit func(pos int, v Value)) bool {
+	b.beginRow()
+	for pos, v := range row {
+		bc := &b.Cols[pos]
+		if b.index[pos] != nil {
+			code := nullCode
+			if s, ok := v.AsStr(); ok {
+				code = b.code(pos, s)
+			} else if !v.IsNull() {
+				code = misfitCode
+				misfit(pos, v)
+			}
+			bc.Codes = append(bc.Codes, code)
+			continue
+		}
+		if n, ok := v.AsNum(); ok {
+			bc.AppendValue(n)
+			continue
+		}
+		if !v.IsNull() {
+			misfit(pos, v)
+		}
+		bc.AppendMissing(b.Rows)
+	}
+	b.Rows++
+	return b.Rows == blockRows
 }
 
 // MissingAt reports whether row i of a continuous block column holds no
@@ -222,10 +299,6 @@ type IngestStats struct {
 // Small enough that GOMAXPROCS+1 chunks in flight stay a few MB; tests
 // shrink it so small inputs cross many chunk boundaries.
 var chunkSize = 256 << 10
-
-// fallbackBlockRows is how many records the encoding/csv arm gathers per
-// block.
-const fallbackBlockRows = 4096
 
 // IngestCSV parses CSV with a header row (columns matched to attributes by
 // name, each column at most once; empty cells NULL; continuous cells
@@ -357,7 +430,7 @@ func (in *ingest) pipeline(first, chunk []byte, line int) error {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			p := newChunkParser(in)
+			p := &chunkParser{in: in}
 			for s := range work {
 				s.err = p.parse(s.chunk, s.line, s.blk)
 				s.ready <- struct{}{}
@@ -450,9 +523,8 @@ func (in *ingest) fallback(r io.Reader, lineOff int, header bool) error {
 	} else {
 		cr.FieldsPerRecord = len(in.colToAttr)
 	}
-	p := newChunkParser(in)
+	p := &chunkParser{in: in}
 	blk := NewBlock(in.schema)
-	p.begin(blk)
 	flush := func() error {
 		if blk.Rows == 0 {
 			return nil
@@ -462,7 +534,7 @@ func (in *ingest) fallback(r io.Reader, lineOff int, header bool) error {
 		}
 		in.stats.Records += blk.Rows
 		in.stats.FallbackRecords += blk.Rows
-		p.begin(blk)
+		blk.Reset()
 		return nil
 	}
 	for {
@@ -477,7 +549,7 @@ func (in *ingest) fallback(r io.Reader, lineOff int, header bool) error {
 		if err := p.record(blk, line+lineOff, rec); err != nil {
 			return err
 		}
-		if blk.Rows == fallbackBlockRows {
+		if blk.Rows == blockRows {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -557,32 +629,13 @@ func (c *chunkReader) rest(chunk []byte) io.Reader {
 // one.
 type chunkParser struct {
 	in     *ingest
-	index  []map[string]int32 // block-local dictionary index, by schema position
 	fields []string
-}
-
-func newChunkParser(in *ingest) *chunkParser {
-	p := &chunkParser{in: in, index: make([]map[string]int32, in.schema.Arity())}
-	for pos := range p.index {
-		if in.schema.Attr(pos).Kind == Categorical {
-			p.index[pos] = make(map[string]int32)
-		}
-	}
-	return p
-}
-
-// begin empties blk for a new block, with a new block-local dictionary.
-func (p *chunkParser) begin(blk *Block) {
-	blk.Reset()
-	for _, m := range p.index {
-		clear(m)
-	}
 }
 
 // parse splits a quote-free chunk whose first byte is on the given line
 // into blk, stopping at the first bad record.
 func (p *chunkParser) parse(data []byte, line int, blk *Block) error {
-	p.begin(blk)
+	blk.Reset()
 	nf := len(p.in.colToAttr)
 	for ; len(data) > 0; line++ {
 		rec := data
@@ -621,32 +674,18 @@ func splitFields(dst []string, rec []byte) []string {
 // record appends one record to blk; rec holds the header columns' text,
 // which may view a buffer that is reused — what the block keeps is copied.
 func (p *chunkParser) record(blk *Block, line int, rec []string) error {
-	row := blk.Rows
-	if row&63 == 0 {
-		for pos := range blk.Cols {
-			if p.index[pos] == nil {
-				blk.Cols[pos].Missing = append(blk.Cols[pos].Missing, 0)
-			}
-		}
-	}
+	blk.beginRow()
 	for c, pos := range p.in.colToAttr {
 		s, col := rec[c], &blk.Cols[pos]
 		switch {
-		case p.index[pos] != nil:
-			if s == "" {
-				col.Codes = append(col.Codes, nullCode)
-				continue
-			}
-			code, ok := p.index[pos][s]
-			if !ok {
-				code = int32(len(col.Dict))
-				s = strings.Clone(s)
-				col.Dict = append(col.Dict, s)
-				p.index[pos][s] = code
+		case blk.index[pos] != nil:
+			code := nullCode
+			if s != "" {
+				code = blk.code(pos, s)
 			}
 			col.Codes = append(col.Codes, code)
 		case s == "":
-			col.AppendMissing(row)
+			col.AppendMissing(blk.Rows)
 		default:
 			if err := col.appendNumber(s); err != nil {
 				return fmt.Errorf("dataset: line %d, column %q: %w", line, p.in.schema.Attr(pos).Name, err)
@@ -655,10 +694,10 @@ func (p *chunkParser) record(blk *Block, line int, rec []string) error {
 	}
 	for _, pos := range p.in.absent {
 		col := &blk.Cols[pos]
-		if p.index[pos] != nil {
+		if blk.index[pos] != nil {
 			col.Codes = append(col.Codes, nullCode)
 		} else {
-			col.AppendMissing(row)
+			col.AppendMissing(blk.Rows)
 		}
 	}
 	blk.Lines = append(blk.Lines, line)

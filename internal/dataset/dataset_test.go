@@ -175,32 +175,30 @@ func TestPredicateStrings(t *testing.T) {
 	}
 }
 
-func TestSampleAndDistinct(t *testing.T) {
+// TestAppendAfterReadRefused: every read of the columns seals the table,
+// once; a later Append is refused and leaves the table as it was.
+func TestAppendAfterReadRefused(t *testing.T) {
 	s := testSchema(t)
-	tab := NewTable(s)
-	for i := 0; i < 5; i++ {
-		st := "AL"
-		if i%2 == 1 {
-			st = "WY"
+	reads := map[string]func(*Table){
+		"Row":             func(tab *Table) { tab.Row(0) },
+		"Floats":          func(tab *Table) { tab.Floats(0) },
+		"ColumnData":      func(tab *Table) { tab.ColumnData(1) },
+		"ColumnScanBytes": func(tab *Table) { tab.ColumnScanBytes(2) },
+		"MisfitRows":      func(tab *Table) { tab.MisfitRows() },
+		"Bind":            func(tab *Table) { CatAtoms(1, []string{"AL"}).Bind(tab) },
+		"Projection":      func(tab *Table) { tab.Projection([]int{1}) },
+		"Count":           func(tab *Table) { tab.Count(IsNull{Attr: "age"}) },
+	}
+	for name, read := range reads {
+		tab := NewTable(s)
+		tab.MustAppend(Tuple{Num(1), Str("AL"), Num(2)})
+		read(tab)
+		if err := tab.Append(Tuple{Num(3), Str("WY"), Num(4)}); err == nil {
+			t.Fatalf("%s: Append after the read was accepted", name)
 		}
-		tab.MustAppend(Tuple{Num(float64(i)), Str(st), Num(0)})
-	}
-	sm := tab.Sample(3)
-	if sm.Size() != 3 {
-		t.Fatalf("sample size %d", sm.Size())
-	}
-	if tab.Sample(99).Size() != 5 {
-		t.Fatal("oversized sample must clamp")
-	}
-	vals, err := tab.DistinctValues("state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != "AL" || vals[1] != "WY" {
-		t.Fatalf("DistinctValues = %v", vals)
-	}
-	if _, err := tab.DistinctValues("bogus"); err == nil {
-		t.Fatal("unknown attribute must error")
+		if tab.Size() != 1 || tab.Row(0)[1] != Str("AL") {
+			t.Fatalf("%s: the refused Append changed the table: %d rows, %v", name, tab.Size(), tab.Row(0))
+		}
 	}
 }
 

@@ -236,8 +236,9 @@ func checkIngestMatchesRows(t *testing.T, schema *dataset.Schema, input string) 
 	}
 }
 
-// assertSameColumns compares two heap tables column by column: codes and
-// dictionary order, float bits and missing words.
+// assertSameColumns compares two sealed tables column by column: packed
+// codes and dictionary order, frames and lanes, float bits and missing
+// words.
 func assertSameColumns(t *testing.T, want, got *dataset.Table) {
 	t.Helper()
 	if got.Size() != want.Size() {
@@ -245,8 +246,11 @@ func assertSameColumns(t *testing.T, want, got *dataset.Table) {
 	}
 	for pos := 0; pos < want.Schema().Arity(); pos++ {
 		w, g := want.ColumnData(pos), got.ColumnData(pos)
-		if fmt.Sprint(w.Dict) != fmt.Sprint(g.Dict) || fmt.Sprint(w.Codes) != fmt.Sprint(g.Codes) {
-			t.Fatalf("column %d: dict %q codes %v, want %q %v", pos, g.Dict, g.Codes, w.Dict, w.Codes)
+		if fmt.Sprint(w.Dict) != fmt.Sprint(g.Dict) || fmt.Sprintf("%+v", w.PackedCodes) != fmt.Sprintf("%+v", g.PackedCodes) {
+			t.Fatalf("column %d: dict %q codes %+v, want %q %+v", pos, g.Dict, g.PackedCodes, w.Dict, w.PackedCodes)
+		}
+		if fmt.Sprintf("%+v", w.PackedVals) != fmt.Sprintf("%+v", g.PackedVals) {
+			t.Fatalf("column %d: frame and lanes %+v, want %+v", pos, g.PackedVals, w.PackedVals)
 		}
 		if fmt.Sprint(w.MissingWords) != fmt.Sprint(g.MissingWords) || len(w.Vals) != len(g.Vals) {
 			t.Fatalf("column %d: missing %x (%d vals), want %x (%d)", pos, g.MissingWords, len(g.Vals), w.MissingWords, len(w.Vals))

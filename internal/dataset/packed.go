@@ -113,10 +113,6 @@ type FoRFrame struct {
 // pow10i is pow10 as integers, for moving a scaled integer up exponents.
 var pow10i = [MaxDecimalExp + 1]int64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
 
-// DecimalScale returns 10^d for 0 <= d <= MaxDecimalExp: what a scaled
-// integer at exponent k is multiplied by to stand at exponent k+d.
-func DecimalScale(d int) int64 { return pow10i[d] }
-
 // Add folds one non-missing value into the frame through scaledInt and
 // returns v·10^exp at the frame's exponent after the fold (meaningless
 // once the frame is raw). The search starts at the frame's exponent,
@@ -318,54 +314,21 @@ func (p *PackedInts) At(i int) uint64 {
 // At returns the row-i value.
 func (p *PackedFloats) At(i int) float64 { return p.value(p.Ints.At(i)) }
 
-// unpackCodes materializes the first n biased lanes back into int32
-// dictionary codes (lane − PackedCodeBias), for heap sampling.
-func (p *PackedInts) unpackCodes(n int) []int32 {
-	out := make([]int32, n)
-	w := uint(p.Width)
-	lpw := 64 / int(w)
-	mask := uint64(1)<<w - 1
-	for i := 0; i < n; {
-		x := p.Words[i/lpw]
-		end := i + lpw
-		if end > n {
-			end = n
-		}
-		for ; i < end; i++ {
-			out[i] = int32(x&mask) - PackedCodeBias
-			x >>= w
-		}
-	}
-	return out
-}
-
-// unpackVals materializes the first n rows of the frame-of-reference
-// column back into one float64 per row. Rows whose missing bit is set
-// decode as 0, matching the unpacked layout's convention.
-func (p *PackedFloats) unpackVals(n int, missing []uint64) []float64 {
-	out := make([]float64, n)
-	w := uint(p.Ints.Width)
-	lpw := 64 / int(w)
-	mask := uint64(1)<<w - 1
-	for i := 0; i < n; {
-		x := p.Ints.Words[i/lpw]
-		end := i + lpw
-		if end > n {
-			end = n
-		}
-		for ; i < end; i++ {
-			out[i] = p.value(x & mask)
-			x >>= w
-		}
+// unpackVals materializes the frame-of-reference column back into one
+// float64 per row. Rows whose missing bit is set decode as 0, the raw
+// layout's convention.
+func (p *PackedFloats) unpackVals(missing []uint64) []float64 {
+	lanes := make([]uint32, p.Ints.N)
+	p.Ints.unpack(0, lanes)
+	out := make([]float64, len(lanes))
+	for i, l := range lanes {
+		out[i] = p.value(uint64(l))
 	}
 	for wi, mw := range missing {
-		for mw != 0 {
-			i := wi<<6 + bits.TrailingZeros64(mw)
-			if i >= n {
-				break
+		for ; mw != 0; mw &= mw - 1 {
+			if i := wi<<6 + bits.TrailingZeros64(mw); i < len(out) {
+				out[i] = 0
 			}
-			out[i] = 0
-			mw &= mw - 1
 		}
 	}
 	return out
@@ -387,8 +350,7 @@ func (p *PackedFloats) validate(n int) error {
 // validate checks the canonical no-straddle form: width in range, the
 // exact word count for n lanes, every lane below maxLane, and all slack
 // — the unused high bits of every word and the lanes past n — zero.
-// It is O(n), the packed counterpart of the unpacked code-bounds scan;
-// when maxLane is the full 1<<Width (frame-of-reference lanes) no lane
+// It is O(n); when maxLane is the full 1<<Width (frame-of-reference lanes) no lane
 // can exceed it and only the words' slack is looked at.
 func (p *PackedInts) validate(n int, maxLane uint64) error {
 	if p.Width < 1 || p.Width > 32 {

@@ -7,54 +7,20 @@ import (
 	"testing"
 )
 
-// packCodes and packVals are the in-memory packers the column store's
-// in-memory segment writer used until the streaming Builder became the
-// only writer; the tests keep them to build packed tables without a file.
-// They share the production width and eligibility rules (PackedCodeWidth,
-// FoRFrame, LaneOf), so what packs here is what the Builder packs.
-//
-// packCodes bitpacks a categorical column's dictionary codes (with the
-// sentinel bias) at the canonical width for the given dictionary size.
-func packCodes(codes []int32, dictSize int) *PackedInts {
-	w := uint(PackedCodeWidth(dictSize))
-	p := &PackedInts{Width: int(w), N: len(codes), Words: make([]uint64, PackedWordCount(len(codes), int(w)))}
-	lpw := 64 / int(w)
-	for i, c := range codes {
-		p.Words[i/lpw] |= uint64(int64(c)+PackedCodeBias) << (uint(i%lpw) * w)
-	}
-	return p
-}
-
-// packVals frame-of-reference packs a continuous column when FoRFrame
-// finds a decimal exponent every non-missing value round-trips at and the
-// span fits 32-bit lanes; ok is false otherwise (the column stays unpacked
-// full-width float64). Missing rows pack as lane 0.
-func packVals(vals []float64, missingWords []uint64) (*PackedFloats, bool) {
-	present := func(i int) bool { return missingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
-	var frame FoRFrame
+// sealFloats appends a one-column table of the values (NULL where the
+// missing bit is set) and returns its column as the seal encodes it:
+// PackedVals when FoRFrame finds a frame, raw Vals otherwise.
+func sealFloats(tb testing.TB, vals []float64, missingWords []uint64) ColumnData {
+	tb.Helper()
+	tab := NewTable(MustSchema(Attribute{Name: "v", Kind: Continuous}))
 	for i, v := range vals {
-		if present(i) {
-			frame.Add(v)
+		if missingWords[i>>6]&(1<<(uint(i)&63)) != 0 {
+			tab.MustAppend(Tuple{Null})
+		} else {
+			tab.MustAppend(Tuple{Num(v)})
 		}
 	}
-	p, ok := frame.Packing()
-	if !ok {
-		return nil, false
-	}
-	w := p.Ints.Width
-	p.Ints.N, p.Ints.Words = len(vals), make([]uint64, PackedWordCount(len(vals), w))
-	lpw := 64 / w
-	for i, v := range vals {
-		if !present(i) {
-			continue
-		}
-		lane, ok := p.LaneOf(v)
-		if !ok {
-			panic(fmt.Sprintf("FoRFrame accepted %v, which its frame (min %v, exp %d, width %d) cannot hold", v, p.Min, p.Exp, w))
-		}
-		p.Ints.Words[i/lpw] |= lane << (uint(i%lpw) * uint(w))
-	}
-	return &p, true
+	return tab.ColumnData(0)
 }
 
 // TestPackedCodeWidth pins the width function at the bit-width
@@ -132,18 +98,18 @@ func TestPackedFloatsScan(t *testing.T) {
 			}
 			vals[i] = base + float64(rng.Uint64()%(span+1))
 		}
-		p, ok := packVals(vals, missing)
-		if !ok {
-			t.Fatalf("span %d: packVals rejected eligible column", span)
+		cd := sealFloats(t, vals, missing)
+		if cd.PackedVals == nil {
+			t.Fatalf("span %d: the seal left an eligible column raw", span)
 		}
-		if w := p.Ints.Width; w > 32 {
+		if w := cd.PackedVals.Ints.Width; w > 32 {
 			t.Fatalf("span %d: width %d", span, w)
 		}
 		raw, err := TableFromColumns(schema, n, []ColumnData{{Kind: Continuous, Vals: vals, MissingWords: missing}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := TableFromColumns(schema, n, []ColumnData{{Kind: Continuous, PackedVals: p, MissingWords: missing}}, nil)
+		packed, err := TableFromColumns(schema, n, []ColumnData{cd}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +165,8 @@ func TestPackValsRejectsIneligible(t *testing.T) {
 		{0, 1 << 32},                    // span exactly 2^32
 		{0, 0.01, float64(1<<32) / 100}, // span 2^32 in cents
 	} {
-		if p, ok := packVals(vals, make([]uint64, 1)); ok {
-			t.Errorf("packVals(%v) accepted, exp %d width %d", vals, p.Exp, p.Ints.Width)
+		if p := sealFloats(t, vals, make([]uint64, 1)).PackedVals; p != nil {
+			t.Errorf("seal packed %v, exp %d width %d", vals, p.Exp, p.Ints.Width)
 		}
 	}
 	for _, c := range []struct {
@@ -218,30 +184,30 @@ func TestPackValsRejectsIneligible(t *testing.T) {
 		{[]float64{0.000001, 0.25}, 6, 18, 1},                     // MaxDecimalExp
 		{[]float64{(1<<32 - 1) / 100.0, 0}, 2, 32, 0},             // widest span, scaled
 	} {
-		p, ok := packVals(c.vals, none)
-		if !ok {
-			t.Errorf("packVals(%v) rejected", c.vals)
+		p := sealFloats(t, c.vals, none).PackedVals
+		if p == nil {
+			t.Errorf("seal left %v raw", c.vals)
 			continue
 		}
 		if p.Exp != c.exp || p.Ints.Width != c.width || p.Min != c.min {
-			t.Errorf("packVals(%v): exp %d width %d min %v, want %d %d %v", c.vals, p.Exp, p.Ints.Width, p.Min, c.exp, c.width, c.min)
+			t.Errorf("seal of %v: exp %d width %d min %v, want %d %d %v", c.vals, p.Exp, p.Ints.Width, p.Min, c.exp, c.width, c.min)
 		}
 		for i, v := range c.vals {
 			if got := p.At(i); math.Float64bits(got) != math.Float64bits(v) {
-				t.Errorf("packVals(%v): row %d reads back %v", c.vals, i, got)
+				t.Errorf("seal of %v: row %d reads back %v", c.vals, i, got)
 			}
 		}
 	}
 	// All-missing columns pack trivially.
-	if p, ok := packVals([]float64{0, 0}, []uint64{3}); !ok || p.Ints.Width != 1 || p.Exp != 0 {
-		t.Errorf("all-missing column: ok=%v", ok)
+	if p := sealFloats(t, []float64{0, 0}, []uint64{3}).PackedVals; p == nil || p.Ints.Width != 1 || p.Exp != 0 {
+		t.Errorf("all-missing column: %+v", p)
 	}
 }
 
 // buildMixedTable appends rows with NULLs, out-of-domain strings and
 // kind-mismatched misfit cells across dictionary sizes that straddle
-// packed bit-width boundaries.
-func buildMixedTable(t *testing.T, n int, seed int64) *Table {
+// packed bit-width boundaries, and returns the table with the rows.
+func buildMixedTable(t *testing.T, n int, seed int64) (*Table, []Tuple) {
 	t.Helper()
 	schema, err := NewSchema(
 		Attribute{Name: "flag", Kind: Categorical, Values: []string{"y"}},                           // width 2 after sentinels
@@ -261,6 +227,7 @@ func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed))
 	tab := NewTable(schema)
 	g254 := domainN(254)
+	var rows []Tuple
 	for i := 0; i < n; i++ {
 		row := Tuple{
 			Str([]string{"y", "n?", "y", "y"}[rng.Intn(4)]), // n? is out of domain
@@ -286,8 +253,9 @@ func buildMixedTable(t *testing.T, n int, seed int64) *Table {
 			row[4+rng.Intn(6)] = Str("oops")
 		}
 		tab.MustAppend(row)
+		rows = append(rows, row)
 	}
-	return tab
+	return tab, rows
 }
 
 func domainN(n int) []string {
@@ -298,38 +266,12 @@ func domainN(n int) []string {
 	return out
 }
 
-// packTable rebuilds t with every eligible column packed, via the same
-// exported surface the column store uses.
-func packTable(t *testing.T, tab *Table) *Table {
-	t.Helper()
-	schema := tab.Schema()
-	cols := make([]ColumnData, schema.Arity())
-	for pos := 0; pos < schema.Arity(); pos++ {
-		cd := tab.ColumnData(pos)
-		if cd.Kind == Categorical {
-			cols[pos] = ColumnData{Kind: Categorical, Dict: cd.Dict, PackedCodes: packCodes(cd.Codes, len(cd.Dict))}
-			continue
-		}
-		cols[pos] = cd
-		if p, ok := packVals(cd.Vals, cd.MissingWords); ok {
-			cols[pos].Vals = nil
-			cols[pos].PackedVals = p
-		}
-	}
-	packed, err := TableFromColumns(schema, tab.Size(), cols, tab.MisfitCells())
-	if err != nil {
-		t.Fatalf("TableFromColumns(packed): %v", err)
-	}
-	return packed
-}
-
-// TestPackedTableDifferential requires the unpacked table and its packed
-// twin to reconstruct identical rows, Floats and DistinctValues. (The
-// predicate battery evaluated over both lives on in workload's
-// TestOnePredicateMatchesRowsPackedBattery.)
+// TestPackedTableDifferential requires the sealed table to give back the
+// tuples appended to it — rows and Floats — with every column in the
+// encoding the seal's rules pick. (The predicate battery evaluated over
+// the tuples lives on in workload's TestOnePredicateMatchesRowsPackedBattery.)
 func TestPackedTableDifferential(t *testing.T) {
-	tab := buildMixedTable(t, 4097, 7)
-	packed := packTable(t, tab)
+	packed, rows := buildMixedTable(t, 4097, 7)
 
 	if fp := packed.ColumnData(6); fp.PackedVals != nil {
 		t.Fatalf("fractional column unexpectedly packed")
@@ -343,33 +285,31 @@ func TestPackedTableDifferential(t *testing.T) {
 		t.Fatalf("categorical column not packed")
 	}
 
-	for i := 0; i < tab.Size(); i++ {
-		ru, rp := tab.Row(i), packed.Row(i)
-		for pos := range ru {
-			if ru[pos] != rp[pos] {
-				t.Fatalf("row %d pos %d: unpacked %v packed %v", i, pos, ru[pos], rp[pos])
+	for i, want := range rows {
+		got := packed.Row(i)
+		for pos := range want {
+			if got[pos] != want[pos] {
+				t.Fatalf("row %d pos %d: appended %v, sealed %v", i, pos, want[pos], got[pos])
 			}
 		}
 	}
 
 	for pos := 4; pos <= 9; pos++ {
-		vu, _, _ := tab.Floats(pos)
-		vp, _, _ := packed.Floats(pos)
-		for i := range vu {
-			if math.Float64bits(vu[i]) != math.Float64bits(vp[i]) {
-				t.Fatalf("Floats pos %d row %d: unpacked %v packed %v", pos, i, vu[i], vp[i])
+		vals, missing, _ := packed.Floats(pos)
+		for i, row := range rows {
+			v, isNum := row[pos].AsNum()
+			if isNum == missing.Get(i) {
+				t.Fatalf("Floats pos %d row %d: missing bit %v for %v", pos, i, missing.Get(i), row[pos])
+			}
+			if isNum && math.Float64bits(v) != math.Float64bits(vals[i]) {
+				t.Fatalf("Floats pos %d row %d: appended %v, sealed %v", pos, i, v, vals[i])
 			}
 		}
 	}
 
-	du, _ := tab.DistinctValues("grade")
-	dp, _ := packed.DistinctValues("grade")
-	if fmt.Sprint(du) != fmt.Sprint(dp) {
-		t.Fatalf("DistinctValues: %v vs %v", du, dp)
-	}
-
-	// Packed categorical scans read ~width/32 of the unpacked bytes.
-	if up, pk := tab.ColumnScanBytes(3), packed.ColumnScanBytes(3); pk*3 > up {
-		t.Fatalf("code254 packed scan bytes %d not < 1/3 of unpacked %d", pk, up)
+	// Packed categorical scans read ~width/32 of the full-width codes'
+	// bytes (4 a row).
+	if pk, full := packed.ColumnScanBytes(3), int64(packed.Size())*4; pk*3 > full {
+		t.Fatalf("code254 packed scan bytes %d not < 1/3 of full-width %d", pk, full)
 	}
 }

@@ -93,33 +93,31 @@ func (p *Projection) Bytes() int64 { return p.bytes }
 func (t *Table) projectionLimit() int { return t.n / projectionRowsPerTuple }
 
 // keyRadix returns the number of key digits column pos takes in a build:
-// per packed continuous column its lanes plus a NULL digit, per packed
+// per packed continuous column its lanes plus a NULL digit, per
 // categorical one its biased codes, per raw float64 one a local id per
-// distinct value up to the limit plus a NULL digit. ok is false for
-// unpacked categorical codes, which no build reads.
-func (t *Table) keyRadix(pos int) (radix uint64, ok bool) {
+// distinct value up to the limit plus a NULL digit.
+func (t *Table) keyRadix(pos int) uint64 {
 	if c := t.cats[pos]; c != nil {
-		return uint64(len(c.dict) + PackedCodeBias), c.packed != nil
+		return uint64(len(c.dict) + PackedCodeBias)
 	}
 	if p := t.nums[pos].packed; p != nil {
-		return 1<<uint(p.Ints.Width) + 1, true
+		return 1<<uint(p.Ints.Width) + 1
 	}
-	return uint64(t.projectionLimit()) + 1, true
+	return uint64(t.projectionLimit()) + 1
 }
 
 // keySpace returns the number of keys of the column set — the product of
-// its radices — and whether the set can have a projection at all: the
-// table is one TableFromColumns sealed (not a projection's own table),
-// every column is packed or raw float64, and a row's key fits 64 bits.
+// its radices — and whether the set can have a projection at all: its
+// weights fit uint32 and a row's key fits 64 bits.
 func (t *Table) keySpace(cols []int) (space uint64, ok bool) {
-	if t.proj == nil || int64(t.n) > math.MaxUint32 { // weights are uint32
+	t.seal()
+	if int64(t.n) > math.MaxUint32 {
 		return 0, false
 	}
 	space = 1
 	for _, pos := range cols {
-		radix, ok := t.keyRadix(pos)
-		hi, lo := bits.Mul64(space, radix)
-		if !ok || hi != 0 {
+		hi, lo := bits.Mul64(space, t.keyRadix(pos))
+		if hi != 0 {
 			return 0, false
 		}
 		space = lo
@@ -131,7 +129,7 @@ func (t *Table) keySpace(cols []int) (space uint64, ok bool) {
 func (t *Table) projectionBound() int64 {
 	var total int64
 	for pos := range t.cats {
-		total += t.ColumnScanBytes(pos)
+		total += t.columnScanBytes(pos)
 	}
 	return total / projectionBoundDivisor
 }
@@ -202,6 +200,7 @@ func (t *Table) ProjectionBytes() int64 { return t.ProjectionStats().Held }
 // ProjectionStats returns the counters of the table's projection cache
 // (zero for a table that holds none).
 func (t *Table) ProjectionStats() memo.Stats {
+	t.seal()
 	if t.proj == nil {
 		return memo.Stats{}
 	}
@@ -279,7 +278,7 @@ func (t *Table) buildProjection(cols []int) *Projection {
 	kcs := make([]keyColumn, len(cols))
 	for i, pos := range cols {
 		kc := &kcs[i]
-		kc.radix, _ = t.keyRadix(pos)
+		kc.radix = t.keyRadix(pos)
 		switch c, nc := t.cats[pos], t.nums[pos]; {
 		case c != nil:
 			kc.lanes = c.packed
@@ -336,7 +335,6 @@ func (t *Table) buildProjection(cols []int) *Projection {
 		table: &Table{
 			schema:  t.schema,
 			n:       distinct,
-			sealed:  true,
 			cats:    make([]*catColumn, len(t.cats)),
 			nums:    make([]*numColumn, len(t.nums)),
 			misfits: make([]map[int]Value, len(t.misfits)),
@@ -362,7 +360,7 @@ func (t *Table) buildProjection(cols []int) *Projection {
 			kc.dstMiss = col.missing.words
 			p.table.nums[pos] = col
 		}
-		p.bytes += p.table.ColumnScanBytes(pos)
+		p.bytes += p.table.columnScanBytes(pos)
 	}
 	for row, tu := range tuples {
 		p.weights[row] = tu.weight

@@ -13,7 +13,7 @@ import (
 // out — and requires the projection to hold exactly those tuples with
 // those counts.
 func TestProjectionHoldsTheDistinctTuples(t *testing.T) {
-	tab := packTable(t, buildMixedTable(t, 60_000, 11))
+	tab, _ := buildMixedTable(t, 60_000, 11)
 	cols := []int{0, 1, 4} // flag × grade × age: 4 · 10 · 129 slots
 	p, outcome := tab.Projection(cols)
 	if outcome != ProjectionBuild {
@@ -83,7 +83,8 @@ func catTable(t *testing.T, n, ncols, values int) *Table {
 		}
 		tab.MustAppend(row)
 	}
-	return packTable(t, tab)
+	tab.seal()
+	return tab
 }
 
 // edgeTable is a sealed table of rows rows holding exactly distinct
@@ -104,11 +105,10 @@ func edgeTable(t *testing.T, rows, distinct int, misfit bool) *Table {
 	if misfit {
 		tab.MustAppend(Tuple{Num(999_007), Str("oops")})
 	}
-	packed := packTable(t, tab)
-	if packed.ColumnData(0).PackedVals == nil || packed.ColumnData(1).PackedVals != nil {
+	if tab.ColumnData(0).PackedVals == nil || tab.ColumnData(1).PackedVals != nil {
 		t.Fatal("fixture: want a packed wide column and a raw one")
 	}
-	return packed
+	return tab
 }
 
 // TestProjectionEligibility pins the observed rule at its exact edge: a
@@ -119,23 +119,9 @@ func edgeTable(t *testing.T, rows, distinct int, misfit bool) *Table {
 // Misfit rows do not count. Only a set whose keys alone are within the
 // limit is sure to build before it is tried.
 func TestProjectionEligibility(t *testing.T) {
-	heap := buildMixedTable(t, 60_000, 3)
-	if _, outcome := heap.Projection([]int{0}); outcome != ProjectionIneligible {
-		t.Fatalf("an unsealed table got a projection (%s)", outcome)
-	}
-	var misfits []MisfitCell
-	for _, m := range heap.MisfitCells() {
-		if m.Pos == 0 {
-			misfits = append(misfits, m)
-		}
-	}
-	// Unpacked codes, as a v1 segment serves them.
-	codes, err := TableFromColumns(MustSchema(heap.Schema().Attr(0)), heap.Size(), []ColumnData{heap.ColumnData(0)}, misfits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, outcome := codes.Projection([]int{0}); outcome != ProjectionIneligible {
-		t.Fatalf("a set with an unpacked categorical column got a projection (%s)", outcome)
+	appended, _ := buildMixedTable(t, 60_000, 3)
+	if _, outcome := appended.Projection([]int{0}); outcome != ProjectionBuild {
+		t.Fatalf("an appended table got no projection (%s)", outcome)
 	}
 
 	const rows = 400 // the limit is 50 tuples
@@ -290,7 +276,7 @@ func TestProjectionEvictionByBytes(t *testing.T) {
 // TestProjectionBuildsOnce: goroutines asking for one cold column set get
 // one build between them. Run under -race.
 func TestProjectionBuildsOnce(t *testing.T) {
-	tab := packTable(t, buildMixedTable(t, 60_000, 5))
+	tab, _ := buildMixedTable(t, 60_000, 5)
 	const callers = 16
 	var wg sync.WaitGroup
 	ps := make([]*Projection, callers)

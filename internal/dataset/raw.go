@@ -14,19 +14,17 @@ import (
 // scans run unchanged over disk-resident data.
 
 // ColumnData is the raw storage of one attribute, in schema position
-// order. Exactly one of the categorical (Codes/Dict) or continuous
-// (Vals/MissingWords) halves is populated, matching Kind. All slices must
-// be treated as read-only: for tables built by TableFromColumns they may
-// alias a read-only file mapping, where a write faults.
+// order. Exactly one of the categorical (PackedCodes/Dict) or continuous
+// (Vals or PackedVals, and MissingWords) halves is populated, matching
+// Kind. All slices must be treated as read-only: for tables built by
+// TableFromColumns they may alias a read-only file mapping, where a write
+// faults.
 type ColumnData struct {
 	Kind AttrKind
 
-	// Categorical: one dictionary code per row. Codes >= 0 index Dict;
-	// the sentinels (NULL, misfit) match the table's internal encoding.
-	// PackedCodes is the segment-format-v2 alternative: the same codes
-	// bitpacked with PackedCodeBias. Exactly one of Codes/PackedCodes is
-	// set for a categorical column.
-	Codes       []int32
+	// Categorical: the dictionary codes bitpacked with PackedCodeBias —
+	// lane k+PackedCodeBias is Dict[k], the lanes below it the sentinels
+	// (NULL, misfit).
 	PackedCodes *PackedInts
 	Dict        []string
 
@@ -52,8 +50,9 @@ type MisfitCell struct {
 // ColumnData returns the raw storage of the attribute at schema position
 // pos. The returned slices are views into the table — read-only.
 func (t *Table) ColumnData(pos int) ColumnData {
+	t.seal()
 	if c := t.cats[pos]; c != nil {
-		return ColumnData{Kind: Categorical, Codes: c.codes, PackedCodes: c.packed, Dict: c.dict}
+		return ColumnData{Kind: Categorical, PackedCodes: c.packed, Dict: c.dict}
 	}
 	c := t.nums[pos]
 	if c.packed != nil {
@@ -67,11 +66,15 @@ func (t *Table) ColumnData(pos int) ColumnData {
 // MisfitRows returns the sorted rows holding any kind-mismatched cell —
 // the rows a columnar scan must evaluate row-at-a-time. Read-only; empty
 // for every table built from CSV.
-func (t *Table) MisfitRows() []int { return t.misfitRows }
+func (t *Table) MisfitRows() []int {
+	t.seal()
+	return t.misfitRows
+}
 
 // MisfitCells returns every kind-mismatched cell, ordered by row then
 // schema position. Empty for every table built from CSV.
 func (t *Table) MisfitCells() []MisfitCell {
+	t.seal()
 	var out []MisfitCell
 	for _, row := range t.misfitRows {
 		for pos := range t.misfits {
@@ -104,7 +107,6 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 	t := &Table{
 		schema:  schema,
 		n:       n,
-		sealed:  true,
 		cats:    make([]*catColumn, schema.Arity()),
 		nums:    make([]*numColumn, schema.Arity()),
 		misfits: make([]map[int]Value, schema.Arity()),
@@ -116,32 +118,18 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 			return nil, fmt.Errorf("dataset: column %d kind %v, schema wants %v", pos, col.Kind, a.Kind)
 		}
 		if a.Kind == Categorical {
-			c := &catColumn{codes: col.Codes, packed: col.PackedCodes, dict: col.Dict, index: make(map[string]int32, len(col.Dict))}
+			c := &catColumn{packed: col.PackedCodes, dict: col.Dict, index: make(map[string]int32, len(col.Dict))}
 			for id, s := range col.Dict {
 				if _, dup := c.index[s]; dup {
 					return nil, fmt.Errorf("dataset: column %d dictionary has duplicate entry %q", pos, s)
 				}
 				c.index[s] = int32(id)
 			}
-			switch {
-			case col.PackedCodes != nil:
-				if col.Codes != nil {
-					return nil, fmt.Errorf("dataset: column %d has both unpacked and packed codes", pos)
-				}
-				maxLane := uint64(len(col.Dict) + PackedCodeBias)
-				if err := col.PackedCodes.validate(n, maxLane); err != nil {
-					return nil, fmt.Errorf("column %d: %w", pos, err)
-				}
-			default:
-				if len(col.Codes) != n {
-					return nil, fmt.Errorf("dataset: column %d has %d codes for %d rows", pos, len(col.Codes), n)
-				}
-				max := int32(len(col.Dict))
-				for i, code := range col.Codes {
-					if code >= max || code < misfitCode {
-						return nil, fmt.Errorf("dataset: column %d row %d code %d out of range [%d,%d)", pos, i, code, misfitCode, max)
-					}
-				}
+			if col.PackedCodes == nil {
+				return nil, fmt.Errorf("dataset: column %d has no packed codes", pos)
+			}
+			if err := col.PackedCodes.validate(n, uint64(len(col.Dict)+PackedCodeBias)); err != nil {
+				return nil, fmt.Errorf("column %d: %w", pos, err)
 			}
 			t.cats[pos] = c
 			continue
@@ -211,10 +199,6 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 	return t, nil
 }
 
-// Sealed reports whether the table rejects Append (tables built over
-// external column storage by TableFromColumns).
-func (t *Table) Sealed() bool { return t.sealed }
-
 // SetColumnHints installs the column-granular storage hints: advise is
 // called with the schema positions an imminent batched scan will read
 // (madvise(WILLNEED) over just those byte ranges), release with
@@ -243,18 +227,21 @@ func (t *Table) ReleaseColumns(cols []int) {
 
 // ColumnScanBytes returns the number of bytes one full pass over the
 // attribute at schema position pos reads from the column storage — the
-// packed words for a v2 column, the full-width slices otherwise.
+// packed words, or a raw column's float64s, and the missing bitmap.
 // This is the per-column term of the scan-bandwidth accounting
 // (apex_scan_bytes_total, BenchmarkCompressedScan).
 func (t *Table) ColumnScanBytes(pos int) int64 {
+	t.seal()
 	if pos < 0 || pos >= t.schema.Arity() {
 		return 0
 	}
+	return t.columnScanBytes(pos)
+}
+
+// columnScanBytes is ColumnScanBytes of a sealed table's column.
+func (t *Table) columnScanBytes(pos int) int64 {
 	if c := t.cats[pos]; c != nil {
-		if c.packed != nil {
-			return int64(len(c.packed.Words)) * 8
-		}
-		return int64(len(c.codes)) * 4
+		return int64(len(c.packed.Words)) * 8
 	}
 	c := t.nums[pos]
 	b := int64(len(c.missing.words)) * 8

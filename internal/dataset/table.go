@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
+	"sync"
+	"unsafe"
 
 	"repro/internal/memo"
 )
@@ -11,11 +13,19 @@ import (
 type Tuple []Value
 
 // Table is a multiset of tuples conforming to a schema, stored
-// column-major: categorical attributes as dictionary-encoded int32 codes,
-// continuous attributes as packed float64s with a missing bitmap. The
-// row-oriented API (Append, Row) remains the compatibility surface; the
-// columnar layout is what the workload scan kernel (Atoms) evaluates
-// against.
+// column-major in the encodings of segment format v2: categorical
+// attributes as bitpacked dictionary codes, continuous attributes as
+// frame-of-reference packed lanes where their values allow it and as
+// float64s otherwise, each with a missing bitmap. The row-oriented API
+// (Append, Row) remains the compatibility surface; the packed columns are
+// what the workload scan kernel (Atoms) evaluates against.
+//
+// A table is built and then sealed. Append and ReadCSV take rows through
+// the column encoder (encode.go), which holds them as cells; the first
+// read — Row, Floats, ColumnData, a scan's Bind, a Projection — packs the
+// cells, once, and from then on the table is read-only: a later Append is
+// refused. Tables over external column storage (TableFromColumns) are
+// sealed from the start.
 //
 // Cells whose Value kind does not match the attribute kind (a Num in a
 // categorical column, a Str in a continuous one — impossible via CSV but
@@ -31,36 +41,49 @@ type Table struct {
 	misfits    []map[int]Value // by attribute position, nil until needed
 	misfitRows []int           // sorted unique rows with any misfit cell
 
-	// sealed marks a table whose columns alias external (possibly
-	// read-only mmap'd) storage; Append must not grow or mutate them.
-	sealed bool
+	// build is what Append and ReadCSV accumulated; the seal packs it into
+	// cats and nums, once, and drops it. nil for a sealed table.
+	build    *tableBuild
+	sealOnce sync.Once
+
 	// adviseCols/releaseCols, when set, are the storage layer's
 	// column-granular warmup and cool-down hooks (SetColumnHints in
 	// raw.go).
 	adviseCols  func(cols []int)
 	releaseCols func(cols []int)
 
-	// proj holds the projections built over the packed columns of a table
-	// TableFromColumns sealed (projection.go); nil for every other table.
+	// proj holds the projections built over the table's columns
+	// (projection.go); nil only for a projection's own table.
 	proj *memo.Cache[string, *Projection]
+}
+
+// tableBuild is an unsealed table's columns as the encoder's cells, one
+// slice per block, so that no cell is copied before the seal packs it.
+type tableBuild struct {
+	enc     []*ColumnEncoder
+	lanes   [][][]uint32 // categorical cells, by attribute position
+	cells   [][][]uint64 // continuous cells, by attribute position
+	pending *Block       // appended rows not yet encoded
 }
 
 // NewTable returns an empty table over the schema.
 func NewTable(schema *Schema) *Table {
-	t := &Table{
+	b := &tableBuild{
+		enc:     make([]*ColumnEncoder, schema.Arity()),
+		lanes:   make([][][]uint32, schema.Arity()),
+		cells:   make([][][]uint64, schema.Arity()),
+		pending: NewBlock(schema),
+	}
+	for pos, a := range schema.attrs {
+		b.enc[pos] = NewColumnEncoder(a)
+	}
+	return &Table{
 		schema:  schema,
 		cats:    make([]*catColumn, schema.Arity()),
 		nums:    make([]*numColumn, schema.Arity()),
 		misfits: make([]map[int]Value, schema.Arity()),
+		build:   b,
 	}
-	for pos, a := range schema.attrs {
-		if a.Kind == Categorical {
-			t.cats[pos] = newCatColumn(a.Values)
-		} else {
-			t.nums[pos] = &numColumn{}
-		}
-	}
-	return t
 }
 
 // Schema returns the table's schema.
@@ -69,9 +92,79 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Size returns the number of rows |D|.
 func (t *Table) Size() int { return t.n }
 
+// seal packs an unsealed table's cells into its columns, once; every read
+// of the columns goes through it.
+func (t *Table) seal() { t.sealOnce.Do(t.pack) }
+
+// pack packs the columns on GOMAXPROCS workers and gives the sealed table
+// its projection cache.
+func (t *Table) pack() {
+	if t.build == nil {
+		return
+	}
+	t.flush()
+	var wg sync.WaitGroup
+	next := make(chan int, t.schema.Arity())
+	for pos := range t.schema.attrs {
+		next <- pos
+	}
+	close(next)
+	for range min(runtime.GOMAXPROCS(0), t.schema.Arity()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pos := range next {
+				t.packColumn(pos)
+			}
+		}()
+	}
+	wg.Wait()
+	t.build = nil
+	t.proj = memo.New[string, *Projection](t.projectionBound())
+}
+
+// packColumn packs one column's cells, block by block, dropping each
+// block's cells once packed.
+func (t *Table) packColumn(pos int) {
+	b, e := t.build, t.build.enc[pos]
+	pk := e.Packer()
+	words := make([]uint64, 0, PackedWordCount(t.n, pk.Width()))
+	if e.cat {
+		for i, lanes := range b.lanes[pos] {
+			words, b.lanes[pos][i] = pk.Lanes(words, lanes), nil
+		}
+		t.cats[pos] = &catColumn{packed: &PackedInts{Width: pk.Width(), N: t.n, Words: pk.Flush(words)}, dict: e.dict, index: e.index}
+		return
+	}
+	for i, cells := range b.cells[pos] {
+		var err error
+		if words, err = pk.Cells(words, cells); err != nil {
+			panic(err) // the merged frame holds every value it accepted (FoRFrame)
+		}
+		b.cells[pos][i] = nil
+	}
+	col := &numColumn{missing: Bitmap{n: t.n, words: e.missing}}
+	if f := pk.Frame(); f != nil {
+		f.Ints.N, f.Ints.Words = t.n, pk.Flush(words)
+		col.packed = f
+	} else {
+		col.vals = float64s(words)
+	}
+	t.nums[pos] = col
+}
+
+// float64s views float64 bits as the float64s.
+func float64s(words []uint64) []float64 {
+	if len(words) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&words[0])), len(words))
+}
+
 // Row materializes the i-th tuple from the columns. The returned tuple is
 // a fresh copy; mutating it does not affect the table.
 func (t *Table) Row(i int) Tuple {
+	t.seal()
 	row := make(Tuple, t.schema.Arity())
 	for pos := range row {
 		row[pos] = t.value(pos, i)
@@ -104,80 +197,50 @@ func (t *Table) value(pos, i int) Value {
 }
 
 // Append adds a tuple; it must have the schema's arity. The cells are
-// copied into the table's columns, so the caller may reuse the tuple.
+// copied into the table's columns, so the caller may reuse the tuple. A
+// sealed table — one that has been read — refuses it.
 func (t *Table) Append(row Tuple) error {
-	if t.sealed {
-		return fmt.Errorf("dataset: table is sealed (columns alias external storage)")
+	b := t.build
+	if b == nil {
+		return fmt.Errorf("dataset: table is sealed (it has been read, or its columns are external storage)")
 	}
 	if len(row) != t.schema.Arity() {
 		return fmt.Errorf("dataset: tuple arity %d, schema arity %d", len(row), t.schema.Arity())
 	}
-	for pos, v := range row {
-		t.appendCell(pos, v)
+	if b.pending.AddRow(row, t.addMisfit) {
+		t.flush()
 	}
 	t.n++
 	return nil
 }
 
-// appendBlock appends a block of CSV records: each block-local dictionary
-// maps onto the column's in order, so codes are those row-at-a-time
-// appends would have given. CSV blocks hold no kind-mismatched cells.
-func (t *Table) appendBlock(b *Block) {
-	var remap []int32
-	for pos, bc := range b.Cols {
-		if c := t.cats[pos]; c != nil {
-			remap = remap[:0]
-			for _, s := range bc.Dict {
-				remap = append(remap, c.code(s))
-			}
-			for _, code := range bc.Codes {
-				if code >= 0 {
-					code = remap[code]
-				}
-				c.codes = append(c.codes, code)
-			}
-			continue
-		}
-		c := t.nums[pos]
-		c.vals = bc.AppendFloats(c.vals)
-		c.missing.words = AppendBits(c.missing.words, c.missing.n, bc.Missing, b.Rows)
-		c.missing.n += b.Rows
+// flush encodes the appended rows the pending block holds.
+func (t *Table) flush() {
+	if p := t.build.pending; p.Rows > 0 {
+		t.encode(p)
+		p.Reset()
 	}
-	t.n += b.Rows
+}
+
+// encode turns a block of rows into the columns' cells: each block-local
+// dictionary maps onto the column's in order, so codes are those
+// row-at-a-time appends would have given, and each block's frame merges
+// into the column's.
+func (t *Table) encode(blk *Block) {
+	b := t.build
+	for pos, e := range b.enc {
+		if e.cat {
+			b.lanes[pos] = append(b.lanes[pos], e.AppendLanes(make([]uint32, 0, blk.Rows), &blk.Cols[pos]))
+		} else {
+			b.cells[pos] = append(b.cells[pos], e.AppendCells(make([]uint64, 0, blk.Rows), &blk.Cols[pos], blk.Rows))
+		}
+	}
 }
 
 // MustAppend is Append that panics on error.
 func (t *Table) MustAppend(row Tuple) {
 	if err := t.Append(row); err != nil {
 		panic(err)
-	}
-}
-
-func (t *Table) appendCell(pos int, v Value) {
-	if c := t.cats[pos]; c != nil {
-		switch v.kind {
-		case strValue:
-			c.codes = append(c.codes, c.code(v.str))
-		case nullValue:
-			c.codes = append(c.codes, nullCode)
-		default:
-			c.codes = append(c.codes, misfitCode)
-			t.addMisfit(pos, v)
-		}
-		return
-	}
-	c := t.nums[pos]
-	switch v.kind {
-	case numValue:
-		c.vals = append(c.vals, v.num)
-		c.missing.appendBit(false)
-	case nullValue:
-		c.vals = append(c.vals, 0)
-		c.missing.appendBit(true)
-	default:
-		c.vals = append(c.vals, 0)
-		c.missing.appendBit(true)
-		t.addMisfit(pos, v)
 	}
 }
 
@@ -197,11 +260,12 @@ func (t *Table) addMisfit(pos int, v Value) {
 // position pos: vals[i] is the row-i value wherever missing bit i is
 // clear. ok is false for categorical attributes. The returned slices are
 // views into the table and must be treated as read-only. For a
-// frame-of-reference packed column (v2 segments) the slice is a lazily
-// decoded copy, materialized once per column and cached — random-access
-// consumers like the exact sums keep a real slice while the atom
-// classifier stays on the packed words.
+// frame-of-reference packed column the slice is a lazily decoded copy,
+// materialized once per column and cached — random-access consumers like
+// the exact sums keep a real slice while the atom classifier stays on the
+// packed words.
 func (t *Table) Floats(pos int) (vals []float64, missing *Bitmap, ok bool) {
+	t.seal()
 	if pos < 0 || pos >= len(t.nums) || t.nums[pos] == nil {
 		return nil, nil, false
 	}
@@ -219,79 +283,4 @@ func (t *Table) Count(p Predicate) int {
 		}
 	}
 	return n
-}
-
-// Sample returns a new table with the first n rows (or all rows if fewer).
-func (t *Table) Sample(n int) *Table {
-	if n > t.n {
-		n = t.n
-	}
-	out := &Table{
-		schema:  t.schema,
-		n:       n,
-		cats:    make([]*catColumn, len(t.cats)),
-		nums:    make([]*numColumn, len(t.nums)),
-		misfits: make([]map[int]Value, len(t.misfits)),
-	}
-	for pos := range t.cats {
-		if t.cats[pos] != nil {
-			out.cats[pos] = t.cats[pos].clonePrefix(n)
-		} else {
-			out.nums[pos] = t.nums[pos].clonePrefix(n)
-		}
-		if m := t.misfits[pos]; m != nil {
-			for row, v := range m {
-				if row < n {
-					if out.misfits[pos] == nil {
-						out.misfits[pos] = make(map[int]Value)
-					}
-					out.misfits[pos][row] = v
-				}
-			}
-		}
-	}
-	for _, row := range t.misfitRows {
-		if row < n {
-			out.misfitRows = append(out.misfitRows, row)
-		}
-	}
-	return out
-}
-
-// DistinctValues returns the sorted distinct non-null string values of an
-// attribute present in the table (a helper for exploration tooling; the
-// public domain remains the schema's).
-func (t *Table) DistinctValues(attr string) ([]string, error) {
-	idx, ok := t.schema.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("dataset: unknown attribute %q", attr)
-	}
-	set := make(map[string]struct{})
-	if c := t.cats[idx]; c != nil {
-		seen := make([]bool, len(c.dict))
-		for i := 0; i < t.n; i++ {
-			if code := c.codeAt(i); code >= 0 {
-				seen[code] = true
-			}
-		}
-		for id, s := range seen {
-			if s {
-				set[c.dict[id]] = struct{}{}
-			}
-		}
-	}
-	// String values can also hide in a continuous column as misfits.
-	if m := t.misfits[idx]; m != nil {
-		for _, v := range m {
-			if s, ok := v.AsStr(); ok {
-				set[s] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, nil
 }

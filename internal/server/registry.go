@@ -834,7 +834,7 @@ func heapColumnBytes(t *dataset.Table) int64 {
 	var total int64
 	for pos := 0; pos < t.Schema().Arity(); pos++ {
 		cd := t.ColumnData(pos)
-		total += int64(len(cd.Codes))*4 + int64(len(cd.Vals))*8 + int64(len(cd.MissingWords))*8
+		total += int64(len(cd.Vals))*8 + int64(len(cd.MissingWords))*8
 		if cd.PackedCodes != nil {
 			total += int64(len(cd.PackedCodes.Words)) * 8
 		}

@@ -107,8 +107,8 @@ func TestStoragePolicyThreshold(t *testing.T) {
 // encoding they are served in, every encoding exported from the first
 // scrape — so the column that fit no packed form (here one whose values
 // are a third of an integer) is a visible enc="raw" 1, on the mapped
-// segment and on the heap copy alike, and a table parsed straight onto the
-// heap is raw throughout.
+// segment, on the heap copy and on a table parsed straight onto the heap
+// alike: every table is sealed by the same column encoder.
 func TestColumnEncodingGauge(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "age", Kind: dataset.Continuous, Min: 0, Max: 100},
@@ -152,7 +152,7 @@ func TestColumnEncodingGauge(t *testing.T) {
 	for ds, want := range map[string]map[string]float64{
 		"mapped": {"bitpack": 1, "for": 1, "for10": 1, "raw": 1},
 		"copied": {"bitpack": 1, "for": 1, "for10": 1, "raw": 1},
-		"parsed": {"bitpack": 0, "for": 0, "for10": 0, "raw": 4},
+		"parsed": {"bitpack": 1, "for": 1, "for10": 1, "raw": 1},
 	} {
 		for enc, n := range want {
 			series := fmt.Sprintf(`apex_dataset_columns{dataset=%q,enc=%q}`, ds, enc)

@@ -35,8 +35,8 @@ type BatchStats struct {
 	// projection answered — the numerator of the rows-per-byte bandwidth
 	// figure.
 	Rows int64
-	// ScanBytes is the storage behind Rows: packed words for v2 columns,
-	// full-width slices for v1/heap ones, once per (workload, column); a
+	// ScanBytes is the storage behind Rows: packed words, or a raw
+	// column's float64s, once per (workload, column); a
 	// projection's lanes and weights for a workload it answered.
 	ScanBytes int64
 	// Columns is the deduplicated, sorted set of schema positions whose
@@ -92,8 +92,8 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 		}
 		// Histogram is only defined for materialized transformations, and
 		// anything already memoized needs no work.
-		_, histDone := tr.memo.Peek(evalKey{d, d.Size(), false})
-		_, truthDone := tr.memo.Peek(evalKey{d, d.Size(), true})
+		_, histDone := tr.memo.Peek(evalKey{d, false})
+		_, truthDone := tr.memo.Peek(evalKey{d, true})
 		hist := it.Histogram && tr.Materialized() && !histDone
 		truth := it.Truth && !truthDone
 		if !hist && !truth {
@@ -157,10 +157,10 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 
 	for _, t := range tasks {
 		if t.hist {
-			t.tr.memo.Get(evalKey{d, d.Size(), false}, func() ([]float64, int64, error) { return t.x, 1, t.xErr })
+			t.tr.memo.Get(evalKey{d, false}, func() ([]float64, int64, error) { return t.x, 1, t.xErr })
 		}
 		if t.truth {
-			t.tr.memo.Get(evalKey{d, d.Size(), true}, func() ([]float64, int64, error) { return t.truths, 1, nil })
+			t.tr.memo.Get(evalKey{d, true}, func() ([]float64, int64, error) { return t.truths, 1, nil })
 		}
 	}
 	return stats

@@ -105,12 +105,10 @@ func (c *TransformCache) Has(key string) bool {
 func (c *TransformCache) Stats() memo.Stats { return c.entries.Stats() }
 
 // evalKey names one memoized noise-free evaluation of a Transformed: the
-// table, its size — appending to a table (the only mutation the Table API
-// allows) changes it, so stale results are never served — and which of
-// the two results.
+// table — sealed by the evaluation, so its rows never change after — and
+// which of the two results.
 type evalKey struct {
 	t     *dataset.Table
-	n     int
 	truth bool
 }
 
@@ -120,10 +118,10 @@ type evalKey struct {
 const evalMemoEntries = 16
 
 // memoized returns a copy of tr's memoized evaluation over d — the true
-// answers or the histogram — running eval at most once per (table, size)
-// across all concurrent sessions.
+// answers or the histogram — running eval at most once per table across
+// all concurrent sessions.
 func (tr *Transformed) memoized(d *dataset.Table, truth bool, eval func() ([]float64, error)) ([]float64, error) {
-	vals, err := tr.memo.Get(evalKey{d, d.Size(), truth}, func() ([]float64, int64, error) {
+	vals, err := tr.memo.Get(evalKey{d, truth}, func() ([]float64, int64, error) {
 		vals, err := eval()
 		return vals, 1, err
 	})

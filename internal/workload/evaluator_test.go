@@ -328,7 +328,7 @@ func TestSumsMatchRowsAcrossStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	s := kernelSchema(t)
 	for trial := 0; trial < 8; trial++ {
-		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
+		heap, _ := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
 		forms := storageForms(t, heap)
 		nums := []string{kernelNums[rng.Intn(3)], kernelNums[3+rng.Intn(3)]}
 		var preds []dataset.Predicate
@@ -370,7 +370,7 @@ func boxWorkload(rng *rand.Rand, n int) []dataset.Predicate {
 func TestImplicitWorkloadMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	s := kernelSchema(t)
-	heap := kernelTable(rng, s, 3*morselRows/2, true)
+	heap, rows := kernelTable(rng, s, 3*morselRows/2, true)
 	forms := storageForms(t, heap)
 	boxes := boxWorkload(rng, 60)
 	big := make(dataset.Or, 0, 40)
@@ -412,7 +412,7 @@ func TestImplicitWorkloadMatchesRows(t *testing.T) {
 			if exact && st.ScanBytes != planBytes {
 				t.Fatalf("%s: read %d bytes, planned %d", label, st.ScanBytes, planBytes)
 			}
-			checkKernelAgainstRows(t, label, tr, d)
+			checkKernelAgainstRows(t, label, tr, d, rows)
 			if _, ok := tr.Sums(d, 0); ok != c.exact {
 				t.Fatalf("%s: Sums ok = %v", label, ok)
 			}

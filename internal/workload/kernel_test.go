@@ -50,10 +50,11 @@ func kernelDecimal(rng *rand.Rand, attr string) float64 {
 
 // kernelTable fills a heap table with in-domain rows and NULLs; wild
 // adds rows outside the public domain (out-of-range numbers, NaN, ±Inf,
-// strings the schema does not list) and kind-mismatched misfit cells.
-func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.Table {
-	t := dataset.NewTable(s)
+// strings the schema does not list) and kind-mismatched misfit cells. It
+// returns the table with the tuples appended to it, the oracle's input.
+func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) (*dataset.Table, []dataset.Tuple) {
 	fracs := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1, -1, 0.25}
+	rows := make([]dataset.Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		row := dataset.Tuple{
 			dataset.Num(float64(rng.Intn(101))),
@@ -90,99 +91,71 @@ func kernelTable(rng *rand.Rand, s *dataset.Schema, n int, wild bool) *dataset.T
 				row[pos] = dataset.Null
 			}
 		}
-		t.MustAppend(row)
+		rows = append(rows, row)
+	}
+	return repeatedTable(s, rows, 1), rows
+}
+
+// repeatedTable appends the rows repeat times over, copy after copy, to a
+// new table; its first read seals it.
+func repeatedTable(s *dataset.Schema, rows []dataset.Tuple, repeat int) *dataset.Table {
+	t := dataset.NewTable(s)
+	for k := 0; k < repeat; k++ {
+		for _, row := range rows {
+			t.MustAppend(row)
+		}
 	}
 	return t
 }
 
-// packedForm rebuilds the heap table with every eligible column packed
-// in memory, by the column store's rules (PackedCodeWidth, FoRFrame,
-// LaneOf) but without a file — the fuzz target's packed twin.
-func packedForm(tb testing.TB, heap *dataset.Table) *dataset.Table {
-	return repeatedPackedForm(tb, heap, 1)
-}
-
-// repeatedPackedForm is packedForm of the heap table's rows repeat times
-// over, copy after copy.
-func repeatedPackedForm(tb testing.TB, heap *dataset.Table, repeat int) *dataset.Table {
+// rawForm is the sealed table with every continuous column widened to
+// float64s — the raw reader, which a v1 segment's values and every column
+// without a frame go through.
+func rawForm(tb testing.TB, d *dataset.Table) *dataset.Table {
 	tb.Helper()
-	s, n := heap.Schema(), heap.Size()
+	s := d.Schema()
 	cols := make([]dataset.ColumnData, s.Arity())
 	for pos := range cols {
-		cd := heap.ColumnData(pos)
-		if cd.Kind == dataset.Categorical {
-			lanes := make([]uint64, n*repeat)
-			for i := range lanes {
-				lanes[i] = uint64(int64(cd.Codes[i%n]) + dataset.PackedCodeBias)
-			}
-			cols[pos] = dataset.ColumnData{Kind: cd.Kind, Dict: cd.Dict, PackedCodes: packLanes(lanes, dataset.PackedCodeWidth(len(cd.Dict)))}
-			continue
-		}
-		present := func(i int) bool { return cd.MissingWords[i>>6]&(1<<(uint(i)&63)) == 0 }
-		col := dataset.ColumnData{Kind: cd.Kind, MissingWords: make([]uint64, (n*repeat+63)>>6)}
-		var frame dataset.FoRFrame
-		for i, v := range cd.Vals {
-			if present(i) {
-				frame.Add(v)
-			}
-		}
-		p, packs := frame.Packing()
-		lanes := make([]uint64, n*repeat) // a missing row packs as lane 0
-		for i := range lanes {
-			if !present(i % n) {
-				col.MissingWords[i>>6] |= 1 << (uint(i) & 63)
-			} else if packs {
-				var ok bool
-				if lanes[i], ok = p.LaneOf(cd.Vals[i%n]); !ok {
-					tb.Fatalf("column %d: FoRFrame accepted %v, which its frame %+v cannot hold", pos, cd.Vals[i%n], p)
-				}
-			}
-		}
-		if packs {
-			p.Ints = *packLanes(lanes, p.Ints.Width)
-			col.PackedVals = &p
-		} else {
-			for k := 0; k < repeat; k++ {
-				col.Vals = append(col.Vals, cd.Vals...)
-			}
-		}
-		cols[pos] = col
-	}
-	var misfits []dataset.MisfitCell
-	for k := 0; k < repeat; k++ {
-		for _, m := range heap.MisfitCells() {
-			m.Row += k * n
-			misfits = append(misfits, m)
+		cols[pos] = d.ColumnData(pos)
+		if vals, _, ok := d.Floats(pos); ok {
+			cols[pos] = dataset.ColumnData{Kind: dataset.Continuous, Vals: vals, MissingWords: cols[pos].MissingWords}
 		}
 	}
-	packed, err := dataset.TableFromColumns(s, n*repeat, cols, misfits)
+	raw, err := dataset.TableFromColumns(s, d.Size(), cols, d.MisfitCells())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return packed
+	return raw
 }
 
-// projectedForm returns the heap table's rows, packed, repeated as often
-// as it takes for the workload's column set to have a projection (at most
-// a distinct tuple per eight rows, misfit rows not counted), and how often
-// that is; nil when the workload takes no kernel or the set's rows hold
-// more than maxTuples distinct tuples.
-func projectedForm(tb testing.TB, heap *dataset.Table, tr *Transformed, maxTuples int) (*dataset.Table, int) {
+// misfitTuple reports whether a tuple holds a kind-mismatched cell.
+func misfitTuple(s *dataset.Schema, row dataset.Tuple) bool {
+	for pos, v := range row {
+		_, isStr := v.AsStr()
+		_, isNum := v.AsNum()
+		if cat := s.Attr(pos).Kind == dataset.Categorical; !v.IsNull() && (cat && !isStr || !cat && !isNum) {
+			return true
+		}
+	}
+	return false
+}
+
+// projectedForm returns the rows repeated as often as it takes for the
+// workload's column set to have a projection (at most a distinct tuple
+// per eight rows, misfit rows not counted), and how often that is; nil
+// when the workload takes no kernel or the set's rows hold more than
+// maxTuples distinct tuples.
+func projectedForm(tb testing.TB, tr *Transformed, rows []dataset.Tuple, maxTuples int) (*dataset.Table, int) {
 	tb.Helper()
 	cols := tr.kernels().cols
-	if tr.kernels().fallback != "" || heap.Size() == 0 {
+	if tr.kernels().fallback != "" || len(rows) == 0 {
 		return nil, 0
 	}
-	misfit := make(map[int]bool)
-	for _, r := range heap.MisfitRows() {
-		misfit[r] = true
-	}
 	tuples := make(map[string]bool)
-	for i := 0; i < heap.Size(); i++ {
-		if misfit[i] {
+	for _, row := range rows {
+		if misfitTuple(tr.schema, row) {
 			continue
 		}
-		row := heap.Row(i)
 		var key []byte
 		for _, pos := range cols {
 			v := row[pos]
@@ -200,29 +173,17 @@ func projectedForm(tb testing.TB, heap *dataset.Table, tr *Transformed, maxTuple
 	if len(tuples) > maxTuples {
 		return nil, 0
 	}
-	repeat := max(1, (8*len(tuples)+heap.Size()-1)/heap.Size())
-	d := repeatedPackedForm(tb, heap, repeat)
+	repeat := max(1, (8*len(tuples)+len(rows)-1)/len(rows))
+	d := repeatedTable(tr.schema, rows, repeat)
 	if _, outcome := d.PlannedProjection(cols); outcome != dataset.ProjectionBuild {
 		tb.Fatalf("%d tuples over columns %v of %d rows: projection planned %q, want a build", len(tuples), cols, d.Size(), outcome)
 	}
 	return d, repeat
 }
 
-// packLanes lays lanes out in the no-straddle form dataset.PackedInts
-// documents: ⌊64/width⌋ lanes per word, tail zero.
-func packLanes(lanes []uint64, width int) *dataset.PackedInts {
-	p := &dataset.PackedInts{Width: width, N: len(lanes), Words: make([]uint64, dataset.PackedWordCount(len(lanes), width))}
-	lpw := 64 / width
-	for i, l := range lanes {
-		p.Words[i/lpw] |= l << (uint(i%lpw) * uint(width))
-	}
-	return p
-}
-
-// storageForms returns the heap table and its two other homes: the v2
-// segment its rows stream into, mapped, and that segment's packed
-// columns copied back onto the heap. (A v1 segment reads through the same
-// raw []int32/[]float64 readers as the heap table.)
+// storageForms returns the sealed heap table and its other homes: its
+// values widened to float64s, the v2 segment its rows stream into,
+// mapped, and that segment's columns copied back onto the heap.
 func storageForms(tb testing.TB, heap *dataset.Table) map[string]*dataset.Table {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "table.seg")
@@ -243,11 +204,11 @@ func storageForms(tb testing.TB, heap *dataset.Table) map[string]*dataset.Table 
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { seg.Close() })
-	packed, err := colstore.HeapCopy(seg.Table())
+	copied, err := colstore.HeapCopy(seg.Table())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return map[string]*dataset.Table{"heap-raw": heap, "heap-packed": packed, "v2": seg.Table()}
+	return map[string]*dataset.Table{"heap": heap, "heap-raw": rawForm(tb, heap), "heap-copy": copied, "v2": seg.Table()}
 }
 
 // kernelCut draws a cut constant for the attribute: mostly values the
@@ -316,39 +277,39 @@ func kernelPredicate(rng *rand.Rand, nums []string, depth int) dataset.Predicate
 }
 
 // checkKernelAgainstRows is the differential oracle: the scan kernel's
-// histogram (or its error, to the character) and true answers must equal
-// the row-at-a-time reference, which is predicate-by-predicate Eval.
-func checkKernelAgainstRows(tb testing.TB, label string, tr *Transformed, d *dataset.Table) {
+// histogram (or its error, to the character) and true answers over d must
+// equal predicate-by-predicate Eval over rows, the tuples appended to it —
+// never read back from a sealed table.
+func checkKernelAgainstRows(tb testing.TB, label string, tr *Transformed, d *dataset.Table, rows []dataset.Tuple) {
 	tb.Helper()
-	checkKernelAgainstRepeatedRows(tb, label, tr, d, d, 1)
+	checkKernelAgainstRepeatedRows(tb, label, tr, d, rows, 1)
 }
 
-// checkProjectedAgainstRows is the oracle's third form, next to the raw
-// and the packed table: the heap table's rows repeated until the
-// workload's column set has a projection, evaluated through it — first
-// building it (truth-only), then answered by the held one (hist-only) —
-// against the row path over the heap table. It reports false when the
-// column set cannot have a projection of at most maxTuples rows.
-func checkProjectedAgainstRows(tb testing.TB, label string, tr *Transformed, heap *dataset.Table, maxTuples int) bool {
+// checkProjectedAgainstRows is the oracle's third form, next to the
+// packed and the raw table: the rows repeated until the workload's column
+// set has a projection, evaluated through it — first building it
+// (truth-only), then answered by the held one (hist-only) — against Eval
+// over the rows. It reports false when the column set cannot have a
+// projection of at most maxTuples rows.
+func checkProjectedAgainstRows(tb testing.TB, label string, tr *Transformed, rows []dataset.Tuple, maxTuples int) bool {
 	tb.Helper()
-	d, repeat := projectedForm(tb, heap, tr, maxTuples)
+	d, repeat := projectedForm(tb, tr, rows, maxTuples)
 	if d == nil {
 		return false
 	}
-	checkKernelAgainstRepeatedRows(tb, label, tr, d, heap, repeat)
+	checkKernelAgainstRepeatedRows(tb, label, tr, d, rows, repeat)
 	if _, outcome := d.PlannedProjection(tr.kernels().cols); outcome != dataset.ProjectionHit {
 		tb.Fatalf("%s: the evaluation left no projection behind (%s)", label, outcome)
 	}
 	x, truths, err := tr.EvaluateUnprojected(d)
-	checkResults(tb, label+" (row kernel)", tr, x, truths, err, heap, repeat)
+	checkResults(tb, label+" (row kernel)", tr, x, truths, err, rows, repeat)
 	return true
 }
 
-// checkKernelAgainstRepeatedRows evaluates over d, which holds ref's rows
-// repeat times over; the row path runs over ref. Every count is then
-// repeat times ref's, and the first row outside the public domain the
-// same row.
-func checkKernelAgainstRepeatedRows(tb testing.TB, label string, tr *Transformed, d, ref *dataset.Table, repeat int) {
+// checkKernelAgainstRepeatedRows evaluates over d, which holds rows repeat
+// times over. Every count is then repeat times the rows', and the first
+// row outside the public domain the same row.
+func checkKernelAgainstRepeatedRows(tb testing.TB, label string, tr *Transformed, d *dataset.Table, rows []dataset.Tuple, repeat int) {
 	tb.Helper()
 	truths := tr.TrueAnswers(d)
 	var x []float64
@@ -356,21 +317,46 @@ func checkKernelAgainstRepeatedRows(tb testing.TB, label string, tr *Transformed
 	if tr.Materialized() {
 		x, err = tr.Histogram(d)
 	}
-	checkResults(tb, label, tr, x, truths, err, ref, repeat)
+	checkResults(tb, label, tr, x, truths, err, rows, repeat)
 }
 
-func checkResults(tb testing.TB, label string, tr *Transformed, x, truths []float64, err error, ref *dataset.Table, repeat int) {
+// tupleAnswers evaluates the workload over tuples, predicate by predicate:
+// the true answers, and the histogram over Transform's partitions or the
+// error naming the first tuple outside the public domain.
+func tupleAnswers(tr *Transformed, rows []dataset.Tuple) (truths, x []float64, err error) {
+	truths = make([]float64, len(tr.preds))
+	for _, row := range rows {
+		for j, p := range tr.preds {
+			if p.Eval(tr.schema, row) {
+				truths[j]++
+			}
+		}
+	}
+	if !tr.Materialized() {
+		return truths, nil, nil
+	}
+	x = make([]float64, tr.parts)
+	for i, row := range rows {
+		idx, sig := tr.partitionOf(row)
+		if idx < 0 {
+			return truths, nil, unseenSignature(i, sig)
+		}
+		x[idx]++
+	}
+	return truths, x, nil
+}
+
+func checkResults(tb testing.TB, label string, tr *Transformed, x, truths []float64, err error, rows []dataset.Tuple, repeat int) {
 	tb.Helper()
-	rows := tr.TrueAnswersRows(ref)
-	for j := range rows {
-		if truths[j] != float64(repeat)*rows[j] {
-			tb.Fatalf("%s: TrueAnswers[%d] kernel %v, rows %d × %v (predicate %v)", label, j, truths[j], repeat, rows[j], tr.preds[j])
+	want, xr, errRows := tupleAnswers(tr, rows)
+	for j := range want {
+		if truths[j] != float64(repeat)*want[j] {
+			tb.Fatalf("%s: TrueAnswers[%d] kernel %v, rows %d × %v (predicate %v)", label, j, truths[j], repeat, want[j], tr.preds[j])
 		}
 	}
 	if !tr.Materialized() {
 		return
 	}
-	xr, errRows := tr.HistogramRows(ref)
 	if (err == nil) != (errRows == nil) || (err != nil && err.Error() != errRows.Error()) {
 		tb.Fatalf("%s: Histogram error\nkernel: %v\nrows:   %v", label, err, errRows)
 	}
@@ -395,7 +381,7 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		// Sizes straddle the morsel so first-bad-row parity crosses one.
-		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
+		heap, rows := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
 		forms := storageForms(t, heap)
 		for pos := 5; pos <= 7; pos++ { // fare, tenth, mixed
 			pv := forms["v2"].ColumnData(pos).PackedVals
@@ -419,7 +405,7 @@ func TestKernelMatchesRowPathAcrossStorage(t *testing.T) {
 				t.Fatalf("trial %d: compilable workload fell back (%s): %v", trial, f, preds)
 			}
 			for name, d := range forms {
-				checkKernelAgainstRows(t, fmt.Sprintf("trial %d %s %v", trial, name, preds), tr, d)
+				checkKernelAgainstRows(t, fmt.Sprintf("trial %d %s %v", trial, name, preds), tr, d, rows)
 			}
 			if tr.Materialized() {
 				_, err := tr.Histogram(heap)
@@ -451,7 +437,7 @@ func TestProjectedMatchesRowPath(t *testing.T) {
 		trials = 5
 	}
 	for trial := 0; trial < trials; trial++ {
-		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
+		heap, rows := kernelTable(rng, s, 1+rng.Intn(3*morselRows), trial%2 == 1)
 		for w := 0; w < 4; w++ {
 			preds := make([]dataset.Predicate, 1+rng.Intn(7))
 			for i := range preds {
@@ -462,7 +448,7 @@ func TestProjectedMatchesRowPath(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			label := fmt.Sprintf("trial %d projected %v", trial, preds)
-			if !checkProjectedAgainstRows(t, label, tr, heap, 1<<13) {
+			if !checkProjectedAgainstRows(t, label, tr, rows, 1<<13) {
 				t.Fatalf("%s: columns %v have no projection", label, tr.kernels().cols)
 			}
 			if tr.Materialized() {
@@ -482,9 +468,9 @@ func TestProjectedMatchesRowPath(t *testing.T) {
 	// misfit string) and a sparse wide one (gain: 21-bit lanes, 65 values
 	// plus the out-of-domain ones), alone or next to the categorical columns.
 	for trial := 0; trial < trials; trial++ {
-		heap := kernelTable(rng, s, 1+rng.Intn(3*morselRows), true)
+		_, rows := kernelTable(rng, s, 1+rng.Intn(3*morselRows), true)
 		for _, frac := range []dataset.Value{dataset.Num(math.Copysign(0, -1)), dataset.Num(0), dataset.Null, dataset.Str("oops")} {
-			heap.MustAppend(dataset.Tuple{dataset.Num(7), dataset.Num(1 << 18), frac, dataset.Str("CA"), dataset.Str("y"),
+			rows = append(rows, dataset.Tuple{dataset.Num(7), dataset.Num(1 << 18), frac, dataset.Str("CA"), dataset.Str("y"),
 				dataset.Num(1), dataset.Num(1), dataset.Num(1)})
 		}
 		for _, attr := range []string{"frac", "gain"} {
@@ -497,7 +483,7 @@ func TestProjectedMatchesRowPath(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			label := fmt.Sprintf("trial %d projected %s %v", trial, attr, preds)
-			if !checkProjectedAgainstRows(t, label, tr, heap, heap.Size()) {
+			if !checkProjectedAgainstRows(t, label, tr, rows, len(rows)) {
 				t.Fatalf("%s: columns %v have no projection", label, tr.kernels().cols)
 			}
 		}
@@ -539,7 +525,8 @@ func TestKernelWorkloadShapes(t *testing.T) {
 		}, Options{}, 3, true},
 	}
 	for _, wild := range []bool{false, true} {
-		forms := storageForms(t, kernelTable(rng, s, 2*morselRows+77, wild))
+		heap, rows := kernelTable(rng, s, 2*morselRows+77, wild)
+		forms := storageForms(t, heap)
 		for _, c := range cases {
 			cache := NewTransformCache(c.opt)
 			tr, err := cache.Transform(s, Key(c.preds), c.preds)
@@ -563,7 +550,7 @@ func TestKernelWorkloadShapes(t *testing.T) {
 				if st.Rows != int64(passes*d.Size()) {
 					t.Fatalf("%s %s: Rows = %d, want %d", c.name, name, st.Rows, passes*d.Size())
 				}
-				checkKernelAgainstRows(t, fmt.Sprintf("%s %s wild=%v", c.name, name, wild), tr, d)
+				checkKernelAgainstRows(t, fmt.Sprintf("%s %s wild=%v", c.name, name, wild), tr, d, rows)
 			}
 		}
 	}
@@ -591,7 +578,7 @@ func TestKernelGridFallback(t *testing.T) {
 	if !tr.Materialized() {
 		t.Fatal("out-of-range cuts must not enlarge Transform's own grid")
 	}
-	d := kernelTable(rand.New(rand.NewSource(3)), s, 500, true)
+	d, rows := kernelTable(rand.New(rand.NewSource(3)), s, 500, true)
 	st := cache.EvaluateBatch(d, []BatchItem{{Tr: tr, Histogram: true, Truth: true}})
 	if st.Fallbacks[FallbackGrid] != 1 || st.ColumnPasses != 0 {
 		t.Fatalf("stats = %+v, want one grid fallback and no column passes", st)
@@ -599,7 +586,7 @@ func TestKernelGridFallback(t *testing.T) {
 	if _, _, ok := tr.ScanPlan(d); ok {
 		t.Fatal("ScanPlan claims a columnar plan for a row-path workload")
 	}
-	checkKernelAgainstRows(t, "grid fallback", tr, d)
+	checkKernelAgainstRows(t, "grid fallback", tr, d, rows)
 }
 
 // FuzzClassifyMatchesEval lets the fuzzer choose the cut constants (raw
@@ -608,11 +595,11 @@ func TestKernelGridFallback(t *testing.T) {
 // shapes. Column "v" holds base+lane — packed, it classifies by lookup
 // table up to 16-bit lanes and by integer lane thresholds above; narrow
 // columns additionally hold every lane once. Column "f" holds the cut
-// constants themselves and their neighbours, unpacked. The atom → cell →
-// signature chain must then equal predicate-by-predicate Eval (the row
-// path) on the raw and the packed table alike — and answered from the
-// projection of those rows repeated until the set is eligible, where "f"
-// is a raw float64 column unless its values are short decimals.
+// constants themselves and their neighbours, raw float64 unless they are
+// short decimals. The atom → cell → signature chain must then equal
+// predicate-by-predicate Eval over the appended tuples on the sealed table
+// and on its values widened to raw float64 alike — and answered from the
+// projection of those rows repeated until the set is eligible.
 // (dataset's FuzzLaneThresholds checks the integer thresholds themselves
 // on every lane of a narrow column.)
 func FuzzClassifyMatchesEval(f *testing.F) {
@@ -657,7 +644,7 @@ func FuzzClassifyMatchesEval(f *testing.F) {
 		for i := 0; i+4 <= len(laneBytes) && len(lanes) < 600; i += 4 {
 			lanes = append(lanes, uint64(binary.LittleEndian.Uint32(laneBytes[i:]))&top)
 		}
-		heap := dataset.NewTable(s)
+		var rows []dataset.Tuple
 		for i, l := range lanes {
 			c := cuts[i%len(cuts)]
 			row := dataset.Tuple{
@@ -668,7 +655,7 @@ func FuzzClassifyMatchesEval(f *testing.F) {
 			if i%11 == 10 {
 				row[i%3] = dataset.Null
 			}
-			heap.MustAppend(row)
+			rows = append(rows, row)
 		}
 		pick := func(b byte) float64 { return cuts[int(b)%len(cuts)] }
 		var preds []dataset.Predicate
@@ -699,8 +686,9 @@ func FuzzClassifyMatchesEval(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d raw %v", w, base, preds), tr, heap)
-		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d packed %v", w, base, preds), tr, packedForm(t, heap))
-		checkProjectedAgainstRows(t, fmt.Sprintf("w=%d base=%d projected %v", w, base, preds), tr, heap, 1<<12)
+		packed := repeatedTable(s, rows, 1)
+		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d packed %v", w, base, preds), tr, packed, rows)
+		checkKernelAgainstRows(t, fmt.Sprintf("w=%d base=%d raw %v", w, base, preds), tr, rawForm(t, packed), rows)
+		checkProjectedAgainstRows(t, fmt.Sprintf("w=%d base=%d projected %v", w, base, preds), tr, rows, 1<<12)
 	})
 }
