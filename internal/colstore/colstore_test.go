@@ -126,8 +126,7 @@ func TestBuildCSVRoundTrip(t *testing.T) {
 	}
 	assertTablesMatch(t, heap, loaded)
 
-	// AdviseColumns/Release/ResidentBytes must be callable and sane.
-	seg.AdviseColumns([]int{0, 1, 2})
+	// Release/ResidentBytes must be callable and sane.
 	if res, err := seg.ResidentBytes(); err != nil || res < 0 || res > seg.MappedBytes() {
 		t.Fatalf("ResidentBytes = %d, %v (mapped %d)", res, err, seg.MappedBytes())
 	}

@@ -67,8 +67,8 @@ const (
 	CurrentVersion = version2
 	headerSize     = 64
 	// pageAlign aligns every column region to the usual OS page size, so
-	// madvise and mincore act on whole regions and no two columns share a
-	// fault page.
+	// no two columns share a fault page: a scan faults in only the
+	// columns it reads.
 	pageAlign = 4096
 )
 

@@ -20,14 +20,6 @@ func mapFile(f *os.File, size int64) (data []byte, mapped bool, err error) {
 
 func unmapFile(b []byte) error { return syscall.Munmap(b) }
 
-// adviseWillNeed asks the kernel to start reading the mapping in; best
-// effort, errors ignored (the scan faults pages in regardless).
-func adviseWillNeed(b []byte) {
-	if len(b) > 0 {
-		_ = syscall.Madvise(b, syscall.MADV_WILLNEED)
-	}
-}
-
 // adviseDontNeed drops the mapping's resident pages; clean file-backed
 // pages just re-fault from the page cache or disk.
 func adviseDontNeed(b []byte) {

@@ -25,8 +25,6 @@ func mapFile(f *os.File, size int64) (data []byte, mapped bool, err error) {
 
 func unmapFile([]byte) error { return nil }
 
-func adviseWillNeed([]byte) {}
-
 func adviseDontNeed([]byte) {}
 
 func residentBytes(b []byte) (int64, error) { return int64(len(b)), nil }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"repro/internal/dataset"
 )
@@ -32,19 +31,7 @@ type Segment struct {
 	version   int
 	dataBytes int64
 	v1Bytes   int64
-
-	// colSpans[pos] is the page-aligned byte envelope of column pos's
-	// regions inside the mapping — the unit of column-granular madvise
-	// and per-column residency accounting. advMu guards colAdvised, the
-	// per-column WILLNEED dedup.
-	colSpans   []colSpan
-	advMu      sync.Mutex
-	colAdvised []bool
 }
-
-// colSpan is one column's byte range within the mapping; start is
-// page-aligned (columns begin on page boundaries by construction).
-type colSpan struct{ start, end uint64 }
 
 // Open verifies and maps the segment at path and rebuilds its table with
 // zero-copy column views. Every checksum (header, directory, each column
@@ -79,9 +66,8 @@ type segMeta struct {
 	// v1Bytes is what the same columns would occupy in the full-width v1
 	// layout (codes 4 B/row, values 8 B/row) — the denominator of the
 	// compression-ratio gauge.
-	v1Bytes  int64
-	colSpans []colSpan
-	size     int64
+	v1Bytes int64
+	size    int64
 }
 
 // validateFile runs the segment's full structural and checksum validation
@@ -158,7 +144,6 @@ func validateFile(f *os.File) (*segMeta, error) {
 		return nil
 	}
 	var v1Bytes int64
-	colSpans := make([]colSpan, len(dir.Columns))
 	for pos, dc := range dir.Columns {
 		a := schema.Attr(pos)
 		if dc.Name != a.Name || dc.Kind != kindString(a.Kind) {
@@ -178,7 +163,6 @@ func validateFile(f *os.File) (*segMeta, error) {
 			}
 			packedLen = int64(dataset.PackedWordCount(rows, dc.Width)) * 8
 		}
-		spanFirst := len(regions)
 		if a.Kind == dataset.Categorical {
 			switch dc.Enc {
 			case encRaw:
@@ -226,14 +210,6 @@ func validateFile(f *os.File) (*segMeta, error) {
 			}
 			v1Bytes += int64(rows)*8 + int64(words)*8
 		}
-		// The column's page-aligned envelope, for column-granular madvise.
-		span := colSpan{start: regions[spanFirst].Off &^ (pageAlign - 1)}
-		for _, r := range regions[spanFirst:] {
-			if end := r.Off + r.Len; end > span.end {
-				span.end = end
-			}
-		}
-		colSpans[pos] = span
 	}
 	if dir.Misfits != nil {
 		if err := checkRegion(dir.Misfits, "misfit table", -1, 8); err != nil {
@@ -247,7 +223,7 @@ func validateFile(f *os.File) (*segMeta, error) {
 		}
 	}
 	return &segMeta{h: h, dir: dir, schema: schema, rows: rows, regions: regions,
-		dataBytes: dataBytes, v1Bytes: v1Bytes, colSpans: colSpans, size: size}, nil
+		dataBytes: dataBytes, v1Bytes: v1Bytes, size: size}, nil
 }
 
 func open(f *os.File, path string) (*Segment, error) {
@@ -260,14 +236,12 @@ func open(f *os.File, path string) (*Segment, error) {
 		return nil, fmt.Errorf("colstore: mmap: %w", err)
 	}
 	seg := &Segment{path: path, f: f, data: data, mapped: mapped, rows: m.rows,
-		version: int(m.h.version), dataBytes: m.dataBytes, v1Bytes: m.v1Bytes,
-		colSpans: m.colSpans, colAdvised: make([]bool, len(m.colSpans))}
+		version: int(m.h.version), dataBytes: m.dataBytes, v1Bytes: m.v1Bytes}
 	table, err := seg.buildTable(m.schema, m.rows, &m.dir)
 	if err != nil {
 		seg.unmap()
 		return nil, err
 	}
-	table.SetColumnHints(seg.AdviseColumns, seg.ReleaseColumns)
 	seg.table = table
 	// buildTable's canonical-form check walked every packed column through
 	// the mapping; drop those pages from the process again (they stay in
@@ -410,67 +384,10 @@ func (s *Segment) ResidentBytes() (int64, error) {
 	return residentBytes(s.data)
 }
 
-// Release drops the whole mapping's resident pages (madvise DONTNEED) —
-// the cold-memory end of the policy lever; pages fault back in on the next
-// scan, and the next AdviseColumns re-issues its hints.
-func (s *Segment) Release() {
-	adviseDontNeed(s.data)
-	s.advMu.Lock()
-	clear(s.colAdvised)
-	s.advMu.Unlock()
-}
-
-// AdviseColumns hints WILLNEED over only the named columns' page
-// envelopes — the scheduler's column-granular prefetch, installed as the
-// table's PrefetchColumns hook. A column already advised (and not since
-// released) is skipped.
-func (s *Segment) AdviseColumns(cols []int) {
-	s.advMu.Lock()
-	defer s.advMu.Unlock()
-	for _, pos := range cols {
-		if pos < 0 || pos >= len(s.colSpans) || s.colAdvised[pos] {
-			continue
-		}
-		if sp := s.colSpans[pos]; sp.end > sp.start && sp.end <= uint64(len(s.data)) {
-			adviseWillNeed(s.data[sp.start:sp.end])
-			s.colAdvised[pos] = true
-		}
-	}
-}
-
-// ReleaseColumns drops the named columns' resident pages (DONTNEED) —
-// the cold-column end of the scheduler's planner. Pages fault back in on
-// the next touch; a later AdviseColumns re-hints them.
-func (s *Segment) ReleaseColumns(cols []int) {
-	s.advMu.Lock()
-	defer s.advMu.Unlock()
-	for _, pos := range cols {
-		if pos < 0 || pos >= len(s.colSpans) {
-			continue
-		}
-		if sp := s.colSpans[pos]; sp.end > sp.start && sp.end <= uint64(len(s.data)) {
-			adviseDontNeed(s.data[sp.start:sp.end])
-			s.colAdvised[pos] = false
-		}
-	}
-}
-
-// ColumnResident reports how many bytes of the column's page envelope
-// currently sit in physical memory (mincore; on platforms without a real
-// mapping the whole envelope counts as resident).
-func (s *Segment) ColumnResident(pos int) (int64, error) {
-	if pos < 0 || pos >= len(s.colSpans) {
-		return 0, fmt.Errorf("colstore: column %d out of range", pos)
-	}
-	sp := s.colSpans[pos]
-	if sp.end <= sp.start || sp.end > uint64(len(s.data)) {
-		return 0, nil
-	}
-	if !s.mapped {
-		return int64(sp.end - sp.start), nil
-	}
-	return residentBytes(s.data[sp.start:sp.end])
-}
+// Release drops the whole mapping's pages from the process's page
+// tables (madvise DONTNEED). The file's pages stay in the page cache, so
+// the next scan's touch is a minor fault.
+func (s *Segment) Release() { adviseDontNeed(s.data) }
 
 // Close unmaps the file. The Table becomes invalid: any later column read
 // faults. Only close a segment whose table can no longer be reached.

@@ -98,3 +98,56 @@ func TestRangeStringAllocs(t *testing.T) {
 		t.Errorf("Range.String: %v allocations, want ≤ 1", allocs)
 	}
 }
+
+// TestValueStringMatchesFmt: a number renders exactly as %g did — the
+// form WriteCSV writes each continuous cell in, so a generated CSV keeps
+// every byte — on the float64 classes, the 'e' switch at 1e21 and 1e-5,
+// random bit patterns and random short decimals.
+func TestValueStringMatchesFmt(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 0.30000000000000004, 1e-5, 1e-4, 1e20, 1e21,
+		999999999999999999999, 123456789, 5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	r := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 200_000; i++ {
+		floats = append(floats, math.Float64frombits(r.Uint64()),
+			float64(r.IntN(2_000_000)-1_000_000)/math.Pow(10, float64(r.IntN(7))))
+	}
+	for _, f := range floats {
+		if got, want := Num(f).String(), fmt.Sprintf("%g", f); got != want {
+			t.Fatalf("Num(%v).String() = %q, %%g gives %q", math.Float64bits(f), got, want)
+		}
+	}
+}
+
+// TestWriteCSVMatchesFmt: WriteCSV's bytes are the rows' cells formatted
+// with %g (categories as they are, NULL as an empty cell).
+func TestWriteCSVMatchesFmt(t *testing.T) {
+	s := MustSchema(Attribute{Name: "x", Kind: Continuous, Min: -1e6, Max: 1e6},
+		Attribute{Name: "c", Kind: Categorical, Values: []string{"a", "b"}})
+	tab := NewTable(s)
+	r := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 5000; i++ {
+		x := Num(float64(r.IntN(2_000_000)-1_000_000) / math.Pow(10, float64(r.IntN(7))))
+		if i%97 == 0 {
+			x = Null
+		}
+		tab.MustAppend(Tuple{x, Str([]string{"a", "b"}[i%2])})
+	}
+	var want strings.Builder
+	want.WriteString("x,c\n")
+	for i := 0; i < tab.Size(); i++ {
+		row := tab.Row(i)
+		if f, ok := row[0].AsNum(); ok {
+			fmt.Fprintf(&want, "%g", f)
+		}
+		c, _ := row[1].AsStr()
+		want.WriteString("," + c + "\n")
+	}
+	var got strings.Builder
+	if err := WriteCSV(&got, tab); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteCSV differs from the %%g form:\n got %.200q\nwant %.200q", got.String(), want.String())
+	}
+}

@@ -273,7 +273,6 @@ func (kc *keyColumn) fold(lo int, keys []uint64, digits []uint32, skip []int, li
 // compacts the tuples, in key order, into the projection's columns. It
 // returns nil as soon as the tuples number more than the limit.
 func (t *Table) buildProjection(cols []int) *Projection {
-	t.PrefetchColumns(cols)
 	limit := t.projectionLimit()
 	kcs := make([]keyColumn, len(cols))
 	for i, pos := range cols {

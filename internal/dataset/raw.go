@@ -199,32 +199,6 @@ func TableFromColumns(schema *Schema, n int, cols []ColumnData, misfits []Misfit
 	return t, nil
 }
 
-// SetColumnHints installs the column-granular storage hints: advise is
-// called with the schema positions an imminent batched scan will read
-// (madvise(WILLNEED) over just those byte ranges), release with
-// positions that have gone cold (DONTNEED). The column store installs
-// both on every table it opens; heap tables leave them unset.
-func (t *Table) SetColumnHints(advise, release func(cols []int)) {
-	t.adviseCols = advise
-	t.releaseCols = release
-}
-
-// PrefetchColumns advises the storage layer that a scan over the given
-// schema positions is imminent. No-op for heap tables.
-func (t *Table) PrefetchColumns(cols []int) {
-	if t.adviseCols != nil {
-		t.adviseCols(cols)
-	}
-}
-
-// ReleaseColumns tells the storage layer the given schema positions have
-// gone cold and their pages may be dropped. No-op for heap tables.
-func (t *Table) ReleaseColumns(cols []int) {
-	if t.releaseCols != nil {
-		t.releaseCols(cols)
-	}
-}
-
 // ColumnScanBytes returns the number of bytes one full pass over the
 // attribute at schema position pos reads from the column storage — the
 // packed words, or a raw column's float64s, and the missing bitmap.

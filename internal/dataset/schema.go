@@ -17,6 +17,7 @@ package dataset
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // AttrKind distinguishes categorical from continuous attributes.
@@ -173,7 +174,7 @@ func (v Value) String() string {
 	case strValue:
 		return v.str
 	default:
-		return fmt.Sprintf("%g", v.num)
+		return strconv.FormatFloat(v.num, 'g', -1, 64) // exactly %g
 	}
 }
 

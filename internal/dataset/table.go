@@ -46,12 +46,6 @@ type Table struct {
 	build    *tableBuild
 	sealOnce sync.Once
 
-	// adviseCols/releaseCols, when set, are the storage layer's
-	// column-granular warmup and cool-down hooks (SetColumnHints in
-	// raw.go).
-	adviseCols  func(cols []int)
-	releaseCols func(cols []int)
-
 	// proj holds the projections built over the table's columns
 	// (projection.go); nil only for a projection's own table.
 	proj *memo.Cache[string, *Projection]

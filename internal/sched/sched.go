@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -232,16 +231,6 @@ type dsQueue struct {
 	fallbacks map[string]*metrics.Counter // idem; workloads evaluated outside the scan kernel, by reason
 	projected map[string]*metrics.Counter // idem; kernel workloads by projection outcome
 	projBytes *metrics.Gauge              // idem; bytes of the projections the table holds
-
-	// Cold-column planner state: colLast[pos] is the batch sequence at
-	// which a batched scan last planned schema position pos. A column
-	// unplanned for coldAfterBatches consecutive batches gets a DONTNEED
-	// release (dataset.Table.ReleaseColumns) and drops from the map until
-	// a scan plans it again. colMu guards both (two workers can finish
-	// batches concurrently).
-	colMu    sync.Mutex
-	colLast  map[int]uint64
-	batchSeq uint64
 }
 
 func (s *Scheduler) newQueue(name string) *dsQueue {
@@ -290,42 +279,6 @@ func (s *Scheduler) newQueue(name string) *dsQueue {
 			metrics.L("dataset", name))
 	}
 	return q
-}
-
-// coldAfterBatches is how many consecutive batches a column may go
-// unplanned before the planner releases its pages. High enough that a
-// briefly idle attribute keeps its residency across a bursty workload,
-// low enough that a genuinely abandoned column stops competing with hot
-// ones for page cache.
-const coldAfterBatches = 64
-
-// noteColumns advances the cold-column planner by one batch: the columns
-// whose storage the batch read (none, when projections answered all of
-// it) become hot, and any tracked column that has gone coldAfterBatches
-// batches without being read is released — which is also how the pages a
-// projection build walked are dropped once the projection serves the
-// column set.
-func (d *dsQueue) noteColumns(t *dataset.Table, cols []int) {
-	d.colMu.Lock()
-	defer d.colMu.Unlock()
-	d.batchSeq++
-	if d.colLast == nil {
-		d.colLast = make(map[int]uint64)
-	}
-	for _, pos := range cols {
-		d.colLast[pos] = d.batchSeq
-	}
-	var cold []int
-	for pos, last := range d.colLast {
-		if d.batchSeq-last >= coldAfterBatches {
-			cold = append(cold, pos)
-			delete(d.colLast, pos)
-		}
-	}
-	if len(cold) > 0 {
-		sort.Ints(cold)
-		t.ReleaseColumns(cold)
-	}
 }
 
 // Ask runs one query through the dataset's scheduler and blocks until it
@@ -621,14 +574,11 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 	// plan's noise-free evaluations. All engines of a dataset share one
 	// transformation cache and one table; group defensively anyway so a
 	// mixed batch can never warm through the wrong cache. EvaluateBatch
-	// derives the batch's planned column set from its deduplicated
-	// predicates and prefetches only those byte ranges (column-granular
-	// madvise on an mmap-backed table, a no-op for heap tables); the
-	// returned stats feed the scan-bandwidth and projection counters and
-	// the cold-column release planner (advanced by every batch that
-	// evaluated a workload, whether or not it read a column). The pass is
-	// shared, so its span lands on every flight's trace with the membership
-	// that explains the shared duration.
+	// reads only the columns its deduplicated workloads plan (none for a
+	// workload a held projection answers); the returned stats feed the
+	// scan-bandwidth, fallback and projection counters. The pass is shared,
+	// so its span lands on every flight's trace with the membership that
+	// explains the shared duration.
 	scanStart := time.Now()
 	var warmed int
 	var scanBytes, scanRows int64
@@ -637,9 +587,6 @@ func (s *Scheduler) runBatch(d *dsQueue, batch []*request) {
 		warmed += len(g.items)
 		scanBytes += st.ScanBytes
 		scanRows += st.Rows
-		if st.Workloads > 0 {
-			d.noteColumns(g.table, st.Columns)
-		}
 		for reason, n := range st.Fallbacks {
 			if c := d.fallbacks[reason]; c != nil {
 				c.Add(float64(n))

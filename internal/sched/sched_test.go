@@ -683,20 +683,12 @@ func packedTable(t testing.TB, rows int) *dataset.Table {
 	return tab
 }
 
-// TestColdPlannerAdvancesOnProjectionHits: once a projection answers
-// every batch, no batch reads a column — and the planner must still count
-// those batches, or the pages the build walked stay resident for good.
-// One build, then coldAfterBatches projection-answered batches: the built
-// column is released exactly once, through the table's one release hook,
-// and every workload is counted under its outcome.
-func TestColdPlannerAdvancesOnProjectionHits(t *testing.T) {
+// TestProjectionOutcomesCountedPerBatch: one build, then batches a held
+// projection answers without reading a column — every workload is counted
+// under its outcome, the held bytes are exported, and the outcomes no
+// workload reached are exported at zero.
+func TestProjectionOutcomesCountedPerBatch(t *testing.T) {
 	d := packedTable(t, 4096)
-	var mu sync.Mutex
-	var advised, released [][]int
-	d.SetColumnHints(
-		func(cols []int) { mu.Lock(); advised = append(advised, append([]int(nil), cols...)); mu.Unlock() },
-		func(cols []int) { mu.Lock(); released = append(released, append([]int(nil), cols...)); mu.Unlock() },
-	)
 	reg := metrics.NewRegistry()
 	s := New(Config{Workers: 1, Metrics: reg})
 	defer s.Close()
@@ -719,27 +711,12 @@ func TestColdPlannerAdvancesOnProjectionHits(t *testing.T) {
 	if b, h := counted(dataset.ProjectionBuild), counted(dataset.ProjectionHit); b != 1 || h != 0 {
 		t.Fatalf("after the first workload: %v builds, %v hits; want the one build", b, h)
 	}
-	for i := 1; i < coldAfterBatches; i++ {
+	const hits = 20
+	for i := 1; i <= hits; i++ {
 		ask(i)
 	}
-	mu.Lock()
-	if len(released) != 0 {
-		t.Fatalf("column released after %d idle batches: %v", coldAfterBatches-1, released)
-	}
-	mu.Unlock()
-	for i := coldAfterBatches; i < coldAfterBatches+10; i++ {
-		ask(i)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(released) != 1 || !reflect.DeepEqual(released[0], []int{0}) {
-		t.Fatalf("released = %v, want the built column [0] exactly once", released)
-	}
-	if len(advised) == 0 || !reflect.DeepEqual(advised[0], []int{0}) {
-		t.Fatalf("advised = %v, want the build to advise column [0]", advised)
-	}
-	if b, h, in := counted(dataset.ProjectionBuild), counted(dataset.ProjectionHit), counted(dataset.ProjectionIneligible); b != 1 || h != coldAfterBatches+9 || in != 0 {
-		t.Fatalf("projection outcomes: %v builds, %v hits, %v ineligible; want 1, %d, 0", b, h, in, coldAfterBatches+9)
+	if b, h, in := counted(dataset.ProjectionBuild), counted(dataset.ProjectionHit), counted(dataset.ProjectionIneligible); b != 1 || h != hits || in != 0 {
+		t.Fatalf("projection outcomes: %v builds, %v hits, %v ineligible; want 1, %d, 0", b, h, in, hits)
 	}
 	if held := reg.Gauge("apex_scan_projection_bytes", "", metrics.L("dataset", "d")).Value(); held != float64(d.ProjectionBytes()) || held <= 0 {
 		t.Fatalf("apex_scan_projection_bytes = %v, the table holds %d B", held, d.ProjectionBytes())

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"sort"
-
-	"repro/internal/dataset"
-)
+import "repro/internal/dataset"
 
 // BatchItem asks for one workload's noise-free evaluations to be warmed:
 // the partition histogram and/or the exact per-predicate answers.
@@ -16,10 +12,10 @@ type BatchItem struct {
 
 // BatchStats reports what one EvaluateBatch actually read — the
 // scheduler's feed for the scan-bandwidth counters
-// (apex_scan_bytes_total / apex_scan_rows_total), the fallback and
+// (apex_scan_bytes_total / apex_scan_rows_total) and the fallback and
 // projection counters (apex_scan_fallback_total,
-// apex_scan_projection_total) and its cold-column release planner.
-// Zero-valued when the batch had nothing to warm.
+// apex_scan_projection_total). Zero-valued when the batch had nothing to
+// warm.
 type BatchStats struct {
 	// Workloads is the number of deduplicated workloads the batch
 	// evaluated.
@@ -39,11 +35,6 @@ type BatchStats struct {
 	// column's float64s, once per (workload, column); a
 	// projection's lanes and weights for a workload it answered.
 	ScanBytes int64
-	// Columns is the deduplicated, sorted set of schema positions whose
-	// table storage the batch read — what was prefetched, and what the
-	// cold-column planner marks as recently hot. A projection-answered
-	// workload contributes none.
-	Columns []int
 	// Fallbacks counts, by reason (FallbackReasons), the workloads the
 	// batch evaluated outside the scan kernel. Nil when there were none.
 	Fallbacks map[string]int
@@ -74,13 +65,8 @@ type BatchStats struct {
 // path and counted in BatchStats.Fallbacks, never taken silently; nor is
 // a column set without a projection (BatchStats.Projections).
 // Workloads that were not produced by a TransformCache or whose results
-// are already memoized are skipped.
-//
-// Before the scans run, the batch's planned column set is handed to the
-// table's column-granular prefetch hook (dataset.Table.PrefetchColumns),
-// so an mmap-backed table advises WILLNEED over exactly the byte ranges
-// this batch will read and nothing else. The returned BatchStats describe
-// the scans that actually ran.
+// are already memoized are skipped. The returned BatchStats describe the
+// scans that actually ran.
 func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) BatchStats {
 	// Collection pass: decide what each workload still needs.
 	byTr := make(map[*Transformed]*evalTask, len(items))
@@ -112,12 +98,9 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 	}
 
 	// Plan pass: settle what each workload scans (building a projection
-	// the first time an eligible column set is asked for), account the
-	// traffic, and prefetch only the byte ranges the batch reads before the
-	// first kernel faults a page (a build has advised its own; advising a
-	// column twice is free).
+	// the first time an eligible column set is asked for) and account the
+	// traffic.
 	stats := BatchStats{Workloads: len(tasks)}
-	seen := make(map[int]bool)
 	for _, t := range tasks {
 		t.bind(d)
 		k := t.tr.kernels()
@@ -140,18 +123,7 @@ func (c *TransformCache) EvaluateBatch(d *dataset.Table, items []BatchItem) Batc
 		stats.ColumnPasses += passes
 		stats.Rows += rows
 		stats.ScanBytes += bytes
-		if t.outcome == dataset.ProjectionHit {
-			continue
-		}
-		for _, pos := range k.cols {
-			if !seen[pos] {
-				seen[pos] = true
-				stats.Columns = append(stats.Columns, pos)
-			}
-		}
 	}
-	sort.Ints(stats.Columns)
-	d.PrefetchColumns(stats.Columns)
 
 	scan(d, tasks)
 

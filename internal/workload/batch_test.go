@@ -167,8 +167,8 @@ func TestEvaluateBatchCountsFallbacks(t *testing.T) {
 	if _, outcome := d.PlannedProjection(trKernel.kernels().cols); outcome == dataset.ProjectionIneligible {
 		agePasses = 2
 	}
-	if st.ColumnPasses != len(bins)+agePasses || len(st.Columns) != 2 {
-		t.Fatalf("passes = %d over columns %v, want %d over 2", st.ColumnPasses, st.Columns, len(bins)+agePasses)
+	if st.ColumnPasses != len(bins)+agePasses {
+		t.Fatalf("passes = %d, want %d", st.ColumnPasses, len(bins)+agePasses)
 	}
 	for _, tr := range []*Transformed{trFunc, trImplicit, trKernel} {
 		if _, ok := tr.memo.Peek(evalKey{d, true}); !ok {
@@ -230,7 +230,7 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	check := func(label string, st BatchStats, want BatchStats) {
 		t.Helper()
 		if st.Workloads != want.Workloads || st.ColumnPasses != want.ColumnPasses || st.Rows != want.Rows ||
-			st.ScanBytes != want.ScanBytes || fmt.Sprint(st.Columns) != fmt.Sprint(want.Columns) ||
+			st.ScanBytes != want.ScanBytes ||
 			fmt.Sprint(st.Projections) != fmt.Sprint(want.Projections) || st.Fallbacks != nil {
 			t.Fatalf("%s:\n got %+v\nwant %+v", label, st, want)
 		}
@@ -239,7 +239,7 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	n := int64(d.Size())
 	st, predicted := evaluate("build", bins("age", 0, 10))
 	check("build", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(agePos),
-		Columns: []int{agePos}, Projections: map[string]int{dataset.ProjectionBuild: 1}})
+		Projections: map[string]int{dataset.ProjectionBuild: 1}})
 	if predicted != st.ScanBytes {
 		t.Fatalf("build: ScanPlan predicted %d B, the batch read %d", predicted, st.ScanBytes)
 	}
@@ -274,7 +274,7 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	// gain's lanes are 21 bits wide, but its rows hold 66 distinct values:
 	// the set builds like a narrow one.
 	check("wide", untried("wide", gainPos, bins("gain", 0, 1<<16)), BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n,
-		ScanBytes: d.ColumnScanBytes(gainPos), Columns: []int{gainPos}, Projections: map[string]int{dataset.ProjectionBuild: 1}})
+		ScanBytes: d.ColumnScanBytes(gainPos), Projections: map[string]int{dataset.ProjectionBuild: 1}})
 
 	// fare holds thousands of distinct cents, more than a row in eight. The
 	// first workload's build aborts: an attempt pass, then the row pass. The
@@ -282,10 +282,10 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	// predicted.
 	farePos, _ := s.Lookup("fare")
 	check("abort", untried("abort", farePos, bins("fare", 0, 20)), BatchStats{Workloads: 1, ColumnPasses: 2, Rows: 2 * n, ScanBytes: 2 * d.ColumnScanBytes(farePos),
-		Columns: []int{farePos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
+		Projections: map[string]int{dataset.ProjectionIneligible: 1}})
 	st, predicted = evaluate("ineligible", bins("fare", 1, 19))
 	check("ineligible", st, BatchStats{Workloads: 1, ColumnPasses: 1, Rows: n, ScanBytes: d.ColumnScanBytes(farePos),
-		Columns: []int{farePos}, Projections: map[string]int{dataset.ProjectionIneligible: 1}})
+		Projections: map[string]int{dataset.ProjectionIneligible: 1}})
 	if predicted != st.ScanBytes {
 		t.Fatalf("ineligible: ScanPlan predicted %d B, the batch read %d", predicted, st.ScanBytes)
 	}
@@ -302,6 +302,6 @@ func TestBatchStatsProjectionOutcomes(t *testing.T) {
 	st, _ = evaluate("build+hit", flagged(bins("age", 0, 10)), flagged(bins("age", 3, 9)))
 	pf, _ := d.PlannedProjection([]int{agePos, flagPos})
 	check("build+hit", st, BatchStats{Workloads: 2, ColumnPasses: 2, Rows: 2*n + 2*int64(pf.Table().Size()),
-		ScanBytes: d.ColumnScanBytes(agePos) + d.ColumnScanBytes(flagPos) + pf.Bytes(), Columns: []int{agePos, flagPos},
+		ScanBytes:   d.ColumnScanBytes(agePos) + d.ColumnScanBytes(flagPos) + pf.Bytes(),
 		Projections: map[string]int{dataset.ProjectionBuild: 1, dataset.ProjectionHit: 1}})
 }

@@ -543,9 +543,9 @@ func TestKernelWorkloadShapes(t *testing.T) {
 				if _, after := d.PlannedProjection(tr.kernels().cols); before == dataset.ProjectionBuild && after == dataset.ProjectionIneligible {
 					passes *= 2 // the aborted projection build's attempt, then the row pass
 				}
-				if st.ColumnPasses != passes || len(st.Columns) != c.cols || st.Fallbacks != nil {
+				if cols := tr.kernels().cols; st.ColumnPasses != passes || len(cols) != c.cols || st.Fallbacks != nil {
 					t.Fatalf("%s %s: %d passes over columns %v, fallbacks %v; want %d over the %d columns",
-						c.name, name, st.ColumnPasses, st.Columns, st.Fallbacks, passes, c.cols)
+						c.name, name, st.ColumnPasses, cols, st.Fallbacks, passes, c.cols)
 				}
 				if st.Rows != int64(passes*d.Size()) {
 					t.Fatalf("%s %s: Rows = %d, want %d", c.name, name, st.Rows, passes*d.Size())
